@@ -9,6 +9,7 @@ success, 1 on verification failure, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -223,9 +224,7 @@ def cmd_subst(args) -> int:
     replacement = sf.terms[args.with_term]
     # resolve --var by its name in the term's declaration bracket, or by
     # the canonical rendering "x<num>:<sort>"
-    from .dsl import _bind_bracket
-    decl = next(d for d in sf.term_decls if d.name == args.term)
-    binding = _bind_bracket(sf.signature, decl.bracket, 0, 0)
+    binding = sf.term_bindings[args.term]
     if args.var in binding:
         var = binding[args.var]
     else:
@@ -256,8 +255,10 @@ def cmd_subst(args) -> int:
     return 0 if equal else 1
 
 
-def _check_one_proof(sf: SpecFile, name: str) -> tuple[int, dict, list[str]]:
-    """Check one proof; returns (exit code, json payload, text lines)."""
+def _check_one_proof(sf: SpecFile, name: str,
+                     as_json: bool) -> tuple[int, dict | list[str]]:
+    """Check one proof; returns the exit code and either the json payload
+    or the text lines."""
     proof = sf.proof(name)
     try:
         tree, hyps = build_proof(sf, proof)
@@ -265,21 +266,23 @@ def _check_one_proof(sf: SpecFile, name: str) -> tuple[int, dict, list[str]]:
         cert = deduction.compile_to_factorization(sf.signature, ld, hyps)
         result = deduction.verify_factorization(cert)
     except DeductionError as exc:
-        return 1, {"proof": name, "valid": False, "error": str(exc)}, \
-            [f"proof {name}: INVALID ({exc})"]
+        if as_json:
+            return 1, {"proof": name, "valid": False, "error": str(exc)}
+        return 1, [f"proof {name}: INVALID ({exc})"]
     code = 0 if result.ok else 1
-    payload = {"proof": name,
-               "conclusion": equation_json(tree.conclusion),
-               "valid": result.ok,
-               "certificate": factorization_json(cert),
-               "trace": list(result.trace)}
+    if as_json:
+        return code, {"proof": name,
+                      "conclusion": equation_json(tree.conclusion),
+                      "valid": result.ok,
+                      "certificate": factorization_json(cert),
+                      "trace": list(result.trace)}
     lines = [f"proof {name}: "
              f"{'VALID' if result.ok else 'FAILED VERIFICATION'}",
              f"  conclusion: {tree.conclusion}",
              f"  hypotheses: {len(cert.hyp)}, claims: {len(cert.claim)}, "
              f"workspace: {len(cert.wksp)}"]
     lines.extend(f"  {line}" for line in result.trace)
-    return code, payload, lines
+    return code, lines
 
 
 def cmd_check_proof(args) -> int:
@@ -291,10 +294,11 @@ def cmd_check_proof(args) -> int:
     worst = 0
     payloads = []
     for name in names:
-        code, payload, lines = _check_one_proof(sf, name)
-        payloads.append(payload)
-        if not args.json:
-            print("\n".join(lines))
+        code, out = _check_one_proof(sf, name, args.json)
+        if args.json:
+            payloads.append(out)
+        else:
+            print("\n".join(out))
         worst = max(worst, code)
     if args.json:
         _emit(payloads[0] if args.proof else {"proofs": payloads})
@@ -329,8 +333,7 @@ def cmd_oracle(args) -> int:
         return 2
     eq = sf.equations[args.equation]
     found = models.find_counterexample(sf.signature, eq, args.max_size)
-    checked = sum(1 for _ in models.enumerate_models(sf.signature,
-                                                     args.max_size))
+    checked = models.count_models(sf.signature, args.max_size)
     if args.json:
         payload = {"equation": equation_json(eq),
                    "max_size": args.max_size,
@@ -365,6 +368,7 @@ def cmd_oracle(args) -> int:
 # --- entry point -------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="termcat",

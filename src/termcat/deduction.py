@@ -66,7 +66,8 @@ class Substitutivity:
 
 @dataclass(frozen=True, slots=True)
 class Copy:
-    """Carries an equation one level down unchanged; used by normalization."""
+    """Carries an equation one level down unchanged; used by normalization.
+    Not a rule of the logic: its certificate is the identity."""
 
 
 RuleInstance = Union[Hypothesis, Reflexivity, Symmetry, Transitivity,
@@ -217,11 +218,6 @@ def check_rule(sig: Signature, premises: Sequence[Equation],
         _require(conclusion == hypotheses[rule.index],
                  "cited hypothesis does not match the conclusion")
         return CodedStep((concl_c,), concl_c, (CiteHyp(0),))
-
-    if isinstance(rule, Copy):
-        _require(conclusion == premises[0],
-                 "copy must repeat its premise unchanged")
-        return CodedStep(prem_cs, concl_c, (CiteHyp(0),))
 
     if isinstance(rule, Reflexivity):
         t = rule.term
@@ -505,50 +501,6 @@ def verify_factorization(f: Factorization) -> VerificationResult:
     return VerificationResult(ok, tuple(trace))
 
 
-# --- whole deductions --------------------------------------------------------------
-
-
-def check_deduction(sig: Signature, tree: DeductionTree,
-                    hypotheses: Sequence[Equation]) -> Factorization:
-    """Validate every node and assemble the tree-shaped certificate.
-
-    The certificate's hypothesis list is the given hypothesis list in
-    declaration order (the set reading: repeated uses cite the same entry);
-    its claim is the conclusion's constraint pair.
-    """
-    hypotheses = tuple(hypotheses)
-
-    def build(node: DeductionTree) -> tuple[Factorization, tuple[int, ...]]:
-        rule = node.rule
-        if isinstance(rule, Hypothesis):
-            step = check_rule(sig, (), rule, node.conclusion,
-                              hypotheses=hypotheses)
-            c = step.conclusion
-            return (Factorization((c,), (c,), (), ((CiteHyp(0),),)),
-                    (rule.index,))
-        if isinstance(rule, Reflexivity):
-            step = check_rule(sig, (), rule, node.conclusion)
-            return step.factorization(), ()
-        sub = [build(p) for p in node.premises]
-        prem_cert = product_factorizations([c for c, _ in sub])
-        origins = tuple(i for _, o in sub for i in o)
-        step = check_rule(sig, [p.conclusion for p in node.premises],
-                          rule, node.conclusion)
-        pasted = paste_factorizations(prem_cert, step.factorization())
-        return pasted, origins
-
-    cert, origins = build(tree)
-    hyp = tuple(equation_constraint(h) for h in hypotheses)
-    verif = tuple(
-        tuple(CiteHyp(origins[s.hyp]) if isinstance(s, CiteHyp) else s
-              for s in proof)
-        for proof in cert.verif)
-    out = Factorization(hyp, cert.claim, cert.wksp, verif)
-    out.meta["hypothesis_reading"] = \
-        "repeated hypothesis uses cite one shared entry"
-    return out
-
-
 # --- normal form for deductions ------------------------------------------------------
 
 
@@ -568,32 +520,42 @@ class LevelledDeduction:
         return self.levels[-1][-1].equation
 
 
-def _natural_level(node: DeductionTree) -> int:
-    if not node.premises:
-        return 0
-    return 1 + max(_natural_level(p) for p in node.premises)
-
-
 def normalize_deduction(tree: DeductionTree) -> LevelledDeduction:
     """Levelled form: premises sit exactly one level below their conclusion
     (copy steps fill gaps) and every intermediate equation feeds exactly
     one step of the next level (shared subtrees are duplicated)."""
-    top = _natural_level(tree)
-    levels: list[list[LevelStep]] = [[] for _ in range(top + 1)]
+    # natural level: leaves at 0, every other node one above its highest
+    # premise; computed once per node, shared nodes included
+    natural: dict[int, int] = {}
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        todo = [p for p in node.premises if id(p) not in natural]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        natural[id(node)] = 1 + max((natural[id(p)] for p in node.premises),
+                                    default=-1)
 
-    def place(node: DeductionTree, level: int) -> int:
-        natural = _natural_level(node)
-        if level > natural:
-            below = place(node, level - 1)
-            levels[level].append(LevelStep(node.conclusion, Copy(),
-                                           (below,)))
-        else:
-            prem = tuple(place(p, level - 1) for p in node.premises)
-            levels[level].append(LevelStep(node.conclusion, node.rule, prem))
-        return len(levels[level]) - 1
-
-    place(tree, top)
-    return LevelledDeduction(tuple(tuple(lv) for lv in levels))
+    # top-down, one level at a time: each entry's premises are the next
+    # consecutive entries one level down; an entry above its natural level
+    # is a copy of the same node one level down
+    levels: list[tuple[LevelStep, ...]] = []
+    row = [tree]
+    for level in range(natural[id(tree)], -1, -1):
+        steps, below = [], []
+        for node in row:
+            if level > natural[id(node)]:
+                rule, prem = Copy(), (node,)
+            else:
+                rule, prem = node.rule, node.premises
+            steps.append(LevelStep(node.conclusion, rule, tuple(
+                range(len(below), len(below) + len(prem)))))
+            below.extend(prem)
+        levels.append(tuple(steps))
+        row = below
+    return LevelledDeduction(tuple(reversed(levels)))
 
 
 def normal_form_violations(ld: LevelledDeduction) -> list[str]:
@@ -632,9 +594,11 @@ def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
     """Assemble the levelled deduction into one certificate.
 
     Per level: the product of the level's rule codings, grouped in step
-    order.  Across levels: the running certificate's claims are reordered to
-    the consumption order of the next level (the associativity re-indexing)
-    and pasted.  Finally the hypothesis entries, duplicated once per use at
+    order; a copy entry contributes the identity certificate on the claim
+    it carries, and a level-0 hypothesis entry the identity on its own
+    constraint.  Across levels: the running certificate's claims are
+    reordered to the consumption order of the next level (the associativity
+    re-indexing) and pasted.  Finally the hypothesis entries, duplicated once per use at
     level 0, are folded back onto the given hypothesis list.
     """
     hypotheses = tuple(hypotheses)
@@ -649,8 +613,7 @@ def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
         step = check_rule(sig, (), s.rule, s.equation,
                           hypotheses=hypotheses)
         if isinstance(s.rule, Hypothesis):
-            c = step.conclusion
-            certs.append(Factorization((c,), (c,), (), ((CiteHyp(0),),)))
+            certs.append(identity_factorization((step.conclusion,)))
             origins.append(s.rule.index)
         else:
             certs.append(step.factorization())
@@ -662,9 +625,15 @@ def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
         step_certs: list[Factorization] = []
         consumed: list[int] = []
         for s in ld.levels[l]:
-            coded = check_rule(sig, [prev_eqs[i] for i in s.premises],
-                               s.rule, s.equation, hypotheses=hypotheses)
-            step_certs.append(coded.factorization())
+            if isinstance(s.rule, Copy):
+                i, = s.premises
+                _require(s.equation == prev_eqs[i],
+                         "copy must repeat its premise unchanged")
+                step_certs.append(identity_factorization((running.claim[i],)))
+            else:
+                coded = check_rule(sig, [prev_eqs[i] for i in s.premises],
+                                   s.rule, s.equation, hypotheses=hypotheses)
+                step_certs.append(coded.factorization())
             consumed.extend(s.premises)
         partitions.append([list(s.premises) for s in ld.levels[l]])
         level_cert = product_factorizations(step_certs)

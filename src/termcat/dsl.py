@@ -145,6 +145,8 @@ class SpecFile:
     proofs: tuple[ProofDef, ...]
     terms: dict[str, Term] = field(default_factory=dict)
     equations: dict[str, Equation] = field(default_factory=dict)
+    term_bindings: dict[str, dict[str, Variable]] = \
+        field(default_factory=dict)
     eq_bindings: dict[str, dict[str, Variable]] = field(default_factory=dict)
 
     def __eq__(self, other):
@@ -415,6 +417,7 @@ def parse_spec(text: str) -> SpecFile:
             sf.terms[td.name] = make_term(e, binding.values(), e.sort)
         except TermcatError as exc:
             raise DslSyntaxError(str(exc), 1, 1)
+        sf.term_bindings[td.name] = binding
     for ed in eq_decls:
         if ed.name in sf.equations:
             raise NameResolutionError(f"equation {ed.name!r} declared twice",

@@ -10,6 +10,7 @@ evaluation serves as an independent check on the syntactic machinery.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -52,18 +53,24 @@ def _table_domains(sig: Signature, sizes: dict[Sort, int]):
         yield op, points
 
 
+def _carrier_sizes(sig: Signature, max_size: int):
+    """Every carrier-size assignment with sizes 1..max_size,
+    lexicographically."""
+    if max_size > MAX_CARRIER:
+        raise CarrierTooLarge(
+            f"carrier bound {max_size} exceeds the limit {MAX_CARRIER}")
+    for sizes_tuple in itertools.product(range(1, max_size + 1),
+                                         repeat=len(sig.sorts)):
+        yield dict(zip(sig.sorts, sizes_tuple))
+
+
 def enumerate_models(sig: Signature, max_size: int) -> Iterator[FiniteModel]:
     """All models whose carriers have between 1 and `max_size` elements.
 
     Deterministic order: carrier size combinations lexicographically, then
     operation tables lexicographically by output choices.
     """
-    if max_size > MAX_CARRIER:
-        raise CarrierTooLarge(
-            f"carrier bound {max_size} exceeds the limit {MAX_CARRIER}")
-    for sizes_tuple in itertools.product(range(1, max_size + 1),
-                                         repeat=len(sig.sorts)):
-        sizes = dict(zip(sig.sorts, sizes_tuple))
+    for sizes in _carrier_sizes(sig, max_size):
         per_op = []
         for op, points in _table_domains(sig, sizes):
             out = range(sizes[op.output])
@@ -72,6 +79,16 @@ def enumerate_models(sig: Signature, max_size: int) -> Iterator[FiniteModel]:
                                                            repeat=len(points))])
         for combo in itertools.product(*per_op):
             yield FiniteModel(sig, dict(sizes), dict(combo))
+
+
+def count_models(sig: Signature, max_size: int) -> int:
+    """How many models `enumerate_models` yields, without enumerating them:
+    the sum over carrier sizes of the product over operations of
+    |output| ** (product of the |input|s)."""
+    return sum(math.prod(sizes[op.output]
+                         ** math.prod(sizes[s] for s in op.inputs)
+                         for op in sig.operations)
+               for sizes in _carrier_sizes(sig, max_size))
 
 
 def random_model(sig: Signature, max_size: int,

@@ -1,7 +1,9 @@
-"""Shared concrete signatures and variable helpers for the tests."""
+"""Shared concrete signatures, variable helpers and the certificate route
+for the tests."""
 
 from __future__ import annotations
 
+from termcat.deduction import compile_to_factorization, normalize_deduction
 from termcat.signature import Signature, Variable, validate_signature
 
 
@@ -34,3 +36,8 @@ def binary_signature() -> Signature:
 
 def v(sig: Signature, sort_index: int, num: int) -> Variable:
     return Variable(sig.sorts[sort_index - 1], num)
+
+
+def certify(sig: Signature, tree, hyps):
+    """The certificate `check-proof` builds: levelled form, then assembly."""
+    return compile_to_factorization(sig, normalize_deduction(tree), hyps)

@@ -19,8 +19,9 @@ from termcat.arrows import (Comp, GenApp, Id, Path, Prod, Proj, TERMINAL,
                             normalize, term_arrow)
 from termcat.deduction import (Abstraction, Concretion, Reflexivity,
                                Substitutivity, Symmetry, Transitivity,
-                               check_deduction, check_rule,
+                               check_rule,
                                compile_to_factorization,
+                               equation_constraint,
                                identity_factorization,
                                normal_form_violations, normalize_deduction,
                                paste_factorizations, product_factorizations,
@@ -303,7 +304,6 @@ def test_criterion_4_rule_soundness():
 
 
 def test_criterion_5_normal_form_round_trip():
-    from termcat.deduction import _natural_level
     rng = random.Random(55555)
     t0 = time.time()
     count = 500
@@ -312,9 +312,9 @@ def test_criterion_5_normal_form_round_trip():
         sig = sigs[k % len(sigs)]
         hyps = [gen_equation(rng, sig, depth=2) for _ in range(3)]
         tree = gen_deduction_tree(rng, sig, hyps, rng.randint(0, 5))
-        while _natural_level(tree) > 5:
+        while len(normalize_deduction(tree).levels) - 1 > 5:
             tree = gen_deduction_tree(rng, sig, hyps, rng.randint(0, 5))
-        direct = check_deduction(sig, tree, hyps)
+        direct = (equation_constraint(tree.conclusion),)
         ld = normalize_deduction(tree)
         violations = normal_form_violations(ld)
         if violations:
@@ -324,12 +324,12 @@ def test_criterion_5_normal_form_round_trip():
         if not verify_factorization(compiled).ok:
             _report(5, "normal-form round trip", False,
                     "compiled certificate failed verification")
-        same = len(direct.claim) == len(compiled.claim) and all(
+        same = len(direct) == len(compiled.claim) and all(
             arrows_equal(a.left, b.left) and arrows_equal(a.right, b.right)
-            for a, b in zip(direct.claim, compiled.claim))
+            for a, b in zip(direct, compiled.claim))
         if not same:
             _report(5, "normal-form round trip", False,
-                    "claim constraints differ between the two routes")
+                    "claim differs from the conclusion's constraint")
     elapsed = time.time() - t0
     _report(5, "normal-form and compilation round trip", True,
             f"{count} trees, {elapsed:.1f}s")

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+import termcat
 from termcat.cli import run
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 MONOID = str(CORPUS / "monoid.msl")
 TWOSORTED = str(CORPUS / "twosorted.msl")
 UNSOUND = str(CORPUS / "unsound.msl")
@@ -110,6 +113,37 @@ def test_oracle_holds_on_tautology(tmp_path, capsys):
                                   "--max-size", "2", str(f)])
     assert code == 0
     assert "holds in all" in out
+
+
+def test_oracle_bound_above_limit_exit_2(capsys):
+    assert run(["oracle", "--equation", "projl", "--max-size", "7",
+                UNSOUND]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_long_sym_chain(tmp_path, capsys):
+    steps = "".join(f"  a{i} = sym a{i - 1} ;\n" for i in range(1, 401))
+    f = tmp_path / "chain.msl"
+    f.write_text("sort s\nop m : s s -> s\n"
+                 "eq comm [x:s, y:s] : m(x, y) = m(y, x)\n"
+                 "proof chain from comm {\n  a0 = hyp comm ;\n"
+                 + steps + "}\n")
+    code, out = _capture(capsys, ["check-proof", str(f)])
+    assert code == 0 and "VALID" in out
+    code, out = _capture(capsys, ["normalize-proof", "--proof", "chain",
+                                  str(f)])
+    assert code == 0 and "level 400" in out
+
+
+def test_traced_layer_functions_exist():
+    # the benchmark's tracer wraps these functions by name
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {m: getattr(termcat, m)
+               for m in ("cli", "arrows", "deduction", "models")}
+    assert tracing.missing_calls(modules) == []
 
 
 def test_unknown_names_exit_2(capsys):

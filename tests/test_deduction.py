@@ -4,15 +4,15 @@ import random
 
 import pytest
 
-from fixtures import binary_signature, unary_signature, v
+from fixtures import binary_signature, certify, unary_signature, v
 from gen import gen_deduction_tree, gen_equation
 from termcat.arrows import arrows_equal, normalize, term_arrow
 from termcat.deduction import (Abstraction, CiteHyp, ComposeRight, Concretion,
                                Copy, DeductionTree, EqConstraint, Factorization,
                                Hypothesis, Refl, Reflexivity, Substitutivity,
                                Sym, Symmetry, Trans, Transitivity, TupleCong,
-                               check_deduction, check_rule,
-                               compile_to_factorization, equation_constraint,
+                               check_rule, compile_to_factorization,
+                               equation_constraint,
                                identity_factorization, normal_form_violations,
                                normalize_deduction, paste_factorizations,
                                product_factorizations, verify_factorization)
@@ -163,7 +163,7 @@ def test_rule_coded_claim_is_the_conclusion_diagram():
 def test_single_hypothesis_deduction():
     sig, s, x, y, m, c, comm, lunit = _setup()
     tree = DeductionTree(comm, Hypothesis(0))
-    cert = check_deduction(sig, tree, [comm])
+    cert = certify(sig, tree, [comm])
     assert cert.hyp == (equation_constraint(comm),)
     assert cert.claim == cert.hyp
     assert cert.verif == ((CiteHyp(0),),)
@@ -174,7 +174,7 @@ def test_unknown_hypothesis_index():
     sig, s, x, y, m, c, comm, lunit = _setup()
     tree = DeductionTree(comm, Hypothesis(3))
     with pytest.raises(UnknownHypothesis):
-        check_deduction(sig, tree, [comm])
+        certify(sig, tree, [comm])
 
 
 def test_sym_sym_chain_certificate():
@@ -184,7 +184,7 @@ def test_sym_sym_chain_certificate():
         comm, Symmetry(),
         (DeductionTree(flipped, Symmetry(),
                        (DeductionTree(comm, Hypothesis(0)),)),))
-    cert = check_deduction(sig, tree, [comm])
+    cert = certify(sig, tree, [comm])
     swaps = [k for k in cert.verif[0] if isinstance(k, Sym)]
     assert len(swaps) == 2
     assert verify_factorization(cert).ok
@@ -203,13 +203,12 @@ def test_three_level_subst_then_trans():
                          Symmetry(), (st,))
     concl = make_equation(mid.left, mid.left, ())
     tree = DeductionTree(concl, Transitivity(), (st, flip))
-    cert = check_deduction(sig, tree, [lunit])
+    cert = certify(sig, tree, [lunit])
     assert verify_factorization(cert).ok
-    ld = normalize_deduction(tree)
-    cert2 = compile_to_factorization(sig, ld, [lunit])
-    assert verify_factorization(cert2).ok
-    assert arrows_equal(cert.claim[0].left, cert2.claim[0].left)
-    assert arrows_equal(cert.claim[0].right, cert2.claim[0].right)
+    want = equation_constraint(tree.conclusion)
+    assert len(cert.claim) == 1
+    assert arrows_equal(cert.claim[0].left, want.left)
+    assert arrows_equal(cert.claim[0].right, want.right)
 
 
 # --- the levelled normal form --------------------------------------------------------
@@ -251,6 +250,31 @@ def test_normal_form_violation_detection():
     assert any("last level" in p for p in problems)
 
 
+def test_copy_padding_is_the_identity_certificate():
+    sig, s, x, y, m, c, comm, lunit = _setup()
+    from termcat.deduction import LevelStep, LevelledDeduction
+    padded = LevelledDeduction((
+        (LevelStep(comm, Hypothesis(0), ()),),
+        (LevelStep(comm, Copy(), (0,)),),
+        (LevelStep(comm, Copy(), (0,)),),
+    ))
+    cert = compile_to_factorization(sig, padded, [comm])
+    assert cert.claim == (equation_constraint(comm),)
+    assert cert.verif == ((CiteHyp(0),),)
+    assert verify_factorization(cert).ok
+    # a copy that changes its equation is refused
+    flipped = make_equation(comm.right, comm.left, comm.vars)
+    forged = LevelledDeduction((
+        (LevelStep(comm, Hypothesis(0), ()),),
+        (LevelStep(flipped, Copy(), (0,)),),
+    ))
+    with pytest.raises(SideConditionViolated, match="copy must repeat"):
+        compile_to_factorization(sig, forged, [comm])
+    # copy is not a rule of the logic
+    with pytest.raises(SideConditionViolated, match="unknown rule"):
+        check_rule(sig, (comm,), Copy(), comm)
+
+
 def test_normalized_random_trees_satisfy_nf(seed=61):
     rng = random.Random(seed)
     sig = unary_signature()
@@ -274,11 +298,12 @@ def test_one_level_compile_equals_rule_coding():
 
 def test_invalid_tree_fails_on_both_routes():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    # symmetry with an unflipped conclusion is invalid everywhere
+    # symmetry with an unflipped conclusion is invalid everywhere: for the
+    # rule check alone and for the assembler of the whole deduction
     bad = DeductionTree(comm, Symmetry(),
                         (DeductionTree(comm, Hypothesis(0)),))
     with pytest.raises(SideConditionViolated):
-        check_deduction(sig, bad, [comm])
+        check_rule(sig, (comm,), Symmetry(), comm)
     ld = normalize_deduction(bad)
     with pytest.raises(SideConditionViolated):
         compile_to_factorization(sig, ld, [comm])
@@ -289,7 +314,7 @@ def test_invalid_tree_fails_on_both_routes():
 
 def _rule_cert(sig, eq):
     tree = DeductionTree(eq, Hypothesis(0))
-    return check_deduction(sig, tree, [eq])
+    return certify(sig, tree, [eq])
 
 
 def test_paste_with_identity_is_neutral():
@@ -384,7 +409,7 @@ def test_deduction_soundness_sample(seed=67):
     all_models = list(enumerate_models(sig, 3))
     for _ in range(8):
         tree = gen_deduction_tree(rng, sig, hyps, rng.randint(1, 3))
-        check_deduction(sig, tree, hyps)  # must accept
+        certify(sig, tree, hyps)  # must accept
         for model in all_models:
             if all(satisfies(model, h) for h in hyps):
                 assert satisfies(model, tree.conclusion)

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from termcat.deduction import (check_deduction, normalize_deduction,
-                               verify_factorization)
+from fixtures import certify
+from termcat.deduction import normalize_deduction, verify_factorization
 from termcat.dsl import build_proof, parse_spec, print_spec
 from termcat.errors import (DslSyntaxError, NameResolutionError,
                             SideConditionViolated)
@@ -96,7 +96,7 @@ def test_build_proof_and_check():
     sf = parse_spec(GOOD)
     tree, hyps = build_proof(sf, sf.proof("flip"))
     assert hyps == [sf.equations["comm"]]
-    cert = check_deduction(sf.signature, tree, hyps)
+    cert = certify(sf.signature, tree, hyps)
     assert verify_factorization(cert).ok
 
 
@@ -128,7 +128,7 @@ proof broken2 from comm lunit {
     sf = parse_spec(text)
     tree, hyps = build_proof(sf, sf.proof("broken2"))
     with pytest.raises(SideConditionViolated):
-        check_deduction(sf.signature, tree, hyps)
+        certify(sf.signature, tree, hyps)
 
 
 def test_abs_binds_fresh_variable_and_conc_removes_it():
@@ -143,7 +143,7 @@ proof widen from comm {
     tree, hyps = build_proof(sf, sf.proof("widen"))
     assert tree.conclusion == sf.equations["comm"]
     assert verify_factorization(
-        check_deduction(sf.signature, tree, hyps)).ok
+        certify(sf.signature, tree, hyps)).ok
 
 
 def test_subst_step_through_dsl():

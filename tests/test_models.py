@@ -9,10 +9,10 @@ from fixtures import binary_signature, unary_signature
 from gen import gen_equation, gen_signature, gen_term
 from termcat.arrows import term_arrow
 from termcat.errors import CarrierTooLarge
-from termcat.models import (FiniteModel, arrows_agree, enumerate_models,
-                            eval_arrow, eval_expression, find_counterexample,
-                            find_separating_model, points, random_model,
-                            satisfies)
+from termcat.models import (FiniteModel, arrows_agree, count_models,
+                            enumerate_models, eval_arrow, eval_expression,
+                            find_counterexample, find_separating_model,
+                            points, random_model, satisfies)
 from termcat.terms import make_equation
 
 
@@ -34,6 +34,9 @@ def test_model_count_for_binary_signature():
     # tables: 2 choices for the constant, 2^4 for the binary operation
     assert len(exactly_two) == 2 * 2 ** 4 == 32
     assert len(all_models) == 33  # plus the single one-element model
+    for bound in (1, 2, 3):
+        assert count_models(sig, bound) == \
+            sum(1 for _ in enumerate_models(sig, bound))
 
 
 def test_enumeration_is_deterministic():
@@ -46,6 +49,8 @@ def test_enumeration_is_deterministic():
 def test_carrier_guard():
     with pytest.raises(CarrierTooLarge):
         next(enumerate_models(unary_signature(), 9))
+    with pytest.raises(CarrierTooLarge):
+        count_models(unary_signature(), 9)
 
 
 def test_eval_expression_against_tables():
