@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -199,17 +200,19 @@ def cmd_check_eq(args) -> int:
         print(f"error: unknown equation {args.equation!r}", file=sys.stderr)
         return 2
     eq = sf.equations[args.equation]
-    left, right = arrows.equation_arrows(eq)
-    equal = arrows.arrows_equal(left, right)
+    # both sides share the equation's variable product and sort, so equal
+    # normal forms are formal equality
+    left, right = map(arrows.normalize, arrows.equation_arrows(eq))
+    equal = left == right
     if args.json:
         _emit({"equation": equation_json(eq),
-               "left": normal_json(arrows.normalize(left)),
-               "right": normal_json(arrows.normalize(right)),
+               "left": normal_json(left),
+               "right": normal_json(right),
                "formally_equal": equal})
     else:
         print(f"equation {args.equation}: {eq}")
-        print(f"  left arrow:  {arrows.normalize(left)}")
-        print(f"  right arrow: {arrows.normalize(right)}")
+        print(f"  left arrow:  {left}")
+        print(f"  right arrow: {right}")
         print(f"  formally equal: {'yes' if equal else 'no'}")
     return 0 if equal else 1
 
@@ -236,21 +239,23 @@ def cmd_subst(args) -> int:
         var = by_render[args.var]
     inst = SubstInstance(target, var, replacement)
     rec = subst_term(inst)
-    rec_arrow = arrows.term_arrow(rec)
-    direct = subst_arrow_direct(inst)
-    equal = arrows.arrows_equal(rec_arrow, direct)
+    # both routes run from the substituted term's variable product to its
+    # sort, so equal normal forms are equal arrows
+    rec_normal = arrows.normalize(arrows.term_arrow(rec))
+    direct = arrows.normalize(subst_arrow_direct(inst))
+    equal = rec_normal == direct
     if args.json:
         _emit({"target": term_json(target), "var": variable_json(var),
                "replacement": term_json(replacement),
                "recursive": {"term": term_json(rec),
-                             "normal": normal_json(arrows.normalize(rec_arrow))},
-               "direct": {"normal": normal_json(arrows.normalize(direct))},
+                             "normal": normal_json(rec_normal)},
+               "direct": {"normal": normal_json(direct)},
                "arrows_equal": equal})
     else:
         print(f"substituting {args.with_term} for {var} in {args.term}")
         print(f"  recursive route: {rec}")
-        print(f"    arrow: {arrows.normalize(rec_arrow)}")
-        print(f"  direct route arrow: {arrows.normalize(direct)}")
+        print(f"    arrow: {rec_normal}")
+        print(f"  direct route arrow: {direct}")
         print(f"  arrows equal: {'yes' if equal else 'no'}")
     return 0 if equal else 1
 
@@ -419,7 +424,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: an I/O failure, not a verdict;
+        # point stdout at devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

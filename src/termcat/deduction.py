@@ -13,18 +13,19 @@ normal forms, checks the certificate without trusting its producer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .arrows import (Comp, FPArrow, FPObject, Proj, TupleArrow, arrows_equal,
-                     cod, dom, equation_arrows, flat_product, term_arrow)
+                     cod, dom, equation_arrows, flat_product)
 from .errors import (EndpointMismatch, InterfaceMismatch,
                      MiddleTermMismatch, SideConditionViolated,
                      UninhabitedFill, UnknownHypothesis)
 from .signature import Signature, Variable, inhabited_sorts, ordered_vars
 from .subst import (SubstInstance, retyping_arrow, subst_expr,
                     substitution_arrow)
-from .terms import Equation, Term, make_equation, var_set
+from .terms import Equation, Term, var_set
 
 # --- rule instances -----------------------------------------------------------
 
@@ -206,11 +207,19 @@ def check_rule(sig: Signature, premises: Sequence[Equation],
                rule: RuleInstance, conclusion: Equation,
                hypotheses: Sequence[Equation] | None = None) -> CodedStep:
     """Validate one rule application and produce its arrow-level coding."""
+    return _code_rule(sig, premises, tuple(map(equation_constraint, premises)),
+                      rule, conclusion, equation_constraint(conclusion),
+                      hypotheses)
+
+
+def _code_rule(sig: Signature, premises: Sequence[Equation],
+               prem_cs: tuple[EqConstraint, ...], rule: RuleInstance,
+               conclusion: Equation, concl_c: EqConstraint,
+               hypotheses: Sequence[Equation] | None) -> CodedStep:
+    """`check_rule` over compiled premise and conclusion constraints."""
     want = RULE_ARITY[type(rule)]
     _require(len(premises) == want,
              f"{RULE_NAMES[type(rule)]} takes {want} premises")
-    prem_cs = tuple(equation_constraint(p) for p in premises)
-    concl_c = equation_constraint(conclusion)
 
     if isinstance(rule, Hypothesis):
         if hypotheses is None or not 0 <= rule.index < len(hypotheses):
@@ -225,8 +234,7 @@ def check_rule(sig: Signature, premises: Sequence[Equation],
                  "reflexivity conclusion must equate the term with itself")
         _require(conclusion.vars == t.vars,
                  "reflexivity conclusion has the wrong variable set")
-        f = term_arrow(t)
-        return CodedStep((), concl_c, (Refl(f),))
+        return CodedStep((), concl_c, (Refl(concl_c.left),))
 
     if isinstance(rule, Symmetry):
         p = premises[0]
@@ -243,8 +251,7 @@ def check_rule(sig: Signature, premises: Sequence[Equation],
         if p1.sort != p2.sort:
             raise MiddleTermMismatch(
                 f"premises have different sorts: {p1.sort} vs {p2.sort}")
-        if not arrows_equal(*equation_arrows(
-                make_equation(p1.right, p2.left, p1.vars))):
+        if not arrows_equal(prem_cs[0].right, prem_cs[1].left):
             raise MiddleTermMismatch(
                 f"premises do not share a middle term: "
                 f"{p1.right} vs {p2.left}")
@@ -591,33 +598,33 @@ def normal_form_violations(ld: LevelledDeduction) -> list[str]:
 
 def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
                              hypotheses: Sequence[Equation]) -> Factorization:
-    """Assemble the levelled deduction into one certificate.
+    """Assemble the levelled deduction into one certificate over the given
+    hypothesis list.
 
-    Per level: the product of the level's rule codings, grouped in step
-    order; a copy entry contributes the identity certificate on the claim
-    it carries, and a level-0 hypothesis entry the identity on its own
-    constraint.  Across levels: the running certificate's claims are
-    reordered to the consumption order of the next level (the associativity
-    re-indexing) and pasted.  Finally the hypothesis entries, duplicated once per use at
-    level 0, are folded back onto the given hypothesis list.
+    Level 0: a hypothesis entry claims the hypothesis it cites and proves it
+    by that citation; a reflexivity entry is proved by `Refl`.  Each later
+    level is the product of its rule codings in step order (a copy entry
+    gives the identity certificate on the claim it carries), pasted onto
+    the running certificate with its claims reordered to the level's
+    consumption order (the associativity re-indexing).  Each equation is
+    compiled once; a rule's premises are the claims of the level below.
     """
     hypotheses = tuple(hypotheses)
     bad = normal_form_violations(ld)
     if bad:
         raise SideConditionViolated("deduction is not in normal form: "
                                     + "; ".join(bad))
+    compiled = functools.cache(equation_constraint)
+    hyp = tuple(map(compiled, hypotheses))
 
-    origins: list[int] = []
-    certs: list[Factorization] = []
+    claims, proofs = [], []
     for s in ld.levels[0]:
-        step = check_rule(sig, (), s.rule, s.equation,
-                          hypotheses=hypotheses)
-        if isinstance(s.rule, Hypothesis):
-            certs.append(identity_factorization((step.conclusion,)))
-            origins.append(s.rule.index)
-        else:
-            certs.append(step.factorization())
-    running = product_factorizations(certs)
+        coded = _code_rule(sig, (), (), s.rule, s.equation,
+                           compiled(s.equation), hypotheses)
+        claims.append(coded.conclusion)
+        proofs.append((CiteHyp(s.rule.index),)
+                      if isinstance(s.rule, Hypothesis) else coded.proof)
+    running = Factorization(hyp, tuple(claims), (), tuple(proofs))
 
     partitions: list[list[list[int]]] = []
     for l in range(1, len(ld.levels)):
@@ -631,27 +638,20 @@ def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
                          "copy must repeat its premise unchanged")
                 step_certs.append(identity_factorization((running.claim[i],)))
             else:
-                coded = check_rule(sig, [prev_eqs[i] for i in s.premises],
-                                   s.rule, s.equation, hypotheses=hypotheses)
+                coded = _code_rule(
+                    sig, [prev_eqs[i] for i in s.premises],
+                    tuple(running.claim[i] for i in s.premises), s.rule,
+                    s.equation, compiled(s.equation), hypotheses)
                 step_certs.append(coded.factorization())
             consumed.extend(s.premises)
         partitions.append([list(s.premises) for s in ld.levels[l]])
         level_cert = product_factorizations(step_certs)
         reordered = Factorization(
-            running.hyp,
-            tuple(running.claim[i] for i in consumed),
-            running.wksp,
-            tuple(running.verif[i] for i in consumed),
-            dict(running.meta))
+            running.hyp, tuple(running.claim[i] for i in consumed),
+            running.wksp, tuple(running.verif[i] for i in consumed))
         running = paste_factorizations(reordered, level_cert)
 
-    hyp = tuple(equation_constraint(h) for h in hypotheses)
-    verif = tuple(
-        tuple(CiteHyp(origins[s.hyp]) if isinstance(s, CiteHyp) else s
-              for s in proof)
-        for proof in running.verif)
-    out = Factorization(hyp, running.claim, running.wksp, verif)
-    out.meta["level_partitions"] = partitions
-    out.meta["hypothesis_reading"] = \
+    running.meta["level_partitions"] = partitions
+    running.meta["hypothesis_reading"] = \
         "repeated hypothesis uses cite one shared entry"
-    return out
+    return running

@@ -118,6 +118,8 @@ class ProofDef:
     name: str
     hypotheses: tuple[str, ...]  # equation names, in citation order
     steps: tuple[StepDef, ...]
+    line: int = field(compare=False, default=0)
+    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,8 @@ class TermDecl:
     name: str
     bracket: Bracket
     expr: RawExpr
+    line: int = field(compare=False, default=0)
+    col: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,8 @@ class EqDecl:
     bracket: Bracket
     left: RawExpr
     right: RawExpr
+    line: int = field(compare=False, default=0)
+    col: int = field(compare=False, default=0)
 
 
 @dataclass
@@ -280,7 +286,8 @@ def _parse_raw(text: str):
             p.expect("COLON")
             expr = p.expr()
             p.end_line()
-            term_decls.append(TermDecl(name.text, bracket, expr))
+            term_decls.append(TermDecl(name.text, bracket, expr,
+                                       tok.line, tok.col))
         elif tok.text == "eq":
             name = p.expect("NAME")
             bracket = p.bracket() if p.peek().kind == "LBRACK" else ()
@@ -289,9 +296,10 @@ def _parse_raw(text: str):
             p.expect("EQUALS")
             right = p.expr()
             p.end_line()
-            eq_decls.append(EqDecl(name.text, bracket, left, right))
+            eq_decls.append(EqDecl(name.text, bracket, left, right,
+                                   tok.line, tok.col))
         elif tok.text == "proof":
-            proofs.append(_parse_proof(p))
+            proofs.append(_parse_proof(p, tok))
         else:
             raise DslSyntaxError(f"unknown statement {tok.text!r}",
                                  tok.line, tok.col)
@@ -299,7 +307,7 @@ def _parse_raw(text: str):
             tuple(eq_decls), tuple(proofs))
 
 
-def _parse_proof(p: _Parser) -> ProofDef:
+def _parse_proof(p: _Parser, start: Token) -> ProofDef:
     name = p.expect("NAME")
     kw = p.expect("NAME")
     if kw.text != "from":
@@ -346,7 +354,8 @@ def _parse_proof(p: _Parser) -> ProofDef:
     if not steps:
         raise DslSyntaxError(f"proof {name.text!r} has no steps",
                              name.line, name.col)
-    return ProofDef(name.text, tuple(hyps), tuple(steps))
+    return ProofDef(name.text, tuple(hyps), tuple(steps), start.line,
+                    start.col)
 
 
 # --- elaboration ----------------------------------------------------------------
@@ -410,33 +419,34 @@ def parse_spec(text: str) -> SpecFile:
     sf = SpecFile(sig, sort_names, op_decls, term_decls, eq_decls, proofs)
     for td in term_decls:
         if td.name in sf.terms:
-            raise NameResolutionError(f"term {td.name!r} declared twice", 1, 1)
-        binding = _bind_bracket(sig, td.bracket, 0, 0)
+            raise NameResolutionError(f"term {td.name!r} declared twice",
+                                      td.line, td.col)
+        binding = _bind_bracket(sig, td.bracket, td.line, td.col)
         e = _elab_expr(sig, binding, td.expr)
         try:
             sf.terms[td.name] = make_term(e, binding.values(), e.sort)
         except TermcatError as exc:
-            raise DslSyntaxError(str(exc), 1, 1)
+            raise DslSyntaxError(str(exc), td.line, td.col)
         sf.term_bindings[td.name] = binding
     for ed in eq_decls:
         if ed.name in sf.equations:
             raise NameResolutionError(f"equation {ed.name!r} declared twice",
-                                      1, 1)
-        binding = _bind_bracket(sig, ed.bracket, 0, 0)
+                                      ed.line, ed.col)
+        binding = _bind_bracket(sig, ed.bracket, ed.line, ed.col)
         left = _elab_expr(sig, binding, ed.left)
         right = _elab_expr(sig, binding, ed.right)
         try:
             sf.equations[ed.name] = make_equation(left, right,
                                                   binding.values())
         except TermcatError as exc:
-            raise DslSyntaxError(str(exc), 1, 1)
+            raise DslSyntaxError(str(exc), ed.line, ed.col)
         sf.eq_bindings[ed.name] = binding
 
     seen_proofs: set[str] = set()
     for proof in proofs:
         if proof.name in seen_proofs:
             raise NameResolutionError(
-                f"proof {proof.name!r} declared twice", 1, 1)
+                f"proof {proof.name!r} declared twice", proof.line, proof.col)
         seen_proofs.add(proof.name)
         known: set[str] = set()
         for s in proof.steps:
@@ -455,7 +465,7 @@ def parse_spec(text: str) -> SpecFile:
             if h not in sf.equations:
                 raise NameResolutionError(
                     f"proof {proof.name!r} cites undefined equation {h!r}",
-                    1, 1)
+                    proof.line, proof.col)
     return sf
 
 

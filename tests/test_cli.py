@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,6 +166,26 @@ def test_syntax_error_exit_2(tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     assert run(["sketch", "/nonexistent/x.msl"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""],
+                         ids=["fails-in-print", "fails-in-exit-flush"])
+def test_closed_stdout_exit_2_without_traceback(unbuffered):
+    # stdout is a pipe whose reader is gone; unbuffered, the first print
+    # fails, buffered, only the flush at exit does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(ROOT / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "termcat.cli", "check-proof", MONOID],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert b"BrokenPipeError" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", ALL_COMMANDS,

@@ -6,6 +6,7 @@ import pytest
 
 from fixtures import binary_signature, certify, unary_signature, v
 from gen import gen_deduction_tree, gen_equation
+from termcat import deduction
 from termcat.arrows import arrows_equal, normalize, term_arrow
 from termcat.deduction import (Abstraction, CiteHyp, ComposeRight, Concretion,
                                Copy, DeductionTree, EqConstraint, Factorization,
@@ -209,6 +210,34 @@ def test_three_level_subst_then_trans():
     assert len(cert.claim) == 1
     assert arrows_equal(cert.claim[0].left, want.left)
     assert arrows_equal(cert.claim[0].right, want.right)
+
+
+def test_certificate_compiles_each_equation_once(monkeypatch):
+    sig, s, x, y, m, c, comm, lunit = _setup()
+    calls = []
+    real = deduction.equation_constraint
+
+    def counting(eq):
+        calls.append(eq)
+        return real(eq)
+
+    monkeypatch.setattr(deduction, "equation_constraint", counting)
+    # a0 = hyp lunit ; b0 = sym a0 ; c1 = trans a0 b0 ;
+    # c2 = trans c1 c1 ; c3 = trans c2 c2 ; c4 = trans c3 c3
+    a0 = DeductionTree(lunit, Hypothesis(0))
+    b0 = DeductionTree(make_equation(lunit.right, lunit.left, lunit.vars),
+                       Symmetry(), (a0,))
+    top = DeductionTree(make_equation(lunit.left, lunit.left, lunit.vars),
+                        Transitivity(), (a0, b0))
+    for _ in range(3):
+        top = DeductionTree(top.conclusion, Transitivity(), (top, top))
+    ld = normalize_deduction(top)
+    cert = compile_to_factorization(sig, ld, [lunit])
+    distinct = {lunit} | {st.equation for level in ld.levels
+                          for st in level}
+    assert len(distinct) == 3
+    assert len(calls) == len(distinct)
+    assert verify_factorization(cert).ok
 
 
 # --- the levelled normal form --------------------------------------------------------

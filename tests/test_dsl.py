@@ -87,6 +87,21 @@ def test_unknown_sort_in_bracket():
         parse_spec("sort s\nop m : s s -> s\neq E [x:q] : x = x\n")
 
 
+def test_unknown_sort_in_eq_bracket_reports_its_line():
+    text = "sort s\nop c : -> s\n\n# four\neq bad [x:q] : c = c\n"
+    with pytest.raises(NameResolutionError) as exc:
+        parse_spec(text)
+    assert str(exc.value) == "5:1: unknown sort 'q'"
+
+
+def test_duplicate_term_reports_the_second_declaration():
+    text = "sort s\nop c : -> s\nterm t : c\n  term t : c\n"
+    with pytest.raises(NameResolutionError) as exc:
+        parse_spec(text)
+    assert (exc.value.line, exc.value.col) == (4, 3)
+    assert "declared twice" in str(exc.value)
+
+
 def test_arity_error_is_input_error():
     with pytest.raises(DslSyntaxError):
         parse_spec("sort s\nop m : s s -> s\neq E [x:s] : m(x) = x\n")
