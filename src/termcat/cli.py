@@ -3,7 +3,8 @@
 Commands: sketch, compile, check-eq, subst, check-proof, normalize-proof,
 oracle.  Human-readable text by default; `--json` switches to a stable JSON
 schema (identical inputs give byte-identical output).  Exit codes: 0 on
-success, 1 on verification failure, 2 on input errors.
+success, 1 on verification failure, 2 on input errors (unreadable or
+undecodable files and too deeply nested input included).
 """
 
 from __future__ import annotations
@@ -136,7 +137,11 @@ def _emit(payload: dict) -> None:
 
 
 def _load(path: str) -> SpecFile:
-    return parse_spec(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TermcatError(str(exc)) from exc
+    return parse_spec(text)
 
 
 def cmd_sketch(args) -> int:
@@ -412,14 +417,15 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DeductionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TermcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the recursive walkers have no depth budget of their own yet
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

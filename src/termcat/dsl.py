@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .deduction import (Abstraction, Concretion, DeductionTree,
                         Hypothesis, Reflexivity, Substitutivity, Symmetry,
                         Transitivity)
-from .errors import (DeductionError, DslSyntaxError, NameResolutionError,
-                     SideConditionViolated, TermcatError)
+from .errors import (DeductionError, DslSyntaxError, DuplicateSort,
+                     NameResolutionError, SideConditionViolated,
+                     SignatureError, TermcatError)
 from .signature import Signature, Sort, Variable, ordered_vars, validate_signature
 from .subst import subst_expr
 from .terms import (App, Equation, Expression, Var, make_equation,
@@ -43,15 +44,14 @@ from .terms import (App, Equation, Expression, Var, make_equation,
 
 # --- tokens ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"->|[()\[\]{}:,;=]|[A-Za-z_][A-Za-z0-9_]*|\S")
+_TOKEN_RE = re.compile(
+    r"(?P<ARROW>->)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACK>\[)"
+    r"|(?P<RBRACK>\])|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<COLON>:)"
+    r"|(?P<COMMA>,)|(?P<SEMI>;)|(?P<EQUALS>=)"
+    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<OTHER>\S)")
 
-_SYMBOLS = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
-            "{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA",
-            ";": "SEMI", "=": "EQUALS", "->": "ARROW"}
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -60,19 +60,16 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    for ln, line in enumerate(text.splitlines(), 1):
+    lines = text.splitlines()
+    for ln, line in enumerate(lines, 1):
         line = line.split("#", 1)[0]
         for m in _TOKEN_RE.finditer(line):
-            word = m.group(0)
-            col = m.start() + 1
-            if word in _SYMBOLS:
-                out.append(Token(_SYMBOLS[word], word, ln, col))
-            elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", word):
-                out.append(Token("NAME", word, ln, col))
-            else:
-                raise DslSyntaxError(f"unexpected character {word!r}", ln, col)
+            if m.lastgroup == "OTHER":
+                raise DslSyntaxError(f"unexpected character {m.group()!r}",
+                                     ln, m.start() + 1)
+            out.append(Token(m.lastgroup, m.group(), ln, m.start() + 1))
         out.append(Token("NEWLINE", "", ln, len(line) + 1))
-    out.append(Token("EOF", "", len(text.splitlines()) + 1, 1))
+    out.append(Token("EOF", "", len(lines) + 1, 1))
     return out
 
 
@@ -253,15 +250,16 @@ def _parse_raw(text: str):
     p = _Parser(_tokenize(text))
     sort_names: list[str] = []
     op_decls: list[tuple[str, tuple[str, ...], str]] = []
+    sort_locs: list[tuple[int, int]] = []
+    op_locs: list[tuple[int, int]] = []
     term_decls: list[TermDecl] = []
     eq_decls: list[EqDecl] = []
     proofs: list[ProofDef] = []
 
     while True:
-        tok = p.peek(skip_newlines=True)
+        tok = p.next(skip_newlines=True)
         if tok.kind == "EOF":
             break
-        tok = p.next(skip_newlines=True)
         if tok.kind != "NAME":
             raise DslSyntaxError(f"expected a statement, found {tok.text!r}",
                                  tok.line, tok.col)
@@ -271,6 +269,7 @@ def _parse_raw(text: str):
                 raise DslSyntaxError("sort statement names no sorts",
                                      tok.line, tok.col)
             sort_names.extend(n.text for n in names)
+            sort_locs.extend((n.line, n.col) for n in names)
             p.end_line()
         elif tok.text == "op":
             name = p.expect("NAME")
@@ -280,6 +279,7 @@ def _parse_raw(text: str):
             output = p.expect("NAME")
             p.end_line()
             op_decls.append((name.text, tuple(inputs), output.text))
+            op_locs.append((tok.line, tok.col))
         elif tok.text == "term":
             name = p.expect("NAME")
             bracket = p.bracket() if p.peek().kind == "LBRACK" else ()
@@ -304,7 +304,7 @@ def _parse_raw(text: str):
             raise DslSyntaxError(f"unknown statement {tok.text!r}",
                                  tok.line, tok.col)
     return (tuple(sort_names), tuple(op_decls), tuple(term_decls),
-            tuple(eq_decls), tuple(proofs))
+            tuple(eq_decls), tuple(proofs), sort_locs, op_locs)
 
 
 def _parse_proof(p: _Parser, start: Token) -> ProofDef:
@@ -410,11 +410,14 @@ def _elab_expr(sig: Signature, binding: dict[str, Variable],
 
 def parse_spec(text: str) -> SpecFile:
     """Parse and resolve a .msl file; every name must resolve."""
-    sort_names, op_decls, term_decls, eq_decls, proofs = _parse_raw(text)
+    (sort_names, op_decls, term_decls, eq_decls, proofs, sort_locs,
+     op_locs) = _parse_raw(text)
     try:
         sig = validate_signature(sort_names, op_decls)
-    except TermcatError as exc:
-        raise DslSyntaxError(str(exc), 1, 1)
+    except DuplicateSort as exc:
+        raise DslSyntaxError(str(exc), *sort_locs[exc.index])
+    except SignatureError as exc:
+        raise DslSyntaxError(str(exc), *op_locs[exc.index])
 
     sf = SpecFile(sig, sort_names, op_decls, term_decls, eq_decls, proofs)
     for td in term_decls:
@@ -450,11 +453,10 @@ def parse_spec(text: str) -> SpecFile:
         seen_proofs.add(proof.name)
         known: set[str] = set()
         for s in proof.steps:
-            for h in ([s.eq_name] if s.rule == "hyp" else []):
-                if h not in proof.hypotheses:
-                    raise NameResolutionError(
-                        f"step cites {h!r}, which is not among the proof's "
-                        "hypotheses", s.line, s.col)
+            if s.rule == "hyp" and s.eq_name not in proof.hypotheses:
+                raise NameResolutionError(
+                    f"step cites {s.eq_name!r}, which is not among the "
+                    "proof's hypotheses", s.line, s.col)
             for ref in s.steps:
                 if ref not in known:
                     raise NameResolutionError(
@@ -511,20 +513,18 @@ def build_proof(sf: SpecFile, proof: ProofDef
     sig = sf.signature
     hypotheses = [sf.equations[h] for h in proof.hypotheses]
     results: dict[str, _StepResult] = {}
-    last: _StepResult | None = None
     for s in proof.steps:
         try:
-            res = _build_step(sf, sig, proof, hypotheses, results, s)
+            results[s.name] = _build_step(sf, sig, proof, hypotheses,
+                                          results, s)
         except (DeductionError, DslSyntaxError, NameResolutionError):
             raise
         except TermcatError as exc:
             # a conclusion failed to form: the rule application is invalid
             raise SideConditionViolated(
                 f"step {s.name!r}: {exc}") from exc
-        results[s.name] = res
-        last = res
-    assert last is not None
-    return last.tree, hypotheses
+    # the last step is the conclusion; a reused step name maps to its last use
+    return results[proof.steps[-1].name].tree, hypotheses
 
 
 def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,

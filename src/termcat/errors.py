@@ -9,15 +9,25 @@ class TermcatError(Exception):
 
 # --- signature validation ---------------------------------------------------
 
-class DuplicateSort(TermcatError):
+class SignatureError(TermcatError):
+    """A malformed signature; `index` is the 0-based position of the
+    offending entry in the sort list (DuplicateSort) or in the operation
+    list (the others)."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+class DuplicateSort(SignatureError):
     pass
 
 
-class DuplicateOperation(TermcatError):
+class DuplicateOperation(SignatureError):
     pass
 
 
-class UnknownSortInArity(TermcatError):
+class UnknownSortInArity(SignatureError):
     pass
 
 

@@ -108,15 +108,22 @@ def eval_expression(model: FiniteModel, e: Expression,
                                    for a in e.args))
 
 
-def satisfies(model: FiniteModel, eq: Equation) -> bool:
-    """True iff the equation holds under every assignment to its variables."""
+def _falsifying_assignment(model: FiniteModel,
+                           eq: Equation) -> dict[Variable, int] | None:
+    """The first assignment, in carrier order, under which the two sides
+    differ; None if the equation holds in the model."""
     carriers = [model.carrier(v.sort) for v in eq.vars]
     for values in itertools.product(*carriers):
         env = dict(zip(eq.vars, values))
         if eval_expression(model, eq.left, env) \
                 != eval_expression(model, eq.right, env):
-            return False
-    return True
+            return env
+    return None
+
+
+def satisfies(model: FiniteModel, eq: Equation) -> bool:
+    """True iff the equation holds under every assignment to its variables."""
+    return _falsifying_assignment(model, eq) is None
 
 
 def points(model: FiniteModel, obj: FPObject) -> Iterator:
@@ -163,10 +170,7 @@ def find_separating_model(sig: Signature, a: FPArrow, b: FPArrow,
 def find_counterexample(sig: Signature, eq: Equation, max_size: int):
     """First enumerated model (with an assignment) falsifying the equation."""
     for model in enumerate_models(sig, max_size):
-        carriers = [model.carrier(v.sort) for v in eq.vars]
-        for values in itertools.product(*carriers):
-            env = dict(zip(eq.vars, values))
-            if eval_expression(model, eq.left, env) \
-                    != eval_expression(model, eq.right, env):
-                return model, env
+        env = _falsifying_assignment(model, eq)
+        if env is not None:
+            return model, env
     return None

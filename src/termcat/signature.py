@@ -92,21 +92,21 @@ def validate_signature(
     sorts: list[Sort] = []
     for i, name in enumerate(sort_names):
         if name in seen:
-            raise DuplicateSort(f"sort {name!r} declared twice")
+            raise DuplicateSort(f"sort {name!r} declared twice", i)
         seen.add(name)
         sorts.append(Sort(i, name))
     by_name = {s.name: s for s in sorts}
 
     ops: list[Operation] = []
     op_seen: set[str] = set()
-    for name, inputs, output in op_decls:
+    for i, (name, inputs, output) in enumerate(op_decls):
         if name in op_seen:
-            raise DuplicateOperation(f"operation {name!r} declared twice")
+            raise DuplicateOperation(f"operation {name!r} declared twice", i)
         op_seen.add(name)
         for sn in tuple(inputs) + (output,):
             if sn not in by_name:
                 raise UnknownSortInArity(
-                    f"operation {name!r} mentions unknown sort {sn!r}")
+                    f"operation {name!r} mentions unknown sort {sn!r}", i)
         ops.append(Operation(name, tuple(by_name[sn] for sn in inputs),
                              by_name[output]))
     return Signature(tuple(sorts), tuple(ops))

@@ -168,6 +168,51 @@ def test_missing_file_exit_2(capsys):
     capsys.readouterr()
 
 
+def _one_error_line(err: str) -> bool:
+    return len(err.splitlines()) == 1 and err.startswith("error: ") \
+        and "Traceback" not in err
+
+
+def test_directory_input_exit_2(tmp_path, capsys):
+    assert run(["sketch", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "Is a directory" in err
+
+
+def test_undecodable_input_exit_2(tmp_path, capsys):
+    f = tmp_path / "bad.msl"
+    f.write_bytes(b"sort s\xff\n")
+    assert run(["sketch", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and "can't decode byte 0xff" in err
+
+
+def _tower(depth: int) -> str:
+    return "i(" * depth + "x" + ")" * depth
+
+
+@pytest.mark.parametrize("depth, argv", [
+    (600, ["sketch"]),
+    (250, ["compile", "--term", "t", "--json"]),
+    (250, ["check-eq", "--equation", "q", "--json"]),
+    (100, ["compile", "--term", "t"]),
+], ids=["sketch-600", "compile-json-250", "check-eq-json-250",
+        "compile-text-100"])
+def test_deep_input_exit_2(depth, argv, tmp_path, capsys):
+    f = tmp_path / "deep.msl"
+    f.write_text(f"sort s\nop i : s -> s\nterm t [x:s] : {_tower(depth)}\n"
+                 f"eq q [x:s] : {_tower(depth)} = {_tower(depth)}\n")
+    code = run(argv + [str(f)])
+    err = capsys.readouterr().err
+    if argv == ["compile", "--term", "t"] and code == 0:
+        # Python 3.12 and later render this depth; earlier ones exceed the
+        # recursion limit inside str()
+        assert err == ""
+        return
+    assert code == 2
+    assert _one_error_line(err) and "nested too deeply" in err
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""],
                          ids=["fails-in-print", "fails-in-exit-flush"])
 def test_closed_stdout_exit_2_without_traceback(unbuffered):

@@ -4,7 +4,7 @@ import pytest
 
 from fixtures import certify
 from termcat.deduction import normalize_deduction, verify_factorization
-from termcat.dsl import build_proof, parse_spec, print_spec
+from termcat.dsl import _tokenize, build_proof, parse_spec, print_spec
 from termcat.errors import (DslSyntaxError, NameResolutionError,
                             SideConditionViolated)
 from termcat.signature import Variable
@@ -56,6 +56,49 @@ eq E [y:b, x:a, z:a] : f(y, x, z) = f(y, z, x)
     a, b = sf.signature.sorts
     # x and z are the first and second a-variables, y the first b-variable
     assert eq.vars == (Variable(a, 1), Variable(a, 2), Variable(b, 1))
+
+
+def test_tokens_golden():
+    # every token kind, a comment, and the \r\n, \f and \u2028 line breaks
+    text = ("sort s  # a comment ( \u00e9\r\n"
+            "op m : s -> s\f"
+            "eq [x:s, _y1] ( ) { } ; =\u2028"
+            "\tend")
+    assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == [
+        ("NAME", "sort", 1, 1), ("NAME", "s", 1, 6), ("NEWLINE", "", 1, 9),
+        ("NAME", "op", 2, 1), ("NAME", "m", 2, 4), ("COLON", ":", 2, 6),
+        ("NAME", "s", 2, 8), ("ARROW", "->", 2, 10), ("NAME", "s", 2, 13),
+        ("NEWLINE", "", 2, 14),
+        ("NAME", "eq", 3, 1), ("LBRACK", "[", 3, 4), ("NAME", "x", 3, 5),
+        ("COLON", ":", 3, 6), ("NAME", "s", 3, 7), ("COMMA", ",", 3, 8),
+        ("NAME", "_y1", 3, 10), ("RBRACK", "]", 3, 13),
+        ("LPAREN", "(", 3, 15), ("RPAREN", ")", 3, 17),
+        ("LBRACE", "{", 3, 19), ("RBRACE", "}", 3, 21),
+        ("SEMI", ";", 3, 23), ("EQUALS", "=", 3, 25),
+        ("NEWLINE", "", 3, 26),
+        ("NAME", "end", 4, 2), ("NEWLINE", "", 4, 5),
+        ("EOF", "", 5, 1)]
+
+
+def test_unexpected_character_location():
+    with pytest.raises(DslSyntaxError) as exc:
+        _tokenize("sort s\n  op \u00e9")
+    assert (exc.value.line, exc.value.col) == (2, 6)
+    assert str(exc.value) == "2:6: unexpected character '\u00e9'"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sort s\nop m : s s -> s\n\nsort s\n",
+     "4:6: sort 's' declared twice"),
+    ("sort s\nop c : -> s\nop m : s s -> s\n# four\n\nop c : -> s\n",
+     "6:1: operation 'c' declared twice"),
+    ("sort s\nop m : s s -> s\nop f : q -> s\n",
+     "3:1: operation 'f' mentions unknown sort 'q'"),
+], ids=["repeated-sort", "repeated-op", "unknown-sort-in-op"])
+def test_signature_error_location(text, message):
+    with pytest.raises(DslSyntaxError) as exc:
+        parse_spec(text)
+    assert str(exc.value) == message
 
 
 def test_syntax_error_location():
