@@ -8,6 +8,16 @@ sort, a first-order term whose leaves are projection paths into the domain
 tree.  The normal form is unique per equivalence class under the product
 laws, so structural comparison of normal forms decides formal equality.
 
+Objects and arrows are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): constructing a node returns the one live node with
+that kind and those children, so `==` and `hash` are identity and cost
+O(1).  The intern table holds its nodes weakly and drops an entry when its
+node dies, so nothing outlives the arrows a caller keeps.  Every arrow
+stores its endpoints `src`/`dst` when it is built, which makes `dom`/`cod`
+attribute reads and each endpoint check an `is` test, and it keeps its
+normal body in a write-once slot filled the first time `_norm` reaches it,
+so shared subarrows are normalized once.  Nodes are otherwise immutable.
+
 The term compiler produces an arrow for every term as a three-stage
 composite:
 
@@ -16,10 +26,15 @@ composite:
   regroup_arrow     reassociates that flat product into the nested shape of
                     the expression's argument tree (a tuple of paths);
   apply_arrow       applies the operations (generators over products).
+
+`term_normal` writes the normal form of that composite straight from the
+expression; the test suite checks that the two routes agree.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -27,23 +42,88 @@ from .errors import EndpointMismatch
 from .signature import Operation, Sort
 from .terms import Equation, Expression, Term, Var, var_list
 
+# --- hash-consing ----------------------------------------------------------------
+#
+# Key: the node's class and its children, which are themselves interned and
+# compare by identity (sorts and operations compare by value).  Value: a weak
+# reference whose callback, `dict.pop(key, ref)`, removes the entry when the
+# node dies.  Arrows are acyclic, so reference counting frees a node the
+# moment its last reference goes and the callback runs right then: a key
+# never maps to a dead node when a constructor looks it up.  The table takes
+# no lock, so nodes are built from one thread at a time.
+
+_INTERNED: dict[tuple, weakref.ref] = {}
+
+_set = object.__setattr__
+
+
+def _interned(key: tuple):
+    """The live node stored under `key`, or None."""
+    ref = _INTERNED.get(key)
+    return ref and ref()
+
+
+def _intern(key: tuple, node):
+    _INTERNED[key] = weakref.ref(node, functools.partial(_INTERNED.pop, key))
+    return node
+
+
+class _Node:
+    """An interned, immutable node; `_fields` are its constructor
+    arguments, which `repr`, `copy` and `pickle` go through."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # rebuilding goes through the constructor, which returns the
+        # canonical node
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
 # --- objects -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    sort: Sort
+class Leaf(_Node):
+    __slots__ = ("sort",)
+    _fields = ("sort",)
+
+    def __new__(cls, sort: Sort):
+        key = (cls, sort.index, sort.name)  # a sort's value
+        node = _interned(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "sort", sort)
+            _intern(key, node)
+        return node
 
     def __str__(self) -> str:
         return self.sort.name
 
 
-@dataclass(frozen=True, slots=True)
-class Prod:
-    factors: tuple["FPObject", ...]
+class Prod(_Node):
+    __slots__ = ("factors",)
+    _fields = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+    def __new__(cls, factors: Iterable["FPObject"]):
+        factors = tuple(factors)
+        key = (cls, factors)
+        node = _interned(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "factors", factors)
+            _intern(key, node)
+        return node
 
     def __str__(self) -> str:
         if not self.factors:
@@ -63,65 +143,116 @@ def flat_product(sorts: Iterable[Sort]) -> Prod:
 # --- arrows --------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Id:
-    obj: FPObject
+class _Arrow(_Node):
+    """`src`/`dst` are the endpoints; `_normal` caches the normal body."""
+
+    __slots__ = ("src", "dst", "_normal")
+
+
+def _arrow(key: tuple, node: _Arrow, src: FPObject, dst: FPObject):
+    """Give a new arrow its endpoints and an empty memo, and intern it."""
+    _set(node, "src", src)
+    _set(node, "dst", dst)
+    _set(node, "_normal", None)
+    return _intern(key, node)
+
+
+class Id(_Arrow):
+    __slots__ = ("obj",)
+    _fields = ("obj",)
+
+    def __new__(cls, obj: FPObject):
+        key = (cls, obj)
+        node = _interned(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "obj", obj)
+            _arrow(key, node, obj, obj)
+        return node
 
     def __str__(self) -> str:
         return f"id[{self.obj}]"
 
 
-@dataclass(frozen=True, slots=True)
-class Proj:
-    src: Prod
-    index: int  # 1-based
+class Proj(_Arrow):
+    __slots__ = ("index",)  # 1-based; the source is `src`
+    _fields = ("src", "index")
 
-    def __post_init__(self):
-        if not isinstance(self.src, Prod):
-            raise EndpointMismatch("projection source must be a product")
-        if not 1 <= self.index <= len(self.src.factors):
-            raise EndpointMismatch(
-                f"projection index {self.index} out of range for {self.src}")
+    def __new__(cls, src: Prod, index: int):
+        key = (cls, src, index)
+        node = _interned(key)
+        if node is None:
+            if not isinstance(src, Prod):
+                raise EndpointMismatch("projection source must be a product")
+            if not 1 <= index <= len(src.factors):
+                raise EndpointMismatch(
+                    f"projection index {index} out of range for {src}")
+            node = object.__new__(cls)
+            _set(node, "index", index)
+            _arrow(key, node, src, src.factors[index - 1])
+        return node
 
     def __str__(self) -> str:
         return f"p{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
-class Gen:
-    op: Operation
+class Gen(_Arrow):
+    __slots__ = ("op",)
+    _fields = ("op",)
+
+    def __new__(cls, op: Operation):
+        key = (cls, op)
+        node = _interned(key)
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "op", op)
+            _arrow(key, node, flat_product(op.inputs), Leaf(op.output))
+        return node
 
     def __str__(self) -> str:
         return self.op.name
 
 
-@dataclass(frozen=True, slots=True)
-class TupleArrow:
-    src: FPObject
-    parts: tuple["FPArrow", ...]
+class TupleArrow(_Arrow):
+    __slots__ = ("parts",)  # the shared domain is `src`
+    _fields = ("src", "parts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for p in self.parts:
-            if dom(p) != self.src:
-                raise EndpointMismatch(
-                    f"tuple component {p} has domain {dom(p)}, "
-                    f"expected {self.src}")
+    def __new__(cls, src: FPObject, parts: Iterable["FPArrow"]):
+        parts = tuple(parts)
+        key = (cls, src, parts)
+        node = _interned(key)
+        if node is None:
+            for p in parts:
+                if p.src is not src:
+                    raise EndpointMismatch(
+                        f"tuple component {p} has domain {p.src}, "
+                        f"expected {src}")
+            node = object.__new__(cls)
+            _set(node, "parts", parts)
+            _arrow(key, node, src, Prod(tuple(p.dst for p in parts)))
+        return node
 
     def __str__(self) -> str:
         return "<" + ", ".join(str(p) for p in self.parts) + ">"
 
 
-@dataclass(frozen=True, slots=True)
-class Comp:
-    after: "FPArrow"
-    before: "FPArrow"
+class Comp(_Arrow):
+    __slots__ = ("after", "before")
+    _fields = ("after", "before")
 
-    def __post_init__(self):
-        if cod(self.before) != dom(self.after):
-            raise EndpointMismatch(
-                f"cannot compose: {self.after} expects {dom(self.after)}, "
-                f"{self.before} yields {cod(self.before)}")
+    def __new__(cls, after: "FPArrow", before: "FPArrow"):
+        key = (cls, after, before)
+        node = _interned(key)
+        if node is None:
+            if before.dst is not after.src:
+                raise EndpointMismatch(
+                    f"cannot compose: {after} expects {after.src}, "
+                    f"{before} yields {before.dst}")
+            node = object.__new__(cls)
+            _set(node, "after", after)
+            _set(node, "before", before)
+            _arrow(key, node, before.src, after.dst)
+        return node
 
     def __str__(self) -> str:
         return f"{self.after} . {self.before}"
@@ -131,43 +262,11 @@ FPArrow = Union[Id, Proj, Gen, TupleArrow, Comp]
 
 
 def dom(a: FPArrow) -> FPObject:
-    if isinstance(a, Id):
-        return a.obj
-    if isinstance(a, Proj):
-        return a.src
-    if isinstance(a, Gen):
-        return flat_product(a.op.inputs)
-    if isinstance(a, TupleArrow):
-        return a.src
-    return dom(a.before)
+    return a.src
 
 
 def cod(a: FPArrow) -> FPObject:
-    if isinstance(a, Id):
-        return a.obj
-    if isinstance(a, Proj):
-        return a.src.factors[a.index - 1]
-    if isinstance(a, Gen):
-        return Leaf(a.op.output)
-    if isinstance(a, TupleArrow):
-        return Prod(tuple(cod(p) for p in a.parts))
-    return cod(a.after)
-
-
-def ident(obj: FPObject) -> Id:
-    return Id(obj)
-
-
-def proj(src: Prod, index: int) -> Proj:
-    return Proj(src, index)
-
-
-def gen(op: Operation) -> Gen:
-    return Gen(op)
-
-
-def tuple_arrow(src: FPObject, parts: Sequence[FPArrow]) -> TupleArrow:
-    return TupleArrow(src, tuple(parts))
+    return a.dst
 
 
 def bang(src: FPObject) -> TupleArrow:
@@ -181,7 +280,7 @@ def compose(after: FPArrow, before: FPArrow) -> Comp:
 
 def product_of_arrows(fs: Sequence[FPArrow]) -> TupleArrow:
     """f1 x .. x fn as the tuple <f1 . p1, .., fn . pn> on the domain product."""
-    src = Prod(tuple(dom(f) for f in fs))
+    src = Prod(tuple(f.src for f in fs))
     return TupleArrow(src, tuple(Comp(f, Proj(src, i))
                                  for i, f in enumerate(fs, 1)))
 
@@ -259,20 +358,26 @@ def _substitute(outer: NormalBody, inner: NormalBody) -> NormalBody:
 
 
 def _norm(a: FPArrow) -> NormalBody:
+    body = a._normal
+    if body is not None:
+        return body
     if isinstance(a, Id):
-        return _identity_body(a.obj, ())
-    if isinstance(a, Proj):
-        return _identity_body(a.src.factors[a.index - 1], (a.index,))
-    if isinstance(a, Gen):
-        return GenApp(a.op, tuple(Path((i,))
+        body = _identity_body(a.obj, ())
+    elif isinstance(a, Proj):
+        body = _identity_body(a.dst, (a.index,))
+    elif isinstance(a, Gen):
+        body = GenApp(a.op, tuple(Path((i,))
                                   for i in range(1, len(a.op.inputs) + 1)))
-    if isinstance(a, TupleArrow):
-        return NTuple(tuple(_norm(p) for p in a.parts))
-    return _substitute(_norm(a.after), _norm(a.before))
+    elif isinstance(a, TupleArrow):
+        body = NTuple(tuple(_norm(p) for p in a.parts))
+    else:
+        body = _substitute(_norm(a.after), _norm(a.before))
+    _set(a, "_normal", body)
+    return body
 
 
 def normalize(a: FPArrow) -> NormalArrow:
-    return NormalArrow(dom(a), cod(a), _norm(a))
+    return NormalArrow(a.src, a.dst, _norm(a))
 
 
 def embed(n: NormalArrow) -> FPArrow:
@@ -286,7 +391,7 @@ def _embed_path(steps: tuple[int, ...], src: FPObject) -> FPArrow:
     for step in steps:
         p = Proj(obj, step)
         arrow = p if isinstance(arrow, Id) else Comp(p, arrow)
-        obj = cod(p)
+        obj = p.dst
     return arrow
 
 
@@ -301,11 +406,11 @@ def _embed_body(body: NormalBody, src: FPObject) -> FPArrow:
 
 def arrows_equal(a: FPArrow, b: FPArrow) -> bool:
     """Formal equality: identical normal forms over identical endpoints."""
-    if dom(a) != dom(b) or cod(a) != cod(b):
+    if a.src is not b.src or a.dst is not b.dst:
         raise EndpointMismatch(
             f"arrows compared across different endpoints: "
-            f"{dom(a)} -> {cod(a)} vs {dom(b)} -> {cod(b)}")
-    return _norm(a) == _norm(b)
+            f"{a.src} -> {a.dst} vs {b.src} -> {b.dst}")
+    return a is b or _norm(a) == _norm(b)
 
 
 # --- the term compiler ----------------------------------------------------------
@@ -341,15 +446,17 @@ def regroup_arrow(e: Expression) -> FPArrow:
     out of the singleton product.
     """
     src = flat_product(v.sort for v in var_list(e))
-    counter = [0]
+    leaves = (Proj(src, i) for i in range(1, len(src.factors) + 1))
+    return _regroup(argument_shape(e), src, leaves)
 
-    def walk(shape: FPObject) -> FPArrow:
-        if isinstance(shape, Leaf):
-            counter[0] += 1
-            return Proj(src, counter[0])
-        return TupleArrow(src, tuple(walk(f) for f in shape.factors))
 
-    return walk(argument_shape(e))
+def _regroup(shape: FPObject, src: Prod, leaves) -> FPArrow:
+    # a module-level walker rather than a closure: a recursive closure is a
+    # reference cycle, which would keep `src` alive until the next collection
+    if isinstance(shape, Leaf):
+        return next(leaves)
+    return TupleArrow(src, tuple(_regroup(f, src, leaves)
+                                 for f in shape.factors))
 
 
 def apply_arrow(e: Expression) -> FPArrow:
@@ -363,6 +470,21 @@ def apply_arrow(e: Expression) -> FPArrow:
 def term_arrow(t: Term) -> FPArrow:
     return Comp(apply_arrow(t.expr),
                 Comp(regroup_arrow(t.expr), occurrence_arrow(t)))
+
+
+def term_normal(t: Term) -> NormalArrow:
+    """The normal form of `term_arrow(t)`, written straight from the
+    expression: each variable becomes the path to its factor of the input
+    product, each application a `GenApp`."""
+    position = {v: Path((k,)) for k, v in enumerate(t.vars, 1)}
+    return NormalArrow(input_product(t), Leaf(t.sort),
+                       _expr_body(t.expr, position))
+
+
+def _expr_body(e: Expression, position: dict) -> NormalBody:
+    if isinstance(e, Var):
+        return position[e.var]
+    return GenApp(e.op, tuple(_expr_body(a, position) for a in e.args))
 
 
 def equation_arrows(eq: Equation) -> tuple[FPArrow, FPArrow]:

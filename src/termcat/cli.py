@@ -133,15 +133,35 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _print(lines: list[str]) -> None:
+    """Text output goes out in one piece once every line is built, so a
+    command that fails part-way prints nothing."""
+    sys.stdout.write("".join(line + "\n" for line in lines))
+
+
 # --- commands -------------------------------------------------------------------
 
 
 def _load(path: str) -> SpecFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise TermcatError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from exc
     return parse_spec(text)
+
+
+def _undecodable(path: str, exc: UnicodeDecodeError) -> TermcatError:
+    """Name the file and the line:column of the first undecodable byte,
+    counting lines as the parser does after newline translation."""
+    before = exc.object[:exc.start].decode(exc.encoding)
+    before = before.replace("\r\n", "\n").replace("\r", "\n")
+    line = before.count("\n") + 1
+    col = len(before) - before.rfind("\n")
+    return TermcatError(f"{path}:{line}:{col}: {exc.encoding!r} codec can't "
+                        f"decode byte 0x{exc.object[exc.start]:02x}: "
+                        f"{exc.reason}")
 
 
 def cmd_sketch(args) -> int:
@@ -154,16 +174,12 @@ def cmd_sketch(args) -> int:
                           "legs": [str(l) for l in c.legs]}
                          for c in sk.cones]})
         return 0
-    print("nodes:")
-    for n in sk.nodes:
-        print(f"  {n}")
-    print("arrows:")
-    for a in sk.arrows:
-        print(f"  {a}")
-    print("cones:")
+    lines = ["nodes:", *(f"  {n}" for n in sk.nodes),
+             "arrows:", *(f"  {a}" for a in sk.arrows), "cones:"]
     for c in sk.cones:
         legs = ", ".join(str(l) for l in c.legs) or "(none)"
-        print(f"  vertex {c.vertex}: {legs}")
+        lines.append(f"  vertex {c.vertex}: {legs}")
+    _print(lines)
     return 0
 
 
@@ -181,7 +197,7 @@ def cmd_compile(args) -> int:
         return 2
     t = sf.terms[args.term]
     occ, reg, app = _stages(t)
-    normal = arrows.normalize(arrows.term_arrow(t))
+    normal = arrows.term_normal(t)
     if args.json:
         _emit({"term": term_json(t),
                "input_product": object_json(arrows.input_product(t)),
@@ -190,12 +206,12 @@ def cmd_compile(args) -> int:
                "apply": arrow_json(app),
                "normal": normal_json(normal)})
         return 0
-    print(f"term {args.term} : {t}")
-    print(f"  input product: {arrows.input_product(t)}")
-    print(f"  occurrences:   {occ} : -> {arrows.cod(occ)}")
-    print(f"  regroup:       {reg} : -> {arrows.cod(reg)}")
-    print(f"  apply:         {app} : -> {arrows.cod(app)}")
-    print(f"  normal form:   {normal}")
+    _print([f"term {args.term} : {t}",
+            f"  input product: {arrows.input_product(t)}",
+            f"  occurrences:   {occ} : -> {arrows.cod(occ)}",
+            f"  regroup:       {reg} : -> {arrows.cod(reg)}",
+            f"  apply:         {app} : -> {arrows.cod(app)}",
+            f"  normal form:   {normal}"])
     return 0
 
 
@@ -207,7 +223,8 @@ def cmd_check_eq(args) -> int:
     eq = sf.equations[args.equation]
     # both sides share the equation's variable product and sort, so equal
     # normal forms are formal equality
-    left, right = map(arrows.normalize, arrows.equation_arrows(eq))
+    left, right = (arrows.term_normal(Term(side, eq.vars, eq.sort))
+                   for side in (eq.left, eq.right))
     equal = left == right
     if args.json:
         _emit({"equation": equation_json(eq),
@@ -215,10 +232,10 @@ def cmd_check_eq(args) -> int:
                "right": normal_json(right),
                "formally_equal": equal})
     else:
-        print(f"equation {args.equation}: {eq}")
-        print(f"  left arrow:  {left}")
-        print(f"  right arrow: {right}")
-        print(f"  formally equal: {'yes' if equal else 'no'}")
+        _print([f"equation {args.equation}: {eq}",
+                f"  left arrow:  {left}",
+                f"  right arrow: {right}",
+                f"  formally equal: {'yes' if equal else 'no'}"])
     return 0 if equal else 1
 
 
@@ -246,7 +263,7 @@ def cmd_subst(args) -> int:
     rec = subst_term(inst)
     # both routes run from the substituted term's variable product to its
     # sort, so equal normal forms are equal arrows
-    rec_normal = arrows.normalize(arrows.term_arrow(rec))
+    rec_normal = arrows.term_normal(rec)
     direct = arrows.normalize(subst_arrow_direct(inst))
     equal = rec_normal == direct
     if args.json:
@@ -257,11 +274,11 @@ def cmd_subst(args) -> int:
                "direct": {"normal": normal_json(direct)},
                "arrows_equal": equal})
     else:
-        print(f"substituting {args.with_term} for {var} in {args.term}")
-        print(f"  recursive route: {rec}")
-        print(f"    arrow: {rec_normal}")
-        print(f"  direct route arrow: {direct}")
-        print(f"  arrows equal: {'yes' if equal else 'no'}")
+        _print([f"substituting {args.with_term} for {var} in {args.term}",
+                f"  recursive route: {rec}",
+                f"    arrow: {rec_normal}",
+                f"  direct route arrow: {direct}",
+                f"  arrows equal: {'yes' if equal else 'no'}"])
     return 0 if equal else 1
 
 
@@ -302,16 +319,15 @@ def cmd_check_proof(args) -> int:
         return 2
     names = [args.proof] if args.proof else [p.name for p in sf.proofs]
     worst = 0
-    payloads = []
+    outs = []
     for name in names:
         code, out = _check_one_proof(sf, name, args.json)
-        if args.json:
-            payloads.append(out)
-        else:
-            print("\n".join(out))
+        outs.append(out)
         worst = max(worst, code)
     if args.json:
-        _emit(payloads[0] if args.proof else {"proofs": payloads})
+        _emit(outs[0] if args.proof else {"proofs": outs})
+    else:
+        _print([line for out in outs for line in out])
     return worst
 
 
@@ -325,14 +341,15 @@ def cmd_normalize_proof(args) -> int:
     if args.json:
         _emit({"proof": args.proof, **levelled_json(ld)})
         return 0
-    print(f"proof {args.proof} in levelled form:")
+    lines = [f"proof {args.proof} in levelled form:"]
     for l, level in enumerate(ld.levels):
-        print(f"  level {l}:")
+        lines.append(f"  level {l}:")
         for i, s in enumerate(level):
             prem = ", ".join(str(p) for p in s.premises)
             rule = deduction.RULE_NAMES[type(s.rule)]
-            print(f"    [{i}] {s.equation}   ({rule}"
-                  f"{' from ' + prem if prem else ''})")
+            lines.append(f"    [{i}] {s.equation}   ({rule}"
+                         f"{' from ' + prem if prem else ''})")
+    _print(lines)
     return 0
 
 
@@ -358,20 +375,21 @@ def cmd_oracle(args) -> int:
                                       key=lambda kv: kv[0].key())}}
         _emit(payload)
     else:
-        print(f"equation {args.equation}: {eq}")
+        lines = [f"equation {args.equation}: {eq}"]
         if found is None:
-            print(f"  holds in all {checked} models with carriers <= "
-                  f"{args.max_size}")
+            lines.append(f"  holds in all {checked} models with carriers <= "
+                         f"{args.max_size}")
         else:
             model, env = found
-            print("  counterexample found:")
-            print(f"    carriers: {model.describe()['carriers']}")
+            lines.append("  counterexample found:")
+            lines.append(f"    carriers: {model.describe()['carriers']}")
             for op, table in model.describe()["tables"].items():
-                print(f"    {op}: {table}")
+                lines.append(f"    {op}: {table}")
             assign = ", ".join(f"{v} = {val}" for v, val in
                                sorted(env.items(),
                                       key=lambda kv: kv[0].key()))
-            print(f"    assignment: {assign}")
+            lines.append(f"    assignment: {assign}")
+        _print(lines)
     return 0 if found is None else 1
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .arrows import (Comp, FPArrow, FPObject, Proj, TupleArrow, arrows_equal,
-                     cod, dom, equation_arrows, flat_product)
+                     equation_arrows, flat_product)
 from .errors import (EndpointMismatch, InterfaceMismatch,
                      MiddleTermMismatch, SideConditionViolated,
                      UninhabitedFill, UnknownHypothesis)
@@ -105,8 +105,8 @@ class EqConstraint:
     right: FPArrow
 
     def __post_init__(self):
-        if dom(self.left) != dom(self.right) \
-                or cod(self.left) != cod(self.right):
+        if self.left.src is not self.right.src \
+                or self.left.dst is not self.right.dst:
             raise EndpointMismatch(
                 "constraint sides have different endpoints")
 

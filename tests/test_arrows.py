@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import ast
+import copy
+import gc
+import pickle
 import random
+from pathlib import Path as FilePath
 
 import pytest
 
 from fixtures import running_signature, subst_signature, v
 from gen import gen_signature, gen_term
+from termcat import arrows, models
 from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NTuple, Path, Prod,
                             Proj, TERMINAL, TupleArrow, apply_arrow,
                             arrows_equal, bang, cod, compose, dom, embed,
                             equation_arrows, flat_product, input_product,
                             normalize, occurrence_arrow, product_of_arrows,
-                            regroup_arrow, term_arrow)
+                            regroup_arrow, term_arrow, term_normal)
 from termcat.errors import EndpointMismatch
 from termcat.signature import validate_signature
 from termcat.terms import (App, Var, make_equation, make_term,
@@ -316,3 +322,96 @@ def test_stages_depend_only_on_expression(seed=37):
         concrete = most_concrete_term(t.expr)
         assert apply_arrow(t.expr) == apply_arrow(concrete.expr)
         assert regroup_arrow(t.expr) == regroup_arrow(concrete.expr)
+
+
+def test_term_normal_matches_the_three_stages(seed=41):
+    # the direct normal form against normalizing the three-stage composite
+    rng = random.Random(seed)
+    seen = {"unused variable": 0, "constant": 0, "several sorts": 0}
+    for _ in range(2000):
+        sig = gen_signature(rng)
+        t = gen_term(rng, sig, extra_vars=3)
+        assert term_normal(t) == normalize(term_arrow(t))
+        seen["unused variable"] += len(set(t.vars)) > len(var_set(t.expr))
+        seen["constant"] += any(not op.inputs for op in _ops(t.expr))
+        seen["several sorts"] += len({x.sort for x in t.vars}) > 1
+    assert min(seen.values()) >= 100, seen
+
+
+def _ops(e):
+    if isinstance(e, Var):
+        return []
+    return [e.op] + [op for a in e.args for op in _ops(a)]
+
+
+# --- hash-consing -----------------------------------------------------------------
+
+
+def test_same_structure_is_the_same_node():
+    sig = running_signature()
+    t = worked_term(sig)
+    assert term_arrow(t) is term_arrow(t)
+    s1 = sig.sort("s1")
+    assert Leaf(s1) is Leaf(running_signature().sort("s1"))
+    assert flat_product([s1, s1]) is Prod((Leaf(s1), Leaf(s1)))
+    g = Gen(sig.operation("g"))
+    assert Comp(g, Id(dom(g))) is compose(g, Id(flat_product([s1, s1])))
+    assert TupleArrow(dom(g), [g]) is TupleArrow(dom(g), (g,))
+    assert Comp(g, Id(dom(g))) != g and hash(g) == hash(Gen(g.op))
+
+
+def test_nodes_are_immutable():
+    sig = running_signature()
+    g = Gen(sig.operation("g"))
+    s1 = Leaf(sig.sort("s1"))
+    for node, field in ((g, "op"), (g, "src"), (g, "dst"), (g, "_normal"),
+                        (s1, "sort"), (Prod((s1,)), "factors"),
+                        (Comp(g, Id(dom(g))), "after"),
+                        (Proj(dom(g), 1), "index")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+
+
+def test_copy_and_pickle_return_the_canonical_node():
+    sig = running_signature()
+    a = term_arrow(worked_term(sig))
+    normalize(a)
+    for node in (a, a.src, a.dst, TERMINAL):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    assert repr(pickle.loads(pickle.dumps(a))) == repr(a)
+
+
+def test_intern_table_keeps_no_node_alive(seed=43):
+    gc.collect()
+    before = len(arrows._INTERNED)
+    rng = random.Random(seed)
+    for _ in range(50):
+        sig = gen_signature(rng)
+        a = term_arrow(gen_term(rng, sig))
+        assert arrows_equal(a, embed(normalize(a)))
+    assert len(arrows._INTERNED) > before
+    del sig, a
+    gc.collect()
+    assert len(arrows._INTERNED) == before
+
+
+def test_model_evaluation_never_reads_normal_forms():
+    # models stays the independent route: it names neither the memo slot
+    # nor anything that normalizes
+    assert "_normal" in arrows._Arrow.__slots__
+    tree = ast.parse(FilePath(models.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert not names & {"_normal", "_norm", "normalize", "arrows_equal"}

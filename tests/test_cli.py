@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import importlib.util
 import json
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import termcat
+from termcat import arrows
 from termcat.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,31 +188,45 @@ def test_undecodable_input_exit_2(tmp_path, capsys):
     assert run(["sketch", str(f)]) == 2
     err = capsys.readouterr().err
     assert _one_error_line(err) and "can't decode byte 0xff" in err
+    assert f"{f}:1:7:" in err
 
 
 def _tower(depth: int) -> str:
     return "i(" * depth + "x" + ")" * depth
 
 
-@pytest.mark.parametrize("depth, argv", [
-    (600, ["sketch"]),
-    (250, ["compile", "--term", "t", "--json"]),
-    (250, ["check-eq", "--equation", "q", "--json"]),
-    (100, ["compile", "--term", "t"]),
+@pytest.mark.parametrize("depth, argv, end", [
+    (600, ["sketch"], "  vertex (s): p1: (s) -> s\n"),
+    (250, ["compile", "--term", "t", "--json"], "\n}\n"),
+    (250, ["check-eq", "--equation", "q", "--json"], "\n}\n"),
+    (100, ["compile", "--term", "t"], "(p1" + ")" * 100 + "\n"),
+    (20000, ["compile", "--term", "t"], None),
 ], ids=["sketch-600", "compile-json-250", "check-eq-json-250",
-        "compile-text-100"])
-def test_deep_input_exit_2(depth, argv, tmp_path, capsys):
+        "compile-text-100", "compile-text-20000"])
+def test_deep_input_exit_2(depth, argv, end, tmp_path, capsys):
+    # how deep an input the recursive walkers take depends on the
+    # interpreter, so exit 0 is allowed below the 20,000-deep case, but only
+    # with the complete output (`end` is how it ends) and nothing on stderr;
+    # exit 2 must leave stdout empty.  stdout goes to a file: at depth 250
+    # `compile --json` writes hundreds of MB where it succeeds.
     f = tmp_path / "deep.msl"
     f.write_text(f"sort s\nop i : s -> s\nterm t [x:s] : {_tower(depth)}\n"
                  f"eq q [x:s] : {_tower(depth)} = {_tower(depth)}\n")
-    code = run(argv + [str(f)])
+    stdout = tmp_path / "stdout"
+    with stdout.open("w") as fh, contextlib.redirect_stdout(fh):
+        code = run(argv + [str(f)])
     err = capsys.readouterr().err
-    if argv == ["compile", "--term", "t"] and code == 0:
-        # Python 3.12 and later render this depth; earlier ones exceed the
-        # recursion limit inside str()
+    size = stdout.stat().st_size
+    with stdout.open("rb") as fh:
+        fh.seek(max(0, size - len(end or "")))
+        tail = fh.read().decode()
+    stdout.unlink()  # pytest keeps the temporary directories of recent runs
+    if code == 0 and end is not None:
+        assert tail == end
         assert err == ""
         return
     assert code == 2
+    assert size == 0
     assert _one_error_line(err) and "nested too deeply" in err
 
 
@@ -231,6 +248,22 @@ def test_closed_stdout_exit_2_without_traceback(unbuffered):
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
     assert b"BrokenPipeError" not in proc.stderr
+
+
+def test_no_arrow_outlives_its_command(capsys):
+    # with the cycle collector off, reference counting alone must free every
+    # node a command built, so none is shared with the next command
+    gc.collect()
+    before = len(arrows._INTERNED)
+    gc.disable()
+    try:
+        for argv in ALL_COMMANDS:
+            run(argv)
+            run(argv + ["--json"])
+            assert len(arrows._INTERNED) == before, argv
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", ALL_COMMANDS,
