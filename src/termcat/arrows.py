@@ -13,10 +13,10 @@ hash-consing", 2006): constructing a node returns the one live node with
 that kind and those children, so `==` and `hash` are identity and cost
 O(1).  The intern table holds its nodes weakly and drops an entry when its
 node dies, so nothing outlives the arrows a caller keeps.  Every arrow
-stores its endpoints `src`/`dst` when it is built, which makes `dom`/`cod`
-attribute reads and each endpoint check an `is` test, and it keeps its
-normal body in a write-once slot filled the first time `_norm` reaches it,
-so shared subarrows are normalized once.  Nodes are otherwise immutable.
+stores its endpoints `src`/`dst` when it is built, which makes each
+endpoint check an `is` test, and it keeps its normal body in a write-once
+slot filled the first time `_norm` reaches it, so shared subarrows are
+normalized once.  Nodes are otherwise immutable.
 
 The term compiler produces an arrow for every term as a three-stage
 composite:
@@ -261,21 +261,9 @@ class Comp(_Arrow):
 FPArrow = Union[Id, Proj, Gen, TupleArrow, Comp]
 
 
-def dom(a: FPArrow) -> FPObject:
-    return a.src
-
-
-def cod(a: FPArrow) -> FPObject:
-    return a.dst
-
-
 def bang(src: FPObject) -> TupleArrow:
     """The unique arrow into the terminal object: the empty tuple."""
     return TupleArrow(src, ())
-
-
-def compose(after: FPArrow, before: FPArrow) -> Comp:
-    return Comp(after, before)
 
 
 def product_of_arrows(fs: Sequence[FPArrow]) -> TupleArrow:

@@ -16,8 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import arrows, deduction, models, sketch
-from .dsl import SpecFile, build_proof, parse_spec
+from . import arrows, deduction, kernel, models, sketch
+from .dsl import ProofDef, SpecFile, build_proof, parse_spec
 from .errors import DeductionError, TermcatError
 from .signature import Variable
 from .subst import SubstInstance, subst_arrow_direct, subst_term
@@ -87,30 +87,30 @@ def term_json(t: Term) -> dict:
             "sort": t.sort.name}
 
 
-def constraint_json(c: deduction.EqConstraint) -> dict:
+def constraint_json(c: kernel.EqConstraint) -> dict:
     return {"left": arrow_json(c.left), "right": arrow_json(c.right)}
 
 
-def kernel_step_json(s: deduction.KernelStep) -> dict:
-    if isinstance(s, deduction.CiteHyp):
+def kernel_step_json(s: kernel.KernelStep) -> dict:
+    if isinstance(s, kernel.CiteHyp):
         return {"step": "cite", "hyp": s.hyp}
-    if isinstance(s, deduction.Refl):
+    if isinstance(s, kernel.Refl):
         return {"step": "refl", "arrow": arrow_json(s.arrow)}
-    if isinstance(s, deduction.Sym):
+    if isinstance(s, kernel.Sym):
         return {"step": "sym", "of": s.of}
-    if isinstance(s, deduction.Trans):
+    if isinstance(s, kernel.Trans):
         return {"step": "trans", "first": s.first, "second": s.second}
-    if isinstance(s, deduction.ComposeLeft):
+    if isinstance(s, kernel.ComposeLeft):
         return {"step": "compose-left", "arrow": arrow_json(s.arrow),
                 "of": s.of}
-    if isinstance(s, deduction.ComposeRight):
+    if isinstance(s, kernel.ComposeRight):
         return {"step": "compose-right", "arrow": arrow_json(s.arrow),
                 "of": s.of}
     return {"step": "tuple", "source": object_json(s.src),
             "of": list(s.of)}
 
 
-def factorization_json(f: deduction.Factorization) -> dict:
+def factorization_json(f: kernel.Factorization) -> dict:
     return {
         "hypotheses": [constraint_json(c) for c in f.hyp],
         "claims": [constraint_json(c) for c in f.claim],
@@ -164,6 +164,18 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> TermcatError:
                         f"{exc.reason}")
 
 
+def _lookup(table: dict, name: str, error: str):
+    """`table[name]`; a name the table lacks is an input error."""
+    if name not in table:
+        raise TermcatError(error)
+    return table[name]
+
+
+def _proof(sf: SpecFile, name: str) -> ProofDef:
+    return _lookup({p.name: p for p in sf.proofs}, name,
+                   f"unknown proof {name!r}")
+
+
 def cmd_sketch(args) -> int:
     sf = _load(args.file)
     sk = sketch.sketch_of_signature(sf.signature)
@@ -192,10 +204,7 @@ def _stages(t: Term):
 
 def cmd_compile(args) -> int:
     sf = _load(args.file)
-    if args.term not in sf.terms:
-        print(f"error: unknown term {args.term!r}", file=sys.stderr)
-        return 2
-    t = sf.terms[args.term]
+    t = _lookup(sf.terms, args.term, f"unknown term {args.term!r}")
     occ, reg, app = _stages(t)
     normal = arrows.term_normal(t)
     if args.json:
@@ -208,19 +217,17 @@ def cmd_compile(args) -> int:
         return 0
     _print([f"term {args.term} : {t}",
             f"  input product: {arrows.input_product(t)}",
-            f"  occurrences:   {occ} : -> {arrows.cod(occ)}",
-            f"  regroup:       {reg} : -> {arrows.cod(reg)}",
-            f"  apply:         {app} : -> {arrows.cod(app)}",
+            f"  occurrences:   {occ} : -> {occ.dst}",
+            f"  regroup:       {reg} : -> {reg.dst}",
+            f"  apply:         {app} : -> {app.dst}",
             f"  normal form:   {normal}"])
     return 0
 
 
 def cmd_check_eq(args) -> int:
     sf = _load(args.file)
-    if args.equation not in sf.equations:
-        print(f"error: unknown equation {args.equation!r}", file=sys.stderr)
-        return 2
-    eq = sf.equations[args.equation]
+    eq = _lookup(sf.equations, args.equation,
+                 f"unknown equation {args.equation!r}")
     # both sides share the equation's variable product and sort, so equal
     # normal forms are formal equality
     left, right = (arrows.term_normal(Term(side, eq.vars, eq.sort))
@@ -241,24 +248,14 @@ def cmd_check_eq(args) -> int:
 
 def cmd_subst(args) -> int:
     sf = _load(args.file)
-    for name in (args.term, args.with_term):
-        if name not in sf.terms:
-            print(f"error: unknown term {name!r}", file=sys.stderr)
-            return 2
-    target = sf.terms[args.term]
-    replacement = sf.terms[args.with_term]
+    target = _lookup(sf.terms, args.term, f"unknown term {args.term!r}")
+    replacement = _lookup(sf.terms, args.with_term,
+                          f"unknown term {args.with_term!r}")
     # resolve --var by its name in the term's declaration bracket, or by
     # the canonical rendering "x<num>:<sort>"
-    binding = sf.term_bindings[args.term]
-    if args.var in binding:
-        var = binding[args.var]
-    else:
-        by_render = {str(v): v for v in target.vars}
-        if args.var not in by_render:
-            print(f"error: {args.var!r} does not name a variable of "
-                  f"{args.term!r}", file=sys.stderr)
-            return 2
-        var = by_render[args.var]
+    names = {str(v): v for v in target.vars} | sf.term_bindings[args.term]
+    var = _lookup(names, args.var, f"{args.var!r} does not name a variable "
+                                   f"of {args.term!r}")
     inst = SubstInstance(target, var, replacement)
     rec = subst_term(inst)
     # both routes run from the substituted term's variable product to its
@@ -282,11 +279,11 @@ def cmd_subst(args) -> int:
     return 0 if equal else 1
 
 
-def _check_one_proof(sf: SpecFile, name: str,
+def _check_one_proof(sf: SpecFile, proof: ProofDef,
                      as_json: bool) -> tuple[int, dict | list[str]]:
     """Check one proof; returns the exit code and either the json payload
     or the text lines."""
-    proof = sf.proof(name)
+    name = proof.name
     try:
         tree, hyps = build_proof(sf, proof)
         ld = deduction.normalize_deduction(tree)
@@ -314,14 +311,11 @@ def _check_one_proof(sf: SpecFile, name: str,
 
 def cmd_check_proof(args) -> int:
     sf = _load(args.file)
-    if args.proof and not any(p.name == args.proof for p in sf.proofs):
-        print(f"error: unknown proof {args.proof!r}", file=sys.stderr)
-        return 2
-    names = [args.proof] if args.proof else [p.name for p in sf.proofs]
+    proofs = [_proof(sf, args.proof)] if args.proof else sf.proofs
     worst = 0
     outs = []
-    for name in names:
-        code, out = _check_one_proof(sf, name, args.json)
+    for proof in proofs:
+        code, out = _check_one_proof(sf, proof, args.json)
         outs.append(out)
         worst = max(worst, code)
     if args.json:
@@ -333,10 +327,7 @@ def cmd_check_proof(args) -> int:
 
 def cmd_normalize_proof(args) -> int:
     sf = _load(args.file)
-    if not any(p.name == args.proof for p in sf.proofs):
-        print(f"error: unknown proof {args.proof!r}", file=sys.stderr)
-        return 2
-    tree, _ = build_proof(sf, sf.proof(args.proof))
+    tree, _ = build_proof(sf, _proof(sf, args.proof))
     ld = deduction.normalize_deduction(tree)
     if args.json:
         _emit({"proof": args.proof, **levelled_json(ld)})
@@ -355,10 +346,8 @@ def cmd_normalize_proof(args) -> int:
 
 def cmd_oracle(args) -> int:
     sf = _load(args.file)
-    if args.equation not in sf.equations:
-        print(f"error: unknown equation {args.equation!r}", file=sys.stderr)
-        return 2
-    eq = sf.equations[args.equation]
+    eq = _lookup(sf.equations, args.equation,
+                 f"unknown equation {args.equation!r}")
     found = models.find_counterexample(sf.signature, eq, args.max_size)
     checked = models.count_models(sf.signature, args.max_size)
     if args.json:

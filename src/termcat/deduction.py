@@ -2,26 +2,28 @@
 
 A deduction tree applies the multisorted equational rules (reflexivity,
 symmetry, transitivity, concretion, abstraction, substitutivity) over a
-list of hypothesis equations.  Each accepted deduction compiles to a
-`Factorization`: hypothesis constraints, claim constraints, workspace
-constraints, and a verification assigning every claim a kernel proof.
-Kernel steps are the congruence moves of arrow equality (reflexivity,
-symmetry, transitivity, composing on either side, tuple congruence,
-hypothesis citation); replaying them, with every comparison decided by
-normal forms, checks the certificate without trusting its producer.
+list of hypothesis equations.  This module is the producer: it checks each
+rule's side conditions, codes each rule as a one-claim certificate, puts the
+deduction in levelled form and assembles one `Factorization` for it.  The
+kernel (`kernel.py`) replays that certificate and runs none of this code;
+`verify_factorization` is the kernel's, imported here for the callers that
+reach it through this module.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .arrows import (Comp, FPArrow, FPObject, Proj, TupleArrow, arrows_equal,
-                     equation_arrows, flat_product)
-from .errors import (EndpointMismatch, InterfaceMismatch,
-                     MiddleTermMismatch, SideConditionViolated,
-                     UninhabitedFill, UnknownHypothesis)
+from .arrows import Comp, Proj, arrows_equal, equation_arrows, flat_product
+from .errors import (InterfaceMismatch, MiddleTermMismatch,
+                     SideConditionViolated, UninhabitedFill,
+                     UnknownHypothesis)
+from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
+                     Factorization, KernelProof, KernelStep, Refl, Sym,
+                     Trans, TupleCong, constraints_equal)
+from .kernel import verify_factorization  # noqa: F401
 from .signature import Signature, Variable, inhabited_sorts, ordered_vars
 from .subst import (SubstInstance, retyping_arrow, subst_expr,
                     substitution_arrow)
@@ -96,85 +98,11 @@ class DeductionTree:
                 f"got {len(self.premises)}")
 
 
-# --- constraints and kernel steps -----------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class EqConstraint:
-    left: FPArrow
-    right: FPArrow
-
-    def __post_init__(self):
-        if self.left.src is not self.right.src \
-                or self.left.dst is not self.right.dst:
-            raise EndpointMismatch(
-                "constraint sides have different endpoints")
-
-    def __str__(self) -> str:
-        return f"{self.left}  ==  {self.right}"
+# --- rule checking and coding ------------------------------------------------------
 
 
 def equation_constraint(eq: Equation) -> EqConstraint:
     return EqConstraint(*equation_arrows(eq))
-
-
-@dataclass(frozen=True, slots=True)
-class CiteHyp:
-    hyp: int
-
-
-@dataclass(frozen=True, slots=True)
-class Refl:
-    arrow: FPArrow
-
-
-@dataclass(frozen=True, slots=True)
-class Sym:
-    of: int
-
-
-@dataclass(frozen=True, slots=True)
-class Trans:
-    first: int
-    second: int
-
-
-@dataclass(frozen=True, slots=True)
-class ComposeLeft:
-    arrow: FPArrow
-    of: int
-
-
-@dataclass(frozen=True, slots=True)
-class ComposeRight:
-    arrow: FPArrow
-    of: int
-
-
-@dataclass(frozen=True, slots=True)
-class TupleCong:
-    src: FPObject
-    of: tuple[int, ...]
-
-
-KernelStep = Union[CiteHyp, Refl, Sym, Trans, ComposeLeft, ComposeRight,
-                   TupleCong]
-
-KernelProof = tuple[KernelStep, ...]
-
-
-@dataclass
-class Factorization:
-    hyp: tuple[EqConstraint, ...]
-    claim: tuple[EqConstraint, ...]
-    wksp: tuple[EqConstraint, ...]
-    verif: tuple[KernelProof, ...]  # one proof per claim, in order
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.verif) != len(self.claim):
-            raise SideConditionViolated(
-                "verification must carry one kernel proof per claim")
 
 
 def identity_factorization(constraints: Sequence[EqConstraint]
@@ -184,18 +112,11 @@ def identity_factorization(constraints: Sequence[EqConstraint]
                          verif=tuple((CiteHyp(i),) for i in range(len(cs))))
 
 
-@dataclass(frozen=True)
-class CodedStep:
-    premises: tuple[EqConstraint, ...]
-    conclusion: EqConstraint
-    proof: KernelProof
-
-    def factorization(self) -> Factorization:
-        return Factorization(hyp=self.premises, claim=(self.conclusion,),
-                             wksp=(), verif=(self.proof,))
-
-
-# --- rule checking and coding ------------------------------------------------------
+def _coding(premises: tuple[EqConstraint, ...], conclusion: EqConstraint,
+            *proof: KernelStep) -> Factorization:
+    """A rule coding: the one-claim certificate of the conclusion from the
+    premises."""
+    return Factorization(premises, (conclusion,), (), (proof,))
 
 
 def _require(cond: bool, detail: str):
@@ -205,7 +126,7 @@ def _require(cond: bool, detail: str):
 
 def check_rule(sig: Signature, premises: Sequence[Equation],
                rule: RuleInstance, conclusion: Equation,
-               hypotheses: Sequence[Equation] | None = None) -> CodedStep:
+               hypotheses: Sequence[Equation] | None = None) -> Factorization:
     """Validate one rule application and produce its arrow-level coding."""
     return _code_rule(sig, premises, tuple(map(equation_constraint, premises)),
                       rule, conclusion, equation_constraint(conclusion),
@@ -215,7 +136,7 @@ def check_rule(sig: Signature, premises: Sequence[Equation],
 def _code_rule(sig: Signature, premises: Sequence[Equation],
                prem_cs: tuple[EqConstraint, ...], rule: RuleInstance,
                conclusion: Equation, concl_c: EqConstraint,
-               hypotheses: Sequence[Equation] | None) -> CodedStep:
+               hypotheses: Sequence[Equation] | None) -> Factorization:
     """`check_rule` over compiled premise and conclusion constraints."""
     want = RULE_ARITY[type(rule)]
     _require(len(premises) == want,
@@ -226,7 +147,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
             raise UnknownHypothesis(rule.index)
         _require(conclusion == hypotheses[rule.index],
                  "cited hypothesis does not match the conclusion")
-        return CodedStep((concl_c,), concl_c, (CiteHyp(0),))
+        return _coding((concl_c,), concl_c, CiteHyp(0))
 
     if isinstance(rule, Reflexivity):
         t = rule.term
@@ -234,7 +155,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  "reflexivity conclusion must equate the term with itself")
         _require(conclusion.vars == t.vars,
                  "reflexivity conclusion has the wrong variable set")
-        return CodedStep((), concl_c, (Refl(concl_c.left),))
+        return _coding((), concl_c, Refl(concl_c.left))
 
     if isinstance(rule, Symmetry):
         p = premises[0]
@@ -242,7 +163,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  "symmetry must swap the sides")
         _require(conclusion.vars == p.vars,
                  "symmetry must keep the variable set")
-        return CodedStep(prem_cs, concl_c, (CiteHyp(0), Sym(0)))
+        return _coding(prem_cs, concl_c, CiteHyp(0), Sym(0))
 
     if isinstance(rule, Transitivity):
         p1, p2 = premises
@@ -259,8 +180,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  and conclusion.right == p2.right
                  and conclusion.vars == p1.vars,
                  "transitivity conclusion must chain the outer sides")
-        return CodedStep(prem_cs, concl_c, (CiteHyp(0), CiteHyp(1),
-                                            Trans(0, 1)))
+        return _coding(prem_cs, concl_c, CiteHyp(0), CiteHyp(1), Trans(0, 1))
 
     if isinstance(rule, Concretion):
         p = premises[0]
@@ -277,8 +197,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
         if x.sort not in witnesses:
             raise UninhabitedFill(x.sort)
         h = retyping_arrow(kept, p.vars, witnesses)
-        return CodedStep(prem_cs, concl_c,
-                         (CiteHyp(0), ComposeRight(h, 0)))
+        return _coding(prem_cs, concl_c, CiteHyp(0), ComposeRight(h, 0))
 
     if isinstance(rule, Abstraction):
         p = premises[0]
@@ -291,8 +210,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  "abstraction conclusion must add exactly the chosen "
                  "variable")
         h = retyping_arrow(grown, p.vars, {})
-        return CodedStep(prem_cs, concl_c,
-                         (CiteHyp(0), ComposeRight(h, 0)))
+        return _coding(prem_cs, concl_c, CiteHyp(0), ComposeRight(h, 0))
 
     if isinstance(rule, Substitutivity):
         p1, p2 = premises
@@ -339,7 +257,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
         steps.append(ComposeRight(a_fwd, 2))            # (f.a.A, f'.a.A)
         steps.append(ComposeLeft(f_alpha_right, cong))  # (f'.a.A, f'.a.A')
         steps.append(Trans(len(steps) - 2, len(steps) - 1))
-        return CodedStep(prem_cs, concl_c, tuple(steps))
+        return _coding(prem_cs, concl_c, *steps)
 
     raise SideConditionViolated(f"unknown rule {rule!r}")
 
@@ -382,18 +300,6 @@ def product_factorizations(fs: Sequence[Factorization]) -> Factorization:
                          tuple(verif))
 
 
-def _constraints_match(xs: Sequence[EqConstraint],
-                       ys: Sequence[EqConstraint]) -> bool:
-    if len(xs) != len(ys):
-        return False
-    try:
-        return all(x == y or (arrows_equal(x.left, y.left)
-                              and arrows_equal(x.right, y.right))
-                   for x, y in zip(xs, ys))
-    except EndpointMismatch:
-        return False
-
-
 def paste_factorizations(f1: Factorization,
                          f2: Factorization) -> Factorization:
     """Chain two certificates whose interface lines up: the first derives
@@ -401,7 +307,8 @@ def paste_factorizations(f1: Factorization,
     certificate's proofs is replaced by the first certificate's proof of the
     matching claim, so the combined proofs run from f1's hypotheses straight
     through to f2's claims."""
-    if not _constraints_match(f1.claim, f2.hyp):
+    if len(f1.claim) != len(f2.hyp) \
+            or not all(map(constraints_equal, f1.claim, f2.hyp)):
         raise InterfaceMismatch(
             f"cannot paste: {len(f1.claim)} derived constraints vs "
             f"{len(f2.hyp)} assumed, or a constraint pair differs")
@@ -422,90 +329,6 @@ def paste_factorizations(f1: Factorization,
         verif.append(tuple(out))
     return Factorization(f1.hyp, f2.claim,
                          f1.wksp + f1.claim + f2.wksp, tuple(verif))
-
-
-# --- verification --------------------------------------------------------------
-
-
-@dataclass
-class VerificationResult:
-    ok: bool
-    trace: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _replay(hyp: Sequence[EqConstraint], proof: KernelProof,
-            trace: list[str]) -> EqConstraint | None:
-    derived: list[EqConstraint] = []
-    for n, step in enumerate(proof):
-        try:
-            if isinstance(step, CiteHyp):
-                if not 0 <= step.hyp < len(hyp):
-                    trace.append(f"step {n}: citation of missing "
-                                 f"hypothesis {step.hyp}")
-                    return None
-                derived.append(hyp[step.hyp])
-            elif isinstance(step, Refl):
-                derived.append(EqConstraint(step.arrow, step.arrow))
-            elif isinstance(step, Sym):
-                c = derived[step.of]
-                derived.append(EqConstraint(c.right, c.left))
-            elif isinstance(step, Trans):
-                c1, c2 = derived[step.first], derived[step.second]
-                if not arrows_equal(c1.right, c2.left):
-                    trace.append(f"step {n}: transitivity middle terms are "
-                                 "not formally equal")
-                    return None
-                derived.append(EqConstraint(c1.left, c2.right))
-            elif isinstance(step, ComposeLeft):
-                c = derived[step.of]
-                derived.append(EqConstraint(Comp(step.arrow, c.left),
-                                            Comp(step.arrow, c.right)))
-            elif isinstance(step, ComposeRight):
-                c = derived[step.of]
-                derived.append(EqConstraint(Comp(c.left, step.arrow),
-                                            Comp(c.right, step.arrow)))
-            elif isinstance(step, TupleCong):
-                cs = [derived[i] for i in step.of]
-                derived.append(EqConstraint(
-                    TupleArrow(step.src, tuple(c.left for c in cs)),
-                    TupleArrow(step.src, tuple(c.right for c in cs))))
-            else:
-                trace.append(f"step {n}: unknown kernel step {step!r}")
-                return None
-        except (EndpointMismatch, IndexError) as exc:
-            trace.append(f"step {n}: {exc}")
-            return None
-    if not derived:
-        trace.append("empty kernel proof derives nothing")
-        return None
-    return derived[-1]
-
-
-def verify_factorization(f: Factorization) -> VerificationResult:
-    """Replay every kernel proof and re-check every claimed equality."""
-    trace: list[str] = []
-    ok = True
-    for k, (constraint, proof) in enumerate(zip(f.claim, f.verif)):
-        got = _replay(f.hyp, proof, trace)
-        if got is None:
-            trace.append(f"claim {k}: kernel proof failed to replay")
-            ok = False
-            continue
-        try:
-            good = arrows_equal(got.left, constraint.left) \
-                and arrows_equal(got.right, constraint.right)
-        except EndpointMismatch:
-            good = False
-        if good:
-            trace.append(f"claim {k}: established")
-        else:
-            trace.append(f"claim {k}: derived constraint differs from the "
-                         "claim")
-            ok = False
-    return VerificationResult(ok, tuple(trace))
 
 
 # --- normal form for deductions ------------------------------------------------------
@@ -621,9 +444,9 @@ def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
     for s in ld.levels[0]:
         coded = _code_rule(sig, (), (), s.rule, s.equation,
                            compiled(s.equation), hypotheses)
-        claims.append(coded.conclusion)
+        claims.append(coded.claim[0])
         proofs.append((CiteHyp(s.rule.index),)
-                      if isinstance(s.rule, Hypothesis) else coded.proof)
+                      if isinstance(s.rule, Hypothesis) else coded.verif[0])
     running = Factorization(hyp, tuple(claims), (), tuple(proofs))
 
     partitions: list[list[list[int]]] = []
@@ -638,11 +461,10 @@ def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
                          "copy must repeat its premise unchanged")
                 step_certs.append(identity_factorization((running.claim[i],)))
             else:
-                coded = _code_rule(
+                step_certs.append(_code_rule(
                     sig, [prev_eqs[i] for i in s.premises],
                     tuple(running.claim[i] for i in s.premises), s.rule,
-                    s.equation, compiled(s.equation), hypotheses)
-                step_certs.append(coded.factorization())
+                    s.equation, compiled(s.equation), hypotheses))
             consumed.extend(s.premises)
         partitions.append([list(s.premises) for s in ld.levels[l]])
         level_cert = product_factorizations(step_certs)

@@ -95,7 +95,7 @@ class InterfaceMismatch(DeductionError):
 
 # --- finite models --------------------------------------------------------------
 
-class CarrierTooLarge(TermcatError):
+class CarrierOutOfRange(TermcatError):
     pass
 
 

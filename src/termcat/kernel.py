@@ -1,0 +1,183 @@
+"""The trusted kernel: replay of arrow-equality certificates.
+
+A certificate (`Factorization`) holds hypothesis constraints, claim
+constraints, workspace constraints and one kernel proof per claim.  Kernel
+steps are the congruence moves of arrow equality: reflexivity, symmetry,
+transitivity, composing on either side, tuple congruence and hypothesis
+citation.  `verify_factorization` replays every proof from the hypotheses,
+deciding each comparison by normal forms, and accepts a claim only if the
+replayed constraint is formally equal to it.
+
+This module is the only one that decides whether a certificate holds.  It
+imports nothing but `arrows`, `errors` and the standard library, so no code
+of the certificate's producer runs during replay, and it can be audited on
+its own.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Sequence, Union
+
+from .arrows import Comp, FPArrow, FPObject, TupleArrow, arrows_equal
+from .errors import EndpointMismatch, SideConditionViolated
+
+# --- constraints and kernel steps -----------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class EqConstraint:
+    left: FPArrow
+    right: FPArrow
+
+    def __post_init__(self):
+        if self.left.src is not self.right.src \
+                or self.left.dst is not self.right.dst:
+            raise EndpointMismatch(
+                "constraint sides have different endpoints")
+
+    def __str__(self) -> str:
+        return f"{self.left}  ==  {self.right}"
+
+
+def constraints_equal(x: EqConstraint, y: EqConstraint) -> bool:
+    """Formal equality of two constraints, side by side; constraints over
+    different endpoints are not equal."""
+    try:
+        return arrows_equal(x.left, y.left) and arrows_equal(x.right, y.right)
+    except EndpointMismatch:
+        return False
+
+
+@dataclass(frozen=True, slots=True)
+class CiteHyp:
+    hyp: int
+
+
+@dataclass(frozen=True, slots=True)
+class Refl:
+    arrow: FPArrow
+
+
+@dataclass(frozen=True, slots=True)
+class Sym:
+    of: int
+
+
+@dataclass(frozen=True, slots=True)
+class Trans:
+    first: int
+    second: int
+
+
+@dataclass(frozen=True, slots=True)
+class ComposeLeft:
+    arrow: FPArrow
+    of: int
+
+
+@dataclass(frozen=True, slots=True)
+class ComposeRight:
+    arrow: FPArrow
+    of: int
+
+
+@dataclass(frozen=True, slots=True)
+class TupleCong:
+    src: FPObject
+    of: tuple[int, ...]
+
+
+KernelStep = Union[CiteHyp, Refl, Sym, Trans, ComposeLeft, ComposeRight,
+                   TupleCong]
+
+KernelProof = tuple[KernelStep, ...]
+
+
+@dataclass
+class Factorization:
+    hyp: tuple[EqConstraint, ...]
+    claim: tuple[EqConstraint, ...]
+    wksp: tuple[EqConstraint, ...]
+    verif: tuple[KernelProof, ...]  # one proof per claim, in order
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if len(self.verif) != len(self.claim):
+            raise SideConditionViolated(
+                "verification must carry one kernel proof per claim")
+
+
+# --- replay ----------------------------------------------------------------------
+
+
+@dataclass
+class VerificationResult:
+    ok: bool
+    trace: tuple[str, ...]
+
+
+def _replay(hyp: Sequence[EqConstraint], proof: KernelProof,
+            trace: list[str]) -> EqConstraint | None:
+    derived: list[EqConstraint] = []
+    for n, step in enumerate(proof):
+        try:
+            if isinstance(step, CiteHyp):
+                if not 0 <= step.hyp < len(hyp):
+                    trace.append(f"step {n}: citation of missing "
+                                 f"hypothesis {step.hyp}")
+                    return None
+                derived.append(hyp[step.hyp])
+            elif isinstance(step, Refl):
+                derived.append(EqConstraint(step.arrow, step.arrow))
+            elif isinstance(step, Sym):
+                c = derived[step.of]
+                derived.append(EqConstraint(c.right, c.left))
+            elif isinstance(step, Trans):
+                c1, c2 = derived[step.first], derived[step.second]
+                if not arrows_equal(c1.right, c2.left):
+                    trace.append(f"step {n}: transitivity middle terms are "
+                                 "not formally equal")
+                    return None
+                derived.append(EqConstraint(c1.left, c2.right))
+            elif isinstance(step, ComposeLeft):
+                c = derived[step.of]
+                derived.append(EqConstraint(Comp(step.arrow, c.left),
+                                            Comp(step.arrow, c.right)))
+            elif isinstance(step, ComposeRight):
+                c = derived[step.of]
+                derived.append(EqConstraint(Comp(c.left, step.arrow),
+                                            Comp(c.right, step.arrow)))
+            elif isinstance(step, TupleCong):
+                cs = [derived[i] for i in step.of]
+                derived.append(EqConstraint(
+                    TupleArrow(step.src, tuple(c.left for c in cs)),
+                    TupleArrow(step.src, tuple(c.right for c in cs))))
+            else:
+                trace.append(f"step {n}: unknown kernel step {step!r}")
+                return None
+        except (EndpointMismatch, IndexError) as exc:
+            trace.append(f"step {n}: {exc}")
+            return None
+    if not derived:
+        trace.append("empty kernel proof derives nothing")
+        return None
+    return derived[-1]
+
+
+def verify_factorization(f: Factorization) -> VerificationResult:
+    """Replay every kernel proof and re-check every claimed equality."""
+    trace: list[str] = []
+    ok = True
+    for k, (constraint, proof) in enumerate(zip(f.claim, f.verif)):
+        got = _replay(f.hyp, proof, trace)
+        if got is None:
+            trace.append(f"claim {k}: kernel proof failed to replay")
+            ok = False
+        elif constraints_equal(got, constraint):
+            trace.append(f"claim {k}: established")
+        else:
+            trace.append(f"claim {k}: derived constraint differs from the "
+                         "claim")
+            ok = False
+    return VerificationResult(ok, tuple(trace))

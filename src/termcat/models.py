@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .arrows import FPArrow, FPObject, Gen, Id, Leaf, Proj, TupleArrow
-from .errors import CarrierTooLarge
+from .errors import CarrierOutOfRange
 from .signature import Operation, Signature, Sort, Variable
 from .terms import Equation, Expression, Var
 
@@ -56,8 +56,10 @@ def _table_domains(sig: Signature, sizes: dict[Sort, int]):
 def _carrier_sizes(sig: Signature, max_size: int):
     """Every carrier-size assignment with sizes 1..max_size,
     lexicographically."""
+    if max_size < 1:
+        raise CarrierOutOfRange(f"carrier bound {max_size} is below 1")
     if max_size > MAX_CARRIER:
-        raise CarrierTooLarge(
+        raise CarrierOutOfRange(
             f"carrier bound {max_size} exceeds the limit {MAX_CARRIER}")
     for sizes_tuple in itertools.product(range(1, max_size + 1),
                                          repeat=len(sig.sorts)):

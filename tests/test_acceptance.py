@@ -15,8 +15,8 @@ from fixtures import binary_signature, running_signature, subst_signature, \
 from gen import (gen_deduction_tree, gen_equation, gen_expression,
                  gen_signature, gen_subst_instance, gen_term)
 from termcat.arrows import (Comp, GenApp, Id, Path, Prod, Proj, TERMINAL,
-                            TupleArrow, arrows_equal, bang, cod, dom,
-                            normalize, term_arrow)
+                            TupleArrow, arrows_equal, bang, normalize,
+                            term_arrow)
 from termcat.deduction import (Abstraction, Concretion, Reflexivity,
                                Substitutivity, Symmetry, Transitivity,
                                check_rule,
@@ -24,10 +24,10 @@ from termcat.deduction import (Abstraction, Concretion, Reflexivity,
                                equation_constraint,
                                identity_factorization,
                                normal_form_violations, normalize_deduction,
-                               paste_factorizations, product_factorizations,
-                               verify_factorization)
+                               paste_factorizations, product_factorizations)
 from termcat.errors import (MiddleTermMismatch, SideConditionViolated,
                             UninhabitedFill)
+from termcat.kernel import verify_factorization
 from termcat.models import (enumerate_models, eval_arrow,
                             find_separating_model, points, satisfies)
 from termcat.signature import Variable, validate_signature
@@ -84,7 +84,7 @@ def test_criterion_1_golden_worked_examples():
     csig = validate_signature(["s"], [("c", [], "s")])
     from termcat.arrows import apply_arrow
     q = apply_arrow(App(csig.operation("c"), ()))
-    ok = ok and dom(q) == TERMINAL and isinstance(q, Comp) \
+    ok = ok and q.src == TERMINAL and isinstance(q, Comp) \
         and q.before == bang(TERMINAL) \
         and normalize(q).body == GenApp(csig.operation("c"), ())
 
@@ -122,21 +122,21 @@ def _disguise(a, rng):
     for _ in range(rng.randint(1, 3)):
         roll = rng.random()
         if roll < 0.3:
-            a = Comp(a, Id(dom(a)))
+            a = Comp(a, Id(a.src))
         elif roll < 0.55:
-            a = Comp(Id(cod(a)), a)
+            a = Comp(Id(a.dst), a)
         elif roll < 0.8:
             i = rng.randint(1, 3)
-            parts = [Id(dom(a))] * 3
+            parts = [Id(a.src)] * 3
             parts[i - 1] = a
-            t = TupleArrow(dom(a), tuple(parts))
-            a = Comp(Proj(cod(t), i), t)
-        elif isinstance(cod(a), Prod) and cod(a).factors:
-            a = TupleArrow(dom(a), tuple(
-                Comp(Proj(cod(a), i), a)
-                for i in range(1, len(cod(a).factors) + 1)))
+            t = TupleArrow(a.src, tuple(parts))
+            a = Comp(Proj(t.dst, i), t)
+        elif isinstance(a.dst, Prod) and a.dst.factors:
+            a = TupleArrow(a.src, tuple(
+                Comp(Proj(a.dst, i), a)
+                for i in range(1, len(a.dst.factors) + 1)))
         else:
-            a = Comp(a, Id(dom(a)))
+            a = Comp(a, Id(a.src))
     return a
 
 
@@ -159,7 +159,7 @@ def test_criterion_3_normalization_vs_semantics():
         a = term_arrow(t)
         b = _disguise(a, rng)
         assert normalize(a) == normalize(b)
-        src = dom(a)
+        src = a.src
         for model in enumerate_models(sig, 2):
             for pt in points(model, src):
                 if eval_arrow(model, a, pt) != eval_arrow(model, b, pt):
@@ -179,7 +179,7 @@ def test_criterion_3_normalization_vs_semantics():
                                                         t1.sort))
             if normalize(a) != normalize(b):
                 break
-        if find_separating_model(sig, a, b, dom(a), 3, rng,
+        if find_separating_model(sig, a, b, a.src, 3, rng,
                                  attempts=500) is not None:
             separated += 1
         else:
@@ -257,7 +257,7 @@ def test_criterion_4_rule_soundness():
                                                          witnesses,
                                                          rule_name)
             step = check_rule(sig, premises, rule, conclusion)
-            assert verify_factorization(step.factorization()).ok
+            assert verify_factorization(step).ok
             for model in all_models:
                 if all(satisfies(model, p) for p in premises):
                     if not satisfies(model, conclusion):
@@ -346,7 +346,7 @@ def _random_chain_certs(rng, sig, hyps):
         eq = eqs[-1]
         flipped = make_equation(eq.right, eq.left, eq.vars)
         step = check_rule(sig, (eq,), Symmetry(), flipped)
-        certs.append(step.factorization())
+        certs.append(step)
         eqs.append(flipped)
     return certs
 

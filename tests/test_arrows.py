@@ -14,9 +14,9 @@ from gen import gen_signature, gen_term
 from termcat import arrows, models
 from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NTuple, Path, Prod,
                             Proj, TERMINAL, TupleArrow, apply_arrow,
-                            arrows_equal, bang, cod, compose, dom, embed,
-                            equation_arrows, flat_product, input_product,
-                            normalize, occurrence_arrow, product_of_arrows,
+                            arrows_equal, bang, embed, equation_arrows,
+                            flat_product, input_product, normalize,
+                            occurrence_arrow, product_of_arrows,
                             regroup_arrow, term_arrow, term_normal)
 from termcat.errors import EndpointMismatch
 from termcat.signature import validate_signature
@@ -39,24 +39,24 @@ def worked_term(sig):
 def test_generator_endpoints():
     sig = running_signature()
     f = Gen(sig.operation("f"))
-    assert dom(f) == flat_product([sig.sort("s1"), sig.sort("s2"),
-                                   sig.sort("s2")])
-    assert cod(f) == Leaf(sig.sort("s5"))
+    assert f.src == flat_product([sig.sort("s1"), sig.sort("s2"),
+                                  sig.sort("s2")])
+    assert f.dst == Leaf(sig.sort("s5"))
 
 
 def test_id_and_proj_endpoints():
     sig = running_signature()
     obj = flat_product([sig.sort("s1"), sig.sort("s2")])
-    assert dom(Id(obj)) == obj and cod(Id(obj)) == obj
+    assert Id(obj).src == obj and Id(obj).dst == obj
     p2 = Proj(obj, 2)
-    assert cod(p2) == Leaf(sig.sort("s2"))
+    assert p2.dst == Leaf(sig.sort("s2"))
 
 
 def test_composition_identity_law():
     sig = running_signature()
     g = Gen(sig.operation("g"))
-    assert arrows_equal(compose(g, Id(dom(g))), g)
-    assert arrows_equal(compose(Id(cod(g)), g), g)
+    assert arrows_equal(Comp(g, Id(g.src)), g)
+    assert arrows_equal(Comp(Id(g.dst), g), g)
 
 
 def test_product_of_arrows_endpoints():
@@ -64,8 +64,8 @@ def test_product_of_arrows_endpoints():
     g = Gen(sig.operation("g"))
     s1 = Leaf(sig.sort("s1"))
     pr = product_of_arrows([Id(s1), g])
-    assert dom(pr) == Prod((s1, dom(g)))
-    assert cod(pr) == Prod((s1, Leaf(sig.sort("s2"))))
+    assert pr.src == Prod((s1, g.src))
+    assert pr.dst == Prod((s1, Leaf(sig.sort("s2"))))
 
 
 def test_tuple_domain_mismatch():
@@ -79,7 +79,7 @@ def test_tuple_domain_mismatch():
 def test_compose_mismatch():
     sig = running_signature()
     with pytest.raises(EndpointMismatch):
-        compose(Gen(sig.operation("g")), Gen(sig.operation("f")))
+        Comp(Gen(sig.operation("g")), Gen(sig.operation("f")))
 
 
 def test_proj_index_out_of_range():
@@ -99,7 +99,7 @@ def test_projection_of_tuple_reduces():
     a = Proj(pair, 1)
     b = Proj(pair, 2)
     t = TupleArrow(pair, (a, b))
-    assert normalize(compose(Proj(Prod((s1, s1)), 2), t)) == normalize(b)
+    assert normalize(Comp(Proj(Prod((s1, s1)), 2), t)) == normalize(b)
 
 
 def test_identity_of_product_is_tuple_of_paths():
@@ -142,22 +142,22 @@ def test_arrows_equal_congruence_random(seed=23):
         sig = gen_signature(rng)
         base = gen_term(rng, sig, depth=2)
         a = term_arrow(base)
-        b = compose(a, Id(dom(a)))
-        c = compose(Id(cod(a)), a)
+        b = Comp(a, Id(a.src))
+        c = Comp(Id(a.dst), a)
         # equivalence: refl, sym, trans across the three presentations
         assert arrows_equal(a, a)
         assert arrows_equal(a, b) and arrows_equal(b, a)
         assert arrows_equal(b, c) and arrows_equal(a, c)
         # congruence under tupling and composition on either side
-        t1 = TupleArrow(dom(a), (a, b))
-        t2 = TupleArrow(dom(a), (b, a))
+        t1 = TupleArrow(a.src, (a, b))
+        t2 = TupleArrow(a.src, (b, a))
         assert arrows_equal(t1, t2)
         consumers = [op for op in sig.operations
                      if op.inputs == (base.sort,)]
         if consumers:
             g = Gen(consumers[0])
-            assert arrows_equal(compose(g, TupleArrow(dom(a), (a,))),
-                                compose(g, TupleArrow(dom(a), (b,))))
+            assert arrows_equal(Comp(g, TupleArrow(a.src, (a,))),
+                                Comp(g, TupleArrow(a.src, (b,))))
 
 
 # --- the three stages -----------------------------------------------------------
@@ -172,8 +172,8 @@ def test_apply_stage_variable_and_constant():
     c = App(csig.operation("c"), ())
     q = apply_arrow(c)
     # the composite passes through the terminal object
-    assert dom(q) == TERMINAL
-    assert isinstance(q, Comp) and dom(q.after) == TERMINAL
+    assert q.src == TERMINAL
+    assert isinstance(q, Comp) and q.after.src == TERMINAL
     assert q.before == bang(TERMINAL)
     assert normalize(q).body == GenApp(csig.operation("c"), ())
 
@@ -252,10 +252,10 @@ def test_occurrence_triangle_law_random(seed=31):
         d = occurrence_arrow(t)
         occurrences = var_list(t.expr)
         src = input_product(t)
-        mid = cod(d)
+        mid = d.dst
         for i, var in enumerate(occurrences, 1):
             k = t.vars.index(var) + 1
-            assert arrows_equal(compose(Proj(mid, i), d), Proj(src, k))
+            assert arrows_equal(Comp(Proj(mid, i), d), Proj(src, k))
 
 
 def test_term_arrow_goldens():
@@ -276,7 +276,7 @@ def test_term_arrow_goldens():
                                                         Path((8,))))
     # and the raw composite form h . <p2, p6> is formally the same arrow
     src = input_product(t)
-    direct = compose(Gen(h), TupleArrow(src, (Proj(src, 2), Proj(src, 6))))
+    direct = Comp(Gen(h), TupleArrow(src, (Proj(src, 2), Proj(src, 6))))
     assert arrows_equal(term_arrow(t), direct)
 
 
@@ -310,8 +310,8 @@ def test_equation_arrows_share_endpoints():
     eq2 = make_equation(left, right, var_set(left) + var_set(right))
     l2, r2 = equation_arrows(eq2)
     want_dom = flat_product([sig2.sort("s1")] * 3 + [sig2.sort("s2")])
-    assert dom(l2) == dom(r2) == want_dom
-    assert cod(l2) == cod(r2) == Leaf(sig2.sort("s5"))
+    assert l2.src == r2.src == want_dom
+    assert l2.dst == r2.dst == Leaf(sig2.sort("s5"))
 
 
 def test_stages_depend_only_on_expression(seed=37):
@@ -355,9 +355,9 @@ def test_same_structure_is_the_same_node():
     assert Leaf(s1) is Leaf(running_signature().sort("s1"))
     assert flat_product([s1, s1]) is Prod((Leaf(s1), Leaf(s1)))
     g = Gen(sig.operation("g"))
-    assert Comp(g, Id(dom(g))) is compose(g, Id(flat_product([s1, s1])))
-    assert TupleArrow(dom(g), [g]) is TupleArrow(dom(g), (g,))
-    assert Comp(g, Id(dom(g))) != g and hash(g) == hash(Gen(g.op))
+    assert Comp(g, Id(g.src)) is Comp(g, Id(flat_product([s1, s1])))
+    assert TupleArrow(g.src, [g]) is TupleArrow(g.src, (g,))
+    assert Comp(g, Id(g.src)) != g and hash(g) == hash(Gen(g.op))
 
 
 def test_nodes_are_immutable():
@@ -366,8 +366,8 @@ def test_nodes_are_immutable():
     s1 = Leaf(sig.sort("s1"))
     for node, field in ((g, "op"), (g, "src"), (g, "dst"), (g, "_normal"),
                         (s1, "sort"), (Prod((s1,)), "factors"),
-                        (Comp(g, Id(dom(g))), "after"),
-                        (Proj(dom(g), 1), "index")):
+                        (Comp(g, Id(g.src)), "after"),
+                        (Proj(g.src, 1), "index")):
         with pytest.raises(AttributeError):
             setattr(node, field, None)
         with pytest.raises(AttributeError):

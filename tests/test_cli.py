@@ -127,6 +127,17 @@ def test_oracle_bound_above_limit_exit_2(capsys):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_oracle_bound_below_one_exit_2(bound, capsys):
+    # a bound below 1 admits no model at all, so "holds in all 0 models"
+    # would pass off a false equation as true
+    for json_flag in ([], ["--json"]):
+        assert run(["oracle", "--equation", "projl", "--max-size", bound,
+                    UNSOUND] + json_flag) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: carrier bound {bound} is below 1\n")
+
+
 def test_long_sym_chain(tmp_path, capsys):
     steps = "".join(f"  a{i} = sym a{i - 1} ;\n" for i in range(1, 401))
     f = tmp_path / "chain.msl"
@@ -152,11 +163,27 @@ def test_traced_layer_functions_exist():
     assert tracing.missing_calls(modules) == []
 
 
+UNKNOWN_NAMES = [
+    (["compile", "--term", "nope"], "unknown term 'nope'"),
+    (["check-eq", "--equation", "nope"], "unknown equation 'nope'"),
+    (["oracle", "--equation", "nope"], "unknown equation 'nope'"),
+    (["subst", "--term", "nope", "--var", "y", "--with", "double"],
+     "unknown term 'nope'"),
+    (["subst", "--term", "t1", "--var", "y", "--with", "nope"],
+     "unknown term 'nope'"),
+    (["subst", "--term", "t1", "--var", "nope", "--with", "double"],
+     "'nope' does not name a variable of 't1'"),
+    (["check-proof", "--proof", "nope"], "unknown proof 'nope'"),
+    (["normalize-proof", "--proof", "nope"], "unknown proof 'nope'"),
+]
+
+
 def test_unknown_names_exit_2(capsys):
-    assert run(["compile", "--term", "nope", MONOID]) == 2
-    assert run(["check-eq", "--equation", "nope", MONOID]) == 2
-    assert run(["check-proof", "--proof", "nope", MONOID]) == 2
-    capsys.readouterr()
+    for argv, message in UNKNOWN_NAMES:
+        for json_flag in ([], ["--json"]):
+            assert run(argv + json_flag + [MONOID]) == 2, argv
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"error: {message}\n"), argv
 
 
 def test_syntax_error_exit_2(tmp_path, capsys):

@@ -8,18 +8,18 @@ from fixtures import binary_signature, certify, unary_signature, v
 from gen import gen_deduction_tree, gen_equation
 from termcat import deduction
 from termcat.arrows import arrows_equal, normalize, term_arrow
-from termcat.deduction import (Abstraction, CiteHyp, ComposeRight, Concretion,
-                               Copy, DeductionTree, EqConstraint, Factorization,
-                               Hypothesis, Refl, Reflexivity, Substitutivity,
-                               Sym, Symmetry, Trans, Transitivity, TupleCong,
-                               check_rule, compile_to_factorization,
-                               equation_constraint,
+from termcat.deduction import (Abstraction, Concretion, Copy, DeductionTree,
+                               Hypothesis, Reflexivity, Substitutivity,
+                               Symmetry, Transitivity, check_rule,
+                               compile_to_factorization, equation_constraint,
                                identity_factorization, normal_form_violations,
                                normalize_deduction, paste_factorizations,
-                               product_factorizations, verify_factorization)
+                               product_factorizations)
 from termcat.errors import (InterfaceMismatch, MiddleTermMismatch,
                             SideConditionViolated, UninhabitedFill,
                             UnknownHypothesis)
+from termcat.kernel import (CiteHyp, ComposeRight, EqConstraint, Factorization,
+                            Refl, Sym, Trans, verify_factorization)
 from termcat.models import enumerate_models, satisfies
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_expr
@@ -45,9 +45,9 @@ def test_reflexivity_coding():
     t = make_term(App(m, (Var(x), Var(y))), (x, y), s)
     eq = make_equation(t.expr, t.expr, t.vars)
     step = check_rule(sig, (), Reflexivity(t), eq)
-    assert step.premises == ()
-    assert step.proof == (Refl(term_arrow(t)),)
-    assert arrows_equal(step.conclusion.left, step.conclusion.right)
+    assert step.hyp == ()
+    assert step.verif[0] == (Refl(term_arrow(t)),)
+    assert arrows_equal(step.claim[0].left, step.claim[0].right)
 
 
 def test_reflexivity_rejects_wrong_conclusion():
@@ -62,9 +62,8 @@ def test_symmetry_coding():
     sig, s, x, y, m, c, comm, lunit = _setup()
     flipped = make_equation(comm.right, comm.left, comm.vars)
     step = check_rule(sig, (comm,), Symmetry(), flipped)
-    assert step.proof == (CiteHyp(0), Sym(0))
-    assert step.conclusion == EqConstraint(step.premises[0].right,
-                                           step.premises[0].left)
+    assert step.verif[0] == (CiteHyp(0), Sym(0))
+    assert step.claim[0] == EqConstraint(step.hyp[0].right, step.hyp[0].left)
 
 
 def test_transitivity_coding_and_middle_check():
@@ -72,7 +71,7 @@ def test_transitivity_coding_and_middle_check():
     flipped = make_equation(comm.right, comm.left, comm.vars)
     concl = make_equation(comm.left, comm.left, comm.vars)
     step = check_rule(sig, (comm, flipped), Transitivity(), concl)
-    assert step.proof == (CiteHyp(0), CiteHyp(1), Trans(0, 1))
+    assert step.verif[0] == (CiteHyp(0), CiteHyp(1), Trans(0, 1))
 
     other = make_equation(Var(x), Var(y), (x, y))
     sym_other = make_equation(Var(y), Var(x), (x, y))
@@ -88,8 +87,8 @@ def test_concretion_coding():
     wide = make_equation(comm.left, comm.right, (x, y, z))
     narrow = make_equation(comm.left, comm.right, (x, y))
     step = check_rule(sig, (wide,), Concretion(z), narrow)
-    assert isinstance(step.proof[1], ComposeRight)
-    got = verify_factorization(step.factorization())
+    assert isinstance(step.verif[0][1], ComposeRight)
+    got = verify_factorization(step)
     assert got.ok
 
 
@@ -120,7 +119,7 @@ def test_abstraction_coding_and_x_in_v_rejection():
     z = Variable(s, 3)
     grown = make_equation(comm.left, comm.right, (x, y, z))
     step = check_rule(sig, (comm,), Abstraction(z), grown)
-    assert verify_factorization(step.factorization()).ok
+    assert verify_factorization(step).ok
     with pytest.raises(SideConditionViolated):
         check_rule(sig, (comm,), Abstraction(x), grown)
 
@@ -132,13 +131,13 @@ def test_substitutivity_coding_structure():
     concl = make_equation(subst_expr(lunit.left, x, ce),
                           subst_expr(lunit.right, x, ce), ())
     step = check_rule(sig, (lunit, refl_c), Substitutivity(x), concl)
-    kinds = [type(k).__name__ for k in step.proof]
+    kinds = [type(k).__name__ for k in step.verif[0]]
     # the pair of substitution arrows is assembled by tuple congruence
     # before anything composes with it
     cong_at = kinds.index("TupleCong")
     assert cong_at < len(kinds) - 1
     assert kinds[-1] == "Trans"
-    assert verify_factorization(step.factorization()).ok
+    assert verify_factorization(step).ok
 
 
 def test_substitutivity_rejects_wrong_sort():
@@ -155,7 +154,7 @@ def test_rule_coded_claim_is_the_conclusion_diagram():
     sig, s, x, y, m, c, comm, lunit = _setup()
     flipped = make_equation(comm.right, comm.left, comm.vars)
     step = check_rule(sig, (comm,), Symmetry(), flipped)
-    assert step.conclusion == equation_constraint(flipped)
+    assert step.claim[0] == equation_constraint(flipped)
 
 
 # --- whole deductions ----------------------------------------------------------
@@ -367,8 +366,8 @@ def test_paste_interface_mismatch():
 def test_two_symmetries_paste_to_identity_content():
     sig, s, x, y, m, c, comm, lunit = _setup()
     flipped = make_equation(comm.right, comm.left, comm.vars)
-    s1 = check_rule(sig, (comm,), Symmetry(), flipped).factorization()
-    s2 = check_rule(sig, (flipped,), Symmetry(), comm).factorization()
+    s1 = check_rule(sig, (comm,), Symmetry(), flipped)
+    s2 = check_rule(sig, (flipped,), Symmetry(), comm)
     pasted = paste_factorizations(s1, s2)
     assert verify_factorization(pasted).ok
     assert pasted.hyp == (equation_constraint(comm),)
@@ -390,7 +389,7 @@ def test_product_of_two_reflexivities():
     sig, s, x, y, m, c, comm, lunit = _setup()
     t = make_term(Var(x), (x,), s)
     eq = make_equation(Var(x), Var(x), (x,))
-    r = check_rule(sig, (), Reflexivity(t), eq).factorization()
+    r = check_rule(sig, (), Reflexivity(t), eq)
     both = product_factorizations([r, r])
     assert len(both.claim) == 2 and both.hyp == ()
     assert verify_factorization(both).ok

@@ -1,0 +1,228 @@
+"""The trusted kernel on its own: what it may import, and whether a forged
+certificate gets past it.
+
+The forgery fuzzer starts from valid certificates of generated deduction
+trees and applies one mutation: retarget a step index, swap the arrow of a
+step, change a citation, drop a step, permute the claims, or restate a
+claim over the unchanged proofs.  A mutated proof's claim becomes whatever
+that proof would derive if replay checked nothing, so the kernel's own
+checks (citation range, transitivity middle terms, endpoints, the claim
+check) are all that stand between the mutant and acceptance.  Every mutant
+the kernel accepts is judged on random finite models, a route with no
+normal forms in it: its claims must hold in every sampled model of its
+hypotheses.
+"""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fixtures import binary_signature, certify, unary_signature
+from gen import gen_deduction_tree, gen_equation
+from termcat import kernel, models
+from termcat.arrows import Comp, TupleArrow
+from termcat.deduction import product_factorizations
+from termcat.errors import EndpointMismatch
+from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
+                            Factorization, Refl, Sym, Trans, TupleCong,
+                            verify_factorization)
+from termcat.models import arrows_agree, random_model
+
+# --- import boundaries -------------------------------------------------------
+
+
+def _imports(module) -> list[tuple[str, tuple[str, ...]]]:
+    """(module, imported names) for every import statement of a module's
+    source; a `termcat` module is named without its package."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((a.name, ()) for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = tuple(a.name for a in node.names)
+            if node.level == 0:
+                found.append((node.module, names))
+            elif node.module is None:  # from . import x
+                found.extend((name, ()) for name in names)
+            else:
+                found.append((node.module, names))
+    return [(name.removeprefix("termcat."), names) for name, names in found]
+
+
+def _outside_stdlib(imports, allowed: set[str]) -> list[str]:
+    return [name for name, _ in imports
+            if name.split(".")[0] not in sys.stdlib_module_names
+            and name not in allowed]
+
+
+def test_kernel_imports_only_arrows_errors_and_the_stdlib():
+    imports = _imports(kernel)
+    assert {"arrows", "errors"} <= {name for name, _ in imports}
+    assert _outside_stdlib(imports, {"arrows", "errors"}) == []
+
+
+def test_models_imports_nothing_that_normalizes():
+    normalizing = {"normalize", "_norm", "arrows_equal", "term_normal",
+                   "embed", "NormalArrow", "NormalBody", "Path", "GenApp",
+                   "NTuple", "deduction", "kernel", "subst"}
+    imports = _imports(models)
+    assert "arrows" in {name for name, _ in imports}
+    assert _outside_stdlib(
+        imports, {"arrows", "errors", "signature", "terms"}) == []
+    assert not {n for name, names in imports
+                for n in (name, *names)} & normalizing
+
+
+# --- forgery fuzzer -----------------------------------------------------------
+
+SIGNATURES = (unary_signature(), binary_signature())
+MUTATIONS = ("retarget", "arrow", "cite", "drop", "permute", "restate")
+MODELS_PER_MUTANT = 12
+
+
+def _certificate(rng: random.Random):
+    """The product of the certificates of one to three generated trees over
+    a shared list of zero to two hypotheses."""
+    sig = rng.choice(SIGNATURES)
+    hyps = [gen_equation(rng, sig, depth=2) for _ in range(rng.randint(0, 2))]
+    trees = [gen_deduction_tree(rng, sig, hyps, rng.randint(1, 3))
+             for _ in range(rng.randint(1, 3))]
+    return sig, product_factorizations([certify(sig, t, hyps)
+                                        for t in trees])
+
+
+def _forged_claim(hyp, proof) -> EqConstraint | None:
+    """What `proof` derives when nothing is checked: any citation Python can
+    index, transitivity whatever its middle terms.  None where a step refers
+    forward or its arrows do not compose."""
+    derived: list[EqConstraint] = []
+    try:
+        for s in proof:
+            if isinstance(s, CiteHyp):
+                c = hyp[s.hyp]
+            elif isinstance(s, Refl):
+                c = EqConstraint(s.arrow, s.arrow)
+            elif isinstance(s, Sym):
+                c = EqConstraint(derived[s.of].right, derived[s.of].left)
+            elif isinstance(s, Trans):
+                c = EqConstraint(derived[s.first].left,
+                                 derived[s.second].right)
+            elif isinstance(s, ComposeLeft):
+                p = derived[s.of]
+                c = EqConstraint(Comp(s.arrow, p.left), Comp(s.arrow, p.right))
+            elif isinstance(s, ComposeRight):
+                p = derived[s.of]
+                c = EqConstraint(Comp(p.left, s.arrow), Comp(p.right, s.arrow))
+            else:
+                ps = [derived[i] for i in s.of]
+                c = EqConstraint(TupleArrow(s.src, tuple(p.left for p in ps)),
+                                 TupleArrow(s.src, tuple(p.right for p in ps)))
+            derived.append(c)
+    except (IndexError, EndpointMismatch):
+        return None
+    return derived[-1] if derived else None
+
+
+def _retarget(rng, step, size):
+    field = rng.choice([f.name for f in dataclasses.fields(step)
+                        if f.name in ("of", "first", "second")])
+    old = getattr(step, field)
+    if isinstance(old, tuple):
+        k = rng.randrange(len(old))
+        new = old[:k] + (rng.randrange(size),) + old[k + 1:]
+    else:
+        new = rng.randrange(size)
+    return dataclasses.replace(step, **{field: new})
+
+
+def _swap_arrow(rng, step, pool):
+    # an arrow over the same endpoints keeps the mutant well typed, so the
+    # kernel's semantic checks have to catch it
+    same = [a for a in pool if a.src is step.arrow.src
+            and a.dst is step.arrow.dst and a is not step.arrow]
+    return dataclasses.replace(step, arrow=rng.choice(
+        same if same and rng.random() < 0.8 else pool))
+
+
+def _mutate(rng: random.Random, cert: Factorization,
+            kind: str) -> Factorization | None:
+    """`cert` with one mutation of the given kind; None where the
+    certificate offers that mutation nothing to act on."""
+    claim, verif = list(cert.claim), list(cert.verif)
+    if kind == "permute":
+        if len(set(claim)) < 2:
+            return None
+        order = list(range(len(claim)))
+        while order == sorted(order):
+            rng.shuffle(order)
+        return Factorization(cert.hyp, tuple(claim[i] for i in order),
+                             cert.wksp, cert.verif)
+    if kind == "restate":
+        # a claim that a proof mutation forges, over the unmutated proofs
+        forged = _mutate(rng, cert, rng.choice(MUTATIONS[:4]))
+        return forged and Factorization(cert.hyp, forged.claim, cert.wksp,
+                                        cert.verif)
+    k = rng.randrange(len(verif))
+    proof = list(verif[k])
+    targets = {"retarget": (Sym, Trans, ComposeLeft, ComposeRight,
+                            TupleCong),
+               "arrow": (Refl, ComposeLeft, ComposeRight),
+               "cite": CiteHyp, "drop": object}[kind]
+    sites = [n for n, s in enumerate(proof) if isinstance(s, targets)]
+    if not sites:
+        return None
+    n = rng.choice(sites)
+    step = proof[n]
+    if kind == "drop":
+        del proof[n]
+    elif kind == "retarget":
+        proof[n] = _retarget(rng, step, len(proof))
+    elif kind == "arrow":
+        pool = [a for c in cert.hyp + cert.claim for a in (c.left, c.right)]
+        pool += [s.arrow for p in verif for s in p if hasattr(s, "arrow")]
+        proof[n] = _swap_arrow(rng, step, pool)
+    else:
+        wrong = [i for i in range(-1, len(cert.hyp) + 1) if i != step.hyp]
+        proof[n] = CiteHyp(rng.choice(wrong))
+    verif[k] = tuple(proof)
+    claim[k] = _forged_claim(cert.hyp, proof) or claim[k]
+    return Factorization(cert.hyp, tuple(claim), cert.wksp, tuple(verif))
+
+
+def _holds(model, c: EqConstraint) -> bool:
+    return arrows_agree(model, c.left, c.right, c.left.src)
+
+
+def test_forged_certificates_are_rejected_or_sound():
+    tally = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(MUTATIONS))
+    def forge(seed, kind):
+        rng = random.Random(seed)
+        sig, cert = _certificate(rng)
+        mutant = _mutate(rng, cert, kind)
+        if mutant is None:
+            return
+        if not verify_factorization(mutant).ok:
+            tally["rejected"] += 1
+            return
+        for _ in range(MODELS_PER_MUTANT):
+            model = random_model(sig, 3, rng)
+            if all(_holds(model, c) for c in mutant.hyp):
+                tally["judged"] += 1
+                assert all(_holds(model, c) for c in mutant.claim), kind
+
+    forge()
+    # floors, so that the property cannot pass with nothing tested
+    assert tally["rejected"] >= 100, tally
+    assert tally["judged"] >= 500, tally

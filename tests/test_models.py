@@ -8,7 +8,7 @@ import pytest
 from fixtures import binary_signature, unary_signature
 from gen import gen_equation, gen_signature, gen_term
 from termcat.arrows import term_arrow
-from termcat.errors import CarrierTooLarge
+from termcat.errors import CarrierOutOfRange
 from termcat.models import (FiniteModel, arrows_agree, count_models,
                             enumerate_models, eval_arrow, eval_expression,
                             find_counterexample, find_separating_model,
@@ -47,10 +47,15 @@ def test_enumeration_is_deterministic():
 
 
 def test_carrier_guard():
-    with pytest.raises(CarrierTooLarge):
+    with pytest.raises(CarrierOutOfRange):
         next(enumerate_models(unary_signature(), 9))
-    with pytest.raises(CarrierTooLarge):
+    with pytest.raises(CarrierOutOfRange):
         count_models(unary_signature(), 9)
+    for bound in (0, -1):
+        with pytest.raises(CarrierOutOfRange):
+            next(enumerate_models(unary_signature(), bound))
+        with pytest.raises(CarrierOutOfRange):
+            count_models(unary_signature(), bound)
 
 
 def test_eval_expression_against_tables():
@@ -88,10 +93,10 @@ def test_equal_normal_forms_agree_in_models(seed=57):
     for _ in range(10):
         t = gen_term(rng, sig, depth=2)
         a = term_arrow(t)
-        from termcat.arrows import Id, compose, dom
-        b = compose(a, Id(dom(a)))
+        from termcat.arrows import Comp, Id
+        b = Comp(a, Id(a.src))
         for model in enumerate_models(sig, 2):
-            assert arrows_agree(model, a, b, dom(a))
+            assert arrows_agree(model, a, b, a.src)
 
 
 def test_separating_model_for_projections():

@@ -6,7 +6,7 @@ import pytest
 
 from fixtures import running_signature, subst_signature, v
 from gen import gen_signature, gen_subst_instance, gen_term
-from termcat.arrows import (GenApp, Path, Proj, arrows_equal, compose, dom,
+from termcat.arrows import (Comp, GenApp, Path, Proj, arrows_equal,
                             flat_product, normalize, term_arrow)
 from termcat.errors import SortMismatch, UninhabitedFill
 from termcat.signature import inhabited_sorts, validate_signature
@@ -111,7 +111,7 @@ def test_substitution_arrow_square_when_var_shared():
     # source and target products have equal width
     sig, inst = wide_instance()
     a = substitution_arrow(inst)
-    assert len(dom(a).factors) == 10
+    assert len(a.src.factors) == 10
     assert inst.var in inst.replacement.vars
     assert len(inst.union_vars()) == 10
 
@@ -235,7 +235,7 @@ def test_retyping_coherence_random(seed=43):
             continue
         t1 = make_term(t.expr, v1, t.sort)
         t2 = make_term(t.expr, v2, t.sort)
-        assert arrows_equal(term_arrow(t1), compose(term_arrow(t2), r))
+        assert arrows_equal(term_arrow(t1), Comp(term_arrow(t2), r))
 
 
 def test_substitution_arrow_components_commute(seed=47):
@@ -252,4 +252,4 @@ def test_substitution_arrow_components_commute(seed=47):
             if var == inst.var:
                 continue
             k = result.index(var) + 1
-            assert arrows_equal(compose(Proj(mid, j), a), Proj(src, k))
+            assert arrows_equal(Comp(Proj(mid, j), a), Proj(src, k))
