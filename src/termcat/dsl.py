@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .deduction import (Abstraction, Concretion, DeductionTree,
                         Hypothesis, Reflexivity, Substitutivity, Symmetry,
@@ -44,46 +44,56 @@ from .terms import (App, Equation, Expression, Var, make_equation,
 
 # --- tokens ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<ARROW>->)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACK>\[)"
-    r"|(?P<RBRACK>\])|(?P<LBRACE>\{)|(?P<RBRACE>\})|(?P<COLON>:)"
-    r"|(?P<COMMA>,)|(?P<SEMI>;)|(?P<EQUALS>=)"
-    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<OTHER>\S)")
+# leading blanks, then one token: a symbol, a name, or any other
+# character.  `findall` hands back both as plain strings, so a column is
+# a running sum and no match object is built per token.
+_TOKEN_RE = re.compile(r"(\s*)(?:(->|[()\[\]{}:,;=])|([A-Za-z_][A-Za-z0-9_]*)"
+                       r"|(\S))")
+_SYMBOLS = {"->": "ARROW", "(": "LPAREN", ")": "RPAREN", "[": "LBRACK",
+            "]": "RBRACK", "{": "LBRACE", "}": "RBRACE", ":": "COLON",
+            ",": "COMMA", ";": "SEMI", "=": "EQUALS"}
 
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+# (kind, text, line, col); plain tuples, as the parser reads them by index
+Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[Token]:
     out: list[Token] = []
+    add = out.append
     lines = text.splitlines()
     for ln, line in enumerate(lines, 1):
         line = line.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(line):
-            if m.lastgroup == "OTHER":
-                raise DslSyntaxError(f"unexpected character {m.group()!r}",
-                                     ln, m.start() + 1)
-            out.append(Token(m.lastgroup, m.group(), ln, m.start() + 1))
-        out.append(Token("NEWLINE", "", ln, len(line) + 1))
-    out.append(Token("EOF", "", len(lines) + 1, 1))
+        col = 1
+        for blanks, symbol, name, other in _TOKEN_RE.findall(line):
+            col += len(blanks)
+            if name:
+                add(("NAME", name, ln, col))
+                col += len(name)
+            elif symbol:
+                add((_SYMBOLS[symbol], symbol, ln, col))
+                col += len(symbol)
+            else:
+                raise DslSyntaxError(f"unexpected character {other!r}",
+                                     ln, col)
+        add(("NEWLINE", "", ln, len(line) + 1))
+    add(("EOF", "", len(lines) + 1, 1))
     return out
 
 
 # --- raw syntax ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# Not frozen: a frozen dataclass's __init__ costs three times as much, and
+# these are the nodes a file has most of.  Nothing assigns to them after
+# parsing.
+@dataclass(slots=True, unsafe_hash=True)
 class RawName:
     name: str
     line: int = field(compare=False, default=0)
     col: int = field(compare=False, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RawCall:
     name: str
     args: tuple["RawExpr", ...]
@@ -170,80 +180,106 @@ class SpecFile:
 # --- parser --------------------------------------------------------------------
 
 
+def _expected(kind: str, tok: Token) -> DslSyntaxError:
+    return DslSyntaxError(f"expected {kind}, found {tok[1] or tok[0]!r}",
+                          tok[2], tok[3])
+
+
 class _Parser:
+    """Recursive descent over the token list; `pos` is the next token.
+    Newlines end statements, except inside an expression's parentheses
+    and between a proof's steps."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, skip_newlines=False) -> Token:
-        i = self.pos
-        while skip_newlines and self.tokens[i].kind == "NEWLINE":
-            i += 1
-        return self.tokens[i]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def next(self, skip_newlines=False) -> Token:
-        while skip_newlines and self.tokens[self.pos].kind == "NEWLINE":
-            self.pos += 1
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, skip_newlines=False) -> Token:
-        tok = self.next(skip_newlines)
-        if tok.kind != kind:
-            raise DslSyntaxError(
-                f"expected {kind}, found {tok.text or tok.kind!r}",
-                tok.line, tok.col)
+    def skip_newlines(self) -> None:
+        while self.tokens[self.pos][0] == "NEWLINE":
+            self.pos += 1
+
+    def expect(self, kind: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise _expected(kind, tok)
+        self.pos += 1
         return tok
+
+    def name(self) -> str:
+        return self.expect("NAME")[1]
 
     def end_line(self):
         tok = self.next()
-        if tok.kind not in ("NEWLINE", "EOF"):
+        if tok[0] not in ("NEWLINE", "EOF"):
             raise DslSyntaxError(
-                f"unexpected {tok.text!r} at end of statement",
-                tok.line, tok.col)
+                f"unexpected {tok[1]!r} at end of statement", tok[2], tok[3])
 
-    def names_until(self, stop_kinds) -> list[Token]:
+    def names_until(self, stop_kinds: tuple[str, ...]) -> list[Token]:
         out = []
-        while self.peek().kind == "NAME":
+        while self.kind() == "NAME":
             out.append(self.next())
-        if self.peek().kind not in stop_kinds:
-            tok = self.peek()
-            raise DslSyntaxError(f"unexpected {tok.text or tok.kind!r}",
-                                 tok.line, tok.col)
+        if self.kind() not in stop_kinds:
+            tok = self.tokens[self.pos]
+            raise DslSyntaxError(f"unexpected {tok[1] or tok[0]!r}",
+                                 tok[2], tok[3])
         return out
 
     def bracket(self) -> Bracket:
+        """`[v:s, ...]` if one comes next, else the empty bracket."""
         entries: list[tuple[str, str]] = []
-        self.expect("LBRACK")
-        if self.peek().kind != "RBRACK":
+        if self.kind() != "LBRACK":
+            return ()
+        self.pos += 1
+        if self.kind() != "RBRACK":
             while True:
-                name = self.expect("NAME")
+                name = self.name()
                 self.expect("COLON")
-                sort = self.expect("NAME")
-                entries.append((name.text, sort.text))
-                if self.peek().kind == "COMMA":
-                    self.next()
-                    continue
-                break
+                entries.append((name, self.name()))
+                if self.kind() != "COMMA":
+                    break
+                self.pos += 1
         self.expect("RBRACK")
         return tuple(entries)
 
     def expr(self) -> RawExpr:
-        head = self.expect("NAME", skip_newlines=True)
-        if self.peek().kind == "LPAREN":
-            self.next()
-            args: list[RawExpr] = []
-            if self.peek(skip_newlines=True).kind != "RPAREN":
-                while True:
-                    args.append(self.expr())
-                    if self.peek(skip_newlines=True).kind == "COMMA":
-                        self.next(skip_newlines=True)
-                        continue
-                    break
-            self.expect("RPAREN", skip_newlines=True)
-            return RawCall(head.text, tuple(args), head.line, head.col)
-        return RawName(head.text, head.line, head.col)
+        raw, self.pos = _expr(self.tokens, self.pos)
+        return raw
+
+
+def _expr(toks: list[Token], i: int) -> tuple[RawExpr, int]:
+    """The expression starting at token `i`, and the index after it."""
+    while toks[i][0] == "NEWLINE":
+        i += 1
+    kind, name, line, col = toks[i]
+    if kind != "NAME":
+        raise _expected("NAME", toks[i])
+    i += 1
+    if toks[i][0] != "LPAREN":
+        return RawName(name, line, col), i
+    i += 1
+    args: list[RawExpr] = []
+    while toks[i][0] == "NEWLINE":
+        i += 1
+    if toks[i][0] != "RPAREN":
+        while True:
+            arg, i = _expr(toks, i)
+            args.append(arg)
+            while toks[i][0] == "NEWLINE":
+                i += 1
+            if toks[i][0] != "COMMA":
+                break
+            i += 1
+        if toks[i][0] != "RPAREN":
+            raise _expected("RPAREN", toks[i])
+    return RawCall(name, tuple(args), line, col), i + 1
 
 
 def _parse_raw(text: str):
@@ -257,105 +293,101 @@ def _parse_raw(text: str):
     proofs: list[ProofDef] = []
 
     while True:
-        tok = p.next(skip_newlines=True)
-        if tok.kind == "EOF":
+        p.skip_newlines()
+        kind, word, line, col = p.next()
+        if kind == "EOF":
             break
-        if tok.kind != "NAME":
-            raise DslSyntaxError(f"expected a statement, found {tok.text!r}",
-                                 tok.line, tok.col)
-        if tok.text == "sort":
+        if kind != "NAME":
+            raise DslSyntaxError(f"expected a statement, found {word!r}",
+                                 line, col)
+        if word == "sort":
             names = p.names_until(("NEWLINE", "EOF"))
             if not names:
                 raise DslSyntaxError("sort statement names no sorts",
-                                     tok.line, tok.col)
-            sort_names.extend(n.text for n in names)
-            sort_locs.extend((n.line, n.col) for n in names)
+                                     line, col)
+            sort_names.extend(n[1] for n in names)
+            sort_locs.extend((n[2], n[3]) for n in names)
             p.end_line()
-        elif tok.text == "op":
-            name = p.expect("NAME")
+        elif word == "op":
+            name = p.name()
             p.expect("COLON")
-            inputs = [t.text for t in p.names_until(("ARROW",))]
+            inputs = tuple(t[1] for t in p.names_until(("ARROW",)))
             p.expect("ARROW")
-            output = p.expect("NAME")
+            output = p.name()
             p.end_line()
-            op_decls.append((name.text, tuple(inputs), output.text))
-            op_locs.append((tok.line, tok.col))
-        elif tok.text == "term":
-            name = p.expect("NAME")
-            bracket = p.bracket() if p.peek().kind == "LBRACK" else ()
+            op_decls.append((name, inputs, output))
+            op_locs.append((line, col))
+        elif word == "term":
+            name = p.name()
+            bracket = p.bracket()
             p.expect("COLON")
             expr = p.expr()
             p.end_line()
-            term_decls.append(TermDecl(name.text, bracket, expr,
-                                       tok.line, tok.col))
-        elif tok.text == "eq":
-            name = p.expect("NAME")
-            bracket = p.bracket() if p.peek().kind == "LBRACK" else ()
+            term_decls.append(TermDecl(name, bracket, expr, line, col))
+        elif word == "eq":
+            name = p.name()
+            bracket = p.bracket()
             p.expect("COLON")
             left = p.expr()
             p.expect("EQUALS")
             right = p.expr()
             p.end_line()
-            eq_decls.append(EqDecl(name.text, bracket, left, right,
-                                   tok.line, tok.col))
-        elif tok.text == "proof":
-            proofs.append(_parse_proof(p, tok))
+            eq_decls.append(EqDecl(name, bracket, left, right, line, col))
+        elif word == "proof":
+            proofs.append(_parse_proof(p, line, col))
         else:
-            raise DslSyntaxError(f"unknown statement {tok.text!r}",
-                                 tok.line, tok.col)
+            raise DslSyntaxError(f"unknown statement {word!r}", line, col)
     return (tuple(sort_names), tuple(op_decls), tuple(term_decls),
             tuple(eq_decls), tuple(proofs), sort_locs, op_locs)
 
 
-def _parse_proof(p: _Parser, start: Token) -> ProofDef:
+def _parse_proof(p: _Parser, line: int, col: int) -> ProofDef:
     name = p.expect("NAME")
     kw = p.expect("NAME")
-    if kw.text != "from":
-        raise DslSyntaxError("expected 'from'", kw.line, kw.col)
-    hyps = [t.text for t in p.names_until(("LBRACE",))]
+    if kw[1] != "from":
+        raise DslSyntaxError("expected 'from'", kw[2], kw[3])
+    hyps = tuple(t[1] for t in p.names_until(("LBRACE",)))
     p.expect("LBRACE")
     steps: list[StepDef] = []
     while True:
-        tok = p.peek(skip_newlines=True)
-        if tok.kind == "RBRACE":
-            p.next(skip_newlines=True)
+        p.skip_newlines()
+        if p.kind() == "RBRACE":
+            p.pos += 1
             break
-        sname = p.expect("NAME", skip_newlines=True)
+        _, sname, sline, scol = p.expect("NAME")
         p.expect("EQUALS")
         rule = p.expect("NAME")
-        kind = rule.text
-        kw_args: dict = dict(line=sname.line, col=sname.col)
+        kind = rule[1]
+        kw_args: dict = dict(line=sline, col=scol)
         if kind == "hyp":
-            kw_args["eq_name"] = p.expect("NAME").text
+            kw_args["eq_name"] = p.name()
         elif kind == "refl":
-            bracket = p.bracket() if p.peek().kind == "LBRACK" else ()
-            kw_args["bracket"] = bracket
+            kw_args["bracket"] = p.bracket()
             kw_args["expr"] = p.expr()
         elif kind == "sym":
-            kw_args["steps"] = (p.expect("NAME").text,)
+            kw_args["steps"] = (p.name(),)
         elif kind == "trans":
-            kw_args["steps"] = (p.expect("NAME").text, p.expect("NAME").text)
+            kw_args["steps"] = (p.name(), p.name())
         elif kind == "conc":
-            kw_args["steps"] = (p.expect("NAME").text,)
-            kw_args["var_name"] = p.expect("NAME").text
+            kw_args["steps"] = (p.name(),)
+            kw_args["var_name"] = p.name()
         elif kind == "abs":
-            kw_args["steps"] = (p.expect("NAME").text,)
-            kw_args["var_name"] = p.expect("NAME").text
+            kw_args["steps"] = (p.name(),)
+            kw_args["var_name"] = p.name()
             p.expect("COLON")
-            kw_args["sort_name"] = p.expect("NAME").text
+            kw_args["sort_name"] = p.name()
         elif kind == "subst":
-            first = p.expect("NAME").text
-            kw_args["var_name"] = p.expect("NAME").text
-            kw_args["steps"] = (first, p.expect("NAME").text)
+            first = p.name()
+            kw_args["var_name"] = p.name()
+            kw_args["steps"] = (first, p.name())
         else:
-            raise DslSyntaxError(f"unknown rule {kind!r}", rule.line, rule.col)
+            raise DslSyntaxError(f"unknown rule {kind!r}", rule[2], rule[3])
         p.expect("SEMI")
-        steps.append(StepDef(sname.text, kind, **kw_args))
+        steps.append(StepDef(sname, kind, **kw_args))
     if not steps:
-        raise DslSyntaxError(f"proof {name.text!r} has no steps",
-                             name.line, name.col)
-    return ProofDef(name.text, tuple(hyps), tuple(steps), start.line,
-                    start.col)
+        raise DslSyntaxError(f"proof {name[1]!r} has no steps",
+                             name[2], name[3])
+    return ProofDef(name[1], hyps, tuple(steps), line, col)
 
 
 # --- elaboration ----------------------------------------------------------------
@@ -365,12 +397,11 @@ def _bind_bracket(sig: Signature, bracket: Bracket, line: int,
                   col: int) -> dict[str, Variable]:
     binding: dict[str, Variable] = {}
     per_sort: dict[Sort, int] = {}
-    op_names = {op.name for op in sig.operations}
     for vname, sname in bracket:
         if vname in binding:
             raise NameResolutionError(
                 f"variable {vname!r} declared twice in one bracket", line, col)
-        if vname in op_names:
+        if vname in sig.operation_named:
             raise NameResolutionError(
                 f"variable {vname!r} shadows an operation", line, col)
         try:
@@ -384,24 +415,24 @@ def _bind_bracket(sig: Signature, bracket: Bracket, line: int,
 
 def _elab_expr(sig: Signature, binding: dict[str, Variable],
                raw: RawExpr) -> Expression:
+    ops = sig.operation_named
     if isinstance(raw, RawName):
-        if raw.name in binding:
-            return Var(binding[raw.name])
-        try:
-            op = sig.operation(raw.name)
-        except KeyError:
+        var = binding.get(raw.name)
+        if var is not None:
+            return Var(var)
+        op = ops.get(raw.name)
+        if op is None:
             raise NameResolutionError(f"unknown name {raw.name!r}",
                                       raw.line, raw.col)
         if op.inputs:
             raise DslSyntaxError(
                 f"operation {raw.name!r} takes arguments", raw.line, raw.col)
         return App(op, ())
-    try:
-        op = sig.operation(raw.name)
-    except KeyError:
+    op = ops.get(raw.name)
+    if op is None:
         raise NameResolutionError(f"unknown operation {raw.name!r}",
                                   raw.line, raw.col)
-    args = tuple(_elab_expr(sig, binding, a) for a in raw.args)
+    args = tuple([_elab_expr(sig, binding, a) for a in raw.args])
     try:
         return App(op, args)
     except TermcatError as exc:

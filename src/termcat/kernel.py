@@ -117,6 +117,14 @@ class VerificationResult:
     trace: tuple[str, ...]
 
 
+def _earlier(derived: list[EqConstraint], i: int) -> EqConstraint:
+    """The constraint step `i` derived; only an earlier step of the same
+    proof may be referred to, never one counted from the end."""
+    if not 0 <= i < len(derived):
+        raise IndexError(f"reference {i} is not an earlier step")
+    return derived[i]
+
+
 def _replay(hyp: Sequence[EqConstraint], proof: KernelProof,
             trace: list[str]) -> EqConstraint | None:
     derived: list[EqConstraint] = []
@@ -131,25 +139,26 @@ def _replay(hyp: Sequence[EqConstraint], proof: KernelProof,
             elif isinstance(step, Refl):
                 derived.append(EqConstraint(step.arrow, step.arrow))
             elif isinstance(step, Sym):
-                c = derived[step.of]
+                c = _earlier(derived, step.of)
                 derived.append(EqConstraint(c.right, c.left))
             elif isinstance(step, Trans):
-                c1, c2 = derived[step.first], derived[step.second]
+                c1 = _earlier(derived, step.first)
+                c2 = _earlier(derived, step.second)
                 if not arrows_equal(c1.right, c2.left):
                     trace.append(f"step {n}: transitivity middle terms are "
                                  "not formally equal")
                     return None
                 derived.append(EqConstraint(c1.left, c2.right))
             elif isinstance(step, ComposeLeft):
-                c = derived[step.of]
+                c = _earlier(derived, step.of)
                 derived.append(EqConstraint(Comp(step.arrow, c.left),
                                             Comp(step.arrow, c.right)))
             elif isinstance(step, ComposeRight):
-                c = derived[step.of]
+                c = _earlier(derived, step.of)
                 derived.append(EqConstraint(Comp(c.left, step.arrow),
                                             Comp(c.right, step.arrow)))
             elif isinstance(step, TupleCong):
-                cs = [derived[i] for i in step.of]
+                cs = [_earlier(derived, i) for i in step.of]
                 derived.append(EqConstraint(
                     TupleArrow(step.src, tuple(c.left for c in cs)),
                     TupleArrow(step.src, tuple(c.right for c in cs))))

@@ -9,7 +9,7 @@ lists, projection indices) leans on that order being fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DuplicateOperation, DuplicateSort, UnknownSortInArity
@@ -44,6 +44,11 @@ class Variable:
     sort: Sort
     num: int  # 1-based subscript within the sort
 
+    def __hash__(self) -> int:
+        # equal variables have equal sorts, so equal sort indices; hashing
+        # the index spares a call to the sort's own hash
+        return hash((self.sort.index, self.num))
+
     def key(self) -> tuple[int, int]:
         return (self.sort.index, self.num)
 
@@ -56,25 +61,31 @@ class Variable:
 
 def ordered_vars(vs: Iterable[Variable]) -> tuple[Variable, ...]:
     """Duplicate-free tuple in the canonical (sort index, subscript) order."""
-    return tuple(sorted(set(vs), key=Variable.key))
+    by_key = {v.key(): v for v in vs}
+    return tuple(by_key[k] for k in sorted(by_key))
 
 
 @dataclass(frozen=True, slots=True)
 class Signature:
     sorts: tuple[Sort, ...]
     operations: tuple[Operation, ...]
+    # name lookups, built once; the first declaration of a name wins
+    sort_named: dict[str, Sort] = field(
+        init=False, repr=False, compare=False, hash=False)
+    operation_named: dict[str, Operation] = field(
+        init=False, repr=False, compare=False, hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sort_named",
+                           {s.name: s for s in reversed(self.sorts)})
+        object.__setattr__(self, "operation_named",
+                           {op.name: op for op in reversed(self.operations)})
 
     def sort(self, name: str) -> Sort:
-        for s in self.sorts:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self.sort_named[name]
 
     def operation(self, name: str) -> Operation:
-        for op in self.operations:
-            if op.name == name:
-                return op
-        raise KeyError(name)
+        return self.operation_named[name]
 
     def constants(self) -> tuple[Operation, ...]:
         return tuple(op for op in self.operations if is_constant(op))

@@ -34,15 +34,21 @@ class App:
     args: tuple["Expression", ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != len(self.op.inputs):
+        args, inputs = self.args, self.op.inputs
+        if type(args) is not tuple:
+            args = tuple(args)
+            object.__setattr__(self, "args", args)
+        if len(args) != len(inputs):
             raise ArityMismatch(
-                f"{self.op.name} expects {len(self.op.inputs)} arguments, "
-                f"got {len(self.args)}")
-        for i, (arg, want) in enumerate(zip(self.args, self.op.inputs), 1):
-            if arg.sort != want:
+                f"{self.op.name} expects {len(inputs)} arguments, "
+                f"got {len(args)}")
+        for i, (arg, want) in enumerate(zip(args, inputs), 1):
+            got = arg.sort
+            # a signature's sorts are single objects, so identity settles
+            # almost every check
+            if got is not want and got != want:
                 raise SortMismatch(
-                    f"argument {i} of {self.op.name} has sort {arg.sort}, "
+                    f"argument {i} of {self.op.name} has sort {got}, "
                     f"expected {want}", position=i)
 
     @property
@@ -84,11 +90,14 @@ def type_of_expression(sig: Signature, e: Expression) -> Sort:
 
 def var_list(e: Expression) -> tuple[Variable, ...]:
     """Variables of `e` in left-to-right order of appearance, repeated."""
-    if isinstance(e, Var):
-        return (e.var,)
     out: list[Variable] = []
-    for a in e.args:
-        out.extend(var_list(a))
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            out.append(x.var)
+        else:
+            stack.extend(reversed(x.args))
     return tuple(out)
 
 
@@ -114,7 +123,7 @@ class Term:
     def __post_init__(self):
         if self.vars != ordered_vars(self.vars):
             raise TypeDisagrees("term variable set is not in canonical order")
-        missing = set(var_set(self.expr)) - set(self.vars)
+        missing = set(var_list(self.expr)).difference(self.vars)
         if missing:
             raise MissingVariables(
                 "term omits variables occurring in its expression: "
@@ -158,8 +167,8 @@ class Equation:
         if self.vars != ordered_vars(self.vars):
             raise TypeDisagrees(
                 "equation variable set is not in canonical order")
-        missing = (set(var_set(self.left)) | set(var_set(self.right))) \
-            - set(self.vars)
+        missing = set(var_list(self.left)).union(
+            var_list(self.right)).difference(self.vars)
         if missing:
             raise MissingVariables(
                 "equation omits variables occurring in its sides: "

@@ -10,10 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import termcat
-from termcat import arrows
-from termcat.cli import run
+from termcat import arrows, cli
+from termcat.cli import json_text, run
+from termcat.dsl import parse_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -193,6 +196,72 @@ def test_syntax_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+_HEAD = "sort s\nop f : s -> s\n"
+_PROOF = _HEAD + "eq q [x:s] : x = x\n"
+SYNTAX_ERRORS = {
+    "open-call-at-eof": (_HEAD + "term t [x:s] : f(",
+                         "4:1: expected NAME, found 'EOF'"),
+    "trailing-comma-in-call": (_HEAD + "term t [x:s] : f(x,)\n",
+                               "3:20: expected NAME, found ')'"),
+    "trailing-comma-in-bracket": (_HEAD + "term t [x:s, ] : f(x)\n",
+                                  "3:14: expected NAME, found ']'"),
+    "trailing-token": (_HEAD + "term t [x:s] : f(x) extra\n",
+                       "3:21: unexpected 'extra' at end of statement"),
+    "unterminated-proof": (_PROOF + "proof p from q {\n  a = hyp q ;\n",
+                           "6:1: expected NAME, found 'EOF'"),
+    "missing-semicolon": (_PROOF + "proof p from q {\n  a = hyp q\n}\n",
+                          "5:12: expected SEMI, found 'NEWLINE'"),
+    "unknown-rule": (_PROOF + "proof p from q {\n  a = foo q ;\n}\n",
+                     "5:7: unknown rule 'foo'"),
+    "missing-from": (_PROOF + "proof p of q {\n  a = hyp q ;\n}\n",
+                     "4:9: expected 'from'"),
+    "empty-proof": (_PROOF + "proof p from q {\n}\n",
+                    "4:7: proof 'p' has no steps"),
+    "unknown-step": (_PROOF + "proof p from q {\n  a = hyp q ;\n"
+                     "  b = trans a zz ;\n}\n",
+                     "6:3: step references unknown step 'zz'"),
+    "cite-outside-from": (_PROOF + "eq r [x:s] : f(x) = f(x)\n"
+                          "proof p from q {\n  a = hyp r ;\n}\n",
+                          "6:3: step cites 'r', which is not among the "
+                          "proof's hypotheses"),
+    "statement-starts-with-symbol": (_HEAD + "( x\n",
+                                     "3:1: expected a statement, found '('"),
+    "unknown-statement": (_HEAD + "axiom a\n",
+                          "3:1: unknown statement 'axiom'"),
+    "empty-sort": ("sort\n", "1:1: sort statement names no sorts"),
+    "missing-arrow": ("sort s\nop f : s s\n", "2:11: unexpected 'NEWLINE'"),
+    "unexpected-character": (_HEAD + "term t [x:s] : f(x) $\n",
+                             "3:21: unexpected character '$'"),
+    "bracket-without-colon": (_HEAD + "term t [x s] : x\n",
+                              "3:11: expected COLON, found 's'"),
+    "eq-without-equals": (_HEAD + "eq q [x:s] : f(x) x\n",
+                          "3:19: expected EQUALS, found 'x'"),
+    "unknown-operation": (_HEAD + "term t [x:s] : g(x)\n",
+                          "3:16: unknown operation 'g'"),
+    "unknown-name": (_HEAD + "eq q [x:s] : f(y) = x\n",
+                     "3:16: unknown name 'y'"),
+    "arity": (_HEAD + "term t [x:s] : f(x, x)\n",
+              "3:16: f expects 1 arguments, got 2"),
+    "constant-with-arguments": ("sort s\nop c : -> s\nterm t : c(c)\n",
+                                "3:10: c expects 0 arguments, got 1"),
+    "wrong-sort": ("sort s u\nop f : s -> s\nop c : -> u\nterm t : f(c)\n",
+                   "4:10: argument 1 of f has sort u, expected s"),
+    "unknown-sort-in-bracket": (_HEAD + "term t [x:q] : f(x)\n",
+                                "3:1: unknown sort 'q'"),
+    "variable-shadows-operation": (_HEAD + "term t [f:s] : f\n",
+                                   "3:1: variable 'f' shadows an operation"),
+}
+
+
+@pytest.mark.parametrize("text, message", SYNTAX_ERRORS.values(),
+                         ids=SYNTAX_ERRORS.keys())
+def test_syntax_error_lines(text, message, tmp_path, capsys):
+    f = tmp_path / "bad.msl"
+    f.write_text(text)
+    assert run(["sketch", str(f)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_missing_file_exit_2(capsys):
     assert run(["sketch", "/nonexistent/x.msl"]) == 2
     capsys.readouterr()
@@ -301,3 +370,77 @@ def test_json_output_is_byte_identical(argv, capsys):
     assert first_code == second_code
     assert first == second
     json.loads(first)  # valid JSON (single document per command run)
+
+
+# --- the JSON writer -----------------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and astral text
+_awkward = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80'
+                                   'aZ \u00e9\u2028\u20ac\U0001f600')
+                   | st.characters())
+_scalars = (st.none() | st.booleans() | _awkward
+            | st.integers() | st.integers(-2 ** 80, 2 ** 80))
+_payloads = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_awkward, kids, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_payloads)
+def test_json_text_matches_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2,
+                                            sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    1.5, {1, 2}, {"a": [0.0]}, [{"k": {None}}], {"a": b"x"}, ["a", (1,)],
+    {1: "a"}],
+    ids=["float", "set", "nested-float", "nested-set", "bytes", "tuple",
+         "int-key"])
+def test_json_text_refuses_other_values(payload):
+    # no payload holds these; where json.dumps would write them, the writer
+    # refuses them rather than guess its formatting
+    with pytest.raises(TypeError):
+        json_text(payload)
+
+
+def _corpus_json_commands():
+    for path in sorted(CORPUS.glob("*.msl")):
+        sf = parse_spec(path.read_text(encoding="utf-8"))
+        yield ["sketch"], path
+        yield ["check-proof"], path
+        for t in sf.terms:
+            yield ["compile", "--term", t], path
+            for var in sf.term_bindings[t]:
+                for w in sf.terms:
+                    yield ["subst", "--term", t, "--var", var, "--with",
+                           w], path
+        for e in sf.equations:
+            yield ["check-eq", "--equation", e], path
+            yield ["oracle", "--equation", e], path
+        for p in sf.proofs:
+            yield ["check-proof", "--proof", p.name], path
+            yield ["normalize-proof", "--proof", p.name], path
+
+
+def test_corpus_json_output_matches_json_dumps(monkeypatch, capsys):
+    payloads = []
+    emit = cli._emit
+
+    def keep(payload):
+        payloads.append(payload)
+        emit(payload)
+
+    monkeypatch.setattr(cli, "_emit", keep)
+    seen = 0
+    for argv, path in _corpus_json_commands():
+        run(argv + ["--json", str(path)])
+        out, _ = capsys.readouterr()
+        if not out:  # an input error: nothing was emitted
+            continue
+        assert out == json.dumps(payloads.pop(), indent=2,
+                                 sort_keys=True) + "\n", argv
+        seen += 1
+    assert seen >= 40

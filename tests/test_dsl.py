@@ -64,7 +64,7 @@ def test_tokens_golden():
             "op m : s -> s\f"
             "eq [x:s, _y1] ( ) { } ; =\u2028"
             "\tend")
-    assert [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)] == [
+    assert _tokenize(text) == [  # (kind, text, line, col)
         ("NAME", "sort", 1, 1), ("NAME", "s", 1, 6), ("NEWLINE", "", 1, 9),
         ("NAME", "op", 2, 1), ("NAME", "m", 2, 4), ("COLON", ":", 2, 6),
         ("NAME", "s", 2, 8), ("ARROW", "->", 2, 10), ("NAME", "s", 2, 13),

@@ -22,6 +22,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,8 @@ from fixtures import binary_signature, certify, unary_signature
 from gen import gen_deduction_tree, gen_equation
 from termcat import kernel, models
 from termcat.arrows import Comp, TupleArrow
-from termcat.deduction import product_factorizations
+from termcat.deduction import equation_constraint, product_factorizations
+from termcat.dsl import parse_spec
 from termcat.errors import EndpointMismatch
 from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                             Factorization, Refl, Sym, Trans, TupleCong,
@@ -82,10 +84,36 @@ def test_models_imports_nothing_that_normalizes():
                 for n in (name, *names)} & normalizing
 
 
+# --- step references ---------------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+@pytest.mark.parametrize("proof, line", [
+    ((CiteHyp(0), Sym(-1)), "step 1: reference -1 is not an earlier step"),
+    ((CiteHyp(0), Sym(1)), "step 1: reference 1 is not an earlier step"),
+    ((CiteHyp(0), Trans(0, -2)),
+     "step 1: reference -2 is not an earlier step"),
+    ((CiteHyp(0), TupleCong(None, (0, 5))),
+     "step 1: reference 5 is not an earlier step"),
+], ids=["negative", "forward", "trans-negative", "tuple-forward"])
+def test_step_references_must_name_earlier_steps(proof, line):
+    # Python would read derived[-1] as the last step; the kernel reads it
+    # as no step at all
+    sf = parse_spec((CORPUS / "monoid.msl").read_text(encoding="utf-8"))
+    lunit = equation_constraint(sf.equations["lunit"])
+    flipped = EqConstraint(lunit.right, lunit.left)
+    result = verify_factorization(
+        Factorization((lunit,), (flipped,), (), (proof,)))
+    assert not result.ok
+    assert result.trace == (line, "claim 0: kernel proof failed to replay")
+
+
 # --- forgery fuzzer -----------------------------------------------------------
 
 SIGNATURES = (unary_signature(), binary_signature())
-MUTATIONS = ("retarget", "arrow", "cite", "drop", "permute", "restate")
+MUTATIONS = ("retarget", "arrow", "cite", "drop", "permute", "restate",
+             "negative")
 MODELS_PER_MUTANT = 12
 
 
@@ -132,15 +160,18 @@ def _forged_claim(hyp, proof) -> EqConstraint | None:
     return derived[-1] if derived else None
 
 
-def _retarget(rng, step, size):
+def _retarget(rng, step, size, negative=False):
+    def index():
+        return -rng.randint(1, size) if negative else rng.randrange(size)
+
     field = rng.choice([f.name for f in dataclasses.fields(step)
                         if f.name in ("of", "first", "second")])
     old = getattr(step, field)
     if isinstance(old, tuple):
         k = rng.randrange(len(old))
-        new = old[:k] + (rng.randrange(size),) + old[k + 1:]
+        new = old[:k] + (index(),) + old[k + 1:]
     else:
-        new = rng.randrange(size)
+        new = index()
     return dataclasses.replace(step, **{field: new})
 
 
@@ -173,8 +204,8 @@ def _mutate(rng: random.Random, cert: Factorization,
                                         cert.verif)
     k = rng.randrange(len(verif))
     proof = list(verif[k])
-    targets = {"retarget": (Sym, Trans, ComposeLeft, ComposeRight,
-                            TupleCong),
+    references = (Sym, Trans, ComposeLeft, ComposeRight, TupleCong)
+    targets = {"retarget": references, "negative": references,
                "arrow": (Refl, ComposeLeft, ComposeRight),
                "cite": CiteHyp, "drop": object}[kind]
     sites = [n for n, s in enumerate(proof) if isinstance(s, targets)]
@@ -184,8 +215,8 @@ def _mutate(rng: random.Random, cert: Factorization,
     step = proof[n]
     if kind == "drop":
         del proof[n]
-    elif kind == "retarget":
-        proof[n] = _retarget(rng, step, len(proof))
+    elif kind in ("retarget", "negative"):
+        proof[n] = _retarget(rng, step, len(proof), kind == "negative")
     elif kind == "arrow":
         pool = [a for c in cert.hyp + cert.claim for a in (c.left, c.right)]
         pool += [s.arrow for p in verif for s in p if hasattr(s, "arrow")]
@@ -213,7 +244,15 @@ def test_forged_certificates_are_rejected_or_sound():
         mutant = _mutate(rng, cert, kind)
         if mutant is None:
             return
-        if not verify_factorization(mutant).ok:
+        result = verify_factorization(mutant)
+        if kind == "negative":
+            # counted from the end, a reference still names a derived
+            # constraint, so the models cannot tell; the kernel must refuse
+            assert not result.ok
+            assert any("is not an earlier step" in line
+                       for line in result.trace)
+            tally["negative"] += 1
+        if not result.ok:
             tally["rejected"] += 1
             return
         for _ in range(MODELS_PER_MUTANT):
@@ -226,3 +265,4 @@ def test_forged_certificates_are_rejected_or_sound():
     # floors, so that the property cannot pass with nothing tested
     assert tally["rejected"] >= 100, tally
     assert tally["judged"] >= 500, tally
+    assert tally["negative"] >= 20, tally
