@@ -29,6 +29,9 @@ composite:
 
 `term_normal` writes the normal form of that composite straight from the
 expression; the test suite checks that the two routes agree.
+
+`context_arrow` builds every change of variable context: the occurrence
+arrow, retyping, the substitution arrow and the substitutivity coding.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import EndpointMismatch
-from .signature import Operation, Sort
+from .signature import Operation, Sort, Variable
 from .terms import Equation, Expression, Term, Var, var_list
 
 # --- hash-consing ----------------------------------------------------------------
@@ -408,23 +411,24 @@ def input_product(t: Term) -> Prod:
     return flat_product(v.sort for v in t.vars)
 
 
+def context_arrow(source: Sequence[Variable], targets: Iterable[Variable],
+                  fill: Mapping[Variable, FPArrow] | None = None
+                  ) -> TupleArrow:
+    """The change of variable context from the product of `source` to the
+    product of `targets`: each target is its projection, unless `fill` maps
+    it to an arrow over the source product (even if it is a source too)."""
+    src = flat_product(v.sort for v in source)
+    position = {v: k for k, v in enumerate(source, 1)}
+    fill = fill or {}
+    return TupleArrow(src, tuple(fill[v] if v in fill
+                                 else Proj(src, position[v])
+                                 for v in targets))
+
+
 def occurrence_arrow(t: Term) -> TupleArrow:
-    """Declared-variable product onto the occurrence list of the expression.
-
-    Component i is the projection picking out, from the term's variable
-    product, the variable standing at occurrence i of the expression.
-    """
-    src = input_product(t)
-    position = {v: k for k, v in enumerate(t.vars, 1)}
-    return TupleArrow(src, tuple(Proj(src, position[v])
-                                 for v in var_list(t.expr)))
-
-
-def argument_shape(e: Expression) -> FPObject:
-    """Domain of apply_arrow: the expression's argument tree over sort leaves."""
-    if isinstance(e, Var):
-        return Leaf(e.var.sort)
-    return Prod(tuple(argument_shape(a) for a in e.args))
+    """Declared-variable product onto the occurrence list of the expression:
+    component i projects out the variable at occurrence i."""
+    return context_arrow(t.vars, var_list(t.expr))
 
 
 def regroup_arrow(e: Expression) -> FPArrow:
@@ -435,16 +439,15 @@ def regroup_arrow(e: Expression) -> FPArrow:
     """
     src = flat_product(v.sort for v in var_list(e))
     leaves = (Proj(src, i) for i in range(1, len(src.factors) + 1))
-    return _regroup(argument_shape(e), src, leaves)
+    return _regroup(e, src, leaves)
 
 
-def _regroup(shape: FPObject, src: Prod, leaves) -> FPArrow:
+def _regroup(e: Expression, src: Prod, leaves) -> FPArrow:
     # a module-level walker rather than a closure: a recursive closure is a
     # reference cycle, which would keep `src` alive until the next collection
-    if isinstance(shape, Leaf):
+    if isinstance(e, Var):
         return next(leaves)
-    return TupleArrow(src, tuple(_regroup(f, src, leaves)
-                                 for f in shape.factors))
+    return TupleArrow(src, tuple(_regroup(a, src, leaves) for a in e.args))
 
 
 def apply_arrow(e: Expression) -> FPArrow:

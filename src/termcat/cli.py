@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import arrows, deduction, kernel, models, sketch
-from .dsl import ProofDef, SpecFile, build_proof, parse_spec
+from .dsl import ProofDef, SpecFile, build_proof, end_position, parse_spec
 from .errors import DeductionError, TermcatError
 from .signature import Variable
 from .subst import SubstInstance, subst_arrow_direct, subst_term
@@ -110,14 +110,20 @@ def kernel_step_json(s: kernel.KernelStep) -> dict:
             "of": list(s.of)}
 
 
-def factorization_json(f: kernel.Factorization) -> dict:
+def factorization_json(f: kernel.Factorization,
+                       ld: deduction.LevelledDeduction) -> dict:
+    """The certificate `f` assembled from `ld`; "meta" records how the
+    levelled form was read."""
     return {
         "hypotheses": [constraint_json(c) for c in f.hyp],
         "claims": [constraint_json(c) for c in f.claim],
         "workspace": [constraint_json(c) for c in f.wksp],
         "verification": [[kernel_step_json(s) for s in proof]
                          for proof in f.verif],
-        "meta": f.meta,
+        "meta": {"level_partitions": [[list(s.premises) for s in level]
+                                      for level in ld.levels[1:]],
+                 "hypothesis_reading":
+                     "repeated hypothesis uses cite one shared entry"},
     }
 
 
@@ -202,11 +208,8 @@ def _load(path: str) -> SpecFile:
 
 def _undecodable(path: str, exc: UnicodeDecodeError) -> TermcatError:
     """Name the file and the line:column of the first undecodable byte,
-    counting lines as the parser does after newline translation."""
-    before = exc.object[:exc.start].decode(exc.encoding)
-    before = before.replace("\r\n", "\n").replace("\r", "\n")
-    line = before.count("\n") + 1
-    col = len(before) - before.rfind("\n")
+    counting lines as the parser does."""
+    line, col = end_position(exc.object[:exc.start].decode(exc.encoding))
     return TermcatError(f"{path}:{line}:{col}: {exc.encoding!r} codec can't "
                         f"decode byte 0x{exc.object[exc.start]:02x}: "
                         f"{exc.reason}")
@@ -346,7 +349,7 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef,
         return code, {"proof": name,
                       "conclusion": equation_json(tree.conclusion),
                       "valid": result.ok,
-                      "certificate": factorization_json(cert),
+                      "certificate": factorization_json(cert, ld),
                       "trace": list(result.trace)}
     lines = [f"proof {name}: "
              f"{'VALID' if result.ok else 'FAILED VERIFICATION'}",

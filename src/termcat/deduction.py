@@ -16,10 +16,9 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .arrows import Comp, Proj, arrows_equal, equation_arrows, flat_product
+from .arrows import Comp, arrows_equal, equation_arrows
 from .errors import (InterfaceMismatch, MiddleTermMismatch,
-                     SideConditionViolated, UninhabitedFill,
-                     UnknownHypothesis)
+                     SideConditionViolated, UnknownHypothesis)
 from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                      Factorization, KernelProof, KernelStep, Refl, Sym,
                      Trans, TupleCong, constraints_equal)
@@ -193,10 +192,8 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  and conclusion.vars == kept,
                  "concretion conclusion must drop exactly the chosen "
                  "variable")
-        witnesses = inhabited_sorts(sig)
-        if x.sort not in witnesses:
-            raise UninhabitedFill(x.sort)
-        h = retyping_arrow(kept, p.vars, witnesses)
+        # x is the one variable to fill; an empty sort raises UninhabitedFill
+        h = retyping_arrow(kept, p.vars, inhabited_sorts(sig))
         return _coding(prem_cs, concl_c, CiteHyp(0), ComposeRight(h, 0))
 
     if isinstance(rule, Abstraction):
@@ -241,17 +238,16 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
             ComposeRight(alpha, 0),   # 2: widened first premise
             ComposeRight(beta, 1),    # 3: the substituted coordinate pair
         ]
+        # step 3 at the substituted slot, Refl of a_fwd's projection elsewhere
         slot = union.index(x)
         refs: list[int] = []
-        src = flat_product(v.sort for v in result)
-        position = {v: k for k, v in enumerate(result, 1)}
-        for i, v in enumerate(union):
+        for i, part in enumerate(a_fwd.parts):
             if i == slot:
                 refs.append(3)
             else:
-                steps.append(Refl(Proj(src, position[v])))
+                steps.append(Refl(part))
                 refs.append(len(steps) - 1)
-        steps.append(TupleCong(src, tuple(refs)))
+        steps.append(TupleCong(a_fwd.src, tuple(refs)))
         cong = len(steps) - 1        # (A, A') up to normalization
         f_alpha_right = Comp(prem_cs[0].right, alpha)
         steps.append(ComposeRight(a_fwd, 2))            # (f.a.A, f'.a.A)
@@ -449,7 +445,6 @@ def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
                       if isinstance(s.rule, Hypothesis) else coded.verif[0])
     running = Factorization(hyp, tuple(claims), (), tuple(proofs))
 
-    partitions: list[list[list[int]]] = []
     for l in range(1, len(ld.levels)):
         prev_eqs = [s.equation for s in ld.levels[l - 1]]
         step_certs: list[Factorization] = []
@@ -466,14 +461,9 @@ def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
                     tuple(running.claim[i] for i in s.premises), s.rule,
                     s.equation, compiled(s.equation), hypotheses))
             consumed.extend(s.premises)
-        partitions.append([list(s.premises) for s in ld.levels[l]])
         level_cert = product_factorizations(step_certs)
         reordered = Factorization(
             running.hyp, tuple(running.claim[i] for i in consumed),
             running.wksp, tuple(running.verif[i] for i in consumed))
         running = paste_factorizations(reordered, level_cert)
-
-    running.meta["level_partitions"] = partitions
-    running.meta["hypothesis_reading"] = \
-        "repeated hypothesis uses cite one shared entry"
     return running

@@ -80,6 +80,13 @@ def _tokenize(text: str) -> list[Token]:
     return out
 
 
+def end_position(text: str) -> tuple[int, int]:
+    """The line and column of the character that follows `text`, counting
+    lines as `_tokenize` does; the sentinel stands for that character."""
+    lines = (text + "x").splitlines()
+    return len(lines), len(lines[-1])
+
+
 # --- raw syntax ----------------------------------------------------------------
 
 

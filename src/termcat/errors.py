@@ -61,14 +61,6 @@ class EndpointMismatch(TermcatError):
     pass
 
 
-class UninhabitedFill(TermcatError):
-    """A retyping map needed a global element of an empty sort."""
-
-    def __init__(self, sort):
-        super().__init__(f"sort {sort} is empty; no closed filler exists")
-        self.sort = sort
-
-
 # --- deduction ----------------------------------------------------------------
 
 class DeductionError(TermcatError):
@@ -91,6 +83,14 @@ class UnknownHypothesis(DeductionError):
 
 class InterfaceMismatch(DeductionError):
     pass
+
+
+class UninhabitedFill(DeductionError):
+    """A retyping map needed a global element of an empty sort."""
+
+    def __init__(self, sort):
+        super().__init__(f"sort {sort} is empty; no closed filler exists")
+        self.sort = sort
 
 
 # --- finite models --------------------------------------------------------------

@@ -16,7 +16,7 @@ its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .arrows import Comp, FPArrow, FPObject, TupleArrow, arrows_equal
@@ -100,7 +100,6 @@ class Factorization:
     claim: tuple[EqConstraint, ...]
     wksp: tuple[EqConstraint, ...]
     verif: tuple[KernelProof, ...]  # one proof per claim, in order
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if len(self.verif) != len(self.claim):

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .arrows import (FPArrow, Comp, Proj, TupleArrow, flat_product,
-                     term_arrow)
+from .arrows import FPArrow, Comp, TupleArrow, context_arrow, term_arrow
 from .errors import MissingVariables, SortMismatch, UninhabitedFill
 from .signature import Sort, Variable, ordered_vars
 from .terms import App, Expression, Term, Var
@@ -67,20 +66,10 @@ def substitution_arrow(inst: SubstInstance) -> TupleArrow:
     the replacement term's arrow over the result variables.  When the
     substituted variable also occurs among the replacement's variables the
     two products coincide; otherwise they differ in exactly that factor.
-    Either way, indexing goes through the canonical variable order.
     """
-    union = inst.union_vars()
     result = inst.result_vars()
-    src = flat_product(v.sort for v in result)
-    position = {v: k for k, v in enumerate(result, 1)}
-    parts: list[FPArrow] = []
-    for v in union:
-        if v == inst.var:
-            parts.append(term_arrow(Term(inst.replacement.expr, result,
-                                         inst.replacement.sort)))
-        else:
-            parts.append(Proj(src, position[v]))
-    return TupleArrow(src, tuple(parts))
+    u = term_arrow(Term(inst.replacement.expr, result, inst.replacement.sort))
+    return context_arrow(result, inst.union_vars(), {inst.var: u})
 
 
 def subst_arrow_direct(inst: SubstInstance) -> FPArrow:
@@ -101,15 +90,12 @@ def retyping_arrow(source_vars, target_vars,
     """
     source = ordered_vars(source_vars)
     target = ordered_vars(target_vars)
-    src = flat_product(v.sort for v in source)
-    position = {v: k for k, v in enumerate(source, 1)}
-    parts: list[FPArrow] = []
+    shared = set(source)
+    fill = {}
     for v in target:
-        if v in position:
-            parts.append(Proj(src, position[v]))
-        else:
+        if v not in shared:
             w = witnesses.get(v.sort)
             if w is None:
                 raise UninhabitedFill(v.sort)
-            parts.append(term_arrow(Term(w, source, v.sort)))
-    return TupleArrow(src, tuple(parts))
+            fill[v] = term_arrow(Term(w, source, v.sort))
+    return context_arrow(source, target, fill)

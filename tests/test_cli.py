@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import importlib.util
 import json
 import os
@@ -155,6 +156,49 @@ def test_long_sym_chain(tmp_path, capsys):
     assert code == 0 and "level 400" in out
 
 
+EMPTY_SORT_CONCRETION = """sort s t
+op f : s -> s
+op c : -> s
+eq q [x:s, y:t] : f(x) = f(x)
+proof ok from q {
+  a = hyp q ;
+}
+proof bad from q {
+  a = hyp q ;
+  b = conc a y ;
+}
+proof ok2 from q {
+  a = hyp q ;
+  b = sym a ;
+}
+"""
+
+
+def test_concretion_over_empty_sort_fails_only_its_proof(tmp_path, capsys):
+    # no closed term of sort t exists, so `conc a y` has no coding: that
+    # proof is invalid (exit 1), and the proofs around it are still checked
+    f = tmp_path / "empty.msl"
+    f.write_text(EMPTY_SORT_CONCRETION)
+    message = "sort t is empty; no closed filler exists"
+    code, out = _capture(capsys, ["check-proof", str(f)])
+    assert code == 1
+    verdicts = [line for line in out.splitlines()
+                if line.startswith("proof ")]
+    assert verdicts == ["proof ok: VALID", f"proof bad: INVALID ({message})",
+                        "proof ok2: VALID"]
+    code, out = _capture(capsys, ["check-proof", "--json", str(f)])
+    assert code == 1
+    proofs = json.loads(out)["proofs"]
+    assert [(p["proof"], p["valid"]) for p in proofs] == [
+        ("ok", True), ("bad", False), ("ok2", True)]
+    assert proofs[1]["error"] == message
+    code, out = _capture(capsys, ["check-proof", "--proof", "bad", "--json",
+                                  str(f)])
+    assert code == 1
+    assert json.loads(out) == {"proof": "bad", "valid": False,
+                               "error": message}
+
+
 def test_traced_layer_functions_exist():
     # the benchmark's tracer wraps these functions by name
     spec = importlib.util.spec_from_file_location(
@@ -287,6 +331,21 @@ def test_undecodable_input_exit_2(tmp_path, capsys):
     assert f"{f}:1:7:" in err
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c",
+                                 "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                         ids=["LF", "CR", "CRLF", "VT", "FF", "FS", "GS", "RS",
+                              "NEL", "LS", "PS"])
+def test_undecodable_byte_position_counts_lines_as_the_parser(brk, tmp_path,
+                                                              capsys):
+    # every break str.splitlines knows ends a line for the parser, so the
+    # bad byte sits at 2:7 whichever break precedes it
+    f = tmp_path / "bad.msl"
+    f.write_bytes(("sort s" + brk + "sort t").encode() + b"\xff\n")
+    assert run(["sketch", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert _one_error_line(err) and f"{f}:2:7:" in err
+
+
 def _tower(depth: int) -> str:
     return "i(" * depth + "x" + ")" * depth
 
@@ -371,6 +430,78 @@ def test_json_output_is_byte_identical(argv, capsys):
     assert first == second
     json.loads(first)  # valid JSON (single document per command run)
 
+
+# sha256 of "<exit code>\n<stdout>" for every ALL_COMMANDS entry, text and
+# --json; the outputs are the same on Python 3.10-3.13, so any change to what
+# the term compiler or the proof producer builds shows up here
+OUTPUT_DIGESTS = {
+    "sketch monoid.msl":
+        "d2087e6c8d02dca0efdda6350cef79eb7558b5ef8b0052454f369c6cc67914e9",
+    "sketch monoid.msl --json":
+        "783058128bf1a711a6fd65d6ce3517a6dfec1228efa077306bb24b7960735c8b",
+    "sketch twosorted.msl":
+        "551ee7f34abfbcee0e3fe6e0c3a15c69a4d6d4c1919eeda094fe498bb295cbda",
+    "sketch twosorted.msl --json":
+        "62bd4bb77df1e0e9365a7cce5baaa30c83131493f5de21d98356eb251e426eb5",
+    "compile --term t1 monoid.msl":
+        "4c8d1385e3e91f7bb6538337c49c380758861912444d36327d6f779c4e4271eb",
+    "compile --term t1 monoid.msl --json":
+        "c8ac96752d8c623d44e2eed1ead0a3ca065d5a9bf46fdde5478646df731a9c52",
+    "compile --term ee monoid.msl":
+        "34aced1dd143d816c5d43600fcf9e92710f08433cff1c02bd8f4709626f4a55c",
+    "compile --term ee monoid.msl --json":
+        "2ca1f590171dd0dc3d2e25006cf7ab224bd2fdd1fe91a741995e11367cc6eb7a",
+    "compile --term fb twosorted.msl":
+        "ddcc47a42122a74f31067ad3ea2bebd5fc3c862014ec96307bc143f39b036ee6",
+    "compile --term fb twosorted.msl --json":
+        "b28b17465b0f9d5d1d2a84450385188a7ff6d9eb0bfba4dfaecaf44e379f60b0",
+    "check-eq --equation comm monoid.msl":
+        "7b15546b6d07c486f35eb3ca1928167a6315e923b3123033c5f0969147e7431e",
+    "check-eq --equation comm monoid.msl --json":
+        "a2738c397fe9d940bf94c5caacc66d96ae5c7a684d49dcdb937ea32bb6300a7c",
+    "subst --term t1 --var y --with double monoid.msl":
+        "2688a91a2c29de8ffbd579c5df06c2a6bec2015ab68487afa0076d8f28d471a3",
+    "subst --term t1 --var y --with double monoid.msl --json":
+        "476ce7c18b7618a33df908cd042d3454aae9a44fed83ba13e076854970147cc2",
+    "check-proof monoid.msl":
+        "c43d7a62ffc421686207a0b11ce043d19807960c3d24fbc985a698f69f0fd657",
+    "check-proof monoid.msl --json":
+        "8129734309f89ce616b3c5bc2cacd30e1a06ee6d5009413a4fa385d2a6f2441a",
+    "check-proof --proof unit_square monoid.msl":
+        "5aeb06dbb3576bf58ce0b42ea7da3b21befb6d10eb27e32c24ba3d50d859bc4a",
+    "check-proof --proof unit_square monoid.msl --json":
+        "8ebe4a89e653fca3b04bbbf02fbbc299abb3d9ad1a019e055cf2a254319234bc",
+    "check-proof --proof fetch twosorted.msl":
+        "33cb24025917492486f63218e7a4f38d39dccd35f2a04deace2fc579ce86ae4a",
+    "check-proof --proof fetch twosorted.msl --json":
+        "14e09d015ab08557ca248ebe86eee048b7095a17684235ad8b66a3b3b8f77a38",
+    "normalize-proof --proof comm_twice monoid.msl":
+        "15a493db092301304b360389e79d2e27d6c0b8fddf796d4177c7ab2a08646a11",
+    "normalize-proof --proof comm_twice monoid.msl --json":
+        "dfcc23e4cf88fac5ce389de6dc5788edbbd5d2f0a9541c11f99b30aa510113c0",
+    "oracle --equation projl --max-size 2 unsound.msl":
+        "b066bf4b32340104b3d7dbd66bff2d812c8248311a1826db6c6877f261208c48",
+    "oracle --equation projl --max-size 2 unsound.msl --json":
+        "044c0ad31f126d66ad43336fcc132a750b9eece54e30defd8ec94c0513e6d34c",
+    "oracle --equation idem --max-size 2 unsound.msl":
+        "9d1d842c549917a0f575911ec3d7708cbd46ad2f9f7b24a23c88a006525125ef",
+    "oracle --equation idem --max-size 2 unsound.msl --json":
+        "562c4a425dd9a3acb57a2077437d309958f85a2dba94beb84ef455bc7542c907",
+}
+
+
+def _digest_key(argv, json_flag):
+    return " ".join(argv[:-1] + [Path(argv[-1]).name] + json_flag)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", ALL_COMMANDS,
+                         ids=[" ".join(a[:-1] + [Path(a[-1]).name])
+                              for a in ALL_COMMANDS])
+def test_output_bytes_are_pinned(argv, json_flag, capsys):
+    code, out = _capture(capsys, argv + json_flag)
+    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digest == OUTPUT_DIGESTS[_digest_key(argv, json_flag)]
 
 # --- the JSON writer -----------------------------------------------------------
 

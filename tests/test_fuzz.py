@@ -1,8 +1,9 @@
 """Property tests over generated `.msl` text.
 
-Three properties: `parse_spec` returns or raises `TermcatError`; every
-command of `cli.run` returns 0, 1 or 2 and raises nothing; and a file that
-parses prints to text that parses back to an equal file.  The texts are
+Four properties: `parse_spec` returns or raises `TermcatError`; every
+command of `cli.run` returns 0, 1 or 2 and raises nothing; a file that
+parses prints to text that parses back to an equal file; and
+`dsl.end_position` counts lines and columns as the scanner does.  The texts are
 random characters over the token set, soups of keywords and punctuation,
 mostly well-formed generated files, and the corpus files, each possibly
 mutated by deleting or inserting a slice.
@@ -14,12 +15,13 @@ import contextlib
 import io
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termcat.cli import run
-from termcat.dsl import parse_spec, print_spec
-from termcat.errors import TermcatError
+from termcat.dsl import _tokenize, end_position, parse_spec, print_spec
+from termcat.errors import DslSyntaxError, TermcatError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_TEXTS = [p.read_text(encoding="utf-8")
@@ -184,3 +186,14 @@ def test_cli_exit_code_is_0_1_or_2(tmp_path_factory, text, argv, as_json):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv) + (["--json"] if as_json else []) + [str(f)])
     assert code in (0, 1, 2)
+
+
+@PROPERTY
+@given(st.text(ALPHABET.translate(str.maketrans("", "", "#->19\u00e9")),
+               max_size=60))
+def test_end_position_is_where_the_scanner_reports(prefix):
+    # with no comment and no stray character in `prefix`, the scanner's
+    # first error is the `$` after it, at the position end_position gives
+    with pytest.raises(DslSyntaxError) as exc:
+        _tokenize(prefix + "$")
+    assert (exc.value.line, exc.value.col) == end_position(prefix)
