@@ -99,6 +99,10 @@ class CarrierOutOfRange(TermcatError):
     pass
 
 
+class ModelBudgetExceeded(TermcatError):
+    """A counterexample search visited MAX_MODELS models and more remain."""
+
+
 # --- DSL front end ---------------------------------------------------------------
 
 class DslError(TermcatError):

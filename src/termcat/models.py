@@ -5,6 +5,10 @@ table.  Expressions are evaluated under variable assignments; arrows are
 evaluated pointwise by interpreting products as tuples and generators as
 table lookups.  Neither evaluation route consults the normal form, so model
 evaluation serves as an independent check on the syntactic machinery.
+
+The counterexample search enumerates only the operations and sorts an
+equation mentions, and evaluates each side under all assignments at once;
+`eval_expression` and `satisfies` stay the reference route.
 """
 
 from __future__ import annotations
@@ -16,11 +20,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .arrows import FPArrow, FPObject, Gen, Id, Leaf, Proj, TupleArrow
-from .errors import CarrierOutOfRange
-from .signature import Operation, Signature, Sort, Variable
-from .terms import Equation, Expression, Var
+from .errors import CarrierOutOfRange, ModelBudgetExceeded
+from .signature import Operation, Signature, Sort, Variable, ordered_vars
+from .terms import Equation, Expression, Var, var_list
 
 MAX_CARRIER = 6
+# reduct models one counterexample search may visit
+MAX_MODELS = 10**6
 
 
 @dataclass
@@ -70,17 +76,21 @@ def enumerate_models(sig: Signature, max_size: int) -> Iterator[FiniteModel]:
     """All models whose carriers have between 1 and `max_size` elements.
 
     Deterministic order: carrier size combinations lexicographically, then
-    operation tables lexicographically by output choices.
+    operation tables lexicographically by output choices.  Each carrier
+    size's models come from one product over the table cells (an operation
+    and an input point, in declaration order), so only the model being
+    yielded is ever built.
     """
     for sizes in _carrier_sizes(sig, max_size):
-        per_op = []
-        for op, points in _table_domains(sig, sizes):
-            out = range(sizes[op.output])
-            per_op.append([(op.name, dict(zip(points, choice)))
-                           for choice in itertools.product(out,
-                                                           repeat=len(points))])
-        for combo in itertools.product(*per_op):
-            yield FiniteModel(sig, dict(sizes), dict(combo))
+        domains = list(_table_domains(sig, sizes))
+        cells = [range(sizes[op.output]) for op, pts in domains for _ in pts]
+        for choice in itertools.product(*cells):
+            tables, start = {}, 0
+            for op, pts in domains:
+                end = start + len(pts)
+                tables[op.name] = dict(zip(pts, choice[start:end]))
+                start = end
+            yield FiniteModel(sig, dict(sizes), tables)
 
 
 def count_models(sig: Signature, max_size: int) -> int:
@@ -169,10 +179,90 @@ def find_separating_model(sig: Signature, a: FPArrow, b: FPArrow,
     return None
 
 
+def _column_program(eq: Equation, occurring: tuple[Variable, ...]):
+    """Both sides as one straight-line program over shared slots.
+
+    Slot k < len(occurring) holds the k-th occurring variable; each step
+    (operation name, argument slots) fills the next slot, and a repeated
+    subexpression reuses its slot.  Returns the steps and the slots of the
+    two sides."""
+    slots: dict = {v: k for k, v in enumerate(occurring)}
+    steps: list[tuple[str, tuple[int, ...]]] = []
+
+    def walk(e: Expression) -> int:
+        if isinstance(e, Var):
+            return slots[e.var]
+        step = (e.op.name, tuple(walk(a) for a in e.args))
+        if step not in slots:
+            slots[step] = len(occurring) + len(steps)
+            steps.append(step)
+        return slots[step]
+
+    return steps, walk(eq.left), walk(eq.right)
+
+
+def _run_columns(model: FiniteModel, steps, columns: list[tuple], n: int):
+    """Every slot's values under all n assignments at once: a column per
+    slot, starting from the variables' `columns`."""
+    cols = list(columns)
+    for name, args in steps:
+        look_up = model.tables[name].__getitem__
+        if args:
+            cols.append(tuple(map(look_up, zip(*[cols[a] for a in args]))))
+        else:
+            cols.append((look_up(()),) * n)
+    return cols
+
+
 def find_counterexample(sig: Signature, eq: Equation, max_size: int):
-    """First enumerated model (with an assignment) falsifying the equation."""
-    for model in enumerate_models(sig, max_size):
-        env = _falsifying_assignment(model, eq)
-        if env is not None:
-            return model, env
+    """First enumerated model (with an assignment) falsifying the equation.
+
+    Only the equation's reduct is searched: the tables of operations it
+    does not mention, the sizes of sorts it does not touch and the values
+    of variables that do not occur cannot change either side.  So the first
+    falsifying reduct model, extended with size 1, all-zero tables and the
+    value 0, is the first falsifying model of `enumerate_models(sig)`, and
+    its first falsifying assignment is the first in carrier order.  The
+    search gives up with ModelBudgetExceeded after MAX_MODELS reduct models.
+    """
+    occurring = ordered_vars(var_list(eq.left) + var_list(eq.right))
+    steps, left, right = _column_program(eq, occurring)
+    # the reduct: the mentioned operations, and the sorts the equation
+    # touches; each input sort of a mentioned operation is some argument's
+    # sort, so an occurring variable's or a mentioned operation's output
+    names = {name for name, _ in steps}
+    ops = tuple(op for op in sig.operations if op.name in names)
+    touched = {v.sort for v in occurring} | {op.output for op in ops}
+    reduct = Signature(tuple(s for s in sig.sorts if s in touched), ops)
+    sizes = None
+    for visited, model in enumerate(enumerate_models(reduct, max_size)):
+        if visited == MAX_MODELS:
+            raise ModelBudgetExceeded(
+                f"oracle search stopped after {visited} models without a "
+                f"counterexample: the equation's operations and sorts have "
+                f"{count_models(reduct, max_size)} models with carriers <= "
+                f"{max_size}, over the limit of {MAX_MODELS}")
+        if model.sizes != sizes:
+            sizes = model.sizes
+            assignments = list(itertools.product(
+                *(range(sizes[v.sort]) for v in occurring)))
+            columns = list(zip(*assignments))
+        cols = _run_columns(model, steps, columns, len(assignments))
+        lhs, rhs = cols[left], cols[right]
+        if lhs != rhs:
+            first = next(i for i, (a, b) in enumerate(zip(lhs, rhs))
+                         if a != b)
+            return _extend(sig, eq, model,
+                           dict(zip(occurring, assignments[first])))
     return None
+
+
+def _extend(sig: Signature, eq: Equation, model: FiniteModel,
+            env: dict[Variable, int]):
+    """A reduct model and assignment, as the first model and assignment of
+    the full signature that agree with them."""
+    sizes = {s: model.sizes.get(s, 1) for s in sig.sorts}
+    tables = {op.name: model.tables.get(op.name) or dict.fromkeys(pts, 0)
+              for op, pts in _table_domains(sig, sizes)}
+    return (FiniteModel(sig, sizes, tables),
+            {v: env.get(v, 0) for v in eq.vars})

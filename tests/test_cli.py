@@ -131,6 +131,26 @@ def test_oracle_bound_above_limit_exit_2(capsys):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+def test_oracle_search_budget_exit_2(tmp_path, monkeypatch, capsys):
+    from termcat import models
+    f = tmp_path / "same.msl"
+    f.write_text("sort s\nop m : s s -> s\nop e : -> s\n"
+                 "eq same [x:s, y:s] : m(x, y) = m(x, y)\n")
+    monkeypatch.setattr(models, "MAX_MODELS", 100)
+    for json_flag in ([], ["--json"]):
+        assert run(["oracle", "--equation", "same", "--max-size", "3",
+                    str(f)] + json_flag) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: oracle search stopped after 100 models "
+                       "without a counterexample: the equation's operations "
+                       "and sorts have 19700 models with carriers <= 3, over "
+                       "the limit of 100\n")
+    # a counterexample inside the budget still exits 1
+    assert run(["oracle", "--equation", "comm", "--max-size", "3",
+                MONOID]) == 1
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 def test_oracle_bound_below_one_exit_2(bound, capsys):
     # a bound below 1 admits no model at all, so "holds in all 0 models"

@@ -2,18 +2,24 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from fixtures import binary_signature, unary_signature
 from gen import gen_equation, gen_signature, gen_term
+from termcat import models
 from termcat.arrows import term_arrow
-from termcat.errors import CarrierOutOfRange
+from termcat.dsl import parse_spec
+from termcat.errors import CarrierOutOfRange, ModelBudgetExceeded
 from termcat.models import (FiniteModel, arrows_agree, count_models,
                             enumerate_models, eval_arrow, eval_expression,
                             find_counterexample, find_separating_model,
                             points, random_model, satisfies)
-from termcat.terms import make_equation
+from termcat.terms import App, Var, make_equation, var_list
+
+MONOID = Path(__file__).resolve().parent.parent / "corpus" / "monoid.msl"
 
 
 def test_one_element_models_satisfy_everything(seed=51):
@@ -139,3 +145,92 @@ def test_points_shape():
     assert list(points(model, Leaf(s))) == [0, 1]
     assert len(list(points(model, flat_product([s, s])))) == 4
     assert list(points(model, Prod(()))) == [()]
+
+
+def test_enumeration_holds_one_model_at_a_time():
+    # the 34th model is the first with three elements; building every table
+    # of m first would make 3 ** 9 dicts before it
+    sig = parse_spec(MONOID.read_text(encoding="utf-8")).signature
+    s = sig.sort("s")
+    tracemalloc.start()
+    try:
+        model = next(m for m in enumerate_models(sig, 3) if m.sizes[s] == 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.tables["m"] == dict.fromkeys(itertools.product(range(3),
+                                                                repeat=2), 0)
+    assert peak < 1_000_000
+
+
+def _reference_counterexample(sig, eq, bound):
+    """The first model of the full enumeration that `satisfies` rejects,
+    described, with its first falsifying assignment in carrier order."""
+    for model in enumerate_models(sig, bound):
+        if satisfies(model, eq):
+            continue
+        for values in itertools.product(*(model.carrier(v.sort)
+                                          for v in eq.vars)):
+            env = dict(zip(eq.vars, values))
+            if eval_expression(model, eq.left, env) \
+                    != eval_expression(model, eq.right, env):
+                return model.describe(), env
+    return None
+
+
+def _subexpressions(e):
+    yield e
+    if isinstance(e, App):
+        for a in e.args:
+            yield from _subexpressions(a)
+
+
+def test_reduct_search_matches_the_full_search(seed=59):
+    """The reduct search returns what searching every model of the whole
+    signature returns, on equations that leave sorts untouched, operations
+    unmentioned and context variables unused."""
+    rng = random.Random(seed)
+    seen = dict.fromkeys(("holds", "fails", "untouched sort",
+                          "unmentioned op", "unused var"), 0)
+    while min(seen.values()) < 20 or seen["holds"] + seen["fails"] < 1000:
+        sig = gen_signature(rng, max_sorts=3, max_ops=3, max_arity=2)
+        eq = gen_equation(rng, sig, depth=2)
+        bound = rng.randint(1, 3)
+        if count_models(sig, bound) > 2000:
+            continue
+        found = find_counterexample(sig, eq, bound)
+        want = _reference_counterexample(sig, eq, bound)
+        got = None if found is None else (found[0].describe(), found[1])
+        assert got == want, (sig, eq, bound)
+        occurring = set(var_list(eq.left) + var_list(eq.right))
+        mentioned = {e.op.name for side in (eq.left, eq.right)
+                     for e in _subexpressions(side) if isinstance(e, App)}
+        touched = {v.sort for v in occurring} | {
+            s for op in sig.operations if op.name in mentioned
+            for s in (*op.inputs, op.output)}
+        seen["holds" if found is None else "fails"] += 1
+        seen["untouched sort"] += len(touched) < len(sig.sorts)
+        seen["unmentioned op"] += len(mentioned) < len(sig.operations)
+        seen["unused var"] += len(occurring) < len(eq.vars)
+
+
+def test_search_budget_stops_a_holding_search(monkeypatch):
+    sig = binary_signature()
+    s = sig.sort("s")
+    from termcat.signature import Variable
+    x, y = Variable(s, 1), Variable(s, 2)
+    m = App(sig.operation("m"), (Var(x), Var(y)))
+    same = make_equation(m, m, (x, y))
+    # the reduct is m alone: 1 + 2 ** 4 + 3 ** 9 models at bound 3
+    monkeypatch.setattr(models, "MAX_MODELS", 17)
+    assert find_counterexample(sig, same, 2) is None
+    with pytest.raises(ModelBudgetExceeded) as err:
+        find_counterexample(sig, same, 3)
+    assert str(err.value) == (
+        "oracle search stopped after 17 models without a counterexample: "
+        "the equation's operations and sorts have 19700 models with "
+        "carriers <= 3, over the limit of 17")
+    # the budget is checked while searching: a counterexample found within
+    # it is reported whatever the count
+    bogus = make_equation(m, Var(x), (x, y))
+    assert find_counterexample(sig, bogus, 3) is not None
