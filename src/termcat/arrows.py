@@ -459,8 +459,29 @@ def apply_arrow(e: Expression) -> FPArrow:
 
 
 def term_arrow(t: Term) -> FPArrow:
-    return Comp(apply_arrow(t.expr),
-                Comp(regroup_arrow(t.expr), occurrence_arrow(t)))
+    return _compiled(t.expr, t.vars, None)
+
+
+def _compiled(e: Expression, vs: tuple[Variable, ...],
+              memo: dict | None) -> FPArrow:
+    """The three-stage arrow of `e` over the variable product of `vs`.
+    With a memo, the arrow of each (expression object, variables) pair and
+    the stages of each expression object that do not depend on the
+    variables are built once; the memo keeps every expression it has seen
+    alive, so no `id` is reused while it lives."""
+    if memo is None:
+        return Comp(apply_arrow(e),
+                    Comp(regroup_arrow(e), context_arrow(vs, var_list(e))))
+    arrow = memo.get((id(e), vs))
+    if arrow is None:
+        stages = memo.get(id(e))
+        if stages is None:
+            stages = memo[id(e)] = (e, apply_arrow(e), regroup_arrow(e),
+                                    var_list(e))
+        _, app, reg, occurrences = stages
+        arrow = memo[id(e), vs] = Comp(app, Comp(
+            reg, context_arrow(vs, occurrences)))
+    return arrow
 
 
 def term_normal(t: Term) -> NormalArrow:
@@ -478,8 +499,12 @@ def _expr_body(e: Expression, position: dict) -> NormalBody:
     return GenApp(e.op, tuple(_expr_body(a, position) for a in e.args))
 
 
-def equation_arrows(eq: Equation) -> tuple[FPArrow, FPArrow]:
-    """The parallel pair of arrows associated to an equation."""
-    left = term_arrow(Term(eq.left, eq.vars, eq.sort))
-    right = term_arrow(Term(eq.right, eq.vars, eq.sort))
-    return left, right
+def equation_arrows(eq: Equation, memo: dict | None = None
+                    ) -> tuple[FPArrow, FPArrow]:
+    """The parallel pair of arrows associated to an equation: each side's
+    term arrow over the equation's variables, built without re-checking
+    what the `Equation` already holds.  A caller that compiles many
+    equations sharing side expressions passes one fresh `memo` dict to
+    every call and drops it afterwards."""
+    return (_compiled(eq.left, eq.vars, memo),
+            _compiled(eq.right, eq.vars, memo))

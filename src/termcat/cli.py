@@ -127,6 +127,14 @@ def factorization_json(f: kernel.Factorization,
     }
 
 
+def lemma_table_json(lemmas: tuple[kernel.Lemma, ...]) -> dict:
+    return {"lemmas": [{"statement": equation_json(x.statement),
+                        "cites": list(x.cites),
+                        "hypothesis": x.hypothesis,
+                        "proof": [kernel_step_json(s) for s in x.proof]}
+                       for x in lemmas]}
+
+
 def levelled_json(ld: deduction.LevelledDeduction) -> dict:
     return {"levels": [[{
         "equation": equation_json(s.equation),
@@ -330,16 +338,21 @@ def cmd_subst(args) -> int:
     return 0 if equal else 1
 
 
-def _check_one_proof(sf: SpecFile, proof: ProofDef,
-                     as_json: bool) -> tuple[int, dict | list[str]]:
-    """Check one proof; returns the exit code and either the json payload
+def _check_one_proof(sf: SpecFile, proof: ProofDef, as_json: bool,
+                     levelled: bool) -> tuple[int, dict | list[str]]:
+    """Check one proof, by its lemma table or, with `levelled`, by the
+    levelled certificate; returns the exit code and either the json payload
     or the text lines."""
     name = proof.name
     try:
         tree, hyps = build_proof(sf, proof)
-        ld = deduction.normalize_deduction(tree)
-        cert = deduction.compile_to_factorization(sf.signature, ld, hyps)
-        result = deduction.verify_factorization(cert)
+        if levelled:
+            ld = deduction.normalize_deduction(tree)
+            cert = deduction.compile_to_factorization(sf.signature, ld, hyps)
+            result = deduction.verify_factorization(cert)
+        else:
+            lemmas = deduction.lemma_table(sf.signature, tree, hyps)
+            result = kernel.verify_lemmas(hyps, lemmas, tree.conclusion)
     except DeductionError as exc:
         if as_json:
             return 1, {"proof": name, "valid": False, "error": str(exc)}
@@ -349,13 +362,18 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef,
         return code, {"proof": name,
                       "conclusion": equation_json(tree.conclusion),
                       "valid": result.ok,
-                      "certificate": factorization_json(cert, ld),
+                      "certificate": factorization_json(cert, ld)
+                      if levelled else lemma_table_json(lemmas),
                       "trace": list(result.trace)}
+    if levelled:
+        sizes = (f"hypotheses: {len(cert.hyp)}, claims: {len(cert.claim)}, "
+                 f"workspace: {len(cert.wksp)}")
+    else:
+        sizes = (f"hypotheses: {len(hyps)}, lemmas: {len(lemmas)}, "
+                 f"kernel steps: {sum(len(x.proof) for x in lemmas)}")
     lines = [f"proof {name}: "
              f"{'VALID' if result.ok else 'FAILED VERIFICATION'}",
-             f"  conclusion: {tree.conclusion}",
-             f"  hypotheses: {len(cert.hyp)}, claims: {len(cert.claim)}, "
-             f"workspace: {len(cert.wksp)}"]
+             f"  conclusion: {tree.conclusion}", f"  {sizes}"]
     lines.extend(f"  {line}" for line in result.trace)
     return code, lines
 
@@ -366,7 +384,7 @@ def cmd_check_proof(args) -> int:
     worst = 0
     outs = []
     for proof in proofs:
-        code, out = _check_one_proof(sf, proof, args.json)
+        code, out = _check_one_proof(sf, proof, args.json, args.levelled)
         outs.append(out)
         worst = max(worst, code)
     if args.json:
@@ -462,7 +480,10 @@ def _parser() -> argparse.ArgumentParser:
                                    "--var": dict(required=True)})
     p.add_argument("--with", dest="with_term", required=True,
                    help="name of the replacement term")
-    add("check-proof", cmd_check_proof, **{"--proof": dict(default=None)})
+    p = add("check-proof", cmd_check_proof, **{"--proof": dict(default=None)})
+    p.add_argument("--levelled", action="store_true",
+                   help="check the levelled certificate instead of the "
+                        "lemma table")
     add("normalize-proof", cmd_normalize_proof,
         **{"--proof": dict(required=True)})
     p = add("oracle", cmd_oracle, **{"--equation": dict(required=True)})

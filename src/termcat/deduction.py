@@ -3,9 +3,16 @@
 A deduction tree applies the multisorted equational rules (reflexivity,
 symmetry, transitivity, concretion, abstraction, substitutivity) over a
 list of hypothesis equations.  This module is the producer: it checks each
-rule's side conditions, codes each rule as a one-claim certificate, puts the
-deduction in levelled form and assembles one `Factorization` for it.  The
-kernel (`kernel.py`) replays that certificate and runs none of this code;
+rule's side conditions and codes each rule as a one-claim certificate.  It
+then emits one of two certificates for the kernel (`kernel.py`), which runs
+none of this code:
+
+- `lemma_table`: one lemma per distinct node of the tree, premises first,
+  each carrying the node's equation, its citations and its rule coding's
+  kernel proof (what `check-proof` checks by default);
+- `normalize_deduction` and `compile_to_factorization`: the levelled form
+  and the one `Factorization` assembled from it (`check-proof --levelled`).
+
 `verify_factorization` is the kernel's, imported here for the callers that
 reach it through this module.
 """
@@ -13,15 +20,15 @@ reach it through this module.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .arrows import Comp, arrows_equal, equation_arrows
-from .errors import (InterfaceMismatch, MiddleTermMismatch,
+from .errors import (DeductionError, InterfaceMismatch, MiddleTermMismatch,
                      SideConditionViolated, UnknownHypothesis)
 from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
-                     Factorization, KernelProof, KernelStep, Refl, Sym,
-                     Trans, TupleCong, constraints_equal)
+                     Factorization, KernelProof, KernelStep, Lemma, Refl,
+                     Sym, Trans, TupleCong, constraints_equal)
 from .kernel import verify_factorization  # noqa: F401
 from .signature import Signature, Variable, inhabited_sorts, ordered_vars
 from .subst import (SubstInstance, retyping_arrow, subst_expr,
@@ -88,6 +95,9 @@ class DeductionTree:
     conclusion: Equation
     rule: RuleInstance
     premises: tuple["DeductionTree", ...] = ()
+    # where the step comes from, e.g. "7:3: step 'c'"; prefixes the
+    # lemma table's side-condition errors
+    origin: str = field(default="", compare=False)
 
     def __post_init__(self):
         want = RULE_ARITY[type(self.rule)]
@@ -256,6 +266,47 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
         return _coding(prem_cs, concl_c, *steps)
 
     raise SideConditionViolated(f"unknown rule {rule!r}")
+
+
+# --- lemma tables -------------------------------------------------------------------
+
+
+def lemma_table(sig: Signature, tree: DeductionTree,
+                hypotheses: Sequence[Equation]) -> tuple[Lemma, ...]:
+    """One lemma per distinct node of `tree`, in post-order, so a shared
+    subtree is checked once and every citation names an earlier lemma.
+    Each node's rule is checked and coded by `_code_rule`; a failure is
+    prefixed with the node's origin."""
+    index: dict[int, int] = {}  # id(node) -> its lemma
+    lemmas: list[Lemma] = []
+    constraints: list[EqConstraint] = []
+    memo: dict = {}  # shared side expressions are compiled once
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        todo = [p for p in node.premises if id(p) not in index]
+        if todo:
+            stack.extend(reversed(todo))  # the first premise comes first
+            continue
+        stack.pop()
+        if id(node) in index:  # pushed by two parents
+            continue
+        cites = tuple(index[id(p)] for p in node.premises)
+        concl_c = EqConstraint(*equation_arrows(node.conclusion, memo))
+        try:
+            coded = _code_rule(sig, [p.conclusion for p in node.premises],
+                               tuple(constraints[i] for i in cites),
+                               node.rule, node.conclusion, concl_c,
+                               hypotheses)
+        except DeductionError as exc:
+            if not node.origin:
+                raise
+            raise SideConditionViolated(f"{node.origin}: {exc}") from exc
+        hyp = node.rule.index if isinstance(node.rule, Hypothesis) else None
+        index[id(node)] = len(lemmas)
+        constraints.append(concl_c)
+        lemmas.append(Lemma(node.conclusion, cites, hyp, coded.verif[0]))
+    return tuple(lemmas)
 
 
 # --- certificate algebra ---------------------------------------------------------

@@ -569,31 +569,33 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
                 hypotheses: list[Equation],
                 results: dict[str, "_StepResult"],
                 s: StepDef) -> "_StepResult":
+    where = f"{s.line}:{s.col}: step {s.name!r}"
     if s.rule == "hyp":
         idx = proof.hypotheses.index(s.eq_name)
         eq = hypotheses[idx]
-        return _StepResult(DeductionTree(eq, Hypothesis(idx)),
+        return _StepResult(DeductionTree(eq, Hypothesis(idx), (), where),
                            dict(sf.eq_bindings[s.eq_name]))
     if s.rule == "refl":
         binding = _bind_bracket(sig, s.bracket or (), s.line, s.col)
         e = _elab_expr(sig, binding, s.expr)
         term = make_term(e, binding.values(), e.sort)
         eq = make_equation(e, e, term.vars)
-        return _StepResult(DeductionTree(eq, Reflexivity(term)),
+        return _StepResult(DeductionTree(eq, Reflexivity(term), (), where),
                            dict(binding))
     if s.rule == "sym":
         prem = results[s.steps[0]]
         eq = make_equation(prem.tree.conclusion.right,
                            prem.tree.conclusion.left,
                            prem.tree.conclusion.vars)
-        return _StepResult(DeductionTree(eq, Symmetry(), (prem.tree,)),
+        return _StepResult(DeductionTree(eq, Symmetry(), (prem.tree,),
+                                         where),
                            dict(prem.names))
     if s.rule == "trans":
         p1, p2 = results[s.steps[0]], results[s.steps[1]]
         c1, c2 = p1.tree.conclusion, p2.tree.conclusion
         eq = make_equation(c1.left, c2.right, c1.vars)
         return _StepResult(
-            DeductionTree(eq, Transitivity(), (p1.tree, p2.tree)),
+            DeductionTree(eq, Transitivity(), (p1.tree, p2.tree), where),
             _merge_names(p1.names, p2.names))
     if s.rule == "conc":
         prem = results[s.steps[0]]
@@ -601,7 +603,8 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
         c = prem.tree.conclusion
         eq = make_equation(c.left, c.right,
                            tuple(v for v in c.vars if v != x))
-        return _StepResult(DeductionTree(eq, Concretion(x), (prem.tree,)),
+        return _StepResult(DeductionTree(eq, Concretion(x), (prem.tree,),
+                                         where),
                            dict(prem.names))
     if s.rule == "abs":
         prem = results[s.steps[0]]
@@ -623,7 +626,8 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
         eq = make_equation(c.left, c.right, c.vars + (x,))
         names = dict(prem.names)
         names[s.var_name] = x
-        return _StepResult(DeductionTree(eq, Abstraction(x), (prem.tree,)),
+        return _StepResult(DeductionTree(eq, Abstraction(x), (prem.tree,),
+                                         where),
                            names)
     if s.rule == "subst":
         p1, p2 = results[s.steps[0]], results[s.steps[1]]
@@ -637,7 +641,8 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
         kept = tuple(v for v in c1.vars if v != x)
         eq = make_equation(left, right, ordered_vars(kept + c2.vars))
         return _StepResult(
-            DeductionTree(eq, Substitutivity(x), (p1.tree, p2.tree)),
+            DeductionTree(eq, Substitutivity(x), (p1.tree, p2.tree),
+                          where),
             _merge_names(p1.names, p2.names))
     raise NameResolutionError(f"unknown rule {s.rule!r}", s.line, s.col)
 

@@ -1,12 +1,25 @@
 """The trusted kernel: replay of arrow-equality certificates.
 
-A certificate (`Factorization`) holds hypothesis constraints, claim
-constraints, workspace constraints and one kernel proof per claim.  Kernel
-steps are the congruence moves of arrow equality: reflexivity, symmetry,
-transitivity, composing on either side, tuple congruence and hypothesis
-citation.  `verify_factorization` replays every proof from the hypotheses,
-deciding each comparison by normal forms, and accepts a claim only if the
-replayed constraint is formally equal to it.
+Kernel steps are the congruence moves of arrow equality: reflexivity,
+symmetry, transitivity, composing on either side, tuple congruence and
+citation of a premise.  A kernel proof is a sequence of them, replayed from
+a list of premise constraints; each comparison is decided by normal forms.
+Two kinds of certificate are checked:
+
+- A lemma table (`verify_lemmas`, what `check-proof` checks by default)
+  holds one `Lemma` per deduction step: the step's elaborated equation, the
+  earlier lemmas or the one hypothesis it cites, and the kernel proof of
+  its rule coding.  The kernel compiles every statement itself with
+  `arrows.equation_arrows` (each lemma's, each cited hypothesis's and the
+  goal's, at most once each), replays each proof from the statements it
+  cites, and accepts only if every replay derives its lemma's statement and
+  the last lemma is the goal.  The producer supplies only the citation DAG
+  and the kernel proofs.
+- A `Factorization` (the paper's levelled certificate, `check-proof
+  --levelled`) holds hypothesis, claim and workspace constraints and one
+  kernel proof per claim.  `verify_factorization` replays every proof from
+  the hypotheses and accepts a claim only if the replayed constraint is
+  formally equal to it; the constraints themselves are the producer's.
 
 This module is the only one that decides whether a certificate holds.  It
 imports nothing but `arrows`, `errors` and the standard library, so no code
@@ -17,9 +30,10 @@ its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
-from .arrows import Comp, FPArrow, FPObject, TupleArrow, arrows_equal
+from .arrows import (Comp, FPArrow, FPObject, TupleArrow, arrows_equal,
+                     equation_arrows)
 from .errors import EndpointMismatch, SideConditionViolated
 
 # --- constraints and kernel steps -----------------------------------------------
@@ -189,3 +203,64 @@ def verify_factorization(f: Factorization) -> VerificationResult:
                          "claim")
             ok = False
     return VerificationResult(ok, tuple(trace))
+
+
+# --- lemma tables -------------------------------------------------------------------
+
+
+class Lemma(NamedTuple):
+    """One deduction step.  `proof` runs from the premise list: the
+    statements of the `cites` lemmas in that order, then the `hypothesis`
+    if there is one."""
+    statement: object  # the step's elaborated `terms.Equation`
+    cites: tuple[int, ...]
+    hypothesis: int | None
+    proof: KernelProof
+
+
+def verify_lemmas(hypotheses: Sequence, lemmas: Sequence[Lemma],
+                  goal) -> VerificationResult:
+    """Replay a lemma table against the goal equation; stops at the first
+    lemma that fails."""
+    memo: dict = {}  # shared side expressions are compiled once
+
+    def compiled(eq) -> EqConstraint:
+        return EqConstraint(*equation_arrows(eq, memo))
+
+    statements: list[EqConstraint] = []
+    compiled_hyps: dict[int, EqConstraint] = {}
+    for k, lemma in enumerate(lemmas):
+        trace: list[str] = []
+        premises = []
+        for i in lemma.cites:
+            if not 0 <= i < k:
+                return _rejected(k, f"citation {i} is not an earlier lemma")
+            premises.append(statements[i])
+        h = lemma.hypothesis
+        if h is not None:
+            if not 0 <= h < len(hypotheses):
+                return _rejected(k, f"citation of missing hypothesis {h}")
+            if h not in compiled_hyps:
+                compiled_hyps[h] = compiled(hypotheses[h])
+            premises.append(compiled_hyps[h])
+        statement = compiled(lemma.statement)
+        got = _replay(premises, lemma.proof, trace)
+        if got is None:
+            return _rejected(k, *trace, "kernel proof failed to replay")
+        if not constraints_equal(got, statement):
+            return _rejected(k, "derived constraint differs from the "
+                                "statement")
+        statements.append(statement)
+    if not statements:
+        return VerificationResult(False, ("empty lemma table proves "
+                                          "nothing",))
+    if not constraints_equal(statements[-1], compiled(goal)):
+        return VerificationResult(False, (
+            f"goal: lemma {len(statements) - 1} is not the goal",))
+    return VerificationResult(True, (
+        f"goal: established by lemma {len(statements) - 1}",))
+
+
+def _rejected(k: int, *lines: str) -> VerificationResult:
+    return VerificationResult(False, tuple(f"lemma {k}: {line}"
+                                           for line in lines))

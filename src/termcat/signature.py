@@ -18,10 +18,26 @@ if TYPE_CHECKING:
     from .terms import Expression
 
 
+# Sorts and operations are hashed on every intern lookup and with every
+# equation that holds them, so each computes its value's hash once.  A
+# rebuilt copy (pickle, copy) goes through the constructor, since the hash
+# of a string differs between processes.
+
+
 @dataclass(frozen=True, slots=True)
 class Sort:
     index: int  # position in the owning signature's declaration list
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.index, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Sort, (self.index, self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -32,6 +48,17 @@ class Operation:
     name: str
     inputs: tuple[Sort, ...]
     output: Sort
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.name, self.inputs, self.output)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Operation, (self.name, self.inputs, self.output)
 
     def __str__(self) -> str:
         inp = " ".join(s.name for s in self.inputs)

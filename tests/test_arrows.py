@@ -10,7 +10,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from fixtures import running_signature, subst_signature, v
-from gen import gen_signature, gen_term
+from gen import gen_equation, gen_signature, gen_term
 from termcat import arrows, models
 from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NTuple, Path, Prod,
                             Proj, TERMINAL, TupleArrow, apply_arrow,
@@ -18,9 +18,10 @@ from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NTuple, Path, Prod,
                             flat_product, input_product, normalize,
                             occurrence_arrow, product_of_arrows,
                             regroup_arrow, term_arrow, term_normal)
+from termcat.dsl import parse_spec
 from termcat.errors import EndpointMismatch
 from termcat.signature import validate_signature
-from termcat.terms import (App, Var, make_equation, make_term,
+from termcat.terms import (App, Term, Var, make_equation, make_term,
                            most_concrete_term, var_list, var_set)
 
 
@@ -358,6 +359,35 @@ def test_same_structure_is_the_same_node():
     assert Comp(g, Id(g.src)) is Comp(g, Id(flat_product([s1, s1])))
     assert TupleArrow(g.src, [g]) is TupleArrow(g.src, (g,))
     assert Comp(g, Id(g.src)) != g and hash(g) == hash(Gen(g.op))
+
+
+def test_equal_operations_from_two_parses_share_one_node():
+    # sorts and operations hash their value once; equal ones from separate
+    # parses, or rebuilt by pickle, hash alike and intern to one node
+    text = (FilePath(__file__).resolve().parent.parent / "corpus"
+            / "twosorted.msl").read_text(encoding="utf-8")
+    one, two = parse_spec(text).signature, parse_spec(text).signature
+    for a, b in zip(one.sorts + one.operations, two.sorts + two.operations):
+        assert a is not b and a == b and hash(a) == hash(b)
+        again = pickle.loads(pickle.dumps(a))
+        assert again == a and hash(again) == hash(a)
+    for a, b in zip(one.operations, two.operations):
+        assert Gen(a) is Gen(b)
+    for a, b in zip(one.sorts, two.sorts):
+        assert Leaf(a) is Leaf(b)
+
+
+def test_equation_arrows_are_the_term_arrows_of_the_sides(seed=47):
+    rng = random.Random(seed)
+    memo = {}
+    for _ in range(40):
+        sig = gen_signature(rng)
+        eq = gen_equation(rng, sig)
+        sides = tuple(term_arrow(Term(e, eq.vars, eq.sort))
+                      for e in (eq.left, eq.right))
+        assert equation_arrows(eq) == sides
+        assert equation_arrows(eq, memo) == sides
+        assert equation_arrows(eq, memo) == sides  # from the memo
 
 
 def test_nodes_are_immutable():

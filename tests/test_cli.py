@@ -36,6 +36,9 @@ ALL_COMMANDS = [
     ["check-proof", MONOID],
     ["check-proof", "--proof", "unit_square", MONOID],
     ["check-proof", "--proof", "fetch", TWOSORTED],
+    ["check-proof", "--levelled", MONOID],
+    ["check-proof", "--levelled", "--proof", "unit_square", MONOID],
+    ["check-proof", "--levelled", "--proof", "fetch", TWOSORTED],
     ["normalize-proof", "--proof", "comm_twice", MONOID],
     ["oracle", "--equation", "projl", "--max-size", "2", UNSOUND],
     ["oracle", "--equation", "idem", "--max-size", "2", UNSOUND],
@@ -91,8 +94,8 @@ def test_check_proof_all_valid(capsys):
 
 
 def test_check_proof_json_certificate(capsys):
-    code, out = _capture(capsys, ["check-proof", "--proof", "unit_square",
-                                  MONOID, "--json"])
+    code, out = _capture(capsys, ["check-proof", "--levelled", "--proof",
+                                  "unit_square", MONOID, "--json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["valid"] is True
@@ -100,6 +103,23 @@ def test_check_proof_json_certificate(capsys):
     assert len(cert["hypotheses"]) == 1
     assert len(cert["claims"]) == 1
     assert cert["verification"]
+
+
+def test_check_proof_json_lemma_table(capsys):
+    # unit_square: a = hyp lunit ; r = refl e ; b = subst a x r
+    code, out = _capture(capsys, ["check-proof", "--proof", "unit_square",
+                                  MONOID, "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["valid"] is True
+    lemmas = payload["certificate"]["lemmas"]
+    assert set(payload["certificate"]) == {"lemmas"}
+    assert [(x["cites"], x["hypothesis"]) for x in lemmas] == [
+        ([], 0), ([], None), ([0, 1], None)]
+    assert [x["proof"][0]["step"] for x in lemmas] == ["cite", "refl",
+                                                       "cite"]
+    assert lemmas[-1]["statement"] == payload["conclusion"]
+    assert payload["trace"] == ["goal: established by lemma 2"]
 
 
 def test_normalize_proof_levels(capsys):
@@ -199,7 +219,12 @@ def test_concretion_over_empty_sort_fails_only_its_proof(tmp_path, capsys):
     # proof is invalid (exit 1), and the proofs around it are still checked
     f = tmp_path / "empty.msl"
     f.write_text(EMPTY_SORT_CONCRETION)
-    message = "sort t is empty; no closed filler exists"
+    # the lemma table names the failing step; the levelled route does not
+    levelled = "sort t is empty; no closed filler exists"
+    message = "10:3: step 'b': " + levelled
+    code, out = _capture(capsys, ["check-proof", "--levelled", str(f)])
+    assert code == 1
+    assert f"proof bad: INVALID ({levelled})" in out.splitlines()
     code, out = _capture(capsys, ["check-proof", str(f)])
     assert code == 1
     verdicts = [line for line in out.splitlines()
@@ -217,6 +242,87 @@ def test_concretion_over_empty_sort_fails_only_its_proof(tmp_path, capsys):
     assert code == 1
     assert json.loads(out) == {"proof": "bad", "valid": False,
                                "error": message}
+
+
+_UNITS = """sort s t
+op m : s s -> s
+op e : -> s
+op f : s -> s
+eq lunit [x:s] : m(e, x) = x
+eq runit [x:s] : m(x, e) = x
+eq fx [x:s, y:t] : f(x) = f(x)
+"""
+# (steps of a proof from lunit, runit and fx, the failing step's
+# line:column and name, and the producer's message); elaboration catches
+# every other failure a .msl proof can have, on both routes alike
+PRODUCER_FAILURES = {
+    "middle": ("a = hyp lunit ;\n  b = hyp runit ;\n  c = trans a b ;",
+               "11:3: step 'c'",
+               "premises do not share a middle term: x1:s vs m(x1:s, e)"),
+    "vars": ("a = hyp lunit ;\n  b = refl [x:s, z:s] x ;\n"
+             "  c = trans a b ;", "11:3: step 'c'",
+             "transitivity premises must share the variable set"),
+    "empty-sort": ("a = hyp fx ;\n  b = sym a ;\n  c = conc b y ;",
+                   "11:3: step 'c'",
+                   "sort t is empty; no closed filler exists"),
+}
+
+
+@pytest.mark.parametrize("steps, where, message", PRODUCER_FAILURES.values(),
+                         ids=PRODUCER_FAILURES.keys())
+def test_producer_errors_name_their_step(steps, where, message, tmp_path,
+                                         capsys):
+    # the lemma table checks each step on its own, so a failure belongs to
+    # one .msl step; the levelled route keeps its messages as they were
+    f = tmp_path / "bad.msl"
+    f.write_text(_UNITS + "proof bad from lunit runit fx {\n  " + steps
+                 + "\n}\n")
+    for flag, error in (([], f"{where}: {message}"),
+                        (["--levelled"], message)):
+        assert _capture(capsys, ["check-proof", *flag, str(f)]) == (
+            1, f"proof bad: INVALID ({error})\n")
+        code, out = _capture(capsys, ["check-proof", *flag, "--json", str(f)])
+        assert code == 1
+        assert json.loads(out)["proofs"][0]["error"] == error
+
+
+def _dag_proof(folds: int) -> str:
+    steps = ["a = hyp lunit ;", "b = sym a ;", "c0 = trans a b ;"]
+    steps += [f"c{k} = trans c{k - 1} c{k - 1} ;"
+              for k in range(1, folds + 1)]
+    return "proof dag from lunit {\n  " + "\n  ".join(steps) + "\n}\n"
+
+
+def test_check_proof_sizes_line(tmp_path, capsys):
+    # c_k = trans c_(k-1) c_(k-1) at k = 12: one lemma per distinct step,
+    # where the levelled certificate has 20,479 kernel steps
+    f = tmp_path / "dag.msl"
+    f.write_text(_UNITS + _dag_proof(12))
+    code, out = _capture(capsys, ["check-proof", str(f)])
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        "  hypotheses: 1, lemmas: 15, kernel steps: 42",
+        "  goal: established by lemma 14"]
+
+
+def test_lemma_table_that_claims_the_goal_is_refused(monkeypatch, capsys):
+    # a producer that claims the goal with no derivation, the lemma
+    # analogue of `identity_factorization((goal,))`: the kernel compiles
+    # the statement itself, and the citation finds no premise to name
+    from termcat import deduction, kernel
+
+    def claim_the_goal(sig, tree, hypotheses):
+        return (kernel.Lemma(tree.conclusion, (), None,
+                             (kernel.CiteHyp(0),)),)
+
+    monkeypatch.setattr(deduction, "lemma_table", claim_the_goal)
+    code, out = _capture(capsys, ["check-proof", "--proof", "comm_twice",
+                                  MONOID])
+    assert code == 1
+    assert out.splitlines()[0] == "proof comm_twice: FAILED VERIFICATION"
+    assert out.splitlines()[3:] == [
+        "  lemma 0: step 0: citation of missing hypothesis 0",
+        "  lemma 0: kernel proof failed to replay"]
 
 
 def test_traced_layer_functions_exist():
@@ -453,7 +559,9 @@ def test_json_output_is_byte_identical(argv, capsys):
 
 # sha256 of "<exit code>\n<stdout>" for every ALL_COMMANDS entry, text and
 # --json; the outputs are the same on Python 3.10-3.13, so any change to what
-# the term compiler or the proof producer builds shows up here
+# the term compiler or the proof producer builds shows up here.  Each
+# `check-proof --levelled` digest is the one `check-proof` had before the
+# lemma table became its default.
 OUTPUT_DIGESTS = {
     "sketch monoid.msl":
         "d2087e6c8d02dca0efdda6350cef79eb7558b5ef8b0052454f369c6cc67914e9",
@@ -484,16 +592,28 @@ OUTPUT_DIGESTS = {
     "subst --term t1 --var y --with double monoid.msl --json":
         "476ce7c18b7618a33df908cd042d3454aae9a44fed83ba13e076854970147cc2",
     "check-proof monoid.msl":
+        "b26684693074c275357d14c43c965aa8055eb4b69025ed519184b2f7b81825e0",
+    "check-proof --levelled monoid.msl":
         "c43d7a62ffc421686207a0b11ce043d19807960c3d24fbc985a698f69f0fd657",
     "check-proof monoid.msl --json":
+        "be3803a115d8b7439c0a95b86bc6e2a029b9af86ee9a979bc1b18bfddd99c46d",
+    "check-proof --levelled monoid.msl --json":
         "8129734309f89ce616b3c5bc2cacd30e1a06ee6d5009413a4fa385d2a6f2441a",
     "check-proof --proof unit_square monoid.msl":
+        "5ed064f92b195d48270d7d97d979bd0b45f705714fe217c84bc17aba3e73acc8",
+    "check-proof --levelled --proof unit_square monoid.msl":
         "5aeb06dbb3576bf58ce0b42ea7da3b21befb6d10eb27e32c24ba3d50d859bc4a",
     "check-proof --proof unit_square monoid.msl --json":
+        "2471b7cafef0f2d5a4eb48f60b54c8c19d83470226394138ff0e9c37e3f75c78",
+    "check-proof --levelled --proof unit_square monoid.msl --json":
         "8ebe4a89e653fca3b04bbbf02fbbc299abb3d9ad1a019e055cf2a254319234bc",
     "check-proof --proof fetch twosorted.msl":
+        "d98deca382c3576a8a6fceb6f630049f7af9b8b15527b8295eadc1fd184381eb",
+    "check-proof --levelled --proof fetch twosorted.msl":
         "33cb24025917492486f63218e7a4f38d39dccd35f2a04deace2fc579ce86ae4a",
     "check-proof --proof fetch twosorted.msl --json":
+        "0ffed11be920d68d82012513cbabc140bf24df0edd4ef24b4024c2efc09b17b2",
+    "check-proof --levelled --proof fetch twosorted.msl --json":
         "14e09d015ab08557ca248ebe86eee048b7095a17684235ad8b66a3b3b8f77a38",
     "normalize-proof --proof comm_twice monoid.msl":
         "15a493db092301304b360389e79d2e27d6c0b8fddf796d4177c7ab2a08646a11",

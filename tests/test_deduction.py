@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import binary_signature, certify, unary_signature, v
 from gen import gen_deduction_tree, gen_equation
@@ -12,14 +15,16 @@ from termcat.deduction import (Abstraction, Concretion, Copy, DeductionTree,
                                Hypothesis, Reflexivity, Substitutivity,
                                Symmetry, Transitivity, check_rule,
                                compile_to_factorization, equation_constraint,
-                               identity_factorization, normal_form_violations,
-                               normalize_deduction, paste_factorizations,
-                               product_factorizations)
-from termcat.errors import (InterfaceMismatch, MiddleTermMismatch,
-                            SideConditionViolated, UninhabitedFill,
-                            UnknownHypothesis)
+                               identity_factorization, lemma_table,
+                               normal_form_violations, normalize_deduction,
+                               paste_factorizations, product_factorizations)
+from termcat.dsl import build_proof, parse_spec
+from termcat.errors import (DeductionError, InterfaceMismatch,
+                            MiddleTermMismatch, SideConditionViolated,
+                            TermcatError, UninhabitedFill, UnknownHypothesis)
 from termcat.kernel import (CiteHyp, ComposeRight, EqConstraint, Factorization,
-                            Refl, Sym, Trans, verify_factorization)
+                            Refl, Sym, Trans, verify_factorization,
+                            verify_lemmas)
 from termcat.models import enumerate_models, satisfies
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_expr
@@ -441,3 +446,98 @@ def test_deduction_soundness_sample(seed=67):
         for model in all_models:
             if all(satisfies(model, h) for h in hyps):
                 assert satisfies(model, tree.conclusion)
+
+
+# --- lemma tables ------------------------------------------------------------------
+
+
+def _exit_code(sig, tree, hyps, levelled: bool) -> int:
+    """What `check-proof` (with `--levelled` or not) exits with on `tree`."""
+    try:
+        if levelled:
+            ok = verify_factorization(certify(sig, tree, hyps)).ok
+        else:
+            ok = verify_lemmas(hyps, lemma_table(sig, tree, hyps),
+                               tree.conclusion).ok
+    except DeductionError:
+        return 1
+    except TermcatError:
+        return 2
+    return 0 if ok else 1
+
+
+def _nodes(tree) -> list:
+    """The distinct nodes of `tree`, each after its premises."""
+    seen, out, stack = set(), [], [(tree, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            out.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in reversed(node.premises))
+    return out
+
+
+def _mutate_tree(rng, sig, hyps, tree):
+    """`tree` with one node's conclusion, hypothesis index or rule changed,
+    and the nodes above it rebuilt over the changed node."""
+    nodes = _nodes(tree)
+    target = rng.choice(nodes)
+    kind = rng.choice(["conclusion", "hypothesis", "rule"])
+    if kind == "hypothesis" and isinstance(target.rule, Hypothesis):
+        new = dataclasses.replace(target, rule=Hypothesis(
+            rng.choice([-1, len(hyps), (target.rule.index + 1) % len(hyps)])))
+    elif kind == "rule" and len(target.premises) == 1:
+        x = rng.choice(target.conclusion.vars or (Variable(sig.sorts[0], 7),))
+        new = dataclasses.replace(target, rule=rng.choice(
+            [Symmetry(), Concretion(x), Abstraction(x)]))
+    else:
+        new = dataclasses.replace(
+            target, conclusion=gen_equation(rng, sig, depth=2))
+    rebuilt = {id(target): new}
+    for node in nodes:
+        if id(node) not in rebuilt and any(id(p) in rebuilt
+                                           for p in node.premises):
+            rebuilt[id(node)] = dataclasses.replace(node, premises=tuple(
+                rebuilt.get(id(p), p) for p in node.premises))
+    return rebuilt.get(id(tree), tree)
+
+
+def test_both_routes_give_the_same_exit_code():
+    tally = {0: 0, 1: 0, 2: 0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def agree(seed):
+        rng = random.Random(seed)
+        sig = rng.choice([unary_signature(), binary_signature()])
+        hyps = [gen_equation(rng, sig, depth=2)
+                for _ in range(rng.randint(1, 2))]
+        tree = gen_deduction_tree(rng, sig, hyps, rng.randint(1, 4))
+        assert _exit_code(sig, tree, hyps, False) == 0
+        assert _exit_code(sig, tree, hyps, True) == 0
+        mutant = _mutate_tree(rng, sig, hyps, tree)
+        code = _exit_code(sig, mutant, hyps, False)
+        assert code == _exit_code(sig, mutant, hyps, True)
+        tally[code] += 1
+
+    agree()
+    assert tally[1] >= 100, tally
+
+
+def test_lemma_table_of_a_chain_is_linear():
+    # a 100-step trans chain: one lemma per step, each a few kernel steps
+    steps = ["a = hyp lunit ;", "r = refl [x:s] x ;", "c0 = trans a r ;"]
+    steps += [f"c{k} = trans c{k - 1} r ;" for k in range(1, 100)]
+    sf = parse_spec("sort s\nop m : s s -> s\nop e : -> s\n"
+                    "eq lunit [x:s] : m(e, x) = x\n"
+                    "proof chain from lunit {\n" + "\n".join(steps) + "\n}\n")
+    tree, hyps = build_proof(sf, sf.proofs[0])
+    lemmas = lemma_table(sf.signature, tree, hyps)
+    assert verify_lemmas(hyps, lemmas, tree.conclusion).ok
+    assert len(lemmas) == len(steps) == 102
+    assert max(len(x.proof) for x in lemmas) <= 4
+    # every trans step cites the chain so far and the one reflexivity
+    assert [x.cites for x in lemmas[3:]] == [(k, 1) for k in range(2, 101)]

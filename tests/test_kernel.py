@@ -11,6 +11,11 @@ check) are all that stand between the mutant and acceptance.  Every mutant
 the kernel accepts is judged on random finite models, a route with no
 normal forms in it: its claims must hold in every sampled model of its
 hypotheses.
+
+Lemma tables get mutations of their own: a lemma cites itself or a later
+lemma, a hypothesis citation leaves the hypothesis list, a statement is
+swapped for another lemma's, or the table stops before the goal.  The kernel
+must reject every one of them.
 """
 
 from __future__ import annotations
@@ -30,12 +35,14 @@ from fixtures import binary_signature, certify, unary_signature
 from gen import gen_deduction_tree, gen_equation
 from termcat import kernel, models
 from termcat.arrows import Comp, TupleArrow
-from termcat.deduction import equation_constraint, product_factorizations
+from termcat.deduction import (equation_constraint, lemma_table,
+                               product_factorizations)
 from termcat.dsl import parse_spec
 from termcat.errors import EndpointMismatch
 from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
-                            Factorization, Refl, Sym, Trans, TupleCong,
-                            verify_factorization)
+                            Factorization, Lemma, Refl, Sym, Trans, TupleCong,
+                            constraints_equal, verify_factorization,
+                            verify_lemmas)
 from termcat.models import arrows_agree, random_model
 
 # --- import boundaries -------------------------------------------------------
@@ -262,7 +269,109 @@ def test_forged_certificates_are_rejected_or_sound():
                 assert all(_holds(model, c) for c in mutant.claim), kind
 
     forge()
+    _forge_lemma_tables(tally)
     # floors, so that the property cannot pass with nothing tested
     assert tally["rejected"] >= 100, tally
     assert tally["judged"] >= 500, tally
     assert tally["negative"] >= 20, tally
+    for kind in LEMMA_MUTATIONS:
+        assert tally[kind] >= 30, tally
+
+
+# --- lemma tables ---------------------------------------------------------------
+
+LEMMA_MUTATIONS = {
+    # kind: what the rejecting trace line says
+    "self-cite": "is not an earlier lemma",
+    "later-cite": "is not an earlier lemma",
+    "missing-hypothesis": "citation of missing hypothesis",
+    "swap-statement": "derived constraint differs from the statement",
+    "not-the-goal": "is not the goal",
+}
+
+
+def _lemma_table(rng: random.Random):
+    sig = rng.choice(SIGNATURES)
+    hyps = [gen_equation(rng, sig, depth=2) for _ in range(rng.randint(1, 2))]
+    tree = gen_deduction_tree(rng, sig, hyps, rng.randint(1, 4))
+    return hyps, list(lemma_table(sig, tree, hyps)), tree.conclusion
+
+
+def _mutate_table(rng: random.Random, lemmas: list[Lemma], goal,
+                  n_hyps: int, kind: str):
+    """(mutated table, goal), or None where the table offers the mutation
+    nothing to act on.  Statements are told apart by their arrows: two
+    equations that differ only in how their variables are numbered are one
+    statement."""
+    def differ(a, b) -> bool:
+        return not constraints_equal(equation_constraint(a),
+                                     equation_constraint(b))
+
+    if kind == "not-the-goal":
+        ends = [k for k, x in enumerate(lemmas) if differ(x.statement, goal)]
+        return ends and (lemmas[:rng.choice(ends) + 1], goal)
+    if kind == "missing-hypothesis":
+        sites = [k for k, x in enumerate(lemmas) if x.hypothesis is not None]
+        if not sites:
+            return None
+        k = rng.choice(sites)
+        h = rng.choice([-rng.randint(1, 3), n_hyps + rng.randint(0, 2)])
+        lemmas[k] = lemmas[k]._replace(hypothesis=h)
+        return lemmas, goal
+    if kind == "swap-statement":
+        pairs = [(k, j) for k in range(len(lemmas)) for j in range(len(lemmas))
+                 if differ(lemmas[k].statement, lemmas[j].statement)]
+        if not pairs:
+            return None
+        k, j = rng.choice(pairs)
+        lemmas[k] = lemmas[k]._replace(statement=lemmas[j].statement)
+        return lemmas, goal
+    later = kind == "later-cite"
+    if len(lemmas) - later < 1:
+        return None
+    k = rng.randrange(len(lemmas) - later)
+    bad = rng.randrange(k + 1, len(lemmas)) if later else k
+    cites = list(lemmas[k].cites)
+    if cites and rng.random() < 0.7:
+        cites[rng.randrange(len(cites))] = bad
+    else:
+        cites.append(bad)
+    lemmas[k] = lemmas[k]._replace(cites=tuple(cites))
+    return lemmas, goal
+
+
+def _forge_lemma_tables(tally: Counter) -> None:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(sorted(LEMMA_MUTATIONS)))
+    def forge(seed, kind):
+        rng = random.Random(seed)
+        hyps, lemmas, goal = _lemma_table(rng)
+        assert verify_lemmas(hyps, lemmas, goal).ok
+        mutant = _mutate_table(rng, lemmas, goal, len(hyps), kind)
+        if not mutant:
+            return
+        result = verify_lemmas(hyps, *mutant)
+        assert not result.ok, kind
+        assert LEMMA_MUTATIONS[kind] in result.trace[0], result.trace
+        tally[kind] += 1
+
+    forge()
+
+
+def test_a_table_that_claims_the_goal_is_refused():
+    # the lemma analogue of `identity_factorization((goal,))`: the goal
+    # claimed with no derivation, by citing a premise or by reflexivity
+    sf = parse_spec((CORPUS / "monoid.msl").read_text(encoding="utf-8"))
+    lunit = sf.equations["lunit"]
+    compiled = equation_constraint(lunit)
+    for proof in [(CiteHyp(0),), (Refl(compiled.left),),
+                  (Refl(compiled.left), Sym(0))]:
+        result = verify_lemmas([lunit], [Lemma(lunit, (), None, proof)],
+                               lunit)
+        assert not result.ok, proof
+    assert verify_lemmas([lunit], [], lunit).trace == (
+        "empty lemma table proves nothing",)
+    # citing the hypothesis the goal is, by contrast, is a derivation
+    assert verify_lemmas([lunit], [Lemma(lunit, (), 0, (CiteHyp(0),))],
+                         lunit).ok
