@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import EndpointMismatch
+from .errors import EndpointMismatch, Record
 from .signature import Operation, Sort, Variable
 from .terms import Equation, Expression, Term, Var, var_list
 
@@ -71,27 +70,16 @@ def _intern(key: tuple, node):
     return node
 
 
-class _Node:
-    """An interned, immutable node; `_fields` are its constructor
-    arguments, which `repr`, `copy` and `pickle` go through."""
+class _Node(Record):
+    """An interned record: `__new__` returns the canonical node, so `==`
+    and `hash` are identity, and copies and unpickled nodes are that
+    node too."""
 
     __slots__ = ("__weakref__",)
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        # rebuilding goes through the constructor, which returns the
-        # canonical node
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+    _fields = ()
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 # --- objects -----------------------------------------------------------------
@@ -283,19 +271,23 @@ def product_of_arrows(fs: Sequence[FPArrow]) -> TupleArrow:
 # leaf of the domain tree by its sequence of 1-based factor indices.
 
 
-@dataclass(frozen=True, slots=True)
-class Path:
-    steps: tuple[int, ...]
+class Path(Record):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[int, ...]):
+        _set(self, "steps", steps)
 
     def __str__(self) -> str:
         return "p" + ".".join(str(s) for s in self.steps) if self.steps \
             else "p()"
 
 
-@dataclass(frozen=True, slots=True)
-class GenApp:
-    op: Operation
-    args: tuple["NormalBody", ...]
+class GenApp(Record):
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: Operation, args: tuple["NormalBody", ...]):
+        _set(self, "op", op)
+        _set(self, "args", args)
 
     def __str__(self) -> str:
         if not self.args:
@@ -303,9 +295,11 @@ class GenApp:
         return f"{self.op.name}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True, slots=True)
-class NTuple:
-    parts: tuple["NormalBody", ...]
+class NTuple(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple["NormalBody", ...]):
+        _set(self, "parts", parts)
 
     def __str__(self) -> str:
         return "<" + ", ".join(str(p) for p in self.parts) + ">"
@@ -314,11 +308,8 @@ class NTuple:
 NormalBody = Union[Path, GenApp, NTuple]
 
 
-@dataclass(frozen=True, slots=True)
-class NormalArrow:
-    src: FPObject
-    dst: FPObject
-    body: NormalBody
+class NormalArrow(Record):
+    __slots__ = ("src", "dst", "body")
 
     def __str__(self) -> str:
         return str(self.body)
@@ -369,30 +360,6 @@ def _norm(a: FPArrow) -> NormalBody:
 
 def normalize(a: FPArrow) -> NormalArrow:
     return NormalArrow(a.src, a.dst, _norm(a))
-
-
-def embed(n: NormalArrow) -> FPArrow:
-    """Turn a normal form back into raw arrow syntax."""
-    return _embed_body(n.body, n.src)
-
-
-def _embed_path(steps: tuple[int, ...], src: FPObject) -> FPArrow:
-    arrow: FPArrow = Id(src)
-    obj = src
-    for step in steps:
-        p = Proj(obj, step)
-        arrow = p if isinstance(arrow, Id) else Comp(p, arrow)
-        obj = p.dst
-    return arrow
-
-
-def _embed_body(body: NormalBody, src: FPObject) -> FPArrow:
-    if isinstance(body, Path):
-        return _embed_path(body.steps, src)
-    if isinstance(body, GenApp):
-        inner = TupleArrow(src, tuple(_embed_body(a, src) for a in body.args))
-        return Comp(Gen(body.op), inner)
-    return TupleArrow(src, tuple(_embed_body(p, src) for p in body.parts))
 
 
 def arrows_equal(a: FPArrow, b: FPArrow) -> bool:

@@ -20,63 +20,58 @@ reach it through this module.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .arrows import Comp, arrows_equal, equation_arrows
 from .errors import (DeductionError, InterfaceMismatch, MiddleTermMismatch,
-                     SideConditionViolated, UnknownHypothesis)
+                     Record, SideConditionViolated, UnknownHypothesis)
 from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                      Factorization, KernelProof, KernelStep, Lemma, Refl,
                      Sym, Trans, TupleCong, constraints_equal)
 from .kernel import verify_factorization  # noqa: F401
-from .signature import Signature, Variable, inhabited_sorts, ordered_vars
+from .signature import Signature, inhabited_sorts, ordered_vars
 from .subst import (SubstInstance, retyping_arrow, subst_expr,
                     substitution_arrow)
 from .terms import Equation, Term, var_set
 
+_set = object.__setattr__
+
 # --- rule instances -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Hypothesis:
-    index: int
+class Hypothesis(Record):
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True, slots=True)
-class Reflexivity:
-    term: Term
+class Reflexivity(Record):
+    __slots__ = ("term",)
 
 
-@dataclass(frozen=True, slots=True)
-class Symmetry:
-    pass
+class Symmetry(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Transitivity:
-    pass
+class Transitivity(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Concretion:
-    var: Variable
+class Concretion(Record):
+    __slots__ = ("var",)
 
 
-@dataclass(frozen=True, slots=True)
-class Abstraction:
-    var: Variable
+class Abstraction(Record):
+    __slots__ = ("var",)
 
 
-@dataclass(frozen=True, slots=True)
-class Substitutivity:
-    var: Variable
+class Substitutivity(Record):
+    __slots__ = ("var",)
 
 
-@dataclass(frozen=True, slots=True)
-class Copy:
+class Copy(Record):
     """Carries an equation one level down unchanged; used by normalization.
     Not a rule of the logic: its certificate is the identity."""
+
+    __slots__ = ()
 
 
 RuleInstance = Union[Hypothesis, Reflexivity, Symmetry, Transitivity,
@@ -90,21 +85,24 @@ RULE_NAMES = {Hypothesis: "hyp", Reflexivity: "refl", Symmetry: "sym",
               Abstraction: "abs", Substitutivity: "subst", Copy: "copy"}
 
 
-@dataclass(frozen=True)
-class DeductionTree:
-    conclusion: Equation
-    rule: RuleInstance
-    premises: tuple["DeductionTree", ...] = ()
-    # where the step comes from, e.g. "7:3: step 'c'"; prefixes the
-    # lemma table's side-condition errors
-    origin: str = field(default="", compare=False)
+class DeductionTree(Record):
+    __slots__ = ("conclusion", "rule", "premises", "origin")
+    _compared = __slots__[:3]  # not the origin
 
-    def __post_init__(self):
-        want = RULE_ARITY[type(self.rule)]
-        if len(self.premises) != want:
+    def __init__(self, conclusion: Equation, rule: RuleInstance,
+                 premises: tuple["DeductionTree", ...] = (),
+                 origin: str = ""):
+        """`origin` says where the step comes from, e.g. "7:3: step 'c'";
+        it prefixes the lemma table's side-condition errors."""
+        want = RULE_ARITY[type(rule)]
+        if len(premises) != want:
             raise SideConditionViolated(
-                f"{RULE_NAMES[type(self.rule)]} takes {want} premises, "
-                f"got {len(self.premises)}")
+                f"{RULE_NAMES[type(rule)]} takes {want} premises, "
+                f"got {len(premises)}")
+        _set(self, "conclusion", conclusion)
+        _set(self, "rule", rule)
+        _set(self, "premises", premises)
+        _set(self, "origin", origin)
 
 
 # --- rule checking and coding ------------------------------------------------------
@@ -381,16 +379,13 @@ def paste_factorizations(f1: Factorization,
 # --- normal form for deductions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelStep:
-    equation: Equation
-    rule: RuleInstance
-    premises: tuple[int, ...]  # indices into the previous level
+class LevelStep(Record):
+    # premises: indices into the previous level
+    __slots__ = ("equation", "rule", "premises")
 
 
-@dataclass(frozen=True)
-class LevelledDeduction:
-    levels: tuple[tuple[LevelStep, ...], ...]
+class LevelledDeduction(Record):
+    __slots__ = ("levels",)  # a tuple of levels, each a tuple of LevelSteps
 
     @property
     def conclusion(self) -> Equation:

@@ -1,4 +1,4 @@
-"""The .msl front end: parsing, printing, and proof elaboration.
+"""The .msl front end: parsing and proof elaboration.
 
 The format is line-oriented:
 
@@ -28,14 +28,13 @@ ambiguous names, and `abs` binds its name to the variable it introduces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .deduction import (Abstraction, Concretion, DeductionTree,
                         Hypothesis, Reflexivity, Substitutivity, Symmetry,
                         Transitivity)
 from .errors import (DeductionError, DslSyntaxError, DuplicateSort,
-                     NameResolutionError, SideConditionViolated,
+                     NameResolutionError, Record, SideConditionViolated,
                      SignatureError, TermcatError)
 from .signature import Signature, Sort, Variable, ordered_vars, validate_signature
 from .subst import subst_expr
@@ -90,92 +89,75 @@ def end_position(text: str) -> tuple[int, int]:
 # --- raw syntax ----------------------------------------------------------------
 
 
-# Not frozen: a frozen dataclass's __init__ costs three times as much, and
-# these are the nodes a file has most of.  Nothing assigns to them after
-# parsing.
-@dataclass(slots=True, unsafe_hash=True)
-class RawName:
-    name: str
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+# A raw node's line and column take no part in `==`.  Raw nodes are not
+# frozen: an assignment in `__init__` costs a third of an
+# `object.__setattr__` call, and these are the nodes a file has most of.
+# Nothing assigns to them after parsing.
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class RawCall:
-    name: str
-    args: tuple["RawExpr", ...]
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class RawName(Record):
+    __slots__ = ("name", "line", "col")
+    _compared = ("name",)
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, name: str, line: int, col: int):
+        self.name = name
+        self.line = line
+        self.col = col
+
+
+class RawCall(Record):
+    __slots__ = ("name", "args", "line", "col")
+    _compared = ("name", "args")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, name: str, args: tuple["RawExpr", ...], line: int,
+                 col: int):
+        self.name = name
+        self.args = args
+        self.line = line
+        self.col = col
 
 
 RawExpr = Union[RawName, RawCall]
 
 Bracket = tuple[tuple[str, str], ...]  # (variable name, sort name) pairs
 
-
-@dataclass(frozen=True)
-class StepDef:
-    name: str
-    rule: str
-    eq_name: Optional[str] = None
-    steps: tuple[str, ...] = ()
-    var_name: Optional[str] = None
-    sort_name: Optional[str] = None
-    bracket: Optional[Bracket] = None
-    expr: Optional[RawExpr] = None
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+# a declaration's line and column take no part in `==`
 
 
-@dataclass(frozen=True)
-class ProofDef:
-    name: str
-    hypotheses: tuple[str, ...]  # equation names, in citation order
-    steps: tuple[StepDef, ...]
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class StepDef(Record):
+    __slots__ = ("name", "rule", "eq_name", "steps", "var_name",
+                 "sort_name", "bracket", "expr", "line", "col")
+    _compared = __slots__[:-2]
 
 
-@dataclass(frozen=True)
-class TermDecl:
-    name: str
-    bracket: Bracket
-    expr: RawExpr
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class ProofDef(Record):
+    # hypotheses: equation names, in citation order
+    __slots__ = ("name", "hypotheses", "steps", "line", "col")
+    _compared = __slots__[:-2]
 
 
-@dataclass(frozen=True)
-class EqDecl:
-    name: str
-    bracket: Bracket
-    left: RawExpr
-    right: RawExpr
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+class TermDecl(Record):
+    __slots__ = ("name", "bracket", "expr", "line", "col")
+    _compared = __slots__[:-2]
 
 
-@dataclass
-class SpecFile:
-    signature: Signature
-    sort_names: tuple[str, ...]
-    op_decls: tuple[tuple[str, tuple[str, ...], str], ...]
-    term_decls: tuple[TermDecl, ...]
-    eq_decls: tuple[EqDecl, ...]
-    proofs: tuple[ProofDef, ...]
-    terms: dict[str, Term] = field(default_factory=dict)
-    equations: dict[str, Equation] = field(default_factory=dict)
-    term_bindings: dict[str, dict[str, Variable]] = \
-        field(default_factory=dict)
-    eq_bindings: dict[str, dict[str, Variable]] = field(default_factory=dict)
+class EqDecl(Record):
+    __slots__ = ("name", "bracket", "left", "right", "line", "col")
+    _compared = __slots__[:-2]
 
-    def __eq__(self, other):
-        if not isinstance(other, SpecFile):
-            return NotImplemented
-        return (self.sort_names, self.op_decls, self.term_decls,
-                self.eq_decls, self.proofs) == \
-               (other.sort_names, other.op_decls, other.term_decls,
-                other.eq_decls, other.proofs)
+
+class SpecFile(Record):
+    """A parsed file: its declarations as written, and the terms,
+    equations and variable bindings they elaborate to, by name.  Two
+    files are equal when their declarations are."""
+
+    __slots__ = ("signature", "sort_names", "op_decls", "term_decls",
+                 "eq_decls", "proofs", "terms", "equations", "term_bindings",
+                 "eq_bindings")
+    _compared = __slots__[1:6]
+    __hash__ = None
 
     def proof(self, name: str) -> ProofDef:
         for p in self.proofs:
@@ -365,32 +347,34 @@ def _parse_proof(p: _Parser, line: int, col: int) -> ProofDef:
         p.expect("EQUALS")
         rule = p.expect("NAME")
         kind = rule[1]
-        kw_args: dict = dict(line=sline, col=scol)
+        eq_name = var_name = sort_name = bracket = expr = None
+        refs: tuple[str, ...] = ()
         if kind == "hyp":
-            kw_args["eq_name"] = p.name()
+            eq_name = p.name()
         elif kind == "refl":
-            kw_args["bracket"] = p.bracket()
-            kw_args["expr"] = p.expr()
+            bracket = p.bracket()
+            expr = p.expr()
         elif kind == "sym":
-            kw_args["steps"] = (p.name(),)
+            refs = (p.name(),)
         elif kind == "trans":
-            kw_args["steps"] = (p.name(), p.name())
+            refs = (p.name(), p.name())
         elif kind == "conc":
-            kw_args["steps"] = (p.name(),)
-            kw_args["var_name"] = p.name()
+            refs = (p.name(),)
+            var_name = p.name()
         elif kind == "abs":
-            kw_args["steps"] = (p.name(),)
-            kw_args["var_name"] = p.name()
+            refs = (p.name(),)
+            var_name = p.name()
             p.expect("COLON")
-            kw_args["sort_name"] = p.name()
+            sort_name = p.name()
         elif kind == "subst":
             first = p.name()
-            kw_args["var_name"] = p.name()
-            kw_args["steps"] = (first, p.name())
+            var_name = p.name()
+            refs = (first, p.name())
         else:
             raise DslSyntaxError(f"unknown rule {kind!r}", rule[2], rule[3])
         p.expect("SEMI")
-        steps.append(StepDef(sname, kind, **kw_args))
+        steps.append(StepDef(sname, kind, eq_name, refs, var_name, sort_name,
+                             bracket, expr, sline, scol))
     if not steps:
         raise DslSyntaxError(f"proof {name[1]!r} has no steps",
                              name[2], name[3])
@@ -457,7 +441,8 @@ def parse_spec(text: str) -> SpecFile:
     except SignatureError as exc:
         raise DslSyntaxError(str(exc), *op_locs[exc.index])
 
-    sf = SpecFile(sig, sort_names, op_decls, term_decls, eq_decls, proofs)
+    sf = SpecFile(sig, sort_names, op_decls, term_decls, eq_decls, proofs,
+                  {}, {}, {}, {})
     for td in term_decls:
         if td.name in sf.terms:
             raise NameResolutionError(f"term {td.name!r} declared twice",
@@ -491,6 +476,9 @@ def parse_spec(text: str) -> SpecFile:
         seen_proofs.add(proof.name)
         known: set[str] = set()
         for s in proof.steps:
+            if s.name in known:
+                raise NameResolutionError(f"step {s.name!r} declared twice",
+                                          s.line, s.col)
             if s.rule == "hyp" and s.eq_name not in proof.hypotheses:
                 raise NameResolutionError(
                     f"step cites {s.eq_name!r}, which is not among the "
@@ -512,10 +500,9 @@ def parse_spec(text: str) -> SpecFile:
 # --- proofs to deduction trees -------------------------------------------------------
 
 
-@dataclass
-class _StepResult:
-    tree: DeductionTree
-    names: dict[str, Optional[Variable]]
+class _StepResult(Record):
+    __slots__ = ("tree", "names")  # names: variable name -> Variable or None
+    __hash__ = None
 
 
 def _merge_names(a: dict[str, Optional[Variable]],
@@ -561,7 +548,7 @@ def build_proof(sf: SpecFile, proof: ProofDef
             # a conclusion failed to form: the rule application is invalid
             raise SideConditionViolated(
                 f"step {s.name!r}: {exc}") from exc
-    # the last step is the conclusion; a reused step name maps to its last use
+    # the last step is the conclusion
     return results[proof.steps[-1].name].tree, hypotheses
 
 
@@ -645,57 +632,3 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
                           where),
             _merge_names(p1.names, p2.names))
     raise NameResolutionError(f"unknown rule {s.rule!r}", s.line, s.col)
-
-
-# --- printing --------------------------------------------------------------------
-
-
-def _print_expr(e: RawExpr) -> str:
-    if isinstance(e, RawName):
-        return e.name
-    return f"{e.name}({', '.join(_print_expr(a) for a in e.args)})"
-
-
-def _print_bracket(bracket: Bracket) -> str:
-    inner = ", ".join(f"{v}:{s}" for v, s in bracket)
-    return f"[{inner}] " if bracket else ""
-
-
-def print_spec(sf: SpecFile) -> str:
-    """Canonical text for a parsed file; parsing it back gives an equal
-    SpecFile."""
-    lines: list[str] = []
-    if sf.sort_names:
-        lines.append("sort " + " ".join(sf.sort_names))
-    for name, inputs, output in sf.op_decls:
-        lines.append(f"op {name} : {' '.join(inputs)}"
-                     f"{' ' if inputs else ''}-> {output}")
-    for td in sf.term_decls:
-        lines.append(f"term {td.name} {_print_bracket(td.bracket)}"
-                     f": {_print_expr(td.expr)}")
-    for ed in sf.eq_decls:
-        lines.append(f"eq {ed.name} {_print_bracket(ed.bracket)}"
-                     f": {_print_expr(ed.left)} = {_print_expr(ed.right)}")
-    for proof in sf.proofs:
-        header = f"proof {proof.name} from {' '.join(proof.hypotheses)}" \
-            .rstrip()
-        lines.append(header + " {")
-        for s in proof.steps:
-            if s.rule == "hyp":
-                body = f"hyp {s.eq_name}"
-            elif s.rule == "refl":
-                body = f"refl {_print_bracket(s.bracket or ())}" \
-                    f"{_print_expr(s.expr)}"
-            elif s.rule == "sym":
-                body = f"sym {s.steps[0]}"
-            elif s.rule == "trans":
-                body = f"trans {s.steps[0]} {s.steps[1]}"
-            elif s.rule == "conc":
-                body = f"conc {s.steps[0]} {s.var_name}"
-            elif s.rule == "abs":
-                body = f"abs {s.steps[0]} {s.var_name} : {s.sort_name}"
-            else:
-                body = f"subst {s.steps[0]} {s.var_name} {s.steps[1]}"
-            lines.append(f"  {s.name} = {body} ;")
-        lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,66 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the record base class
+of its value types."""
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    """An immutable slots object that compares and hashes by type and
+    fields, so a record never equals one of another type.
+
+    `_fields` are the constructor arguments, in order: the `__slots__`
+    unless a class says otherwise.  Only the `_compared` fields (all by
+    default) take part in `==` and the hash; a class that sets `__hash__ =
+    None` is unhashable.  `repr`, `copy` and `pickle` go through the fields
+    and the constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__
+        fields = cls._fields = own.get("_fields", own["__slots__"])
+        # each field's slot setter, which bypasses `__setattr__`
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+        compared = own.get("_compared", fields)
+        # a record without compared fields is equal to any of its type
+        cls._key = attrgetter(*compared) if compared \
+            else staticmethod(lambda record: ())
+
+    def __init__(self, *args):
+        """The fields, positionally."""
+        setters = self._setters
+        if len(args) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(self._fields)}")
+        for put, value in zip(setters, args):
+            put(self, value)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class TermcatError(Exception):

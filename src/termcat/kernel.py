@@ -29,26 +29,26 @@ its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
-from .arrows import (Comp, FPArrow, FPObject, TupleArrow, arrows_equal,
+from .arrows import (Comp, FPArrow, TupleArrow, arrows_equal,
                      equation_arrows)
-from .errors import EndpointMismatch, SideConditionViolated
+from .errors import EndpointMismatch, Record, SideConditionViolated
+
+_set = object.__setattr__
 
 # --- constraints and kernel steps -----------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class EqConstraint:
-    left: FPArrow
-    right: FPArrow
+class EqConstraint(Record):
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        if self.left.src is not self.right.src \
-                or self.left.dst is not self.right.dst:
+    def __init__(self, left: FPArrow, right: FPArrow):
+        if left.src is not right.src or left.dst is not right.dst:
             raise EndpointMismatch(
                 "constraint sides have different endpoints")
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"{self.left}  ==  {self.right}"
@@ -63,43 +63,37 @@ def constraints_equal(x: EqConstraint, y: EqConstraint) -> bool:
         return False
 
 
-@dataclass(frozen=True, slots=True)
-class CiteHyp:
-    hyp: int
+# A step refers to earlier steps of its proof by 0-based index (`of`,
+# `first`, `second`) and to a premise by `hyp`; `arrow` is the arrow it
+# composes with or reflects, and `src` the shared domain of a tuple.
 
 
-@dataclass(frozen=True, slots=True)
-class Refl:
-    arrow: FPArrow
+class CiteHyp(Record):
+    __slots__ = ("hyp",)
 
 
-@dataclass(frozen=True, slots=True)
-class Sym:
-    of: int
+class Refl(Record):
+    __slots__ = ("arrow",)
 
 
-@dataclass(frozen=True, slots=True)
-class Trans:
-    first: int
-    second: int
+class Sym(Record):
+    __slots__ = ("of",)
 
 
-@dataclass(frozen=True, slots=True)
-class ComposeLeft:
-    arrow: FPArrow
-    of: int
+class Trans(Record):
+    __slots__ = ("first", "second")
 
 
-@dataclass(frozen=True, slots=True)
-class ComposeRight:
-    arrow: FPArrow
-    of: int
+class ComposeLeft(Record):
+    __slots__ = ("arrow", "of")
 
 
-@dataclass(frozen=True, slots=True)
-class TupleCong:
-    src: FPObject
-    of: tuple[int, ...]
+class ComposeRight(Record):
+    __slots__ = ("arrow", "of")
+
+
+class TupleCong(Record):
+    __slots__ = ("src", "of")
 
 
 KernelStep = Union[CiteHyp, Refl, Sym, Trans, ComposeLeft, ComposeRight,
@@ -108,26 +102,29 @@ KernelStep = Union[CiteHyp, Refl, Sym, Trans, ComposeLeft, ComposeRight,
 KernelProof = tuple[KernelStep, ...]
 
 
-@dataclass
-class Factorization:
-    hyp: tuple[EqConstraint, ...]
-    claim: tuple[EqConstraint, ...]
-    wksp: tuple[EqConstraint, ...]
-    verif: tuple[KernelProof, ...]  # one proof per claim, in order
+class Factorization(Record):
+    """Hypothesis, claim and workspace constraints, and one kernel proof
+    per claim, in order."""
 
-    def __post_init__(self):
-        if len(self.verif) != len(self.claim):
+    __slots__ = ("hyp", "claim", "wksp", "verif")
+    __hash__ = None
+
+    def __init__(self, hyp: tuple[EqConstraint, ...],
+                 claim: tuple[EqConstraint, ...],
+                 wksp: tuple[EqConstraint, ...],
+                 verif: tuple[KernelProof, ...]):
+        if len(verif) != len(claim):
             raise SideConditionViolated(
                 "verification must carry one kernel proof per claim")
+        Record.__init__(self, hyp, claim, wksp, verif)
 
 
 # --- replay ----------------------------------------------------------------------
 
 
-@dataclass
-class VerificationResult:
-    ok: bool
-    trace: tuple[str, ...]
+class VerificationResult(Record):
+    __slots__ = ("ok", "trace")  # a bool and a tuple of lines
+    __hash__ = None
 
 
 def _earlier(derived: list[EqConstraint], i: int) -> EqConstraint:

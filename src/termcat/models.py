@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 from .arrows import FPArrow, FPObject, Gen, Id, Leaf, Proj, TupleArrow
-from .errors import CarrierOutOfRange, ModelBudgetExceeded
+from .errors import CarrierOutOfRange, ModelBudgetExceeded, Record
 from .signature import Operation, Signature, Sort, Variable, ordered_vars
 from .terms import Equation, Expression, Var, var_list
 
@@ -29,11 +28,20 @@ MAX_CARRIER = 6
 MAX_MODELS = 10**6
 
 
-@dataclass
-class FiniteModel:
-    sig: Signature
-    sizes: dict[Sort, int]
-    tables: dict[str, dict[tuple[int, ...], int]]
+class FiniteModel(Record):
+    """Carrier sizes by sort, and by operation name a table from argument
+    tuples to results.  Not frozen, like the parser's raw nodes: a search
+    builds one per model, and plain assignment fills one fastest."""
+
+    __slots__ = ("sig", "sizes", "tables")
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, sig: Signature, sizes: dict[Sort, int],
+                 tables: dict[str, dict[tuple[int, ...], int]]):
+        self.sig = sig
+        self.sizes = sizes
+        self.tables = tables
 
     def carrier(self, sort: Sort) -> range:
         return range(self.sizes[sort])
@@ -164,19 +172,6 @@ def arrows_agree(model: FiniteModel, a: FPArrow, b: FPArrow,
                  src: FPObject) -> bool:
     return all(eval_arrow(model, a, pt) == eval_arrow(model, b, pt)
                for pt in points(model, src))
-
-
-def find_separating_model(sig: Signature, a: FPArrow, b: FPArrow,
-                          src: FPObject, max_size: int,
-                          rng: random.Random, attempts: int = 4000):
-    """Search random models (carriers <= max_size) for one where the two
-    arrows disagree at some point.  Returns (model, point) or None."""
-    for _ in range(attempts):
-        model = random_model(sig, max_size, rng)
-        for pt in points(model, src):
-            if eval_arrow(model, a, pt) != eval_arrow(model, b, pt):
-                return model, pt
-    return None
 
 
 def _column_program(eq: Equation, occurring: tuple[Variable, ...]):

@@ -9,14 +9,16 @@ lists, projection indices) leans on that order being fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import DuplicateOperation, DuplicateSort, UnknownSortInArity
+from .errors import (DuplicateOperation, DuplicateSort, Record,
+                     UnknownSortInArity)
 
 if TYPE_CHECKING:
     from .terms import Expression
 
+
+_set = object.__setattr__
 
 # Sorts and operations are hashed on every intern lookup and with every
 # equation that holds them, so each computes its value's hash once.  A
@@ -24,41 +26,34 @@ if TYPE_CHECKING:
 # of a string differs between processes.
 
 
-@dataclass(frozen=True, slots=True)
-class Sort:
-    index: int  # position in the owning signature's declaration list
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+class Sort(Record):
+    __slots__ = ("index", "name", "_hash")
+    _fields = ("index", "name")  # index: position in the signature's list
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.index, self.name)))
+    def __init__(self, index: int, name: str):
+        _set(self, "index", index)
+        _set(self, "name", name)
+        _set(self, "_hash", hash((index, name)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return Sort, (self.index, self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Operation:
-    name: str
-    inputs: tuple[Sort, ...]
-    output: Sort
-    _hash: int = field(init=False, repr=False, compare=False)
+class Operation(Record):
+    __slots__ = ("name", "inputs", "output", "_hash")
+    _fields = ("name", "inputs", "output")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.name, self.inputs, self.output)))
+    def __init__(self, name: str, inputs: tuple[Sort, ...], output: Sort):
+        _set(self, "name", name)
+        _set(self, "inputs", inputs)
+        _set(self, "output", output)
+        _set(self, "_hash", hash((name, inputs, output)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return Operation, (self.name, self.inputs, self.output)
 
     def __str__(self) -> str:
         inp = " ".join(s.name for s in self.inputs)
@@ -66,10 +61,12 @@ class Operation:
             f"{self.name} : -> {self.output.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    sort: Sort
-    num: int  # 1-based subscript within the sort
+class Variable(Record):
+    __slots__ = ("sort", "num")  # num: 1-based subscript within the sort
+
+    def __init__(self, sort: Sort, num: int):
+        _set(self, "sort", sort)
+        _set(self, "num", num)
 
     def __hash__(self) -> int:
         # equal variables have equal sorts, so equal sort indices; hashing
@@ -92,21 +89,18 @@ def ordered_vars(vs: Iterable[Variable]) -> tuple[Variable, ...]:
     return tuple(by_key[k] for k in sorted(by_key))
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
-    sorts: tuple[Sort, ...]
-    operations: tuple[Operation, ...]
-    # name lookups, built once; the first declaration of a name wins
-    sort_named: dict[str, Sort] = field(
-        init=False, repr=False, compare=False, hash=False)
-    operation_named: dict[str, Operation] = field(
-        init=False, repr=False, compare=False, hash=False)
+class Signature(Record):
+    __slots__ = ("sorts", "operations", "sort_named", "operation_named")
+    _fields = ("sorts", "operations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sort_named",
-                           {s.name: s for s in reversed(self.sorts)})
-        object.__setattr__(self, "operation_named",
-                           {op.name: op for op in reversed(self.operations)})
+    def __init__(self, sorts: tuple[Sort, ...],
+                 operations: tuple[Operation, ...]):
+        _set(self, "sorts", sorts)
+        _set(self, "operations", operations)
+        # name lookups, built once; the first declaration of a name wins
+        _set(self, "sort_named", {s.name: s for s in reversed(sorts)})
+        _set(self, "operation_named",
+             {op.name: op for op in reversed(operations)})
 
     def sort(self, name: str) -> Sort:
         return self.sort_named[name]

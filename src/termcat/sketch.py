@@ -9,23 +9,21 @@ a terminal object in any model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .signature import Operation, Signature, Sort
+from .errors import Record
+from .signature import Signature, Sort
 
 
-@dataclass(frozen=True, slots=True)
-class SortNode:
-    sort: Sort
+class SortNode(Record):
+    __slots__ = ("sort",)
 
     def __str__(self) -> str:
         return self.sort.name
 
 
-@dataclass(frozen=True, slots=True)
-class ListNode:
-    arity: tuple[Sort, ...]
+class ListNode(Record):
+    __slots__ = ("arity",)
 
     def __str__(self) -> str:
         return "(" + ", ".join(s.name for s in self.arity) + ")"
@@ -34,9 +32,8 @@ class ListNode:
 SketchNode = Union[SortNode, ListNode]
 
 
-@dataclass(frozen=True, slots=True)
-class OpArrow:
-    op: Operation
+class OpArrow(Record):
+    __slots__ = ("op",)
 
     @property
     def source(self) -> ListNode:
@@ -50,15 +47,14 @@ class OpArrow:
         return f"{self.op.name}: {self.source} -> {self.target}"
 
 
-@dataclass(frozen=True, slots=True)
-class ProjArrow:
-    node: ListNode
-    index: int  # 1-based
+class ProjArrow(Record):
+    __slots__ = ("node", "index")  # index: 1-based
 
-    def __post_init__(self):
-        if not 1 <= self.index <= len(self.node.arity):
-            raise ValueError(f"projection index {self.index} out of range "
-                             f"for {self.node}")
+    def __init__(self, node: ListNode, index: int):
+        if not 1 <= index <= len(node.arity):
+            raise ValueError(f"projection index {index} out of range "
+                             f"for {node}")
+        Record.__init__(self, node, index)
 
     @property
     def target(self) -> SortNode:
@@ -68,17 +64,12 @@ class ProjArrow:
         return f"p{self.index}: {self.node} -> {self.target}"
 
 
-@dataclass(frozen=True, slots=True)
-class Cone:
-    vertex: ListNode
-    legs: tuple[ProjArrow, ...]
+class Cone(Record):
+    __slots__ = ("vertex", "legs")
 
 
-@dataclass(frozen=True, slots=True)
-class Sketch:
-    nodes: tuple[SketchNode, ...]
-    arrows: tuple[Union[OpArrow, ProjArrow], ...]
-    cones: tuple[Cone, ...]
+class Sketch(Record):
+    __slots__ = ("nodes", "arrows", "cones")
 
 
 def shared_arity_dedup(sig: Signature) -> dict[tuple[Sort, ...], ListNode]:

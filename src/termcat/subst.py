@@ -9,30 +9,27 @@ suite exercises that equivalence at scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .arrows import FPArrow, Comp, TupleArrow, context_arrow, term_arrow
-from .errors import MissingVariables, SortMismatch, UninhabitedFill
+from .errors import MissingVariables, Record, SortMismatch, UninhabitedFill
 from .signature import Sort, Variable, ordered_vars
 from .terms import App, Expression, Term, Var
 
 
-@dataclass(frozen=True, slots=True)
-class SubstInstance:
-    target: Term
-    var: Variable
-    replacement: Term
+class SubstInstance(Record):
+    __slots__ = ("target", "var", "replacement")
 
-    def __post_init__(self):
-        if self.var not in self.target.vars:
+    def __init__(self, target: Term, var: Variable, replacement: Term):
+        if var not in target.vars:
             raise MissingVariables(
-                f"{self.var} is not among the target term's variables",
-                variables=(self.var,))
-        if self.replacement.sort != self.var.sort:
+                f"{var} is not among the target term's variables",
+                variables=(var,))
+        if replacement.sort != var.sort:
             raise SortMismatch(
-                f"cannot substitute a term of sort {self.replacement.sort} "
-                f"for {self.var}")
+                f"cannot substitute a term of sort {replacement.sort} "
+                f"for {var}")
+        Record.__init__(self, target, var, replacement)
 
     def result_vars(self) -> tuple[Variable, ...]:
         kept = tuple(v for v in self.target.vars if v != self.var)

@@ -8,17 +8,20 @@ same sort over one shared variable set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import (ArityMismatch, MissingVariables, SortMismatch,
+from .errors import (ArityMismatch, MissingVariables, Record, SortMismatch,
                      TypeDisagrees)
 from .signature import Operation, Signature, Sort, Variable, ordered_vars
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    var: Variable
+
+class Var(Record):
+    __slots__ = ("var",)
+
+    def __init__(self, var: Variable):
+        _set(self, "var", var)
 
     @property
     def sort(self) -> Sort:
@@ -28,19 +31,16 @@ class Var:
         return str(self.var)
 
 
-@dataclass(frozen=True, slots=True)
-class App:
-    op: Operation
-    args: tuple["Expression", ...]
+class App(Record):
+    __slots__ = ("op", "args")
 
-    def __post_init__(self):
-        args, inputs = self.args, self.op.inputs
+    def __init__(self, op: Operation, args: tuple["Expression", ...]):
+        inputs = op.inputs
         if type(args) is not tuple:
             args = tuple(args)
-            object.__setattr__(self, "args", args)
         if len(args) != len(inputs):
             raise ArityMismatch(
-                f"{self.op.name} expects {len(inputs)} arguments, "
+                f"{op.name} expects {len(inputs)} arguments, "
                 f"got {len(args)}")
         for i, (arg, want) in enumerate(zip(args, inputs), 1):
             got = arg.sort
@@ -48,8 +48,10 @@ class App:
             # almost every check
             if got is not want and got != want:
                 raise SortMismatch(
-                    f"argument {i} of {self.op.name} has sort {got}, "
+                    f"argument {i} of {op.name} has sort {got}, "
                     f"expected {want}", position=i)
+        _set(self, "op", op)
+        _set(self, "args", args)
 
     @property
     def sort(self) -> Sort:
@@ -114,25 +116,26 @@ def type_set(e: Expression) -> tuple[Sort, ...]:
     return tuple(sorted(set(type_list(e)), key=lambda s: s.index))
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
-    expr: Expression
-    vars: tuple[Variable, ...]  # canonical order, duplicate free
-    sort: Sort
+class Term(Record):
+    __slots__ = ("expr", "vars", "sort")  # vars: canonical, duplicate free
 
-    def __post_init__(self):
-        if self.vars != ordered_vars(self.vars):
+    def __init__(self, expr: Expression, vars: tuple[Variable, ...],
+                 sort: Sort):
+        if vars != ordered_vars(vars):
             raise TypeDisagrees("term variable set is not in canonical order")
-        missing = set(var_list(self.expr)).difference(self.vars)
+        missing = set(var_list(expr)).difference(vars)
         if missing:
             raise MissingVariables(
                 "term omits variables occurring in its expression: "
                 + ", ".join(str(v) for v in sorted(missing, key=Variable.key)),
                 variables=sorted(missing, key=Variable.key))
-        if self.expr.sort != self.sort:
+        if expr.sort != sort:
             raise TypeDisagrees(
-                f"stated sort {self.sort} disagrees with expression sort "
-                f"{self.expr.sort}")
+                f"stated sort {sort} disagrees with expression sort "
+                f"{expr.sort}")
+        _set(self, "expr", expr)
+        _set(self, "vars", vars)
+        _set(self, "sort", sort)
 
     def __str__(self) -> str:
         vs = ", ".join(str(v) for v in self.vars)
@@ -143,37 +146,27 @@ def make_term(e: Expression, vs: Iterable[Variable], sort: Sort) -> Term:
     return Term(e, ordered_vars(vs), sort)
 
 
-def input_types(t: Term) -> tuple[Sort, ...]:
-    """Sorts of the term's variables in canonical order (with repetitions)."""
-    return tuple(v.sort for v in t.vars)
+class Equation(Record):
+    __slots__ = ("left", "right", "vars")
 
-
-def most_concrete_term(e: Expression) -> Term:
-    """The unique term over `e` whose variable set is exactly var_set(e)."""
-    return Term(e, var_set(e), e.sort)
-
-
-@dataclass(frozen=True, slots=True)
-class Equation:
-    left: Expression
-    right: Expression
-    vars: tuple[Variable, ...]
-
-    def __post_init__(self):
-        if self.left.sort != self.right.sort:
+    def __init__(self, left: Expression, right: Expression,
+                 vars: tuple[Variable, ...]):
+        if left.sort != right.sort:
             raise SortMismatch(
-                f"equation sides have sorts {self.left.sort} and "
-                f"{self.right.sort}")
-        if self.vars != ordered_vars(self.vars):
+                f"equation sides have sorts {left.sort} and {right.sort}")
+        if vars != ordered_vars(vars):
             raise TypeDisagrees(
                 "equation variable set is not in canonical order")
-        missing = set(var_list(self.left)).union(
-            var_list(self.right)).difference(self.vars)
+        missing = set(var_list(left)).union(
+            var_list(right)).difference(vars)
         if missing:
             raise MissingVariables(
                 "equation omits variables occurring in its sides: "
                 + ", ".join(str(v) for v in sorted(missing, key=Variable.key)),
                 variables=sorted(missing, key=Variable.key))
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "vars", vars)
 
     @property
     def sort(self) -> Sort:
@@ -187,7 +180,3 @@ class Equation:
 def make_equation(left: Expression, right: Expression,
                   vs: Iterable[Variable]) -> Equation:
     return Equation(left, right, ordered_vars(vs))
-
-
-def most_concrete_equation(left: Expression, right: Expression) -> Equation:
-    return make_equation(left, right, var_set(left) + var_set(right))

@@ -1,10 +1,20 @@
 """Shared concrete signatures, variable helpers and the certificate route
-for the tests."""
+for the tests, and the helpers only tests call: normal forms back to
+arrows, most concrete terms and equations, a random search for a model
+that separates two arrows, and the .msl printer."""
 
 from __future__ import annotations
 
+import random
+
+from termcat.arrows import (Comp, FPArrow, FPObject, Gen, GenApp, Id,
+                            NormalArrow, NormalBody, Path, Proj, TupleArrow)
 from termcat.deduction import compile_to_factorization, normalize_deduction
-from termcat.signature import Signature, Variable, validate_signature
+from termcat.dsl import Bracket, RawExpr, RawName, SpecFile
+from termcat.models import eval_arrow, points, random_model
+from termcat.signature import Signature, Sort, Variable, validate_signature
+from termcat.terms import (Equation, Expression, Term, make_equation,
+                           var_set)
 
 
 def running_signature() -> Signature:
@@ -38,6 +48,127 @@ def v(sig: Signature, sort_index: int, num: int) -> Variable:
     return Variable(sig.sorts[sort_index - 1], num)
 
 
+def replace(record, **changes):
+    """`record` rebuilt through its constructor with some fields changed."""
+    assert set(changes) <= set(record._fields), changes
+    return type(record)(*(changes[f] if f in changes else getattr(record, f)
+                          for f in record._fields))
+
+
 def certify(sig: Signature, tree, hyps):
     """The certificate `check-proof` builds: levelled form, then assembly."""
     return compile_to_factorization(sig, normalize_deduction(tree), hyps)
+
+
+# --- normal forms back to arrows ----------------------------------------------
+
+
+def embed(n: NormalArrow) -> FPArrow:
+    """Turn a normal form back into raw arrow syntax."""
+    return _embed_body(n.body, n.src)
+
+
+def _embed_path(steps: tuple[int, ...], src: FPObject) -> FPArrow:
+    arrow: FPArrow = Id(src)
+    obj = src
+    for step in steps:
+        p = Proj(obj, step)
+        arrow = p if isinstance(arrow, Id) else Comp(p, arrow)
+        obj = p.dst
+    return arrow
+
+
+def _embed_body(body: NormalBody, src: FPObject) -> FPArrow:
+    if isinstance(body, Path):
+        return _embed_path(body.steps, src)
+    if isinstance(body, GenApp):
+        inner = TupleArrow(src, tuple(_embed_body(a, src) for a in body.args))
+        return Comp(Gen(body.op), inner)
+    return TupleArrow(src, tuple(_embed_body(p, src) for p in body.parts))
+
+
+# --- most concrete terms and equations -----------------------------------------
+
+
+def input_types(t: Term) -> tuple[Sort, ...]:
+    """Sorts of the term's variables in canonical order (with repetitions)."""
+    return tuple(v.sort for v in t.vars)
+
+
+def most_concrete_term(e: Expression) -> Term:
+    """The unique term over `e` whose variable set is exactly var_set(e)."""
+    return Term(e, var_set(e), e.sort)
+
+
+def most_concrete_equation(left: Expression, right: Expression) -> Equation:
+    return make_equation(left, right, var_set(left) + var_set(right))
+
+
+# --- separating models -----------------------------------------------------------
+
+
+def find_separating_model(sig: Signature, a: FPArrow, b: FPArrow,
+                          src: FPObject, max_size: int,
+                          rng: random.Random, attempts: int = 4000):
+    """Search random models (carriers <= max_size) for one where the two
+    arrows disagree at some point.  Returns (model, point) or None."""
+    for _ in range(attempts):
+        model = random_model(sig, max_size, rng)
+        for pt in points(model, src):
+            if eval_arrow(model, a, pt) != eval_arrow(model, b, pt):
+                return model, pt
+    return None
+
+
+# --- printing .msl ----------------------------------------------------------------
+
+
+def _print_expr(e: RawExpr) -> str:
+    if isinstance(e, RawName):
+        return e.name
+    return f"{e.name}({', '.join(_print_expr(a) for a in e.args)})"
+
+
+def _print_bracket(bracket: Bracket) -> str:
+    inner = ", ".join(f"{v}:{s}" for v, s in bracket)
+    return f"[{inner}] " if bracket else ""
+
+
+def print_spec(sf: SpecFile) -> str:
+    """Canonical text for a parsed file; parsing it back gives an equal
+    SpecFile."""
+    lines: list[str] = []
+    if sf.sort_names:
+        lines.append("sort " + " ".join(sf.sort_names))
+    for name, inputs, output in sf.op_decls:
+        lines.append(f"op {name} : {' '.join(inputs)}"
+                     f"{' ' if inputs else ''}-> {output}")
+    for td in sf.term_decls:
+        lines.append(f"term {td.name} {_print_bracket(td.bracket)}"
+                     f": {_print_expr(td.expr)}")
+    for ed in sf.eq_decls:
+        lines.append(f"eq {ed.name} {_print_bracket(ed.bracket)}"
+                     f": {_print_expr(ed.left)} = {_print_expr(ed.right)}")
+    for proof in sf.proofs:
+        header = f"proof {proof.name} from {' '.join(proof.hypotheses)}" \
+            .rstrip()
+        lines.append(header + " {")
+        for s in proof.steps:
+            if s.rule == "hyp":
+                body = f"hyp {s.eq_name}"
+            elif s.rule == "refl":
+                body = f"refl {_print_bracket(s.bracket or ())}" \
+                    f"{_print_expr(s.expr)}"
+            elif s.rule == "sym":
+                body = f"sym {s.steps[0]}"
+            elif s.rule == "trans":
+                body = f"trans {s.steps[0]} {s.steps[1]}"
+            elif s.rule == "conc":
+                body = f"conc {s.steps[0]} {s.var_name}"
+            elif s.rule == "abs":
+                body = f"abs {s.steps[0]} {s.var_name} : {s.sort_name}"
+            else:
+                body = f"subst {s.steps[0]} {s.var_name} {s.steps[1]}"
+            lines.append(f"  {s.name} = {body} ;")
+        lines.append("}")
+    return "\n".join(lines) + "\n"

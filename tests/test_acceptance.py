@@ -10,8 +10,8 @@ import json
 import random
 import time
 
-from fixtures import binary_signature, running_signature, subst_signature, \
-    unary_signature, v
+from fixtures import binary_signature, find_separating_model, \
+    running_signature, subst_signature, unary_signature, v
 from gen import (gen_deduction_tree, gen_equation, gen_expression,
                  gen_signature, gen_subst_instance, gen_term)
 from termcat.arrows import (Comp, GenApp, Id, Path, Prod, Proj, TERMINAL,
@@ -28,8 +28,7 @@ from termcat.deduction import (Abstraction, Concretion, Reflexivity,
 from termcat.errors import (MiddleTermMismatch, SideConditionViolated,
                             UninhabitedFill)
 from termcat.kernel import verify_factorization
-from termcat.models import (enumerate_models, eval_arrow,
-                            find_separating_model, points, satisfies)
+from termcat.models import enumerate_models, eval_arrow, points, satisfies
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_arrow_direct, subst_expr, subst_term
 from termcat.terms import (App, Var, make_equation, make_term,

@@ -432,6 +432,18 @@ def test_syntax_error_lines(text, message, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_duplicate_step_name_exit_2(json_flag, tmp_path, capsys):
+    # the second `a` would shadow the first
+    f = tmp_path / "dup.msl"
+    f.write_text("sort s\nop m : s s -> s\nop e : -> s\n"
+                 "eq lunit [x:s] : m(e, x) = x\n"
+                 "proof p from lunit { a = hyp lunit ; a = sym a ; }\n")
+    assert run(["check-proof", *json_flag, str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 5:38: step 'a' declared twice\n")
+
+
 def test_missing_file_exit_2(capsys):
     assert run(["sketch", "/nonexistent/x.msl"]) == 2
     capsys.readouterr()

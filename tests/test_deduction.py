@@ -1,13 +1,12 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import binary_signature, certify, unary_signature, v
+from fixtures import binary_signature, certify, replace, unary_signature, v
 from gen import gen_deduction_tree, gen_equation
 from termcat import deduction
 from termcat.arrows import arrows_equal, normalize, term_arrow
@@ -487,20 +486,20 @@ def _mutate_tree(rng, sig, hyps, tree):
     target = rng.choice(nodes)
     kind = rng.choice(["conclusion", "hypothesis", "rule"])
     if kind == "hypothesis" and isinstance(target.rule, Hypothesis):
-        new = dataclasses.replace(target, rule=Hypothesis(
+        new = replace(target, rule=Hypothesis(
             rng.choice([-1, len(hyps), (target.rule.index + 1) % len(hyps)])))
     elif kind == "rule" and len(target.premises) == 1:
         x = rng.choice(target.conclusion.vars or (Variable(sig.sorts[0], 7),))
-        new = dataclasses.replace(target, rule=rng.choice(
+        new = replace(target, rule=rng.choice(
             [Symmetry(), Concretion(x), Abstraction(x)]))
     else:
-        new = dataclasses.replace(
+        new = replace(
             target, conclusion=gen_equation(rng, sig, depth=2))
     rebuilt = {id(target): new}
     for node in nodes:
         if id(node) not in rebuilt and any(id(p) in rebuilt
                                            for p in node.premises):
-            rebuilt[id(node)] = dataclasses.replace(node, premises=tuple(
+            rebuilt[id(node)] = replace(node, premises=tuple(
                 rebuilt.get(id(p), p) for p in node.premises))
     return rebuilt.get(id(tree), tree)
 

@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from fixtures import certify
+from fixtures import certify, print_spec
 from termcat.deduction import normalize_deduction, verify_factorization
-from termcat.dsl import _tokenize, build_proof, parse_spec, print_spec
+from termcat.dsl import _tokenize, build_proof, parse_spec
 from termcat.errors import (DslSyntaxError, NameResolutionError,
                             SideConditionViolated)
 from termcat.signature import Variable

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import print_spec
 from termcat.cli import run
-from termcat.dsl import _tokenize, end_position, parse_spec, print_spec
+from termcat.dsl import _tokenize, end_position, parse_spec
 from termcat.errors import DslSyntaxError, TermcatError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"

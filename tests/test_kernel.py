@@ -21,7 +21,6 @@ must reject every one of them.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import random
 import sys
 from collections import Counter
@@ -31,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import binary_signature, certify, unary_signature
+from fixtures import binary_signature, certify, replace, unary_signature
 from gen import gen_deduction_tree, gen_equation
 from termcat import kernel, models
 from termcat.arrows import Comp, TupleArrow
@@ -171,15 +170,15 @@ def _retarget(rng, step, size, negative=False):
     def index():
         return -rng.randint(1, size) if negative else rng.randrange(size)
 
-    field = rng.choice([f.name for f in dataclasses.fields(step)
-                        if f.name in ("of", "first", "second")])
+    field = rng.choice([f for f in step._fields
+                        if f in ("of", "first", "second")])
     old = getattr(step, field)
     if isinstance(old, tuple):
         k = rng.randrange(len(old))
         new = old[:k] + (index(),) + old[k + 1:]
     else:
         new = index()
-    return dataclasses.replace(step, **{field: new})
+    return replace(step, **{field: new})
 
 
 def _swap_arrow(rng, step, pool):
@@ -187,7 +186,7 @@ def _swap_arrow(rng, step, pool):
     # kernel's semantic checks have to catch it
     same = [a for a in pool if a.src is step.arrow.src
             and a.dst is step.arrow.dst and a is not step.arrow]
-    return dataclasses.replace(step, arrow=rng.choice(
+    return replace(step, arrow=rng.choice(
         same if same and rng.random() < 0.8 else pool))
 
 

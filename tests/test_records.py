@@ -1,0 +1,202 @@
+"""The package's value types are plain slots records: what a launch imports,
+and the value semantics every record keeps.
+
+`import termcat.cli` loads neither `dataclasses` nor the `inspect` it pulls
+in.  Every record compares and hashes by its type and its compared fields,
+so records of different types never meet as equal in `==`, a dict or a set.
+"""
+
+from __future__ import annotations
+
+import ast
+import copy
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fixtures import replace
+from termcat.arrows import (TERMINAL, GenApp, Id, Leaf, NTuple, Path as NPath,
+                            _Node, term_normal)
+from termcat.deduction import (Abstraction, Concretion, Copy, Hypothesis,
+                               Reflexivity, Substitutivity, Symmetry,
+                               Transitivity, compile_to_factorization,
+                               normalize_deduction)
+from termcat.dsl import RawCall, RawName, _StepResult, build_proof, parse_spec
+from termcat.errors import Record
+from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, Refl, Sym,
+                            Trans, TupleCong, VerificationResult)
+from termcat.models import FiniteModel
+from termcat.signature import Sort, Variable
+from termcat.sketch import ListNode, OpArrow, ProjArrow, SortNode, \
+    sketch_of_signature
+from termcat.subst import SubstInstance
+from termcat.terms import App, Var
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# --- what a launch imports ----------------------------------------------------
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+            "import termcat.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted((SRC / "termcat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [path.name for n in names
+                      if n.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+# --- one record of every type -----------------------------------------------------
+
+SF = parse_spec((ROOT / "corpus" / "monoid.msl").read_text(encoding="utf-8"))
+SIG = SF.signature
+S = SIG.sorts[0]
+M = SIG.operation("m")
+X = Variable(S, 1)
+T1 = SF.terms["t1"]
+TREE, HYPS = build_proof(SF, SF.proof("comm_twice"))
+LEVELLED = normalize_deduction(TREE)
+CERT = compile_to_factorization(SIG, LEVELLED, HYPS)
+SKETCH = sketch_of_signature(SIG)
+ARROW = Id(Leaf(S))
+
+RECORDS = [
+    # signature, terms
+    S, M, X, SIG, Var(X), App(SIG.operation("e"), ()), T1,
+    SF.equations["comm"],
+    # normal forms
+    NPath((1,)), GenApp(M, (NPath((1,)), NPath((2,)))), NTuple(()),
+    term_normal(T1),
+    # kernel
+    CERT.claim[0], CiteHyp(0), Refl(ARROW), Sym(0), Trans(0, 1),
+    ComposeLeft(ARROW, 0), ComposeRight(ARROW, 0), TupleCong(TERMINAL, (0,)),
+    CERT, VerificationResult(True, ("ok",)),
+    # deduction
+    Hypothesis(0), Reflexivity(T1), Symmetry(), Transitivity(),
+    Concretion(X), Abstraction(X), Substitutivity(X), Copy(), TREE,
+    LEVELLED.levels[0][0], LEVELLED,
+    # the front end
+    RawName("x", 1, 2), RawCall("m", (RawName("x", 1, 3),), 1, 1),
+    SF.proofs[0].steps[0], SF.proofs[0], SF.term_decls[0], SF.eq_decls[0], SF,
+    _StepResult(TREE, {"x": X}),
+    # sketch
+    SortNode(S), ListNode((S, S)), OpArrow(M), ProjArrow(ListNode((S, S)), 2),
+    SKETCH.cones[0], SKETCH,
+    # substitution, models
+    SubstInstance(T1, SF.term_bindings["t1"]["y"], SF.terms["double"]),
+    FiniteModel(SIG, {S: 1}, {"m": {(0, 0): 0}, "e": {(): 0}}),
+]
+
+UNHASHABLE = {"Factorization", "VerificationResult", "SpecFile",
+              "_StepResult", "FiniteModel"}
+# built in bulk, by the parser and the model search, and cheaper to build
+# mutable
+MUTABLE = {"RawName", "RawCall", "FiniteModel"}
+
+
+def _record_types(cls=Record):
+    for sub in cls.__subclasses__():
+        if not issubclass(sub, _Node):
+            yield sub
+            yield from _record_types(sub)
+
+
+def test_the_list_holds_every_record_type():
+    assert sorted(type(r).__name__ for r in RECORDS) == \
+        sorted(t.__name__ for t in _record_types())
+    assert len(RECORDS) == 49
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_rebuilt_record_is_equal(record):
+    for again in (copy.copy(record), copy.deepcopy(record),
+                  pickle.loads(pickle.dumps(record)),
+                  replace(record)):
+        assert again is not record
+        assert again == record and not again != record
+        assert repr(again) == repr(record)
+        if type(record).__name__ not in UNHASHABLE:
+            assert hash(again) == hash(record)
+    if type(record).__name__ in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    assert not isinstance(record, tuple)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_refuse_assignment(record):
+    if type(record).__name__ in MUTABLE or not record._fields:
+        return
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert getattr(record, name) is not None
+
+
+@pytest.mark.parametrize("a, b", [
+    (Sym(0), CiteHyp(0)), (Concretion(X), Abstraction(X)),
+    (Abstraction(X), Substitutivity(X)), (Symmetry(), Transitivity()),
+    (Symmetry(), Copy()), (ComposeLeft(ARROW, 0), ComposeRight(ARROW, 0)),
+    (SortNode(S), Leaf(S)), (NTuple(()), TERMINAL),
+], ids=lambda r: type(r).__name__)
+def test_records_of_different_types_differ(a, b):
+    assert a != b and b != a
+    assert len({a, b}) == 2 and len({a: 0, b: 1}) == 2
+
+
+def test_uncompared_fields_are_ignored():
+    step = SF.proofs[0].steps[0]
+    pairs = [(RawName("x", 1, 2), RawName("x", 3, 4)),
+             (RawCall("f", (), 1, 2), RawCall("f", (), 3, 4)),
+             (step, replace(step, line=99, col=98)),
+             (SF.proofs[0], replace(SF.proofs[0], line=99)),
+             (SF.term_decls[0], replace(SF.term_decls[0], col=99)),
+             (SF.eq_decls[0], replace(SF.eq_decls[0], line=0, col=0)),
+             (TREE, replace(TREE, origin="elsewhere")),
+             (SF, replace(SF, terms={}))]
+    for a, b in pairs:
+        assert a == b, type(a).__name__
+        if type(a).__name__ not in UNHASHABLE:
+            assert hash(a) == hash(b)
+    assert RawName("x", 1, 2) != RawName("y", 1, 2)
+    assert TREE != replace(TREE, rule=Symmetry())
+
+
+def test_sorts_operations_and_variables_survive_pickle_and_copy():
+    for x in (S, M, X):
+        for again in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+                      copy.deepcopy(x)):
+            assert again == x and hash(again) == hash(x)
+            assert str(again) == str(x)
+    assert repr(S) == "Sort(index=0, name='s')"
+    assert repr(X) == "Variable(sort=Sort(index=0, name='s'), num=1)"
+    assert Sort(0, "s") == S and Sort(1, "s") != S
+
+
+def test_constructor_arguments_are_checked():
+    for make in (lambda: CiteHyp(), lambda: Trans(0), lambda: Trans(0, 1, 2),
+                 lambda: Sym(of=0)):
+        with pytest.raises(TypeError):
+            make()

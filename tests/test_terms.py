@@ -5,14 +5,14 @@ import random
 
 import pytest
 
-from fixtures import running_signature, v
+from fixtures import (input_types, most_concrete_equation, most_concrete_term,
+                      running_signature, v)
 from gen import gen_expression, gen_signature
 from termcat.errors import (MissingVariables, SortMismatch, TypeDisagrees)
 from termcat.signature import Variable
-from termcat.terms import (App, Term, Var, input_types, make_equation,
-                           make_term, most_concrete_equation,
-                           most_concrete_term, type_list, type_of_expression,
-                           type_set, var_list, var_set)
+from termcat.terms import (App, Term, Var, make_equation, make_term,
+                           type_list, type_of_expression, type_set, var_list,
+                           var_set)
 
 
 def worked_expression(sig):
