@@ -23,12 +23,20 @@ canonical variable order (and with it every projection index) is fixed by
 the text alone.  Within a proof, variable names travel with the derived
 equations: cited equations contribute their bracket names, merges drop
 ambiguous names, and `abs` binds its name to the variable it introduces.
+
+One pass, no recursion: the scanner splits the whole text into token
+strings with one `findall`; the parser writes each expression as its names
+in prefix order, with argument counts; elaboration turns those into
+expressions with an explicit stack.  A token's line and column are
+computed from the text only when an error or a proof step's origin needs
+them.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional, Union
+from itertools import islice
+from typing import Optional
 
 from .deduction import (Abstraction, Concretion, DeductionTree,
                         Hypothesis, Reflexivity, Substitutivity, Symmetry,
@@ -36,126 +44,141 @@ from .deduction import (Abstraction, Concretion, DeductionTree,
 from .errors import (DeductionError, DslSyntaxError, DuplicateSort,
                      NameResolutionError, Record, SideConditionViolated,
                      SignatureError, TermcatError)
-from .signature import Signature, Sort, Variable, ordered_vars, validate_signature
+from .signature import Signature, Variable, ordered_vars, validate_signature
 from .subst import subst_expr
-from .terms import (App, Equation, Expression, Var, make_equation,
-                    make_term)
+from .terms import App, Equation, Expression, Term, Var, make_equation
 
 # --- tokens ------------------------------------------------------------------
 
-# leading blanks, then one token: a symbol, a name, or any other
-# character.  `findall` hands back both as plain strings, so a column is
-# a running sum and no match object is built per token.
-_TOKEN_RE = re.compile(r"(\s*)(?:(->|[()\[\]{}:,;=])|([A-Za-z_][A-Za-z0-9_]*)"
-                       r"|(\S))")
-_SYMBOLS = {"->": "ARROW", "(": "LPAREN", ")": "RPAREN", "[": "LBRACK",
-            "]": "RBRACK", "{": "LBRACE", "}": "RBRACE", ":": "COLON",
-            ",": "COMMA", ";": "SEMI", "=": "EQUALS"}
+# the line breaks `str.splitlines` honours, besides "\n"
+_OTHER_BREAKS = re.compile(r"[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+# blanks, then a token as group 1: "\n", a symbol or a name.  Any other
+# character matches outside the group, so `findall` gives "" for it.
+_TOKEN_RE = re.compile(r"[^\S\n]*(?:(->|[()\[\]{}:,;=\n]|[A-Za-z_][A-Za-z0-9_]*)"
+                       r"|\S)")
+EOF = ""  # ends the token list; the scanner lets no other "" through
 
-# (kind, text, line, col); plain tuples, as the parser reads them by index
-Token = tuple[str, str, int, int]
+_NOT_NAME = frozenset(["->", "(", ")", "[", "]", "{", "}", ":", ",", ";",
+                       "=", "\n", EOF])
+# how messages name a symbol the parser expected, or a token without text
+_KINDS = {"->": "ARROW", ")": "RPAREN", "]": "RBRACK", "{": "LBRACE",
+          ":": "COLON", ";": "SEMI", "=": "EQUALS"}
+_SHOWN = {"\n": "NEWLINE", EOF: "EOF"}
 
 
-def _tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    add = out.append
-    lines = text.splitlines()
-    for ln, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0]
-        col = 1
-        for blanks, symbol, name, other in _TOKEN_RE.findall(line):
-            col += len(blanks)
-            if name:
-                add(("NAME", name, ln, col))
-                col += len(name)
-            elif symbol:
-                add((_SYMBOLS[symbol], symbol, ln, col))
-                col += len(symbol)
-            else:
-                raise DslSyntaxError(f"unexpected character {other!r}",
-                                     ln, col)
-        add(("NEWLINE", "", ln, len(line) + 1))
-    add(("EOF", "", len(lines) + 1, 1))
+def _scan(text: str) -> tuple[str, list[str]]:
+    """The text with every line break made "\\n", a final one added and the
+    comments cut, which moves no token to another line or column; and its
+    tokens, "\\n" ending each line, then EOF."""
+    if _OTHER_BREAKS.search(text):
+        lines = text.splitlines()
+        text = "\n".join(lines) + "\n" if lines else ""
+    elif text and text[-1] != "\n":
+        text += "\n"
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
+    tokens = _TOKEN_RE.findall(text)
+    if EOF in tokens:
+        (line, col), = _positions(text, tokens, (tokens.index(EOF),))
+        char = text.split("\n")[line - 1][col - 1]
+        raise DslSyntaxError(f"unexpected character {char!r}", line, col)
+    tokens.append(EOF)
+    return text, tokens
+
+
+def _positions(text: str, tokens: list[str], indices) -> list[tuple[int, int]]:
+    """The line and column of each token in `indices`, which ascend; `text`
+    and `tokens` are what `_scan` returned.  The column of a "\\n" is the
+    one after its line's last character, EOF's is 1 on the line after the
+    last."""
+    lines = text.split("\n")
+    out = []
+    line = done = 0
+    for i in indices:
+        line += tokens[done:i].count("\n")
+        done = first = i
+        while first and tokens[first - 1] != "\n":
+            first -= 1
+        text_of_line = lines[line]
+        if first == i:  # only blanks come before it on its line
+            col = len(text_of_line) - len(text_of_line.lstrip()) + 1
+        else:
+            match = next(islice(_TOKEN_RE.finditer(text_of_line + "\n"),
+                                i - first, None))
+            col = match.start(1) + 1 if match.lastindex else match.end()
+        out.append((line + 1, col))
     return out
 
 
 def end_position(text: str) -> tuple[int, int]:
     """The line and column of the character that follows `text`, counting
-    lines as `_tokenize` does; the sentinel stands for that character."""
+    lines as the scanner does; the sentinel stands for that character."""
     lines = (text + "x").splitlines()
     return len(lines), len(lines[-1])
 
 
+class _Fault(Exception):
+    """An input error, raised as `kind` at the line and column of token
+    `at`, or of the `skip`-th name token after it, once the text is at
+    hand."""
+
+    def __init__(self, kind: type, message: str, at: int, skip: int = 0):
+        super().__init__(message)
+        self.kind, self.message, self.at, self.skip = kind, message, at, skip
+
+    def located(self, text: str, tokens: list[str]) -> TermcatError:
+        i, skip = self.at, self.skip
+        while skip:
+            i += 1
+            skip -= tokens[i] not in _NOT_NAME
+        return self.kind(self.message, *_positions(text, tokens, (i,))[0])
+
+
 # --- raw syntax ----------------------------------------------------------------
 
-
-# A raw node's line and column take no part in `==`.  Raw nodes are not
-# frozen: an assignment in `__init__` costs a third of an
-# `object.__setattr__` call, and these are the nodes a file has most of.
-# Nothing assigns to them after parsing.
-
-
-class RawName(Record):
-    __slots__ = ("name", "line", "col")
-    _compared = ("name",)
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
-
-    def __init__(self, name: str, line: int, col: int):
-        self.name = name
-        self.line = line
-        self.col = col
-
-
-class RawCall(Record):
-    __slots__ = ("name", "args", "line", "col")
-    _compared = ("name", "args")
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
-
-    def __init__(self, name: str, args: tuple["RawExpr", ...], line: int,
-                 col: int):
-        self.name = name
-        self.args = args
-        self.line = line
-        self.col = col
-
-
-RawExpr = Union[RawName, RawCall]
+# An expression's names in prefix order, each with its argument count: -1
+# for a bare name, so `c` and `c()` differ.  `m(x, e)` is
+# (("m", 2), ("x", -1), ("e", -1)).
+RawExpr = tuple[tuple[str, int], ...]
 
 Bracket = tuple[tuple[str, str], ...]  # (variable name, sort name) pairs
 
-# a declaration's line and column take no part in `==`
+# `at` is the index of a declaration's first token, and of a step's name;
+# it takes no part in `==`
 
 
 class StepDef(Record):
     __slots__ = ("name", "rule", "eq_name", "steps", "var_name",
-                 "sort_name", "bracket", "expr", "line", "col")
-    _compared = __slots__[:-2]
+                 "sort_name", "bracket", "expr", "at")
+    _compared = __slots__[:-1]
 
 
 class ProofDef(Record):
     # hypotheses: equation names, in citation order
-    __slots__ = ("name", "hypotheses", "steps", "line", "col")
-    _compared = __slots__[:-2]
+    __slots__ = ("name", "hypotheses", "steps", "at")
+    _compared = __slots__[:-1]
 
 
 class TermDecl(Record):
-    __slots__ = ("name", "bracket", "expr", "line", "col")
-    _compared = __slots__[:-2]
+    __slots__ = ("name", "bracket", "expr", "at")
+    _compared = __slots__[:-1]
 
 
 class EqDecl(Record):
-    __slots__ = ("name", "bracket", "left", "right", "line", "col")
-    _compared = __slots__[:-2]
+    __slots__ = ("name", "bracket", "left", "right", "at")
+    _compared = __slots__[:-1]
 
 
 class SpecFile(Record):
     """A parsed file: its declarations as written, and the terms,
-    equations and variable bindings they elaborate to, by name.  Two
-    files are equal when their declarations are."""
+    equations and variable bindings they elaborate to, by name; and the
+    scanned text and tokens, from which positions are computed.  Two files
+    are equal when their declarations are."""
 
     __slots__ = ("signature", "sort_names", "op_decls", "term_decls",
                  "eq_decls", "proofs", "terms", "equations", "term_bindings",
-                 "eq_bindings")
+                 "eq_bindings", "text", "tokens")
     _compared = __slots__[1:6]
     __hash__ = None
 
@@ -169,73 +192,67 @@ class SpecFile(Record):
 # --- parser --------------------------------------------------------------------
 
 
-def _expected(kind: str, tok: Token) -> DslSyntaxError:
-    return DslSyntaxError(f"expected {kind}, found {tok[1] or tok[0]!r}",
-                          tok[2], tok[3])
+def _expected(kind: str, tokens: list[str], i: int) -> _Fault:
+    tok = tokens[i]
+    return _Fault(DslSyntaxError,
+                  f"expected {kind}, found {_SHOWN.get(tok, tok)!r}", i)
 
 
 class _Parser:
-    """Recursive descent over the token list; `pos` is the next token.
+    """Reads statements from the token list; `pos` is the next token.
     Newlines end statements, except inside an expression's parentheses
     and between a proof's steps."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
 
-    def kind(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def skip_newlines(self) -> None:
-        while self.tokens[self.pos][0] == "NEWLINE":
-            self.pos += 1
-
-    def expect(self, kind: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise _expected(kind, tok)
-        self.pos += 1
-        return tok
-
     def name(self) -> str:
-        return self.expect("NAME")[1]
+        tok = self.tokens[self.pos]
+        if tok in _NOT_NAME:
+            raise _expected("NAME", self.tokens, self.pos)
+        self.pos += 1
+        return tok
 
-    def end_line(self):
-        tok = self.next()
-        if tok[0] not in ("NEWLINE", "EOF"):
-            raise DslSyntaxError(
-                f"unexpected {tok[1]!r} at end of statement", tok[2], tok[3])
+    def expect(self, symbol: str) -> None:
+        if self.tokens[self.pos] != symbol:
+            raise _expected(_KINDS[symbol], self.tokens, self.pos)
+        self.pos += 1
 
-    def names_until(self, stop_kinds: tuple[str, ...]) -> list[Token]:
-        out = []
-        while self.kind() == "NAME":
-            out.append(self.next())
-        if self.kind() not in stop_kinds:
-            tok = self.tokens[self.pos]
-            raise DslSyntaxError(f"unexpected {tok[1] or tok[0]!r}",
-                                 tok[2], tok[3])
-        return out
+    def end_line(self) -> None:
+        tok = self.tokens[self.pos]
+        if tok != "\n" and tok != EOF:
+            raise _Fault(DslSyntaxError,
+                         f"unexpected {tok!r} at end of statement", self.pos)
+        self.pos += 1
+
+    def names_until(self, stops: tuple[str, ...]) -> list[str]:
+        tokens, start = self.tokens, self.pos
+        i = start
+        while tokens[i] not in _NOT_NAME:
+            i += 1
+        if tokens[i] not in stops:
+            tok = tokens[i]
+            raise _Fault(DslSyntaxError, f"unexpected {_SHOWN.get(tok, tok)!r}",
+                         i)
+        self.pos = i
+        return tokens[start:i]
 
     def bracket(self) -> Bracket:
         """`[v:s, ...]` if one comes next, else the empty bracket."""
         entries: list[tuple[str, str]] = []
-        if self.kind() != "LBRACK":
+        if self.tokens[self.pos] != "[":
             return ()
         self.pos += 1
-        if self.kind() != "RBRACK":
+        if self.tokens[self.pos] != "]":
             while True:
                 name = self.name()
-                self.expect("COLON")
+                self.expect(":")
                 entries.append((name, self.name()))
-                if self.kind() != "COMMA":
+                if self.tokens[self.pos] != ",":
                     break
                 self.pos += 1
-        self.expect("RBRACK")
+        self.expect("]")
         return tuple(entries)
 
     def expr(self) -> RawExpr:
@@ -243,110 +260,131 @@ class _Parser:
         return raw
 
 
-def _expr(toks: list[Token], i: int) -> tuple[RawExpr, int]:
+def _expr(tokens: list[str], i: int) -> tuple[RawExpr, int]:
     """The expression starting at token `i`, and the index after it."""
-    while toks[i][0] == "NEWLINE":
-        i += 1
-    kind, name, line, col = toks[i]
-    if kind != "NAME":
-        raise _expected("NAME", toks[i])
-    i += 1
-    if toks[i][0] != "LPAREN":
-        return RawName(name, line, col), i
-    i += 1
-    args: list[RawExpr] = []
-    while toks[i][0] == "NEWLINE":
-        i += 1
-    if toks[i][0] != "RPAREN":
-        while True:
-            arg, i = _expr(toks, i)
-            args.append(arg)
-            while toks[i][0] == "NEWLINE":
-                i += 1
-            if toks[i][0] != "COMMA":
-                break
+    out: list = []
+    calls: list[list[int]] = []  # per open call: its entry, its arguments
+    while True:
+        tok = tokens[i]
+        while tok == "\n":
             i += 1
-        if toks[i][0] != "RPAREN":
-            raise _expected("RPAREN", toks[i])
-    return RawCall(name, tuple(args), line, col), i + 1
+            tok = tokens[i]
+        if tok in _NOT_NAME:
+            raise _expected("NAME", tokens, i)
+        i += 1
+        if tokens[i] != "(":
+            out.append((tok, -1))
+        else:
+            i += 1
+            while tokens[i] == "\n":
+                i += 1
+            if tokens[i] != ")":
+                calls.append([len(out), 1])
+                out.append(tok)  # its count is known at its ")"
+                continue  # with the first argument
+            i += 1
+            out.append((tok, 0))
+        # an expression is complete: a comma starts the next argument of
+        # the innermost open call, a ")" completes that call
+        while calls:
+            while tokens[i] == "\n":
+                i += 1
+            if tokens[i] == ",":
+                i += 1
+                calls[-1][1] += 1
+                break
+            if tokens[i] != ")":
+                raise _expected("RPAREN", tokens, i)
+            i += 1
+            entry, argc = calls.pop()
+            out[entry] = (out[entry], argc)
+        else:
+            return tuple(out), i
 
 
-def _parse_raw(text: str):
-    p = _Parser(_tokenize(text))
+def _parse_raw(tokens: list[str]):
+    p = _Parser(tokens)
     sort_names: list[str] = []
     op_decls: list[tuple[str, tuple[str, ...], str]] = []
-    sort_locs: list[tuple[int, int]] = []
-    op_locs: list[tuple[int, int]] = []
+    sort_at: list[int] = []
+    op_at: list[int] = []
     term_decls: list[TermDecl] = []
     eq_decls: list[EqDecl] = []
     proofs: list[ProofDef] = []
 
     while True:
-        p.skip_newlines()
-        kind, word, line, col = p.next()
-        if kind == "EOF":
+        while tokens[p.pos] == "\n":
+            p.pos += 1
+        at = p.pos
+        word = tokens[at]
+        if word == EOF:
             break
-        if kind != "NAME":
-            raise DslSyntaxError(f"expected a statement, found {word!r}",
-                                 line, col)
+        p.pos += 1
+        if word in _NOT_NAME:
+            raise _Fault(DslSyntaxError,
+                         f"expected a statement, found {word!r}", at)
         if word == "sort":
-            names = p.names_until(("NEWLINE", "EOF"))
+            names = p.names_until(("\n", EOF))
             if not names:
-                raise DslSyntaxError("sort statement names no sorts",
-                                     line, col)
-            sort_names.extend(n[1] for n in names)
-            sort_locs.extend((n[2], n[3]) for n in names)
+                raise _Fault(DslSyntaxError, "sort statement names no sorts",
+                             at)
+            sort_names.extend(names)
+            sort_at.extend(range(at + 1, p.pos))
             p.end_line()
         elif word == "op":
             name = p.name()
-            p.expect("COLON")
-            inputs = tuple(t[1] for t in p.names_until(("ARROW",)))
-            p.expect("ARROW")
+            p.expect(":")
+            inputs = tuple(p.names_until(("->",)))
+            p.expect("->")
             output = p.name()
             p.end_line()
             op_decls.append((name, inputs, output))
-            op_locs.append((line, col))
+            op_at.append(at)
         elif word == "term":
             name = p.name()
             bracket = p.bracket()
-            p.expect("COLON")
+            p.expect(":")
             expr = p.expr()
             p.end_line()
-            term_decls.append(TermDecl(name, bracket, expr, line, col))
+            term_decls.append(TermDecl(name, bracket, expr, at))
         elif word == "eq":
             name = p.name()
             bracket = p.bracket()
-            p.expect("COLON")
+            p.expect(":")
             left = p.expr()
-            p.expect("EQUALS")
+            p.expect("=")
             right = p.expr()
             p.end_line()
-            eq_decls.append(EqDecl(name, bracket, left, right, line, col))
+            eq_decls.append(EqDecl(name, bracket, left, right, at))
         elif word == "proof":
-            proofs.append(_parse_proof(p, line, col))
+            proofs.append(_parse_proof(p, at))
         else:
-            raise DslSyntaxError(f"unknown statement {word!r}", line, col)
+            raise _Fault(DslSyntaxError, f"unknown statement {word!r}", at)
     return (tuple(sort_names), tuple(op_decls), tuple(term_decls),
-            tuple(eq_decls), tuple(proofs), sort_locs, op_locs)
+            tuple(eq_decls), tuple(proofs), sort_at, op_at)
 
 
-def _parse_proof(p: _Parser, line: int, col: int) -> ProofDef:
-    name = p.expect("NAME")
-    kw = p.expect("NAME")
-    if kw[1] != "from":
-        raise DslSyntaxError("expected 'from'", kw[2], kw[3])
-    hyps = tuple(t[1] for t in p.names_until(("LBRACE",)))
-    p.expect("LBRACE")
+def _parse_proof(p: _Parser, at: int) -> ProofDef:
+    tokens = p.tokens
+    name_at = p.pos
+    name = p.name()
+    from_at = p.pos
+    if p.name() != "from":
+        raise _Fault(DslSyntaxError, "expected 'from'", from_at)
+    hyps = tuple(p.names_until(("{",)))
+    p.expect("{")
     steps: list[StepDef] = []
     while True:
-        p.skip_newlines()
-        if p.kind() == "RBRACE":
+        while tokens[p.pos] == "\n":
+            p.pos += 1
+        if tokens[p.pos] == "}":
             p.pos += 1
             break
-        _, sname, sline, scol = p.expect("NAME")
-        p.expect("EQUALS")
-        rule = p.expect("NAME")
-        kind = rule[1]
+        step_at = p.pos
+        sname = p.name()
+        p.expect("=")
+        rule_at = p.pos
+        kind = p.name()
         eq_name = var_name = sort_name = bracket = expr = None
         refs: tuple[str, ...] = ()
         if kind == "hyp":
@@ -364,136 +402,189 @@ def _parse_proof(p: _Parser, line: int, col: int) -> ProofDef:
         elif kind == "abs":
             refs = (p.name(),)
             var_name = p.name()
-            p.expect("COLON")
+            p.expect(":")
             sort_name = p.name()
         elif kind == "subst":
             first = p.name()
             var_name = p.name()
             refs = (first, p.name())
         else:
-            raise DslSyntaxError(f"unknown rule {kind!r}", rule[2], rule[3])
-        p.expect("SEMI")
+            raise _Fault(DslSyntaxError, f"unknown rule {kind!r}", rule_at)
+        p.expect(";")
         steps.append(StepDef(sname, kind, eq_name, refs, var_name, sort_name,
-                             bracket, expr, sline, scol))
+                             bracket, expr, step_at))
     if not steps:
-        raise DslSyntaxError(f"proof {name[1]!r} has no steps",
-                             name[2], name[3])
-    return ProofDef(name[1], hyps, tuple(steps), line, col)
+        raise _Fault(DslSyntaxError, f"proof {name!r} has no steps", name_at)
+    return ProofDef(name, hyps, tuple(steps), at)
 
 
 # --- elaboration ----------------------------------------------------------------
 
 
-def _bind_bracket(sig: Signature, bracket: Bracket, line: int,
-                  col: int) -> dict[str, Variable]:
+def _bind_bracket(sig: Signature, bracket: Bracket, at: int
+                  ) -> tuple[dict[str, Variable], dict[str, Var],
+                             tuple[Variable, ...]]:
+    """The bracket's variables by name, the one `Var` each name stands for
+    in the expressions it scopes, and the variables in canonical order."""
     binding: dict[str, Variable] = {}
-    per_sort: dict[Sort, int] = {}
+    names: dict[str, Var] = {}
+    per_sort: dict[str, int] = {}  # by sort name, which names one sort
     for vname, sname in bracket:
         if vname in binding:
-            raise NameResolutionError(
-                f"variable {vname!r} declared twice in one bracket", line, col)
+            raise _Fault(NameResolutionError,
+                         f"variable {vname!r} declared twice in one bracket",
+                         at)
         if vname in sig.operation_named:
-            raise NameResolutionError(
-                f"variable {vname!r} shadows an operation", line, col)
-        try:
-            sort = sig.sort(sname)
-        except KeyError:
-            raise NameResolutionError(f"unknown sort {sname!r}", line, col)
-        per_sort[sort] = per_sort.get(sort, 0) + 1
-        binding[vname] = Variable(sort, per_sort[sort])
-    return binding
+            raise _Fault(NameResolutionError,
+                         f"variable {vname!r} shadows an operation", at)
+        sort = sig.sort_named.get(sname)
+        if sort is None:
+            raise _Fault(NameResolutionError, f"unknown sort {sname!r}", at)
+        num = per_sort[sname] = per_sort.get(sname, 0) + 1
+        var = binding[vname] = Variable(sort, num)
+        names[vname] = Var(var)
+    return binding, names, ordered_vars(binding.values())
 
 
-def _elab_expr(sig: Signature, binding: dict[str, Variable],
-               raw: RawExpr) -> Expression:
+def _first_name(bracket: Bracket) -> int:
+    """Which name token after a declaration's first token, or after a step's
+    name, is the first name of its expression: the one after the declared
+    name (or `refl`) and the two names of each bracket entry."""
+    return 2 + 2 * len(bracket)
+
+
+def _elaborate(sig: Signature, names: dict[str, Var], raw: RawExpr, at: int,
+               skip: int) -> Expression:
+    """The expression `raw` spells, whose first name is the `skip`-th name
+    token after token `at`.  An operation is looked up when its name comes
+    and applied once its last argument is built, so the checks run in the
+    order of a left-to-right reading."""
     ops = sig.operation_named
-    if isinstance(raw, RawName):
-        var = binding.get(raw.name)
-        if var is not None:
-            return Var(var)
-        op = ops.get(raw.name)
-        if op is None:
-            raise NameResolutionError(f"unknown name {raw.name!r}",
-                                      raw.line, raw.col)
-        if op.inputs:
-            raise DslSyntaxError(
-                f"operation {raw.name!r} takes arguments", raw.line, raw.col)
-        return App(op, ())
-    op = ops.get(raw.name)
-    if op is None:
-        raise NameResolutionError(f"unknown operation {raw.name!r}",
-                                  raw.line, raw.col)
-    args = tuple([_elab_expr(sig, binding, a) for a in raw.args])
+    done: list[Expression] = []  # built expressions, innermost last
+    # open calls: operation, its first argument's place in `done`, its
+    # entry, and how many expressions the enclosing call still needs
+    calls: list[tuple] = []
+    need = 1  # how many expressions the innermost open call still needs
+    entry = 0
     try:
-        return App(op, args)
+        for k, (name, argc) in enumerate(raw):
+            if argc < 0:
+                e = names.get(name)
+                if e is None:
+                    op = ops.get(name)
+                    if op is None:
+                        raise _Fault(NameResolutionError,
+                                     f"unknown name {name!r}", at, skip + k)
+                    if op.inputs:
+                        raise _Fault(DslSyntaxError,
+                                     f"operation {name!r} takes arguments",
+                                     at, skip + k)
+                    e = App(op, ())
+            else:
+                op = ops.get(name)
+                if op is None:
+                    raise _Fault(NameResolutionError,
+                                 f"unknown operation {name!r}", at, skip + k)
+                if argc:
+                    calls.append((op, len(done), k, need))
+                    need = argc
+                    continue
+                entry = k
+                e = App(op, ())
+            done.append(e)
+            need -= 1
+            while not need and calls:
+                op, first, entry, need = calls.pop()
+                args = tuple(done[first:])
+                del done[first:]
+                done.append(App(op, args))
+                need -= 1
     except TermcatError as exc:
-        raise DslSyntaxError(str(exc), raw.line, raw.col)
+        raise _Fault(DslSyntaxError, str(exc), at, skip + entry) from None
+    return done[0]
 
 
 def parse_spec(text: str) -> SpecFile:
     """Parse and resolve a .msl file; every name must resolve."""
-    (sort_names, op_decls, term_decls, eq_decls, proofs, sort_locs,
-     op_locs) = _parse_raw(text)
+    text, tokens = _scan(text)
+    try:
+        return _resolve(text, tokens)
+    except _Fault as fault:
+        raise fault.located(text, tokens) from None
+
+
+def _resolve(text: str, tokens: list[str]) -> SpecFile:
+    (sort_names, op_decls, term_decls, eq_decls, proofs, sort_at,
+     op_at) = _parse_raw(tokens)
     try:
         sig = validate_signature(sort_names, op_decls)
     except DuplicateSort as exc:
-        raise DslSyntaxError(str(exc), *sort_locs[exc.index])
+        raise _Fault(DslSyntaxError, str(exc), sort_at[exc.index])
     except SignatureError as exc:
-        raise DslSyntaxError(str(exc), *op_locs[exc.index])
+        raise _Fault(DslSyntaxError, str(exc), op_at[exc.index])
 
     sf = SpecFile(sig, sort_names, op_decls, term_decls, eq_decls, proofs,
-                  {}, {}, {}, {})
+                  {}, {}, {}, {}, text, tokens)
+    # declarations repeat their brackets, so each distinct bracket is bound
+    # once; the bindings are shared and never changed
+    bound: dict[Bracket, tuple] = {}
+
+    def bind(bracket: Bracket, at: int) -> tuple:
+        if bracket not in bound:
+            bound[bracket] = _bind_bracket(sig, bracket, at)
+        return bound[bracket]
+
     for td in term_decls:
         if td.name in sf.terms:
-            raise NameResolutionError(f"term {td.name!r} declared twice",
-                                      td.line, td.col)
-        binding = _bind_bracket(sig, td.bracket, td.line, td.col)
-        e = _elab_expr(sig, binding, td.expr)
+            raise _Fault(NameResolutionError,
+                         f"term {td.name!r} declared twice", td.at)
+        binding, names, vs = bind(td.bracket, td.at)
+        e = _elaborate(sig, names, td.expr, td.at, _first_name(td.bracket))
         try:
-            sf.terms[td.name] = make_term(e, binding.values(), e.sort)
+            sf.terms[td.name] = Term(e, vs, e.sort)
         except TermcatError as exc:
-            raise DslSyntaxError(str(exc), td.line, td.col)
+            raise _Fault(DslSyntaxError, str(exc), td.at)
         sf.term_bindings[td.name] = binding
     for ed in eq_decls:
         if ed.name in sf.equations:
-            raise NameResolutionError(f"equation {ed.name!r} declared twice",
-                                      ed.line, ed.col)
-        binding = _bind_bracket(sig, ed.bracket, ed.line, ed.col)
-        left = _elab_expr(sig, binding, ed.left)
-        right = _elab_expr(sig, binding, ed.right)
+            raise _Fault(NameResolutionError,
+                         f"equation {ed.name!r} declared twice", ed.at)
+        binding, names, vs = bind(ed.bracket, ed.at)
+        skip = _first_name(ed.bracket)
+        left = _elaborate(sig, names, ed.left, ed.at, skip)
+        right = _elaborate(sig, names, ed.right, ed.at, skip + len(ed.left))
         try:
-            sf.equations[ed.name] = make_equation(left, right,
-                                                  binding.values())
+            sf.equations[ed.name] = Equation(left, right, vs)
         except TermcatError as exc:
-            raise DslSyntaxError(str(exc), ed.line, ed.col)
+            raise _Fault(DslSyntaxError, str(exc), ed.at)
         sf.eq_bindings[ed.name] = binding
 
     seen_proofs: set[str] = set()
     for proof in proofs:
         if proof.name in seen_proofs:
-            raise NameResolutionError(
-                f"proof {proof.name!r} declared twice", proof.line, proof.col)
+            raise _Fault(NameResolutionError,
+                         f"proof {proof.name!r} declared twice", proof.at)
         seen_proofs.add(proof.name)
         known: set[str] = set()
         for s in proof.steps:
             if s.name in known:
-                raise NameResolutionError(f"step {s.name!r} declared twice",
-                                          s.line, s.col)
+                raise _Fault(NameResolutionError,
+                             f"step {s.name!r} declared twice", s.at)
             if s.rule == "hyp" and s.eq_name not in proof.hypotheses:
-                raise NameResolutionError(
-                    f"step cites {s.eq_name!r}, which is not among the "
-                    "proof's hypotheses", s.line, s.col)
+                raise _Fault(NameResolutionError,
+                             f"step cites {s.eq_name!r}, which is not among "
+                             "the proof's hypotheses", s.at)
             for ref in s.steps:
                 if ref not in known:
-                    raise NameResolutionError(
-                        f"step references unknown step {ref!r}",
-                        s.line, s.col)
+                    raise _Fault(NameResolutionError,
+                                 f"step references unknown step {ref!r}",
+                                 s.at)
             known.add(s.name)
         for h in proof.hypotheses:
             if h not in sf.equations:
-                raise NameResolutionError(
-                    f"proof {proof.name!r} cites undefined equation {h!r}",
-                    proof.line, proof.col)
+                raise _Fault(NameResolutionError,
+                             f"proof {proof.name!r} cites undefined equation "
+                             f"{h!r}", proof.at)
     return sf
 
 
@@ -519,12 +610,12 @@ def _merge_names(a: dict[str, Optional[Variable]],
 def _resolve_var(names: dict[str, Optional[Variable]], name: str,
                  step: StepDef) -> Variable:
     if name not in names:
-        raise NameResolutionError(f"unknown variable {name!r}",
-                                  step.line, step.col)
+        raise _Fault(NameResolutionError, f"unknown variable {name!r}",
+                     step.at)
     v = names[name]
     if v is None:
-        raise NameResolutionError(
-            f"variable name {name!r} is ambiguous here", step.line, step.col)
+        raise _Fault(NameResolutionError,
+                     f"variable name {name!r} is ambiguous here", step.at)
     return v
 
 
@@ -538,16 +629,22 @@ def build_proof(sf: SpecFile, proof: ProofDef
     sig = sf.signature
     hypotheses = [sf.equations[h] for h in proof.hypotheses]
     results: dict[str, _StepResult] = {}
-    for s in proof.steps:
-        try:
-            results[s.name] = _build_step(sf, sig, proof, hypotheses,
-                                          results, s)
-        except (DeductionError, DslSyntaxError, NameResolutionError):
-            raise
-        except TermcatError as exc:
-            # a conclusion failed to form: the rule application is invalid
-            raise SideConditionViolated(
-                f"step {s.name!r}: {exc}") from exc
+    places = _positions(sf.text, sf.tokens, [s.at for s in proof.steps])
+    try:
+        for s, (line, col) in zip(proof.steps, places):
+            try:
+                results[s.name] = _build_step(
+                    sf, sig, proof, hypotheses, results, s,
+                    f"{line}:{col}: step {s.name!r}")
+            except DeductionError:
+                raise
+            except TermcatError as exc:
+                # a conclusion failed to form: the rule application is
+                # invalid
+                raise SideConditionViolated(
+                    f"step {s.name!r}: {exc}") from exc
+    except _Fault as fault:
+        raise fault.located(sf.text, sf.tokens) from None
     # the last step is the conclusion
     return results[proof.steps[-1].name].tree, hypotheses
 
@@ -555,20 +652,19 @@ def build_proof(sf: SpecFile, proof: ProofDef
 def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
                 hypotheses: list[Equation],
                 results: dict[str, "_StepResult"],
-                s: StepDef) -> "_StepResult":
-    where = f"{s.line}:{s.col}: step {s.name!r}"
+                s: StepDef, where: str) -> "_StepResult":
     if s.rule == "hyp":
         idx = proof.hypotheses.index(s.eq_name)
         eq = hypotheses[idx]
         return _StepResult(DeductionTree(eq, Hypothesis(idx), (), where),
                            dict(sf.eq_bindings[s.eq_name]))
     if s.rule == "refl":
-        binding = _bind_bracket(sig, s.bracket or (), s.line, s.col)
-        e = _elab_expr(sig, binding, s.expr)
-        term = make_term(e, binding.values(), e.sort)
-        eq = make_equation(e, e, term.vars)
+        binding, names, vs = _bind_bracket(sig, s.bracket, s.at)
+        e = _elaborate(sig, names, s.expr, s.at, _first_name(s.bracket))
+        term = Term(e, vs, e.sort)
+        eq = Equation(e, e, vs)
         return _StepResult(DeductionTree(eq, Reflexivity(term), (), where),
-                           dict(binding))
+                           binding)
     if s.rule == "sym":
         prem = results[s.steps[0]]
         eq = make_equation(prem.tree.conclusion.right,
@@ -596,11 +692,10 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
     if s.rule == "abs":
         prem = results[s.steps[0]]
         c = prem.tree.conclusion
-        try:
-            sort = sig.sort(s.sort_name)
-        except KeyError:
-            raise NameResolutionError(f"unknown sort {s.sort_name!r}",
-                                      s.line, s.col)
+        sort = sig.sort_named.get(s.sort_name)
+        if sort is None:
+            raise _Fault(NameResolutionError, f"unknown sort {s.sort_name!r}",
+                         s.at)
         existing = prem.names.get(s.var_name)
         if existing is not None and existing.sort == sort \
                 and existing not in c.vars:
@@ -616,19 +711,17 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
         return _StepResult(DeductionTree(eq, Abstraction(x), (prem.tree,),
                                          where),
                            names)
-    if s.rule == "subst":
-        p1, p2 = results[s.steps[0]], results[s.steps[1]]
-        x = _resolve_var(p1.names, s.var_name, s)
-        c1, c2 = p1.tree.conclusion, p2.tree.conclusion
-        if x not in c1.vars:
-            raise SideConditionViolated(
-                f"{x} is not among the variables of step {s.steps[0]!r}")
-        left = subst_expr(c1.left, x, c2.left)
-        right = subst_expr(c1.right, x, c2.right)
-        kept = tuple(v for v in c1.vars if v != x)
-        eq = make_equation(left, right, ordered_vars(kept + c2.vars))
-        return _StepResult(
-            DeductionTree(eq, Substitutivity(x), (p1.tree, p2.tree),
-                          where),
-            _merge_names(p1.names, p2.names))
-    raise NameResolutionError(f"unknown rule {s.rule!r}", s.line, s.col)
+    # the parser admits no other rule
+    p1, p2 = results[s.steps[0]], results[s.steps[1]]
+    x = _resolve_var(p1.names, s.var_name, s)
+    c1, c2 = p1.tree.conclusion, p2.tree.conclusion
+    if x not in c1.vars:
+        raise SideConditionViolated(
+            f"{x} is not among the variables of step {s.steps[0]!r}")
+    left = subst_expr(c1.left, x, c2.left)
+    right = subst_expr(c1.right, x, c2.right)
+    kept = tuple(v for v in c1.vars if v != x)
+    eq = make_equation(left, right, ordered_vars(kept + c2.vars))
+    return _StepResult(
+        DeductionTree(eq, Substitutivity(x), (p1.tree, p2.tree), where),
+        _merge_names(p1.names, p2.names))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from typing import Iterator
 
 from .arrows import FPArrow, FPObject, Gen, Id, Leaf, Proj, TupleArrow
@@ -109,15 +108,6 @@ def count_models(sig: Signature, max_size: int) -> int:
                          ** math.prod(sizes[s] for s in op.inputs)
                          for op in sig.operations)
                for sizes in _carrier_sizes(sig, max_size))
-
-
-def random_model(sig: Signature, max_size: int,
-                 rng: random.Random) -> FiniteModel:
-    sizes = {s: rng.randint(1, max_size) for s in sig.sorts}
-    tables: dict[str, dict[tuple[int, ...], int]] = {}
-    for op, points in _table_domains(sig, sizes):
-        tables[op.name] = {p: rng.randrange(sizes[op.output]) for p in points}
-    return FiniteModel(sig, sizes, tables)
 
 
 def eval_expression(model: FiniteModel, e: Expression,

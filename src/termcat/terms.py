@@ -17,22 +17,25 @@ from .signature import Operation, Signature, Sort, Variable, ordered_vars
 _set = object.__setattr__
 
 
+# `Var` and `App` keep their sort in a slot that is not a field, so the
+# sort checks of every `App` built on them read an attribute
+
+
 class Var(Record):
-    __slots__ = ("var",)
+    __slots__ = ("var", "sort")
+    _fields = ("var",)
 
     def __init__(self, var: Variable):
         _set(self, "var", var)
-
-    @property
-    def sort(self) -> Sort:
-        return self.var.sort
+        _set(self, "sort", var.sort)
 
     def __str__(self) -> str:
         return str(self.var)
 
 
 class App(Record):
-    __slots__ = ("op", "args")
+    __slots__ = ("op", "args", "sort")
+    _fields = ("op", "args")
 
     def __init__(self, op: Operation, args: tuple["Expression", ...]):
         inputs = op.inputs
@@ -42,20 +45,19 @@ class App(Record):
             raise ArityMismatch(
                 f"{op.name} expects {len(inputs)} arguments, "
                 f"got {len(args)}")
-        for i, (arg, want) in enumerate(zip(args, inputs), 1):
+        for arg, want in zip(args, inputs):
             got = arg.sort
             # a signature's sorts are single objects, so identity settles
             # almost every check
             if got is not want and got != want:
+                i = next(i for i, (a, w) in enumerate(zip(args, inputs), 1)
+                         if a.sort != w)
                 raise SortMismatch(
                     f"argument {i} of {op.name} has sort {got}, "
                     f"expected {want}", position=i)
         _set(self, "op", op)
         _set(self, "args", args)
-
-    @property
-    def sort(self) -> Sort:
-        return self.op.output
+        _set(self, "sort", op.output)
 
     def __str__(self) -> str:
         if not self.args:
@@ -116,20 +118,51 @@ def type_set(e: Expression) -> tuple[Sort, ...]:
     return tuple(sorted(set(type_list(e)), key=lambda s: s.index))
 
 
+def _canonical(vs: tuple[Variable, ...]) -> bool:
+    """Whether `vs` is what `ordered_vars` makes of it: a tuple whose
+    (sort index, subscript) keys strictly increase."""
+    last = None
+    for v in vs:
+        key = (v.sort.index, v.num)
+        if last is not None and key <= last:
+            return False
+        last = key
+    return isinstance(vs, tuple)
+
+
+def _omitted(vs: tuple[Variable, ...], *exprs: Expression) -> list[Variable]:
+    """The variables occurring in `exprs` that `vs` lacks, in the canonical
+    order.  An occurrence that is one of the objects in `vs` is found by
+    its id, which spares hashing the variables of elaborated text."""
+    ids = {id(v) for v in vs}
+    known = None
+    missing = set()
+    stack = list(exprs)
+    while stack:
+        x = stack.pop()
+        if type(x) is App:
+            stack.extend(x.args)
+        elif id(x.var) not in ids:
+            if known is None:
+                known = set(vs)
+            if x.var not in known:
+                missing.add(x.var)
+    return sorted(missing, key=Variable.key)
+
+
 class Term(Record):
     __slots__ = ("expr", "vars", "sort")  # vars: canonical, duplicate free
 
     def __init__(self, expr: Expression, vars: tuple[Variable, ...],
                  sort: Sort):
-        if vars != ordered_vars(vars):
+        if not _canonical(vars):
             raise TypeDisagrees("term variable set is not in canonical order")
-        missing = set(var_list(expr)).difference(vars)
+        missing = _omitted(vars, expr)
         if missing:
             raise MissingVariables(
                 "term omits variables occurring in its expression: "
-                + ", ".join(str(v) for v in sorted(missing, key=Variable.key)),
-                variables=sorted(missing, key=Variable.key))
-        if expr.sort != sort:
+                + ", ".join(str(v) for v in missing), variables=missing)
+        if expr.sort is not sort and expr.sort != sort:
             raise TypeDisagrees(
                 f"stated sort {sort} disagrees with expression sort "
                 f"{expr.sort}")
@@ -151,19 +184,17 @@ class Equation(Record):
 
     def __init__(self, left: Expression, right: Expression,
                  vars: tuple[Variable, ...]):
-        if left.sort != right.sort:
+        if left.sort is not right.sort and left.sort != right.sort:
             raise SortMismatch(
                 f"equation sides have sorts {left.sort} and {right.sort}")
-        if vars != ordered_vars(vars):
+        if not _canonical(vars):
             raise TypeDisagrees(
                 "equation variable set is not in canonical order")
-        missing = set(var_list(left)).union(
-            var_list(right)).difference(vars)
+        missing = _omitted(vars, left, right)
         if missing:
             raise MissingVariables(
                 "equation omits variables occurring in its sides: "
-                + ", ".join(str(v) for v in sorted(missing, key=Variable.key)),
-                variables=sorted(missing, key=Variable.key))
+                + ", ".join(str(v) for v in missing), variables=missing)
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "vars", vars)

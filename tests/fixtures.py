@@ -1,17 +1,19 @@
 """Shared concrete signatures, variable helpers and the certificate route
 for the tests, and the helpers only tests call: normal forms back to
-arrows, most concrete terms and equations, a random search for a model
-that separates two arrows, and the .msl printer."""
+arrows, most concrete terms and equations, random finite models and a
+random search for a model that separates two arrows, and the .msl
+printer."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from termcat.arrows import (Comp, FPArrow, FPObject, Gen, GenApp, Id,
                             NormalArrow, NormalBody, Path, Proj, TupleArrow)
 from termcat.deduction import compile_to_factorization, normalize_deduction
-from termcat.dsl import Bracket, RawExpr, RawName, SpecFile
-from termcat.models import eval_arrow, points, random_model
+from termcat.dsl import Bracket, RawExpr, SpecFile
+from termcat.models import FiniteModel, eval_arrow, points
 from termcat.signature import Signature, Sort, Variable, validate_signature
 from termcat.terms import (Equation, Expression, Term, make_equation,
                            var_set)
@@ -104,7 +106,19 @@ def most_concrete_equation(left: Expression, right: Expression) -> Equation:
     return make_equation(left, right, var_set(left) + var_set(right))
 
 
-# --- separating models -----------------------------------------------------------
+# --- random and separating models --------------------------------------------------
+
+
+def random_model(sig: Signature, max_size: int,
+                 rng: random.Random) -> FiniteModel:
+    """Carriers of 1 to `max_size` elements and random operation tables."""
+    sizes = {s: rng.randint(1, max_size) for s in sig.sorts}
+    tables: dict[str, dict[tuple[int, ...], int]] = {}
+    for op in sig.operations:
+        domain = itertools.product(*(range(sizes[s]) for s in op.inputs))
+        tables[op.name] = {p: rng.randrange(sizes[op.output]) for p in domain}
+    return FiniteModel(sig, sizes, tables)
+
 
 
 def find_separating_model(sig: Signature, a: FPArrow, b: FPArrow,
@@ -124,9 +138,16 @@ def find_separating_model(sig: Signature, a: FPArrow, b: FPArrow,
 
 
 def _print_expr(e: RawExpr) -> str:
-    if isinstance(e, RawName):
-        return e.name
-    return f"{e.name}({', '.join(_print_expr(a) for a in e.args)})"
+    # right to left, each call finds its arguments on top of the stack,
+    # the first on top
+    stack: list[str] = []
+    for name, argc in reversed(e):
+        if argc < 0:
+            stack.append(name)
+        else:
+            args = [stack.pop() for _ in range(argc)]
+            stack.append(f"{name}({', '.join(args)})")
+    return stack[0]
 
 
 def _print_bracket(bracket: Bracket) -> str:
@@ -157,7 +178,7 @@ def print_spec(sf: SpecFile) -> str:
             if s.rule == "hyp":
                 body = f"hyp {s.eq_name}"
             elif s.rule == "refl":
-                body = f"refl {_print_bracket(s.bracket or ())}" \
+                body = f"refl {_print_bracket(s.bracket)}" \
                     f"{_print_expr(s.expr)}"
             elif s.rule == "sym":
                 body = f"sym {s.steps[0]}"

@@ -523,6 +523,23 @@ def test_deep_input_exit_2(depth, argv, end, tmp_path, capsys):
     assert _one_error_line(err) and "nested too deeply" in err
 
 
+def test_front_end_takes_deep_input(tmp_path, capsys):
+    # the scanner, the parser and elaboration use no recursion, so a
+    # command that needs only the signature reads a 20,000-deep tower and
+    # prints what it prints for a shallow one
+    outputs = []
+    for depth in (1, 20000):
+        f = tmp_path / f"deep{depth}.msl"
+        f.write_text(f"sort s\nop i : s -> s\nterm t [x:s] : {_tower(depth)}\n"
+                     f"eq q [x:s] : {_tower(depth)} = {_tower(depth)}\n")
+        code = run(["sketch", str(f)])
+        outputs.append((code, *capsys.readouterr()))  # code, out, err
+    assert outputs[1] == outputs[0]
+    code, out, err = outputs[0]
+    assert (code, err) == (0, "")
+    assert out.endswith("cones:\n  vertex (s): p1: (s) -> s\n")
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""],
                          ids=["fails-in-print", "fails-in-exit-flush"])
 def test_closed_stdout_exit_2_without_traceback(unbuffered):

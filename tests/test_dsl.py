@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from fixtures import certify, print_spec
 from termcat.deduction import normalize_deduction, verify_factorization
-from termcat.dsl import _tokenize, build_proof, parse_spec
+from termcat.dsl import EOF, _positions, _scan, build_proof, parse_spec
 from termcat.errors import (DslSyntaxError, NameResolutionError,
                             SideConditionViolated)
 from termcat.signature import Variable
@@ -58,31 +61,33 @@ eq E [y:b, x:a, z:a] : f(y, x, z) = f(y, z, x)
     assert eq.vars == (Variable(a, 1), Variable(a, 2), Variable(b, 1))
 
 
+def _located_tokens(text: str) -> list[tuple[str, int, int]]:
+    scanned, tokens = _scan(text)
+    return [(tok, *place) for tok, place in
+            zip(tokens, _positions(scanned, tokens, range(len(tokens))))]
+
+
 def test_tokens_golden():
     # every token kind, a comment, and the \r\n, \f and \u2028 line breaks
     text = ("sort s  # a comment ( \u00e9\r\n"
             "op m : s -> s\f"
             "eq [x:s, _y1] ( ) { } ; =\u2028"
             "\tend")
-    assert _tokenize(text) == [  # (kind, text, line, col)
-        ("NAME", "sort", 1, 1), ("NAME", "s", 1, 6), ("NEWLINE", "", 1, 9),
-        ("NAME", "op", 2, 1), ("NAME", "m", 2, 4), ("COLON", ":", 2, 6),
-        ("NAME", "s", 2, 8), ("ARROW", "->", 2, 10), ("NAME", "s", 2, 13),
-        ("NEWLINE", "", 2, 14),
-        ("NAME", "eq", 3, 1), ("LBRACK", "[", 3, 4), ("NAME", "x", 3, 5),
-        ("COLON", ":", 3, 6), ("NAME", "s", 3, 7), ("COMMA", ",", 3, 8),
-        ("NAME", "_y1", 3, 10), ("RBRACK", "]", 3, 13),
-        ("LPAREN", "(", 3, 15), ("RPAREN", ")", 3, 17),
-        ("LBRACE", "{", 3, 19), ("RBRACE", "}", 3, 21),
-        ("SEMI", ";", 3, 23), ("EQUALS", "=", 3, 25),
-        ("NEWLINE", "", 3, 26),
-        ("NAME", "end", 4, 2), ("NEWLINE", "", 4, 5),
-        ("EOF", "", 5, 1)]
+    assert _located_tokens(text) == [  # (text, line, col)
+        ("sort", 1, 1), ("s", 1, 6), ("\n", 1, 9),
+        ("op", 2, 1), ("m", 2, 4), (":", 2, 6), ("s", 2, 8), ("->", 2, 10),
+        ("s", 2, 13), ("\n", 2, 14),
+        ("eq", 3, 1), ("[", 3, 4), ("x", 3, 5), (":", 3, 6), ("s", 3, 7),
+        (",", 3, 8), ("_y1", 3, 10), ("]", 3, 13), ("(", 3, 15),
+        (")", 3, 17), ("{", 3, 19), ("}", 3, 21), (";", 3, 23),
+        ("=", 3, 25), ("\n", 3, 26),
+        ("end", 4, 2), ("\n", 4, 5),
+        (EOF, 5, 1)]
 
 
 def test_unexpected_character_location():
     with pytest.raises(DslSyntaxError) as exc:
-        _tokenize("sort s\n  op \u00e9")
+        _scan("sort s\n  op \u00e9")
     assert (exc.value.line, exc.value.col) == (2, 6)
     assert str(exc.value) == "2:6: unexpected character '\u00e9'"
 
@@ -255,3 +260,36 @@ proof P from E1 E2 {
     with pytest.raises(NameResolutionError) as exc:
         build_proof(sf, sf.proof("P"))
     assert "ambiguous" in str(exc.value)
+
+
+def test_no_function_in_the_front_end_recurses():
+    # a call cycle among dsl.py's functions and methods, direct or through
+    # others, would put a depth limit on the input
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src"
+                      / "termcat" / "dsl.py").read_text(encoding="utf-8"))
+    defs = [n for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    names = {d.name for d in defs}
+    calls: dict[str, set[str]] = {name: set() for name in names}
+    for d in defs:
+        for node in ast.walk(d):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Attribute) and \
+                        isinstance(f.value, ast.Call) and \
+                        getattr(f.value.func, "id", None) == "super":
+                    continue  # a base class's method
+                # a method call may reach any method of that name
+                callee = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if callee in names:
+                    calls[d.name].add(callee)
+    assert len(names) > 10
+    for start in names:
+        seen, todo = set(), list(calls[start])
+        while todo:
+            name = todo.pop()
+            assert name != start, f"{start} can call itself"
+            if name not in seen:
+                seen.add(name)
+                todo.extend(calls[name])

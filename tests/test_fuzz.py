@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from fixtures import print_spec
 from termcat.cli import run
-from termcat.dsl import _tokenize, end_position, parse_spec
+from termcat.dsl import _scan, end_position, parse_spec
 from termcat.errors import DslSyntaxError, TermcatError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -196,5 +196,5 @@ def test_end_position_is_where_the_scanner_reports(prefix):
     # with no comment and no stray character in `prefix`, the scanner's
     # first error is the `$` after it, at the position end_position gives
     with pytest.raises(DslSyntaxError) as exc:
-        _tokenize(prefix + "$")
+        _scan(prefix + "$")
     assert (exc.value.line, exc.value.col) == end_position(prefix)

@@ -30,7 +30,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import binary_signature, certify, replace, unary_signature
+from fixtures import (binary_signature, certify, random_model, replace,
+                      unary_signature)
 from gen import gen_deduction_tree, gen_equation
 from termcat import kernel, models
 from termcat.arrows import Comp, TupleArrow
@@ -42,7 +43,7 @@ from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                             Factorization, Lemma, Refl, Sym, Trans, TupleCong,
                             constraints_equal, verify_factorization,
                             verify_lemmas)
-from termcat.models import arrows_agree, random_model
+from termcat.models import arrows_agree
 
 # --- import boundaries -------------------------------------------------------
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import binary_signature, find_separating_model, unary_signature
+from fixtures import (binary_signature, find_separating_model, random_model,
+                      unary_signature)
 from gen import gen_equation, gen_signature, gen_term
 from termcat import models
 from termcat.arrows import term_arrow
@@ -15,8 +16,7 @@ from termcat.dsl import parse_spec
 from termcat.errors import CarrierOutOfRange, ModelBudgetExceeded
 from termcat.models import (FiniteModel, arrows_agree, count_models,
                             enumerate_models, eval_arrow, eval_expression,
-                            find_counterexample, points, random_model,
-                            satisfies)
+                            find_counterexample, points, satisfies)
 from termcat.terms import App, Var, make_equation, var_list
 
 MONOID = Path(__file__).resolve().parent.parent / "corpus" / "monoid.msl"

@@ -24,7 +24,7 @@ from termcat.deduction import (Abstraction, Concretion, Copy, Hypothesis,
                                Reflexivity, Substitutivity, Symmetry,
                                Transitivity, compile_to_factorization,
                                normalize_deduction)
-from termcat.dsl import RawCall, RawName, _StepResult, build_proof, parse_spec
+from termcat.dsl import _StepResult, build_proof, parse_spec
 from termcat.errors import Record
 from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, Refl, Sym,
                             Trans, TupleCong, VerificationResult)
@@ -96,7 +96,6 @@ RECORDS = [
     Concretion(X), Abstraction(X), Substitutivity(X), Copy(), TREE,
     LEVELLED.levels[0][0], LEVELLED,
     # the front end
-    RawName("x", 1, 2), RawCall("m", (RawName("x", 1, 3),), 1, 1),
     SF.proofs[0].steps[0], SF.proofs[0], SF.term_decls[0], SF.eq_decls[0], SF,
     _StepResult(TREE, {"x": X}),
     # sketch
@@ -109,9 +108,8 @@ RECORDS = [
 
 UNHASHABLE = {"Factorization", "VerificationResult", "SpecFile",
               "_StepResult", "FiniteModel"}
-# built in bulk, by the parser and the model search, and cheaper to build
-# mutable
-MUTABLE = {"RawName", "RawCall", "FiniteModel"}
+# built in bulk by the model search, and cheaper to build mutable
+MUTABLE = {"FiniteModel"}
 
 
 def _record_types(cls=Record):
@@ -124,7 +122,7 @@ def _record_types(cls=Record):
 def test_the_list_holds_every_record_type():
     assert sorted(type(r).__name__ for r in RECORDS) == \
         sorted(t.__name__ for t in _record_types())
-    assert len(RECORDS) == 49
+    assert len(RECORDS) == 47
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -168,19 +166,21 @@ def test_records_of_different_types_differ(a, b):
 
 def test_uncompared_fields_are_ignored():
     step = SF.proofs[0].steps[0]
-    pairs = [(RawName("x", 1, 2), RawName("x", 3, 4)),
-             (RawCall("f", (), 1, 2), RawCall("f", (), 3, 4)),
-             (step, replace(step, line=99, col=98)),
-             (SF.proofs[0], replace(SF.proofs[0], line=99)),
-             (SF.term_decls[0], replace(SF.term_decls[0], col=99)),
-             (SF.eq_decls[0], replace(SF.eq_decls[0], line=0, col=0)),
+    pairs = [(step, replace(step, at=99)),
+             (SF.proofs[0], replace(SF.proofs[0], at=99)),
+             (SF.term_decls[0], replace(SF.term_decls[0], at=99)),
+             (SF.eq_decls[0], replace(SF.eq_decls[0], at=0)),
              (TREE, replace(TREE, origin="elsewhere")),
              (SF, replace(SF, terms={}))]
     for a, b in pairs:
         assert a == b, type(a).__name__
         if type(a).__name__ not in UNHASHABLE:
             assert hash(a) == hash(b)
-    assert RawName("x", 1, 2) != RawName("y", 1, 2)
+    # an expression's sort is kept in a slot, derived from its fields
+    assert (Var._fields, App._fields) == (("var",), ("op", "args"))
+    assert Var(X).sort is S and App(M, (Var(X), Var(X))).sort is S
+    assert SF.term_decls[0] != replace(SF.term_decls[0], name="zz")
+    assert SF.term_decls[0] != replace(SF.term_decls[0], expr=(("e", -1),))
     assert TREE != replace(TREE, rule=Symmetry())
 
 

@@ -4,13 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (input_types, most_concrete_equation, most_concrete_term,
                       running_signature, v)
 from gen import gen_expression, gen_signature
 from termcat.errors import (MissingVariables, SortMismatch, TypeDisagrees)
-from termcat.signature import Variable
-from termcat.terms import (App, Term, Var, make_equation, make_term,
+from termcat.signature import Operation, Sort, Variable, ordered_vars
+from termcat.terms import (App, Equation, Term, Var, make_equation, make_term,
                            type_list, type_of_expression, type_set, var_list,
                            var_set)
 
@@ -198,3 +200,27 @@ def test_most_concrete_minimizes_by_brute_force(seed=9):
                     best = t
         assert best is not None
         assert best.vars == most_concrete_term(e).vars
+
+
+# two sorts share index 0, so two variables can share a key and differ
+_SORTS = [Sort(0, "s"), Sort(0, "t"), Sort(1, "u")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(_SORTS), st.integers(0, 3)),
+                max_size=5))
+def test_canonical_order_check_accepts_what_ordered_vars_keeps(pairs):
+    # Term and Equation check the order in one pass; they accept exactly
+    # the tuples that `ordered_vars` returns unchanged
+    vs = tuple(Variable(s, n) for s, n in pairs)
+    e = App(Operation("c", (), _SORTS[0]), ())
+    for make in (lambda: Term(e, vs, _SORTS[0]),
+                 lambda: Equation(e, e, vs)):
+        try:
+            make()
+            accepted = True
+        except TypeDisagrees:
+            accepted = False
+        assert accepted == (vs == ordered_vars(vs))
+    with pytest.raises(TypeDisagrees):
+        Term(e, list(ordered_vars(vs)), _SORTS[0])
