@@ -3,13 +3,15 @@
 A deduction tree applies the multisorted equational rules (reflexivity,
 symmetry, transitivity, concretion, abstraction, substitutivity) over a
 list of hypothesis equations.  This module is the producer: it checks each
-rule's side conditions and codes each rule as a one-claim certificate.  It
-then emits one of two certificates for the kernel (`kernel.py`), which runs
-none of this code:
+rule's side conditions on the equations' syntax and codes each rule as a
+kernel proof, compiling only the arrows that proof's steps carry.  It then
+emits one of two certificates for the kernel (`kernel.py`), which runs none
+of this code:
 
 - `lemma_table`: one lemma per distinct node of the tree, premises first,
   each carrying the node's equation, its citations and its rule coding's
-  kernel proof (what `check-proof` checks by default);
+  kernel proof; the kernel alone compiles the equations (what `check-proof`
+  checks by default);
 - `normalize_deduction` and `compile_to_factorization`: the levelled form
   and the one `Factorization` assembled from it (`check-proof --levelled`).
 
@@ -20,9 +22,9 @@ reach it through this module.
 from __future__ import annotations
 
 import functools
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .arrows import Comp, arrows_equal, equation_arrows
+from .arrows import Comp, _compiled, equation_arrows
 from .errors import (DeductionError, InterfaceMismatch, MiddleTermMismatch,
                      Record, SideConditionViolated, UnknownHypothesis)
 from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
@@ -91,9 +93,10 @@ class DeductionTree(Record):
 
     def __init__(self, conclusion: Equation, rule: RuleInstance,
                  premises: tuple["DeductionTree", ...] = (),
-                 origin: str = ""):
-        """`origin` says where the step comes from, e.g. "7:3: step 'c'";
-        it prefixes the lemma table's side-condition errors."""
+                 origin: Callable[[], str] | None = None):
+        """`origin`, if given, says where the step comes from, e.g.
+        "7:3: step 'c'"; it is called only to prefix a side-condition error
+        of the lemma table."""
         want = RULE_ARITY[type(rule)]
         if len(premises) != want:
             raise SideConditionViolated(
@@ -119,13 +122,6 @@ def identity_factorization(constraints: Sequence[EqConstraint]
                          verif=tuple((CiteHyp(i),) for i in range(len(cs))))
 
 
-def _coding(premises: tuple[EqConstraint, ...], conclusion: EqConstraint,
-            *proof: KernelStep) -> Factorization:
-    """A rule coding: the one-claim certificate of the conclusion from the
-    premises."""
-    return Factorization(premises, (conclusion,), (), (proof,))
-
-
 def _require(cond: bool, detail: str):
     if not cond:
         raise SideConditionViolated(detail)
@@ -134,17 +130,25 @@ def _require(cond: bool, detail: str):
 def check_rule(sig: Signature, premises: Sequence[Equation],
                rule: RuleInstance, conclusion: Equation,
                hypotheses: Sequence[Equation] | None = None) -> Factorization:
-    """Validate one rule application and produce its arrow-level coding."""
-    return _code_rule(sig, premises, tuple(map(equation_constraint, premises)),
-                      rule, conclusion, equation_constraint(conclusion),
-                      hypotheses)
+    """Validate one rule application and produce its arrow-level coding:
+    the one-claim certificate of the conclusion from the premises (a
+    hypothesis's from itself)."""
+    proof = _code_rule(sig, premises, rule, conclusion, hypotheses, None)
+    concl_c = equation_constraint(conclusion)
+    prem_cs = ((concl_c,) if isinstance(rule, Hypothesis)
+               else tuple(map(equation_constraint, premises)))
+    return Factorization(prem_cs, (concl_c,), (), (proof,))
 
 
 def _code_rule(sig: Signature, premises: Sequence[Equation],
-               prem_cs: tuple[EqConstraint, ...], rule: RuleInstance,
-               conclusion: Equation, concl_c: EqConstraint,
-               hypotheses: Sequence[Equation] | None) -> Factorization:
-    """`check_rule` over compiled premise and conclusion constraints."""
+               rule: RuleInstance, conclusion: Equation,
+               hypotheses: Sequence[Equation] | None,
+               memo: dict | None) -> KernelProof:
+    """Check one rule application on the equations' syntax and return the
+    kernel proof of the conclusion from the premises.  Only the arrows a
+    step carries are compiled, through `memo`: the conclusion's left side
+    for reflexivity and the first premise's right side for
+    substitutivity."""
     want = RULE_ARITY[type(rule)]
     _require(len(premises) == want,
              f"{RULE_NAMES[type(rule)]} takes {want} premises")
@@ -154,7 +158,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
             raise UnknownHypothesis(rule.index)
         _require(conclusion == hypotheses[rule.index],
                  "cited hypothesis does not match the conclusion")
-        return _coding((concl_c,), concl_c, CiteHyp(0))
+        return (CiteHyp(0),)
 
     if isinstance(rule, Reflexivity):
         t = rule.term
@@ -162,7 +166,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  "reflexivity conclusion must equate the term with itself")
         _require(conclusion.vars == t.vars,
                  "reflexivity conclusion has the wrong variable set")
-        return _coding((), concl_c, Refl(concl_c.left))
+        return (Refl(_compiled(conclusion.left, conclusion.vars, memo)),)
 
     if isinstance(rule, Symmetry):
         p = premises[0]
@@ -170,7 +174,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  "symmetry must swap the sides")
         _require(conclusion.vars == p.vars,
                  "symmetry must keep the variable set")
-        return _coding(prem_cs, concl_c, CiteHyp(0), Sym(0))
+        return CiteHyp(0), Sym(0)
 
     if isinstance(rule, Transitivity):
         p1, p2 = premises
@@ -179,7 +183,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
         if p1.sort != p2.sort:
             raise MiddleTermMismatch(
                 f"premises have different sorts: {p1.sort} vs {p2.sort}")
-        if not arrows_equal(prem_cs[0].right, prem_cs[1].left):
+        if p1.right != p2.left:
             raise MiddleTermMismatch(
                 f"premises do not share a middle term: "
                 f"{p1.right} vs {p2.left}")
@@ -187,7 +191,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  and conclusion.right == p2.right
                  and conclusion.vars == p1.vars,
                  "transitivity conclusion must chain the outer sides")
-        return _coding(prem_cs, concl_c, CiteHyp(0), CiteHyp(1), Trans(0, 1))
+        return CiteHyp(0), CiteHyp(1), Trans(0, 1)
 
     if isinstance(rule, Concretion):
         p = premises[0]
@@ -202,7 +206,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  "variable")
         # x is the one variable to fill; an empty sort raises UninhabitedFill
         h = retyping_arrow(kept, p.vars, inhabited_sorts(sig))
-        return _coding(prem_cs, concl_c, CiteHyp(0), ComposeRight(h, 0))
+        return CiteHyp(0), ComposeRight(h, 0)
 
     if isinstance(rule, Abstraction):
         p = premises[0]
@@ -215,7 +219,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  "abstraction conclusion must add exactly the chosen "
                  "variable")
         h = retyping_arrow(grown, p.vars, {})
-        return _coding(prem_cs, concl_c, CiteHyp(0), ComposeRight(h, 0))
+        return CiteHyp(0), ComposeRight(h, 0)
 
     if isinstance(rule, Substitutivity):
         p1, p2 = premises
@@ -257,11 +261,11 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                 refs.append(len(steps) - 1)
         steps.append(TupleCong(a_fwd.src, tuple(refs)))
         cong = len(steps) - 1        # (A, A') up to normalization
-        f_alpha_right = Comp(prem_cs[0].right, alpha)
+        f_alpha_right = Comp(_compiled(p1.right, p1.vars, memo), alpha)
         steps.append(ComposeRight(a_fwd, 2))            # (f.a.A, f'.a.A)
         steps.append(ComposeLeft(f_alpha_right, cong))  # (f'.a.A, f'.a.A')
         steps.append(Trans(len(steps) - 2, len(steps) - 1))
-        return _coding(prem_cs, concl_c, *steps)
+        return tuple(steps)
 
     raise SideConditionViolated(f"unknown rule {rule!r}")
 
@@ -273,11 +277,11 @@ def lemma_table(sig: Signature, tree: DeductionTree,
                 hypotheses: Sequence[Equation]) -> tuple[Lemma, ...]:
     """One lemma per distinct node of `tree`, in post-order, so a shared
     subtree is checked once and every citation names an earlier lemma.
-    Each node's rule is checked and coded by `_code_rule`; a failure is
-    prefixed with the node's origin."""
+    Each node's rule is checked on syntax and coded by `_code_rule`, which
+    compiles only the arrows its kernel steps carry; the kernel compiles
+    the statements.  A failure is prefixed with the node's origin."""
     index: dict[int, int] = {}  # id(node) -> its lemma
     lemmas: list[Lemma] = []
-    constraints: list[EqConstraint] = []
     memo: dict = {}  # shared side expressions are compiled once
     stack = [tree]
     while stack:
@@ -289,21 +293,18 @@ def lemma_table(sig: Signature, tree: DeductionTree,
         stack.pop()
         if id(node) in index:  # pushed by two parents
             continue
-        cites = tuple(index[id(p)] for p in node.premises)
-        concl_c = EqConstraint(*equation_arrows(node.conclusion, memo))
         try:
-            coded = _code_rule(sig, [p.conclusion for p in node.premises],
-                               tuple(constraints[i] for i in cites),
-                               node.rule, node.conclusion, concl_c,
-                               hypotheses)
+            proof = _code_rule(sig, [p.conclusion for p in node.premises],
+                               node.rule, node.conclusion, hypotheses, memo)
         except DeductionError as exc:
-            if not node.origin:
+            if node.origin is None:
                 raise
-            raise SideConditionViolated(f"{node.origin}: {exc}") from exc
+            raise SideConditionViolated(f"{node.origin()}: {exc}") from exc
         hyp = node.rule.index if isinstance(node.rule, Hypothesis) else None
         index[id(node)] = len(lemmas)
-        constraints.append(concl_c)
-        lemmas.append(Lemma(node.conclusion, cites, hyp, coded.verif[0]))
+        lemmas.append(Lemma(node.conclusion,
+                            tuple(index[id(p)] for p in node.premises),
+                            hyp, proof))
     return tuple(lemmas)
 
 
@@ -480,15 +481,15 @@ def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
         raise SideConditionViolated("deduction is not in normal form: "
                                     + "; ".join(bad))
     compiled = functools.cache(equation_constraint)
+    memo: dict = {}  # the sides that kernel steps carry
     hyp = tuple(map(compiled, hypotheses))
 
     claims, proofs = [], []
     for s in ld.levels[0]:
-        coded = _code_rule(sig, (), (), s.rule, s.equation,
-                           compiled(s.equation), hypotheses)
-        claims.append(coded.claim[0])
+        proof = _code_rule(sig, (), s.rule, s.equation, hypotheses, memo)
+        claims.append(compiled(s.equation))
         proofs.append((CiteHyp(s.rule.index),)
-                      if isinstance(s.rule, Hypothesis) else coded.verif[0])
+                      if isinstance(s.rule, Hypothesis) else proof)
     running = Factorization(hyp, tuple(claims), (), tuple(proofs))
 
     for l in range(1, len(ld.levels)):
@@ -502,10 +503,11 @@ def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
                          "copy must repeat its premise unchanged")
                 step_certs.append(identity_factorization((running.claim[i],)))
             else:
-                step_certs.append(_code_rule(
-                    sig, [prev_eqs[i] for i in s.premises],
-                    tuple(running.claim[i] for i in s.premises), s.rule,
-                    s.equation, compiled(s.equation), hypotheses))
+                proof = _code_rule(sig, [prev_eqs[i] for i in s.premises],
+                                   s.rule, s.equation, hypotheses, memo)
+                step_certs.append(Factorization(
+                    tuple(running.claim[i] for i in s.premises),
+                    (compiled(s.equation),), (), (proof,)))
             consumed.extend(s.premises)
         level_cert = product_factorizations(step_certs)
         reordered = Factorization(

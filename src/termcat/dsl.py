@@ -35,8 +35,9 @@ them.
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import islice
-from typing import Optional
+from typing import Callable, Optional
 
 from .deduction import (Abstraction, Concretion, DeductionTree,
                         Hypothesis, Reflexivity, Substitutivity, Symmetry,
@@ -629,13 +630,12 @@ def build_proof(sf: SpecFile, proof: ProofDef
     sig = sf.signature
     hypotheses = [sf.equations[h] for h in proof.hypotheses]
     results: dict[str, _StepResult] = {}
-    places = _positions(sf.text, sf.tokens, [s.at for s in proof.steps])
     try:
-        for s, (line, col) in zip(proof.steps, places):
+        for s in proof.steps:
             try:
                 results[s.name] = _build_step(
                     sf, sig, proof, hypotheses, results, s,
-                    f"{line}:{col}: step {s.name!r}")
+                    partial(_origin, sf, s))
             except DeductionError:
                 raise
             except TermcatError as exc:
@@ -649,10 +649,15 @@ def build_proof(sf: SpecFile, proof: ProofDef
     return results[proof.steps[-1].name].tree, hypotheses
 
 
+def _origin(sf: SpecFile, s: StepDef) -> str:
+    (line, col), = _positions(sf.text, sf.tokens, (s.at,))
+    return f"{line}:{col}: step {s.name!r}"
+
+
 def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
                 hypotheses: list[Equation],
                 results: dict[str, "_StepResult"],
-                s: StepDef, where: str) -> "_StepResult":
+                s: StepDef, where: Callable[[], str]) -> "_StepResult":
     if s.rule == "hyp":
         idx = proof.hypotheses.index(s.eq_name)
         eq = hypotheses[idx]

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import binary_signature, certify, replace, unary_signature, v
-from gen import gen_deduction_tree, gen_equation
-from termcat import deduction
+from gen import gen_deduction_tree, gen_equation, gen_expression
+from termcat import arrows, deduction
 from termcat.arrows import arrows_equal, normalize, term_arrow
 from termcat.deduction import (Abstraction, Concretion, Copy, DeductionTree,
                                Hypothesis, Reflexivity, Substitutivity,
@@ -540,3 +541,108 @@ def test_lemma_table_of_a_chain_is_linear():
     assert max(len(x.proof) for x in lemmas) <= 4
     # every trans step cites the chain so far and the one reflexivity
     assert [x.cites for x in lemmas[3:]] == [(k, 1) for k in range(2, 101)]
+
+
+# --- what the producer compiles ----------------------------------------------------
+
+_TWO_SORTS = validate_signature(["s", "t"], [
+    ("m", ["s", "s"], "s"), ("f", ["s"], "s"), ("g", ["t"], "s"),
+    ("c", [], "s"), ("k", ["s"], "t"), ("d", [], "t")])
+
+
+def _rebuilt(e):
+    """A structurally equal copy of `e` that shares no node with it."""
+    if isinstance(e, Var):
+        return Var(Variable(e.var.sort, e.var.num))
+    return App(e.op, tuple(_rebuilt(a) for a in e.args))
+
+
+def _near(rng, e):
+    """`e` with one subexpression replaced by a fresh one of its sort."""
+    if isinstance(e, Var) or not e.args or rng.random() < 0.3:
+        return gen_expression(rng, _TWO_SORTS, e.sort, 1, max_var=2)
+    i = rng.randrange(len(e.args))
+    return App(e.op, e.args[:i] + (_near(rng, e.args[i]),) + e.args[i + 1:])
+
+
+def test_middle_term_check_agrees_with_arrow_equality():
+    # transitivity compares the middle terms as syntax; over one variable
+    # tuple that must say exactly what equality of their arrows says
+    s, t = _TWO_SORTS.sorts
+    vs = tuple(Variable(srt, n) for srt in (s, t) for n in (1, 2))
+    tally = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           how=st.sampled_from(["copy", "near", "fresh"]))
+    def agree(seed, how):
+        rng = random.Random(seed)
+        sort = rng.choice((s, t))
+        a = gen_expression(rng, _TWO_SORTS, sort, rng.randint(0, 4), 2)
+        b = (_rebuilt(a) if how == "copy" else _near(rng, a) if how == "near"
+             else gen_expression(rng, _TWO_SORTS, sort, rng.randint(0, 4), 2))
+        assert a is not b
+        p1, p2 = make_equation(a, a, vs), make_equation(b, b, vs)
+        same = arrows_equal(equation_constraint(p1).right,
+                            equation_constraint(p2).left)
+        try:
+            check_rule(_TWO_SORTS, (p1, p2), Transitivity(),
+                       make_equation(a, b, vs))
+            mismatch = False
+        except MiddleTermMismatch:
+            mismatch = True
+        assert mismatch is not same
+        tally[how, same] += 1
+
+    agree()
+    assert sum(tally.values()) >= 300
+    assert tally["copy", True] >= 50, tally
+    assert tally["near", True] >= 10 and tally["near", False] >= 50, tally
+    assert tally["fresh", False] >= 50, tally
+
+
+_LUNIT = "sort s\nop m : s s -> s\nop e : -> s\neq lunit [x:s] : m(e, x) = x\n"
+# (steps of a proof from lunit, calls of the side compiler in the producer
+# and of the term compiler in the kernel: two per lemma, the one hypothesis
+# and the goal, as before the producer stopped compiling statements)
+COMPILE_COUNTS = {
+    "hyp-sym-trans-chain": (
+        ["a = hyp lunit ;", "b = sym a ;", "c0 = trans a b ;"]
+        + [f"c{k} = trans c{k - 1} c0 ;" for k in range(1, 100)], 0, 208),
+    "dag-k12": (
+        ["a = hyp lunit ;", "b = sym a ;", "c0 = trans a b ;"]
+        + [f"c{k} = trans c{k - 1} c{k - 1} ;" for k in range(1, 13)],
+        0, 34),
+    "all-six-rules": (
+        ["a = hyp lunit ;", "r = refl [y:s] m(y, y) ;", "b = subst a x r ;",
+         "c = sym b ;", "d = trans b c ;", "g = abs d z : s ;",
+         "h = conc g z ;", "r0 = refl e ;", "k = subst h y r0 ;"], 4, 22),
+}
+
+
+@pytest.mark.parametrize("steps, producer, kernel", COMPILE_COUNTS.values(),
+                         ids=COMPILE_COUNTS.keys())
+def test_producer_compiles_only_what_its_steps_carry(steps, producer, kernel,
+                                                     monkeypatch):
+    sf = parse_spec(_LUNIT + "proof p from lunit {\n" + "\n".join(steps)
+                    + "\n}\n")
+    tree, hyps = build_proof(sf, sf.proofs[0])
+    calls = []
+
+    def counting(real):
+        def compiled(e, vs, memo):
+            calls.append(e)
+            return real(e, vs, memo)
+        return compiled
+
+    monkeypatch.setattr(deduction, "_compiled", counting(arrows._compiled))
+    lemmas = lemma_table(sf.signature, tree, hyps)
+    assert len(lemmas) == len(steps)
+    # one side per reflexivity and per substitutivity node, none otherwise
+    assert len(calls) == producer == sum(
+        isinstance(node.rule, (Reflexivity, Substitutivity))
+        for node in _nodes(tree))
+    calls.clear()
+    monkeypatch.setattr(arrows, "_compiled", counting(arrows._compiled))
+    assert verify_lemmas(hyps, lemmas, tree.conclusion).ok
+    assert len(calls) == kernel

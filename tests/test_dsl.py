@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from fixtures import certify, print_spec
-from termcat.deduction import normalize_deduction, verify_factorization
+from termcat import dsl
+from termcat.cli import run
+from termcat.deduction import (lemma_table, normalize_deduction,
+                               verify_factorization)
 from termcat.dsl import EOF, _positions, _scan, build_proof, parse_spec
 from termcat.errors import (DslSyntaxError, NameResolutionError,
                             SideConditionViolated)
@@ -293,3 +296,29 @@ def test_no_function_in_the_front_end_recurses():
             if name not in seen:
                 seen.add(name)
                 todo.extend(calls[name])
+
+
+def test_a_valid_proof_is_checked_without_locating_its_steps(monkeypatch,
+                                                             capsys):
+    # a step's line:column is worked out only when an error names it
+    located = []
+
+    def counting(text, tokens, indices):
+        located.extend(indices)
+        return _positions(text, tokens, indices)
+
+    monkeypatch.setattr(dsl, "_positions", counting)
+    monoid = str(Path(__file__).resolve().parent.parent / "corpus"
+                 / "monoid.msl")
+    for flags in ([], ["--json"], ["--levelled"]):
+        assert run(["check-proof", *flags, monoid]) == 0
+    assert located == []
+    sf = parse_spec(GOOD + "proof bad from comm {\n  a = hyp comm ;\n"
+                           "  b = trans a a ;\n}\n")
+    tree, hyps = build_proof(sf, sf.proofs[1])
+    assert located == []
+    with pytest.raises(SideConditionViolated,
+                       match="^17:3: step 'b': premises do not share"):
+        lemma_table(sf.signature, tree, hyps)
+    assert len(located) == 1
+    capsys.readouterr()
