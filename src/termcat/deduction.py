@@ -2,11 +2,12 @@
 
 A deduction tree applies the multisorted equational rules (reflexivity,
 symmetry, transitivity, concretion, abstraction, substitutivity) over a
-list of hypothesis equations.  This module is the producer: it checks each
-rule's side conditions on the equations' syntax and codes each rule as a
-kernel proof, compiling only the arrows that proof's steps carry.  It then
-emits one of two certificates for the kernel (`kernel.py`), which runs none
-of this code:
+list of hypothesis equations.  `conclude` alone states what each rule
+concludes, for the .msl front end and for this module, the producer: it
+checks each rule's side conditions on the equations' syntax and its
+conclusion against `conclude`, and codes each rule as a kernel proof,
+compiling only the arrows that proof's steps carry.  It then emits one of
+two certificates for the kernel (`kernel.py`), which runs none of this code:
 
 - `lemma_table`: one lemma per distinct node of the tree, premises first,
   each carrying the node's equation, its citations and its rule coding's
@@ -31,10 +32,10 @@ from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                      Factorization, KernelProof, KernelStep, Lemma, Refl,
                      Sym, Trans, TupleCong, constraints_equal)
 from .kernel import verify_factorization  # noqa: F401
-from .signature import Signature, inhabited_sorts, ordered_vars
+from .signature import Signature, Variable, inhabited_sorts, ordered_vars
 from .subst import (SubstInstance, retyping_arrow, subst_expr,
                     substitution_arrow)
-from .terms import Equation, Term, var_set
+from .terms import Equation, Expression, Term, var_set
 
 _set = object.__setattr__
 
@@ -140,134 +141,135 @@ def check_rule(sig: Signature, premises: Sequence[Equation],
     return Factorization(prem_cs, (concl_c,), (), (proof,))
 
 
+def conclude(rule: RuleInstance, premises: Sequence[Equation],
+             hypotheses: Sequence[Equation] | None = None
+             ) -> tuple[Expression, Expression, tuple[Variable, ...]]:
+    """The conclusion `rule` draws from `premises` (a hypothesis's from
+    `hypotheses`): its two sides and its variables in canonical order.
+    This is the one statement of what each rule concludes.  It checks no
+    side condition, so the result need not form an equation, but a
+    substitution of another sort raises `SortMismatch`."""
+    kind = type(rule)
+    if kind is Hypothesis:
+        h = hypotheses[rule.index]
+        return h.left, h.right, h.vars
+    if kind is Reflexivity:
+        t = rule.term
+        return t.expr, t.expr, t.vars
+    p = premises[0]
+    if kind is Symmetry:
+        return p.right, p.left, p.vars
+    if kind is Transitivity:
+        return p.left, premises[1].right, p.vars
+    if kind is Concretion:
+        return p.left, p.right, tuple(v for v in p.vars if v != rule.var)
+    if kind is Abstraction:
+        return p.left, p.right, ordered_vars(p.vars + (rule.var,))
+    if kind is Substitutivity:
+        x, q = rule.var, premises[1]
+        kept = tuple(v for v in p.vars if v != x)
+        return (subst_expr(p.left, x, q.left), subst_expr(p.right, x, q.right),
+                ordered_vars(kept + q.vars))
+    raise SideConditionViolated(f"unknown rule {rule!r}")
+
+
 def _code_rule(sig: Signature, premises: Sequence[Equation],
                rule: RuleInstance, conclusion: Equation,
                hypotheses: Sequence[Equation] | None,
                memo: dict | None) -> KernelProof:
-    """Check one rule application on the equations' syntax and return the
-    kernel proof of the conclusion from the premises.  Only the arrows a
-    step carries are compiled, through `memo`: the conclusion's left side
-    for reflexivity and the first premise's right side for
-    substitutivity."""
-    want = RULE_ARITY[type(rule)]
+    """Check one rule application on the equations' syntax, its side
+    conditions first and then that `conclusion` is what `conclude` draws,
+    and return the kernel proof of the conclusion from the premises.  Only
+    the arrows a step carries are compiled, through `memo`: the
+    conclusion's left side for reflexivity and the first premise's right
+    side for substitutivity."""
+    kind = type(rule)
+    want = RULE_ARITY[kind]
     _require(len(premises) == want,
-             f"{RULE_NAMES[type(rule)]} takes {want} premises")
+             f"{RULE_NAMES[kind]} takes {want} premises")
+    c = conclusion
+    p = premises[0] if premises else None
 
-    if isinstance(rule, Hypothesis):
+    if kind is Hypothesis:
         if hypotheses is None or not 0 <= rule.index < len(hypotheses):
             raise UnknownHypothesis(rule.index)
-        _require(conclusion == hypotheses[rule.index],
-                 "cited hypothesis does not match the conclusion")
-        return (CiteHyp(0),)
-
-    if isinstance(rule, Reflexivity):
-        t = rule.term
-        _require(conclusion.left == t.expr and conclusion.right == t.expr,
-                 "reflexivity conclusion must equate the term with itself")
-        _require(conclusion.vars == t.vars,
-                 "reflexivity conclusion has the wrong variable set")
-        return (Refl(_compiled(conclusion.left, conclusion.vars, memo)),)
-
-    if isinstance(rule, Symmetry):
-        p = premises[0]
-        _require(conclusion.left == p.right and conclusion.right == p.left,
-                 "symmetry must swap the sides")
-        _require(conclusion.vars == p.vars,
-                 "symmetry must keep the variable set")
-        return CiteHyp(0), Sym(0)
-
-    if isinstance(rule, Transitivity):
-        p1, p2 = premises
-        _require(p1.vars == p2.vars,
+    elif kind is Transitivity:
+        p2 = premises[1]
+        _require(p.vars == p2.vars,
                  "transitivity premises must share the variable set")
-        if p1.sort != p2.sort:
+        if p.sort != p2.sort:
             raise MiddleTermMismatch(
-                f"premises have different sorts: {p1.sort} vs {p2.sort}")
-        if p1.right != p2.left:
+                f"premises have different sorts: {p.sort} vs {p2.sort}")
+        if p.right != p2.left:
             raise MiddleTermMismatch(
-                f"premises do not share a middle term: "
-                f"{p1.right} vs {p2.left}")
-        _require(conclusion.left == p1.left
-                 and conclusion.right == p2.right
-                 and conclusion.vars == p1.vars,
-                 "transitivity conclusion must chain the outer sides")
-        return CiteHyp(0), CiteHyp(1), Trans(0, 1)
-
-    if isinstance(rule, Concretion):
-        p = premises[0]
+                f"premises do not share a middle term: {p.right} vs {p2.left}")
+    elif kind is Concretion:
         x = rule.var
         _require(x in p.vars, f"{x} is not among the premise variables")
         _require(x not in var_set(p.left) and x not in var_set(p.right),
                  f"{x} occurs in the equation and cannot be removed")
-        kept = tuple(v for v in p.vars if v != x)
-        _require(conclusion.left == p.left and conclusion.right == p.right
-                 and conclusion.vars == kept,
-                 "concretion conclusion must drop exactly the chosen "
-                 "variable")
-        # x is the one variable to fill; an empty sort raises UninhabitedFill
-        h = retyping_arrow(kept, p.vars, inhabited_sorts(sig))
-        return CiteHyp(0), ComposeRight(h, 0)
-
-    if isinstance(rule, Abstraction):
-        p = premises[0]
+    elif kind is Abstraction:
         x = rule.var
         _require(x not in p.vars, f"{x} already occurs among the premise "
                  "variables")
-        grown = ordered_vars(p.vars + (x,))
-        _require(conclusion.left == p.left and conclusion.right == p.right
-                 and conclusion.vars == grown,
-                 "abstraction conclusion must add exactly the chosen "
-                 "variable")
-        h = retyping_arrow(grown, p.vars, {})
-        return CiteHyp(0), ComposeRight(h, 0)
-
-    if isinstance(rule, Substitutivity):
-        p1, p2 = premises
-        x = rule.var
-        _require(x in p1.vars, f"{x} is not among the first premise's "
+    elif kind is Substitutivity:
+        x, p2 = rule.var, premises[1]
+        _require(x in p.vars, f"{x} is not among the first premise's "
                  "variables")
         _require(p2.sort == x.sort,
                  f"second premise has sort {p2.sort}, but {x} requires "
                  f"{x.sort}")
-        inst = SubstInstance(Term(p1.left, p1.vars, p1.sort), x,
-                             Term(p2.left, p2.vars, p2.sort))
-        result = inst.result_vars()
-        union = inst.union_vars()
-        _require(conclusion.left == subst_expr(p1.left, x, p2.left)
-                 and conclusion.right == subst_expr(p1.right, x, p2.right)
-                 and conclusion.vars == result,
-                 "substitutivity conclusion must substitute both sides over "
-                 "the combined variable set")
-        alpha = retyping_arrow(union, p1.vars, {})
-        beta = retyping_arrow(result, p2.vars, {})
-        a_fwd = substitution_arrow(inst)
-        # Kernel derivation: widen the first premise to the union product,
-        # derive the substituted-slot pair from the second premise, assemble
-        # the pair of substitution arrows by tuple congruence, then compose.
-        steps: list[KernelStep] = [
-            CiteHyp(0),               # 0: (f, f') over the premise product
-            CiteHyp(1),               # 1: (g, g') over the replacement product
-            ComposeRight(alpha, 0),   # 2: widened first premise
-            ComposeRight(beta, 1),    # 3: the substituted coordinate pair
-        ]
-        # step 3 at the substituted slot, Refl of a_fwd's projection elsewhere
-        slot = union.index(x)
-        refs: list[int] = []
-        for i, part in enumerate(a_fwd.parts):
-            if i == slot:
-                refs.append(3)
-            else:
-                steps.append(Refl(part))
-                refs.append(len(steps) - 1)
-        steps.append(TupleCong(a_fwd.src, tuple(refs)))
-        cong = len(steps) - 1        # (A, A') up to normalization
-        f_alpha_right = Comp(_compiled(p1.right, p1.vars, memo), alpha)
-        steps.append(ComposeRight(a_fwd, 2))            # (f.a.A, f'.a.A)
-        steps.append(ComposeLeft(f_alpha_right, cong))  # (f'.a.A, f'.a.A')
-        steps.append(Trans(len(steps) - 2, len(steps) - 1))
-        return tuple(steps)
+    if (c.left, c.right, c.vars) != conclude(rule, premises, hypotheses):
+        raise SideConditionViolated(f"{RULE_NAMES[kind]} conclusion "
+                                    "does not follow from the premises")
 
-    raise SideConditionViolated(f"unknown rule {rule!r}")
+    if kind is Hypothesis:
+        return (CiteHyp(0),)
+    if kind is Reflexivity:
+        return (Refl(_compiled(c.left, c.vars, memo)),)
+    if kind is Symmetry:
+        return CiteHyp(0), Sym(0)
+    if kind is Transitivity:
+        return CiteHyp(0), CiteHyp(1), Trans(0, 1)
+    if kind is Concretion or kind is Abstraction:
+        # a concretion fills its one dropped variable, so an empty sort
+        # raises UninhabitedFill; an abstraction fills none
+        h = retyping_arrow(c.vars, p.vars, inhabited_sorts(sig)
+                           if kind is Concretion else {})
+        return CiteHyp(0), ComposeRight(h, 0)
+
+    # substitutivity
+    inst = SubstInstance(Term(p.left, p.vars, p.sort), x,
+                         Term(p2.left, p2.vars, p2.sort))
+    union = inst.union_vars()
+    alpha = retyping_arrow(union, p.vars, {})
+    beta = retyping_arrow(c.vars, p2.vars, {})
+    a_fwd = substitution_arrow(inst)
+    # Kernel derivation: widen the first premise to the union product,
+    # derive the substituted-slot pair from the second premise, assemble
+    # the pair of substitution arrows by tuple congruence, then compose.
+    steps: list[KernelStep] = [
+        CiteHyp(0),               # 0: (f, f') over the premise product
+        CiteHyp(1),               # 1: (g, g') over the replacement product
+        ComposeRight(alpha, 0),   # 2: widened first premise
+        ComposeRight(beta, 1),    # 3: the substituted coordinate pair
+    ]
+    # step 3 at the substituted slot, Refl of a_fwd's projection elsewhere
+    slot = union.index(x)
+    refs: list[int] = []
+    for i, part in enumerate(a_fwd.parts):
+        if i == slot:
+            refs.append(3)
+        else:
+            steps.append(Refl(part))
+            refs.append(len(steps) - 1)
+    steps.append(TupleCong(a_fwd.src, tuple(refs)))
+    cong = len(steps) - 1        # (A, A') up to normalization
+    f_alpha_right = Comp(_compiled(p.right, p.vars, memo), alpha)
+    steps.append(ComposeRight(a_fwd, 2))            # (f.a.A, f'.a.A)
+    steps.append(ComposeLeft(f_alpha_right, cong))  # (f'.a.A, f'.a.A')
+    steps.append(Trans(len(steps) - 2, len(steps) - 1))
+    return tuple(steps)
 
 
 # --- lemma tables -------------------------------------------------------------------

@@ -23,6 +23,8 @@ canonical variable order (and with it every projection index) is fixed by
 the text alone.  Within a proof, variable names travel with the derived
 equations: cited equations contribute their bracket names, merges drop
 ambiguous names, and `abs` binds its name to the variable it introduces.
+A step only resolves its names to a rule instance; its conclusion is the
+one `deduction.conclude` draws, and the producer checks the rule.
 
 One pass, no recursion: the scanner splits the whole text into token
 strings with one `findall`; the parser writes each expression as its names
@@ -41,13 +43,12 @@ from typing import Callable, Optional
 
 from .deduction import (Abstraction, Concretion, DeductionTree,
                         Hypothesis, Reflexivity, Substitutivity, Symmetry,
-                        Transitivity)
+                        Transitivity, conclude)
 from .errors import (DeductionError, DslSyntaxError, DuplicateSort,
                      NameResolutionError, Record, SideConditionViolated,
                      SignatureError, TermcatError)
 from .signature import Signature, Variable, ordered_vars, validate_signature
-from .subst import subst_expr
-from .terms import App, Equation, Expression, Term, Var, make_equation
+from .terms import App, Equation, Expression, Term, Var
 
 # --- tokens ------------------------------------------------------------------
 
@@ -593,7 +594,8 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
 
 
 class _StepResult(Record):
-    __slots__ = ("tree", "names")  # names: variable name -> Variable or None
+    # names: variable name -> Variable or None, shared; copied to change
+    __slots__ = ("tree", "names")
     __hash__ = None
 
 
@@ -624,8 +626,9 @@ def build_proof(sf: SpecFile, proof: ProofDef
                 ) -> tuple[DeductionTree, list[Equation]]:
     """Turn a named proof into a deduction tree plus its hypothesis list.
 
-    Conclusions are computed rule by rule; side-condition failures surface
-    as deduction errors, not parse errors.
+    Each step's conclusion is the one `deduction.conclude` draws; one that
+    fails to form an equation, like every side-condition failure, surfaces
+    as a deduction error, not a parse error.
     """
     sig = sf.signature
     hypotheses = [sf.equations[h] for h in proof.hypotheses]
@@ -670,63 +673,33 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
         eq = Equation(e, e, vs)
         return _StepResult(DeductionTree(eq, Reflexivity(term), (), where),
                            binding)
+    prem = results[s.steps[0]]
+    names = prem.names
     if s.rule == "sym":
-        prem = results[s.steps[0]]
-        eq = make_equation(prem.tree.conclusion.right,
-                           prem.tree.conclusion.left,
-                           prem.tree.conclusion.vars)
-        return _StepResult(DeductionTree(eq, Symmetry(), (prem.tree,),
-                                         where),
-                           dict(prem.names))
-    if s.rule == "trans":
-        p1, p2 = results[s.steps[0]], results[s.steps[1]]
-        c1, c2 = p1.tree.conclusion, p2.tree.conclusion
-        eq = make_equation(c1.left, c2.right, c1.vars)
-        return _StepResult(
-            DeductionTree(eq, Transitivity(), (p1.tree, p2.tree), where),
-            _merge_names(p1.names, p2.names))
-    if s.rule == "conc":
-        prem = results[s.steps[0]]
-        x = _resolve_var(prem.names, s.var_name, s)
-        c = prem.tree.conclusion
-        eq = make_equation(c.left, c.right,
-                           tuple(v for v in c.vars if v != x))
-        return _StepResult(DeductionTree(eq, Concretion(x), (prem.tree,),
-                                         where),
-                           dict(prem.names))
-    if s.rule == "abs":
-        prem = results[s.steps[0]]
-        c = prem.tree.conclusion
+        rule = Symmetry()
+    elif s.rule == "trans":
+        rule = Transitivity()
+        names = _merge_names(names, results[s.steps[1]].names)
+    elif s.rule == "conc":
+        rule = Concretion(_resolve_var(names, s.var_name, s))
+    elif s.rule == "abs":
+        vs = prem.tree.conclusion.vars
         sort = sig.sort_named.get(s.sort_name)
         if sort is None:
             raise _Fault(NameResolutionError, f"unknown sort {s.sort_name!r}",
                          s.at)
-        existing = prem.names.get(s.var_name)
-        if existing is not None and existing.sort == sort \
-                and existing not in c.vars:
-            x = existing
-        else:
+        x = names.get(s.var_name)
+        if x is None or x.sort != sort or x in vs:
             num = 1
-            while Variable(sort, num) in c.vars:
+            while Variable(sort, num) in vs:
                 num += 1
             x = Variable(sort, num)
-        eq = make_equation(c.left, c.right, c.vars + (x,))
-        names = dict(prem.names)
+        rule = Abstraction(x)
+        names = dict(names)
         names[s.var_name] = x
-        return _StepResult(DeductionTree(eq, Abstraction(x), (prem.tree,),
-                                         where),
-                           names)
-    # the parser admits no other rule
-    p1, p2 = results[s.steps[0]], results[s.steps[1]]
-    x = _resolve_var(p1.names, s.var_name, s)
-    c1, c2 = p1.tree.conclusion, p2.tree.conclusion
-    if x not in c1.vars:
-        raise SideConditionViolated(
-            f"{x} is not among the variables of step {s.steps[0]!r}")
-    left = subst_expr(c1.left, x, c2.left)
-    right = subst_expr(c1.right, x, c2.right)
-    kept = tuple(v for v in c1.vars if v != x)
-    eq = make_equation(left, right, ordered_vars(kept + c2.vars))
-    return _StepResult(
-        DeductionTree(eq, Substitutivity(x), (p1.tree, p2.tree), where),
-        _merge_names(p1.names, p2.names))
+    else:  # the parser admits no other rule
+        rule = Substitutivity(_resolve_var(names, s.var_name, s))
+        names = _merge_names(names, results[s.steps[1]].names)
+    premises = tuple(results[ref].tree for ref in s.steps)
+    eq = Equation(*conclude(rule, [p.conclusion for p in premises]))
+    return _StepResult(DeductionTree(eq, rule, premises, where), names)

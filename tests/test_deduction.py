@@ -11,13 +11,14 @@ from fixtures import binary_signature, certify, replace, unary_signature, v
 from gen import gen_deduction_tree, gen_equation, gen_expression
 from termcat import arrows, deduction
 from termcat.arrows import arrows_equal, normalize, term_arrow
-from termcat.deduction import (Abstraction, Concretion, Copy, DeductionTree,
-                               Hypothesis, Reflexivity, Substitutivity,
-                               Symmetry, Transitivity, check_rule,
-                               compile_to_factorization, equation_constraint,
-                               identity_factorization, lemma_table,
-                               normal_form_violations, normalize_deduction,
-                               paste_factorizations, product_factorizations)
+from termcat.deduction import (RULE_NAMES, Abstraction, Concretion, Copy,
+                               DeductionTree, Hypothesis, Reflexivity,
+                               Substitutivity, Symmetry, Transitivity,
+                               check_rule, compile_to_factorization, conclude,
+                               equation_constraint, identity_factorization,
+                               lemma_table, normal_form_violations,
+                               normalize_deduction, paste_factorizations,
+                               product_factorizations)
 from termcat.dsl import build_proof, parse_spec
 from termcat.errors import (DeductionError, InterfaceMismatch,
                             MiddleTermMismatch, SideConditionViolated,
@@ -28,7 +29,7 @@ from termcat.kernel import (CiteHyp, ComposeRight, EqConstraint, Factorization,
 from termcat.models import enumerate_models, satisfies
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_expr
-from termcat.terms import App, Var, make_equation, make_term
+from termcat.terms import App, Equation, Var, make_equation, make_term
 
 
 def _setup():
@@ -331,15 +332,61 @@ def test_one_level_compile_equals_rule_coding():
 
 def test_invalid_tree_fails_on_both_routes():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    # symmetry with an unflipped conclusion is invalid everywhere: for the
-    # rule check alone and for the assembler of the whole deduction
-    bad = DeductionTree(comm, Symmetry(),
-                        (DeductionTree(comm, Hypothesis(0)),))
-    with pytest.raises(SideConditionViolated):
-        check_rule(sig, (comm,), Symmetry(), comm)
-    ld = normalize_deduction(bad)
-    with pytest.raises(SideConditionViolated):
-        compile_to_factorization(sig, ld, [comm])
+    z = Variable(s, 3)
+    ce = App(c, ())
+    refl_c = make_equation(ce, ce, ())
+    flipped = make_equation(comm.right, comm.left, comm.vars)
+    wide = make_equation(comm.left, comm.right, (x, y, z))
+    # each rule with premises that meet its side conditions and a
+    # conclusion it does not draw; a hypothesis step cites lunit
+    cases = [
+        (Hypothesis(0), (), comm),
+        (Reflexivity(make_term(comm.left, comm.vars, s)), (), comm),
+        (Symmetry(), (comm,), comm),
+        (Transitivity(), (comm, flipped), comm),
+        (Concretion(z), (wide,), wide),
+        (Abstraction(z), (comm,), comm),
+        (Substitutivity(x), (lunit, refl_c), lunit),
+    ]
+    for rule, premises, wrong in cases:
+        # invalid everywhere: for the rule check alone and for the
+        # assembler of the whole deduction
+        hyps = list(premises) or [lunit]
+        why = (f"^{RULE_NAMES[type(rule)]} conclusion does not follow from "
+               "the premises$")
+        with pytest.raises(SideConditionViolated, match=why):
+            check_rule(sig, premises, rule, wrong, hyps)
+        tree = DeductionTree(wrong, rule, tuple(
+            DeductionTree(p, Hypothesis(i)) for i, p in enumerate(premises)))
+        with pytest.raises(SideConditionViolated, match=why):
+            compile_to_factorization(sig, normalize_deduction(tree), hyps)
+
+
+def test_conclude_agrees_with_the_generated_trees():
+    # tests/gen.py derives each rule's conclusion on its own; `conclude`
+    # must draw the same one from the premises of every node
+    tally = Counter()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def agree(seed):
+        rng = random.Random(seed)
+        sig = rng.choice([unary_signature(), binary_signature(), _TWO_SORTS])
+        hyps = [gen_equation(rng, sig, depth=2)
+                for _ in range(rng.randint(0, 3))]
+        stack = [gen_deduction_tree(rng, sig, hyps, rng.randint(1, 5))]
+        while stack:
+            node = stack.pop()
+            drawn = conclude(node.rule, [p.conclusion for p in node.premises],
+                             hyps)
+            assert Equation(*drawn) == node.conclusion
+            tally[type(node.rule)] += 1
+            stack.extend(node.premises)
+        tally["trees"] += 1
+
+    agree()
+    assert tally.pop("trees") >= 200
+    assert set(tally) == set(RULE_NAMES) - {Copy}, tally
 
 
 # --- certificate algebra --------------------------------------------------------------

@@ -22,6 +22,16 @@ _PROOF = _HEAD + "eq q [x:s] : f(x) = f(x)\n"
 _UNITS = ("sort s t\nop m : s s -> s\nop e : -> s\nop f : s -> s\n"
           "eq lunit [x:s] : m(e, x) = x\neq runit [x:s] : m(x, e) = x\n"
           "eq fx [x:s, y:t] : f(x) = f(x)\n")
+# `d` substitutes for y, which `c` has just removed: the producer, not the
+# front end, refuses it, and names the step
+_SUBST_ABSENT = ("sort s\nop m : s s -> s\nop e : -> s\n"
+                 "eq lu [x:s] : m(e, x) = x\n"
+                 "proof r from lu {\n"
+                 "  a = hyp lu ;\n"
+                 "  b = abs a y : s ;\n"
+                 "  c = conc b y ;\n"
+                 "  d = subst c y a ;\n"
+                 "}\n")
 
 # name: (text, argv, exit code, the stream written, what it holds)
 GOLDEN = {
@@ -455,6 +465,16 @@ GOLDEN = {
         "  goal: established by lemma 0\n"
         "proof bad: INVALID (14:6: step 'c': premises do not share a middle "
         "term: x1:s vs m(x1:s, e))\n"),
+    "subst-variable-not-in-first-premise": (
+        _SUBST_ABSENT,
+        ["check-proof"], 1, "out",
+        "proof r: INVALID (9:3: step 'd': x2:s is not among the first "
+        "premise's variables)\n"),
+    "subst-variable-not-in-first-premise-levelled": (
+        _SUBST_ABSENT,
+        ["check-proof", "--levelled"], 1, "out",
+        "proof r: INVALID (x2:s is not among the first premise's "
+        "variables)\n"),
     "empty-file-proof": (
         "",
         ["check-proof", "--proof", "p"], 2, "err",
