@@ -223,7 +223,7 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> TermcatError:
                         f"{exc.reason}")
 
 
-def _lookup(table: dict, name: str, error: str):
+def _lookup(table, name: str, error: str):
     """`table[name]`; a name the table lacks is an input error."""
     if name not in table:
         raise TermcatError(error)
@@ -231,8 +231,10 @@ def _lookup(table: dict, name: str, error: str):
 
 
 def _proof(sf: SpecFile, name: str) -> ProofDef:
-    return _lookup({p.name: p for p in sf.proofs}, name,
-                   f"unknown proof {name!r}")
+    try:
+        return sf.proof(name)
+    except KeyError:
+        raise TermcatError(f"unknown proof {name!r}") from None
 
 
 def cmd_sketch(args) -> int:

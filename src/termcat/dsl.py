@@ -32,11 +32,18 @@ in prefix order, with argument counts; elaboration turns those into
 expressions with an explicit stack.  A token's line and column are
 computed from the text only when an error or a proof step's origin needs
 them.
+
+Every declaration is checked, but only on sorts: `_sort_of` resolves each
+name and checks each call's arity and argument sorts without building
+anything, and a declaration that fails is elaborated to raise its error.
+A file's terms and equations are built when a command first reads them, so
+a command checks the whole file and builds only what it reads.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from functools import partial
 from itertools import islice
 from typing import Callable, Optional
@@ -47,7 +54,8 @@ from .deduction import (Abstraction, Concretion, DeductionTree,
 from .errors import (DeductionError, DslSyntaxError, DuplicateSort,
                      NameResolutionError, Record, SideConditionViolated,
                      SignatureError, TermcatError)
-from .signature import Signature, Variable, ordered_vars, validate_signature
+from .signature import (Signature, Sort, Variable, ordered_vars,
+                        validate_signature)
 from .terms import App, Equation, Expression, Term, Var
 
 # --- tokens ------------------------------------------------------------------
@@ -176,7 +184,8 @@ class SpecFile(Record):
     """A parsed file: its declarations as written, and the terms,
     equations and variable bindings they elaborate to, by name; and the
     scanned text and tokens, from which positions are computed.  Two files
-    are equal when their declarations are."""
+    are equal when their declarations are.  `terms` and `equations` are
+    `_OnDemand` mappings."""
 
     __slots__ = ("signature", "sort_names", "op_decls", "term_decls",
                  "eq_decls", "proofs", "terms", "equations", "term_bindings",
@@ -189,6 +198,56 @@ class SpecFile(Record):
             if p.name == name:
                 return p
         raise KeyError(name)
+
+
+class _OnDemand(Mapping):
+    """Declared names, in declaration order, to what `build` makes of
+    their checked declarations; each is built on first access and kept.
+    A copy or a pickle is a dict, with every value built."""
+
+    __slots__ = ("_build", "_args", "_done")
+
+    def __init__(self, build: Callable, args: dict[str, tuple]):
+        self._build, self._args, self._done = build, args, {}
+
+    def __getitem__(self, name: str):
+        done = self._done
+        if name not in done:
+            done[name] = self._build(*self._args[name])
+        return done[name]
+
+    def __contains__(self, name) -> bool:
+        return name in self._args
+
+    def __iter__(self):
+        return iter(self._args)
+
+    def __len__(self) -> int:
+        return len(self._args)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+class _Cited(Sequence):
+    """A proof's hypotheses in citation order, read from the file's
+    equations, so only those that a step or a certificate reads are
+    built."""
+
+    __slots__ = ("_equations", "_names")
+
+    def __init__(self, equations: Mapping[str, Equation],
+                 names: tuple[str, ...]):
+        self._equations, self._names = equations, names
+
+    def __getitem__(self, i: int) -> Equation:
+        return self._equations[self._names[i]]
+
+    def __len__(self) -> int:
+        return len(self._names)
 
 
 # --- parser --------------------------------------------------------------------
@@ -506,8 +565,52 @@ def _elaborate(sig: Signature, names: dict[str, Var], raw: RawExpr, at: int,
     return done[0]
 
 
+def _sort_of(sig: Signature, names: dict[str, Var], raw: RawExpr
+             ) -> Optional[Sort]:
+    """The sort of the expression `raw` spells, or None where `_elaborate`
+    raises; nothing is built.  Read right to left, a call finds its
+    arguments' sorts on top of the stack, its first argument's topmost."""
+    ops = sig.operation_named
+    stack: list[Sort] = []
+    for name, argc in reversed(raw):
+        if argc < 0:
+            var = names.get(name)
+            if var is not None:
+                stack.append(var.sort)
+                continue
+            argc = 0  # any other bare name must be a constant
+        op = ops.get(name)
+        if op is None or len(op.inputs) != argc:
+            return None
+        if argc:
+            if tuple(stack[:-argc - 1:-1]) != op.inputs:
+                return None
+            del stack[-argc:]
+        stack.append(op.output)
+    return stack[0]
+
+
+def _term(sig: Signature, names: dict[str, Var], vs: tuple[Variable, ...],
+          td: TermDecl) -> Term:
+    e = _elaborate(sig, names, td.expr, td.at, _first_name(td.bracket))
+    return Term(e, vs, e.sort)
+
+
+def _equation(sig: Signature, names: dict[str, Var],
+              vs: tuple[Variable, ...], ed: EqDecl) -> Equation:
+    skip = _first_name(ed.bracket)
+    left = _elaborate(sig, names, ed.left, ed.at, skip)
+    right = _elaborate(sig, names, ed.right, ed.at, skip + len(ed.left))
+    try:
+        return Equation(left, right, vs)
+    except TermcatError as exc:
+        raise _Fault(DslSyntaxError, str(exc), ed.at)
+
+
 def parse_spec(text: str) -> SpecFile:
-    """Parse and resolve a .msl file; every name must resolve."""
+    """Parse and resolve a .msl file; every name must resolve and every
+    declaration must elaborate, but a term or equation is built only when
+    it is read."""
     text, tokens = _scan(text)
     try:
         return _resolve(text, tokens)
@@ -525,8 +628,6 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
     except SignatureError as exc:
         raise _Fault(DslSyntaxError, str(exc), op_at[exc.index])
 
-    sf = SpecFile(sig, sort_names, op_decls, term_decls, eq_decls, proofs,
-                  {}, {}, {}, {}, text, tokens)
     # declarations repeat their brackets, so each distinct bracket is bound
     # once; the bindings are shared and never changed
     bound: dict[Bracket, tuple] = {}
@@ -536,30 +637,31 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
             bound[bracket] = _bind_bracket(sig, bracket, at)
         return bound[bracket]
 
+    # each declaration is checked on sorts alone; one that fails is
+    # elaborated, which raises its error
+    terms: dict[str, tuple] = {}
+    term_bindings: dict[str, dict[str, Variable]] = {}
     for td in term_decls:
-        if td.name in sf.terms:
+        if td.name in terms:
             raise _Fault(NameResolutionError,
                          f"term {td.name!r} declared twice", td.at)
         binding, names, vs = bind(td.bracket, td.at)
-        e = _elaborate(sig, names, td.expr, td.at, _first_name(td.bracket))
-        try:
-            sf.terms[td.name] = Term(e, vs, e.sort)
-        except TermcatError as exc:
-            raise _Fault(DslSyntaxError, str(exc), td.at)
-        sf.term_bindings[td.name] = binding
+        terms[td.name] = args = (sig, names, vs, td)
+        if _sort_of(sig, names, td.expr) is None:
+            _term(*args)
+        term_bindings[td.name] = binding
+    equations: dict[str, tuple] = {}
+    eq_bindings: dict[str, dict[str, Variable]] = {}
     for ed in eq_decls:
-        if ed.name in sf.equations:
+        if ed.name in equations:
             raise _Fault(NameResolutionError,
                          f"equation {ed.name!r} declared twice", ed.at)
         binding, names, vs = bind(ed.bracket, ed.at)
-        skip = _first_name(ed.bracket)
-        left = _elaborate(sig, names, ed.left, ed.at, skip)
-        right = _elaborate(sig, names, ed.right, ed.at, skip + len(ed.left))
-        try:
-            sf.equations[ed.name] = Equation(left, right, vs)
-        except TermcatError as exc:
-            raise _Fault(DslSyntaxError, str(exc), ed.at)
-        sf.eq_bindings[ed.name] = binding
+        equations[ed.name] = args = (sig, names, vs, ed)
+        sort = _sort_of(sig, names, ed.left)
+        if sort is None or sort is not _sort_of(sig, names, ed.right):
+            _equation(*args)
+        eq_bindings[ed.name] = binding
 
     seen_proofs: set[str] = set()
     for proof in proofs:
@@ -583,11 +685,13 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
                                  s.at)
             known.add(s.name)
         for h in proof.hypotheses:
-            if h not in sf.equations:
+            if h not in equations:
                 raise _Fault(NameResolutionError,
                              f"proof {proof.name!r} cites undefined equation "
                              f"{h!r}", proof.at)
-    return sf
+    return SpecFile(sig, sort_names, op_decls, term_decls, eq_decls, proofs,
+                    _OnDemand(_term, terms), _OnDemand(_equation, equations),
+                    term_bindings, eq_bindings, text, tokens)
 
 
 # --- proofs to deduction trees -------------------------------------------------------
@@ -623,15 +727,17 @@ def _resolve_var(names: dict[str, Optional[Variable]], name: str,
 
 
 def build_proof(sf: SpecFile, proof: ProofDef
-                ) -> tuple[DeductionTree, list[Equation]]:
-    """Turn a named proof into a deduction tree plus its hypothesis list.
+                ) -> tuple[DeductionTree, Sequence[Equation]]:
+    """Turn a named proof into a deduction tree plus its hypotheses, whose
+    equations are built when read.
 
     Each step's conclusion is the one `deduction.conclude` draws; one that
     fails to form an equation, like every side-condition failure, surfaces
-    as a deduction error, not a parse error.
+    as a deduction error that names the step and its line:column, not as a
+    parse error.
     """
     sig = sf.signature
-    hypotheses = [sf.equations[h] for h in proof.hypotheses]
+    hypotheses = _Cited(sf.equations, proof.hypotheses)
     results: dict[str, _StepResult] = {}
     try:
         for s in proof.steps:
@@ -645,7 +751,7 @@ def build_proof(sf: SpecFile, proof: ProofDef
                 # a conclusion failed to form: the rule application is
                 # invalid
                 raise SideConditionViolated(
-                    f"step {s.name!r}: {exc}") from exc
+                    f"{_origin(sf, s)}: {exc}") from exc
     except _Fault as fault:
         raise fault.located(sf.text, sf.tokens) from None
     # the last step is the conclusion
@@ -658,7 +764,7 @@ def _origin(sf: SpecFile, s: StepDef) -> str:
 
 
 def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
-                hypotheses: list[Equation],
+                hypotheses: Sequence[Equation],
                 results: dict[str, "_StepResult"],
                 s: StepDef, where: Callable[[], str]) -> "_StepResult":
     if s.rule == "hyp":

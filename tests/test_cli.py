@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import termcat
-from termcat import arrows, cli
+from termcat import arrows, cli, dsl
 from termcat.cli import json_text, run
 from termcat.dsl import parse_spec
+from termcat.terms import App
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -524,20 +525,91 @@ def test_deep_input_exit_2(depth, argv, end, tmp_path, capsys):
 
 
 def test_front_end_takes_deep_input(tmp_path, capsys):
-    # the scanner, the parser and elaboration use no recursion, so a
-    # command that needs only the signature reads a 20,000-deep tower and
-    # prints what it prints for a shallow one
+    # the scanner, the parser, the sort check and elaboration use no
+    # recursion, so a command that needs only the signature checks a
+    # 20,000-deep tower and prints what it prints for a shallow one, and the
+    # tower's term and equation build when they are read
     outputs = []
     for depth in (1, 20000):
+        text = (f"sort s\nop i : s -> s\nterm t [x:s] : {_tower(depth)}\n"
+                f"eq q [x:s] : {_tower(depth)} = {_tower(depth)}\n")
         f = tmp_path / f"deep{depth}.msl"
-        f.write_text(f"sort s\nop i : s -> s\nterm t [x:s] : {_tower(depth)}\n"
-                     f"eq q [x:s] : {_tower(depth)} = {_tower(depth)}\n")
+        f.write_text(text)
         code = run(["sketch", str(f)])
         outputs.append((code, *capsys.readouterr()))  # code, out, err
+        sf = parse_spec(text)
+        t, q = sf.terms["t"], sf.equations["q"]
+        for e in (t.expr, q.left, q.right):
+            levels = 0
+            while isinstance(e, App):
+                e, levels = e.args[0], levels + 1
+            assert levels == depth and e.var == t.vars[0]
     assert outputs[1] == outputs[0]
     code, out, err = outputs[0]
     assert (code, err) == (0, "")
     assert out.endswith("cones:\n  vertex (s): p1: (s) -> s\n")
+
+
+_READ_ONLY_GOOD = """\
+sort s t
+op m : s s -> s
+op e : -> s
+op g : t -> s
+term a [x:s] : m(x, e)
+term b : e
+eq q [x:s] : m(e, x) = x
+proof p from q {
+  h = hyp q ;
+}
+"""
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("term bad [x:s] : m(x)", "11:18: m expects 2 arguments, got 1"),
+    ("term bad [x:s] : g(x)", "11:18: argument 1 of g has sort s, expected t"),
+    ("term bad : nope", "11:12: unknown name 'nope'"),
+    ("eq bad [x:s, y:t] : x = y", "11:1: equation sides have sorts s and t"),
+    ("eq bad : e = e(e)", "11:14: e expects 0 arguments, got 1"),
+], ids=["arity", "sort", "name", "sides", "constant"])
+@pytest.mark.parametrize("argv", [
+    ["compile", "--term", "a"], ["check-eq", "--equation", "q"],
+    ["subst", "--term", "a", "--var", "x", "--with", "b"],
+    ["oracle", "--equation", "q"], ["check-proof"],
+], ids=lambda argv: argv[0])
+def test_an_unread_declaration_is_still_checked(bad, error, argv, tmp_path,
+                                                capsys):
+    # every command checks the whole file, though it builds only what it
+    # reads: the good file passes, the bad declaration fails it
+    f = tmp_path / "case.msl"
+    f.write_text(_READ_ONLY_GOOD)
+    assert run(argv + [str(f)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    f.write_text(_READ_ONLY_GOOD + bad + "\n")
+    assert run(argv + [str(f)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["compile", "--term", "t1"], 1),
+    (["check-eq", "--equation", "comm"], 2),
+    (["subst", "--term", "t1", "--var", "y", "--with", "double"], 2),
+    (["oracle", "--equation", "lunit"], 2),
+    (["sketch"], 0),
+], ids=lambda x: x[0] if isinstance(x, list) else str(x))
+def test_a_command_elaborates_only_what_it_reads(argv, built, monkeypatch,
+                                                 capsys):
+    # monoid.msl declares three terms and three equations
+    calls = []
+    elaborate = dsl._elaborate
+
+    def counting(*args):
+        calls.append(args[2])
+        return elaborate(*args)
+
+    monkeypatch.setattr(dsl, "_elaborate", counting)
+    assert run(argv + ["--json", MONOID]) in (0, 1)
+    assert len(calls) == built
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""],

@@ -4,16 +4,19 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import certify, print_spec
 from termcat import dsl
 from termcat.cli import run
 from termcat.deduction import (lemma_table, normalize_deduction,
                                verify_factorization)
-from termcat.dsl import EOF, _positions, _scan, build_proof, parse_spec
+from termcat.dsl import (EOF, _bind_bracket, _elaborate, _Fault, _positions,
+                         _scan, _sort_of, build_proof, parse_spec)
 from termcat.errors import (DslSyntaxError, NameResolutionError,
                             SideConditionViolated)
-from termcat.signature import Variable
+from termcat.signature import Variable, validate_signature
 
 GOOD = """\
 # demo file
@@ -161,7 +164,7 @@ def test_arity_error_is_input_error():
 def test_build_proof_and_check():
     sf = parse_spec(GOOD)
     tree, hyps = build_proof(sf, sf.proof("flip"))
-    assert hyps == [sf.equations["comm"]]
+    assert list(hyps) == [sf.equations["comm"]]
     cert = certify(sf.signature, tree, hyps)
     assert verify_factorization(cert).ok
 
@@ -238,7 +241,7 @@ proof r from {
     # 'from' with an empty hypothesis list
     sf = parse_spec(text)
     tree, hyps = build_proof(sf, sf.proof("r"))
-    assert hyps == []
+    assert list(hyps) == []
     assert str(tree.conclusion.left) == "m(x1:s, x1:s)"
 
 
@@ -322,3 +325,113 @@ def test_a_valid_proof_is_checked_without_locating_its_steps(monkeypatch,
         lemma_table(sf.signature, tree, hyps)
     assert len(located) == 1
     capsys.readouterr()
+
+
+def test_terms_and_equations_are_built_once_in_declaration_order():
+    sf = parse_spec(GOOD + "term t0 : e\n")
+    assert list(sf.terms) == ["t1", "t0"]
+    assert list(sf.equations) == ["comm", "lunit"]
+    assert sf.terms["t1"] is sf.terms["t1"]
+    assert str(sf.terms["t0"]) == "(e | {} : s)"
+    assert "t2" not in sf.terms and len(sf.equations) == 2
+    with pytest.raises(KeyError):
+        sf.equations["t1"]
+
+
+def test_a_proof_builds_only_the_hypotheses_it_reads(tmp_path, monkeypatch,
+                                                    capsys):
+    # `flip` cites lunit but never uses it: the lemma table does not read
+    # it, while the levelled certificate holds every hypothesis
+    f = tmp_path / "flip.msl"
+    f.write_text(GOOD.replace("from comm", "from comm lunit"))
+    built = []
+    equation = dsl._equation
+    monkeypatch.setattr(dsl, "_equation",
+                        lambda *args: built.append(args[3].name)
+                        or equation(*args))
+    for flags, names in (([], ["comm"]), (["--levelled"], ["comm", "lunit"])):
+        built.clear()
+        assert run(["check-proof", *flags, str(f)]) == 0
+        assert built == names
+    assert "hypotheses: 2" in capsys.readouterr().out
+
+
+_SORTS = ("s", "t", "u")
+
+
+@st.composite
+def _signature_and_form(draw):
+    """A random signature, a bracket over it, and an expression's prefix
+    form, as the parser writes it, over the bracket's names, the
+    operations and one unknown name.  Most names have the sort their place
+    wants and most calls the right argument count, so well-formed forms
+    are common, constants written `c()` among them; the rest hold unknown
+    names, wrong arities, operations written bare and sort clashes."""
+    sorts = _SORTS[:draw(st.integers(1, 3))]
+    ops = draw(st.lists(st.tuples(st.lists(st.sampled_from(sorts),
+                                           max_size=3),
+                                  st.sampled_from(sorts)),
+                        min_size=1, max_size=5))
+    # `p` takes every sort, so a name of the wrong sort has a place to clash
+    sig = validate_signature(sorts, [("p", sorts, sorts[0])] + [
+        (f"o{i}", tuple(ins), out) for i, (ins, out) in enumerate(ops)])
+    bracket = tuple((f"x{i}", sort) for i, sort in
+                    enumerate(draw(st.lists(st.sampled_from(sorts),
+                                            max_size=3))))
+    _, names, _ = _bind_bracket(sig, bracket, 0)
+    made = {name: (tuple(i.name for i in op.inputs), op.output.name)
+            for name, op in sig.operation_named.items()}
+    made.update((name, ((), sort)) for name, sort in bracket)
+    raw, todo, budget = [], [draw(st.sampled_from(sorts))], 12
+    while todo:
+        want = todo.pop()
+        fits = sorted(n for n, (_, out) in made.items() if out == want)
+        if budget > 0 and draw(st.booleans()):  # grow the form
+            fits = [n for n in fits if made[n][0]] or fits
+        if fits and draw(st.integers(0, 3)) < 3:
+            name = draw(st.sampled_from(fits))
+        else:
+            name = draw(st.sampled_from(sorted(
+                n for n, (_, out) in made.items() if out != want) + ["nope"]))
+        inputs = made.get(name, ((), want))[0]
+        if name in names or not inputs and draw(st.booleans()):
+            argc = -1
+        else:
+            argc = len(inputs)
+            if budget <= 0 or draw(st.integers(0, 5)) == 5:
+                argc = draw(st.integers(-1, 2 if budget > 0 else 0))
+        raw.append((name, argc))
+        budget -= max(argc, 0)
+        args = list(inputs[:argc]) if argc > 0 else []
+        args += [draw(st.sampled_from(sorts))
+                 for _ in range(max(argc, 0) - len(args))]
+        todo.extend(reversed(args))
+    return sig, names, tuple(raw)
+
+
+def _same_verdict(sig, names, raw):
+    try:
+        built = _elaborate(sig, names, raw, 0, 0)
+    except _Fault:
+        assert _sort_of(sig, names, raw) is None
+        return None
+    assert _sort_of(sig, names, raw) is built.sort
+    return built.sort.name
+
+
+@settings(max_examples=400, deadline=None)
+@given(_signature_and_form())
+def test_sort_of_fails_exactly_where_elaboration_raises(case):
+    _same_verdict(*case)
+
+
+@pytest.mark.parametrize("text, sort", [
+    ("m(x, m(e, x))", "s"), ("lift(e())", "t"), ("y", "t"), ("nope", None),
+    ("m(x)", None), ("e(x)", None), ("m(x, y)", None), ("lift", None),
+    ("x(e)", None), ("m(e, lift(x))", None), ("lift(m(x, lift))", None),
+])
+def test_sort_of_on_each_kind_of_fault(text, sort):
+    sf = parse_spec(GOOD)
+    _, names, _ = _bind_bracket(sf.signature, (("x", "s"), ("y", "t")), 0)
+    raw, _ = dsl._expr(_scan(text)[1], 0)
+    assert _same_verdict(sf.signature, names, raw) == sort

@@ -405,8 +405,8 @@ GOLDEN = {
         "  d = subst b x c ;\n"
         "}\n",
         ["check-proof"], 1, "out",
-        "proof p: INVALID (step 'b': equation omits variables occurring in "
-        "its sides: x1:s)\n"),
+        "proof p: INVALID (7:3: step 'b': equation omits variables "
+        "occurring in its sides: x1:s)\n"),
     "formation-failure": (
         _UNITS + "proof bad from lunit runit {\n"
         "  a = hyp lunit ;\n"
