@@ -17,7 +17,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import arrows, deduction, kernel, models, sketch
-from .dsl import ProofDef, SpecFile, build_proof, end_position, parse_spec
+from .dsl import (ProofDef, SpecFile, build_proof, end_position, parse_spec,
+                  step_origin)
 from .errors import DeductionError, TermcatError
 from .signature import Variable
 from .subst import SubstInstance, subst_arrow_direct, subst_term
@@ -343,26 +344,28 @@ def cmd_subst(args) -> int:
 def _check_one_proof(sf: SpecFile, proof: ProofDef, as_json: bool,
                      levelled: bool) -> tuple[int, dict | list[str]]:
     """Check one proof, by its lemma table or, with `levelled`, by the
-    levelled certificate; returns the exit code and either the json payload
-    or the text lines."""
+    levelled certificate pasted from the lemma table's codings; returns the
+    exit code and either the json payload or the text lines."""
     name = proof.name
     try:
-        tree, hyps = build_proof(sf, proof)
+        steps, hyps = build_proof(sf, proof)
+        origin = functools.partial(step_origin, sf, proof)
+        lemmas = deduction.lemma_table(sf.signature, steps, hyps, origin)
         if levelled:
-            ld = deduction.normalize_deduction(tree)
-            cert = deduction.compile_to_factorization(sf.signature, ld, hyps)
+            ld = deduction.normalize_deduction(steps)
+            cert = deduction.compile_to_factorization(ld, lemmas, hyps)
             result = deduction.verify_factorization(cert)
         else:
-            lemmas = deduction.lemma_table(sf.signature, tree, hyps)
-            result = kernel.verify_lemmas(hyps, lemmas, tree.conclusion)
+            result = kernel.verify_lemmas(hyps, lemmas, steps[-1].equation)
     except DeductionError as exc:
         if as_json:
             return 1, {"proof": name, "valid": False, "error": str(exc)}
         return 1, [f"proof {name}: INVALID ({exc})"]
+    conclusion = steps[-1].equation
     code = 0 if result.ok else 1
     if as_json:
         return code, {"proof": name,
-                      "conclusion": equation_json(tree.conclusion),
+                      "conclusion": equation_json(conclusion),
                       "valid": result.ok,
                       "certificate": factorization_json(cert, ld)
                       if levelled else lemma_table_json(lemmas),
@@ -375,7 +378,7 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef, as_json: bool,
                  f"kernel steps: {sum(len(x.proof) for x in lemmas)}")
     lines = [f"proof {name}: "
              f"{'VALID' if result.ok else 'FAILED VERIFICATION'}",
-             f"  conclusion: {tree.conclusion}", f"  {sizes}"]
+             f"  conclusion: {conclusion}", f"  {sizes}"]
     lines.extend(f"  {line}" for line in result.trace)
     return code, lines
 
@@ -398,8 +401,8 @@ def cmd_check_proof(args) -> int:
 
 def cmd_normalize_proof(args) -> int:
     sf = _load(args.file)
-    tree, _ = build_proof(sf, _proof(sf, args.proof))
-    ld = deduction.normalize_deduction(tree)
+    steps, _ = build_proof(sf, _proof(sf, args.proof))
+    ld = deduction.normalize_deduction(steps)
     if args.json:
         _emit({"proof": args.proof, **levelled_json(ld)})
         return 0

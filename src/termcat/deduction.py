@@ -1,20 +1,23 @@
 """Equational deduction compiled to arrow-equality certificates.
 
-A deduction tree applies the multisorted equational rules (reflexivity,
-symmetry, transitivity, concretion, abstraction, substitutivity) over a
-list of hypothesis equations.  `conclude` alone states what each rule
-concludes, for the .msl front end and for this module, the producer: it
-checks each rule's side conditions on the equations' syntax and its
-conclusion against `conclude`, and codes each rule as a kernel proof,
-compiling only the arrows that proof's steps carry.  It then emits one of
-two certificates for the kernel (`kernel.py`), which runs none of this code:
+A deduction is its steps, in the order they are declared: each `Step`
+applies one of the multisorted equational rules (reflexivity, symmetry,
+transitivity, concretion, abstraction, substitutivity) to the steps it
+cites, which come earlier, or cites one of a list of hypothesis equations.
+`conclude` alone states what each rule concludes, for the .msl front end
+and for this module, the producer.  `lemma_table` checks each step once, in
+order, whether a later step cites it or not: the rule's side conditions on
+the equations' syntax and its conclusion against `conclude`.  It codes each
+rule as a kernel proof, compiling only the arrows that proof's steps carry,
+so lemma k is step k.  The producer then emits one of two certificates for
+the kernel (`kernel.py`), which runs none of this code:
 
-- `lemma_table`: one lemma per distinct node of the tree, premises first,
-  each carrying the node's equation, its citations and its rule coding's
-  kernel proof; the kernel alone compiles the equations (what `check-proof`
-  checks by default);
+- the lemma table itself: each lemma carries its step's equation, its
+  citations and its rule coding's kernel proof; the kernel alone compiles
+  the equations (what `check-proof` checks by default);
 - `normalize_deduction` and `compile_to_factorization`: the levelled form
-  and the one `Factorization` assembled from it (`check-proof --levelled`).
+  of the last step's deduction and the one `Factorization` pasted from the
+  lemma table's codings (`check-proof --levelled`).
 
 `verify_factorization` is the kernel's, imported here for the callers that
 reach it through this module.
@@ -36,8 +39,6 @@ from .signature import Signature, Variable, inhabited_sorts, ordered_vars
 from .subst import (SubstInstance, retyping_arrow, subst_expr,
                     substitution_arrow)
 from .terms import Equation, Expression, Term, var_set
-
-_set = object.__setattr__
 
 # --- rule instances -----------------------------------------------------------
 
@@ -88,25 +89,12 @@ RULE_NAMES = {Hypothesis: "hyp", Reflexivity: "refl", Symmetry: "sym",
               Abstraction: "abs", Substitutivity: "subst", Copy: "copy"}
 
 
-class DeductionTree(Record):
-    __slots__ = ("conclusion", "rule", "premises", "origin")
-    _compared = __slots__[:3]  # not the origin
+class Step(Record):
+    """One deduction step: its equation, its rule and the indices of the
+    steps it cites, in the rule's premise order.  In a proof the cited
+    steps come earlier."""
 
-    def __init__(self, conclusion: Equation, rule: RuleInstance,
-                 premises: tuple["DeductionTree", ...] = (),
-                 origin: Callable[[], str] | None = None):
-        """`origin`, if given, says where the step comes from, e.g.
-        "7:3: step 'c'"; it is called only to prefix a side-condition error
-        of the lemma table."""
-        want = RULE_ARITY[type(rule)]
-        if len(premises) != want:
-            raise SideConditionViolated(
-                f"{RULE_NAMES[type(rule)]} takes {want} premises, "
-                f"got {len(premises)}")
-        _set(self, "conclusion", conclusion)
-        _set(self, "rule", rule)
-        _set(self, "premises", premises)
-        _set(self, "origin", origin)
+    __slots__ = ("equation", "rule", "premises")
 
 
 # --- rule checking and coding ------------------------------------------------------
@@ -275,38 +263,29 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
 # --- lemma tables -------------------------------------------------------------------
 
 
-def lemma_table(sig: Signature, tree: DeductionTree,
-                hypotheses: Sequence[Equation]) -> tuple[Lemma, ...]:
-    """One lemma per distinct node of `tree`, in post-order, so a shared
-    subtree is checked once and every citation names an earlier lemma.
-    Each node's rule is checked on syntax and coded by `_code_rule`, which
+def lemma_table(sig: Signature, steps: Sequence[Step],
+                hypotheses: Sequence[Equation],
+                origin: Callable[[int], str] | None = None
+                ) -> tuple[Lemma, ...]:
+    """One lemma per step, in order, so lemma k is step k: a step is
+    checked once however often it is cited, and once if nothing cites it.
+    Each step's rule is checked on syntax and coded by `_code_rule`, which
     compiles only the arrows its kernel steps carry; the kernel compiles
-    the statements.  A failure is prefixed with the node's origin."""
-    index: dict[int, int] = {}  # id(node) -> its lemma
+    the statements.  A failure of step k is prefixed with `origin(k)`."""
     lemmas: list[Lemma] = []
     memo: dict = {}  # shared side expressions are compiled once
-    stack = [tree]
-    while stack:
-        node = stack[-1]
-        todo = [p for p in node.premises if id(p) not in index]
-        if todo:
-            stack.extend(reversed(todo))  # the first premise comes first
-            continue
-        stack.pop()
-        if id(node) in index:  # pushed by two parents
-            continue
+    for k, s in enumerate(steps):
         try:
-            proof = _code_rule(sig, [p.conclusion for p in node.premises],
-                               node.rule, node.conclusion, hypotheses, memo)
+            _require(all(0 <= i < k for i in s.premises),
+                     "a step may cite only earlier steps")
+            proof = _code_rule(sig, [steps[i].equation for i in s.premises],
+                               s.rule, s.equation, hypotheses, memo)
         except DeductionError as exc:
-            if node.origin is None:
+            if origin is None:
                 raise
-            raise SideConditionViolated(f"{node.origin()}: {exc}") from exc
-        hyp = node.rule.index if isinstance(node.rule, Hypothesis) else None
-        index[id(node)] = len(lemmas)
-        lemmas.append(Lemma(node.conclusion,
-                            tuple(index[id(p)] for p in node.premises),
-                            hyp, proof))
+            raise SideConditionViolated(f"{origin(k)}: {exc}") from exc
+        hyp = s.rule.index if isinstance(s.rule, Hypothesis) else None
+        lemmas.append(Lemma(s.equation, s.premises, hyp, proof))
     return tuple(lemmas)
 
 
@@ -383,8 +362,9 @@ def paste_factorizations(f1: Factorization,
 
 
 class LevelStep(Record):
-    # premises: indices into the previous level
-    __slots__ = ("equation", "rule", "premises")
+    # premises: indices into the previous level; step: the index of the
+    # deduction step the entry stands for, or carries down as a copy
+    __slots__ = ("equation", "rule", "premises", "step")
 
 
 class LevelledDeduction(Record):
@@ -395,40 +375,34 @@ class LevelledDeduction(Record):
         return self.levels[-1][-1].equation
 
 
-def normalize_deduction(tree: DeductionTree) -> LevelledDeduction:
-    """Levelled form: premises sit exactly one level below their conclusion
-    (copy steps fill gaps) and every intermediate equation feeds exactly
-    one step of the next level (shared subtrees are duplicated)."""
-    # natural level: leaves at 0, every other node one above its highest
-    # premise; computed once per node, shared nodes included
-    natural: dict[int, int] = {}
-    stack = [tree]
-    while stack:
-        node = stack[-1]
-        todo = [p for p in node.premises if id(p) not in natural]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        natural[id(node)] = 1 + max((natural[id(p)] for p in node.premises),
-                                    default=-1)
+def normalize_deduction(steps: Sequence[Step]) -> LevelledDeduction:
+    """Levelled form of the last step's deduction: premises sit exactly one
+    level below their conclusion (copy steps fill gaps) and every
+    intermediate equation feeds exactly one step of the next level (shared
+    steps are duplicated)."""
+    # natural level: steps without premises at 0, every other step one
+    # above its highest premise
+    natural: list[int] = []
+    for s in steps:
+        natural.append(1 + max((natural[i] for i in s.premises), default=-1))
 
     # top-down, one level at a time: each entry's premises are the next
     # consecutive entries one level down; an entry above its natural level
-    # is a copy of the same node one level down
+    # is a copy of the same step one level down
     levels: list[tuple[LevelStep, ...]] = []
-    row = [tree]
-    for level in range(natural[id(tree)], -1, -1):
-        steps, below = [], []
-        for node in row:
-            if level > natural[id(node)]:
-                rule, prem = Copy(), (node,)
+    row = [len(steps) - 1]
+    for level in range(natural[-1], -1, -1):
+        entries, below = [], []
+        for k in row:
+            s = steps[k]
+            if level > natural[k]:
+                rule, prem = Copy(), (k,)
             else:
-                rule, prem = node.rule, node.premises
-            steps.append(LevelStep(node.conclusion, rule, tuple(
-                range(len(below), len(below) + len(prem)))))
+                rule, prem = s.rule, s.premises
+            entries.append(LevelStep(s.equation, rule, tuple(
+                range(len(below), len(below) + len(prem))), k))
             below.extend(prem)
-        levels.append(tuple(steps))
+        levels.append(tuple(entries))
         row = below
     return LevelledDeduction(tuple(reversed(levels)))
 
@@ -464,52 +438,50 @@ def normal_form_violations(ld: LevelledDeduction) -> list[str]:
     return problems
 
 
-def compile_to_factorization(sig: Signature, ld: LevelledDeduction,
+def compile_to_factorization(ld: LevelledDeduction,
+                             lemmas: Sequence[Lemma],
                              hypotheses: Sequence[Equation]) -> Factorization:
     """Assemble the levelled deduction into one certificate over the given
-    hypothesis list.
+    hypothesis list, from `lemmas`, the lemma table of the steps `ld` was
+    levelled from.
 
     Level 0: a hypothesis entry claims the hypothesis it cites and proves it
-    by that citation; a reflexivity entry is proved by `Refl`.  Each later
-    level is the product of its rule codings in step order (a copy entry
-    gives the identity certificate on the claim it carries), pasted onto
-    the running certificate with its claims reordered to the level's
-    consumption order (the associativity re-indexing).  Each equation is
-    compiled once; a rule's premises are the claims of the level below.
+    by that citation; a reflexivity entry is proved by its step's lemma.
+    Each later level is the product of its entries' certificates in order,
+    pasted onto the running certificate with its claims reordered to the
+    level's consumption order (the associativity re-indexing).  A copy
+    entry gives the identity certificate on the claim it carries; any other
+    entry its step's lemma proof, from the claims of the level below that
+    it consumes.  Each equation is compiled once.
     """
-    hypotheses = tuple(hypotheses)
     bad = normal_form_violations(ld)
     if bad:
         raise SideConditionViolated("deduction is not in normal form: "
                                     + "; ".join(bad))
     compiled = functools.cache(equation_constraint)
-    memo: dict = {}  # the sides that kernel steps carry
     hyp = tuple(map(compiled, hypotheses))
 
     claims, proofs = [], []
     for s in ld.levels[0]:
-        proof = _code_rule(sig, (), s.rule, s.equation, hypotheses, memo)
         claims.append(compiled(s.equation))
         proofs.append((CiteHyp(s.rule.index),)
-                      if isinstance(s.rule, Hypothesis) else proof)
+                      if isinstance(s.rule, Hypothesis)
+                      else lemmas[s.step].proof)
     running = Factorization(hyp, tuple(claims), (), tuple(proofs))
 
     for l in range(1, len(ld.levels)):
-        prev_eqs = [s.equation for s in ld.levels[l - 1]]
         step_certs: list[Factorization] = []
         consumed: list[int] = []
         for s in ld.levels[l]:
             if isinstance(s.rule, Copy):
                 i, = s.premises
-                _require(s.equation == prev_eqs[i],
+                _require(s.equation == ld.levels[l - 1][i].equation,
                          "copy must repeat its premise unchanged")
                 step_certs.append(identity_factorization((running.claim[i],)))
             else:
-                proof = _code_rule(sig, [prev_eqs[i] for i in s.premises],
-                                   s.rule, s.equation, hypotheses, memo)
                 step_certs.append(Factorization(
                     tuple(running.claim[i] for i in s.premises),
-                    (compiled(s.equation),), (), (proof,)))
+                    (compiled(s.equation),), (), (lemmas[s.step].proof,)))
             consumed.extend(s.premises)
         level_cert = product_factorizations(step_certs)
         reordered = Factorization(

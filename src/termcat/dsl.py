@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping, Sequence
-from functools import partial
 from itertools import islice
 from typing import Callable, Optional
 
-from .deduction import (Abstraction, Concretion, DeductionTree,
-                        Hypothesis, Reflexivity, Substitutivity, Symmetry,
-                        Transitivity, conclude)
+from .deduction import (Abstraction, Concretion, Hypothesis, Reflexivity,
+                        Step, Substitutivity, Symmetry, Transitivity,
+                        conclude)
 from .errors import (DeductionError, DslSyntaxError, DuplicateSort,
                      NameResolutionError, Record, SideConditionViolated,
                      SignatureError, TermcatError)
@@ -694,13 +693,7 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
                     term_bindings, eq_bindings, text, tokens)
 
 
-# --- proofs to deduction trees -------------------------------------------------------
-
-
-class _StepResult(Record):
-    # names: variable name -> Variable or None, shared; copied to change
-    __slots__ = ("tree", "names")
-    __hash__ = None
+# --- proofs to deduction steps -------------------------------------------------------
 
 
 def _merge_names(a: dict[str, Optional[Variable]],
@@ -727,9 +720,11 @@ def _resolve_var(names: dict[str, Optional[Variable]], name: str,
 
 
 def build_proof(sf: SpecFile, proof: ProofDef
-                ) -> tuple[DeductionTree, Sequence[Equation]]:
-    """Turn a named proof into a deduction tree plus its hypotheses, whose
-    equations are built when read.
+                ) -> tuple[tuple[Step, ...], Sequence[Equation]]:
+    """Turn a named proof into its steps, in declaration order, plus its
+    hypotheses, whose equations are built when read.  Each step cites the
+    earlier steps it names by their indices; the last step is the proof's
+    conclusion.
 
     Each step's conclusion is the one `deduction.conclude` draws; one that
     fails to form an equation, like every side-condition failure, surfaces
@@ -738,58 +733,64 @@ def build_proof(sf: SpecFile, proof: ProofDef
     """
     sig = sf.signature
     hypotheses = _Cited(sf.equations, proof.hypotheses)
-    results: dict[str, _StepResult] = {}
+    index = {s.name: k for k, s in enumerate(proof.steps)}
+    steps: list[Step] = []
+    # each step's variable names -> Variable, or None where ambiguous;
+    # shared between steps, so copied to change
+    names: list[dict[str, Optional[Variable]]] = []
     try:
-        for s in proof.steps:
+        for k, s in enumerate(proof.steps):
+            cites = tuple(index[ref] for ref in s.steps)
             try:
-                results[s.name] = _build_step(
-                    sf, sig, proof, hypotheses, results, s,
-                    partial(_origin, sf, s))
+                eq, rule, bound = _build_step(
+                    sf, sig, proof, hypotheses, s,
+                    [steps[i].equation for i in cites],
+                    [names[i] for i in cites])
             except DeductionError:
                 raise
             except TermcatError as exc:
                 # a conclusion failed to form: the rule application is
                 # invalid
                 raise SideConditionViolated(
-                    f"{_origin(sf, s)}: {exc}") from exc
+                    f"{step_origin(sf, proof, k)}: {exc}") from exc
+            steps.append(Step(eq, rule, cites))
+            names.append(bound)
     except _Fault as fault:
         raise fault.located(sf.text, sf.tokens) from None
-    # the last step is the conclusion
-    return results[proof.steps[-1].name].tree, hypotheses
+    return tuple(steps), hypotheses
 
 
-def _origin(sf: SpecFile, s: StepDef) -> str:
+def step_origin(sf: SpecFile, proof: ProofDef, k: int) -> str:
+    """Where step k of `proof` is declared, e.g. "7:3: step 'c'"."""
+    s = proof.steps[k]
     (line, col), = _positions(sf.text, sf.tokens, (s.at,))
     return f"{line}:{col}: step {s.name!r}"
 
 
 def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
-                hypotheses: Sequence[Equation],
-                results: dict[str, "_StepResult"],
-                s: StepDef, where: Callable[[], str]) -> "_StepResult":
+                hypotheses: Sequence[Equation], s: StepDef,
+                premises: list[Equation],
+                premise_names: list[dict[str, Optional[Variable]]]):
+    """The equation, rule and variable names of step `s`, whose premises
+    are the equations of the steps it cites."""
     if s.rule == "hyp":
         idx = proof.hypotheses.index(s.eq_name)
-        eq = hypotheses[idx]
-        return _StepResult(DeductionTree(eq, Hypothesis(idx), (), where),
-                           dict(sf.eq_bindings[s.eq_name]))
+        return (hypotheses[idx], Hypothesis(idx),
+                dict(sf.eq_bindings[s.eq_name]))
     if s.rule == "refl":
         binding, names, vs = _bind_bracket(sig, s.bracket, s.at)
         e = _elaborate(sig, names, s.expr, s.at, _first_name(s.bracket))
-        term = Term(e, vs, e.sort)
-        eq = Equation(e, e, vs)
-        return _StepResult(DeductionTree(eq, Reflexivity(term), (), where),
-                           binding)
-    prem = results[s.steps[0]]
-    names = prem.names
+        return Equation(e, e, vs), Reflexivity(Term(e, vs, e.sort)), binding
+    names = premise_names[0]
     if s.rule == "sym":
         rule = Symmetry()
     elif s.rule == "trans":
         rule = Transitivity()
-        names = _merge_names(names, results[s.steps[1]].names)
+        names = _merge_names(names, premise_names[1])
     elif s.rule == "conc":
         rule = Concretion(_resolve_var(names, s.var_name, s))
     elif s.rule == "abs":
-        vs = prem.tree.conclusion.vars
+        vs = premises[0].vars
         sort = sig.sort_named.get(s.sort_name)
         if sort is None:
             raise _Fault(NameResolutionError, f"unknown sort {s.sort_name!r}",
@@ -805,7 +806,5 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
         names[s.var_name] = x
     else:  # the parser admits no other rule
         rule = Substitutivity(_resolve_var(names, s.var_name, s))
-        names = _merge_names(names, results[s.steps[1]].names)
-    premises = tuple(results[ref].tree for ref in s.steps)
-    eq = Equation(*conclude(rule, [p.conclusion for p in premises]))
-    return _StepResult(DeductionTree(eq, rule, premises, where), names)
+        names = _merge_names(names, premise_names[1])
+    return Equation(*conclude(rule, premises)), rule, names

@@ -7,18 +7,20 @@ a list of premise constraints; each comparison is decided by normal forms.
 Two kinds of certificate are checked:
 
 - A lemma table (`verify_lemmas`, what `check-proof` checks by default)
-  holds one `Lemma` per deduction step: the step's elaborated equation, the
-  earlier lemmas or the one hypothesis it cites, and the kernel proof of
-  its rule coding.  The kernel compiles every statement itself with
-  `arrows.equation_arrows` (each lemma's, each cited hypothesis's and the
-  goal's, at most once each), replays each proof from the statements it
-  cites, and accepts only if every replay derives its lemma's statement and
-  the last lemma is the goal.  The producer supplies only the citation DAG
-  and the kernel proofs.
+  holds one `Lemma` per declared deduction step, in declaration order, so
+  lemma k is step k, whether a later step cites it or not: the step's
+  elaborated equation, the earlier lemmas or the one hypothesis it cites,
+  and the kernel proof of its rule coding.  The kernel compiles every
+  statement itself with `arrows.equation_arrows` (each lemma's, each cited
+  hypothesis's and the goal's, at most once each), replays each proof from
+  the statements it cites, and accepts only if every replay derives its
+  lemma's statement and the last lemma is the goal.  The producer supplies
+  only the citation DAG and the kernel proofs.
 - A `Factorization` (the paper's levelled certificate, `check-proof
-  --levelled`) holds hypothesis, claim and workspace constraints and one
-  kernel proof per claim.  `verify_factorization` replays every proof from
-  the hypotheses and accepts a claim only if the replayed constraint is
+  --levelled`, which the producer pastes from the lemma table's kernel
+  proofs) holds hypothesis, claim and workspace constraints and one kernel
+  proof per claim.  `verify_factorization` replays every proof from the
+  hypotheses and accepts a claim only if the replayed constraint is
   formally equal to it; the constraints themselves are the producer's.
 
 This module is the only one that decides whether a certificate holds.  It

@@ -1,14 +1,11 @@
 """Finite Set-models: the independent semantic oracle.
 
 A model assigns each sort a carrier {0..n-1} and each operation a full
-table.  Expressions are evaluated under variable assignments; arrows are
-evaluated pointwise by interpreting products as tuples and generators as
-table lookups.  Neither evaluation route consults the normal form, so model
-evaluation serves as an independent check on the syntactic machinery.
-
-The counterexample search enumerates only the operations and sorts an
-equation mentions, and evaluates each side under all assignments at once;
-`eval_expression` and `satisfies` stay the reference route.
+table.  The counterexample search enumerates only the operations and sorts
+an equation mentions, and evaluates each side under all assignments at
+once, by table lookups; it never consults a normal form, so it serves as an
+independent check on the syntactic machinery.  The tests keep a reference
+evaluator of expressions and arrows, one assignment or point at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import itertools
 import math
 from typing import Iterator
 
-from .arrows import FPArrow, FPObject, Gen, Id, Leaf, Proj, TupleArrow
 from .errors import CarrierOutOfRange, ModelBudgetExceeded, Record
 from .signature import Operation, Signature, Sort, Variable, ordered_vars
 from .terms import Equation, Expression, Var, var_list
@@ -108,60 +104,6 @@ def count_models(sig: Signature, max_size: int) -> int:
                          ** math.prod(sizes[s] for s in op.inputs)
                          for op in sig.operations)
                for sizes in _carrier_sizes(sig, max_size))
-
-
-def eval_expression(model: FiniteModel, e: Expression,
-                    env: dict[Variable, int]) -> int:
-    if isinstance(e, Var):
-        return env[e.var]
-    return model.apply(e.op, tuple(eval_expression(model, a, env)
-                                   for a in e.args))
-
-
-def _falsifying_assignment(model: FiniteModel,
-                           eq: Equation) -> dict[Variable, int] | None:
-    """The first assignment, in carrier order, under which the two sides
-    differ; None if the equation holds in the model."""
-    carriers = [model.carrier(v.sort) for v in eq.vars]
-    for values in itertools.product(*carriers):
-        env = dict(zip(eq.vars, values))
-        if eval_expression(model, eq.left, env) \
-                != eval_expression(model, eq.right, env):
-            return env
-    return None
-
-
-def satisfies(model: FiniteModel, eq: Equation) -> bool:
-    """True iff the equation holds under every assignment to its variables."""
-    return _falsifying_assignment(model, eq) is None
-
-
-def points(model: FiniteModel, obj: FPObject) -> Iterator:
-    """All elements of an object's interpretation: ints at leaves, tuples at
-    products."""
-    if isinstance(obj, Leaf):
-        yield from model.carrier(obj.sort)
-    else:
-        yield from itertools.product(*(points(model, f)
-                                       for f in obj.factors))
-
-
-def eval_arrow(model: FiniteModel, a: FPArrow, point):
-    if isinstance(a, Id):
-        return point
-    if isinstance(a, Proj):
-        return point[a.index - 1]
-    if isinstance(a, Gen):
-        return model.apply(a.op, tuple(point))
-    if isinstance(a, TupleArrow):
-        return tuple(eval_arrow(model, p, point) for p in a.parts)
-    return eval_arrow(model, a.after, eval_arrow(model, a.before, point))
-
-
-def arrows_agree(model: FiniteModel, a: FPArrow, b: FPArrow,
-                 src: FPObject) -> bool:
-    return all(eval_arrow(model, a, pt) == eval_arrow(model, b, pt)
-               for pt in points(model, src))
 
 
 def _column_program(eq: Equation, occurring: tuple[Variable, ...]):

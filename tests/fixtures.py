@@ -1,21 +1,23 @@
 """Shared concrete signatures, variable helpers and the certificate route
 for the tests, and the helpers only tests call: normal forms back to
-arrows, most concrete terms and equations, random finite models and a
-random search for a model that separates two arrows, and the .msl
-printer."""
+arrows, most concrete terms and equations, the reference evaluation of
+expressions and arrows in finite models, random finite models and a random
+search for a model that separates two arrows, and the .msl printer."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
-from termcat.arrows import (Comp, FPArrow, FPObject, Gen, GenApp, Id,
+from termcat.arrows import (Comp, FPArrow, FPObject, Gen, GenApp, Id, Leaf,
                             NormalArrow, NormalBody, Path, Proj, TupleArrow)
-from termcat.deduction import compile_to_factorization, normalize_deduction
+from termcat.deduction import (compile_to_factorization, lemma_table,
+                               normalize_deduction)
 from termcat.dsl import Bracket, RawExpr, SpecFile
-from termcat.models import FiniteModel, eval_arrow, points
+from termcat.models import FiniteModel
 from termcat.signature import Signature, Sort, Variable, validate_signature
-from termcat.terms import (Equation, Expression, Term, make_equation,
+from termcat.terms import (Equation, Expression, Term, Var, make_equation,
                            var_set)
 
 
@@ -57,9 +59,11 @@ def replace(record, **changes):
                           for f in record._fields))
 
 
-def certify(sig: Signature, tree, hyps):
-    """The certificate `check-proof` builds: levelled form, then assembly."""
-    return compile_to_factorization(sig, normalize_deduction(tree), hyps)
+def certify(sig: Signature, steps, hyps):
+    """The certificate `check-proof --levelled` builds: the lemma table,
+    the levelled form, then the assembly from the lemmas' codings."""
+    return compile_to_factorization(normalize_deduction(steps),
+                                    lemma_table(sig, steps, hyps), hyps)
 
 
 # --- normal forms back to arrows ----------------------------------------------
@@ -106,6 +110,68 @@ def most_concrete_equation(left: Expression, right: Expression) -> Equation:
     return make_equation(left, right, var_set(left) + var_set(right))
 
 
+# --- reference evaluation in finite models -----------------------------------------
+# Independent of normal forms: nothing here normalizes or compares arrows
+# formally, so the tests can hold the syntactic machinery against it.
+
+EVALUATOR = ("eval_expression", "_falsifying_assignment", "satisfies",
+             "points", "eval_arrow", "arrows_agree")
+
+
+def eval_expression(model: FiniteModel, e: Expression,
+                    env: dict[Variable, int]) -> int:
+    if isinstance(e, Var):
+        return env[e.var]
+    return model.apply(e.op, tuple(eval_expression(model, a, env)
+                                   for a in e.args))
+
+
+def _falsifying_assignment(model: FiniteModel,
+                           eq: Equation) -> dict[Variable, int] | None:
+    """The first assignment, in carrier order, under which the two sides
+    differ; None if the equation holds in the model."""
+    carriers = [model.carrier(v.sort) for v in eq.vars]
+    for values in itertools.product(*carriers):
+        env = dict(zip(eq.vars, values))
+        if eval_expression(model, eq.left, env) \
+                != eval_expression(model, eq.right, env):
+            return env
+    return None
+
+
+def satisfies(model: FiniteModel, eq: Equation) -> bool:
+    """True iff the equation holds under every assignment to its variables."""
+    return _falsifying_assignment(model, eq) is None
+
+
+def points(model: FiniteModel, obj: FPObject) -> Iterator:
+    """All elements of an object's interpretation: ints at leaves, tuples at
+    products."""
+    if isinstance(obj, Leaf):
+        yield from model.carrier(obj.sort)
+    else:
+        yield from itertools.product(*(points(model, f)
+                                       for f in obj.factors))
+
+
+def eval_arrow(model: FiniteModel, a: FPArrow, point):
+    if isinstance(a, Id):
+        return point
+    if isinstance(a, Proj):
+        return point[a.index - 1]
+    if isinstance(a, Gen):
+        return model.apply(a.op, tuple(point))
+    if isinstance(a, TupleArrow):
+        return tuple(eval_arrow(model, p, point) for p in a.parts)
+    return eval_arrow(model, a.after, eval_arrow(model, a.before, point))
+
+
+def arrows_agree(model: FiniteModel, a: FPArrow, b: FPArrow,
+                 src: FPObject) -> bool:
+    return all(eval_arrow(model, a, pt) == eval_arrow(model, b, pt)
+               for pt in points(model, src))
+
+
 # --- random and separating models --------------------------------------------------
 
 
@@ -118,7 +184,6 @@ def random_model(sig: Signature, max_size: int,
         domain = itertools.product(*(range(sizes[s]) for s in op.inputs))
         tables[op.name] = {p: rng.randrange(sizes[op.output]) for p in domain}
     return FiniteModel(sig, sizes, tables)
-
 
 
 def find_separating_model(sig: Signature, a: FPArrow, b: FPArrow,

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import random
 
-from termcat.deduction import (Abstraction, Concretion, DeductionTree,
-                               Hypothesis, Reflexivity, Substitutivity,
-                               Symmetry, Transitivity)
+from termcat.deduction import (Abstraction, Concretion, Hypothesis,
+                               Reflexivity, Step, Substitutivity, Symmetry,
+                               Transitivity)
 from termcat.signature import (Signature, Sort, Variable, inhabited_sorts,
                                ordered_vars, validate_signature)
 from termcat.subst import SubstInstance, subst_expr
@@ -84,25 +84,32 @@ def gen_subst_instance(rng: random.Random, sig: Signature,
     return SubstInstance(target, x, replacement)
 
 
-def gen_deduction_tree(rng: random.Random, sig: Signature,
-                       hypotheses: list[Equation], depth: int
-                       ) -> DeductionTree:
-    """A random valid deduction over the hypotheses; every rule application
-    satisfies its side conditions by construction."""
+def gen_deduction(rng: random.Random, sig: Signature,
+                  hypotheses: list[Equation], depth: int
+                  ) -> tuple[Step, ...]:
+    """A random valid deduction over the hypotheses, as its steps, each
+    after the steps it cites; the last is the conclusion, and every other
+    step is cited.  Every rule application satisfies its side conditions by
+    construction, and a transitivity cites one step twice over: directly
+    and through its flip."""
     witnesses = inhabited_sorts(sig)
+    steps: list[Step] = []
 
-    def leaf() -> DeductionTree:
+    def add(eq: Equation, rule, premises: tuple[int, ...] = ()) -> int:
+        steps.append(Step(eq, rule, premises))
+        return len(steps) - 1
+
+    def leaf() -> Step:
         if hypotheses and rng.random() < 0.7:
             i = rng.randrange(len(hypotheses))
-            return DeductionTree(hypotheses[i], Hypothesis(i))
+            return Step(hypotheses[i], Hypothesis(i), ())
         t = gen_term(rng, sig, depth=2, extra_vars=1)
-        return DeductionTree(make_equation(t.expr, t.expr, t.vars),
-                             Reflexivity(t))
+        return Step(make_equation(t.expr, t.expr, t.vars), Reflexivity(t), ())
 
-    def grow(node: DeductionTree, budget: int) -> DeductionTree:
-        if budget <= 0:
-            return node
-        c = node.conclusion
+    steps.append(leaf())
+    node, budget = 0, depth
+    while budget > 0:
+        c = steps[node].equation
         choices = ["sym", "trans", "abs"]
         removable = [v for v in c.vars
                      if v not in var_set(c.left) and v not in var_set(c.right)
@@ -113,40 +120,39 @@ def gen_deduction_tree(rng: random.Random, sig: Signature,
             choices.append("subst")
         kind = rng.choice(choices)
         if kind == "sym":
-            eq = make_equation(c.right, c.left, c.vars)
-            out = DeductionTree(eq, Symmetry(), (node,))
+            node = add(make_equation(c.right, c.left, c.vars), Symmetry(),
+                       (node,))
         elif kind == "trans":
             # second premise: the premise's own flip, so the middle matches
-            flip = DeductionTree(make_equation(c.right, c.left, c.vars),
-                                 Symmetry(), (node,))
-            eq = make_equation(c.left, c.left, c.vars)
-            out = DeductionTree(eq, Transitivity(), (node, flip))
+            flip = add(make_equation(c.right, c.left, c.vars), Symmetry(),
+                       (node,))
+            node = add(make_equation(c.left, c.left, c.vars),
+                       Transitivity(), (node, flip))
         elif kind == "abs":
             x = Variable(rng.choice(sig.sorts), rng.randint(5, 9))
             if x in c.vars:
-                return grow(node, budget)
-            eq = make_equation(c.left, c.right, c.vars + (x,))
-            out = DeductionTree(eq, Abstraction(x), (node,))
+                continue
+            node = add(make_equation(c.left, c.right, c.vars + (x,)),
+                       Abstraction(x), (node,))
         elif kind == "conc":
             x = rng.choice(removable)
-            eq = make_equation(c.left, c.right,
-                               tuple(v for v in c.vars if v != x))
-            out = DeductionTree(eq, Concretion(x), (node,))
+            node = add(make_equation(c.left, c.right,
+                                     tuple(v for v in c.vars if v != x)),
+                       Concretion(x), (node,))
         else:
             x = rng.choice(c.vars)
             prem2 = leaf()
-            c2 = prem2.conclusion
-            if c2.sort != x.sort:
+            if prem2.equation.sort != x.sort:
                 e2 = gen_expression(rng, sig, x.sort, 2)
                 u = make_term(e2, var_set(e2), x.sort)
-                prem2 = DeductionTree(make_equation(u.expr, u.expr, u.vars),
-                                      Reflexivity(u))
-                c2 = prem2.conclusion
+                prem2 = Step(make_equation(u.expr, u.expr, u.vars),
+                             Reflexivity(u), ())
+            steps.append(prem2)
+            c2 = prem2.equation
             left = subst_expr(c.left, x, c2.left)
             right = subst_expr(c.right, x, c2.right)
             kept = tuple(v for v in c.vars if v != x)
             eq = make_equation(left, right, ordered_vars(kept + c2.vars))
-            out = DeductionTree(eq, Substitutivity(x), (node, prem2))
-        return grow(out, budget - 1)
-
-    return grow(leaf(), depth)
+            node = add(eq, Substitutivity(x), (node, len(steps) - 1))
+        budget -= 1
+    return tuple(steps)

@@ -10,10 +10,11 @@ import json
 import random
 import time
 
-from fixtures import binary_signature, find_separating_model, \
-    running_signature, subst_signature, unary_signature, v
-from gen import (gen_deduction_tree, gen_equation, gen_expression,
-                 gen_signature, gen_subst_instance, gen_term)
+from fixtures import binary_signature, eval_arrow, find_separating_model, \
+    points, running_signature, satisfies, subst_signature, \
+    unary_signature, v
+from gen import (gen_deduction, gen_equation, gen_expression, gen_signature,
+                 gen_subst_instance, gen_term)
 from termcat.arrows import (Comp, GenApp, Id, Path, Prod, Proj, TERMINAL,
                             TupleArrow, arrows_equal, bang, normalize,
                             term_arrow)
@@ -22,13 +23,13 @@ from termcat.deduction import (Abstraction, Concretion, Reflexivity,
                                check_rule,
                                compile_to_factorization,
                                equation_constraint,
-                               identity_factorization,
+                               identity_factorization, lemma_table,
                                normal_form_violations, normalize_deduction,
                                paste_factorizations, product_factorizations)
 from termcat.errors import (MiddleTermMismatch, SideConditionViolated,
                             UninhabitedFill)
 from termcat.kernel import verify_factorization
-from termcat.models import enumerate_models, eval_arrow, points, satisfies
+from termcat.models import enumerate_models
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_arrow_direct, subst_expr, subst_term
 from termcat.terms import (App, Var, make_equation, make_term,
@@ -310,16 +311,17 @@ def test_criterion_5_normal_form_round_trip():
     for k in range(count):
         sig = sigs[k % len(sigs)]
         hyps = [gen_equation(rng, sig, depth=2) for _ in range(3)]
-        tree = gen_deduction_tree(rng, sig, hyps, rng.randint(0, 5))
-        while len(normalize_deduction(tree).levels) - 1 > 5:
-            tree = gen_deduction_tree(rng, sig, hyps, rng.randint(0, 5))
-        direct = (equation_constraint(tree.conclusion),)
-        ld = normalize_deduction(tree)
+        steps = gen_deduction(rng, sig, hyps, rng.randint(0, 5))
+        while len(normalize_deduction(steps).levels) - 1 > 5:
+            steps = gen_deduction(rng, sig, hyps, rng.randint(0, 5))
+        direct = (equation_constraint(steps[-1].equation),)
+        ld = normalize_deduction(steps)
         violations = normal_form_violations(ld)
         if violations:
             _report(5, "normal-form round trip", False,
                     f"NF violated: {violations}")
-        compiled = compile_to_factorization(sig, ld, hyps)
+        compiled = compile_to_factorization(
+            ld, lemma_table(sig, steps, hyps), hyps)
         if not verify_factorization(compiled).ok:
             _report(5, "normal-form round trip", False,
                     "compiled certificate failed verification")
@@ -331,7 +333,7 @@ def test_criterion_5_normal_form_round_trip():
                     "claim differs from the conclusion's constraint")
     elapsed = time.time() - t0
     _report(5, "normal-form and compilation round trip", True,
-            f"{count} trees, {elapsed:.1f}s")
+            f"{count} deductions, {elapsed:.1f}s")
 
 
 # --- 6: certificate algebra ---------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path as FilePath
 
 import pytest
 
+import fixtures
 from fixtures import (embed, most_concrete_term, running_signature,
                       subst_signature, v)
 from gen import gen_equation, gen_signature, gen_term
@@ -431,18 +432,26 @@ def test_intern_table_keeps_no_node_alive(seed=43):
 
 
 def test_model_evaluation_never_reads_normal_forms():
-    # models stays the independent route: it names neither the memo slot
-    # nor anything that normalizes
+    # models and the tests' reference evaluator stay the independent
+    # routes: they name neither the memo slot nor anything that normalizes
     assert "_normal" in arrows._Arrow.__slots__
-    tree = ast.parse(FilePath(models.__file__).read_text(encoding="utf-8"))
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    assert not names & {"_normal", "_norm", "normalize", "arrows_equal"}
+    evaluator = ast.parse(FilePath(fixtures.__file__).read_text(
+        encoding="utf-8"))
+    defs = [node for node in evaluator.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name in fixtures.EVALUATOR]
+    assert len(defs) == len(fixtures.EVALUATOR)
+    for tree in (ast.parse(FilePath(models.__file__).read_text(
+            encoding="utf-8")), *defs):
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                names.add(node.value)
+        assert not names & {"_normal", "_norm", "normalize", "arrows_equal"}

@@ -220,12 +220,11 @@ def test_concretion_over_empty_sort_fails_only_its_proof(tmp_path, capsys):
     # proof is invalid (exit 1), and the proofs around it are still checked
     f = tmp_path / "empty.msl"
     f.write_text(EMPTY_SORT_CONCRETION)
-    # the lemma table names the failing step; the levelled route does not
-    levelled = "sort t is empty; no closed filler exists"
-    message = "10:3: step 'b': " + levelled
+    # both routes run the lemma table, which names the failing step
+    message = "10:3: step 'b': sort t is empty; no closed filler exists"
     code, out = _capture(capsys, ["check-proof", "--levelled", str(f)])
     assert code == 1
-    assert f"proof bad: INVALID ({levelled})" in out.splitlines()
+    assert f"proof bad: INVALID ({message})" in out.splitlines()
     code, out = _capture(capsys, ["check-proof", str(f)])
     assert code == 1
     verdicts = [line for line in out.splitlines()
@@ -274,12 +273,12 @@ PRODUCER_FAILURES = {
 def test_producer_errors_name_their_step(steps, where, message, tmp_path,
                                          capsys):
     # the lemma table checks each step on its own, so a failure belongs to
-    # one .msl step; the levelled route keeps its messages as they were
+    # one .msl step; the levelled route runs the same lemma table first
     f = tmp_path / "bad.msl"
     f.write_text(_UNITS + "proof bad from lunit runit fx {\n  " + steps
                  + "\n}\n")
-    for flag, error in (([], f"{where}: {message}"),
-                        (["--levelled"], message)):
+    error = f"{where}: {message}"
+    for flag in ([], ["--levelled"]):
         assert _capture(capsys, ["check-proof", *flag, str(f)]) == (
             1, f"proof bad: INVALID ({error})\n")
         code, out = _capture(capsys, ["check-proof", *flag, "--json", str(f)])
@@ -306,14 +305,102 @@ def test_check_proof_sizes_line(tmp_path, capsys):
         "  goal: established by lemma 14"]
 
 
+def test_each_step_is_coded_once_on_both_routes(tmp_path, capsys,
+                                                monkeypatch):
+    # the levelled certificate is pasted from the lemma table's codings:
+    # one rule coding per declared step on either route, although the
+    # k = 12 certificate still carries 20,479 kernel steps
+    from termcat import deduction
+    f = tmp_path / "dag.msl"
+    f.write_text(_UNITS + _dag_proof(12))
+    coded, certs = [], []
+    code_rule = deduction._code_rule
+    compile_to_factorization = deduction.compile_to_factorization
+
+    def counting(*args):
+        coded.append(args[2])
+        return code_rule(*args)
+
+    def kept(*args):
+        certs.append(compile_to_factorization(*args))
+        return certs[-1]
+
+    monkeypatch.setattr(deduction, "_code_rule", counting)
+    monkeypatch.setattr(deduction, "compile_to_factorization", kept)
+    for flag in ([], ["--levelled"]):
+        coded.clear()
+        code, _ = _capture(capsys, ["check-proof", *flag, str(f)])
+        assert code == 0
+        assert len(coded) == 15
+    cert, = certs
+    assert sum(len(p) for p in cert.verif) == 20479
+
+
+# the first proof's step c has no middle term, and no later step cites it;
+# the second's steps c and d hold, and nothing cites c
+UNUSED_STEPS = """proof dead from lunit runit {
+  a = hyp lunit ;
+  b = hyp runit ;
+  c = trans a b ;
+  d = sym a ;
+}
+proof unused from lunit runit {
+  a = hyp lunit ;
+  b = hyp runit ;
+  c = sym b ;
+  d = sym a ;
+}
+"""
+
+
+def test_a_step_nothing_cites_is_checked(tmp_path, capsys):
+    f = tmp_path / "unused.msl"
+    f.write_text(_UNITS + UNUSED_STEPS)
+    dead = ("proof dead: INVALID (11:3: step 'c': premises do not share a "
+            "middle term: x1:s vs m(x1:s, e))")
+    for flag, sizes in (([], "hypotheses: 2, lemmas: 4, kernel steps: 6"),
+                        (["--levelled"],
+                         "hypotheses: 2, claims: 1, workspace: 1")):
+        code, out = _capture(capsys, ["check-proof", *flag, str(f)])
+        assert code == 1
+        assert out.splitlines()[:4] == [
+            dead, "proof unused: VALID",
+            "  conclusion: x1:s = m(e, x1:s)  [x1:s]", f"  {sizes}"]
+        code, out = _capture(capsys, ["check-proof", *flag, "--proof",
+                                      "unused", str(f)])
+        assert code == 0
+    code, out = _capture(capsys, ["check-proof", "--json", "--proof",
+                                  "unused", str(f)])
+    lemmas = json.loads(out)["certificate"]["lemmas"]
+    assert [(x["cites"], x["hypothesis"]) for x in lemmas] == [
+        ([], 0), ([], 1), ([1], None), ([0], None)]
+
+
+def test_lemmas_come_in_declaration_order(tmp_path, capsys):
+    # lemma k is step k: a premises-first walk from the last step would
+    # put a before b
+    f = tmp_path / "order.msl"
+    f.write_text(_UNITS + "proof order from lunit runit {\n"
+                 "  b = hyp runit ;\n  a = hyp lunit ;\n  c = sym b ;\n"
+                 "  d = trans a c ;\n}\n")
+    code, out = _capture(capsys, ["check-proof", "--json", str(f)])
+    assert code == 0
+    lemmas = json.loads(out)["proofs"][0]["certificate"]["lemmas"]
+    assert [(x["cites"], x["hypothesis"]) for x in lemmas] == [
+        ([], 1), ([], 0), ([0], None), ([1, 2], None)]
+    sf = parse_spec(f.read_text())
+    assert [x["statement"] for x in lemmas[:2]] == [
+        cli.equation_json(sf.equations[name]) for name in ("runit", "lunit")]
+
+
 def test_lemma_table_that_claims_the_goal_is_refused(monkeypatch, capsys):
     # a producer that claims the goal with no derivation, the lemma
     # analogue of `identity_factorization((goal,))`: the kernel compiles
     # the statement itself, and the citation finds no premise to name
     from termcat import deduction, kernel
 
-    def claim_the_goal(sig, tree, hypotheses):
-        return (kernel.Lemma(tree.conclusion, (), None,
+    def claim_the_goal(sig, steps, hypotheses, origin):
+        return (kernel.Lemma(steps[-1].equation, (), None,
                              (kernel.CiteHyp(0),)),)
 
     monkeypatch.setattr(deduction, "lemma_table", claim_the_goal)

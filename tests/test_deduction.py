@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import binary_signature, certify, replace, unary_signature, v
-from gen import gen_deduction_tree, gen_equation, gen_expression
+from fixtures import (binary_signature, certify, replace, satisfies,
+                      unary_signature, v)
+from gen import gen_deduction, gen_equation, gen_expression
 from termcat import arrows, deduction
 from termcat.arrows import arrows_equal, normalize, term_arrow
 from termcat.deduction import (RULE_NAMES, Abstraction, Concretion, Copy,
-                               DeductionTree, Hypothesis, Reflexivity,
-                               Substitutivity, Symmetry, Transitivity,
-                               check_rule, compile_to_factorization, conclude,
+                               Hypothesis, LevelledDeduction, LevelStep,
+                               Reflexivity, Step, Substitutivity, Symmetry,
+                               Transitivity, check_rule,
+                               compile_to_factorization, conclude,
                                equation_constraint, identity_factorization,
                                lemma_table, normal_form_violations,
                                normalize_deduction, paste_factorizations,
@@ -26,7 +28,7 @@ from termcat.errors import (DeductionError, InterfaceMismatch,
 from termcat.kernel import (CiteHyp, ComposeRight, EqConstraint, Factorization,
                             Refl, Sym, Trans, verify_factorization,
                             verify_lemmas)
-from termcat.models import enumerate_models, satisfies
+from termcat.models import enumerate_models
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_expr
 from termcat.terms import App, Equation, Var, make_equation, make_term
@@ -168,8 +170,7 @@ def test_rule_coded_claim_is_the_conclusion_diagram():
 
 def test_single_hypothesis_deduction():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    tree = DeductionTree(comm, Hypothesis(0))
-    cert = certify(sig, tree, [comm])
+    cert = certify(sig, (Step(comm, Hypothesis(0), ()),), [comm])
     assert cert.hyp == (equation_constraint(comm),)
     assert cert.claim == cert.hyp
     assert cert.verif == ((CiteHyp(0),),)
@@ -178,19 +179,16 @@ def test_single_hypothesis_deduction():
 
 def test_unknown_hypothesis_index():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    tree = DeductionTree(comm, Hypothesis(3))
     with pytest.raises(UnknownHypothesis):
-        certify(sig, tree, [comm])
+        certify(sig, (Step(comm, Hypothesis(3), ()),), [comm])
 
 
 def test_sym_sym_chain_certificate():
     sig, s, x, y, m, c, comm, lunit = _setup()
     flipped = make_equation(comm.right, comm.left, comm.vars)
-    tree = DeductionTree(
-        comm, Symmetry(),
-        (DeductionTree(flipped, Symmetry(),
-                       (DeductionTree(comm, Hypothesis(0)),)),))
-    cert = certify(sig, tree, [comm])
+    steps = (Step(comm, Hypothesis(0), ()), Step(flipped, Symmetry(), (0,)),
+             Step(comm, Symmetry(), (1,)))
+    cert = certify(sig, steps, [comm])
     swaps = [k for k in cert.verif[0] if isinstance(k, Sym)]
     assert len(swaps) == 2
     assert verify_factorization(cert).ok
@@ -200,18 +198,17 @@ def test_sym_sym_chain_certificate():
 def test_three_level_subst_then_trans():
     sig, s, x, y, m, c, comm, lunit = _setup()
     ce = App(c, ())
-    refl_c = DeductionTree(make_equation(ce, ce, ()),
-                           Reflexivity(make_term(ce, (), s)))
-    h = DeductionTree(lunit, Hypothesis(0))
     mid = make_equation(subst_expr(lunit.left, x, ce), ce, ())
-    st = DeductionTree(mid, Substitutivity(x), (h, refl_c))
-    flip = DeductionTree(make_equation(mid.right, mid.left, ()),
-                         Symmetry(), (st,))
-    concl = make_equation(mid.left, mid.left, ())
-    tree = DeductionTree(concl, Transitivity(), (st, flip))
-    cert = certify(sig, tree, [lunit])
+    steps = (
+        Step(lunit, Hypothesis(0), ()),
+        Step(make_equation(ce, ce, ()), Reflexivity(make_term(ce, (), s)),
+             ()),
+        Step(mid, Substitutivity(x), (0, 1)),
+        Step(make_equation(mid.right, mid.left, ()), Symmetry(), (2,)),
+        Step(make_equation(mid.left, mid.left, ()), Transitivity(), (2, 3)))
+    cert = certify(sig, steps, [lunit])
     assert verify_factorization(cert).ok
-    want = equation_constraint(tree.conclusion)
+    want = equation_constraint(steps[-1].equation)
     assert len(cert.claim) == 1
     assert arrows_equal(cert.claim[0].left, want.left)
     assert arrows_equal(cert.claim[0].right, want.right)
@@ -229,15 +226,17 @@ def test_certificate_compiles_each_equation_once(monkeypatch):
     monkeypatch.setattr(deduction, "equation_constraint", counting)
     # a0 = hyp lunit ; b0 = sym a0 ; c1 = trans a0 b0 ;
     # c2 = trans c1 c1 ; c3 = trans c2 c2 ; c4 = trans c3 c3
-    a0 = DeductionTree(lunit, Hypothesis(0))
-    b0 = DeductionTree(make_equation(lunit.right, lunit.left, lunit.vars),
-                       Symmetry(), (a0,))
-    top = DeductionTree(make_equation(lunit.left, lunit.left, lunit.vars),
-                        Transitivity(), (a0, b0))
-    for _ in range(3):
-        top = DeductionTree(top.conclusion, Transitivity(), (top, top))
-    ld = normalize_deduction(top)
-    cert = compile_to_factorization(sig, ld, [lunit])
+    steps = [
+        Step(lunit, Hypothesis(0), ()),
+        Step(make_equation(lunit.right, lunit.left, lunit.vars), Symmetry(),
+             (0,)),
+        Step(make_equation(lunit.left, lunit.left, lunit.vars),
+             Transitivity(), (0, 1))]
+    for k in range(2, 5):
+        steps.append(Step(steps[k].equation, Transitivity(), (k, k)))
+    ld = normalize_deduction(steps)
+    cert = compile_to_factorization(ld, lemma_table(sig, steps, [lunit]),
+                                    [lunit])
     distinct = {lunit} | {st.equation for level in ld.levels
                           for st in level}
     assert len(distinct) == 3
@@ -250,19 +249,20 @@ def test_certificate_compiles_each_equation_once(monkeypatch):
 
 def test_single_node_is_one_level():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    ld = normalize_deduction(DeductionTree(comm, Hypothesis(0)))
+    ld = normalize_deduction((Step(comm, Hypothesis(0), ()),))
     assert len(ld.levels) == 1
     assert normal_form_violations(ld) == []
 
 
 def test_premise_at_two_depths_gets_copies_and_duplicates():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    h = DeductionTree(comm, Hypothesis(0))
-    flip = DeductionTree(make_equation(comm.right, comm.left, comm.vars),
-                         Symmetry(), (h,))
-    tree = DeductionTree(make_equation(comm.left, comm.left, comm.vars),
-                         Transitivity(), (h, flip))
-    ld = normalize_deduction(tree)
+    steps = (
+        Step(comm, Hypothesis(0), ()),
+        Step(make_equation(comm.right, comm.left, comm.vars), Symmetry(),
+             (0,)),
+        Step(make_equation(comm.left, comm.left, comm.vars), Transitivity(),
+             (0, 1)))
+    ld = normalize_deduction(steps)
     assert normal_form_violations(ld) == []
     # the hypothesis is used twice, so level 0 holds two copies of it
     assert len(ld.levels[0]) == 2
@@ -270,14 +270,16 @@ def test_premise_at_two_depths_gets_copies_and_duplicates():
     # the shallower use is padded with a copy step
     rules = [type(st.rule) for level in ld.levels for st in level]
     assert Copy in rules
+    # each entry records the step it stands for or carries down
+    assert [[st.step for st in level] for level in ld.levels] == [
+        [0, 0], [0, 1], [2]]
 
 
 def test_normal_form_violation_detection():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    from termcat.deduction import LevelStep, LevelledDeduction
     bad = LevelledDeduction((
-        (LevelStep(comm, Hypothesis(0), ()),),
-        (LevelStep(comm, Copy(), (0,)), LevelStep(comm, Copy(), (0,))),
+        (LevelStep(comm, Hypothesis(0), (), 0),),
+        (LevelStep(comm, Copy(), (0,), 0), LevelStep(comm, Copy(), (0,), 0)),
     ))
     problems = normal_form_violations(bad)
     assert any("consumed 2" in p for p in problems)
@@ -286,24 +288,24 @@ def test_normal_form_violation_detection():
 
 def test_copy_padding_is_the_identity_certificate():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    from termcat.deduction import LevelStep, LevelledDeduction
+    lemmas = lemma_table(sig, (Step(comm, Hypothesis(0), ()),), [comm])
     padded = LevelledDeduction((
-        (LevelStep(comm, Hypothesis(0), ()),),
-        (LevelStep(comm, Copy(), (0,)),),
-        (LevelStep(comm, Copy(), (0,)),),
+        (LevelStep(comm, Hypothesis(0), (), 0),),
+        (LevelStep(comm, Copy(), (0,), 0),),
+        (LevelStep(comm, Copy(), (0,), 0),),
     ))
-    cert = compile_to_factorization(sig, padded, [comm])
+    cert = compile_to_factorization(padded, lemmas, [comm])
     assert cert.claim == (equation_constraint(comm),)
     assert cert.verif == ((CiteHyp(0),),)
     assert verify_factorization(cert).ok
     # a copy that changes its equation is refused
     flipped = make_equation(comm.right, comm.left, comm.vars)
     forged = LevelledDeduction((
-        (LevelStep(comm, Hypothesis(0), ()),),
-        (LevelStep(flipped, Copy(), (0,)),),
+        (LevelStep(comm, Hypothesis(0), (), 0),),
+        (LevelStep(flipped, Copy(), (0,), 0),),
     ))
     with pytest.raises(SideConditionViolated, match="copy must repeat"):
-        compile_to_factorization(sig, forged, [comm])
+        compile_to_factorization(forged, lemmas, [comm])
     # copy is not a rule of the logic
     with pytest.raises(SideConditionViolated, match="unknown rule"):
         check_rule(sig, (comm,), Copy(), comm)
@@ -314,17 +316,18 @@ def test_normalized_random_trees_satisfy_nf(seed=61):
     sig = unary_signature()
     hyps = [gen_equation(rng, sig, depth=2) for _ in range(3)]
     for _ in range(60):
-        tree = gen_deduction_tree(rng, sig, hyps, rng.randint(0, 4))
-        ld = normalize_deduction(tree)
+        steps = gen_deduction(rng, sig, hyps, rng.randint(0, 4))
+        ld = normalize_deduction(steps)
         assert normal_form_violations(ld) == []
-        assert ld.conclusion == tree.conclusion
+        assert ld.conclusion == steps[-1].equation
 
 
 def test_one_level_compile_equals_rule_coding():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    tree = DeductionTree(comm, Hypothesis(0))
-    ld = normalize_deduction(tree)
-    cert = compile_to_factorization(sig, ld, [comm])
+    steps = (Step(comm, Hypothesis(0), ()),)
+    ld = normalize_deduction(steps)
+    cert = compile_to_factorization(ld, lemma_table(sig, steps, [comm]),
+                                    [comm])
     assert cert.hyp == (equation_constraint(comm),)
     assert cert.claim == (equation_constraint(comm),)
     assert cert.verif == ((CiteHyp(0),),)
@@ -356,15 +359,15 @@ def test_invalid_tree_fails_on_both_routes():
                "the premises$")
         with pytest.raises(SideConditionViolated, match=why):
             check_rule(sig, premises, rule, wrong, hyps)
-        tree = DeductionTree(wrong, rule, tuple(
-            DeductionTree(p, Hypothesis(i)) for i, p in enumerate(premises)))
+        steps = [Step(p, Hypothesis(i), ()) for i, p in enumerate(premises)]
+        steps.append(Step(wrong, rule, tuple(range(len(premises)))))
         with pytest.raises(SideConditionViolated, match=why):
-            compile_to_factorization(sig, normalize_deduction(tree), hyps)
+            certify(sig, steps, hyps)
 
 
 def test_conclude_agrees_with_the_generated_trees():
     # tests/gen.py derives each rule's conclusion on its own; `conclude`
-    # must draw the same one from the premises of every node
+    # must draw the same one from the premises of every step
     tally = Counter()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -374,18 +377,16 @@ def test_conclude_agrees_with_the_generated_trees():
         sig = rng.choice([unary_signature(), binary_signature(), _TWO_SORTS])
         hyps = [gen_equation(rng, sig, depth=2)
                 for _ in range(rng.randint(0, 3))]
-        stack = [gen_deduction_tree(rng, sig, hyps, rng.randint(1, 5))]
-        while stack:
-            node = stack.pop()
-            drawn = conclude(node.rule, [p.conclusion for p in node.premises],
+        steps = gen_deduction(rng, sig, hyps, rng.randint(1, 5))
+        for s in steps:
+            drawn = conclude(s.rule, [steps[i].equation for i in s.premises],
                              hyps)
-            assert Equation(*drawn) == node.conclusion
-            tally[type(node.rule)] += 1
-            stack.extend(node.premises)
-        tally["trees"] += 1
+            assert Equation(*drawn) == s.equation
+            tally[type(s.rule)] += 1
+        tally["deductions"] += 1
 
     agree()
-    assert tally.pop("trees") >= 200
+    assert tally.pop("deductions") >= 200
     assert set(tally) == set(RULE_NAMES) - {Copy}, tally
 
 
@@ -393,8 +394,7 @@ def test_conclude_agrees_with_the_generated_trees():
 
 
 def _rule_cert(sig, eq):
-    tree = DeductionTree(eq, Hypothesis(0))
-    return certify(sig, tree, [eq])
+    return certify(sig, (Step(eq, Hypothesis(0), ()),), [eq])
 
 
 def test_paste_with_identity_is_neutral():
@@ -488,24 +488,24 @@ def test_deduction_soundness_sample(seed=67):
     hyps = [gen_equation(rng, sig, depth=2) for _ in range(2)]
     all_models = list(enumerate_models(sig, 3))
     for _ in range(8):
-        tree = gen_deduction_tree(rng, sig, hyps, rng.randint(1, 3))
-        certify(sig, tree, hyps)  # must accept
+        steps = gen_deduction(rng, sig, hyps, rng.randint(1, 3))
+        certify(sig, steps, hyps)  # must accept
         for model in all_models:
             if all(satisfies(model, h) for h in hyps):
-                assert satisfies(model, tree.conclusion)
+                assert satisfies(model, steps[-1].equation)
 
 
 # --- lemma tables ------------------------------------------------------------------
 
 
-def _exit_code(sig, tree, hyps, levelled: bool) -> int:
-    """What `check-proof` (with `--levelled` or not) exits with on `tree`."""
+def _exit_code(sig, steps, hyps, levelled: bool) -> int:
+    """What `check-proof` (with `--levelled` or not) exits with on `steps`."""
     try:
         if levelled:
-            ok = verify_factorization(certify(sig, tree, hyps)).ok
+            ok = verify_factorization(certify(sig, steps, hyps)).ok
         else:
-            ok = verify_lemmas(hyps, lemma_table(sig, tree, hyps),
-                               tree.conclusion).ok
+            ok = verify_lemmas(hyps, lemma_table(sig, steps, hyps),
+                               steps[-1].equation).ok
     except DeductionError:
         return 1
     except TermcatError:
@@ -513,43 +513,22 @@ def _exit_code(sig, tree, hyps, levelled: bool) -> int:
     return 0 if ok else 1
 
 
-def _nodes(tree) -> list:
-    """The distinct nodes of `tree`, each after its premises."""
-    seen, out, stack = set(), [], [(tree, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            out.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((p, False) for p in reversed(node.premises))
-    return out
-
-
-def _mutate_tree(rng, sig, hyps, tree):
-    """`tree` with one node's conclusion, hypothesis index or rule changed,
-    and the nodes above it rebuilt over the changed node."""
-    nodes = _nodes(tree)
-    target = rng.choice(nodes)
+def _mutate(rng, sig, hyps, steps):
+    """`steps` with one step's equation, hypothesis index or rule changed;
+    the steps that cite it cite the changed step."""
+    k = rng.randrange(len(steps))
+    target = steps[k]
     kind = rng.choice(["conclusion", "hypothesis", "rule"])
     if kind == "hypothesis" and isinstance(target.rule, Hypothesis):
         new = replace(target, rule=Hypothesis(
             rng.choice([-1, len(hyps), (target.rule.index + 1) % len(hyps)])))
     elif kind == "rule" and len(target.premises) == 1:
-        x = rng.choice(target.conclusion.vars or (Variable(sig.sorts[0], 7),))
+        x = rng.choice(target.equation.vars or (Variable(sig.sorts[0], 7),))
         new = replace(target, rule=rng.choice(
             [Symmetry(), Concretion(x), Abstraction(x)]))
     else:
-        new = replace(
-            target, conclusion=gen_equation(rng, sig, depth=2))
-    rebuilt = {id(target): new}
-    for node in nodes:
-        if id(node) not in rebuilt and any(id(p) in rebuilt
-                                           for p in node.premises):
-            rebuilt[id(node)] = replace(node, premises=tuple(
-                rebuilt.get(id(p), p) for p in node.premises))
-    return rebuilt.get(id(tree), tree)
+        new = replace(target, equation=gen_equation(rng, sig, depth=2))
+    return steps[:k] + (new,) + steps[k + 1:]
 
 
 def test_both_routes_give_the_same_exit_code():
@@ -562,16 +541,32 @@ def test_both_routes_give_the_same_exit_code():
         sig = rng.choice([unary_signature(), binary_signature()])
         hyps = [gen_equation(rng, sig, depth=2)
                 for _ in range(rng.randint(1, 2))]
-        tree = gen_deduction_tree(rng, sig, hyps, rng.randint(1, 4))
-        assert _exit_code(sig, tree, hyps, False) == 0
-        assert _exit_code(sig, tree, hyps, True) == 0
-        mutant = _mutate_tree(rng, sig, hyps, tree)
+        steps = gen_deduction(rng, sig, hyps, rng.randint(1, 4))
+        assert _exit_code(sig, steps, hyps, False) == 0
+        assert _exit_code(sig, steps, hyps, True) == 0
+        mutant = _mutate(rng, sig, hyps, steps)
         code = _exit_code(sig, mutant, hyps, False)
         assert code == _exit_code(sig, mutant, hyps, True)
         tally[code] += 1
 
     agree()
     assert tally[1] >= 100, tally
+
+
+def test_a_step_cites_only_earlier_steps():
+    sig, s, x, y, m, c, comm, lunit = _setup()
+    flipped = make_equation(comm.right, comm.left, comm.vars)
+    # step 1 cites itself, a later step, or a step counted from the end
+    for cites in ((1,), (2,), (-1,)):
+        steps = (Step(comm, Hypothesis(0), ()),
+                 Step(flipped, Symmetry(), cites),
+                 Step(comm, Symmetry(), (1,)))
+        with pytest.raises(SideConditionViolated,
+                           match="^a step may cite only earlier steps$"):
+            lemma_table(sig, steps, [comm])
+    steps = steps[:1] + (replace(steps[1], premises=(0,)),) + steps[2:]
+    assert [x.cites for x in lemma_table(sig, steps, [comm])] == [
+        (), (0,), (1,)]
 
 
 def test_lemma_table_of_a_chain_is_linear():
@@ -581,9 +576,9 @@ def test_lemma_table_of_a_chain_is_linear():
     sf = parse_spec("sort s\nop m : s s -> s\nop e : -> s\n"
                     "eq lunit [x:s] : m(e, x) = x\n"
                     "proof chain from lunit {\n" + "\n".join(steps) + "\n}\n")
-    tree, hyps = build_proof(sf, sf.proofs[0])
-    lemmas = lemma_table(sf.signature, tree, hyps)
-    assert verify_lemmas(hyps, lemmas, tree.conclusion).ok
+    built, hyps = build_proof(sf, sf.proofs[0])
+    lemmas = lemma_table(sf.signature, built, hyps)
+    assert verify_lemmas(hyps, lemmas, built[-1].equation).ok
     assert len(lemmas) == len(steps) == 102
     assert max(len(x.proof) for x in lemmas) <= 4
     # every trans step cites the chain so far and the one reflexivity
@@ -673,7 +668,7 @@ def test_producer_compiles_only_what_its_steps_carry(steps, producer, kernel,
                                                      monkeypatch):
     sf = parse_spec(_LUNIT + "proof p from lunit {\n" + "\n".join(steps)
                     + "\n}\n")
-    tree, hyps = build_proof(sf, sf.proofs[0])
+    built, hyps = build_proof(sf, sf.proofs[0])
     calls = []
 
     def counting(real):
@@ -683,13 +678,12 @@ def test_producer_compiles_only_what_its_steps_carry(steps, producer, kernel,
         return compiled
 
     monkeypatch.setattr(deduction, "_compiled", counting(arrows._compiled))
-    lemmas = lemma_table(sf.signature, tree, hyps)
+    lemmas = lemma_table(sf.signature, built, hyps)
     assert len(lemmas) == len(steps)
-    # one side per reflexivity and per substitutivity node, none otherwise
+    # one side per reflexivity and per substitutivity step, none otherwise
     assert len(calls) == producer == sum(
-        isinstance(node.rule, (Reflexivity, Substitutivity))
-        for node in _nodes(tree))
+        isinstance(s.rule, (Reflexivity, Substitutivity)) for s in built)
     calls.clear()
     monkeypatch.setattr(arrows, "_compiled", counting(arrows._compiled))
-    assert verify_lemmas(hyps, lemmas, tree.conclusion).ok
+    assert verify_lemmas(hyps, lemmas, built[-1].equation).ok
     assert len(calls) == kernel

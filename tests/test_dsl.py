@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -163,9 +164,9 @@ def test_arity_error_is_input_error():
 
 def test_build_proof_and_check():
     sf = parse_spec(GOOD)
-    tree, hyps = build_proof(sf, sf.proof("flip"))
+    steps, hyps = build_proof(sf, sf.proof("flip"))
     assert list(hyps) == [sf.equations["comm"]]
-    cert = certify(sf.signature, tree, hyps)
+    cert = certify(sf.signature, steps, hyps)
     assert verify_factorization(cert).ok
 
 
@@ -195,9 +196,9 @@ proof broken2 from comm lunit {
 }
 """
     sf = parse_spec(text)
-    tree, hyps = build_proof(sf, sf.proof("broken2"))
+    steps, hyps = build_proof(sf, sf.proof("broken2"))
     with pytest.raises(SideConditionViolated):
-        certify(sf.signature, tree, hyps)
+        certify(sf.signature, steps, hyps)
 
 
 def test_abs_binds_fresh_variable_and_conc_removes_it():
@@ -209,10 +210,10 @@ proof widen from comm {
 }
 """
     sf = parse_spec(text)
-    tree, hyps = build_proof(sf, sf.proof("widen"))
-    assert tree.conclusion == sf.equations["comm"]
+    steps, hyps = build_proof(sf, sf.proof("widen"))
+    assert steps[-1].equation == sf.equations["comm"]
     assert verify_factorization(
-        certify(sf.signature, tree, hyps)).ok
+        certify(sf.signature, steps, hyps)).ok
 
 
 def test_subst_step_through_dsl():
@@ -224,11 +225,11 @@ proof plug from lunit {
 }
 """
     sf = parse_spec(text)
-    tree, hyps = build_proof(sf, sf.proof("plug"))
-    assert str(tree.conclusion.left) == "m(e, e)"
-    assert str(tree.conclusion.right) == "e"
-    assert tree.conclusion.vars == ()
-    ld = normalize_deduction(tree)
+    steps, hyps = build_proof(sf, sf.proof("plug"))
+    assert str(steps[-1].equation.left) == "m(e, e)"
+    assert str(steps[-1].equation.right) == "e"
+    assert steps[-1].equation.vars == ()
+    ld = normalize_deduction(steps)
     assert len(ld.levels) == 2
 
 
@@ -240,9 +241,9 @@ proof r from {
 """
     # 'from' with an empty hypothesis list
     sf = parse_spec(text)
-    tree, hyps = build_proof(sf, sf.proof("r"))
+    steps, hyps = build_proof(sf, sf.proof("r"))
     assert list(hyps) == []
-    assert str(tree.conclusion.left) == "m(x1:s, x1:s)"
+    assert str(steps[-1].equation.left) == "m(x1:s, x1:s)"
 
 
 def test_ambiguous_merged_name_rejected():
@@ -318,11 +319,12 @@ def test_a_valid_proof_is_checked_without_locating_its_steps(monkeypatch,
     assert located == []
     sf = parse_spec(GOOD + "proof bad from comm {\n  a = hyp comm ;\n"
                            "  b = trans a a ;\n}\n")
-    tree, hyps = build_proof(sf, sf.proofs[1])
+    steps, hyps = build_proof(sf, sf.proofs[1])
     assert located == []
     with pytest.raises(SideConditionViolated,
                        match="^17:3: step 'b': premises do not share"):
-        lemma_table(sf.signature, tree, hyps)
+        lemma_table(sf.signature, steps, hyps,
+                    partial(dsl.step_origin, sf, sf.proofs[1]))
     assert len(located) == 1
     capsys.readouterr()
 

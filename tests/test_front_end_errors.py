@@ -473,8 +473,8 @@ GOLDEN = {
     "subst-variable-not-in-first-premise-levelled": (
         _SUBST_ABSENT,
         ["check-proof", "--levelled"], 1, "out",
-        "proof r: INVALID (x2:s is not among the first premise's "
-        "variables)\n"),
+        "proof r: INVALID (9:3: step 'd': x2:s is not among the first "
+        "premise's variables)\n"),
     "empty-file-proof": (
         "",
         ["check-proof", "--proof", "p"], 2, "err",

@@ -1,8 +1,8 @@
 """The trusted kernel on its own: what it may import, and whether a forged
 certificate gets past it.
 
-The forgery fuzzer starts from valid certificates of generated deduction
-trees and applies one mutation: retarget a step index, swap the arrow of a
+The forgery fuzzer starts from valid certificates of generated deductions
+and applies one mutation: retarget a step index, swap the arrow of a
 step, change a citation, drop a step, permute the claims, or restate a
 claim over the unchanged proofs.  A mutated proof's claim becomes whatever
 that proof would derive if replay checked nothing, so the kernel's own
@@ -30,9 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import (binary_signature, certify, random_model, replace,
-                      unary_signature)
-from gen import gen_deduction_tree, gen_equation
+from fixtures import (arrows_agree, binary_signature, certify, random_model,
+                      replace, unary_signature)
+from gen import gen_deduction, gen_equation
 from termcat import kernel, models
 from termcat.arrows import Comp, TupleArrow
 from termcat.deduction import (equation_constraint, lemma_table,
@@ -43,7 +43,6 @@ from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                             Factorization, Lemma, Refl, Sym, Trans, TupleCong,
                             constraints_equal, verify_factorization,
                             verify_lemmas)
-from termcat.models import arrows_agree
 
 # --- import boundaries -------------------------------------------------------
 
@@ -84,7 +83,7 @@ def test_models_imports_nothing_that_normalizes():
                    "embed", "NormalArrow", "NormalBody", "Path", "GenApp",
                    "NTuple", "deduction", "kernel", "subst"}
     imports = _imports(models)
-    assert "arrows" in {name for name, _ in imports}
+    assert "terms" in {name for name, _ in imports}
     assert _outside_stdlib(
         imports, {"arrows", "errors", "signature", "terms"}) == []
     assert not {n for name, names in imports
@@ -125,14 +124,14 @@ MODELS_PER_MUTANT = 12
 
 
 def _certificate(rng: random.Random):
-    """The product of the certificates of one to three generated trees over
-    a shared list of zero to two hypotheses."""
+    """The product of the certificates of one to three generated
+    deductions over a shared list of zero to two hypotheses."""
     sig = rng.choice(SIGNATURES)
     hyps = [gen_equation(rng, sig, depth=2) for _ in range(rng.randint(0, 2))]
-    trees = [gen_deduction_tree(rng, sig, hyps, rng.randint(1, 3))
-             for _ in range(rng.randint(1, 3))]
-    return sig, product_factorizations([certify(sig, t, hyps)
-                                        for t in trees])
+    deductions = [gen_deduction(rng, sig, hyps, rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 3))]
+    return sig, product_factorizations([certify(sig, steps, hyps)
+                                        for steps in deductions])
 
 
 def _forged_claim(hyp, proof) -> EqConstraint | None:
@@ -293,8 +292,8 @@ LEMMA_MUTATIONS = {
 def _lemma_table(rng: random.Random):
     sig = rng.choice(SIGNATURES)
     hyps = [gen_equation(rng, sig, depth=2) for _ in range(rng.randint(1, 2))]
-    tree = gen_deduction_tree(rng, sig, hyps, rng.randint(1, 4))
-    return hyps, list(lemma_table(sig, tree, hyps)), tree.conclusion
+    steps = gen_deduction(rng, sig, hyps, rng.randint(1, 4))
+    return hyps, list(lemma_table(sig, steps, hyps)), steps[-1].equation
 
 
 def _mutate_table(rng: random.Random, lemmas: list[Lemma], goal,

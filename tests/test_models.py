@@ -7,16 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import (binary_signature, find_separating_model, random_model,
-                      unary_signature)
+from fixtures import (arrows_agree, binary_signature, eval_arrow,
+                      eval_expression, find_separating_model, points,
+                      random_model, satisfies, unary_signature)
 from gen import gen_equation, gen_signature, gen_term
 from termcat import models
 from termcat.arrows import term_arrow
 from termcat.dsl import parse_spec
 from termcat.errors import CarrierOutOfRange, ModelBudgetExceeded
-from termcat.models import (FiniteModel, arrows_agree, count_models,
-                            enumerate_models, eval_arrow, eval_expression,
-                            find_counterexample, points, satisfies)
+from termcat.models import (FiniteModel, count_models, enumerate_models,
+                            find_counterexample)
 from termcat.terms import App, Var, make_equation, var_list
 
 MONOID = Path(__file__).resolve().parent.parent / "corpus" / "monoid.msl"

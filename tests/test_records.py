@@ -23,8 +23,8 @@ from termcat.arrows import (TERMINAL, GenApp, Id, Leaf, NTuple, Path as NPath,
 from termcat.deduction import (Abstraction, Concretion, Copy, Hypothesis,
                                Reflexivity, Substitutivity, Symmetry,
                                Transitivity, compile_to_factorization,
-                               normalize_deduction)
-from termcat.dsl import _StepResult, build_proof, parse_spec
+                               lemma_table, normalize_deduction)
+from termcat.dsl import build_proof, parse_spec
 from termcat.errors import Record
 from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, Refl, Sym,
                             Trans, TupleCong, VerificationResult)
@@ -74,9 +74,9 @@ S = SIG.sorts[0]
 M = SIG.operation("m")
 X = Variable(S, 1)
 T1 = SF.terms["t1"]
-TREE, HYPS = build_proof(SF, SF.proof("comm_twice"))
-LEVELLED = normalize_deduction(TREE)
-CERT = compile_to_factorization(SIG, LEVELLED, HYPS)
+STEPS, HYPS = build_proof(SF, SF.proof("comm_twice"))
+LEVELLED = normalize_deduction(STEPS)
+CERT = compile_to_factorization(LEVELLED, lemma_table(SIG, STEPS, HYPS), HYPS)
 SKETCH = sketch_of_signature(SIG)
 ARROW = Id(Leaf(S))
 
@@ -93,11 +93,10 @@ RECORDS = [
     CERT, VerificationResult(True, ("ok",)),
     # deduction
     Hypothesis(0), Reflexivity(T1), Symmetry(), Transitivity(),
-    Concretion(X), Abstraction(X), Substitutivity(X), Copy(), TREE,
+    Concretion(X), Abstraction(X), Substitutivity(X), Copy(), STEPS[-1],
     LEVELLED.levels[0][0], LEVELLED,
     # the front end
     SF.proofs[0].steps[0], SF.proofs[0], SF.term_decls[0], SF.eq_decls[0], SF,
-    _StepResult(TREE, {"x": X}),
     # sketch
     SortNode(S), ListNode((S, S)), OpArrow(M), ProjArrow(ListNode((S, S)), 2),
     SKETCH.cones[0], SKETCH,
@@ -107,7 +106,7 @@ RECORDS = [
 ]
 
 UNHASHABLE = {"Factorization", "VerificationResult", "SpecFile",
-              "_StepResult", "FiniteModel"}
+              "FiniteModel"}
 # built in bulk by the model search, and cheaper to build mutable
 MUTABLE = {"FiniteModel"}
 
@@ -122,7 +121,7 @@ def _record_types(cls=Record):
 def test_the_list_holds_every_record_type():
     assert sorted(type(r).__name__ for r in RECORDS) == \
         sorted(t.__name__ for t in _record_types())
-    assert len(RECORDS) == 47
+    assert len(RECORDS) == 46
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
@@ -170,7 +169,6 @@ def test_uncompared_fields_are_ignored():
              (SF.proofs[0], replace(SF.proofs[0], at=99)),
              (SF.term_decls[0], replace(SF.term_decls[0], at=99)),
              (SF.eq_decls[0], replace(SF.eq_decls[0], at=0)),
-             (TREE, replace(TREE, origin="elsewhere")),
              (SF, replace(SF, terms={}))]
     for a, b in pairs:
         assert a == b, type(a).__name__
@@ -181,7 +179,10 @@ def test_uncompared_fields_are_ignored():
     assert Var(X).sort is S and App(M, (Var(X), Var(X))).sort is S
     assert SF.term_decls[0] != replace(SF.term_decls[0], name="zz")
     assert SF.term_decls[0] != replace(SF.term_decls[0], expr=(("e", -1),))
-    assert TREE != replace(TREE, rule=Symmetry())
+    assert STEPS[-1] != replace(STEPS[-1], rule=Symmetry())
+    assert STEPS[-1] != replace(STEPS[-1], premises=())
+    entry = LEVELLED.levels[0][0]
+    assert entry != replace(entry, step=entry.step + 1)
 
 
 def test_sorts_operations_and_variables_survive_pickle_and_copy():
