@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import EndpointMismatch, Record
 from .signature import Operation, Sort, Variable
-from .terms import Equation, Expression, Term, Var, var_list
+from .terms import Equation, Expression, Term, var_list
 
 # --- hash-consing ----------------------------------------------------------------
 #
@@ -412,15 +412,15 @@ def regroup_arrow(e: Expression) -> FPArrow:
 def _regroup(e: Expression, src: Prod, leaves) -> FPArrow:
     # a module-level walker rather than a closure: a recursive closure is a
     # reference cycle, which would keep `src` alive until the next collection
-    if isinstance(e, Var):
+    if isinstance(e, Variable):
         return next(leaves)
     return TupleArrow(src, tuple(_regroup(a, src, leaves) for a in e.args))
 
 
 def apply_arrow(e: Expression) -> FPArrow:
     """Operation application: generators over the product of subresults."""
-    if isinstance(e, Var):
-        return Id(Leaf(e.var.sort))
+    if isinstance(e, Variable):
+        return Id(Leaf(e.sort))
     return Comp(Gen(e.op), product_of_arrows([apply_arrow(a)
                                               for a in e.args]))
 
@@ -461,8 +461,8 @@ def term_normal(t: Term) -> NormalArrow:
 
 
 def _expr_body(e: Expression, position: dict) -> NormalBody:
-    if isinstance(e, Var):
-        return position[e.var]
+    if isinstance(e, Variable):
+        return position[e]
     return GenApp(e.op, tuple(_expr_body(a, position) for a in e.args))
 
 

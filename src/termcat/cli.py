@@ -22,7 +22,7 @@ from .dsl import (ProofDef, SpecFile, build_proof, end_position, parse_spec,
 from .errors import DeductionError, TermcatError
 from .signature import Variable
 from .subst import SubstInstance, subst_arrow_direct, subst_term
-from .terms import Expression, Term, Var
+from .terms import Expression, Term
 
 
 # --- JSON encoding -----------------------------------------------------------
@@ -70,8 +70,8 @@ def variable_json(v: Variable) -> dict:
 
 
 def expr_json(e: Expression) -> dict:
-    if isinstance(e, Var):
-        return {"kind": "var", "var": variable_json(e.var)}
+    if isinstance(e, Variable):
+        return {"kind": "var", "var": variable_json(e)}
     return {"kind": "app", "op": e.op.name,
             "args": [expr_json(a) for a in e.args]}
 
@@ -349,8 +349,7 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef, as_json: bool,
     name = proof.name
     try:
         steps, hyps = build_proof(sf, proof)
-        origin = functools.partial(step_origin, sf, proof)
-        lemmas = deduction.lemma_table(sf.signature, steps, hyps, origin)
+        lemmas = deduction.lemma_table(sf.signature, steps, hyps)
         if levelled:
             ld = deduction.normalize_deduction(steps)
             cert = deduction.compile_to_factorization(ld, lemmas, hyps)
@@ -358,18 +357,21 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef, as_json: bool,
         else:
             result = kernel.verify_lemmas(hyps, lemmas, steps[-1].equation)
     except DeductionError as exc:
+        reason = _origin(sf, proof, exc.step) + str(exc)
         if as_json:
-            return 1, {"proof": name, "valid": False, "error": str(exc)}
-        return 1, [f"proof {name}: INVALID ({exc})"]
+            return 1, {"proof": name, "valid": False, "error": reason}
+        return 1, [f"proof {name}: INVALID ({reason})"]
     conclusion = steps[-1].equation
     code = 0 if result.ok else 1
+    where = _origin(sf, proof, result.rejected)
+    trace = [where + line for line in result.trace]
     if as_json:
         return code, {"proof": name,
                       "conclusion": equation_json(conclusion),
                       "valid": result.ok,
                       "certificate": factorization_json(cert, ld)
                       if levelled else lemma_table_json(lemmas),
-                      "trace": list(result.trace)}
+                      "trace": trace}
     if levelled:
         sizes = (f"hypotheses: {len(cert.hyp)}, claims: {len(cert.claim)}, "
                  f"workspace: {len(cert.wksp)}")
@@ -379,8 +381,14 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef, as_json: bool,
     lines = [f"proof {name}: "
              f"{'VALID' if result.ok else 'FAILED VERIFICATION'}",
              f"  conclusion: {conclusion}", f"  {sizes}"]
-    lines.extend(f"  {line}" for line in result.trace)
+    lines.extend(f"  {line}" for line in trace)
     return code, lines
+
+
+def _origin(sf: SpecFile, proof: ProofDef, k: int | None) -> str:
+    """Where step k of `proof` is declared, as the prefix of a message
+    about it, or "" if k is None.  Lemma k is step k."""
+    return "" if k is None else f"{step_origin(sf, proof, k)}: "
 
 
 def cmd_check_proof(args) -> int:

@@ -26,19 +26,20 @@ reach it through this module.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .arrows import Comp, _compiled, equation_arrows
-from .errors import (DeductionError, InterfaceMismatch, MiddleTermMismatch,
-                     Record, SideConditionViolated, UnknownHypothesis)
+from .errors import (DeductionError, InterfaceMismatch,
+                     LevelledBudgetExceeded, MiddleTermMismatch, Record,
+                     SideConditionViolated, UnknownHypothesis)
 from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                      Factorization, KernelProof, KernelStep, Lemma, Refl,
                      Sym, Trans, TupleCong, constraints_equal)
 from .kernel import verify_factorization  # noqa: F401
-from .signature import Signature, Variable, inhabited_sorts, ordered_vars
+from .signature import Signature, Variable, ordered_vars
 from .subst import (SubstInstance, retyping_arrow, subst_expr,
                     substitution_arrow)
-from .terms import Equation, Expression, Term, var_set
+from .terms import Equation, Expression, Term, inhabited_sorts, var_set
 
 # --- rule instances -----------------------------------------------------------
 
@@ -264,14 +265,13 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
 
 
 def lemma_table(sig: Signature, steps: Sequence[Step],
-                hypotheses: Sequence[Equation],
-                origin: Callable[[int], str] | None = None
-                ) -> tuple[Lemma, ...]:
+                hypotheses: Sequence[Equation]) -> tuple[Lemma, ...]:
     """One lemma per step, in order, so lemma k is step k: a step is
     checked once however often it is cited, and once if nothing cites it.
     Each step's rule is checked on syntax and coded by `_code_rule`, which
     compiles only the arrows its kernel steps carry; the kernel compiles
-    the statements.  A failure of step k is prefixed with `origin(k)`."""
+    the statements.  A failure of step k is raised unchanged, with its
+    `step` set to k."""
     lemmas: list[Lemma] = []
     memo: dict = {}  # shared side expressions are compiled once
     for k, s in enumerate(steps):
@@ -281,9 +281,8 @@ def lemma_table(sig: Signature, steps: Sequence[Step],
             proof = _code_rule(sig, [steps[i].equation for i in s.premises],
                                s.rule, s.equation, hypotheses, memo)
         except DeductionError as exc:
-            if origin is None:
-                raise
-            raise SideConditionViolated(f"{origin(k)}: {exc}") from exc
+            exc.step = k
+            raise
         hyp = s.rule.index if isinstance(s.rule, Hypothesis) else None
         lemmas.append(Lemma(s.equation, s.premises, hyp, proof))
     return tuple(lemmas)
@@ -360,6 +359,9 @@ def paste_factorizations(f1: Factorization,
 
 # --- normal form for deductions ------------------------------------------------------
 
+# entries the levelled form of one deduction may hold
+MAX_LEVELLED = 65_536
+
 
 class LevelStep(Record):
     # premises: indices into the previous level; step: the index of the
@@ -379,12 +381,27 @@ def normalize_deduction(steps: Sequence[Step]) -> LevelledDeduction:
     """Levelled form of the last step's deduction: premises sit exactly one
     level below their conclusion (copy steps fill gaps) and every
     intermediate equation feeds exactly one step of the next level (shared
-    steps are duplicated)."""
+    steps are duplicated).  Its entries are counted before any is built,
+    and more than MAX_LEVELLED raise LevelledBudgetExceeded."""
     # natural level: steps without premises at 0, every other step one
     # above its highest premise
     natural: list[int] = []
     for s in steps:
         natural.append(1 + max((natural[i] for i in s.premises), default=-1))
+
+    # how many entries stand for each step, level by level, from the top
+    uses, size = {len(steps) - 1: 1}, 0
+    for level in range(natural[-1], -1, -1):
+        size += sum(uses.values())
+        below: dict[int, int] = {}
+        for k, n in uses.items():
+            for i in (k,) if level > natural[k] else steps[k].premises:
+                below[i] = below.get(i, 0) + n
+        uses = below
+    if size > MAX_LEVELLED:
+        raise LevelledBudgetExceeded(
+            f"the levelled form would have {size} entries, over the limit "
+            f"of {MAX_LEVELLED}")
 
     # top-down, one level at a time: each entry's premises are the next
     # consecutive entries one level down; an entry above its natural level

@@ -55,7 +55,7 @@ from .errors import (DeductionError, DslSyntaxError, DuplicateSort,
                      SignatureError, TermcatError)
 from .signature import (Signature, Sort, Variable, ordered_vars,
                         validate_signature)
-from .terms import App, Equation, Expression, Term, Var
+from .terms import App, Equation, Expression, Term
 
 # --- tokens ------------------------------------------------------------------
 
@@ -482,12 +482,11 @@ def _parse_proof(p: _Parser, at: int) -> ProofDef:
 
 
 def _bind_bracket(sig: Signature, bracket: Bracket, at: int
-                  ) -> tuple[dict[str, Variable], dict[str, Var],
-                             tuple[Variable, ...]]:
-    """The bracket's variables by name, the one `Var` each name stands for
-    in the expressions it scopes, and the variables in canonical order."""
+                  ) -> tuple[dict[str, Variable], tuple[Variable, ...]]:
+    """The bracket's variables by name, each the one expression its name
+    stands for in the expressions the bracket scopes, and the variables in
+    canonical order."""
     binding: dict[str, Variable] = {}
-    names: dict[str, Var] = {}
     per_sort: dict[str, int] = {}  # by sort name, which names one sort
     for vname, sname in bracket:
         if vname in binding:
@@ -501,9 +500,8 @@ def _bind_bracket(sig: Signature, bracket: Bracket, at: int
         if sort is None:
             raise _Fault(NameResolutionError, f"unknown sort {sname!r}", at)
         num = per_sort[sname] = per_sort.get(sname, 0) + 1
-        var = binding[vname] = Variable(sort, num)
-        names[vname] = Var(var)
-    return binding, names, ordered_vars(binding.values())
+        binding[vname] = Variable(sort, num)
+    return binding, ordered_vars(binding.values())
 
 
 def _first_name(bracket: Bracket) -> int:
@@ -513,8 +511,8 @@ def _first_name(bracket: Bracket) -> int:
     return 2 + 2 * len(bracket)
 
 
-def _elaborate(sig: Signature, names: dict[str, Var], raw: RawExpr, at: int,
-               skip: int) -> Expression:
+def _elaborate(sig: Signature, binding: dict[str, Variable], raw: RawExpr,
+               at: int, skip: int) -> Expression:
     """The expression `raw` spells, whose first name is the `skip`-th name
     token after token `at`.  An operation is looked up when its name comes
     and applied once its last argument is built, so the checks run in the
@@ -529,7 +527,7 @@ def _elaborate(sig: Signature, names: dict[str, Var], raw: RawExpr, at: int,
     try:
         for k, (name, argc) in enumerate(raw):
             if argc < 0:
-                e = names.get(name)
+                e = binding.get(name)
                 if e is None:
                     op = ops.get(name)
                     if op is None:
@@ -564,7 +562,7 @@ def _elaborate(sig: Signature, names: dict[str, Var], raw: RawExpr, at: int,
     return done[0]
 
 
-def _sort_of(sig: Signature, names: dict[str, Var], raw: RawExpr
+def _sort_of(sig: Signature, binding: dict[str, Variable], raw: RawExpr
              ) -> Optional[Sort]:
     """The sort of the expression `raw` spells, or None where `_elaborate`
     raises; nothing is built.  Read right to left, a call finds its
@@ -573,7 +571,7 @@ def _sort_of(sig: Signature, names: dict[str, Var], raw: RawExpr
     stack: list[Sort] = []
     for name, argc in reversed(raw):
         if argc < 0:
-            var = names.get(name)
+            var = binding.get(name)
             if var is not None:
                 stack.append(var.sort)
                 continue
@@ -589,17 +587,17 @@ def _sort_of(sig: Signature, names: dict[str, Var], raw: RawExpr
     return stack[0]
 
 
-def _term(sig: Signature, names: dict[str, Var], vs: tuple[Variable, ...],
-          td: TermDecl) -> Term:
-    e = _elaborate(sig, names, td.expr, td.at, _first_name(td.bracket))
+def _term(sig: Signature, binding: dict[str, Variable],
+          vs: tuple[Variable, ...], td: TermDecl) -> Term:
+    e = _elaborate(sig, binding, td.expr, td.at, _first_name(td.bracket))
     return Term(e, vs, e.sort)
 
 
-def _equation(sig: Signature, names: dict[str, Var],
+def _equation(sig: Signature, binding: dict[str, Variable],
               vs: tuple[Variable, ...], ed: EqDecl) -> Equation:
     skip = _first_name(ed.bracket)
-    left = _elaborate(sig, names, ed.left, ed.at, skip)
-    right = _elaborate(sig, names, ed.right, ed.at, skip + len(ed.left))
+    left = _elaborate(sig, binding, ed.left, ed.at, skip)
+    right = _elaborate(sig, binding, ed.right, ed.at, skip + len(ed.left))
     try:
         return Equation(left, right, vs)
     except TermcatError as exc:
@@ -644,9 +642,9 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
         if td.name in terms:
             raise _Fault(NameResolutionError,
                          f"term {td.name!r} declared twice", td.at)
-        binding, names, vs = bind(td.bracket, td.at)
-        terms[td.name] = args = (sig, names, vs, td)
-        if _sort_of(sig, names, td.expr) is None:
+        binding, vs = bind(td.bracket, td.at)
+        terms[td.name] = args = (sig, binding, vs, td)
+        if _sort_of(sig, binding, td.expr) is None:
             _term(*args)
         term_bindings[td.name] = binding
     equations: dict[str, tuple] = {}
@@ -655,10 +653,10 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
         if ed.name in equations:
             raise _Fault(NameResolutionError,
                          f"equation {ed.name!r} declared twice", ed.at)
-        binding, names, vs = bind(ed.bracket, ed.at)
-        equations[ed.name] = args = (sig, names, vs, ed)
-        sort = _sort_of(sig, names, ed.left)
-        if sort is None or sort is not _sort_of(sig, names, ed.right):
+        binding, vs = bind(ed.bracket, ed.at)
+        equations[ed.name] = args = (sig, binding, vs, ed)
+        sort = _sort_of(sig, binding, ed.left)
+        if sort is None or sort is not _sort_of(sig, binding, ed.right):
             _equation(*args)
         eq_bindings[ed.name] = binding
 
@@ -736,7 +734,8 @@ def build_proof(sf: SpecFile, proof: ProofDef
     index = {s.name: k for k, s in enumerate(proof.steps)}
     steps: list[Step] = []
     # each step's variable names -> Variable, or None where ambiguous;
-    # shared between steps, so copied to change
+    # shared between steps and with the brackets' bindings, so copied to
+    # change
     names: list[dict[str, Optional[Variable]]] = []
     try:
         for k, s in enumerate(proof.steps):
@@ -775,11 +774,10 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
     are the equations of the steps it cites."""
     if s.rule == "hyp":
         idx = proof.hypotheses.index(s.eq_name)
-        return (hypotheses[idx], Hypothesis(idx),
-                dict(sf.eq_bindings[s.eq_name]))
+        return hypotheses[idx], Hypothesis(idx), sf.eq_bindings[s.eq_name]
     if s.rule == "refl":
-        binding, names, vs = _bind_bracket(sig, s.bracket, s.at)
-        e = _elaborate(sig, names, s.expr, s.at, _first_name(s.bracket))
+        binding, vs = _bind_bracket(sig, s.bracket, s.at)
+        e = _elaborate(sig, binding, s.expr, s.at, _first_name(s.bracket))
         return Equation(e, e, vs), Reflexivity(Term(e, vs, e.sort)), binding
     names = premise_names[0]
     if s.rule == "sym":

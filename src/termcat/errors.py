@@ -124,7 +124,10 @@ class EndpointMismatch(TermcatError):
 # --- deduction ----------------------------------------------------------------
 
 class DeductionError(TermcatError):
-    """A deduction step failed to check; maps to exit code 1 in the CLI."""
+    """A deduction step failed to check; maps to exit code 1 in the CLI.
+    `step` is the index of the failing step, where the producer sets it."""
+
+    step: int | None = None
 
 
 class SideConditionViolated(DeductionError):
@@ -143,6 +146,11 @@ class UnknownHypothesis(DeductionError):
 
 class InterfaceMismatch(DeductionError):
     pass
+
+
+class LevelledBudgetExceeded(TermcatError):
+    """A deduction's levelled form would hold more than MAX_LEVELLED
+    entries."""
 
 
 class UninhabitedFill(DeductionError):

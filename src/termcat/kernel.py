@@ -14,8 +14,9 @@ Two kinds of certificate are checked:
   statement itself with `arrows.equation_arrows` (each lemma's, each cited
   hypothesis's and the goal's, at most once each), replays each proof from
   the statements it cites, and accepts only if every replay derives its
-  lemma's statement and the last lemma is the goal.  The producer supplies
-  only the citation DAG and the kernel proofs.
+  lemma's statement and the last lemma is the goal; a rejection reports
+  the index of its lemma, so a caller can name the step it stands for.
+  The producer supplies only the citation DAG and the kernel proofs.
 - A `Factorization` (the paper's levelled certificate, `check-proof
   --levelled`, which the producer pastes from the lemma table's kernel
   proofs) holds hypothesis, claim and workspace constraints and one kernel
@@ -125,7 +126,9 @@ class Factorization(Record):
 
 
 class VerificationResult(Record):
-    __slots__ = ("ok", "trace")  # a bool and a tuple of lines
+    # a bool, a tuple of lines, and the index of the lemma `verify_lemmas`
+    # rejects (None if it rejects none, and from `verify_factorization`)
+    __slots__ = ("ok", "trace", "rejected")
     __hash__ = None
 
 
@@ -201,7 +204,7 @@ def verify_factorization(f: Factorization) -> VerificationResult:
             trace.append(f"claim {k}: derived constraint differs from the "
                          "claim")
             ok = False
-    return VerificationResult(ok, tuple(trace))
+    return VerificationResult(ok, tuple(trace), None)
 
 
 # --- lemma tables -------------------------------------------------------------------
@@ -220,7 +223,7 @@ class Lemma(NamedTuple):
 def verify_lemmas(hypotheses: Sequence, lemmas: Sequence[Lemma],
                   goal) -> VerificationResult:
     """Replay a lemma table against the goal equation; stops at the first
-    lemma that fails."""
+    lemma that fails, and reports its index as `rejected`."""
     memo: dict = {}  # shared side expressions are compiled once
 
     def compiled(eq) -> EqConstraint:
@@ -252,14 +255,14 @@ def verify_lemmas(hypotheses: Sequence, lemmas: Sequence[Lemma],
         statements.append(statement)
     if not statements:
         return VerificationResult(False, ("empty lemma table proves "
-                                          "nothing",))
+                                          "nothing",), None)
     if not constraints_equal(statements[-1], compiled(goal)):
         return VerificationResult(False, (
-            f"goal: lemma {len(statements) - 1} is not the goal",))
+            f"goal: lemma {len(statements) - 1} is not the goal",), None)
     return VerificationResult(True, (
-        f"goal: established by lemma {len(statements) - 1}",))
+        f"goal: established by lemma {len(statements) - 1}",), None)
 
 
 def _rejected(k: int, *lines: str) -> VerificationResult:
     return VerificationResult(False, tuple(f"lemma {k}: {line}"
-                                           for line in lines))
+                                           for line in lines), k)

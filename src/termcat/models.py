@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .errors import CarrierOutOfRange, ModelBudgetExceeded, Record
 from .signature import Operation, Signature, Sort, Variable, ordered_vars
-from .terms import Equation, Expression, Var, var_list
+from .terms import Equation, Expression, var_list
 
 MAX_CARRIER = 6
 # reduct models one counterexample search may visit
@@ -117,8 +117,8 @@ def _column_program(eq: Equation, occurring: tuple[Variable, ...]):
     steps: list[tuple[str, tuple[int, ...]]] = []
 
     def walk(e: Expression) -> int:
-        if isinstance(e, Var):
-            return slots[e.var]
+        if isinstance(e, Variable):
+            return slots[e]
         step = (e.op.name, tuple(walk(a) for a in e.args))
         if step not in slots:
             slots[step] = len(occurring) + len(steps)

@@ -1,4 +1,4 @@
-"""Sorts, operations, variables, and the inhabitedness analysis.
+"""Sorts, operations and variables.
 
 A signature is a finite list of sorts plus operations, each with an
 input-sort list (its arity) and an output sort.  Variables are indexed pairs
@@ -9,13 +9,10 @@ lists, projection indices) leans on that order being fixed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (DuplicateOperation, DuplicateSort, Record,
                      UnknownSortInArity)
-
-if TYPE_CHECKING:
-    from .terms import Expression
 
 
 _set = object.__setattr__
@@ -108,9 +105,6 @@ class Signature(Record):
     def operation(self, name: str) -> Operation:
         return self.operation_named[name]
 
-    def constants(self) -> tuple[Operation, ...]:
-        return tuple(op for op in self.operations if is_constant(op))
-
 
 def validate_signature(
     sort_names: Sequence[str],
@@ -142,32 +136,3 @@ def validate_signature(
         ops.append(Operation(name, tuple(by_name[sn] for sn in inputs),
                              by_name[output]))
     return Signature(tuple(sorts), tuple(ops))
-
-
-def is_constant(op: Operation) -> bool:
-    return not op.inputs
-
-
-def inhabited_sorts(sig: Signature) -> dict[Sort, "Expression"]:
-    """Sorts possessing a closed expression, with a canonical witness each.
-
-    Least fixpoint: a sort is inhabited iff some operation of that output
-    sort has all input sorts already inhabited.  The witness is the
-    smallest-depth closed expression; ties go to the earliest operation in
-    declaration order.  Round k of the loop assigns exactly the sorts whose
-    minimal witness depth is k, so both rules hold by construction.
-    """
-    from .terms import App  # deferred: terms imports this module
-
-    witness: dict[Sort, App] = {}
-    while True:
-        fresh: dict[Sort, App] = {}
-        for op in sig.operations:
-            if op.output in witness or op.output in fresh:
-                continue
-            if all(s in witness for s in op.inputs):
-                fresh[op.output] = App(op, tuple(witness[s] for s in op.inputs))
-        if not fresh:
-            break
-        witness.update(fresh)
-    return {s: witness[s] for s in sig.sorts if s in witness}

@@ -14,7 +14,7 @@ from typing import Mapping
 from .arrows import FPArrow, Comp, TupleArrow, context_arrow, term_arrow
 from .errors import MissingVariables, Record, SortMismatch, UninhabitedFill
 from .signature import Sort, Variable, ordered_vars
-from .terms import App, Expression, Term, Var
+from .terms import App, Expression, Term
 
 
 class SubstInstance(Record):
@@ -44,8 +44,8 @@ def subst_expr(e: Expression, x: Variable, u: Expression) -> Expression:
     if u.sort != x.sort:
         raise SortMismatch(
             f"cannot substitute an expression of sort {u.sort} for {x}")
-    if isinstance(e, Var):
-        return u if e.var == x else e
+    if isinstance(e, Variable):
+        return u if e == x else e
     return App(e.op, tuple(subst_expr(a, x, u) for a in e.args))
 
 

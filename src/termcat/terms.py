@@ -1,9 +1,11 @@
 """Expressions, terms, and equations with their derived variable/type lists.
 
-An expression is raw typed syntax.  A term pairs an expression with an
-explicit ordered set of variables (which may strictly contain the variables
-occurring) and a stated result sort.  An equation is two expressions of the
-same sort over one shared variable set.
+An expression is raw typed syntax: a variable, which is an expression of
+its own sort, or an operation applied to expressions of its input sorts.
+A term pairs an expression with an explicit ordered set of variables
+(which may strictly contain the variables occurring) and a stated result
+sort.  An equation is two expressions of the same sort over one shared
+variable set.  Every inhabited sort has a canonical closed witness.
 """
 
 from __future__ import annotations
@@ -17,20 +19,8 @@ from .signature import Operation, Signature, Sort, Variable, ordered_vars
 _set = object.__setattr__
 
 
-# `Var` and `App` keep their sort in a slot that is not a field, so the
-# sort checks of every `App` built on them read an attribute
-
-
-class Var(Record):
-    __slots__ = ("var", "sort")
-    _fields = ("var",)
-
-    def __init__(self, var: Variable):
-        _set(self, "var", var)
-        _set(self, "sort", var.sort)
-
-    def __str__(self) -> str:
-        return str(self.var)
+# an `App` keeps its sort in a slot that is not a field, so the sort checks
+# of every `App` built on it read an attribute, as they read a variable's
 
 
 class App(Record):
@@ -65,31 +55,30 @@ class App(Record):
         return f"{self.op.name}({', '.join(str(a) for a in self.args)})"
 
 
-Expression = Union[Var, App]
+Expression = Union[Variable, App]
 
 
-def type_of_expression(sig: Signature, e: Expression) -> Sort:
-    """Recompute the sort of `e`, revalidating arities against `sig`.
+def inhabited_sorts(sig: Signature) -> dict[Sort, Expression]:
+    """Sorts possessing a closed expression, with a canonical witness each.
 
-    Constructed values already satisfy the checks; this is the entry point
-    for syntax assembled from foreign Operation values.
+    Least fixpoint: a sort is inhabited iff some operation of that output
+    sort has all input sorts already inhabited.  The witness is the
+    smallest-depth closed expression; ties go to the earliest operation in
+    declaration order.  Round k of the loop assigns exactly the sorts whose
+    minimal witness depth is k, so both rules hold by construction.
     """
-    if isinstance(e, Var):
-        if e.var.sort not in sig.sorts:
-            raise SortMismatch(f"variable {e.var} has a foreign sort")
-        return e.var.sort
-    if e.op not in sig.operations:
-        raise ArityMismatch(f"operation {e.op.name} is not in the signature")
-    if len(e.args) != len(e.op.inputs):
-        raise ArityMismatch(
-            f"{e.op.name} expects {len(e.op.inputs)} arguments")
-    for i, (arg, want) in enumerate(zip(e.args, e.op.inputs), 1):
-        got = type_of_expression(sig, arg)
-        if got != want:
-            raise SortMismatch(
-                f"argument {i} of {e.op.name} has sort {got}, "
-                f"expected {want}", position=i)
-    return e.op.output
+    witness: dict[Sort, App] = {}
+    while True:
+        fresh: dict[Sort, App] = {}
+        for op in sig.operations:
+            if op.output in witness or op.output in fresh:
+                continue
+            if all(s in witness for s in op.inputs):
+                fresh[op.output] = App(op, tuple(witness[s] for s in op.inputs))
+        if not fresh:
+            break
+        witness.update(fresh)
+    return {s: witness[s] for s in sig.sorts if s in witness}
 
 
 def var_list(e: Expression) -> tuple[Variable, ...]:
@@ -98,10 +87,10 @@ def var_list(e: Expression) -> tuple[Variable, ...]:
     stack = [e]
     while stack:
         x = stack.pop()
-        if isinstance(x, Var):
-            out.append(x.var)
-        else:
+        if type(x) is App:
             stack.extend(reversed(x.args))
+        else:
+            out.append(x)
     return tuple(out)
 
 
@@ -142,11 +131,11 @@ def _omitted(vs: tuple[Variable, ...], *exprs: Expression) -> list[Variable]:
         x = stack.pop()
         if type(x) is App:
             stack.extend(x.args)
-        elif id(x.var) not in ids:
+        elif id(x) not in ids:
             if known is None:
                 known = set(vs)
-            if x.var not in known:
-                missing.add(x.var)
+            if x not in known:
+                missing.add(x)
     return sorted(missing, key=Variable.key)
 
 

@@ -17,8 +17,7 @@ from termcat.deduction import (compile_to_factorization, lemma_table,
 from termcat.dsl import Bracket, RawExpr, SpecFile
 from termcat.models import FiniteModel
 from termcat.signature import Signature, Sort, Variable, validate_signature
-from termcat.terms import (Equation, Expression, Term, Var, make_equation,
-                           var_set)
+from termcat.terms import Equation, Expression, Term, make_equation, var_set
 
 
 def running_signature() -> Signature:
@@ -120,8 +119,8 @@ EVALUATOR = ("eval_expression", "_falsifying_assignment", "satisfies",
 
 def eval_expression(model: FiniteModel, e: Expression,
                     env: dict[Variable, int]) -> int:
-    if isinstance(e, Var):
-        return env[e.var]
+    if isinstance(e, Variable):
+        return env[e]
     return model.apply(e.op, tuple(eval_expression(model, a, env)
                                    for a in e.args))
 

@@ -10,10 +10,10 @@ import random
 from termcat.deduction import (Abstraction, Concretion, Hypothesis,
                                Reflexivity, Step, Substitutivity, Symmetry,
                                Transitivity)
-from termcat.signature import (Signature, Sort, Variable, inhabited_sorts,
-                               ordered_vars, validate_signature)
+from termcat.signature import (Signature, Sort, Variable, ordered_vars,
+                               validate_signature)
 from termcat.subst import SubstInstance, subst_expr
-from termcat.terms import (App, Equation, Expression, Term, Var,
+from termcat.terms import (App, Equation, Expression, Term, inhabited_sorts,
                            make_equation, make_term, var_set)
 
 SORT_NAMES = ["s1", "s2", "s3", "s4"]
@@ -45,7 +45,7 @@ def gen_expression(rng: random.Random, sig: Signature, sort: Sort,
     constants = [op for op in producers if not op.inputs]
     if constants and rng.random() < 0.3:
         return App(rng.choice(constants), ())
-    return Var(Variable(sort, rng.randint(1, max_var)))
+    return Variable(sort, rng.randint(1, max_var))
 
 
 def gen_term(rng: random.Random, sig: Signature, depth=3,

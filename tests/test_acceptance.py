@@ -32,8 +32,8 @@ from termcat.kernel import verify_factorization
 from termcat.models import enumerate_models
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_arrow_direct, subst_expr, subst_term
-from termcat.terms import (App, Var, make_equation, make_term,
-                           type_list, type_set, var_list, var_set)
+from termcat.terms import (App, make_equation, make_term, type_list,
+                           type_set, var_list, var_set)
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -51,9 +51,9 @@ def test_criterion_1_golden_worked_examples():
 
     sig = running_signature()
     f, g = sig.operation("f"), sig.operation("g")
-    e = App(f, (Var(v(sig, 1, 1)),
-                App(g, (Var(v(sig, 1, 2)), Var(v(sig, 1, 1)))),
-                Var(v(sig, 2, 1))))
+    e = App(f, (v(sig, 1, 1),
+                App(g, (v(sig, 1, 2), v(sig, 1, 1))),
+                v(sig, 2, 1)))
     ok = var_list(e) == (v(sig, 1, 1), v(sig, 1, 2), v(sig, 1, 1),
                          v(sig, 2, 1)) \
         and var_set(e) == (v(sig, 1, 1), v(sig, 1, 2), v(sig, 2, 1)) \
@@ -69,7 +69,7 @@ def test_criterion_1_golden_worked_examples():
 
     wsig = subst_signature()
     h = wsig.operation("h")
-    u = App(h, (Var(v(wsig, 2, 1)), Var(v(wsig, 3, 2))))
+    u = App(h, (v(wsig, 2, 1), v(wsig, 3, 2)))
     W = (v(wsig, 1, 1), v(wsig, 2, 1), v(wsig, 2, 2), v(wsig, 2, 3),
          v(wsig, 3, 1), v(wsig, 3, 2), v(wsig, 3, 3))
     over_w = normalize(term_arrow(make_term(u, W, wsig.sort("s3")))).body
@@ -245,7 +245,7 @@ def _valid_instance(rng, sig, witnesses, rule_name):
 def test_criterion_4_rule_soundness():
     rng = random.Random(424242)
     sig = unary_signature()
-    from termcat.signature import inhabited_sorts
+    from termcat.terms import inhabited_sorts
     witnesses = inhabited_sorts(sig)
     all_models = list(enumerate_models(sig, 3))
     t0 = time.time()
@@ -269,24 +269,24 @@ def test_criterion_4_rule_soundness():
     # seeded invalid instances
     s = sig.sort("s")
     x, y = Variable(s, 1), Variable(s, 2)
-    fx = App(sig.operation("f"), (Var(x),))
-    fy = App(sig.operation("f"), (Var(y),))
-    e1 = make_equation(fx, Var(x), (x, y))
-    e2 = make_equation(fy, Var(y), (x, y))  # middle differs from e1.right
+    fx = App(sig.operation("f"), (x,))
+    fy = App(sig.operation("f"), (y,))
+    e1 = make_equation(fx, x, (x, y))
+    e2 = make_equation(fy, y, (x, y))  # middle differs from e1.right
     rejected = 0
     try:
         check_rule(sig, (e1, e2), Transitivity(),
-                   make_equation(fx, Var(y), (x, y)))
+                   make_equation(fx, y, (x, y)))
     except MiddleTermMismatch:
         rejected += 1
     sig2 = validate_signature(["s", "t"], [("f", ["s"], "s"),
                                            ("c", [], "s")])
     xs = Variable(sig2.sort("s"), 1)
     zt = Variable(sig2.sort("t"), 1)
-    wide = make_equation(Var(xs), Var(xs), (xs, zt))
+    wide = make_equation(xs, xs, (xs, zt))
     try:
         check_rule(sig2, (wide,), Concretion(zt),
-                   make_equation(Var(xs), Var(xs), (xs,)))
+                   make_equation(xs, xs, (xs,)))
     except UninhabitedFill:
         rejected += 1
     try:

@@ -22,16 +22,16 @@ from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NTuple, Path, Prod,
                             regroup_arrow, term_arrow, term_normal)
 from termcat.dsl import parse_spec
 from termcat.errors import EndpointMismatch
-from termcat.signature import validate_signature
-from termcat.terms import (App, Term, Var, make_equation, make_term,
-                           var_list, var_set)
+from termcat.signature import Variable, validate_signature
+from termcat.terms import (App, Term, make_equation, make_term, var_list,
+                           var_set)
 
 
 def worked_term(sig):
     f, g = sig.operation("f"), sig.operation("g")
-    e = App(f, (Var(v(sig, 1, 1)),
-                App(g, (Var(v(sig, 1, 2)), Var(v(sig, 1, 1)))),
-                Var(v(sig, 2, 1))))
+    e = App(f, (v(sig, 1, 1),
+                App(g, (v(sig, 1, 2), v(sig, 1, 1))),
+                v(sig, 2, 1)))
     return make_term(e, {v(sig, 1, 1), v(sig, 1, 2), v(sig, 2, 1),
                          v(sig, 4, 3)}, sig.sort("s5"))
 
@@ -168,7 +168,7 @@ def test_arrows_equal_congruence_random(seed=23):
 
 def test_apply_stage_variable_and_constant():
     sig = running_signature()
-    x = Var(v(sig, 1, 1))
+    x = v(sig, 1, 1)
     assert apply_arrow(x) == Id(Leaf(sig.sort("s1")))
 
     csig = validate_signature(["s"], [("c", [], "s")])
@@ -207,7 +207,7 @@ def test_regroup_stage_goldens():
                                                   Proj(src, 3))),
                                  Proj(src, 4)))
     # a bare variable regroups through the singleton product
-    x = Var(v(sig, 1, 1))
+    x = v(sig, 1, 1)
     ix = regroup_arrow(x)
     assert ix == Proj(flat_product([sig.sort("s1")]), 1)
 
@@ -215,7 +215,7 @@ def test_regroup_stage_goldens():
 def test_regroup_flat_arguments_is_identity():
     sig = subst_signature()
     h = sig.operation("h")
-    u = App(h, (Var(v(sig, 2, 1)), Var(v(sig, 3, 2))))
+    u = App(h, (v(sig, 2, 1), v(sig, 3, 2)))
     i = regroup_arrow(u)
     assert arrows_equal(i, Id(flat_product([sig.sort("s2"),
                                             sig.sort("s3")])))
@@ -238,7 +238,7 @@ def test_occurrence_stage_goldens():
 def test_occurrence_stage_wide_example():
     sig = subst_signature()
     h = sig.operation("h")
-    u = App(h, (Var(v(sig, 2, 1)), Var(v(sig, 3, 2))))
+    u = App(h, (v(sig, 2, 1), v(sig, 3, 2)))
     W = (v(sig, 1, 1), v(sig, 2, 1), v(sig, 2, 2), v(sig, 2, 3),
          v(sig, 3, 1), v(sig, 3, 2), v(sig, 3, 3))
     t = make_term(u, W, sig.sort("s3"))
@@ -264,7 +264,7 @@ def test_occurrence_triangle_law_random(seed=31):
 def test_term_arrow_goldens():
     sig = subst_signature()
     h = sig.operation("h")
-    u = App(h, (Var(v(sig, 2, 1)), Var(v(sig, 3, 2))))
+    u = App(h, (v(sig, 2, 1), v(sig, 3, 2)))
     W = (v(sig, 1, 1), v(sig, 2, 1), v(sig, 2, 2), v(sig, 2, 3),
          v(sig, 3, 1), v(sig, 3, 2), v(sig, 3, 3))
     t = make_term(u, W, sig.sort("s3"))
@@ -285,7 +285,7 @@ def test_term_arrow_goldens():
 
 def test_variable_term_arrow_is_projection():
     sig = running_signature()
-    x = Var(v(sig, 1, 1))
+    x = v(sig, 1, 1)
     t = most_concrete_term(x)
     a = term_arrow(t)
     src = input_product(t)
@@ -305,11 +305,11 @@ def test_equation_arrows_share_endpoints():
         [("g", ["s1", "s1"], "s2"), ("f", ["s1", "s2", "s2"], "s5"),
          ("gg", ["s1", "s1"], "s5")])
     left = App(sig2.operation("f"), (
-        Var(v(sig2, 1, 1)),
-        App(sig2.operation("g"), (Var(v(sig2, 1, 2)), Var(v(sig2, 1, 1)))),
-        Var(v(sig2, 2, 1))))
-    right = App(sig2.operation("gg"), (Var(v(sig2, 1, 2)),
-                                       Var(v(sig2, 1, 3))))
+        v(sig2, 1, 1),
+        App(sig2.operation("g"), (v(sig2, 1, 2), v(sig2, 1, 1))),
+        v(sig2, 2, 1)))
+    right = App(sig2.operation("gg"), (v(sig2, 1, 2),
+                                       v(sig2, 1, 3)))
     eq2 = make_equation(left, right, var_set(left) + var_set(right))
     l2, r2 = equation_arrows(eq2)
     want_dom = flat_product([sig2.sort("s1")] * 3 + [sig2.sort("s2")])
@@ -342,7 +342,7 @@ def test_term_normal_matches_the_three_stages(seed=41):
 
 
 def _ops(e):
-    if isinstance(e, Var):
+    if isinstance(e, Variable):
         return []
     return [e.op] + [op for a in e.args for op in _ops(a)]
 

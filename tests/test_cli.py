@@ -6,8 +6,10 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -336,6 +338,43 @@ def test_each_step_is_coded_once_on_both_routes(tmp_path, capsys,
     assert sum(len(p) for p in cert.verif) == 20479
 
 
+def test_the_levelled_form_has_a_budget(tmp_path, capsys):
+    # the levelled form of the k-fold DAG has 3 * 2 ** (k + 1) - 1 entries:
+    # 49,151 at k = 13 fit in MAX_LEVELLED, 98,303 at k = 14 do not, and
+    # the count is made before anything is built
+    from termcat import deduction
+    from termcat.errors import LevelledBudgetExceeded
+    assert deduction.MAX_LEVELLED == 65_536
+    sf = parse_spec(_UNITS + _dag_proof(13))
+    steps, _ = dsl.build_proof(sf, sf.proof("dag"))
+    ld = deduction.normalize_deduction(steps)
+    assert sum(len(level) for level in ld.levels) == 49151
+    sf = parse_spec(_UNITS + _dag_proof(14))
+    steps, _ = dsl.build_proof(sf, sf.proof("dag"))
+    with pytest.raises(LevelledBudgetExceeded,
+                       match="^the levelled form would have 98303 entries, "
+                             "over the limit of 65536$"):
+        deduction.normalize_deduction(steps)
+    # at k = 30 both levelled commands stop at once with an input error,
+    # while the lemma table, one lemma per step, still checks the proof
+    f = tmp_path / "dag.msl"
+    f.write_text(_UNITS + _dag_proof(30))
+    for argv in (["check-proof", "--levelled"],
+                 ["check-proof", "--levelled", "--json"],
+                 ["normalize-proof", "--proof", "dag"]):
+        start = time.perf_counter()
+        code = run([*argv, str(f)])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == ("error: the levelled form would have 6442450943 "
+                       "entries, over the limit of 65536\n")
+        assert elapsed < 1
+    code, out = _capture(capsys, ["check-proof", str(f)])
+    assert code == 0
+    assert out.splitlines()[0] == "proof dag: VALID"
+
+
 # the first proof's step c has no middle term, and no later step cites it;
 # the second's steps c and d hold, and nothing cites c
 UNUSED_STEPS = """proof dead from lunit runit {
@@ -396,10 +435,11 @@ def test_lemmas_come_in_declaration_order(tmp_path, capsys):
 def test_lemma_table_that_claims_the_goal_is_refused(monkeypatch, capsys):
     # a producer that claims the goal with no derivation, the lemma
     # analogue of `identity_factorization((goal,))`: the kernel compiles
-    # the statement itself, and the citation finds no premise to name
+    # the statement itself, and the citation finds no premise to name;
+    # the kernel rejects lemma 0, so its lines name step 0 of the proof
     from termcat import deduction, kernel
 
-    def claim_the_goal(sig, steps, hypotheses, origin):
+    def claim_the_goal(sig, steps, hypotheses):
         return (kernel.Lemma(steps[-1].equation, (), None,
                              (kernel.CiteHyp(0),)),)
 
@@ -408,9 +448,40 @@ def test_lemma_table_that_claims_the_goal_is_refused(monkeypatch, capsys):
                                   MONOID])
     assert code == 1
     assert out.splitlines()[0] == "proof comm_twice: FAILED VERIFICATION"
-    assert out.splitlines()[3:] == [
-        "  lemma 0: step 0: citation of missing hypothesis 0",
-        "  lemma 0: kernel proof failed to replay"]
+    rejected = ["24:3: step 'a': lemma 0: step 0: citation of missing "
+                "hypothesis 0",
+                "24:3: step 'a': lemma 0: kernel proof failed to replay"]
+    assert out.splitlines()[3:] == [f"  {line}" for line in rejected]
+    code, out = _capture(capsys, ["check-proof", "--json", "--proof",
+                                  "comm_twice", MONOID])
+    assert code == 1
+    assert json.loads(out)["trace"] == rejected
+
+
+def test_both_check_proof_routes_agree(tmp_path, capsys, monkeypatch):
+    # CI's step of that name, in process: on the corpus and the seed-1 and
+    # seed-2 proofs workload files, which hold mutated proofs, the lemma
+    # table and the levelled certificate give the same exit code, the same
+    # verdict word per proof and the same reason per INVALID proof
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    files = sorted(CORPUS.glob("*.msl"))
+    for seed in (1, 2):
+        for name, text in workloads.proofs(seed).files.items():
+            files.append(tmp_path / f"{seed}-{name}")
+            files[-1].write_text(text)
+    verdict = re.compile(r"^proof [^:]*: [A-Z]+", re.M)
+    invalid = re.compile(r"^proof [^:]*: INVALID .*", re.M)
+    codes, reasons = set(), 0
+    for f in files:
+        a, lemma = _capture(capsys, ["check-proof", str(f)])
+        b, levelled = _capture(capsys, ["check-proof", "--levelled", str(f)])
+        assert a == b, f
+        assert verdict.findall(lemma) == verdict.findall(levelled), f
+        assert invalid.findall(lemma) == invalid.findall(levelled), f
+        codes.add(a)
+        reasons += len(invalid.findall(lemma))
+    assert len(files) == 51 and codes == {0, 1} and reasons >= 48
 
 
 def test_traced_layer_functions_exist():
@@ -630,7 +701,7 @@ def test_front_end_takes_deep_input(tmp_path, capsys):
             levels = 0
             while isinstance(e, App):
                 e, levels = e.args[0], levels + 1
-            assert levels == depth and e.var == t.vars[0]
+            assert levels == depth and e == t.vars[0]
     assert outputs[1] == outputs[0]
     code, out, err = outputs[0]
     assert (code, err) == (0, "")

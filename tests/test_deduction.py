@@ -31,7 +31,7 @@ from termcat.kernel import (CiteHyp, ComposeRight, EqConstraint, Factorization,
 from termcat.models import enumerate_models
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_expr
-from termcat.terms import App, Equation, Var, make_equation, make_term
+from termcat.terms import App, Equation, make_equation, make_term
 
 
 def _setup():
@@ -39,9 +39,9 @@ def _setup():
     s = sig.sort("s")
     x, y = Variable(s, 1), Variable(s, 2)
     m, c = sig.operation("m"), sig.operation("c")
-    comm = make_equation(App(m, (Var(x), Var(y))), App(m, (Var(y), Var(x))),
+    comm = make_equation(App(m, (x, y)), App(m, (y, x)),
                          (x, y))
-    lunit = make_equation(App(m, (App(c, ()), Var(x))), Var(x), (x,))
+    lunit = make_equation(App(m, (App(c, ()), x)), x, (x,))
     return sig, s, x, y, m, c, comm, lunit
 
 
@@ -50,7 +50,7 @@ def _setup():
 
 def test_reflexivity_coding():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    t = make_term(App(m, (Var(x), Var(y))), (x, y), s)
+    t = make_term(App(m, (x, y)), (x, y), s)
     eq = make_equation(t.expr, t.expr, t.vars)
     step = check_rule(sig, (), Reflexivity(t), eq)
     assert step.hyp == ()
@@ -60,10 +60,10 @@ def test_reflexivity_coding():
 
 def test_reflexivity_rejects_wrong_conclusion():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    t = make_term(Var(x), (x,), s)
+    t = make_term(x, (x,), s)
     with pytest.raises(SideConditionViolated):
         check_rule(sig, (), Reflexivity(t),
-                   make_equation(Var(x), Var(x), (x, y)))
+                   make_equation(x, x, (x, y)))
 
 
 def test_symmetry_coding():
@@ -81,11 +81,11 @@ def test_transitivity_coding_and_middle_check():
     step = check_rule(sig, (comm, flipped), Transitivity(), concl)
     assert step.verif[0] == (CiteHyp(0), CiteHyp(1), Trans(0, 1))
 
-    other = make_equation(Var(x), Var(y), (x, y))
-    sym_other = make_equation(Var(y), Var(x), (x, y))
+    other = make_equation(x, y, (x, y))
+    sym_other = make_equation(y, x, (x, y))
     with pytest.raises(MiddleTermMismatch):
         check_rule(sig, (comm, sym_other), Transitivity(),
-                   make_equation(comm.left, Var(x), (x, y)))
+                   make_equation(comm.left, x, (x, y)))
     del other
 
 
@@ -105,8 +105,8 @@ def test_concretion_requires_inhabited_sort():
                                           ("c", [], "s")])
     s, t = sig.sorts
     x, z = Variable(s, 1), Variable(t, 1)
-    eq = make_equation(Var(x), Var(x), (x, z))
-    concl = make_equation(Var(x), Var(x), (x,))
+    eq = make_equation(x, x, (x, z))
+    concl = make_equation(x, x, (x,))
     with pytest.raises(UninhabitedFill):
         check_rule(sig, (eq,), Concretion(z), concl)
 
@@ -152,7 +152,7 @@ def test_substitutivity_rejects_wrong_sort():
     sig, s, x, y, m, c, comm, lunit = _setup()
     sig2 = validate_signature(["a", "b"], [("f", ["a"], "b")])
     a = Variable(sig2.sort("a"), 1)
-    prem2 = make_equation(Var(a), Var(a), (a,))
+    prem2 = make_equation(a, a, (a,))
     with pytest.raises(SideConditionViolated):
         check_rule(sig, (lunit, prem2), Substitutivity(x),
                    make_equation(lunit.left, lunit.right, lunit.vars))
@@ -439,8 +439,8 @@ def test_product_of_factorizations():
 
 def test_product_of_two_reflexivities():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    t = make_term(Var(x), (x,), s)
-    eq = make_equation(Var(x), Var(x), (x,))
+    t = make_term(x, (x,), s)
+    eq = make_equation(x, x, (x,))
     r = check_rule(sig, (), Reflexivity(t), eq)
     both = product_factorizations([r, r])
     assert len(both.claim) == 2 and both.hyp == ()
@@ -463,7 +463,7 @@ def test_forged_certificate_fails_with_trace():
 def test_forged_middle_term_fails():
     sig, s, x, y, m, c, comm, lunit = _setup()
     # both constraints are parallel, but the middle terms differ
-    other = make_equation(App(m, (Var(x), Var(x))), Var(x), (x, y))
+    other = make_equation(App(m, (x, x)), x, (x, y))
     c1 = equation_constraint(comm)
     c2 = equation_constraint(other)
     proof = (CiteHyp(0), CiteHyp(1), Trans(0, 1))
@@ -594,14 +594,14 @@ _TWO_SORTS = validate_signature(["s", "t"], [
 
 def _rebuilt(e):
     """A structurally equal copy of `e` that shares no node with it."""
-    if isinstance(e, Var):
-        return Var(Variable(e.var.sort, e.var.num))
+    if isinstance(e, Variable):
+        return Variable(e.sort, e.num)
     return App(e.op, tuple(_rebuilt(a) for a in e.args))
 
 
 def _near(rng, e):
     """`e` with one subexpression replaced by a fresh one of its sort."""
-    if isinstance(e, Var) or not e.args or rng.random() < 0.3:
+    if isinstance(e, Variable) or not e.args or rng.random() < 0.3:
         return gen_expression(rng, _TWO_SORTS, e.sort, 1, max_var=2)
     i = rng.randrange(len(e.args))
     return App(e.op, e.args[:i] + (_near(rng, e.args[i]),) + e.args[i + 1:])

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,8 +14,8 @@ from termcat.deduction import (lemma_table, normalize_deduction,
                                verify_factorization)
 from termcat.dsl import (EOF, _bind_bracket, _elaborate, _Fault, _positions,
                          _scan, _sort_of, build_proof, parse_spec)
-from termcat.errors import (DslSyntaxError, NameResolutionError,
-                            SideConditionViolated)
+from termcat.errors import (DslSyntaxError, MiddleTermMismatch,
+                            NameResolutionError, SideConditionViolated)
 from termcat.signature import Variable, validate_signature
 
 GOOD = """\
@@ -303,7 +302,8 @@ def test_no_function_in_the_front_end_recurses():
 
 
 def test_a_valid_proof_is_checked_without_locating_its_steps(monkeypatch,
-                                                             capsys):
+                                                             capsys,
+                                                             tmp_path):
     # a step's line:column is worked out only when an error names it
     located = []
 
@@ -317,16 +317,22 @@ def test_a_valid_proof_is_checked_without_locating_its_steps(monkeypatch,
     for flags in ([], ["--json"], ["--levelled"]):
         assert run(["check-proof", *flags, monoid]) == 0
     assert located == []
-    sf = parse_spec(GOOD + "proof bad from comm {\n  a = hyp comm ;\n"
-                           "  b = trans a a ;\n}\n")
-    steps, hyps = build_proof(sf, sf.proofs[1])
-    assert located == []
-    with pytest.raises(SideConditionViolated,
-                       match="^17:3: step 'b': premises do not share"):
-        lemma_table(sf.signature, steps, hyps,
-                    partial(dsl.step_origin, sf, sf.proofs[1]))
-    assert len(located) == 1
     capsys.readouterr()
+    text = GOOD + ("proof bad from comm {\n  a = hyp comm ;\n"
+                   "  b = trans a a ;\n}\n")
+    sf = parse_spec(text)
+    steps, hyps = build_proof(sf, sf.proofs[1])
+    # the producer marks the failing step; only the CLI locates it
+    with pytest.raises(MiddleTermMismatch,
+                       match="^premises do not share") as failure:
+        lemma_table(sf.signature, steps, hyps)
+    assert failure.value.step == 1 and located == []
+    f = tmp_path / "bad.msl"
+    f.write_text(text)
+    assert run(["check-proof", "--proof", "bad", str(f)]) == 1
+    assert capsys.readouterr().out.startswith(
+        "proof bad: INVALID (17:3: step 'b': premises do not share")
+    assert len(located) == 1
 
 
 def test_terms_and_equations_are_built_once_in_declaration_order():
@@ -380,7 +386,7 @@ def _signature_and_form(draw):
     bracket = tuple((f"x{i}", sort) for i, sort in
                     enumerate(draw(st.lists(st.sampled_from(sorts),
                                             max_size=3))))
-    _, names, _ = _bind_bracket(sig, bracket, 0)
+    names, _ = _bind_bracket(sig, bracket, 0)
     made = {name: (tuple(i.name for i in op.inputs), op.output.name)
             for name, op in sig.operation_named.items()}
     made.update((name, ((), sort)) for name, sort in bracket)
@@ -434,6 +440,6 @@ def test_sort_of_fails_exactly_where_elaboration_raises(case):
 ])
 def test_sort_of_on_each_kind_of_fault(text, sort):
     sf = parse_spec(GOOD)
-    _, names, _ = _bind_bracket(sf.signature, (("x", "s"), ("y", "t")), 0)
+    names, _ = _bind_bracket(sf.signature, (("x", "s"), ("y", "t")), 0)
     raw, _ = dsl._expr(_scan(text)[1], 0)
     assert _same_verdict(sf.signature, names, raw) == sort

@@ -353,6 +353,12 @@ def _forge_lemma_tables(tally: Counter) -> None:
         result = verify_lemmas(hyps, *mutant)
         assert not result.ok, kind
         assert LEMMA_MUTATIONS[kind] in result.trace[0], result.trace
+        # a rejected lemma is reported by index, the goal check by none
+        if kind == "not-the-goal":
+            assert result.rejected is None
+        else:
+            assert all(line.startswith(f"lemma {result.rejected}: ")
+                       for line in result.trace), result.trace
         tally[kind] += 1
 
     forge()

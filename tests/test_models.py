@@ -17,7 +17,7 @@ from termcat.dsl import parse_spec
 from termcat.errors import CarrierOutOfRange, ModelBudgetExceeded
 from termcat.models import (FiniteModel, count_models, enumerate_models,
                             find_counterexample)
-from termcat.terms import App, Var, make_equation, var_list
+from termcat.terms import App, make_equation, var_list
 
 MONOID = Path(__file__).resolve().parent.parent / "corpus" / "monoid.msl"
 
@@ -71,9 +71,9 @@ def test_eval_expression_against_tables():
                         {"m": {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
                          "c": {(): 1}})
     from termcat.signature import Variable
-    from termcat.terms import App, Var
+    from termcat.terms import App
     x = Variable(s, 1)
-    e = App(sig.operation("m"), (Var(x), App(sig.operation("c"), ())))
+    e = App(sig.operation("m"), (x, App(sig.operation("c"), ())))
     assert eval_expression(model, e, {x: 0}) == 1
     assert eval_expression(model, e, {x: 1}) == 0
 
@@ -122,9 +122,9 @@ def test_counterexample_search():
     sig = binary_signature()
     s = sig.sort("s")
     from termcat.signature import Variable
-    from termcat.terms import App, Var
+    from termcat.terms import App
     x, y = Variable(s, 1), Variable(s, 2)
-    bogus = make_equation(App(sig.operation("m"), (Var(x), Var(y))), Var(x),
+    bogus = make_equation(App(sig.operation("m"), (x, y)), x,
                           (x, y))
     found = find_counterexample(sig, bogus, 2)
     assert found is not None
@@ -132,7 +132,7 @@ def test_counterexample_search():
     assert eval_expression(model, bogus.left, env) \
         != eval_expression(model, bogus.right, env)
     # a tautology has no counterexample
-    triv = make_equation(Var(x), Var(x), (x,))
+    triv = make_equation(x, x, (x,))
     assert find_counterexample(sig, triv, 2) is None
 
 
@@ -219,7 +219,7 @@ def test_search_budget_stops_a_holding_search(monkeypatch):
     s = sig.sort("s")
     from termcat.signature import Variable
     x, y = Variable(s, 1), Variable(s, 2)
-    m = App(sig.operation("m"), (Var(x), Var(y)))
+    m = App(sig.operation("m"), (x, y))
     same = make_equation(m, m, (x, y))
     # the reduct is m alone: 1 + 2 ** 4 + 3 ** 9 models at bound 3
     monkeypatch.setattr(models, "MAX_MODELS", 17)
@@ -232,5 +232,5 @@ def test_search_budget_stops_a_holding_search(monkeypatch):
         "carriers <= 3, over the limit of 17")
     # the budget is checked while searching: a counterexample found within
     # it is reported whatever the count
-    bogus = make_equation(m, Var(x), (x, y))
+    bogus = make_equation(m, x, (x, y))
     assert find_counterexample(sig, bogus, 3) is not None

@@ -6,9 +6,8 @@ import pytest
 
 from fixtures import running_signature, v
 from termcat.errors import DuplicateOperation, DuplicateSort, UnknownSortInArity
-from termcat.signature import (Variable, inhabited_sorts, is_constant,
-                               ordered_vars, validate_signature)
-from termcat.terms import var_set
+from termcat.signature import Variable, ordered_vars, validate_signature
+from termcat.terms import inhabited_sorts, var_set
 
 
 def test_minimal_signature_valid():
@@ -39,13 +38,6 @@ def test_running_signature_arities():
     assert [s.name for s in f.inputs] == ["s1", "s2", "s2"]
     assert f.output.name == "s5"
     assert [s.index for s in sig.sorts] == [0, 1, 2, 3, 4]
-
-
-def test_is_constant():
-    sig = validate_signature(["s"], [("c", [], "s"), ("m", ["s", "s"], "s")])
-    assert is_constant(sig.operation("c"))
-    assert not is_constant(sig.operation("m"))
-    assert not is_constant(running_signature().operation("g"))
 
 
 def test_inhabited_constant_case():

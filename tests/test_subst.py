@@ -9,10 +9,10 @@ from gen import gen_signature, gen_subst_instance, gen_term
 from termcat.arrows import (Comp, GenApp, Path, Proj, arrows_equal,
                             flat_product, normalize, term_arrow)
 from termcat.errors import SortMismatch, UninhabitedFill
-from termcat.signature import inhabited_sorts, validate_signature
+from termcat.signature import validate_signature
 from termcat.subst import (SubstInstance, retyping_arrow, subst_arrow_direct,
                            subst_expr, subst_term, substitution_arrow)
-from termcat.terms import App, Term, Var, make_term, var_set
+from termcat.terms import App, Term, inhabited_sorts, make_term, var_set
 
 
 def wide_instance():
@@ -20,14 +20,14 @@ def wide_instance():
     f-expression by h(x1:s2, x2:s3)."""
     sig = subst_signature()
     f, g, h = (sig.operation(n) for n in "fgh")
-    e = App(f, (Var(v(sig, 1, 1)), Var(v(sig, 4, 3)), Var(v(sig, 3, 2)),
-                Var(v(sig, 1, 1)),
-                App(g, (Var(v(sig, 1, 2)), Var(v(sig, 3, 2)))),
-                Var(v(sig, 2, 1))))
+    e = App(f, (v(sig, 1, 1), v(sig, 4, 3), v(sig, 3, 2),
+                v(sig, 1, 1),
+                App(g, (v(sig, 1, 2), v(sig, 3, 2))),
+                v(sig, 2, 1)))
     V = (v(sig, 1, 1), v(sig, 1, 2), v(sig, 1, 3), v(sig, 2, 1),
          v(sig, 2, 2), v(sig, 3, 1), v(sig, 3, 2), v(sig, 4, 3))
     target = make_term(e, V, sig.sort("s5"))
-    u = App(h, (Var(v(sig, 2, 1)), Var(v(sig, 3, 2))))
+    u = App(h, (v(sig, 2, 1), v(sig, 3, 2)))
     W = (v(sig, 1, 1), v(sig, 2, 1), v(sig, 2, 2), v(sig, 2, 3),
          v(sig, 3, 1), v(sig, 3, 2), v(sig, 3, 3))
     repl = make_term(u, W, sig.sort("s3"))
@@ -37,8 +37,8 @@ def wide_instance():
 def test_subst_expr_base_case():
     sig = running_signature()
     x = v(sig, 1, 1)
-    u = Var(v(sig, 1, 2))
-    assert subst_expr(Var(x), x, u) == u
+    u = v(sig, 1, 2)
+    assert subst_expr(x, x, u) == u
 
 
 def test_subst_expr_simple():
@@ -47,14 +47,14 @@ def test_subst_expr_simple():
     from termcat.signature import Variable
     x, y = Variable(sig.sort("s"), 1), Variable(sig.sort("s"), 2)
     c = App(sig.operation("c"), ())
-    e = App(sig.operation("f"), (Var(x), Var(y)))
+    e = App(sig.operation("f"), (x, y))
     assert str(subst_expr(e, x, c)) == "f(c, x2:s)"
 
 
 def test_subst_expr_sort_mismatch():
     sig = running_signature()
     with pytest.raises(SortMismatch):
-        subst_expr(Var(v(sig, 1, 1)), v(sig, 1, 1), Var(v(sig, 2, 1)))
+        subst_expr(v(sig, 1, 1), v(sig, 1, 1), v(sig, 2, 1))
 
 
 def test_subst_expr_wide_display():
@@ -67,8 +67,8 @@ def test_subst_expr_wide_display():
 def test_subst_term_base_case():
     sig = running_signature()
     x = v(sig, 1, 1)
-    target = make_term(Var(x), (x, v(sig, 2, 2)), sig.sort("s1"))
-    repl = make_term(Var(v(sig, 1, 3)), (v(sig, 1, 3), v(sig, 3, 1)),
+    target = make_term(x, (x, v(sig, 2, 2)), sig.sort("s1"))
+    repl = make_term(v(sig, 1, 3), (v(sig, 1, 3), v(sig, 3, 1)),
                      sig.sort("s1"))
     out = subst_term(SubstInstance(target, x, repl))
     assert out.expr == repl.expr
@@ -88,8 +88,8 @@ def test_subst_for_absent_variable_rewrites_vars_only():
     sig = running_signature()
     x = v(sig, 1, 1)
     spare = v(sig, 1, 2)
-    target = make_term(Var(x), (x, spare), sig.sort("s1"))
-    repl = make_term(Var(v(sig, 1, 3)), (v(sig, 1, 3),), sig.sort("s1"))
+    target = make_term(x, (x, spare), sig.sort("s1"))
+    repl = make_term(v(sig, 1, 3), (v(sig, 1, 3),), sig.sort("s1"))
     out = subst_term(SubstInstance(target, spare, repl))
     assert out.expr == target.expr
     assert out.vars == (x, v(sig, 1, 3))
@@ -119,9 +119,9 @@ def test_substitution_arrow_square_when_var_shared():
 def test_self_substitution_is_projection_tuple():
     sig = running_signature()
     x = v(sig, 1, 1)
-    target = make_term(App(sig.operation("g"), (Var(x), Var(x))),
+    target = make_term(App(sig.operation("g"), (x, x)),
                        (x,), sig.sort("s2"))
-    repl = make_term(Var(x), (x,), sig.sort("s1"))
+    repl = make_term(x, (x,), sig.sort("s1"))
     inst = SubstInstance(target, x, repl)
     body = normalize(substitution_arrow(inst)).body
     assert all(isinstance(p, Path) for p in body.parts)
@@ -132,8 +132,8 @@ def test_self_substitution_is_projection_tuple():
 def test_direct_route_base_case():
     sig = running_signature()
     x = v(sig, 1, 1)
-    target = make_term(Var(x), (x, v(sig, 2, 2)), sig.sort("s1"))
-    repl = make_term(Var(v(sig, 1, 3)), (v(sig, 1, 3),), sig.sort("s1"))
+    target = make_term(x, (x, v(sig, 2, 2)), sig.sort("s1"))
+    repl = make_term(v(sig, 1, 3), (v(sig, 1, 3),), sig.sort("s1"))
     inst = SubstInstance(target, x, repl)
     direct = subst_arrow_direct(inst)
     over_result = term_arrow(Term(repl.expr, inst.result_vars(),
@@ -146,7 +146,7 @@ def test_constant_replacement_goes_through_terminal():
                                      ("c", [], "s")])
     from termcat.signature import Variable
     x, y = Variable(sig.sort("s"), 1), Variable(sig.sort("s"), 2)
-    target = make_term(App(sig.operation("f"), (Var(x), Var(y))),
+    target = make_term(App(sig.operation("f"), (x, y)),
                        (x, y), sig.sort("s"))
     repl = make_term(App(sig.operation("c"), ()), (), sig.sort("s"))
     inst = SubstInstance(target, x, repl)

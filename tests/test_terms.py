@@ -12,17 +12,16 @@ from fixtures import (input_types, most_concrete_equation, most_concrete_term,
 from gen import gen_expression, gen_signature
 from termcat.errors import (MissingVariables, SortMismatch, TypeDisagrees)
 from termcat.signature import Operation, Sort, Variable, ordered_vars
-from termcat.terms import (App, Equation, Term, Var, make_equation, make_term,
-                           type_list, type_of_expression, type_set, var_list,
-                           var_set)
+from termcat.terms import (App, Equation, Term, make_equation, make_term,
+                           type_list, type_set, var_list, var_set)
 
 
 def worked_expression(sig):
     """f(x1:s1, g(x2:s1, x1:s1), x1:s2)"""
     f, g = sig.operation("f"), sig.operation("g")
-    return App(f, (Var(v(sig, 1, 1)),
-                   App(g, (Var(v(sig, 1, 2)), Var(v(sig, 1, 1)))),
-                   Var(v(sig, 2, 1))))
+    return App(f, (v(sig, 1, 1),
+                   App(g, (v(sig, 1, 2), v(sig, 1, 1))),
+                   v(sig, 2, 1)))
 
 
 def test_worked_example_lists():
@@ -37,9 +36,9 @@ def test_worked_example_lists():
 
 def test_variable_and_constant_lists():
     sig = running_signature()
-    x = Var(v(sig, 1, 1))
+    x = v(sig, 1, 1)
     assert var_list(x) == (v(sig, 1, 1),)
-    assert [s.name for s in type_list(Var(v(sig, 2, 1)))] == ["s2"]
+    assert [s.name for s in type_list(v(sig, 2, 1))] == ["s2"]
     csig = gen_constant_sig()
     c = App(csig.operation("c"), ())
     assert var_list(c) == ()
@@ -51,17 +50,11 @@ def gen_constant_sig():
     return validate_signature(["s"], [("c", [], "s")])
 
 
-def test_type_of_expression():
-    sig = running_signature()
-    assert type_of_expression(sig, Var(v(sig, 1, 1))).name == "s1"
-    assert type_of_expression(sig, worked_expression(sig)).name == "s5"
-
-
 def test_sort_mismatch_position():
     sig = running_signature()
     f = sig.operation("f")
     with pytest.raises(SortMismatch) as exc:
-        App(f, (Var(v(sig, 1, 1)), Var(v(sig, 1, 1)), Var(v(sig, 2, 1))))
+        App(f, (v(sig, 1, 1), v(sig, 1, 1), v(sig, 2, 1)))
     assert exc.value.position == 2
 
 
@@ -76,14 +69,14 @@ def test_make_term_with_redundant_variable():
 def test_make_term_missing_variables():
     sig = running_signature()
     with pytest.raises(MissingVariables) as exc:
-        make_term(Var(v(sig, 1, 1)), (), sig.sort("s1"))
+        make_term(v(sig, 1, 1), (), sig.sort("s1"))
     assert exc.value.variables == (v(sig, 1, 1),)
 
 
 def test_make_term_type_disagrees():
     sig = running_signature()
     with pytest.raises(TypeDisagrees):
-        make_term(Var(v(sig, 1, 1)), {v(sig, 1, 1)}, sig.sort("s2"))
+        make_term(v(sig, 1, 1), {v(sig, 1, 1)}, sig.sort("s2"))
 
 
 def test_input_types_goldens():
@@ -101,11 +94,11 @@ def test_input_types_goldens():
 def test_most_concrete_term():
     sig = running_signature()
     g = sig.operation("g")
-    e = App(g, (Var(v(sig, 1, 2)), Var(v(sig, 1, 3))))
+    e = App(g, (v(sig, 1, 2), v(sig, 1, 3)))
     t = most_concrete_term(e)
     assert t.vars == (v(sig, 1, 2), v(sig, 1, 3))
     assert t.sort == g.output
-    x = Var(v(sig, 1, 1))
+    x = v(sig, 1, 1)
     assert most_concrete_term(x) == Term(x, (v(sig, 1, 1),),
                                          sig.sort("s1"))
 
@@ -113,13 +106,12 @@ def test_most_concrete_term():
 def test_most_concrete_equation():
     sig = running_signature()
     e = worked_expression(sig)
-    e2 = App(sig.operation("g"), (Var(v(sig, 1, 2)), Var(v(sig, 1, 3))))
+    e2 = App(sig.operation("g"), (v(sig, 1, 2), v(sig, 1, 3)))
     # the right side must land in s5 to pair with e; reuse g's output there
     sig2 = running_signature()
     eq = most_concrete_equation(e, App(sig.operation("f"), (
-        Var(v(sig, 1, 1)), App(sig.operation("g"), (Var(v(sig, 1, 2)),
-                                                    Var(v(sig, 1, 3)))),
-        Var(v(sig, 2, 1)))))
+        v(sig, 1, 1), App(sig.operation("g"), (v(sig, 1, 2), v(sig, 1, 3))),
+        v(sig, 2, 1))))
     assert eq.vars == (v(sig, 1, 1), v(sig, 1, 2), v(sig, 1, 3),
                        v(sig, 2, 1))
     del sig2, e2
@@ -128,9 +120,9 @@ def test_most_concrete_equation():
 def test_make_equation_cases():
     sig = running_signature()
     with pytest.raises(SortMismatch):
-        make_equation(Var(v(sig, 1, 1)), Var(v(sig, 2, 1)),
+        make_equation(v(sig, 1, 1), v(sig, 2, 1),
                       {v(sig, 1, 1), v(sig, 2, 1)})
-    eq = make_equation(Var(v(sig, 1, 1)), Var(v(sig, 1, 1)),
+    eq = make_equation(v(sig, 1, 1), v(sig, 1, 1),
                        {v(sig, 1, 1)})
     assert eq.left == eq.right
 
@@ -144,10 +136,10 @@ def test_equation_with_spare_variable():
         [("g", ["s1", "s1"], "s2"), ("f", ["s1", "s2", "s2"], "s5"),
          ("gg", ["s1", "s1"], "s5")])
     e = App(sig.operation("f"), (
-        Var(v(sig, 1, 1)),
-        App(sig.operation("g"), (Var(v(sig, 1, 2)), Var(v(sig, 1, 1)))),
-        Var(v(sig, 2, 1))))
-    right = App(sig.operation("gg"), (Var(v(sig, 1, 2)), Var(v(sig, 1, 3))))
+        v(sig, 1, 1),
+        App(sig.operation("g"), (v(sig, 1, 2), v(sig, 1, 1))),
+        v(sig, 2, 1)))
+    right = App(sig.operation("gg"), (v(sig, 1, 2), v(sig, 1, 3)))
     eq = make_equation(e, right, var_set(e) + var_set(right)
                        + (v(sig, 3, 1),))
     assert eq.vars == (v(sig, 1, 1), v(sig, 1, 2), v(sig, 1, 3),
@@ -156,7 +148,7 @@ def test_equation_with_spare_variable():
 
 def test_var_set_reorders_by_canonical_order():
     sig = running_signature()
-    e = App(sig.operation("g"), (Var(v(sig, 1, 2)), Var(v(sig, 1, 1))))
+    e = App(sig.operation("g"), (v(sig, 1, 2), v(sig, 1, 1)))
     assert var_list(e) == (v(sig, 1, 2), v(sig, 1, 1))
     assert var_set(e) == (v(sig, 1, 1), v(sig, 1, 2))
 
