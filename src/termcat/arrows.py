@@ -466,12 +466,9 @@ def _expr_body(e: Expression, position: dict) -> NormalBody:
     return GenApp(e.op, tuple(_expr_body(a, position) for a in e.args))
 
 
-def equation_arrows(eq: Equation, memo: dict | None = None
-                    ) -> tuple[FPArrow, FPArrow]:
+def equation_arrows(eq: Equation) -> tuple[FPArrow, FPArrow]:
     """The parallel pair of arrows associated to an equation: each side's
     term arrow over the equation's variables, built without re-checking
-    what the `Equation` already holds.  A caller that compiles many
-    equations sharing side expressions passes one fresh `memo` dict to
-    every call and drops it afterwards."""
-    return (_compiled(eq.left, eq.vars, memo),
-            _compiled(eq.right, eq.vars, memo))
+    what the `Equation` already holds."""
+    return (_compiled(eq.left, eq.vars, None),
+            _compiled(eq.right, eq.vars, None))

@@ -409,7 +409,12 @@ def cmd_check_proof(args) -> int:
 
 def cmd_normalize_proof(args) -> int:
     sf = _load(args.file)
-    steps, _ = build_proof(sf, _proof(sf, args.proof))
+    proof = _proof(sf, args.proof)
+    try:
+        steps, _ = build_proof(sf, proof)
+    except DeductionError as exc:
+        print(f"error: {_origin(sf, proof, exc.step)}{exc}", file=sys.stderr)
+        return 1
     ld = deduction.normalize_deduction(steps)
     if args.json:
         _emit({"proof": args.proof, **levelled_json(ld)})

@@ -726,8 +726,8 @@ def build_proof(sf: SpecFile, proof: ProofDef
 
     Each step's conclusion is the one `deduction.conclude` draws; one that
     fails to form an equation, like every side-condition failure, surfaces
-    as a deduction error that names the step and its line:column, not as a
-    parse error.
+    as a deduction error with its `step` set, not as a parse error, so that
+    the caller can name the step and its line:column.
     """
     sig = sf.signature
     hypotheses = _Cited(sf.equations, proof.hypotheses)
@@ -750,8 +750,9 @@ def build_proof(sf: SpecFile, proof: ProofDef
             except TermcatError as exc:
                 # a conclusion failed to form: the rule application is
                 # invalid
-                raise SideConditionViolated(
-                    f"{step_origin(sf, proof, k)}: {exc}") from exc
+                err = SideConditionViolated(str(exc))
+                err.step = k
+                raise err from exc
             steps.append(Step(eq, rule, cites))
             names.append(bound)
     except _Fault as fault:

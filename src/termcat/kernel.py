@@ -11,11 +11,13 @@ Two kinds of certificate are checked:
   lemma k is step k, whether a later step cites it or not: the step's
   elaborated equation, the earlier lemmas or the one hypothesis it cites,
   and the kernel proof of its rule coding.  The kernel compiles every
-  statement itself with `arrows.equation_arrows` (each lemma's, each cited
-  hypothesis's and the goal's, at most once each), replays each proof from
-  the statements it cites, and accepts only if every replay derives its
-  lemma's statement and the last lemma is the goal; a rejection reports
-  the index of its lemma, so a caller can name the step it stands for.
+  statement itself (each lemma's, each cited hypothesis's and the goal's,
+  at most once each), with a one-stage compiler of its own rather than
+  the producer's three-stage one, so every such check compares the two.
+  It replays each proof from the statements it cites, and accepts only if
+  every replay derives its lemma's statement and the last lemma is the
+  goal; a rejection reports the index of its lemma, so a caller can name
+  the step it stands for.
   The producer supplies only the citation DAG and the kernel proofs.
 - A `Factorization` (the paper's levelled certificate, `check-proof
   --levelled`, which the producer pastes from the lemma table's kernel
@@ -25,18 +27,20 @@ Two kinds of certificate are checked:
   formally equal to it; the constraints themselves are the producer's.
 
 This module is the only one that decides whether a certificate holds.  It
-imports nothing but `arrows`, `errors` and the standard library, so no code
-of the certificate's producer runs during replay, and it can be audited on
-its own.
+imports from `arrows` only constructors and `arrows_equal`, and otherwise
+only `errors`, `signature.Variable` and the standard library, so no code of
+the certificate's producer, its term compiler included, runs during
+replay, and it can be audited on its own.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence, Union
 
-from .arrows import (Comp, FPArrow, TupleArrow, arrows_equal,
-                     equation_arrows)
+from .arrows import (Comp, FPArrow, Gen, Proj, TupleArrow, arrows_equal,
+                     flat_product)
 from .errors import EndpointMismatch, Record, SideConditionViolated
+from .signature import Variable
 
 _set = object.__setattr__
 
@@ -227,7 +231,8 @@ def verify_lemmas(hypotheses: Sequence, lemmas: Sequence[Lemma],
     memo: dict = {}  # shared side expressions are compiled once
 
     def compiled(eq) -> EqConstraint:
-        return EqConstraint(*equation_arrows(eq, memo))
+        return EqConstraint(_compile(eq.left, eq.vars, memo),
+                            _compile(eq.right, eq.vars, memo))
 
     statements: list[EqConstraint] = []
     compiled_hyps: dict[int, EqConstraint] = {}
@@ -261,6 +266,39 @@ def verify_lemmas(hypotheses: Sequence, lemmas: Sequence[Lemma],
             f"goal: lemma {len(statements) - 1} is not the goal",), None)
     return VerificationResult(True, (
         f"goal: established by lemma {len(statements) - 1}",), None)
+
+
+def _compile(e, vs: tuple, memo: dict) -> FPArrow:
+    """The arrow of expression `e` over the product P of the sorts of `vs`:
+    a variable is its projection out of P, an application f(a1..an) is f
+    after the tuple of its arguments' arrows.  It is formally equal to the
+    paper's three-stage arrow.  `memo[vs]` holds P, its projections by
+    variable, and each application's arrow by `id`, kept with the
+    application so that no `id` is reused while the memo lives."""
+    entry = memo.get(vs)
+    if entry is None:
+        src = flat_product(v.sort for v in vs)
+        entry = memo[vs] = (src, {v: Proj(src, k)
+                                  for k, v in enumerate(vs, 1)}, {})
+    src, proj, done = entry
+    if isinstance(e, Variable):
+        return proj[e]
+    stack = [e]
+    while stack:  # an application is built once its arguments are
+        x = stack[-1]
+        if id(x) in done:
+            stack.pop()
+            continue
+        todo = [a for a in x.args
+                if not isinstance(a, Variable) and id(a) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        done[id(x)] = x, Comp(Gen(x.op), TupleArrow(src, tuple(
+            proj[a] if isinstance(a, Variable) else done[id(a)][1]
+            for a in x.args)))
+    return done[id(e)][1]
 
 
 def _rejected(k: int, *lines: str) -> VerificationResult:

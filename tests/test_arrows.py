@@ -381,15 +381,12 @@ def test_equal_operations_from_two_parses_share_one_node():
 
 def test_equation_arrows_are_the_term_arrows_of_the_sides(seed=47):
     rng = random.Random(seed)
-    memo = {}
     for _ in range(40):
         sig = gen_signature(rng)
         eq = gen_equation(rng, sig)
         sides = tuple(term_arrow(Term(e, eq.vars, eq.sort))
                       for e in (eq.left, eq.right))
         assert equation_arrows(eq) == sides
-        assert equation_arrows(eq, memo) == sides
-        assert equation_arrows(eq, memo) == sides  # from the memo
 
 
 def test_nodes_are_immutable():

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import (binary_signature, certify, replace, satisfies,
-                      unary_signature, v)
+                      unary_signature)
 from gen import gen_deduction, gen_equation, gen_expression
-from termcat import arrows, deduction
-from termcat.arrows import arrows_equal, normalize, term_arrow
+from termcat import arrows, deduction, kernel
+from termcat.arrows import arrows_equal, term_arrow
 from termcat.deduction import (RULE_NAMES, Abstraction, Concretion, Copy,
                                Hypothesis, LevelledDeduction, LevelStep,
                                Reflexivity, Step, Substitutivity, Symmetry,
@@ -645,8 +645,8 @@ def test_middle_term_check_agrees_with_arrow_equality():
 
 _LUNIT = "sort s\nop m : s s -> s\nop e : -> s\neq lunit [x:s] : m(e, x) = x\n"
 # (steps of a proof from lunit, calls of the side compiler in the producer
-# and of the term compiler in the kernel: two per lemma, the one hypothesis
-# and the goal, as before the producer stopped compiling statements)
+# and of the kernel's own compiler: two per lemma, the one hypothesis and
+# the goal, as before the producer stopped compiling statements)
 COMPILE_COUNTS = {
     "hyp-sym-trans-chain": (
         ["a = hyp lunit ;", "b = sym a ;", "c0 = trans a b ;"]
@@ -662,10 +662,10 @@ COMPILE_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("steps, producer, kernel", COMPILE_COUNTS.values(),
-                         ids=COMPILE_COUNTS.keys())
-def test_producer_compiles_only_what_its_steps_carry(steps, producer, kernel,
-                                                     monkeypatch):
+@pytest.mark.parametrize("steps, in_producer, in_kernel",
+                         COMPILE_COUNTS.values(), ids=COMPILE_COUNTS.keys())
+def test_producer_compiles_only_what_its_steps_carry(steps, in_producer,
+                                                     in_kernel, monkeypatch):
     sf = parse_spec(_LUNIT + "proof p from lunit {\n" + "\n".join(steps)
                     + "\n}\n")
     built, hyps = build_proof(sf, sf.proofs[0])
@@ -681,9 +681,9 @@ def test_producer_compiles_only_what_its_steps_carry(steps, producer, kernel,
     lemmas = lemma_table(sf.signature, built, hyps)
     assert len(lemmas) == len(steps)
     # one side per reflexivity and per substitutivity step, none otherwise
-    assert len(calls) == producer == sum(
+    assert len(calls) == in_producer == sum(
         isinstance(s.rule, (Reflexivity, Substitutivity)) for s in built)
     calls.clear()
-    monkeypatch.setattr(arrows, "_compiled", counting(arrows._compiled))
+    monkeypatch.setattr(kernel, "_compile", counting(kernel._compile))
     assert verify_lemmas(hyps, lemmas, built[-1].equation).ok
-    assert len(calls) == kernel
+    assert len(calls) == in_kernel

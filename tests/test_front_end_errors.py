@@ -407,6 +407,14 @@ GOLDEN = {
         ["check-proof"], 1, "out",
         "proof p: INVALID (7:3: step 'b': equation omits variables "
         "occurring in its sides: x1:s)\n"),
+    "subst-not-among-normalize": (
+        _PROOF + "proof p from q {\n"
+        "  a = hyp q ;\n"
+        "  b = conc a x ;\n"
+        "}\n",
+        ["normalize-proof", "--proof", "p"], 1, "err",
+        "error: 7:3: step 'b': equation omits variables occurring in its "
+        "sides: x1:s\n"),
     "formation-failure": (
         _UNITS + "proof bad from lunit runit {\n"
         "  a = hyp lunit ;\n"

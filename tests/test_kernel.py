@@ -32,9 +32,12 @@ from hypothesis import strategies as st
 
 from fixtures import (arrows_agree, binary_signature, certify, random_model,
                       replace, unary_signature)
-from gen import gen_deduction, gen_equation
-from termcat import kernel, models
-from termcat.arrows import Comp, TupleArrow
+from gen import gen_deduction, gen_equation, gen_term
+from termcat import arrows, deduction, kernel, models
+from termcat.arrows import (Comp, Leaf, Proj, TupleArrow, arrows_equal,
+                            flat_product, input_product, normalize,
+                            term_arrow, term_normal)
+from termcat.cli import run
 from termcat.deduction import (equation_constraint, lemma_table,
                                product_factorizations)
 from termcat.dsl import parse_spec
@@ -43,6 +46,8 @@ from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                             Factorization, Lemma, Refl, Sym, Trans, TupleCong,
                             constraints_equal, verify_factorization,
                             verify_lemmas)
+from termcat.signature import Variable, validate_signature
+from termcat.terms import App, var_set
 
 # --- import boundaries -------------------------------------------------------
 
@@ -72,10 +77,21 @@ def _outside_stdlib(imports, allowed: set[str]) -> list[str]:
             and name not in allowed]
 
 
-def test_kernel_imports_only_arrows_errors_and_the_stdlib():
+def test_kernel_imports_only_arrows_errors_signature_and_the_stdlib():
+    # signature.py defines no expressions and imports only errors; the
+    # kernel reads its Variable to tell a projection from an application
     imports = _imports(kernel)
-    assert {"arrows", "errors"} <= {name for name, _ in imports}
-    assert _outside_stdlib(imports, {"arrows", "errors"}) == []
+    assert {"arrows", "errors", "signature"} <= {name for name, _ in imports}
+    assert _outside_stdlib(imports, {"arrows", "errors", "signature"}) == []
+    assert [names for name, names in imports
+            if name == "signature"] == [("Variable",)]
+    # the kernel compiles statements with its own compiler, not the
+    # producer's
+    compilers = {"_compiled", "equation_arrows", "term_arrow",
+                 "context_arrow", "occurrence_arrow", "regroup_arrow",
+                 "apply_arrow", "product_of_arrows", "term_normal"}
+    assert not {n for name, names in imports if name == "arrows"
+                for n in names} & compilers
 
 
 def test_models_imports_nothing_that_normalizes():
@@ -88,6 +104,86 @@ def test_models_imports_nothing_that_normalizes():
         imports, {"arrows", "errors", "signature", "terms"}) == []
     assert not {n for name, names in imports
                 for n in (name, *names)} & normalizing
+
+
+# --- the kernel's compiler ---------------------------------------------------
+
+TWO_SORTS = validate_signature(["s", "t"], [
+    ("m", ["s", "t"], "s"), ("f", ["s"], "t"), ("c", [], "s"),
+    ("d", [], "t")])
+
+
+def test_the_kernel_compiles_as_the_term_compiler():
+    tally = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def agree(seed):
+        rng = random.Random(seed)
+        t = gen_term(rng, TWO_SORTS, depth=rng.randint(0, 4), extra_vars=3)
+        memo: dict = {}
+        a = kernel._compile(t.expr, t.vars, memo)
+        assert (a.src, a.dst) == (input_product(t), Leaf(t.sort))
+        assert arrows_equal(a, term_arrow(t))
+        assert normalize(a) == term_normal(t)
+        # a memo hit is the arrow a fresh memo builds, for every
+        # subexpression
+        stack = [t.expr]
+        while stack:
+            e = stack.pop()
+            assert kernel._compile(e, t.vars, memo) is \
+                kernel._compile(e, t.vars, {})
+            stack.extend(getattr(e, "args", ()))
+        tally["unused variables"] += len(var_set(t.expr)) < len(t.vars)
+        tally["two sorts"] += len({v.sort for v in t.vars}) == 2
+
+    agree()
+    assert tally["unused variables"] >= 50 and tally["two sorts"] >= 50, tally
+
+
+def test_the_kernel_does_not_trust_the_producers_compiler(monkeypatch,
+                                                          capsys, tmp_path):
+    # break the three-stage compiler wherever the producer reads it: it now
+    # compiles m(a, b) as m(b, a).  The refl step's arrow is then not its
+    # statement's, and only a kernel that compiles statements itself sees it
+    real = arrows._compiled
+
+    def swapped(e, vs, memo):
+        if isinstance(e, App) and len(e.args) == 2:
+            e = App(e.op, e.args[::-1])
+        return real(e, vs, memo)
+
+    monkeypatch.setattr(arrows, "_compiled", swapped)
+    monkeypatch.setattr(deduction, "_compiled", swapped)
+    f = tmp_path / "swap.msl"
+    f.write_text("sort s\nop m : s s -> s\nop e : -> s\n"
+                 "eq q [x:s] : x = x\n"
+                 "proof p from q {\n"
+                 "  a = hyp q ;\n"
+                 "  r = refl [x:s] m(x, e) ;\n"
+                 "}\n", encoding="utf-8")
+    assert run(["check-proof", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "proof p: FAILED VERIFICATION",
+        "  conclusion: m(x1:s, e) = m(x1:s, e)  [x1:s]",
+        "  hypotheses: 1, lemmas: 2, kernel steps: 2",
+        "  7:3: step 'r': lemma 1: derived constraint differs from the "
+        "statement"]
+
+
+def test_the_kernel_compiles_a_deep_tower_without_recursion():
+    # only the compile: normalizing the tower would still recurse
+    sig = validate_signature(["s"], [("i", ["s"], "s")])
+    x = Variable(sig.sorts[0], 1)
+    e = x
+    for _ in range(20000):
+        e = App(sig.operations[0], (e,))
+    a = kernel._compile(e, (x,), {})
+    assert (a.src, a.dst) == (flat_product((x.sort,)), Leaf(x.sort))
+    depth = 0
+    while isinstance(a, Comp):
+        a, depth = a.before.parts[0], depth + 1
+    assert depth == 20000 and a == Proj(flat_product((x.sort,)), 1)
 
 
 # --- step references ---------------------------------------------------------

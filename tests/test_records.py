@@ -2,8 +2,9 @@
 and the value semantics every record keeps.
 
 `import termcat.cli` loads neither `dataclasses` nor the `inspect` it pulls
-in.  Every record compares and hashes by its type and its compared fields,
-so records of different types never meet as equal in `==`, a dict or a set.
+in, and no module imports a name it never uses.  Every record compares and
+hashes by its type and its compared fields, so records of different types
+never meet as equal in `==`, a dict or a set.
 """
 
 from __future__ import annotations
@@ -80,6 +81,29 @@ def test_the_package_has_no_import_cycle():
         ready = [m for m in imports if m not in done and imports[m] <= done]
         assert ready, sorted(set(imports) - done)
         done.update(ready)
+
+
+# kept by the benchmark's tracer, which wraps `deduction.verify_factorization`
+# by that name; it goes when the benchmark next changes (ROADMAP item 6)
+UNUSED_IMPORTS = {("deduction.py", "verify_factorization")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = set()
+    for path in sorted([*(SRC / "termcat").glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(a.asname or a.name.split(".")[0]
+                             for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        found.update((path.name, name) for name in bound - used)
+    assert found == UNUSED_IMPORTS
 
 
 # --- one record of every type -----------------------------------------------------
