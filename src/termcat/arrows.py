@@ -18,17 +18,21 @@ endpoint check an `is` test, and it keeps its normal body in a write-once
 slot filled the first time `_norm` reaches it, so shared subarrows are
 normalized once.  Nodes are otherwise immutable.
 
-The term compiler produces an arrow for every term as a three-stage
-composite:
+The term compiler has one entry, `term_arrow(e, vs)`: the arrow of an
+expression `e` over the product of a variable context `vs`, which holds
+every variable of `e`.  It is a three-stage composite:
 
-  occurrence_arrow  sends the product of the term's declared variables onto
-                    the list of variable occurrences (a tuple of projections);
+  occurrence_arrow  sends the product of `vs` onto the list of `e`'s
+                    variable occurrences (a tuple of projections);
   regroup_arrow     reassociates that flat product into the nested shape of
                     the expression's argument tree (a tuple of paths);
   apply_arrow       applies the operations (generators over products).
 
-`term_normal` writes the normal form of that composite straight from the
-expression; the test suite checks that the two routes agree.
+Each call builds the composite afresh, with no memo; while its nodes live,
+hash-consing hands a repeated call the same nodes.  `equation_arrows` is
+the pair of an equation's side arrows, and `term_normal(e, vs)` writes the
+normal form of `term_arrow(e, vs)` straight from the expression; the test
+suite checks that the two routes agree.
 
 `context_arrow` builds every change of variable context: the occurrence
 arrow, retyping, the substitution arrow and the substitutivity coding.
@@ -42,7 +46,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import EndpointMismatch, Record
 from .signature import Operation, Sort, Variable
-from .terms import Equation, Expression, Term, var_list
+from .terms import Equation, Expression, var_list
 
 # --- hash-consing ----------------------------------------------------------------
 #
@@ -374,8 +378,8 @@ def arrows_equal(a: FPArrow, b: FPArrow) -> bool:
 # --- the term compiler ----------------------------------------------------------
 
 
-def input_product(t: Term) -> Prod:
-    return flat_product(v.sort for v in t.vars)
+def input_product(vs: Sequence[Variable]) -> Prod:
+    return flat_product(v.sort for v in vs)
 
 
 def context_arrow(source: Sequence[Variable], targets: Iterable[Variable],
@@ -392,10 +396,10 @@ def context_arrow(source: Sequence[Variable], targets: Iterable[Variable],
                                  for v in targets))
 
 
-def occurrence_arrow(t: Term) -> TupleArrow:
-    """Declared-variable product onto the occurrence list of the expression:
-    component i projects out the variable at occurrence i."""
-    return context_arrow(t.vars, var_list(t.expr))
+def occurrence_arrow(e: Expression, vs: Sequence[Variable]) -> TupleArrow:
+    """The product of `vs` onto the occurrence list of `e`: component i
+    projects out the variable at occurrence i."""
+    return context_arrow(vs, var_list(e))
 
 
 def regroup_arrow(e: Expression) -> FPArrow:
@@ -425,39 +429,20 @@ def apply_arrow(e: Expression) -> FPArrow:
                                               for a in e.args]))
 
 
-def term_arrow(t: Term) -> FPArrow:
-    return _compiled(t.expr, t.vars, None)
+def term_arrow(e: Expression, vs: Sequence[Variable]) -> FPArrow:
+    """The three-stage arrow of `e` over the product of `vs`, which holds
+    every variable of `e`."""
+    return Comp(apply_arrow(e),
+                Comp(regroup_arrow(e), context_arrow(vs, var_list(e))))
 
 
-def _compiled(e: Expression, vs: tuple[Variable, ...],
-              memo: dict | None) -> FPArrow:
-    """The three-stage arrow of `e` over the variable product of `vs`.
-    With a memo, the arrow of each (expression object, variables) pair and
-    the stages of each expression object that do not depend on the
-    variables are built once; the memo keeps every expression it has seen
-    alive, so no `id` is reused while it lives."""
-    if memo is None:
-        return Comp(apply_arrow(e),
-                    Comp(regroup_arrow(e), context_arrow(vs, var_list(e))))
-    arrow = memo.get((id(e), vs))
-    if arrow is None:
-        stages = memo.get(id(e))
-        if stages is None:
-            stages = memo[id(e)] = (e, apply_arrow(e), regroup_arrow(e),
-                                    var_list(e))
-        _, app, reg, occurrences = stages
-        arrow = memo[id(e), vs] = Comp(app, Comp(
-            reg, context_arrow(vs, occurrences)))
-    return arrow
-
-
-def term_normal(t: Term) -> NormalArrow:
-    """The normal form of `term_arrow(t)`, written straight from the
+def term_normal(e: Expression, vs: Sequence[Variable]) -> NormalArrow:
+    """The normal form of `term_arrow(e, vs)`, written straight from the
     expression: each variable becomes the path to its factor of the input
     product, each application a `GenApp`."""
-    position = {v: Path((k,)) for k, v in enumerate(t.vars, 1)}
-    return NormalArrow(input_product(t), Leaf(t.sort),
-                       _expr_body(t.expr, position))
+    position = {v: Path((k,)) for k, v in enumerate(vs, 1)}
+    return NormalArrow(input_product(vs), Leaf(e.sort),
+                       _expr_body(e, position))
 
 
 def _expr_body(e: Expression, position: dict) -> NormalBody:
@@ -468,7 +453,5 @@ def _expr_body(e: Expression, position: dict) -> NormalBody:
 
 def equation_arrows(eq: Equation) -> tuple[FPArrow, FPArrow]:
     """The parallel pair of arrows associated to an equation: each side's
-    term arrow over the equation's variables, built without re-checking
-    what the `Equation` already holds."""
-    return (_compiled(eq.left, eq.vars, None),
-            _compiled(eq.right, eq.vars, None))
+    term arrow over the equation's variables."""
+    return term_arrow(eq.left, eq.vars), term_arrow(eq.right, eq.vars)

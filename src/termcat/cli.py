@@ -257,28 +257,23 @@ def cmd_sketch(args) -> int:
     return 0
 
 
-def _stages(t: Term):
-    occ = arrows.occurrence_arrow(t)
-    reg = arrows.regroup_arrow(t.expr)
-    app = arrows.apply_arrow(t.expr)
-    return occ, reg, app
-
-
 def cmd_compile(args) -> int:
     sf = _load(args.file)
     t = _lookup(sf.terms, args.term, f"unknown term {args.term!r}")
-    occ, reg, app = _stages(t)
-    normal = arrows.term_normal(t)
+    occ = arrows.occurrence_arrow(t.expr, t.vars)
+    reg = arrows.regroup_arrow(t.expr)
+    app = arrows.apply_arrow(t.expr)
+    normal = arrows.term_normal(t.expr, t.vars)
     if args.json:
         _emit({"term": term_json(t),
-               "input_product": object_json(arrows.input_product(t)),
+               "input_product": object_json(arrows.input_product(t.vars)),
                "occurrences": arrow_json(occ),
                "regroup": arrow_json(reg),
                "apply": arrow_json(app),
                "normal": normal_json(normal)})
         return 0
     _print([f"term {args.term} : {t}",
-            f"  input product: {arrows.input_product(t)}",
+            f"  input product: {arrows.input_product(t.vars)}",
             f"  occurrences:   {occ} : -> {occ.dst}",
             f"  regroup:       {reg} : -> {reg.dst}",
             f"  apply:         {app} : -> {app.dst}",
@@ -292,7 +287,7 @@ def cmd_check_eq(args) -> int:
                  f"unknown equation {args.equation!r}")
     # both sides share the equation's variable product and sort, so equal
     # normal forms are formal equality
-    left, right = (arrows.term_normal(Term(side, eq.vars, eq.sort))
+    left, right = (arrows.term_normal(side, eq.vars)
                    for side in (eq.left, eq.right))
     equal = left == right
     if args.json:
@@ -322,7 +317,7 @@ def cmd_subst(args) -> int:
     rec = subst_term(inst)
     # both routes run from the substituted term's variable product to its
     # sort, so equal normal forms are equal arrows
-    rec_normal = arrows.term_normal(rec)
+    rec_normal = arrows.term_normal(rec.expr, rec.vars)
     direct = arrows.normalize(subst_arrow_direct(inst))
     equal = rec_normal == direct
     if args.json:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence, Union
 
-from .arrows import Comp, _compiled, equation_arrows
+from .arrows import Comp, equation_arrows, term_arrow
 from .errors import (DeductionError, InterfaceMismatch,
                      LevelledBudgetExceeded, MiddleTermMismatch, Record,
                      SideConditionViolated, UnknownHypothesis)
@@ -37,9 +37,8 @@ from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                      Sym, Trans, TupleCong, constraints_equal)
 from .kernel import verify_factorization  # noqa: F401
 from .signature import Signature, Variable, ordered_vars
-from .subst import (SubstInstance, retyping_arrow, subst_expr,
-                    substitution_arrow)
-from .terms import Equation, Expression, Term, inhabited_sorts, var_set
+from .subst import retyping_arrow, subst_expr, substitution_arrow
+from .terms import Equation, Expression, inhabited_sorts, var_set
 
 # --- rule instances -----------------------------------------------------------
 
@@ -123,7 +122,7 @@ def check_rule(sig: Signature, premises: Sequence[Equation],
     """Validate one rule application and produce its arrow-level coding:
     the one-claim certificate of the conclusion from the premises (a
     hypothesis's from itself)."""
-    proof = _code_rule(sig, premises, rule, conclusion, hypotheses, None)
+    proof = _code_rule(sig, premises, rule, conclusion, hypotheses)
     concl_c = equation_constraint(conclusion)
     prem_cs = ((concl_c,) if isinstance(rule, Hypothesis)
                else tuple(map(equation_constraint, premises)))
@@ -164,14 +163,14 @@ def conclude(rule: RuleInstance, premises: Sequence[Equation],
 
 def _code_rule(sig: Signature, premises: Sequence[Equation],
                rule: RuleInstance, conclusion: Equation,
-               hypotheses: Sequence[Equation] | None,
-               memo: dict | None) -> KernelProof:
+               hypotheses: Sequence[Equation] | None) -> KernelProof:
     """Check one rule application on the equations' syntax, its side
     conditions first and then that `conclusion` is what `conclude` draws,
     and return the kernel proof of the conclusion from the premises.  Only
-    the arrows a step carries are compiled, through `memo`: the
-    conclusion's left side for reflexivity and the first premise's right
-    side for substitutivity."""
+    the arrows a step carries are compiled: the conclusion's left side for
+    reflexivity; for substitutivity, the replacement over the conclusion's
+    variables and the first premise's right side; the closed filler of a
+    concretion's dropped variable."""
     kind = type(rule)
     want = RULE_ARITY[kind]
     _require(len(premises) == want,
@@ -215,7 +214,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
     if kind is Hypothesis:
         return (CiteHyp(0),)
     if kind is Reflexivity:
-        return (Refl(_compiled(c.left, c.vars, memo)),)
+        return (Refl(term_arrow(c.left, c.vars)),)
     if kind is Symmetry:
         return CiteHyp(0), Sym(0)
     if kind is Transitivity:
@@ -227,13 +226,12 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                            if kind is Concretion else {})
         return CiteHyp(0), ComposeRight(h, 0)
 
-    # substitutivity
-    inst = SubstInstance(Term(p.left, p.vars, p.sort), x,
-                         Term(p2.left, p2.vars, p2.sort))
-    union = inst.union_vars()
+    # substitutivity: the conclusion's variables are the result variables,
+    # since the conclusion is what `conclude` draws
+    union = ordered_vars(p.vars + p2.vars)
     alpha = retyping_arrow(union, p.vars, {})
     beta = retyping_arrow(c.vars, p2.vars, {})
-    a_fwd = substitution_arrow(inst)
+    a_fwd = substitution_arrow(c.vars, union, x, p2.left)
     # Kernel derivation: widen the first premise to the union product,
     # derive the substituted-slot pair from the second premise, assemble
     # the pair of substitution arrows by tuple congruence, then compose.
@@ -254,7 +252,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
             refs.append(len(steps) - 1)
     steps.append(TupleCong(a_fwd.src, tuple(refs)))
     cong = len(steps) - 1        # (A, A') up to normalization
-    f_alpha_right = Comp(_compiled(p.right, p.vars, memo), alpha)
+    f_alpha_right = Comp(term_arrow(p.right, p.vars), alpha)
     steps.append(ComposeRight(a_fwd, 2))            # (f.a.A, f'.a.A)
     steps.append(ComposeLeft(f_alpha_right, cong))  # (f'.a.A, f'.a.A')
     steps.append(Trans(len(steps) - 2, len(steps) - 1))
@@ -273,13 +271,12 @@ def lemma_table(sig: Signature, steps: Sequence[Step],
     the statements.  A failure of step k is raised unchanged, with its
     `step` set to k."""
     lemmas: list[Lemma] = []
-    memo: dict = {}  # shared side expressions are compiled once
     for k, s in enumerate(steps):
         try:
             _require(all(0 <= i < k for i in s.premises),
                      "a step may cite only earlier steps")
             proof = _code_rule(sig, [steps[i].equation for i in s.premises],
-                               s.rule, s.equation, hypotheses, memo)
+                               s.rule, s.equation, hypotheses)
         except DeductionError as exc:
             exc.step = k
             raise

@@ -35,7 +35,7 @@ replay, and it can be audited on its own.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 from .arrows import (Comp, FPArrow, Gen, Proj, TupleArrow, arrows_equal,
                      flat_product)
@@ -214,14 +214,13 @@ def verify_factorization(f: Factorization) -> VerificationResult:
 # --- lemma tables -------------------------------------------------------------------
 
 
-class Lemma(NamedTuple):
-    """One deduction step.  `proof` runs from the premise list: the
-    statements of the `cites` lemmas in that order, then the `hypothesis`
-    if there is one."""
-    statement: object  # the step's elaborated `terms.Equation`
-    cites: tuple[int, ...]
-    hypothesis: int | None
-    proof: KernelProof
+class Lemma(Record):
+    """One deduction step: its elaborated `terms.Equation` `statement`, the
+    `cites` of earlier lemmas, a `hypothesis` index or None, and a kernel
+    `proof` that runs from the premise list: the statements of the `cites`
+    lemmas in that order, then the `hypothesis` if there is one."""
+
+    __slots__ = ("statement", "cites", "hypothesis", "proof")
 
 
 def verify_lemmas(hypotheses: Sequence, lemmas: Sequence[Lemma],

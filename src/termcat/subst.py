@@ -55,26 +55,28 @@ def subst_term(inst: SubstInstance) -> Term:
     return Term(e, inst.result_vars(), inst.target.sort)
 
 
-def substitution_arrow(inst: SubstInstance) -> TupleArrow:
-    """The arrow from the result-variable product to the union product.
+def substitution_arrow(result: tuple[Variable, ...],
+                       union: tuple[Variable, ...], x: Variable,
+                       u: Expression) -> TupleArrow:
+    """The arrow from the product of the `result` variables to the product
+    of the `union` variables, for substituting `u` for `x`.
 
     Every coordinate is the projection fetching the same variable from the
-    result product, except the substituted variable's coordinate, which is
-    the replacement term's arrow over the result variables.  When the
-    substituted variable also occurs among the replacement's variables the
-    two products coincide; otherwise they differ in exactly that factor.
+    result product, except x's coordinate, which is u's arrow over the
+    result variables.  When x is also a result variable (it occurs among
+    the replacement's) the two products coincide; otherwise they differ in
+    exactly that factor.
     """
-    result = inst.result_vars()
-    u = term_arrow(Term(inst.replacement.expr, result, inst.replacement.sort))
-    return context_arrow(result, inst.union_vars(), {inst.var: u})
+    return context_arrow(result, union, {x: term_arrow(u, result)})
 
 
 def subst_arrow_direct(inst: SubstInstance) -> FPArrow:
     """The composition route: the target's arrow over the union variables,
     precomposed with the substitution arrow."""
-    over_union = term_arrow(Term(inst.target.expr, inst.union_vars(),
-                                 inst.target.sort))
-    return Comp(over_union, substitution_arrow(inst))
+    union = inst.union_vars()
+    return Comp(term_arrow(inst.target.expr, union),
+                substitution_arrow(inst.result_vars(), union, inst.var,
+                                   inst.replacement.expr))
 
 
 def retyping_arrow(source_vars, target_vars,
@@ -94,5 +96,5 @@ def retyping_arrow(source_vars, target_vars,
             w = witnesses.get(v.sort)
             if w is None:
                 raise UninhabitedFill(v.sort)
-            fill[v] = term_arrow(Term(w, source, v.sort))
+            fill[v] = term_arrow(w, source)
     return context_arrow(source, target, fill)

@@ -63,7 +63,7 @@ def test_criterion_1_golden_worked_examples():
     t = make_term(e, {v(sig, 1, 1), v(sig, 1, 2), v(sig, 2, 1),
                       v(sig, 4, 3)}, sig.sort("s5"))
     from termcat.arrows import occurrence_arrow
-    d_norm = normalize(occurrence_arrow(t)).body
+    d_norm = normalize(occurrence_arrow(t.expr, t.vars)).body
     ok = ok and d_norm.parts == (Path((1,)), Path((2,)), Path((1,)),
                                  Path((3,)))
 
@@ -72,12 +72,11 @@ def test_criterion_1_golden_worked_examples():
     u = App(h, (v(wsig, 2, 1), v(wsig, 3, 2)))
     W = (v(wsig, 1, 1), v(wsig, 2, 1), v(wsig, 2, 2), v(wsig, 2, 3),
          v(wsig, 3, 1), v(wsig, 3, 2), v(wsig, 3, 3))
-    over_w = normalize(term_arrow(make_term(u, W, wsig.sort("s3")))).body
+    over_w = normalize(term_arrow(u, W)).body
     union = (v(wsig, 1, 1), v(wsig, 1, 2), v(wsig, 1, 3), v(wsig, 2, 1),
              v(wsig, 2, 2), v(wsig, 2, 3), v(wsig, 3, 1), v(wsig, 3, 2),
              v(wsig, 3, 3), v(wsig, 4, 3))
-    over_union = normalize(term_arrow(make_term(u, union,
-                                                wsig.sort("s3")))).body
+    over_union = normalize(term_arrow(u, union)).body
     ok = ok and over_w == GenApp(h, (Path((2,)), Path((6,)))) \
         and over_union == GenApp(h, (Path((4,)), Path((8,))))
 
@@ -106,7 +105,8 @@ def test_criterion_2_substitution_equivalence():
     for i in range(count):
         sig = signatures[i % len(signatures)]
         inst = gen_subst_instance(rng, sig, depth=4)
-        if not arrows_equal(term_arrow(subst_term(inst)),
+        rec = subst_term(inst)
+        if not arrows_equal(term_arrow(rec.expr, rec.vars),
                             subst_arrow_direct(inst)):
             bad += 1
     elapsed = time.time() - t0
@@ -156,7 +156,7 @@ def test_criterion_3_normalization_vs_semantics():
     for k in range(equal_pairs):
         sig = sigs[k % len(sigs)]
         t = _bounded_term(rng, sig)
-        a = term_arrow(t)
+        a = term_arrow(t.expr, t.vars)
         b = _disguise(a, rng)
         assert normalize(a) == normalize(b)
         src = a.src
@@ -175,8 +175,7 @@ def test_criterion_3_normalization_vs_semantics():
             e2 = gen_expression(rng, sig, t1.sort, 3)
             if not set(var_set(e2)) <= set(t1.vars):
                 continue
-            a, b = term_arrow(t1), term_arrow(make_term(e2, t1.vars,
-                                                        t1.sort))
+            a, b = term_arrow(t1.expr, t1.vars), term_arrow(e2, t1.vars)
             if normalize(a) != normalize(b):
                 break
         if find_separating_model(sig, a, b, a.src, 3, rng,

@@ -23,8 +23,7 @@ from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NTuple, Path, Prod,
 from termcat.dsl import parse_spec
 from termcat.errors import EndpointMismatch
 from termcat.signature import Variable, validate_signature
-from termcat.terms import (App, Term, make_equation, make_term, var_list,
-                           var_set)
+from termcat.terms import App, make_equation, make_term, var_list, var_set
 
 
 def worked_term(sig):
@@ -115,7 +114,7 @@ def test_worked_term_normal_form():
     sig = running_signature()
     t = worked_term(sig)
     f, g = sig.operation("f"), sig.operation("g")
-    assert normalize(term_arrow(t)).body == GenApp(
+    assert normalize(term_arrow(t.expr, t.vars)).body == GenApp(
         f, (Path((1,)), GenApp(g, (Path((2,)), Path((1,)))), Path((3,))))
 
 
@@ -124,7 +123,7 @@ def test_normalize_idempotent_random(seed=21):
     for _ in range(120):
         sig = gen_signature(rng)
         t = gen_term(rng, sig)
-        a = term_arrow(t)
+        a = term_arrow(t.expr, t.vars)
         n = normalize(a)
         again = normalize(embed(n))
         assert again == n
@@ -144,7 +143,7 @@ def test_arrows_equal_congruence_random(seed=23):
     for _ in range(60):
         sig = gen_signature(rng)
         base = gen_term(rng, sig, depth=2)
-        a = term_arrow(base)
+        a = term_arrow(base.expr, base.vars)
         b = Comp(a, Id(a.src))
         c = Comp(Id(a.dst), a)
         # equivalence: refl, sym, trans across the three presentations
@@ -224,14 +223,14 @@ def test_regroup_flat_arguments_is_identity():
 def test_occurrence_stage_goldens():
     sig = running_signature()
     t = worked_term(sig)
-    d = occurrence_arrow(t)
-    src = input_product(t)
+    d = occurrence_arrow(t.expr, t.vars)
+    src = input_product(t.vars)
     assert d == TupleArrow(src, (Proj(src, 1), Proj(src, 2), Proj(src, 1),
                                  Proj(src, 3)))
 
     csig = validate_signature(["s"], [("c", [], "s")])
     closed = most_concrete_term(App(csig.operation("c"), ()))
-    dc = occurrence_arrow(closed)
+    dc = occurrence_arrow(closed.expr, closed.vars)
     assert dc == bang(TERMINAL)
 
 
@@ -241,9 +240,8 @@ def test_occurrence_stage_wide_example():
     u = App(h, (v(sig, 2, 1), v(sig, 3, 2)))
     W = (v(sig, 1, 1), v(sig, 2, 1), v(sig, 2, 2), v(sig, 2, 3),
          v(sig, 3, 1), v(sig, 3, 2), v(sig, 3, 3))
-    t = make_term(u, W, sig.sort("s3"))
-    d = occurrence_arrow(t)
-    src = input_product(t)
+    d = occurrence_arrow(u, W)
+    src = input_product(W)
     assert d == TupleArrow(src, (Proj(src, 2), Proj(src, 6)))
 
 
@@ -252,9 +250,9 @@ def test_occurrence_triangle_law_random(seed=31):
     for _ in range(60):
         sig = gen_signature(rng)
         t = gen_term(rng, sig)
-        d = occurrence_arrow(t)
+        d = occurrence_arrow(t.expr, t.vars)
         occurrences = var_list(t.expr)
-        src = input_product(t)
+        src = input_product(t.vars)
         mid = d.dst
         for i, var in enumerate(occurrences, 1):
             k = t.vars.index(var) + 1
@@ -267,28 +265,26 @@ def test_term_arrow_goldens():
     u = App(h, (v(sig, 2, 1), v(sig, 3, 2)))
     W = (v(sig, 1, 1), v(sig, 2, 1), v(sig, 2, 2), v(sig, 2, 3),
          v(sig, 3, 1), v(sig, 3, 2), v(sig, 3, 3))
-    t = make_term(u, W, sig.sort("s3"))
-    n = normalize(term_arrow(t))
+    n = normalize(term_arrow(u, W))
     assert n.body == GenApp(h, (Path((2,)), Path((6,))))
     # the same expression over the ten-variable union
     big = (v(sig, 1, 1), v(sig, 1, 2), v(sig, 1, 3), v(sig, 2, 1),
            v(sig, 2, 2), v(sig, 2, 3), v(sig, 3, 1), v(sig, 3, 2),
            v(sig, 3, 3), v(sig, 4, 3))
-    t2 = make_term(u, big, sig.sort("s3"))
-    assert normalize(term_arrow(t2)).body == GenApp(h, (Path((4,)),
-                                                        Path((8,))))
+    assert normalize(term_arrow(u, big)).body == GenApp(h, (Path((4,)),
+                                                          Path((8,))))
     # and the raw composite form h . <p2, p6> is formally the same arrow
-    src = input_product(t)
+    src = input_product(W)
     direct = Comp(Gen(h), TupleArrow(src, (Proj(src, 2), Proj(src, 6))))
-    assert arrows_equal(term_arrow(t), direct)
+    assert arrows_equal(term_arrow(u, W), direct)
 
 
 def test_variable_term_arrow_is_projection():
     sig = running_signature()
     x = v(sig, 1, 1)
     t = most_concrete_term(x)
-    a = term_arrow(t)
-    src = input_product(t)
+    a = term_arrow(t.expr, t.vars)
+    src = input_product(t.vars)
     assert normalize(a) == normalize(Proj(src, 1))
 
 
@@ -334,7 +330,8 @@ def test_term_normal_matches_the_three_stages(seed=41):
     for _ in range(2000):
         sig = gen_signature(rng)
         t = gen_term(rng, sig, extra_vars=3)
-        assert term_normal(t) == normalize(term_arrow(t))
+        assert term_normal(t.expr, t.vars) == \
+            normalize(term_arrow(t.expr, t.vars))
         seen["unused variable"] += len(set(t.vars)) > len(var_set(t.expr))
         seen["constant"] += any(not op.inputs for op in _ops(t.expr))
         seen["several sorts"] += len({x.sort for x in t.vars}) > 1
@@ -353,7 +350,7 @@ def _ops(e):
 def test_same_structure_is_the_same_node():
     sig = running_signature()
     t = worked_term(sig)
-    assert term_arrow(t) is term_arrow(t)
+    assert term_arrow(t.expr, t.vars) is term_arrow(t.expr, t.vars)
     s1 = sig.sort("s1")
     assert Leaf(s1) is Leaf(running_signature().sort("s1"))
     assert flat_product([s1, s1]) is Prod((Leaf(s1), Leaf(s1)))
@@ -384,8 +381,7 @@ def test_equation_arrows_are_the_term_arrows_of_the_sides(seed=47):
     for _ in range(40):
         sig = gen_signature(rng)
         eq = gen_equation(rng, sig)
-        sides = tuple(term_arrow(Term(e, eq.vars, eq.sort))
-                      for e in (eq.left, eq.right))
+        sides = tuple(term_arrow(e, eq.vars) for e in (eq.left, eq.right))
         assert equation_arrows(eq) == sides
 
 
@@ -405,7 +401,8 @@ def test_nodes_are_immutable():
 
 def test_copy_and_pickle_return_the_canonical_node():
     sig = running_signature()
-    a = term_arrow(worked_term(sig))
+    t = worked_term(sig)
+    a = term_arrow(t.expr, t.vars)
     normalize(a)
     for node in (a, a.src, a.dst, TERMINAL):
         assert copy.copy(node) is node
@@ -420,7 +417,8 @@ def test_intern_table_keeps_no_node_alive(seed=43):
     rng = random.Random(seed)
     for _ in range(50):
         sig = gen_signature(rng)
-        a = term_arrow(gen_term(rng, sig))
+        t = gen_term(rng, sig)
+        a = term_arrow(t.expr, t.vars)
         assert arrows_equal(a, embed(normalize(a)))
     assert len(arrows._INTERNED) > before
     del sig, a

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fixtures import (binary_signature, certify, replace, satisfies,
                       unary_signature)
 from gen import gen_deduction, gen_equation, gen_expression
-from termcat import arrows, deduction, kernel
+from termcat import deduction, kernel, subst
 from termcat.arrows import arrows_equal, term_arrow
 from termcat.deduction import (RULE_NAMES, Abstraction, Concretion, Copy,
                                Hypothesis, LevelledDeduction, LevelStep,
@@ -54,7 +54,7 @@ def test_reflexivity_coding():
     eq = make_equation(t.expr, t.expr, t.vars)
     step = check_rule(sig, (), Reflexivity(t), eq)
     assert step.hyp == ()
-    assert step.verif[0] == (Refl(term_arrow(t)),)
+    assert step.verif[0] == (Refl(term_arrow(t.expr, t.vars)),)
     assert arrows_equal(step.claim[0].left, step.claim[0].right)
 
 
@@ -644,9 +644,14 @@ def test_middle_term_check_agrees_with_arrow_equality():
 
 
 _LUNIT = "sort s\nop m : s s -> s\nop e : -> s\neq lunit [x:s] : m(e, x) = x\n"
-# (steps of a proof from lunit, calls of the side compiler in the producer
-# and of the kernel's own compiler: two per lemma, the one hypothesis and
-# the goal, as before the producer stopped compiling statements)
+# calls of `term_arrow` in the producer, per step: the term of a
+# reflexivity; the replacement over the conclusion's variables and the first
+# premise's right side of a substitutivity; the closed filler of the
+# variable a concretion drops; none for any other rule
+PRODUCER_COMPILES = {Reflexivity: 1, Substitutivity: 2, Concretion: 1}
+# (steps of a proof from lunit, calls of `term_arrow` in the producer and of
+# the kernel's own compiler: two per lemma, the one hypothesis and the goal,
+# as before the producer stopped compiling statements)
 COMPILE_COUNTS = {
     "hyp-sym-trans-chain": (
         ["a = hyp lunit ;", "b = sym a ;", "c0 = trans a b ;"]
@@ -658,7 +663,7 @@ COMPILE_COUNTS = {
     "all-six-rules": (
         ["a = hyp lunit ;", "r = refl [y:s] m(y, y) ;", "b = subst a x r ;",
          "c = sym b ;", "d = trans b c ;", "g = abs d z : s ;",
-         "h = conc g z ;", "r0 = refl e ;", "k = subst h y r0 ;"], 4, 22),
+         "h = conc g z ;", "r0 = refl e ;", "k = subst h y r0 ;"], 7, 22),
 }
 
 
@@ -672,17 +677,18 @@ def test_producer_compiles_only_what_its_steps_carry(steps, in_producer,
     calls = []
 
     def counting(real):
-        def compiled(e, vs, memo):
+        def compiled(e, vs, *memo):
             calls.append(e)
-            return real(e, vs, memo)
+            return real(e, vs, *memo)
         return compiled
 
-    monkeypatch.setattr(deduction, "_compiled", counting(arrows._compiled))
+    # wherever the producer reads the term compiler
+    for module in (deduction, subst):
+        monkeypatch.setattr(module, "term_arrow", counting(term_arrow))
     lemmas = lemma_table(sf.signature, built, hyps)
     assert len(lemmas) == len(steps)
-    # one side per reflexivity and per substitutivity step, none otherwise
     assert len(calls) == in_producer == sum(
-        isinstance(s.rule, (Reflexivity, Substitutivity)) for s in built)
+        PRODUCER_COMPILES.get(type(s.rule), 0) for s in built)
     calls.clear()
     monkeypatch.setattr(kernel, "_compile", counting(kernel._compile))
     assert verify_lemmas(hyps, lemmas, built[-1].equation).ok

@@ -268,12 +268,20 @@ proof P from E1 E2 {
     assert "ambiguous" in str(exc.value)
 
 
-@pytest.mark.parametrize("module, at_least", [("dsl", 30), ("kernel", 8)],
-                         ids=["dsl", "kernel"])
+NO_RECURSION = {"dsl": 30, "kernel": 8, "deduction": 14, "terms": 12,
+                "signature": 9, "sketch": 6, "errors": 8}
+
+
+@pytest.mark.parametrize("module, at_least", NO_RECURSION.items(),
+                         ids=NO_RECURSION.keys())
 def test_no_function_recurses(module, at_least):
     # a call cycle among a module's functions and methods, direct or
     # through others, would put a depth limit on the input: the front end's
-    # on what it parses, the kernel's on the statements it compiles
+    # on what it parses, the kernel's on the statements it compiles.  The
+    # floor on the function count keeps the check from passing on a module
+    # it cannot read.  It sees only calls by name: recursion through
+    # `str()` or an f-string, as in `App.__str__` and the arrows'
+    # `__str__` methods, escapes it
     path = Path(__file__).resolve().parent.parent / "src" / "termcat"
     tree = ast.parse((path / f"{module}.py").read_text(encoding="utf-8"))
     defs = [n for n in ast.walk(tree)

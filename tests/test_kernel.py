@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from fixtures import (arrows_agree, binary_signature, certify, random_model,
                       replace, unary_signature)
 from gen import gen_deduction, gen_equation, gen_term
-from termcat import arrows, deduction, kernel, models
+from termcat import arrows, deduction, kernel, models, subst
 from termcat.arrows import (Comp, Leaf, Proj, TupleArrow, arrows_equal,
                             flat_product, input_product, normalize,
                             term_arrow, term_normal)
@@ -86,12 +86,20 @@ def test_kernel_imports_only_arrows_errors_signature_and_the_stdlib():
     assert [names for name, names in imports
             if name == "signature"] == [("Variable",)]
     # the kernel compiles statements with its own compiler, not the
-    # producer's
-    compilers = {"_compiled", "equation_arrows", "term_arrow",
-                 "context_arrow", "occurrence_arrow", "regroup_arrow",
-                 "apply_arrow", "product_of_arrows", "term_normal"}
+    # producer's: none of the compilers `arrows` defines
+    compilers = {"equation_arrows", "term_arrow", "context_arrow",
+                 "occurrence_arrow", "regroup_arrow", "apply_arrow",
+                 "product_of_arrows", "term_normal", "input_product"}
+    assert compilers <= vars(arrows).keys()
     assert not {n for name, names in imports if name == "arrows"
                 for n in names} & compilers
+
+
+def test_the_term_compiler_takes_expressions_not_terms():
+    # `term_arrow(e, vs)` is the one entry to the three-stage compiler;
+    # a `Term` is what user input is checked into, not its calling form
+    assert not {n for name, names in _imports(arrows) if name == "terms"
+                for n in names} & {"Term", "make_term"}
 
 
 def test_models_imports_nothing_that_normalizes():
@@ -123,9 +131,9 @@ def test_the_kernel_compiles_as_the_term_compiler():
         t = gen_term(rng, TWO_SORTS, depth=rng.randint(0, 4), extra_vars=3)
         memo: dict = {}
         a = kernel._compile(t.expr, t.vars, memo)
-        assert (a.src, a.dst) == (input_product(t), Leaf(t.sort))
-        assert arrows_equal(a, term_arrow(t))
-        assert normalize(a) == term_normal(t)
+        assert (a.src, a.dst) == (input_product(t.vars), Leaf(t.sort))
+        assert arrows_equal(a, term_arrow(t.expr, t.vars))
+        assert normalize(a) == term_normal(t.expr, t.vars)
         # a memo hit is the arrow a fresh memo builds, for every
         # subexpression
         stack = [t.expr]
@@ -146,15 +154,15 @@ def test_the_kernel_does_not_trust_the_producers_compiler(monkeypatch,
     # break the three-stage compiler wherever the producer reads it: it now
     # compiles m(a, b) as m(b, a).  The refl step's arrow is then not its
     # statement's, and only a kernel that compiles statements itself sees it
-    real = arrows._compiled
+    real = arrows.term_arrow
 
-    def swapped(e, vs, memo):
+    def swapped(e, vs):
         if isinstance(e, App) and len(e.args) == 2:
             e = App(e.op, e.args[::-1])
-        return real(e, vs, memo)
+        return real(e, vs)
 
-    monkeypatch.setattr(arrows, "_compiled", swapped)
-    monkeypatch.setattr(deduction, "_compiled", swapped)
+    for module in (arrows, deduction, subst):
+        monkeypatch.setattr(module, "term_arrow", swapped)
     f = tmp_path / "swap.msl"
     f.write_text("sort s\nop m : s s -> s\nop e : -> s\n"
                  "eq q [x:s] : x = x\n"
@@ -411,7 +419,7 @@ def _mutate_table(rng: random.Random, lemmas: list[Lemma], goal,
             return None
         k = rng.choice(sites)
         h = rng.choice([-rng.randint(1, 3), n_hyps + rng.randint(0, 2)])
-        lemmas[k] = lemmas[k]._replace(hypothesis=h)
+        lemmas[k] = replace(lemmas[k], hypothesis=h)
         return lemmas, goal
     if kind == "swap-statement":
         pairs = [(k, j) for k in range(len(lemmas)) for j in range(len(lemmas))
@@ -419,7 +427,7 @@ def _mutate_table(rng: random.Random, lemmas: list[Lemma], goal,
         if not pairs:
             return None
         k, j = rng.choice(pairs)
-        lemmas[k] = lemmas[k]._replace(statement=lemmas[j].statement)
+        lemmas[k] = replace(lemmas[k], statement=lemmas[j].statement)
         return lemmas, goal
     later = kind == "later-cite"
     if len(lemmas) - later < 1:
@@ -431,7 +439,7 @@ def _mutate_table(rng: random.Random, lemmas: list[Lemma], goal,
         cites[rng.randrange(len(cites))] = bad
     else:
         cites.append(bad)
-    lemmas[k] = lemmas[k]._replace(cites=tuple(cites))
+    lemmas[k] = replace(lemmas[k], cites=tuple(cites))
     return lemmas, goal
 
 

@@ -85,7 +85,7 @@ def test_arrow_eval_matches_expression_eval(seed=53):
         sig = gen_signature(rng, max_sorts=2, max_ops=3, max_arity=2)
         t = gen_term(rng, sig, depth=3)
         model = random_model(sig, 3, rng)
-        arrow = term_arrow(t)
+        arrow = term_arrow(t.expr, t.vars)
         for values in itertools.product(*(model.carrier(x.sort)
                                           for x in t.vars)):
             env = dict(zip(t.vars, values))
@@ -98,7 +98,7 @@ def test_equal_normal_forms_agree_in_models(seed=57):
     sig = binary_signature()
     for _ in range(10):
         t = gen_term(rng, sig, depth=2)
-        a = term_arrow(t)
+        a = term_arrow(t.expr, t.vars)
         from termcat.arrows import Comp, Id
         b = Comp(a, Id(a.src))
         for model in enumerate_models(sig, 2):

@@ -12,7 +12,19 @@ from termcat.errors import SortMismatch, UninhabitedFill
 from termcat.signature import validate_signature
 from termcat.subst import (SubstInstance, retyping_arrow, subst_arrow_direct,
                            subst_expr, subst_term, substitution_arrow)
-from termcat.terms import App, Term, inhabited_sorts, make_term, var_set
+from termcat.terms import App, inhabited_sorts, make_term, var_set
+
+
+def arrow_of(inst: SubstInstance):
+    """The substitution arrow of an instance."""
+    return substitution_arrow(inst.result_vars(), inst.union_vars(),
+                              inst.var, inst.replacement.expr)
+
+
+def recursive_arrow(inst: SubstInstance):
+    """The arrow of the recursive route's term."""
+    t = subst_term(inst)
+    return term_arrow(t.expr, t.vars)
 
 
 def wide_instance():
@@ -97,7 +109,7 @@ def test_subst_for_absent_variable_rewrites_vars_only():
 
 def test_substitution_arrow_slots():
     sig, inst = wide_instance()
-    a = substitution_arrow(inst)
+    a = arrow_of(inst)
     body = normalize(a).body
     h = sig.operation("h")
     expected = tuple(Path((i,)) for i in range(1, 11))
@@ -110,7 +122,7 @@ def test_substitution_arrow_square_when_var_shared():
     # the substituted variable occurs in the replacement's variable set, so
     # source and target products have equal width
     sig, inst = wide_instance()
-    a = substitution_arrow(inst)
+    a = arrow_of(inst)
     assert len(a.src.factors) == 10
     assert inst.var in inst.replacement.vars
     assert len(inst.union_vars()) == 10
@@ -123,9 +135,9 @@ def test_self_substitution_is_projection_tuple():
                        (x,), sig.sort("s2"))
     repl = make_term(x, (x,), sig.sort("s1"))
     inst = SubstInstance(target, x, repl)
-    body = normalize(substitution_arrow(inst)).body
+    body = normalize(arrow_of(inst)).body
     assert all(isinstance(p, Path) for p in body.parts)
-    assert arrows_equal(term_arrow(subst_term(inst)),
+    assert arrows_equal(recursive_arrow(inst),
                         subst_arrow_direct(inst))
 
 
@@ -136,8 +148,7 @@ def test_direct_route_base_case():
     repl = make_term(v(sig, 1, 3), (v(sig, 1, 3),), sig.sort("s1"))
     inst = SubstInstance(target, x, repl)
     direct = subst_arrow_direct(inst)
-    over_result = term_arrow(Term(repl.expr, inst.result_vars(),
-                                  sig.sort("s1")))
+    over_result = term_arrow(repl.expr, inst.result_vars())
     assert arrows_equal(direct, over_result)
 
 
@@ -150,10 +161,10 @@ def test_constant_replacement_goes_through_terminal():
                        (x, y), sig.sort("s"))
     repl = make_term(App(sig.operation("c"), ()), (), sig.sort("s"))
     inst = SubstInstance(target, x, repl)
-    body = normalize(substitution_arrow(inst)).body
+    body = normalize(arrow_of(inst)).body
     slot = body.parts[0]  # x is the first variable of the union
     assert slot == GenApp(sig.operation("c"), ())
-    assert arrows_equal(term_arrow(subst_term(inst)),
+    assert arrows_equal(recursive_arrow(inst),
                         subst_arrow_direct(inst))
 
 
@@ -162,13 +173,13 @@ def test_equivalence_of_the_two_routes_random(seed=41):
     for _ in range(300):
         sig = gen_signature(rng)
         inst = gen_subst_instance(rng, sig)
-        assert arrows_equal(term_arrow(subst_term(inst)),
+        assert arrows_equal(recursive_arrow(inst),
                             subst_arrow_direct(inst))
 
 
 def test_wide_final_identity():
     sig, inst = wide_instance()
-    assert arrows_equal(term_arrow(subst_term(inst)),
+    assert arrows_equal(recursive_arrow(inst),
                         subst_arrow_direct(inst))
 
 
@@ -235,7 +246,8 @@ def test_retyping_coherence_random(seed=43):
             continue
         t1 = make_term(t.expr, v1, t.sort)
         t2 = make_term(t.expr, v2, t.sort)
-        assert arrows_equal(term_arrow(t1), Comp(term_arrow(t2), r))
+        assert arrows_equal(term_arrow(t1.expr, t1.vars),
+                            Comp(term_arrow(t2.expr, t2.vars), r))
 
 
 def test_substitution_arrow_components_commute(seed=47):
@@ -243,7 +255,7 @@ def test_substitution_arrow_components_commute(seed=47):
     for _ in range(60):
         sig = gen_signature(rng)
         inst = gen_subst_instance(rng, sig, depth=3)
-        a = substitution_arrow(inst)
+        a = arrow_of(inst)
         union = inst.union_vars()
         result = inst.result_vars()
         src = flat_product(x.sort for x in result)
