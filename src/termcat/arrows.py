@@ -256,11 +256,6 @@ class Comp(_Arrow):
 FPArrow = Union[Id, Proj, Gen, TupleArrow, Comp]
 
 
-def bang(src: FPObject) -> TupleArrow:
-    """The unique arrow into the terminal object: the empty tuple."""
-    return TupleArrow(src, ())
-
-
 def product_of_arrows(fs: Sequence[FPArrow]) -> TupleArrow:
     """f1 x .. x fn as the tuple <f1 . p1, .., fn . pn> on the domain product."""
     src = Prod(tuple(f.src for f in fs))

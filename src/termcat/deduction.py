@@ -29,9 +29,7 @@ import functools
 from typing import Sequence, Union
 
 from .arrows import Comp, equation_arrows, term_arrow
-from .errors import (DeductionError, InterfaceMismatch,
-                     LevelledBudgetExceeded, MiddleTermMismatch, Record,
-                     SideConditionViolated, UnknownHypothesis)
+from .errors import DeductionError, Record, TermcatError
 from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                      Factorization, KernelProof, KernelStep, Lemma, Refl,
                      Sym, Trans, TupleCong, constraints_equal)
@@ -113,20 +111,7 @@ def identity_factorization(constraints: Sequence[EqConstraint]
 
 def _require(cond: bool, detail: str):
     if not cond:
-        raise SideConditionViolated(detail)
-
-
-def check_rule(sig: Signature, premises: Sequence[Equation],
-               rule: RuleInstance, conclusion: Equation,
-               hypotheses: Sequence[Equation] | None = None) -> Factorization:
-    """Validate one rule application and produce its arrow-level coding:
-    the one-claim certificate of the conclusion from the premises (a
-    hypothesis's from itself)."""
-    proof = _code_rule(sig, premises, rule, conclusion, hypotheses)
-    concl_c = equation_constraint(conclusion)
-    prem_cs = ((concl_c,) if isinstance(rule, Hypothesis)
-               else tuple(map(equation_constraint, premises)))
-    return Factorization(prem_cs, (concl_c,), (), (proof,))
+        raise DeductionError(detail)
 
 
 def conclude(rule: RuleInstance, premises: Sequence[Equation],
@@ -136,7 +121,7 @@ def conclude(rule: RuleInstance, premises: Sequence[Equation],
     `hypotheses`): its two sides and its variables in canonical order.
     This is the one statement of what each rule concludes.  It checks no
     side condition, so the result need not form an equation, but a
-    substitution of another sort raises `SortMismatch`."""
+    substitution of another sort raises a `TermcatError`."""
     kind = type(rule)
     if kind is Hypothesis:
         h = hypotheses[rule.index]
@@ -158,7 +143,7 @@ def conclude(rule: RuleInstance, premises: Sequence[Equation],
         kept = tuple(v for v in p.vars if v != x)
         return (subst_expr(p.left, x, q.left), subst_expr(p.right, x, q.right),
                 ordered_vars(kept + q.vars))
-    raise SideConditionViolated(f"unknown rule {rule!r}")
+    raise DeductionError(f"unknown rule {rule!r}")
 
 
 def _code_rule(sig: Signature, premises: Sequence[Equation],
@@ -180,16 +165,16 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
 
     if kind is Hypothesis:
         if hypotheses is None or not 0 <= rule.index < len(hypotheses):
-            raise UnknownHypothesis(rule.index)
+            raise DeductionError(f"no hypothesis with index {rule.index}")
     elif kind is Transitivity:
         p2 = premises[1]
         _require(p.vars == p2.vars,
                  "transitivity premises must share the variable set")
         if p.sort != p2.sort:
-            raise MiddleTermMismatch(
+            raise DeductionError(
                 f"premises have different sorts: {p.sort} vs {p2.sort}")
         if p.right != p2.left:
-            raise MiddleTermMismatch(
+            raise DeductionError(
                 f"premises do not share a middle term: {p.right} vs {p2.left}")
     elif kind is Concretion:
         x = rule.var
@@ -208,8 +193,8 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
                  f"second premise has sort {p2.sort}, but {x} requires "
                  f"{x.sort}")
     if (c.left, c.right, c.vars) != conclude(rule, premises, hypotheses):
-        raise SideConditionViolated(f"{RULE_NAMES[kind]} conclusion "
-                                    "does not follow from the premises")
+        raise DeductionError(f"{RULE_NAMES[kind]} conclusion does not "
+                             "follow from the premises")
 
     if kind is Hypothesis:
         return (CiteHyp(0),)
@@ -221,7 +206,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
         return CiteHyp(0), CiteHyp(1), Trans(0, 1)
     if kind is Concretion or kind is Abstraction:
         # a concretion fills its one dropped variable, so an empty sort
-        # raises UninhabitedFill; an abstraction fills none
+        # raises a DeductionError; an abstraction fills none
         h = retyping_arrow(c.vars, p.vars, inhabited_sorts(sig)
                            if kind is Concretion else {})
         return CiteHyp(0), ComposeRight(h, 0)
@@ -332,7 +317,7 @@ def paste_factorizations(f1: Factorization,
     through to f2's claims."""
     if len(f1.claim) != len(f2.hyp) \
             or not all(map(constraints_equal, f1.claim, f2.hyp)):
-        raise InterfaceMismatch(
+        raise DeductionError(
             f"cannot paste: {len(f1.claim)} derived constraints vs "
             f"{len(f2.hyp)} assumed, or a constraint pair differs")
     verif: list[KernelProof] = []
@@ -379,7 +364,7 @@ def normalize_deduction(steps: Sequence[Step]) -> LevelledDeduction:
     level below their conclusion (copy steps fill gaps) and every
     intermediate equation feeds exactly one step of the next level (shared
     steps are duplicated).  Its entries are counted before any is built,
-    and more than MAX_LEVELLED raise LevelledBudgetExceeded."""
+    and more than MAX_LEVELLED raise a TermcatError."""
     # natural level: steps without premises at 0, every other step one
     # above its highest premise
     natural: list[int] = []
@@ -396,7 +381,7 @@ def normalize_deduction(steps: Sequence[Step]) -> LevelledDeduction:
                 below[i] = below.get(i, 0) + n
         uses = below
     if size > MAX_LEVELLED:
-        raise LevelledBudgetExceeded(
+        raise TermcatError(
             f"the levelled form would have {size} entries, over the limit "
             f"of {MAX_LEVELLED}")
 
@@ -470,8 +455,8 @@ def compile_to_factorization(ld: LevelledDeduction,
     """
     bad = normal_form_violations(ld)
     if bad:
-        raise SideConditionViolated("deduction is not in normal form: "
-                                    + "; ".join(bad))
+        raise DeductionError("deduction is not in normal form: "
+                             + "; ".join(bad))
     compiled = functools.cache(equation_constraint)
     hyp = tuple(map(compiled, hypotheses))
 

@@ -50,8 +50,7 @@ from typing import Callable, Optional
 from .deduction import (Abstraction, Concretion, Hypothesis, Reflexivity,
                         Step, Substitutivity, Symmetry, Transitivity,
                         conclude)
-from .errors import (DeductionError, DslSyntaxError, DuplicateSort,
-                     NameResolutionError, Record, SideConditionViolated,
+from .errors import (DeductionError, DslError, DuplicateSort, Record,
                      SignatureError, TermcatError)
 from .signature import (Signature, Sort, Variable, ordered_vars,
                         validate_signature)
@@ -91,7 +90,7 @@ def _scan(text: str) -> tuple[str, list[str]]:
     if EOF in tokens:
         (line, col), = _positions(text, tokens, (tokens.index(EOF),))
         char = text.split("\n")[line - 1][col - 1]
-        raise DslSyntaxError(f"unexpected character {char!r}", line, col)
+        raise DslError(f"unexpected character {char!r}", line, col)
     tokens.append(EOF)
     return text, tokens
 
@@ -128,20 +127,20 @@ def end_position(text: str) -> tuple[int, int]:
 
 
 class _Fault(Exception):
-    """An input error, raised as `kind` at the line and column of token
-    `at`, or of the `skip`-th name token after it, once the text is at
-    hand."""
+    """An input error, raised as a `DslError` at the line and column of
+    token `at`, or of the `skip`-th name token after it, once the text is
+    at hand."""
 
-    def __init__(self, kind: type, message: str, at: int, skip: int = 0):
+    def __init__(self, message: str, at: int, skip: int = 0):
         super().__init__(message)
-        self.kind, self.message, self.at, self.skip = kind, message, at, skip
+        self.message, self.at, self.skip = message, at, skip
 
-    def located(self, text: str, tokens: list[str]) -> TermcatError:
+    def located(self, text: str, tokens: list[str]) -> DslError:
         i, skip = self.at, self.skip
         while skip:
             i += 1
             skip -= tokens[i] not in _NOT_NAME
-        return self.kind(self.message, *_positions(text, tokens, (i,))[0])
+        return DslError(self.message, *_positions(text, tokens, (i,))[0])
 
 
 # --- raw syntax ----------------------------------------------------------------
@@ -254,8 +253,7 @@ class _Cited(Sequence):
 
 def _expected(kind: str, tokens: list[str], i: int) -> _Fault:
     tok = tokens[i]
-    return _Fault(DslSyntaxError,
-                  f"expected {kind}, found {_SHOWN.get(tok, tok)!r}", i)
+    return _Fault(f"expected {kind}, found {_SHOWN.get(tok, tok)!r}", i)
 
 
 class _Parser:
@@ -282,8 +280,7 @@ class _Parser:
     def end_line(self) -> None:
         tok = self.tokens[self.pos]
         if tok != "\n" and tok != EOF:
-            raise _Fault(DslSyntaxError,
-                         f"unexpected {tok!r} at end of statement", self.pos)
+            raise _Fault(f"unexpected {tok!r} at end of statement", self.pos)
         self.pos += 1
 
     def names_until(self, stops: tuple[str, ...]) -> list[str]:
@@ -293,8 +290,7 @@ class _Parser:
             i += 1
         if tokens[i] not in stops:
             tok = tokens[i]
-            raise _Fault(DslSyntaxError, f"unexpected {_SHOWN.get(tok, tok)!r}",
-                         i)
+            raise _Fault(f"unexpected {_SHOWN.get(tok, tok)!r}", i)
         self.pos = i
         return tokens[start:i]
 
@@ -381,13 +377,11 @@ def _parse_raw(tokens: list[str]):
             break
         p.pos += 1
         if word in _NOT_NAME:
-            raise _Fault(DslSyntaxError,
-                         f"expected a statement, found {word!r}", at)
+            raise _Fault(f"expected a statement, found {word!r}", at)
         if word == "sort":
             names = p.names_until(("\n", EOF))
             if not names:
-                raise _Fault(DslSyntaxError, "sort statement names no sorts",
-                             at)
+                raise _Fault("sort statement names no sorts", at)
             sort_names.extend(names)
             sort_at.extend(range(at + 1, p.pos))
             p.end_line()
@@ -419,7 +413,7 @@ def _parse_raw(tokens: list[str]):
         elif word == "proof":
             proofs.append(_parse_proof(p, at))
         else:
-            raise _Fault(DslSyntaxError, f"unknown statement {word!r}", at)
+            raise _Fault(f"unknown statement {word!r}", at)
     return (tuple(sort_names), tuple(op_decls), tuple(term_decls),
             tuple(eq_decls), tuple(proofs), sort_at, op_at)
 
@@ -430,7 +424,7 @@ def _parse_proof(p: _Parser, at: int) -> ProofDef:
     name = p.name()
     from_at = p.pos
     if p.name() != "from":
-        raise _Fault(DslSyntaxError, "expected 'from'", from_at)
+        raise _Fault("expected 'from'", from_at)
     hyps = tuple(p.names_until(("{",)))
     p.expect("{")
     steps: list[StepDef] = []
@@ -469,12 +463,12 @@ def _parse_proof(p: _Parser, at: int) -> ProofDef:
             var_name = p.name()
             refs = (first, p.name())
         else:
-            raise _Fault(DslSyntaxError, f"unknown rule {kind!r}", rule_at)
+            raise _Fault(f"unknown rule {kind!r}", rule_at)
         p.expect(";")
         steps.append(StepDef(sname, kind, eq_name, refs, var_name, sort_name,
                              bracket, expr, step_at))
     if not steps:
-        raise _Fault(DslSyntaxError, f"proof {name!r} has no steps", name_at)
+        raise _Fault(f"proof {name!r} has no steps", name_at)
     return ProofDef(name, hyps, tuple(steps), at)
 
 
@@ -490,15 +484,13 @@ def _bind_bracket(sig: Signature, bracket: Bracket, at: int
     per_sort: dict[str, int] = {}  # by sort name, which names one sort
     for vname, sname in bracket:
         if vname in binding:
-            raise _Fault(NameResolutionError,
-                         f"variable {vname!r} declared twice in one bracket",
+            raise _Fault(f"variable {vname!r} declared twice in one bracket",
                          at)
         if vname in sig.operation_named:
-            raise _Fault(NameResolutionError,
-                         f"variable {vname!r} shadows an operation", at)
+            raise _Fault(f"variable {vname!r} shadows an operation", at)
         sort = sig.sort_named.get(sname)
         if sort is None:
-            raise _Fault(NameResolutionError, f"unknown sort {sname!r}", at)
+            raise _Fault(f"unknown sort {sname!r}", at)
         num = per_sort[sname] = per_sort.get(sname, 0) + 1
         binding[vname] = Variable(sort, num)
     return binding, ordered_vars(binding.values())
@@ -531,18 +523,15 @@ def _elaborate(sig: Signature, binding: dict[str, Variable], raw: RawExpr,
                 if e is None:
                     op = ops.get(name)
                     if op is None:
-                        raise _Fault(NameResolutionError,
-                                     f"unknown name {name!r}", at, skip + k)
+                        raise _Fault(f"unknown name {name!r}", at, skip + k)
                     if op.inputs:
-                        raise _Fault(DslSyntaxError,
-                                     f"operation {name!r} takes arguments",
+                        raise _Fault(f"operation {name!r} takes arguments",
                                      at, skip + k)
                     e = App(op, ())
             else:
                 op = ops.get(name)
                 if op is None:
-                    raise _Fault(NameResolutionError,
-                                 f"unknown operation {name!r}", at, skip + k)
+                    raise _Fault(f"unknown operation {name!r}", at, skip + k)
                 if argc:
                     calls.append((op, len(done), k, need))
                     need = argc
@@ -558,7 +547,7 @@ def _elaborate(sig: Signature, binding: dict[str, Variable], raw: RawExpr,
                 done.append(App(op, args))
                 need -= 1
     except TermcatError as exc:
-        raise _Fault(DslSyntaxError, str(exc), at, skip + entry) from None
+        raise _Fault(str(exc), at, skip + entry) from None
     return done[0]
 
 
@@ -601,7 +590,7 @@ def _equation(sig: Signature, binding: dict[str, Variable],
     try:
         return Equation(left, right, vs)
     except TermcatError as exc:
-        raise _Fault(DslSyntaxError, str(exc), ed.at)
+        raise _Fault(str(exc), ed.at)
 
 
 def parse_spec(text: str) -> SpecFile:
@@ -621,9 +610,9 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
     try:
         sig = validate_signature(sort_names, op_decls)
     except DuplicateSort as exc:
-        raise _Fault(DslSyntaxError, str(exc), sort_at[exc.index])
+        raise _Fault(str(exc), sort_at[exc.index])
     except SignatureError as exc:
-        raise _Fault(DslSyntaxError, str(exc), op_at[exc.index])
+        raise _Fault(str(exc), op_at[exc.index])
 
     # declarations repeat their brackets, so each distinct bracket is bound
     # once; the bindings are shared and never changed
@@ -640,8 +629,7 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
     term_bindings: dict[str, dict[str, Variable]] = {}
     for td in term_decls:
         if td.name in terms:
-            raise _Fault(NameResolutionError,
-                         f"term {td.name!r} declared twice", td.at)
+            raise _Fault(f"term {td.name!r} declared twice", td.at)
         binding, vs = bind(td.bracket, td.at)
         terms[td.name] = args = (sig, binding, vs, td)
         if _sort_of(sig, binding, td.expr) is None:
@@ -651,8 +639,7 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
     eq_bindings: dict[str, dict[str, Variable]] = {}
     for ed in eq_decls:
         if ed.name in equations:
-            raise _Fault(NameResolutionError,
-                         f"equation {ed.name!r} declared twice", ed.at)
+            raise _Fault(f"equation {ed.name!r} declared twice", ed.at)
         binding, vs = bind(ed.bracket, ed.at)
         equations[ed.name] = args = (sig, binding, vs, ed)
         sort = _sort_of(sig, binding, ed.left)
@@ -663,28 +650,22 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
     seen_proofs: set[str] = set()
     for proof in proofs:
         if proof.name in seen_proofs:
-            raise _Fault(NameResolutionError,
-                         f"proof {proof.name!r} declared twice", proof.at)
+            raise _Fault(f"proof {proof.name!r} declared twice", proof.at)
         seen_proofs.add(proof.name)
         known: set[str] = set()
         for s in proof.steps:
             if s.name in known:
-                raise _Fault(NameResolutionError,
-                             f"step {s.name!r} declared twice", s.at)
+                raise _Fault(f"step {s.name!r} declared twice", s.at)
             if s.rule == "hyp" and s.eq_name not in proof.hypotheses:
-                raise _Fault(NameResolutionError,
-                             f"step cites {s.eq_name!r}, which is not among "
+                raise _Fault(f"step cites {s.eq_name!r}, which is not among "
                              "the proof's hypotheses", s.at)
             for ref in s.steps:
                 if ref not in known:
-                    raise _Fault(NameResolutionError,
-                                 f"step references unknown step {ref!r}",
-                                 s.at)
+                    raise _Fault(f"step references unknown step {ref!r}", s.at)
             known.add(s.name)
         for h in proof.hypotheses:
             if h not in equations:
-                raise _Fault(NameResolutionError,
-                             f"proof {proof.name!r} cites undefined equation "
+                raise _Fault(f"proof {proof.name!r} cites undefined equation "
                              f"{h!r}", proof.at)
     return SpecFile(sig, sort_names, op_decls, term_decls, eq_decls, proofs,
                     _OnDemand(_term, terms), _OnDemand(_equation, equations),
@@ -708,12 +689,10 @@ def _merge_names(a: dict[str, Optional[Variable]],
 def _resolve_var(names: dict[str, Optional[Variable]], name: str,
                  step: StepDef) -> Variable:
     if name not in names:
-        raise _Fault(NameResolutionError, f"unknown variable {name!r}",
-                     step.at)
+        raise _Fault(f"unknown variable {name!r}", step.at)
     v = names[name]
     if v is None:
-        raise _Fault(NameResolutionError,
-                     f"variable name {name!r} is ambiguous here", step.at)
+        raise _Fault(f"variable name {name!r} is ambiguous here", step.at)
     return v
 
 
@@ -750,7 +729,7 @@ def build_proof(sf: SpecFile, proof: ProofDef
             except TermcatError as exc:
                 # a conclusion failed to form: the rule application is
                 # invalid
-                err = SideConditionViolated(str(exc))
+                err = DeductionError(str(exc))
                 err.step = k
                 raise err from exc
             steps.append(Step(eq, rule, cites))
@@ -792,8 +771,7 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
         vs = premises[0].vars
         sort = sig.sort_named.get(s.sort_name)
         if sort is None:
-            raise _Fault(NameResolutionError, f"unknown sort {s.sort_name!r}",
-                         s.at)
+            raise _Fault(f"unknown sort {s.sort_name!r}", s.at)
         x = names.get(s.var_name)
         if x is None or x.sort != sort or x in vs:
             num = 1

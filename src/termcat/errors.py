@@ -64,15 +64,14 @@ class Record:
 
 
 class TermcatError(Exception):
-    """Base class for every error this package raises on bad input."""
+    """Base class for every error this package raises on bad input; the
+    CLI exits with 2 on one that is not a `DeductionError`."""
 
-
-# --- signature validation ---------------------------------------------------
 
 class SignatureError(TermcatError):
-    """A malformed signature; `index` is the 0-based position of the
-    offending entry in the sort list (DuplicateSort) or in the operation
-    list (the others)."""
+    """A malformed operation declaration, or a `DuplicateSort`; `index` is
+    the 0-based position of the offending entry in the operation list, or
+    in the sort list."""
 
     def __init__(self, message: str, index: int):
         super().__init__(message)
@@ -80,48 +79,12 @@ class SignatureError(TermcatError):
 
 
 class DuplicateSort(SignatureError):
-    pass
+    """A sort declared twice."""
 
-
-class DuplicateOperation(SignatureError):
-    pass
-
-
-class UnknownSortInArity(SignatureError):
-    pass
-
-
-# --- expressions, terms, equations ------------------------------------------
-
-class ArityMismatch(TermcatError):
-    pass
-
-
-class SortMismatch(TermcatError):
-    """A sort disagreement; `position` is the 1-based argument slot if any."""
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
-
-
-class MissingVariables(TermcatError):
-    def __init__(self, message: str, variables=()):
-        super().__init__(message)
-        self.variables = tuple(variables)
-
-
-class TypeDisagrees(TermcatError):
-    pass
-
-
-# --- arrows -------------------------------------------------------------------
 
 class EndpointMismatch(TermcatError):
-    pass
+    """Two arrows whose endpoints do not fit together."""
 
-
-# --- deduction ----------------------------------------------------------------
 
 class DeductionError(TermcatError):
     """A deduction step failed to check; maps to exit code 1 in the CLI.
@@ -130,49 +93,6 @@ class DeductionError(TermcatError):
     step: int | None = None
 
 
-class SideConditionViolated(DeductionError):
-    pass
-
-
-class MiddleTermMismatch(DeductionError):
-    pass
-
-
-class UnknownHypothesis(DeductionError):
-    def __init__(self, index: int):
-        super().__init__(f"no hypothesis with index {index}")
-        self.index = index
-
-
-class InterfaceMismatch(DeductionError):
-    pass
-
-
-class LevelledBudgetExceeded(TermcatError):
-    """A deduction's levelled form would hold more than MAX_LEVELLED
-    entries."""
-
-
-class UninhabitedFill(DeductionError):
-    """A retyping map needed a global element of an empty sort."""
-
-    def __init__(self, sort):
-        super().__init__(f"sort {sort} is empty; no closed filler exists")
-        self.sort = sort
-
-
-# --- finite models --------------------------------------------------------------
-
-class CarrierOutOfRange(TermcatError):
-    pass
-
-
-class ModelBudgetExceeded(TermcatError):
-    """A counterexample search visited MAX_MODELS models and more remain."""
-
-
-# --- DSL front end ---------------------------------------------------------------
-
 class DslError(TermcatError):
     """Parse-time error carrying a (line, column) location."""
 
@@ -180,11 +100,3 @@ class DslError(TermcatError):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
-
-
-class DslSyntaxError(DslError):
-    pass
-
-
-class NameResolutionError(DslError):
-    pass

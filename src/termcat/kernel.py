@@ -39,7 +39,7 @@ from typing import Sequence, Union
 
 from .arrows import (Comp, FPArrow, Gen, Proj, TupleArrow, arrows_equal,
                      flat_product)
-from .errors import EndpointMismatch, Record, SideConditionViolated
+from .errors import DeductionError, EndpointMismatch, Record
 from .signature import Variable
 
 _set = object.__setattr__
@@ -121,7 +121,7 @@ class Factorization(Record):
                  wksp: tuple[EqConstraint, ...],
                  verif: tuple[KernelProof, ...]):
         if len(verif) != len(claim):
-            raise SideConditionViolated(
+            raise DeductionError(
                 "verification must carry one kernel proof per claim")
         Record.__init__(self, hyp, claim, wksp, verif)
 

@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Iterator
 
-from .errors import CarrierOutOfRange, ModelBudgetExceeded, Record
+from .errors import Record, TermcatError
 from .signature import Operation, Signature, Sort, Variable, ordered_vars
 from .terms import Equation, Expression, var_list
 
@@ -66,9 +66,9 @@ def _carrier_sizes(sig: Signature, max_size: int):
     """Every carrier-size assignment with sizes 1..max_size,
     lexicographically."""
     if max_size < 1:
-        raise CarrierOutOfRange(f"carrier bound {max_size} is below 1")
+        raise TermcatError(f"carrier bound {max_size} is below 1")
     if max_size > MAX_CARRIER:
-        raise CarrierOutOfRange(
+        raise TermcatError(
             f"carrier bound {max_size} exceeds the limit {MAX_CARRIER}")
     for sizes_tuple in itertools.product(range(1, max_size + 1),
                                          repeat=len(sig.sorts)):
@@ -150,7 +150,7 @@ def find_counterexample(sig: Signature, eq: Equation, max_size: int):
     falsifying reduct model, extended with size 1, all-zero tables and the
     value 0, is the first falsifying model of `enumerate_models(sig)`, and
     its first falsifying assignment is the first in carrier order.  The
-    search gives up with ModelBudgetExceeded after MAX_MODELS reduct models.
+    search gives up with a TermcatError after MAX_MODELS reduct models.
     """
     occurring = ordered_vars(var_list(eq.left) + var_list(eq.right))
     steps, left, right = _column_program(eq, occurring)
@@ -164,7 +164,7 @@ def find_counterexample(sig: Signature, eq: Equation, max_size: int):
     sizes = None
     for visited, model in enumerate(enumerate_models(reduct, max_size)):
         if visited == MAX_MODELS:
-            raise ModelBudgetExceeded(
+            raise TermcatError(
                 f"oracle search stopped after {visited} models without a "
                 f"counterexample: the equation's operations and sorts have "
                 f"{count_models(reduct, max_size)} models with carriers <= "

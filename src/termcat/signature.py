@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import (DuplicateOperation, DuplicateSort, Record,
-                     UnknownSortInArity)
+from .errors import DuplicateSort, Record, SignatureError
 
 
 _set = object.__setattr__
@@ -127,11 +126,11 @@ def validate_signature(
     op_seen: set[str] = set()
     for i, (name, inputs, output) in enumerate(op_decls):
         if name in op_seen:
-            raise DuplicateOperation(f"operation {name!r} declared twice", i)
+            raise SignatureError(f"operation {name!r} declared twice", i)
         op_seen.add(name)
         for sn in tuple(inputs) + (output,):
             if sn not in by_name:
-                raise UnknownSortInArity(
+                raise SignatureError(
                     f"operation {name!r} mentions unknown sort {sn!r}", i)
         ops.append(Operation(name, tuple(by_name[sn] for sn in inputs),
                              by_name[output]))

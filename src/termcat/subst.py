@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .arrows import FPArrow, Comp, TupleArrow, context_arrow, term_arrow
-from .errors import MissingVariables, Record, SortMismatch, UninhabitedFill
+from .errors import DeductionError, Record, TermcatError
 from .signature import Sort, Variable, ordered_vars
 from .terms import App, Expression, Term
 
@@ -22,11 +22,10 @@ class SubstInstance(Record):
 
     def __init__(self, target: Term, var: Variable, replacement: Term):
         if var not in target.vars:
-            raise MissingVariables(
-                f"{var} is not among the target term's variables",
-                variables=(var,))
+            raise TermcatError(
+                f"{var} is not among the target term's variables")
         if replacement.sort != var.sort:
-            raise SortMismatch(
+            raise TermcatError(
                 f"cannot substitute a term of sort {replacement.sort} "
                 f"for {var}")
         Record.__init__(self, target, var, replacement)
@@ -42,7 +41,7 @@ class SubstInstance(Record):
 def subst_expr(e: Expression, x: Variable, u: Expression) -> Expression:
     """Replace every occurrence of `x` in `e` by `u`."""
     if u.sort != x.sort:
-        raise SortMismatch(
+        raise TermcatError(
             f"cannot substitute an expression of sort {u.sort} for {x}")
     if isinstance(e, Variable):
         return u if e == x else e
@@ -95,6 +94,7 @@ def retyping_arrow(source_vars, target_vars,
         if v not in shared:
             w = witnesses.get(v.sort)
             if w is None:
-                raise UninhabitedFill(v.sort)
+                raise DeductionError(
+                    f"sort {v.sort} is empty; no closed filler exists")
             fill[v] = term_arrow(w, source)
     return context_arrow(source, target, fill)

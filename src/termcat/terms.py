@@ -10,10 +10,9 @@ variable set.  Every inhabited sort has a canonical closed witness.
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Union
 
-from .errors import (ArityMismatch, MissingVariables, Record, SortMismatch,
-                     TypeDisagrees)
+from .errors import Record, TermcatError
 from .signature import Operation, Signature, Sort, Variable, ordered_vars
 
 _set = object.__setattr__
@@ -32,7 +31,7 @@ class App(Record):
         if type(args) is not tuple:
             args = tuple(args)
         if len(args) != len(inputs):
-            raise ArityMismatch(
+            raise TermcatError(
                 f"{op.name} expects {len(inputs)} arguments, "
                 f"got {len(args)}")
         for arg, want in zip(args, inputs):
@@ -42,17 +41,35 @@ class App(Record):
             if got is not want and got != want:
                 i = next(i for i, (a, w) in enumerate(zip(args, inputs), 1)
                          if a.sort != w)
-                raise SortMismatch(
+                raise TermcatError(
                     f"argument {i} of {op.name} has sort {got}, "
-                    f"expected {want}", position=i)
+                    f"expected {want}")
         _set(self, "op", op)
         _set(self, "args", args)
         _set(self, "sort", op.output)
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.op.name
-        return f"{self.op.name}({', '.join(str(a) for a in self.args)})"
+        # an explicit stack of what is still to write, so an expression of
+        # any depth prints
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is App:
+                args = x.args
+                if not args:
+                    out.append(x.op.name)
+                    continue
+                out.append(x.op.name + "(")
+                stack.append(")")
+                for a in args[:0:-1]:
+                    stack += (a, ", ")
+                stack.append(args[0])
+            elif type(x) is str:
+                out.append(x)
+            else:
+                out.append(str(x))
+        return "".join(out)
 
 
 Expression = Union[Variable, App]
@@ -99,14 +116,6 @@ def var_set(e: Expression) -> tuple[Variable, ...]:
     return ordered_vars(var_list(e))
 
 
-def type_list(e: Expression) -> tuple[Sort, ...]:
-    return tuple(v.sort for v in var_list(e))
-
-
-def type_set(e: Expression) -> tuple[Sort, ...]:
-    return tuple(sorted(set(type_list(e)), key=lambda s: s.index))
-
-
 def _canonical(vs: tuple[Variable, ...]) -> bool:
     """Whether `vs` is what `ordered_vars` makes of it: a tuple whose
     (sort index, subscript) keys strictly increase."""
@@ -145,14 +154,14 @@ class Term(Record):
     def __init__(self, expr: Expression, vars: tuple[Variable, ...],
                  sort: Sort):
         if not _canonical(vars):
-            raise TypeDisagrees("term variable set is not in canonical order")
+            raise TermcatError("term variable set is not in canonical order")
         missing = _omitted(vars, expr)
         if missing:
-            raise MissingVariables(
+            raise TermcatError(
                 "term omits variables occurring in its expression: "
-                + ", ".join(str(v) for v in missing), variables=missing)
+                + ", ".join(str(v) for v in missing))
         if expr.sort is not sort and expr.sort != sort:
-            raise TypeDisagrees(
+            raise TermcatError(
                 f"stated sort {sort} disagrees with expression sort "
                 f"{expr.sort}")
         _set(self, "expr", expr)
@@ -164,26 +173,22 @@ class Term(Record):
         return f"({self.expr} | {{{vs}}} : {self.sort})"
 
 
-def make_term(e: Expression, vs: Iterable[Variable], sort: Sort) -> Term:
-    return Term(e, ordered_vars(vs), sort)
-
-
 class Equation(Record):
     __slots__ = ("left", "right", "vars")
 
     def __init__(self, left: Expression, right: Expression,
                  vars: tuple[Variable, ...]):
         if left.sort is not right.sort and left.sort != right.sort:
-            raise SortMismatch(
+            raise TermcatError(
                 f"equation sides have sorts {left.sort} and {right.sort}")
         if not _canonical(vars):
-            raise TypeDisagrees(
+            raise TermcatError(
                 "equation variable set is not in canonical order")
         missing = _omitted(vars, left, right)
         if missing:
-            raise MissingVariables(
+            raise TermcatError(
                 "equation omits variables occurring in its sides: "
-                + ", ".join(str(v) for v in missing), variables=missing)
+                + ", ".join(str(v) for v in missing))
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "vars", vars)
@@ -195,8 +200,3 @@ class Equation(Record):
     def __str__(self) -> str:
         vs = ", ".join(str(v) for v in self.vars)
         return f"{self.left} = {self.right}  [{vs}]"
-
-
-def make_equation(left: Expression, right: Expression,
-                  vs: Iterable[Variable]) -> Equation:
-    return Equation(left, right, ordered_vars(vs))

@@ -1,23 +1,30 @@
 """Shared concrete signatures, variable helpers and the certificate route
-for the tests, and the helpers only tests call: normal forms back to
-arrows, most concrete terms and equations, the reference evaluation of
+for the tests, and the helpers only tests call: the exact-error check,
+terms, equations and rule codings from loose arguments, normal forms back
+to arrows, most concrete terms and equations, the reference evaluation of
 expressions and arrows in finite models, random finite models and a random
 search for a model that separates two arrows, and the .msl printer."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
+
+import pytest
 
 from termcat.arrows import (Comp, FPArrow, FPObject, Gen, GenApp, Id, Leaf,
                             NormalArrow, NormalBody, Path, Proj, TupleArrow)
-from termcat.deduction import (compile_to_factorization, lemma_table,
+from termcat.deduction import (Hypothesis, Step, compile_to_factorization,
+                               equation_constraint, lemma_table,
                                normalize_deduction)
 from termcat.dsl import Bracket, RawExpr, SpecFile
+from termcat.kernel import Factorization
 from termcat.models import FiniteModel
-from termcat.signature import Signature, Sort, Variable, validate_signature
-from termcat.terms import Equation, Expression, Term, make_equation, var_set
+from termcat.signature import (Signature, Sort, Variable, ordered_vars,
+                               validate_signature)
+from termcat.terms import Equation, Expression, Term, var_list, var_set
 
 
 def running_signature() -> Signature:
@@ -58,11 +65,66 @@ def replace(record, **changes):
                           for f in record._fields))
 
 
+@contextlib.contextmanager
+def raises_exactly(cls: type, message: str):
+    """`pytest.raises` for an error of exactly the class `cls`, not a
+    subclass, whose message is exactly `message`."""
+    with pytest.raises(cls) as info:
+        yield info
+    assert type(info.value) is cls, info.value
+    assert str(info.value) == message
+
+
 def certify(sig: Signature, steps, hyps):
     """The certificate `check-proof --levelled` builds: the lemma table,
     the levelled form, then the assembly from the lemmas' codings."""
     return compile_to_factorization(normalize_deduction(steps),
                                     lemma_table(sig, steps, hyps), hyps)
+
+
+def check_rule(sig: Signature, premises: Sequence[Equation], rule,
+               conclusion: Equation,
+               hypotheses: Sequence[Equation] | None = None) -> Factorization:
+    """One rule application, checked by `lemma_table` as the last step of a
+    deduction whose earlier steps cite the premises as hypotheses, and its
+    coding as the one-claim certificate of the conclusion from the premises
+    (a hypothesis's from itself).  A failure is the step's own error."""
+    hyps = tuple(premises) + tuple(hypotheses or ())
+    steps = [Step(p, Hypothesis(i), ()) for i, p in enumerate(premises)]
+    steps.append(Step(conclusion, rule, tuple(range(len(premises)))))
+    proof = lemma_table(sig, steps, hyps)[-1].proof
+    concl_c = equation_constraint(conclusion)
+    prem_cs = ((concl_c,) if isinstance(rule, Hypothesis)
+               else tuple(map(equation_constraint, premises)))
+    return Factorization(prem_cs, (concl_c,), (), (proof,))
+
+
+# --- terms and equations from loose arguments ----------------------------------
+
+
+def make_term(e: Expression, vs: Iterable[Variable], sort: Sort) -> Term:
+    """The term over `e` whose variable set is `vs` put in canonical order."""
+    return Term(e, ordered_vars(vs), sort)
+
+
+def make_equation(left: Expression, right: Expression,
+                  vs: Iterable[Variable]) -> Equation:
+    return Equation(left, right, ordered_vars(vs))
+
+
+def type_list(e: Expression) -> tuple[Sort, ...]:
+    """The sorts of `e`'s variables, in order of appearance, repeated."""
+    return tuple(x.sort for x in var_list(e))
+
+
+def type_set(e: Expression) -> tuple[Sort, ...]:
+    """The distinct sorts of `e`'s variables, by sort index."""
+    return tuple(sorted(set(type_list(e)), key=lambda s: s.index))
+
+
+def bang(src: FPObject) -> TupleArrow:
+    """The unique arrow into the terminal object: the empty tuple."""
+    return TupleArrow(src, ())
 
 
 # --- normal forms back to arrows ----------------------------------------------
@@ -106,7 +168,7 @@ def most_concrete_term(e: Expression) -> Term:
 
 
 def most_concrete_equation(left: Expression, right: Expression) -> Equation:
-    return make_equation(left, right, var_set(left) + var_set(right))
+    return Equation(left, right, ordered_vars(var_set(left) + var_set(right)))
 
 
 # --- reference evaluation in finite models -----------------------------------------

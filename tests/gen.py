@@ -13,8 +13,9 @@ from termcat.deduction import (Abstraction, Concretion, Hypothesis,
 from termcat.signature import (Signature, Sort, Variable, ordered_vars,
                                validate_signature)
 from termcat.subst import SubstInstance, subst_expr
+from fixtures import make_equation, make_term
 from termcat.terms import (App, Equation, Expression, Term, inhabited_sorts,
-                           make_equation, make_term, var_set)
+                           var_set)
 
 SORT_NAMES = ["s1", "s2", "s3", "s4"]
 OP_NAMES = ["f", "g", "h", "k", "m", "n"]

@@ -10,20 +10,21 @@ from pathlib import Path as FilePath
 import pytest
 
 import fixtures
-from fixtures import (embed, most_concrete_term, running_signature,
-                      subst_signature, v)
+from fixtures import (bang, embed, make_equation, make_term,
+                      most_concrete_term, running_signature, subst_signature,
+                      v)
 from gen import gen_equation, gen_signature, gen_term
 from termcat import arrows, models
 from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NTuple, Path, Prod,
                             Proj, TERMINAL, TupleArrow, apply_arrow,
-                            arrows_equal, bang, equation_arrows,
+                            arrows_equal, equation_arrows,
                             flat_product, input_product, normalize,
                             occurrence_arrow, product_of_arrows,
                             regroup_arrow, term_arrow, term_normal)
 from termcat.dsl import parse_spec
 from termcat.errors import EndpointMismatch
 from termcat.signature import Variable, validate_signature
-from termcat.terms import App, make_equation, make_term, var_list, var_set
+from termcat.terms import App, var_list, var_set
 
 
 def worked_term(sig):

@@ -17,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import termcat
+from fixtures import raises_exactly
 from termcat import arrows, cli, dsl
 from termcat.cli import json_text, run
 from termcat.dsl import parse_spec
+from termcat.errors import TermcatError
 from termcat.terms import App
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -343,7 +345,6 @@ def test_the_levelled_form_has_a_budget(tmp_path, capsys):
     # 49,151 at k = 13 fit in MAX_LEVELLED, 98,303 at k = 14 do not, and
     # the count is made before anything is built
     from termcat import deduction
-    from termcat.errors import LevelledBudgetExceeded
     assert deduction.MAX_LEVELLED == 65_536
     sf = parse_spec(_UNITS + _dag_proof(13))
     steps, _ = dsl.build_proof(sf, sf.proof("dag"))
@@ -351,9 +352,8 @@ def test_the_levelled_form_has_a_budget(tmp_path, capsys):
     assert sum(len(level) for level in ld.levels) == 49151
     sf = parse_spec(_UNITS + _dag_proof(14))
     steps, _ = dsl.build_proof(sf, sf.proof("dag"))
-    with pytest.raises(LevelledBudgetExceeded,
-                       match="^the levelled form would have 98303 entries, "
-                             "over the limit of 65536$"):
+    with raises_exactly(TermcatError, "the levelled form would have 98303 "
+                        "entries, over the limit of 65536"):
         deduction.normalize_deduction(steps)
     # at k = 30 both levelled commands stop at once with an input error,
     # while the lemma table, one lemma per step, still checks the proof
@@ -706,6 +706,28 @@ def test_front_end_takes_deep_input(tmp_path, capsys):
     code, out, err = outputs[0]
     assert (code, err) == (0, "")
     assert out.endswith("cones:\n  vertex (s): p1: (s) -> s\n")
+
+
+def test_check_proof_takes_a_deep_conclusion(tmp_path, capsys):
+    # the lemma-table route has no recursion from the text to the verdict,
+    # and an expression prints without recursion, so default check-proof
+    # proves a 5,000-deep tower by hyp and sym; its output differs from the
+    # 1-deep tower's only in the conclusion
+    lines = {}
+    for depth in (1, 5000):
+        tower = _tower(depth)
+        f = tmp_path / f"deep{depth}.msl"
+        f.write_text(f"sort s\nop i : s -> s\n"
+                     f"eq h [x:s] : {tower} = {tower}\n"
+                     "proof p from h {\n  a = hyp h ;\n  b = sym a ;\n}\n")
+        assert run(["check-proof", "--proof", "p", str(f)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines[depth] = out.split("\n")
+        side = tower.replace("x", "x1:s")
+        assert lines[depth][:2] == ["proof p: VALID",
+                                    f"  conclusion: {side} = {side}  [x1:s]"]
+    assert lines[5000][2:] == lines[1][2:]
 
 
 _READ_ONLY_GOOD = """\

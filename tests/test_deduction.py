@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import (binary_signature, certify, replace, satisfies,
+from fixtures import (binary_signature, certify, check_rule, make_equation,
+                      make_term, raises_exactly, replace, satisfies,
                       unary_signature)
 from gen import gen_deduction, gen_equation, gen_expression
 from termcat import deduction, kernel, subst
@@ -15,23 +16,21 @@ from termcat.arrows import arrows_equal, term_arrow
 from termcat.deduction import (RULE_NAMES, Abstraction, Concretion, Copy,
                                Hypothesis, LevelledDeduction, LevelStep,
                                Reflexivity, Step, Substitutivity, Symmetry,
-                               Transitivity, check_rule,
-                               compile_to_factorization, conclude,
-                               equation_constraint, identity_factorization,
+                               Transitivity, compile_to_factorization,
+                               conclude, equation_constraint,
+                               identity_factorization,
                                lemma_table, normal_form_violations,
                                normalize_deduction, paste_factorizations,
                                product_factorizations)
 from termcat.dsl import build_proof, parse_spec
-from termcat.errors import (DeductionError, InterfaceMismatch,
-                            MiddleTermMismatch, SideConditionViolated,
-                            TermcatError, UninhabitedFill, UnknownHypothesis)
+from termcat.errors import DeductionError, TermcatError
 from termcat.kernel import (CiteHyp, ComposeRight, EqConstraint, Factorization,
                             Refl, Sym, Trans, verify_factorization,
                             verify_lemmas)
 from termcat.models import enumerate_models
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_expr
-from termcat.terms import App, Equation, make_equation, make_term
+from termcat.terms import App, Equation
 
 
 def _setup():
@@ -61,7 +60,8 @@ def test_reflexivity_coding():
 def test_reflexivity_rejects_wrong_conclusion():
     sig, s, x, y, m, c, comm, lunit = _setup()
     t = make_term(x, (x,), s)
-    with pytest.raises(SideConditionViolated):
+    with raises_exactly(DeductionError, "refl conclusion does not follow "
+                        "from the premises"):
         check_rule(sig, (), Reflexivity(t),
                    make_equation(x, x, (x, y)))
 
@@ -83,7 +83,8 @@ def test_transitivity_coding_and_middle_check():
 
     other = make_equation(x, y, (x, y))
     sym_other = make_equation(y, x, (x, y))
-    with pytest.raises(MiddleTermMismatch):
+    with raises_exactly(DeductionError, "premises do not share a middle "
+                        "term: m(x2:s, x1:s) vs x2:s"):
         check_rule(sig, (comm, sym_other), Transitivity(),
                    make_equation(comm.left, x, (x, y)))
     del other
@@ -107,18 +108,20 @@ def test_concretion_requires_inhabited_sort():
     x, z = Variable(s, 1), Variable(t, 1)
     eq = make_equation(x, x, (x, z))
     concl = make_equation(x, x, (x,))
-    with pytest.raises(UninhabitedFill):
+    with raises_exactly(DeductionError, "sort t is empty; no closed filler "
+                        "exists"):
         check_rule(sig, (eq,), Concretion(z), concl)
 
 
 def test_concretion_rejects_occurring_variable():
     sig, s, x, y, m, c, comm, lunit = _setup()
     # the narrowed equation cannot even be formed once x occurs in a side
-    from termcat.errors import MissingVariables
-    with pytest.raises(MissingVariables):
+    with raises_exactly(TermcatError, "equation omits variables occurring "
+                        "in its sides: x1:s"):
         make_equation(comm.left, comm.right, (y,))
     # and a conclusion that fails to drop the variable is rejected
-    with pytest.raises(SideConditionViolated):
+    with raises_exactly(DeductionError, "x1:s occurs in the equation and "
+                        "cannot be removed"):
         check_rule(sig, (comm,), Concretion(x), comm)
 
 
@@ -128,7 +131,8 @@ def test_abstraction_coding_and_x_in_v_rejection():
     grown = make_equation(comm.left, comm.right, (x, y, z))
     step = check_rule(sig, (comm,), Abstraction(z), grown)
     assert verify_factorization(step).ok
-    with pytest.raises(SideConditionViolated):
+    with raises_exactly(DeductionError, "x1:s already occurs among the "
+                        "premise variables"):
         check_rule(sig, (comm,), Abstraction(x), grown)
 
 
@@ -153,7 +157,8 @@ def test_substitutivity_rejects_wrong_sort():
     sig2 = validate_signature(["a", "b"], [("f", ["a"], "b")])
     a = Variable(sig2.sort("a"), 1)
     prem2 = make_equation(a, a, (a,))
-    with pytest.raises(SideConditionViolated):
+    with raises_exactly(DeductionError, "second premise has sort a, but "
+                        "x1:s requires s"):
         check_rule(sig, (lunit, prem2), Substitutivity(x),
                    make_equation(lunit.left, lunit.right, lunit.vars))
 
@@ -179,7 +184,7 @@ def test_single_hypothesis_deduction():
 
 def test_unknown_hypothesis_index():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    with pytest.raises(UnknownHypothesis):
+    with raises_exactly(DeductionError, "no hypothesis with index 3"):
         certify(sig, (Step(comm, Hypothesis(3), ()),), [comm])
 
 
@@ -304,10 +309,11 @@ def test_copy_padding_is_the_identity_certificate():
         (LevelStep(comm, Hypothesis(0), (), 0),),
         (LevelStep(flipped, Copy(), (0,), 0),),
     ))
-    with pytest.raises(SideConditionViolated, match="copy must repeat"):
+    with raises_exactly(DeductionError, "copy must repeat its premise "
+                        "unchanged"):
         compile_to_factorization(forged, lemmas, [comm])
     # copy is not a rule of the logic
-    with pytest.raises(SideConditionViolated, match="unknown rule"):
+    with raises_exactly(DeductionError, "unknown rule Copy()"):
         check_rule(sig, (comm,), Copy(), comm)
 
 
@@ -355,13 +361,13 @@ def test_invalid_tree_fails_on_both_routes():
         # invalid everywhere: for the rule check alone and for the
         # assembler of the whole deduction
         hyps = list(premises) or [lunit]
-        why = (f"^{RULE_NAMES[type(rule)]} conclusion does not follow from "
-               "the premises$")
-        with pytest.raises(SideConditionViolated, match=why):
+        why = (f"{RULE_NAMES[type(rule)]} conclusion does not follow from "
+               "the premises")
+        with raises_exactly(DeductionError, why):
             check_rule(sig, premises, rule, wrong, hyps)
         steps = [Step(p, Hypothesis(i), ()) for i, p in enumerate(premises)]
         steps.append(Step(wrong, rule, tuple(range(len(premises)))))
-        with pytest.raises(SideConditionViolated, match=why):
+        with raises_exactly(DeductionError, why):
             certify(sig, steps, hyps)
 
 
@@ -411,7 +417,9 @@ def test_paste_interface_mismatch():
     sig, s, x, y, m, c, comm, lunit = _setup()
     cert = _rule_cert(sig, comm)
     other = _rule_cert(sig, lunit)
-    with pytest.raises(InterfaceMismatch):
+    with raises_exactly(DeductionError, "cannot paste: 1 derived "
+                        "constraints vs 1 assumed, or a constraint pair "
+                        "differs"):
         paste_factorizations(cert, other)
 
 
@@ -561,8 +569,8 @@ def test_a_step_cites_only_earlier_steps():
         steps = (Step(comm, Hypothesis(0), ()),
                  Step(flipped, Symmetry(), cites),
                  Step(comm, Symmetry(), (1,)))
-        with pytest.raises(SideConditionViolated,
-                           match="^a step may cite only earlier steps$"):
+        with raises_exactly(DeductionError,
+                            "a step may cite only earlier steps"):
             lemma_table(sig, steps, [comm])
     steps = steps[:1] + (replace(steps[1], premises=(0,)),) + steps[2:]
     assert [x.cites for x in lemma_table(sig, steps, [comm])] == [
@@ -631,7 +639,9 @@ def test_middle_term_check_agrees_with_arrow_equality():
             check_rule(_TWO_SORTS, (p1, p2), Transitivity(),
                        make_equation(a, b, vs))
             mismatch = False
-        except MiddleTermMismatch:
+        except DeductionError as exc:
+            assert str(exc) == \
+                f"premises do not share a middle term: {a} vs {b}"
             mismatch = True
         assert mismatch is not same
         tally[how, same] += 1

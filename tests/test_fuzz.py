@@ -15,14 +15,13 @@ import contextlib
 import io
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import print_spec
+from fixtures import print_spec, raises_exactly
 from termcat.cli import run
 from termcat.dsl import _scan, end_position, parse_spec
-from termcat.errors import DslSyntaxError, TermcatError
+from termcat.errors import DslError, TermcatError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CORPUS_TEXTS = [p.read_text(encoding="utf-8")
@@ -195,6 +194,8 @@ def test_cli_exit_code_is_0_1_or_2(tmp_path_factory, text, argv, as_json):
 def test_end_position_is_where_the_scanner_reports(prefix):
     # with no comment and no stray character in `prefix`, the scanner's
     # first error is the `$` after it, at the position end_position gives
-    with pytest.raises(DslSyntaxError) as exc:
+    line, col = end_position(prefix)
+    with raises_exactly(DslError,
+                        f"{line}:{col}: unexpected character '$'") as exc:
         _scan(prefix + "$")
-    assert (exc.value.line, exc.value.col) == end_position(prefix)
+    assert (exc.value.line, exc.value.col) == (line, col)

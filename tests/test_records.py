@@ -2,15 +2,19 @@
 and the value semantics every record keeps.
 
 `import termcat.cli` loads neither `dataclasses` nor the `inspect` it pulls
-in, and no module imports a name it never uses.  Every record compares and
-hashes by its type and its compared fields, so records of different types
-never meet as equal in `==`, a dict or a set.
+in, and no module imports a name it never uses.  The package has one
+exception class per decision some code makes on it, and no public name that
+only tests use.  Every record compares and hashes by its type and its
+compared fields, so records of different types never meet as equal in `==`,
+a dict or a set.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import copy
+import importlib
 import pickle
 import subprocess
 import sys
@@ -25,6 +29,7 @@ from termcat.deduction import (Abstraction, Concretion, Copy, Hypothesis,
                                Reflexivity, Substitutivity, Symmetry,
                                Transitivity, compile_to_factorization,
                                lemma_table, normalize_deduction)
+from termcat import errors
 from termcat.dsl import build_proof, parse_spec
 from termcat.errors import Record
 from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, Refl, Sym,
@@ -124,6 +129,98 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         found.update((path.name, name) for name in bound - used)
     assert found == UNUSED_IMPORTS
+
+
+# --- exceptions and public names ----------------------------------------------------
+
+# every exception class and its one parent: the CLI exits with 1 on a
+# DeductionError and with 2 on any other TermcatError; the front end
+# catches DuplicateSort to place it among the sorts, a SignatureError among
+# the operations, and the kernel catches EndpointMismatch; a DslError
+# carries its line and column
+EXCEPTIONS = {"TermcatError": "Exception", "DeductionError": "TermcatError",
+              "SignatureError": "TermcatError",
+              "DuplicateSort": "SignatureError",
+              "EndpointMismatch": "TermcatError", "DslError": "TermcatError"}
+
+
+def _is_exception(value) -> bool:
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def test_errors_defines_one_class_per_decision():
+    found = {name: "/".join(b.__name__ for b in value.__bases__)
+             for name, value in vars(errors).items() if _is_exception(value)}
+    assert found == EXCEPTIONS
+
+
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC / "termcat").glob("*.py"))}
+
+
+def test_the_package_raises_and_catches_only_those_classes():
+    # every `except` clause, and every call of an exception class (a raise
+    # of one among them), names one of EXCEPTIONS, a builtin exception or
+    # dsl._Fault, the private carrier that locates an error once the text
+    # is at hand
+    allowed = {getattr(errors, name) for name in EXCEPTIONS}
+    allowed |= {v for v in vars(builtins).values() if _is_exception(v)}
+    allowed.add(importlib.import_module("termcat.dsl")._Fault)
+    found, seen = [], 0
+    for stem, tree in _package_trees().items():
+        module = importlib.import_module(f"termcat.{stem}")
+
+        def resolve(node):
+            if isinstance(node, ast.Name):
+                return getattr(module, node.id,
+                               getattr(builtins, node.id, None))
+            if isinstance(node, ast.Attribute):
+                return getattr(resolve(node.value), node.attr, None)
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler):
+                # a bare `except` would catch every class
+                assert node.type is not None, f"{stem}:{node.lineno}"
+                named = node.type.elts if isinstance(node.type, ast.Tuple) \
+                    else [node.type]
+            elif isinstance(node, ast.Call) and \
+                    _is_exception(resolve(node.func)):
+                named = [node.func]
+            else:
+                continue
+            for n in named:
+                seen += 1
+                if resolve(n) not in allowed:
+                    found.append(f"{stem}:{n.lineno}: {ast.unparse(n)}")
+    assert found == []
+    assert seen >= 60  # the walk read the package
+
+
+# the console entry point, which the installed `termcat` script calls
+ENTRY_POINTS = {"cli.main"}
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a public top-level function or class that no module of the package
+    # names outside its own definition is code only tests run; methods are
+    # not checked
+    trees = _package_trees()
+    defs = [(stem, node) for stem, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+    def names(tree):
+        return [n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(tree)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    everywhere = [name for tree in trees.values() for name in names(tree)]
+    unused = {f"{stem}.{node.name}" for stem, node in defs
+              if everywhere.count(node.name) == names(node).count(node.name)}
+    assert unused - ENTRY_POINTS == set()
+    assert len(defs) >= 100  # the walk read the package
 
 
 # --- one record of every type -----------------------------------------------------

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from fixtures import running_signature, v
-from termcat.errors import DuplicateOperation, DuplicateSort, UnknownSortInArity
+from fixtures import raises_exactly, running_signature, v
+from termcat.errors import DuplicateSort, SignatureError
 from termcat.signature import Variable, ordered_vars, validate_signature
 from termcat.terms import inhabited_sorts, var_set
 
@@ -22,12 +22,13 @@ def test_duplicate_sort_rejected():
 
 
 def test_duplicate_operation_rejected():
-    with pytest.raises(DuplicateOperation):
+    with raises_exactly(SignatureError, "operation 'm' declared twice"):
         validate_signature(["s"], [("m", ["s"], "s"), ("m", [], "s")])
 
 
 def test_unknown_sort_rejected():
-    with pytest.raises(UnknownSortInArity):
+    with raises_exactly(SignatureError, "operation 'm' mentions unknown "
+                        "sort 't'"):
         validate_signature(["s"], [("m", ["t"], "s")])
 
 

@@ -1,18 +1,18 @@
 from __future__ import annotations
 
 import random
+import re
 
-import pytest
-
-from fixtures import running_signature, subst_signature, v
+from fixtures import (make_term, raises_exactly, running_signature,
+                      subst_signature, v)
 from gen import gen_signature, gen_subst_instance, gen_term
 from termcat.arrows import (Comp, GenApp, Path, Proj, arrows_equal,
                             flat_product, normalize, term_arrow)
-from termcat.errors import SortMismatch, UninhabitedFill
+from termcat.errors import DeductionError, TermcatError
 from termcat.signature import validate_signature
 from termcat.subst import (SubstInstance, retyping_arrow, subst_arrow_direct,
                            subst_expr, subst_term, substitution_arrow)
-from termcat.terms import App, inhabited_sorts, make_term, var_set
+from termcat.terms import App, inhabited_sorts, var_set
 
 
 def arrow_of(inst: SubstInstance):
@@ -65,7 +65,8 @@ def test_subst_expr_simple():
 
 def test_subst_expr_sort_mismatch():
     sig = running_signature()
-    with pytest.raises(SortMismatch):
+    with raises_exactly(TermcatError, "cannot substitute an expression of "
+                        "sort s2 for x1:s1"):
         subst_expr(v(sig, 1, 1), v(sig, 1, 1), v(sig, 2, 1))
 
 
@@ -205,7 +206,8 @@ def test_retyping_abstraction_drop():
 def test_retyping_uninhabited_fill():
     sig = running_signature()  # no constants anywhere
     witnesses = inhabited_sorts(sig)
-    with pytest.raises(UninhabitedFill):
+    with raises_exactly(DeductionError, "sort s3 is empty; no closed filler "
+                        "exists"):
         retyping_arrow((v(sig, 1, 1),), (v(sig, 1, 1), v(sig, 3, 1)),
                        witnesses)
 
@@ -242,7 +244,9 @@ def test_retyping_coherence_random(seed=43):
         # every variable of v2 is in v1 or fillable, so the map exists
         try:
             r = retyping_arrow(v1, v2, witnesses)
-        except UninhabitedFill:
+        except DeductionError as exc:
+            assert re.fullmatch("sort .* is empty; no closed filler exists",
+                                str(exc))
             continue
         t1 = make_term(t.expr, v1, t.sort)
         t2 = make_term(t.expr, v2, t.sort)

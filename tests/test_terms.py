@@ -3,17 +3,18 @@ from __future__ import annotations
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import (input_types, most_concrete_equation, most_concrete_term,
-                      running_signature, v)
+from fixtures import (input_types, make_equation, make_term,
+                      most_concrete_equation, most_concrete_term,
+                      raises_exactly, running_signature, type_list, type_set,
+                      v)
 from gen import gen_expression, gen_signature
-from termcat.errors import (MissingVariables, SortMismatch, TypeDisagrees)
-from termcat.signature import Operation, Sort, Variable, ordered_vars
-from termcat.terms import (App, Equation, Term, make_equation, make_term,
-                           type_list, type_set, var_list, var_set)
+from termcat.errors import TermcatError
+from termcat.signature import (Operation, Sort, Variable, ordered_vars,
+                               validate_signature)
+from termcat.terms import App, Equation, Term, var_list, var_set
 
 
 def worked_expression(sig):
@@ -53,9 +54,10 @@ def gen_constant_sig():
 def test_sort_mismatch_position():
     sig = running_signature()
     f = sig.operation("f")
-    with pytest.raises(SortMismatch) as exc:
+    # the message names the first argument of the wrong sort
+    with raises_exactly(TermcatError, "argument 2 of f has sort s1, "
+                        "expected s2"):
         App(f, (v(sig, 1, 1), v(sig, 1, 1), v(sig, 2, 1)))
-    assert exc.value.position == 2
 
 
 def test_make_term_with_redundant_variable():
@@ -68,14 +70,15 @@ def test_make_term_with_redundant_variable():
 
 def test_make_term_missing_variables():
     sig = running_signature()
-    with pytest.raises(MissingVariables) as exc:
+    with raises_exactly(TermcatError, "term omits variables occurring in "
+                        f"its expression: {v(sig, 1, 1)}"):
         make_term(v(sig, 1, 1), (), sig.sort("s1"))
-    assert exc.value.variables == (v(sig, 1, 1),)
 
 
 def test_make_term_type_disagrees():
     sig = running_signature()
-    with pytest.raises(TypeDisagrees):
+    with raises_exactly(TermcatError, "stated sort s2 disagrees with "
+                        "expression sort s1"):
         make_term(v(sig, 1, 1), {v(sig, 1, 1)}, sig.sort("s2"))
 
 
@@ -119,7 +122,7 @@ def test_most_concrete_equation():
 
 def test_make_equation_cases():
     sig = running_signature()
-    with pytest.raises(SortMismatch):
+    with raises_exactly(TermcatError, "equation sides have sorts s1 and s2"):
         make_equation(v(sig, 1, 1), v(sig, 2, 1),
                       {v(sig, 1, 1), v(sig, 2, 1)})
     eq = make_equation(v(sig, 1, 1), v(sig, 1, 1),
@@ -144,6 +147,26 @@ def test_equation_with_spare_variable():
                        + (v(sig, 3, 1),))
     assert eq.vars == (v(sig, 1, 1), v(sig, 1, 2), v(sig, 1, 3),
                        v(sig, 2, 1), v(sig, 3, 1))
+
+
+def test_a_deep_expression_prints():
+    # `App.__str__` keeps its own stack, so a 20,000-deep expression prints
+    # at the interpreter's default recursion limit
+    sig = validate_signature(["s"], [("i", ["s"], "s"),
+                                     ("m", ["s", "s"], "s")])
+    i, m = sig.operation("i"), sig.operation("m")
+    x = Variable(sig.sorts[0], 1)
+    e, opened, closed = x, [], []
+    for k in range(20000):
+        if k % 2:
+            e = App(m, (e, x))
+            opened.append("m(")
+            closed.append(", x1:s)")
+        else:
+            e = App(i, (e,))
+            opened.append("i(")
+            closed.append(")")
+    assert str(e) == "".join(reversed(opened)) + "x1:s" + "".join(closed)
 
 
 def test_var_set_reorders_by_canonical_order():
@@ -206,13 +229,16 @@ def test_canonical_order_check_accepts_what_ordered_vars_keeps(pairs):
     # the tuples that `ordered_vars` returns unchanged
     vs = tuple(Variable(s, n) for s, n in pairs)
     e = App(Operation("c", (), _SORTS[0]), ())
-    for make in (lambda: Term(e, vs, _SORTS[0]),
-                 lambda: Equation(e, e, vs)):
+    for kind, make in (("term", lambda: Term(e, vs, _SORTS[0])),
+                       ("equation", lambda: Equation(e, e, vs))):
         try:
             make()
             accepted = True
-        except TypeDisagrees:
+        except TermcatError as exc:
+            assert str(exc) == \
+                f"{kind} variable set is not in canonical order"
             accepted = False
         assert accepted == (vs == ordered_vars(vs))
-    with pytest.raises(TypeDisagrees):
+    with raises_exactly(TermcatError, "term variable set is not in "
+                        "canonical order"):
         Term(e, list(ordered_vars(vs)), _SORTS[0])
