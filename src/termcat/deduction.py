@@ -4,13 +4,13 @@ A deduction is its steps, in the order they are declared: each `Step`
 applies one of the multisorted equational rules (reflexivity, symmetry,
 transitivity, concretion, abstraction, substitutivity) to the steps it
 cites, which come earlier, or cites one of a list of hypothesis equations.
-`conclude` alone states what each rule concludes, for the .msl front end
-and for this module, the producer.  `lemma_table` checks each step once, in
-order, whether a later step cites it or not: the rule's side conditions on
-the equations' syntax and its conclusion against `conclude`.  It codes each
-rule as a kernel proof, compiling only the arrows that proof's steps carry,
-so lemma k is step k.  The producer then emits one of two certificates for
-the kernel (`kernel.py`), which runs none of this code:
+`conclude` alone states what each rule requires and concludes, for the .msl
+front end and for this module, the producer.  `lemma_table` checks each
+step once, in order, whether a later step cites it or not, against
+`conclude`, and codes its rule as a kernel proof, compiling only the arrows
+that proof's steps carry, so lemma k is step k.  The producer then emits
+one of two certificates for the kernel (`kernel.py`), which runs none of
+this code:
 
 - the lemma table itself: each lemma carries its step's equation, its
   citations and its rule coding's kernel proof; the kernel alone compiles
@@ -25,7 +25,6 @@ reach it through this module.
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence, Union
 
 from .arrows import Comp, equation_arrows, term_arrow
@@ -114,16 +113,22 @@ def _require(cond: bool, detail: str):
         raise DeductionError(detail)
 
 
-def conclude(rule: RuleInstance, premises: Sequence[Equation],
+def conclude(sig: Signature, rule: RuleInstance,
+             premises: Sequence[Equation],
              hypotheses: Sequence[Equation] | None = None
              ) -> tuple[Expression, Expression, tuple[Variable, ...]]:
     """The conclusion `rule` draws from `premises` (a hypothesis's from
     `hypotheses`): its two sides and its variables in canonical order.
-    This is the one statement of what each rule concludes.  It checks no
-    side condition, so the result need not form an equation, but a
-    substitution of another sort raises a `TermcatError`."""
+    This is the one statement of what each rule requires and concludes:
+    the first side condition that fails, in the order below, raises a
+    `DeductionError`, and a conclusion drawn always forms an `Equation`."""
     kind = type(rule)
+    want = RULE_ARITY[kind]
+    _require(len(premises) == want,
+             f"{RULE_NAMES[kind]} takes {want} premises")
     if kind is Hypothesis:
+        if hypotheses is None or not 0 <= rule.index < len(hypotheses):
+            raise DeductionError(f"no hypothesis with index {rule.index}")
         h = hypotheses[rule.index]
         return h.left, h.right, h.vars
     if kind is Reflexivity:
@@ -133,13 +138,37 @@ def conclude(rule: RuleInstance, premises: Sequence[Equation],
     if kind is Symmetry:
         return p.right, p.left, p.vars
     if kind is Transitivity:
-        return p.left, premises[1].right, p.vars
+        q = premises[1]
+        _require(p.vars == q.vars,
+                 "transitivity premises must share the variable set")
+        if p.sort != q.sort:
+            raise DeductionError(
+                f"premises have different sorts: {p.sort} vs {q.sort}")
+        if p.right != q.left:
+            raise DeductionError(
+                f"premises do not share a middle term: {p.right} vs {q.left}")
+        return p.left, q.right, p.vars
     if kind is Concretion:
-        return p.left, p.right, tuple(v for v in p.vars if v != rule.var)
+        x = rule.var
+        _require(x in p.vars, f"{x} is not among the premise variables")
+        _require(x not in var_set(p.left) and x not in var_set(p.right),
+                 f"{x} occurs in the equation and cannot be removed")
+        # the coding fills the dropped variable with a closed expression
+        _require(x.sort in inhabited_sorts(sig),
+                 f"sort {x.sort} is empty; no closed filler exists")
+        return p.left, p.right, tuple(v for v in p.vars if v != x)
     if kind is Abstraction:
-        return p.left, p.right, ordered_vars(p.vars + (rule.var,))
+        x = rule.var
+        _require(x not in p.vars, f"{x} already occurs among the premise "
+                 "variables")
+        return p.left, p.right, ordered_vars(p.vars + (x,))
     if kind is Substitutivity:
         x, q = rule.var, premises[1]
+        _require(x in p.vars, f"{x} is not among the first premise's "
+                 "variables")
+        _require(q.sort == x.sort,
+                 f"second premise has sort {q.sort}, but {x} requires "
+                 f"{x.sort}")
         kept = tuple(v for v in p.vars if v != x)
         return (subst_expr(p.left, x, q.left), subst_expr(p.right, x, q.right),
                 ordered_vars(kept + q.vars))
@@ -149,53 +178,18 @@ def conclude(rule: RuleInstance, premises: Sequence[Equation],
 def _code_rule(sig: Signature, premises: Sequence[Equation],
                rule: RuleInstance, conclusion: Equation,
                hypotheses: Sequence[Equation] | None) -> KernelProof:
-    """Check one rule application on the equations' syntax, its side
-    conditions first and then that `conclusion` is what `conclude` draws,
-    and return the kernel proof of the conclusion from the premises.  Only
-    the arrows a step carries are compiled: the conclusion's left side for
-    reflexivity; for substitutivity, the replacement over the conclusion's
-    variables and the first premise's right side; the closed filler of a
-    concretion's dropped variable."""
-    kind = type(rule)
-    want = RULE_ARITY[kind]
-    _require(len(premises) == want,
-             f"{RULE_NAMES[kind]} takes {want} premises")
+    """Check that `conclusion` is what `conclude` draws, side conditions
+    and all, and return the kernel proof of the conclusion from the
+    premises.  Only the arrows a step carries are compiled: the
+    conclusion's left side for reflexivity; for substitutivity, the
+    replacement over the conclusion's variables and the first premise's
+    right side; the closed filler of a concretion's dropped variable."""
     c = conclusion
-    p = premises[0] if premises else None
-
-    if kind is Hypothesis:
-        if hypotheses is None or not 0 <= rule.index < len(hypotheses):
-            raise DeductionError(f"no hypothesis with index {rule.index}")
-    elif kind is Transitivity:
-        p2 = premises[1]
-        _require(p.vars == p2.vars,
-                 "transitivity premises must share the variable set")
-        if p.sort != p2.sort:
-            raise DeductionError(
-                f"premises have different sorts: {p.sort} vs {p2.sort}")
-        if p.right != p2.left:
-            raise DeductionError(
-                f"premises do not share a middle term: {p.right} vs {p2.left}")
-    elif kind is Concretion:
-        x = rule.var
-        _require(x in p.vars, f"{x} is not among the premise variables")
-        _require(x not in var_set(p.left) and x not in var_set(p.right),
-                 f"{x} occurs in the equation and cannot be removed")
-    elif kind is Abstraction:
-        x = rule.var
-        _require(x not in p.vars, f"{x} already occurs among the premise "
-                 "variables")
-    elif kind is Substitutivity:
-        x, p2 = rule.var, premises[1]
-        _require(x in p.vars, f"{x} is not among the first premise's "
-                 "variables")
-        _require(p2.sort == x.sort,
-                 f"second premise has sort {p2.sort}, but {x} requires "
-                 f"{x.sort}")
-    if (c.left, c.right, c.vars) != conclude(rule, premises, hypotheses):
-        raise DeductionError(f"{RULE_NAMES[kind]} conclusion does not "
+    if (c.left, c.right, c.vars) != conclude(sig, rule, premises, hypotheses):
+        raise DeductionError(f"{RULE_NAMES[type(rule)]} conclusion does not "
                              "follow from the premises")
 
+    kind = type(rule)
     if kind is Hypothesis:
         return (CiteHyp(0),)
     if kind is Reflexivity:
@@ -204,15 +198,17 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
         return CiteHyp(0), Sym(0)
     if kind is Transitivity:
         return CiteHyp(0), CiteHyp(1), Trans(0, 1)
+    p = premises[0]
     if kind is Concretion or kind is Abstraction:
-        # a concretion fills its one dropped variable, so an empty sort
-        # raises a DeductionError; an abstraction fills none
+        # a concretion fills its one dropped variable, whose sort `conclude`
+        # found inhabited; an abstraction fills none
         h = retyping_arrow(c.vars, p.vars, inhabited_sorts(sig)
                            if kind is Concretion else {})
         return CiteHyp(0), ComposeRight(h, 0)
 
     # substitutivity: the conclusion's variables are the result variables,
     # since the conclusion is what `conclude` draws
+    x, p2 = rule.var, premises[1]
     union = ordered_vars(p.vars + p2.vars)
     alpha = retyping_arrow(union, p.vars, {})
     beta = retyping_arrow(c.vars, p2.vars, {})
@@ -251,9 +247,9 @@ def lemma_table(sig: Signature, steps: Sequence[Step],
                 hypotheses: Sequence[Equation]) -> tuple[Lemma, ...]:
     """One lemma per step, in order, so lemma k is step k: a step is
     checked once however often it is cited, and once if nothing cites it.
-    Each step's rule is checked on syntax and coded by `_code_rule`, which
-    compiles only the arrows its kernel steps carry; the kernel compiles
-    the statements.  A failure of step k is raised unchanged, with its
+    Each step is checked against `conclude` and coded by `_code_rule`,
+    which compiles only the arrows its kernel steps carry; the kernel
+    compiles the statements.  A failure of step k is raised unchanged, with its
     `step` set to k."""
     lemmas: list[Lemma] = []
     for k, s in enumerate(steps):
@@ -451,13 +447,21 @@ def compile_to_factorization(ld: LevelledDeduction,
     level's consumption order (the associativity re-indexing).  A copy
     entry gives the identity certificate on the claim it carries; any other
     entry its step's lemma proof, from the claims of the level below that
-    it consumes.  Each equation is compiled once.
+    it consumes.  Each equation object is compiled once.
     """
     bad = normal_form_violations(ld)
     if bad:
         raise DeductionError("deduction is not in normal form: "
                              + "; ".join(bad))
-    compiled = functools.cache(equation_constraint)
+    # by equation object, kept beside its constraint so that no id is
+    # reused; comparing equal-valued keys would walk their nodes
+    done: dict[int, tuple[Equation, EqConstraint]] = {}
+
+    def compiled(eq: Equation) -> EqConstraint:
+        if id(eq) not in done:
+            done[id(eq)] = eq, equation_constraint(eq)
+        return done[id(eq)][1]
+
     hyp = tuple(map(compiled, hypotheses))
 
     claims, proofs = [], []

@@ -23,8 +23,8 @@ canonical variable order (and with it every projection index) is fixed by
 the text alone.  Within a proof, variable names travel with the derived
 equations: cited equations contribute their bracket names, merges drop
 ambiguous names, and `abs` binds its name to the variable it introduces.
-A step only resolves its names to a rule instance; its conclusion is the
-one `deduction.conclude` draws, and the producer checks the rule.
+A step only resolves its names to a rule instance; `deduction.conclude`
+checks the rule's side conditions and draws its conclusion.
 
 One pass, no recursion: the scanner splits the whole text into token
 strings with one `findall`; the parser writes each expression as its names
@@ -703,10 +703,11 @@ def build_proof(sf: SpecFile, proof: ProofDef
     earlier steps it names by their indices; the last step is the proof's
     conclusion.
 
-    Each step's conclusion is the one `deduction.conclude` draws; one that
-    fails to form an equation, like every side-condition failure, surfaces
-    as a deduction error with its `step` set, not as a parse error, so that
-    the caller can name the step and its line:column.
+    Each step's conclusion is the one `deduction.conclude` draws, which
+    checks the rule's side conditions first.  The first step in declaration
+    order that fails one raises its `DeductionError`, not a parse error,
+    with its `step` set, so that the caller can name the step and its
+    line:column.
     """
     sig = sf.signature
     hypotheses = _Cited(sf.equations, proof.hypotheses)
@@ -724,14 +725,9 @@ def build_proof(sf: SpecFile, proof: ProofDef
                     sf, sig, proof, hypotheses, s,
                     [steps[i].equation for i in cites],
                     [names[i] for i in cites])
-            except DeductionError:
+            except DeductionError as exc:
+                exc.step = k
                 raise
-            except TermcatError as exc:
-                # a conclusion failed to form: the rule application is
-                # invalid
-                err = DeductionError(str(exc))
-                err.step = k
-                raise err from exc
             steps.append(Step(eq, rule, cites))
             names.append(bound)
     except _Fault as fault:
@@ -784,4 +780,4 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
     else:  # the parser admits no other rule
         rule = Substitutivity(_resolve_var(names, s.var_name, s))
         names = _merge_names(names, premise_names[1])
-    return Equation(*conclude(rule, premises)), rule, names
+    return Equation(*conclude(sig, rule, premises)), rule, names

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .errors import Record, TermcatError
 from .signature import Operation, Signature, Sort, Variable, ordered_vars
-from .terms import Equation, Expression, var_list
+from .terms import App, Equation, applications, var_list
 
 MAX_CARRIER = 6
 # reduct models one counterexample search may visit
@@ -115,17 +115,17 @@ def _column_program(eq: Equation, occurring: tuple[Variable, ...]):
     two sides."""
     slots: dict = {v: k for k, v in enumerate(occurring)}
     steps: list[tuple[str, tuple[int, ...]]] = []
-
-    def walk(e: Expression) -> int:
-        if isinstance(e, Variable):
-            return slots[e]
-        step = (e.op.name, tuple(walk(a) for a in e.args))
+    slot_of: dict[int, int] = {}  # by application object
+    for a in applications(eq.left, eq.right):
+        step = (a.op.name, tuple(slot_of[id(b)] if type(b) is App
+                                 else slots[b] for b in a.args))
         if step not in slots:
             slots[step] = len(occurring) + len(steps)
             steps.append(step)
-        return slots[step]
-
-    return steps, walk(eq.left), walk(eq.right)
+        slot_of[id(a)] = slots[step]
+    left, right = (slot_of[id(e)] if type(e) is App else slots[e]
+                   for e in (eq.left, eq.right))
+    return steps, left, right
 
 
 def _run_columns(model: FiniteModel, steps, columns: list[tuple], n: int):

@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from .arrows import FPArrow, Comp, TupleArrow, context_arrow, term_arrow
-from .errors import DeductionError, Record, TermcatError
+from .errors import Record, TermcatError
 from .signature import Sort, Variable, ordered_vars
-from .terms import App, Expression, Term
+from .terms import App, Expression, Term, applications
 
 
 class SubstInstance(Record):
@@ -39,13 +39,19 @@ class SubstInstance(Record):
 
 
 def subst_expr(e: Expression, x: Variable, u: Expression) -> Expression:
-    """Replace every occurrence of `x` in `e` by `u`."""
+    """Replace every occurrence of `x` in `e` by `u`, rebuilding the
+    applications bottom-up, so `e` may be of any depth."""
     if u.sort != x.sort:
         raise TermcatError(
             f"cannot substitute an expression of sort {u.sort} for {x}")
-    if isinstance(e, Variable):
+    if type(e) is not App:
         return u if e == x else e
-    return App(e.op, tuple(subst_expr(a, x, u) for a in e.args))
+    done: dict[int, App] = {}
+    for a in applications(e):
+        done[id(a)] = App(a.op, tuple(
+            done[id(b)] if type(b) is App else u if b == x else b
+            for b in a.args))
+    return done[id(e)]
 
 
 def subst_term(inst: SubstInstance) -> Term:
@@ -83,18 +89,12 @@ def retyping_arrow(source_vars, target_vars,
     """Product-of-source-variables to product-of-target-variables.
 
     Shared variables map by projection.  A target variable missing from the
-    source is filled by the canonical closed witness of its sort; if the
-    sort is empty no filler exists and the map is undefined.
+    source is filled by the closed witness of its sort in `witnesses`,
+    which must hold one: a concretion's side conditions make sure of it.
     """
     source = ordered_vars(source_vars)
     target = ordered_vars(target_vars)
     shared = set(source)
-    fill = {}
-    for v in target:
-        if v not in shared:
-            w = witnesses.get(v.sort)
-            if w is None:
-                raise DeductionError(
-                    f"sort {v.sort} is empty; no closed filler exists")
-            fill[v] = term_arrow(w, source)
+    fill = {v: term_arrow(witnesses[v.sort], source)
+            for v in target if v not in shared}
     return context_arrow(source, target, fill)

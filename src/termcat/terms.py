@@ -111,6 +111,23 @@ def var_list(e: Expression) -> tuple[Variable, ...]:
     return tuple(out)
 
 
+def applications(*exprs: Expression):
+    """The applications in `exprs`, bottom-up: each one after its
+    arguments, in left-to-right order, and each object once.  An explicit
+    stack, so an expression of any depth is walked."""
+    seen: set[int] = set()
+    stack: list = list(reversed(exprs))
+    pop = stack.pop
+    while stack:
+        x = pop()
+        if x is None:  # the application under it has all its arguments
+            yield pop()
+        elif type(x) is App and id(x) not in seen:
+            seen.add(id(x))
+            stack += (x, None)
+            stack += x.args[::-1]
+
+
 def var_set(e: Expression) -> tuple[Variable, ...]:
     """Distinct variables of `e` in the canonical order."""
     return ordered_vars(var_list(e))

@@ -224,7 +224,7 @@ def test_concretion_over_empty_sort_fails_only_its_proof(tmp_path, capsys):
     # proof is invalid (exit 1), and the proofs around it are still checked
     f = tmp_path / "empty.msl"
     f.write_text(EMPTY_SORT_CONCRETION)
-    # both routes run the lemma table, which names the failing step
+    # both routes build the proof, which names the failing step
     message = "10:3: step 'b': sort t is empty; no closed filler exists"
     code, out = _capture(capsys, ["check-proof", "--levelled", str(f)])
     assert code == 1
@@ -257,8 +257,8 @@ eq runit [x:s] : m(x, e) = x
 eq fx [x:s, y:t] : f(x) = f(x)
 """
 # (steps of a proof from lunit, runit and fx, the failing step's
-# line:column and name, and the producer's message); elaboration catches
-# every other failure a .msl proof can have, on both routes alike
+# line:column and name, and the rule's message); elaboration catches every
+# other failure a .msl proof can have, on every command alike
 PRODUCER_FAILURES = {
     "middle": ("a = hyp lunit ;\n  b = hyp runit ;\n  c = trans a b ;",
                "11:3: step 'c'",
@@ -266,9 +266,18 @@ PRODUCER_FAILURES = {
     "vars": ("a = hyp lunit ;\n  b = refl [x:s, z:s] x ;\n"
              "  c = trans a b ;", "11:3: step 'c'",
              "transitivity premises must share the variable set"),
+    "vars-and-sorts": ("a = hyp lunit ;\n  b = refl [y:t] y ;\n"
+                       "  c = trans a b ;", "11:3: step 'c'",
+                       "transitivity premises must share the variable set"),
     "empty-sort": ("a = hyp fx ;\n  b = sym a ;\n  c = conc b y ;",
                    "11:3: step 'c'",
                    "sort t is empty; no closed filler exists"),
+    "occurs": ("a = hyp lunit ;\n  b = sym a ;\n  c = conc b x ;",
+               "11:3: step 'c'",
+               "x1:s occurs in the equation and cannot be removed"),
+    "subst-sort": ("a = hyp lunit ;\n  b = refl [y:t] y ;\n"
+                   "  c = subst a x b ;", "11:3: step 'c'",
+                   "second premise has sort t, but x1:s requires s"),
 }
 
 
@@ -276,18 +285,21 @@ PRODUCER_FAILURES = {
                          ids=PRODUCER_FAILURES.keys())
 def test_producer_errors_name_their_step(steps, where, message, tmp_path,
                                          capsys):
-    # the lemma table checks each step on its own, so a failure belongs to
-    # one .msl step; the levelled route runs the same lemma table first
+    # `deduction.conclude` checks each step's side conditions on its own,
+    # so a failure belongs to one .msl step, and every command that builds
+    # the proof refuses it with the rule's message and the same location
     f = tmp_path / "bad.msl"
     f.write_text(_UNITS + "proof bad from lunit runit fx {\n  " + steps
                  + "\n}\n")
     error = f"{where}: {message}"
     for flag in ([], ["--levelled"]):
-        assert _capture(capsys, ["check-proof", *flag, str(f)]) == (
-            1, f"proof bad: INVALID ({error})\n")
+        assert run(["check-proof", *flag, str(f)]) == 1
+        assert capsys.readouterr() == (f"proof bad: INVALID ({error})\n", "")
         code, out = _capture(capsys, ["check-proof", *flag, "--json", str(f)])
         assert code == 1
         assert json.loads(out)["proofs"][0]["error"] == error
+    assert run(["normalize-proof", "--proof", "bad", str(f)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def _dag_proof(folds: int) -> str:
@@ -728,6 +740,26 @@ def test_check_proof_takes_a_deep_conclusion(tmp_path, capsys):
         assert lines[depth][:2] == ["proof p: VALID",
                                     f"  conclusion: {side} = {side}  [x1:s]"]
     assert lines[5000][2:] == lines[1][2:]
+
+
+def test_deep_towers_on_the_levelled_route_and_the_oracle(tmp_path, capsys):
+    # the levelled certificate compiles each equation object once, by its
+    # id, so no memo key compares a tower node by node; the oracle's column
+    # program walks the applications with an explicit stack
+    tower = _tower(3000)
+    f = tmp_path / "deep.msl"
+    f.write_text(f"sort s\nop i : s -> s\neq h [x:s] : {tower} = {tower}\n")
+    assert run(["oracle", "--equation", "h", str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.split("\n")[1:] == ["  holds in all 5 models with carriers "
+                                   "<= 2", ""]
+    tower = _tower(400)
+    f.write_text(f"sort s\nop i : s -> s\neq h [x:s] : {tower} = {tower}\n"
+                 "proof p from h {\n  a = hyp h ;\n  b = sym a ;\n}\n")
+    assert run(["check-proof", "--levelled", str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("proof p: VALID\n")
 
 
 _READ_ONLY_GOOD = """\

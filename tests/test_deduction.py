@@ -372,8 +372,9 @@ def test_invalid_tree_fails_on_both_routes():
 
 
 def test_conclude_agrees_with_the_generated_trees():
-    # tests/gen.py derives each rule's conclusion on its own; `conclude`
-    # must draw the same one from the premises of every step
+    # tests/gen.py derives each rule's conclusion on its own and meets
+    # every side condition; `conclude` must check them all, refuse none and
+    # draw the same conclusion from the premises of every step
     tally = Counter()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -385,8 +386,8 @@ def test_conclude_agrees_with_the_generated_trees():
                 for _ in range(rng.randint(0, 3))]
         steps = gen_deduction(rng, sig, hyps, rng.randint(1, 5))
         for s in steps:
-            drawn = conclude(s.rule, [steps[i].equation for i in s.premises],
-                             hyps)
+            drawn = conclude(sig, s.rule,
+                             [steps[i].equation for i in s.premises], hyps)
             assert Equation(*drawn) == s.equation
             tally[type(s.rule)] += 1
         tally["deductions"] += 1

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import certify, print_spec, raises_exactly
+from fixtures import certify, make_equation, print_spec, raises_exactly
 from termcat import dsl
 from termcat.cli import run
-from termcat.deduction import (lemma_table, normalize_deduction,
-                               verify_factorization)
+from termcat.deduction import (Hypothesis, Step, Transitivity,
+                               normalize_deduction, verify_factorization)
 from termcat.dsl import (EOF, _bind_bracket, _elaborate, _Fault, _positions,
                          _scan, _sort_of, build_proof, parse_spec)
 from termcat.errors import DeductionError, DslError
@@ -169,8 +169,9 @@ def test_build_proof_and_check():
 
 
 def test_build_proof_side_condition_failure():
-    # the conclusion of `trans b a` cannot even be formed: comm's right side
-    # mentions a variable outside lunit's set
+    # `trans b a` could not even form its conclusion, since comm's right
+    # side mentions a variable outside lunit's set; `conclude` checks the
+    # variable sets first and refuses the step with transitivity's message
     text = GOOD + """
 proof broken from comm lunit {
   a = hyp comm ;
@@ -179,14 +180,16 @@ proof broken from comm lunit {
 }
 """
     sf = parse_spec(text)
-    with raises_exactly(DeductionError, "equation omits variables occurring "
-                        "in its sides: x2:s"):
+    with raises_exactly(DeductionError, "transitivity premises must share "
+                        "the variable set") as failure:
         build_proof(sf, sf.proof("broken"))
+    assert failure.value.step == 2
 
 
 def test_buildable_but_invalid_tree_rejected_at_check():
-    # `trans a b` forms a conclusion, but the premises have different
-    # variable sets, so the rule check refuses it
+    # `trans a b` would form a conclusion, but the premises have different
+    # variable sets: build_proof refuses the .msl step, and the producer's
+    # check refuses the same step built by hand
     text = GOOD + """
 proof broken2 from comm lunit {
   a = hyp comm ;
@@ -195,10 +198,17 @@ proof broken2 from comm lunit {
 }
 """
     sf = parse_spec(text)
-    steps, hyps = build_proof(sf, sf.proof("broken2"))
-    with raises_exactly(DeductionError, "transitivity premises must share "
-                        "the variable set"):
-        certify(sf.signature, steps, hyps)
+    why = "transitivity premises must share the variable set"
+    with raises_exactly(DeductionError, why) as failure:
+        build_proof(sf, sf.proof("broken2"))
+    assert failure.value.step == 2
+    comm, lunit = sf.equations["comm"], sf.equations["lunit"]
+    steps = [Step(comm, Hypothesis(0), ()), Step(lunit, Hypothesis(1), ()),
+             Step(make_equation(comm.left, lunit.right, comm.vars),
+                  Transitivity(), (0, 1))]
+    with raises_exactly(DeductionError, why) as failure:
+        certify(sf.signature, steps, [comm, lunit])
+    assert failure.value.step == 2
 
 
 def test_abs_binds_fresh_variable_and_conc_removes_it():
@@ -270,7 +280,8 @@ proof P from E1 E2 {
 
 
 NO_RECURSION = {"dsl": 30, "kernel": 8, "deduction": 13, "terms": 8,
-                "signature": 9, "sketch": 6, "errors": 8}
+                "signature": 9, "sketch": 6, "errors": 8, "models": 12,
+                "subst": 8}
 
 
 @pytest.mark.parametrize("module, at_least", NO_RECURSION.items(),
@@ -337,11 +348,10 @@ def test_a_valid_proof_is_checked_without_locating_its_steps(monkeypatch,
     text = GOOD + ("proof bad from comm {\n  a = hyp comm ;\n"
                    "  b = trans a a ;\n}\n")
     sf = parse_spec(text)
-    steps, hyps = build_proof(sf, sf.proofs[1])
-    # the producer marks the failing step; only the CLI locates it
+    # build_proof marks the failing step; only the CLI locates it
     with raises_exactly(DeductionError, "premises do not share a middle "
                         "term: m(x2:s, x1:s) vs m(x1:s, x2:s)") as failure:
-        lemma_table(sf.signature, steps, hyps)
+        build_proof(sf, sf.proofs[1])
     assert failure.value.step == 1 and located == []
     f = tmp_path / "bad.msl"
     f.write_text(text)

@@ -4,8 +4,8 @@ One case per place the scanner, the parser, the signature check,
 elaboration and proof building raise, and for the order in which they
 report: the exit code and the one output line of `termcat`, run on the
 case's text.  Input errors go to stderr with exit 2; a proof that fails
-to form or to check prints its verdict on stdout with exit 1, and the
-lemma table's failures name their step by line and column.
+to check prints its verdict on stdout with exit 1, and a step whose side
+condition fails is named by line and column.
 """
 
 from __future__ import annotations
@@ -397,7 +397,7 @@ GOLDEN = {
         "}\n",
         ["normalize-proof", "--proof", "p"], 2, "err",
         "error: 6:18: f expects 1 arguments, got 2\n"),
-    "subst-not-among": (
+    "conc-occurring": (
         _PROOF + "proof p from q {\n"
         "  a = hyp q ;\n"
         "  b = conc a x ;\n"
@@ -405,16 +405,16 @@ GOLDEN = {
         "  d = subst b x c ;\n"
         "}\n",
         ["check-proof"], 1, "out",
-        "proof p: INVALID (7:3: step 'b': equation omits variables "
-        "occurring in its sides: x1:s)\n"),
-    "subst-not-among-normalize": (
+        "proof p: INVALID (7:3: step 'b': x1:s occurs in the equation and "
+        "cannot be removed)\n"),
+    "conc-occurring-normalize": (
         _PROOF + "proof p from q {\n"
         "  a = hyp q ;\n"
         "  b = conc a x ;\n"
         "}\n",
         ["normalize-proof", "--proof", "p"], 1, "err",
-        "error: 7:3: step 'b': equation omits variables occurring in its "
-        "sides: x1:s\n"),
+        "error: 7:3: step 'b': x1:s occurs in the equation and cannot be "
+        "removed\n"),
     "formation-failure": (
         _UNITS + "proof bad from lunit runit {\n"
         "  a = hyp lunit ;\n"
@@ -424,6 +424,16 @@ GOLDEN = {
         ["check-proof"], 1, "out",
         "proof bad: INVALID (11:3: step 'c': premises do not share a middle "
         "term: x1:s vs m(e, x1:s))\n"),
+    "first-failing-step-in-declaration-order": (
+        _UNITS + "proof bad from lunit runit {\n"
+        "  a = hyp lunit ;\n"
+        "  b = hyp runit ;\n"
+        "  c = trans a b ;\n"
+        "  d = conc a x ;\n"
+        "}\n",
+        ["check-proof", "--levelled"], 1, "out",
+        "proof bad: INVALID (11:3: step 'c': premises do not share a middle "
+        "term: x1:s vs m(x1:s, e))\n"),
     "side-condition-origin": (
         _UNITS + "proof bad from lunit runit fx {\n"
         "  a = hyp lunit ;\n"
@@ -483,6 +493,11 @@ GOLDEN = {
         ["check-proof", "--levelled"], 1, "out",
         "proof r: INVALID (9:3: step 'd': x2:s is not among the first "
         "premise's variables)\n"),
+    "subst-variable-not-in-first-premise-normalize": (
+        _SUBST_ABSENT,
+        ["normalize-proof", "--proof", "r"], 1, "err",
+        "error: 9:3: step 'd': x2:s is not among the first premise's "
+        "variables\n"),
     "empty-file-proof": (
         "",
         ["check-proof", "--proof", "p"], 2, "err",

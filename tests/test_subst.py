@@ -3,11 +3,14 @@ from __future__ import annotations
 import random
 import re
 
-from fixtures import (make_term, raises_exactly, running_signature,
-                      subst_signature, v)
+import pytest
+
+from fixtures import (make_equation, make_term, raises_exactly,
+                      running_signature, subst_signature, v)
 from gen import gen_signature, gen_subst_instance, gen_term
 from termcat.arrows import (Comp, GenApp, Path, Proj, arrows_equal,
                             flat_product, normalize, term_arrow)
+from termcat.deduction import Concretion, conclude
 from termcat.errors import DeductionError, TermcatError
 from termcat.signature import validate_signature
 from termcat.subst import (SubstInstance, retyping_arrow, subst_arrow_direct,
@@ -68,6 +71,22 @@ def test_subst_expr_sort_mismatch():
     with raises_exactly(TermcatError, "cannot substitute an expression of "
                         "sort s2 for x1:s1"):
         subst_expr(v(sig, 1, 1), v(sig, 1, 1), v(sig, 2, 1))
+
+
+def test_subst_expr_takes_a_deep_expression():
+    # the applications are rebuilt bottom-up with an explicit stack, so a
+    # 20,000-deep expression is substituted at the default recursion limit
+    sig = validate_signature(["s"], [("c", [], "s"), ("i", ["s"], "s")])
+    i, c = sig.operation("i"), App(sig.operation("c"), ())
+    x = v(sig, 1, 1)
+    e = x
+    for _ in range(20000):
+        e = App(i, (e,))
+    got = subst_expr(e, x, c)
+    for _ in range(20000):
+        assert got.op is i
+        got, = got.args
+    assert got is c
 
 
 def test_subst_expr_wide_display():
@@ -204,12 +223,16 @@ def test_retyping_abstraction_drop():
 
 
 def test_retyping_uninhabited_fill():
+    # a variable of a sort without a closed expression has no filler:
+    # `conclude` refuses the concretion that would drop it, so the coding
+    # never asks retyping_arrow for one
     sig = running_signature()  # no constants anywhere
-    witnesses = inhabited_sorts(sig)
+    x, z = v(sig, 1, 1), v(sig, 3, 1)
     with raises_exactly(DeductionError, "sort s3 is empty; no closed filler "
                         "exists"):
-        retyping_arrow((v(sig, 1, 1),), (v(sig, 1, 1), v(sig, 3, 1)),
-                       witnesses)
+        conclude(sig, Concretion(z), [make_equation(x, x, (x, z))])
+    with pytest.raises(KeyError):
+        retyping_arrow((x,), (x, z), inhabited_sorts(sig))
 
 
 def test_retyping_fill_uses_witness():
