@@ -8,15 +8,15 @@ sort, a first-order term whose leaves are projection paths into the domain
 tree.  The normal form is unique per equivalence class under the product
 laws, so structural comparison of normal forms decides formal equality.
 
-Objects and arrows are hash-consed (Filliâtre & Conchon, "Type-safe modular
-hash-consing", 2006): constructing a node returns the one live node with
-that kind and those children, so `==` and `hash` are identity and cost
-O(1).  The intern table holds its nodes weakly and drops an entry when its
-node dies, so nothing outlives the arrows a caller keeps.  Every arrow
-stores its endpoints `src`/`dst` when it is built, which makes each
-endpoint check an `is` test, and it keeps its normal body in a write-once
-slot filled the first time `_norm` reaches it, so shared subarrows are
-normalized once.  Nodes are otherwise immutable.
+Objects and arrows are hash-consed, in the table of `errors` that
+expressions share: constructing a node returns the one live node with that
+kind and those children, so `==` and `hash` are identity and cost O(1).
+The table holds its nodes weakly and drops an entry when its node dies, so
+nothing outlives the arrows a caller keeps.  Every arrow stores its
+endpoints `src`/`dst` when it is built, which makes each endpoint check an
+`is` test, and it keeps its normal body in a write-once slot filled the
+first time `_norm` reaches it, so shared subarrows are normalized once.
+Nodes are otherwise immutable.
 
 The term compiler has one entry, `term_arrow(e, vs)`: the arrow of an
 expression `e` over the product of a variable context `vs`, which holds
@@ -40,84 +40,47 @@ arrow, retyping, the substitution arrow and the substitutivity coding.
 
 from __future__ import annotations
 
-import functools
-import weakref
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import EndpointMismatch, Record
+from .errors import EndpointMismatch, Node, Record, intern, interned
 from .signature import Operation, Sort, Variable
 from .terms import Equation, Expression, var_list
 
-# --- hash-consing ----------------------------------------------------------------
-#
-# Key: the node's class and its children, which are themselves interned and
-# compare by identity (sorts and operations compare by value).  Value: a weak
-# reference whose callback, `dict.pop(key, ref)`, removes the entry when the
-# node dies.  Arrows are acyclic, so reference counting frees a node the
-# moment its last reference goes and the callback runs right then: a key
-# never maps to a dead node when a constructor looks it up.  The table takes
-# no lock, so nodes are built from one thread at a time.
-
-_INTERNED: dict[tuple, weakref.ref] = {}
-
 _set = object.__setattr__
-
-
-def _interned(key: tuple):
-    """The live node stored under `key`, or None."""
-    ref = _INTERNED.get(key)
-    return ref and ref()
-
-
-def _intern(key: tuple, node):
-    _INTERNED[key] = weakref.ref(node, functools.partial(_INTERNED.pop, key))
-    return node
-
-
-class _Node(Record):
-    """An interned record: `__new__` returns the canonical node, so `==`
-    and `hash` are identity, and copies and unpickled nodes are that
-    node too."""
-
-    __slots__ = ("__weakref__",)
-    _fields = ()
-    __init__ = object.__init__
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 # --- objects -----------------------------------------------------------------
 
 
-class Leaf(_Node):
+class Leaf(Node):
     __slots__ = ("sort",)
     _fields = ("sort",)
 
     def __new__(cls, sort: Sort):
         key = (cls, sort.index, sort.name)  # a sort's value
-        node = _interned(key)
+        node = interned(key)
         if node is None:
             node = object.__new__(cls)
             _set(node, "sort", sort)
-            _intern(key, node)
+            intern(key, node)
         return node
 
     def __str__(self) -> str:
         return self.sort.name
 
 
-class Prod(_Node):
+class Prod(Node):
     __slots__ = ("factors",)
     _fields = ("factors",)
 
     def __new__(cls, factors: Iterable["FPObject"]):
         factors = tuple(factors)
         key = (cls, factors)
-        node = _interned(key)
+        node = interned(key)
         if node is None:
             node = object.__new__(cls)
             _set(node, "factors", factors)
-            _intern(key, node)
+            intern(key, node)
         return node
 
     def __str__(self) -> str:
@@ -138,7 +101,7 @@ def flat_product(sorts: Iterable[Sort]) -> Prod:
 # --- arrows --------------------------------------------------------------------
 
 
-class _Arrow(_Node):
+class _Arrow(Node):
     """`src`/`dst` are the endpoints; `_normal` caches the normal body."""
 
     __slots__ = ("src", "dst", "_normal")
@@ -149,7 +112,7 @@ def _arrow(key: tuple, node: _Arrow, src: FPObject, dst: FPObject):
     _set(node, "src", src)
     _set(node, "dst", dst)
     _set(node, "_normal", None)
-    return _intern(key, node)
+    return intern(key, node)
 
 
 class Id(_Arrow):
@@ -158,7 +121,7 @@ class Id(_Arrow):
 
     def __new__(cls, obj: FPObject):
         key = (cls, obj)
-        node = _interned(key)
+        node = interned(key)
         if node is None:
             node = object.__new__(cls)
             _set(node, "obj", obj)
@@ -175,7 +138,7 @@ class Proj(_Arrow):
 
     def __new__(cls, src: Prod, index: int):
         key = (cls, src, index)
-        node = _interned(key)
+        node = interned(key)
         if node is None:
             if not isinstance(src, Prod):
                 raise EndpointMismatch("projection source must be a product")
@@ -197,7 +160,7 @@ class Gen(_Arrow):
 
     def __new__(cls, op: Operation):
         key = (cls, op)
-        node = _interned(key)
+        node = interned(key)
         if node is None:
             node = object.__new__(cls)
             _set(node, "op", op)
@@ -215,7 +178,7 @@ class TupleArrow(_Arrow):
     def __new__(cls, src: FPObject, parts: Iterable["FPArrow"]):
         parts = tuple(parts)
         key = (cls, src, parts)
-        node = _interned(key)
+        node = interned(key)
         if node is None:
             for p in parts:
                 if p.src is not src:
@@ -237,7 +200,7 @@ class Comp(_Arrow):
 
     def __new__(cls, after: "FPArrow", before: "FPArrow"):
         key = (cls, after, before)
-        node = _interned(key)
+        node = interned(key)
         if node is None:
             if before.dst is not after.src:
                 raise EndpointMismatch(

@@ -25,6 +25,7 @@ reach it through this module.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Union
 
 from .arrows import Comp, equation_arrows, term_arrow
@@ -447,21 +448,13 @@ def compile_to_factorization(ld: LevelledDeduction,
     level's consumption order (the associativity re-indexing).  A copy
     entry gives the identity certificate on the claim it carries; any other
     entry its step's lemma proof, from the claims of the level below that
-    it consumes.  Each equation object is compiled once.
+    it consumes.  Each equation is compiled once.
     """
     bad = normal_form_violations(ld)
     if bad:
         raise DeductionError("deduction is not in normal form: "
                              + "; ".join(bad))
-    # by equation object, kept beside its constraint so that no id is
-    # reused; comparing equal-valued keys would walk their nodes
-    done: dict[int, tuple[Equation, EqConstraint]] = {}
-
-    def compiled(eq: Equation) -> EqConstraint:
-        if id(eq) not in done:
-            done[id(eq)] = eq, equation_constraint(eq)
-        return done[id(eq)][1]
-
+    compiled = functools.cache(equation_constraint)
     hyp = tuple(map(compiled, hypotheses))
 
     claims, proofs = [], []

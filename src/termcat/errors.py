@@ -1,8 +1,10 @@
-"""Exception types raised across the package, and the record base class
-of its value types."""
+"""Exception types raised across the package, the record base class of
+its value types, and the one intern table of its hash-consed nodes."""
 
 from __future__ import annotations
 
+import functools
+import weakref
 from operator import attrgetter
 
 
@@ -61,6 +63,45 @@ class Record:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+# --- hash-consing ----------------------------------------------------------------
+#
+# Expressions, objects and arrows are hash-consed (Filliâtre & Conchon,
+# "Type-safe modular hash-consing", 2006) in one table.  Key: the node's
+# class and its children, which are themselves interned and compare by
+# identity (sorts, operations and variables compare by value).  Value: a
+# weak reference whose callback, `dict.pop(key, ref)`, removes the entry
+# when the node dies.  Nodes are acyclic, so reference counting frees a node
+# the moment its last reference goes and the callback runs right then: a
+# key never maps to a dead node when a constructor looks it up.  The table
+# takes no lock, so nodes are built from one thread at a time.
+
+INTERNED: dict[tuple, weakref.ref] = {}
+
+
+def interned(key: tuple):
+    """The live node stored under `key`, or None."""
+    ref = INTERNED.get(key)
+    return ref and ref()
+
+
+def intern(key: tuple, node):
+    """Store the new `node` under `key`, and return it."""
+    INTERNED[key] = weakref.ref(node, functools.partial(INTERNED.pop, key))
+    return node
+
+
+class Node(Record):
+    """An interned record: `__new__` returns the canonical node, so `==`
+    and `hash` are identity, and copies and unpickled nodes are that
+    node too."""
+
+    __slots__ = ("__weakref__",)
+    _fields = ()
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 class TermcatError(Exception):

@@ -28,9 +28,9 @@ Two kinds of certificate are checked:
 
 This module is the only one that decides whether a certificate holds.  It
 imports from `arrows` only constructors and `arrows_equal`, and otherwise
-only `errors`, `signature.Variable` and the standard library, so no code of
-the certificate's producer, its term compiler included, runs during
-replay, and it can be audited on its own.
+only `errors` and the standard library, so no code of the certificate's
+producer, its term compiler included, runs during replay, and it can be
+audited on its own.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Sequence, Union
 from .arrows import (Comp, FPArrow, Gen, Proj, TupleArrow, arrows_equal,
                      flat_product)
 from .errors import DeductionError, EndpointMismatch, Record
-from .signature import Variable
 
 _set = object.__setattr__
 
@@ -271,33 +270,29 @@ def _compile(e, vs: tuple, memo: dict) -> FPArrow:
     """The arrow of expression `e` over the product P of the sorts of `vs`:
     a variable is its projection out of P, an application f(a1..an) is f
     after the tuple of its arguments' arrows.  It is formally equal to the
-    paper's three-stage arrow.  `memo[vs]` holds P, its projections by
-    variable, and each application's arrow by `id`, kept with the
-    application so that no `id` is reused while the memo lives."""
+    paper's three-stage arrow.  `memo[vs]` holds P and one dict, with the
+    arrow of each variable of `vs` and of each application compiled over
+    it; an application is interned, so it is its own key."""
     entry = memo.get(vs)
     if entry is None:
         src = flat_product(v.sort for v in vs)
         entry = memo[vs] = (src, {v: Proj(src, k)
-                                  for k, v in enumerate(vs, 1)}, {})
-    src, proj, done = entry
-    if isinstance(e, Variable):
-        return proj[e]
+                                  for k, v in enumerate(vs, 1)})
+    src, done = entry
     stack = [e]
     while stack:  # an application is built once its arguments are
         x = stack[-1]
-        if id(x) in done:
+        if x in done:
             stack.pop()
             continue
-        todo = [a for a in x.args
-                if not isinstance(a, Variable) and id(a) not in done]
+        todo = [a for a in x.args if a not in done]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
-        done[id(x)] = x, Comp(Gen(x.op), TupleArrow(src, tuple(
-            proj[a] if isinstance(a, Variable) else done[id(a)][1]
-            for a in x.args)))
-    return done[id(e)][1]
+        done[x] = Comp(Gen(x.op), TupleArrow(src, tuple(
+            done[a] for a in x.args)))
+    return done[e]
 
 
 def _rejected(k: int, *lines: str) -> VerificationResult:

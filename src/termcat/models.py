@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .errors import Record, TermcatError
 from .signature import Operation, Signature, Sort, Variable, ordered_vars
-from .terms import App, Equation, applications, var_list
+from .terms import Equation, applications, var_list
 
 MAX_CARRIER = 6
 # reduct models one counterexample search may visit
@@ -111,21 +111,14 @@ def _column_program(eq: Equation, occurring: tuple[Variable, ...]):
 
     Slot k < len(occurring) holds the k-th occurring variable; each step
     (operation name, argument slots) fills the next slot, and a repeated
-    subexpression reuses its slot.  Returns the steps and the slots of the
-    two sides."""
-    slots: dict = {v: k for k, v in enumerate(occurring)}
+    subexpression, which is one interned node, reuses its slot.  Returns
+    the steps and the slots of the two sides."""
+    slot: dict = {v: k for k, v in enumerate(occurring)}
     steps: list[tuple[str, tuple[int, ...]]] = []
-    slot_of: dict[int, int] = {}  # by application object
     for a in applications(eq.left, eq.right):
-        step = (a.op.name, tuple(slot_of[id(b)] if type(b) is App
-                                 else slots[b] for b in a.args))
-        if step not in slots:
-            slots[step] = len(occurring) + len(steps)
-            steps.append(step)
-        slot_of[id(a)] = slots[step]
-    left, right = (slot_of[id(e)] if type(e) is App else slots[e]
-                   for e in (eq.left, eq.right))
-    return steps, left, right
+        slot[a] = len(slot)
+        steps.append((a.op.name, tuple(slot[b] for b in a.args)))
+    return steps, slot[eq.left], slot[eq.right]
 
 
 def _run_columns(model: FiniteModel, steps, columns: list[tuple], n: int):

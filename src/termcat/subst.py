@@ -44,14 +44,10 @@ def subst_expr(e: Expression, x: Variable, u: Expression) -> Expression:
     if u.sort != x.sort:
         raise TermcatError(
             f"cannot substitute an expression of sort {u.sort} for {x}")
-    if type(e) is not App:
-        return u if e == x else e
-    done: dict[int, App] = {}
+    done: dict[Expression, Expression] = {x: u}
     for a in applications(e):
-        done[id(a)] = App(a.op, tuple(
-            done[id(b)] if type(b) is App else u if b == x else b
-            for b in a.args))
-    return done[id(e)]
+        done[a] = App(a.op, tuple(done.get(b, b) for b in a.args))
+    return done.get(e, e)
 
 
 def subst_term(inst: SubstInstance) -> Term:

@@ -12,24 +12,30 @@ from __future__ import annotations
 
 from typing import Union
 
-from .errors import Record, TermcatError
+from .errors import Node, Record, TermcatError, intern, interned
 from .signature import Operation, Signature, Sort, Variable, ordered_vars
 
 _set = object.__setattr__
 
 
-# an `App` keeps its sort in a slot that is not a field, so the sort checks
-# of every `App` built on it read an attribute, as they read a variable's
+# An `App` is hash-consed in the table of `errors`, as objects and arrows
+# are, so `==` and `hash` are identity and never walk the expression.  It
+# keeps its sort in a slot that is not a field, so the sort checks of every
+# `App` built on it read an attribute, as they read a variable's.
 
 
-class App(Record):
+class App(Node):
     __slots__ = ("op", "args", "sort")
     _fields = ("op", "args")
 
-    def __init__(self, op: Operation, args: tuple["Expression", ...]):
-        inputs = op.inputs
+    def __new__(cls, op: Operation, args: tuple["Expression", ...]):
         if type(args) is not tuple:
             args = tuple(args)
+        key = (cls, op, args)
+        node = interned(key)
+        if node is not None:
+            return node
+        inputs = op.inputs
         if len(args) != len(inputs):
             raise TermcatError(
                 f"{op.name} expects {len(inputs)} arguments, "
@@ -44,9 +50,11 @@ class App(Record):
                 raise TermcatError(
                     f"argument {i} of {op.name} has sort {got}, "
                     f"expected {want}")
-        _set(self, "op", op)
-        _set(self, "args", args)
-        _set(self, "sort", op.output)
+        node = object.__new__(cls)
+        _set(node, "op", op)
+        _set(node, "args", args)
+        _set(node, "sort", op.output)
+        return intern(key, node)
 
     def __str__(self) -> str:
         # an explicit stack of what is still to write, so an expression of
@@ -113,17 +121,17 @@ def var_list(e: Expression) -> tuple[Variable, ...]:
 
 def applications(*exprs: Expression):
     """The applications in `exprs`, bottom-up: each one after its
-    arguments, in left-to-right order, and each object once.  An explicit
+    arguments, in left-to-right order, and each node once.  An explicit
     stack, so an expression of any depth is walked."""
-    seen: set[int] = set()
+    seen: set[App] = set()
     stack: list = list(reversed(exprs))
     pop = stack.pop
     while stack:
         x = pop()
         if x is None:  # the application under it has all its arguments
             yield pop()
-        elif type(x) is App and id(x) not in seen:
-            seen.add(id(x))
+        elif type(x) is App and x not in seen:
+            seen.add(x)
             stack += (x, None)
             stack += x.args[::-1]
 

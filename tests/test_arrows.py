@@ -22,7 +22,7 @@ from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NTuple, Path, Prod,
                             occurrence_arrow, product_of_arrows,
                             regroup_arrow, term_arrow, term_normal)
 from termcat.dsl import parse_spec
-from termcat.errors import EndpointMismatch
+from termcat.errors import INTERNED, EndpointMismatch
 from termcat.signature import Variable, validate_signature
 from termcat.terms import App, var_list, var_set
 
@@ -405,7 +405,7 @@ def test_copy_and_pickle_return_the_canonical_node():
     t = worked_term(sig)
     a = term_arrow(t.expr, t.vars)
     normalize(a)
-    for node in (a, a.src, a.dst, TERMINAL):
+    for node in (a, a.src, a.dst, TERMINAL, t.expr):
         assert copy.copy(node) is node
         assert copy.deepcopy(node) is node
         assert pickle.loads(pickle.dumps(node)) is node
@@ -413,18 +413,20 @@ def test_copy_and_pickle_return_the_canonical_node():
 
 
 def test_intern_table_keeps_no_node_alive(seed=43):
+    # expressions, objects and arrows share the table, so the last term
+    # must go too
     gc.collect()
-    before = len(arrows._INTERNED)
+    before = len(INTERNED)
     rng = random.Random(seed)
     for _ in range(50):
         sig = gen_signature(rng)
         t = gen_term(rng, sig)
         a = term_arrow(t.expr, t.vars)
         assert arrows_equal(a, embed(normalize(a)))
-    assert len(arrows._INTERNED) > before
-    del sig, a
+    assert len(INTERNED) > before
+    del sig, t, a
     gc.collect()
-    assert len(arrows._INTERNED) == before
+    assert len(INTERNED) == before
 
 
 def test_model_evaluation_never_reads_normal_forms():

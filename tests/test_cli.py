@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 import termcat
 from fixtures import raises_exactly
-from termcat import arrows, cli, dsl
+from termcat import cli, dsl
 from termcat.cli import json_text, run
 from termcat.dsl import parse_spec
-from termcat.errors import TermcatError
+from termcat.errors import INTERNED, TermcatError
 from termcat.terms import App
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -846,15 +846,16 @@ def test_closed_stdout_exit_2_without_traceback(unbuffered):
 
 def test_no_arrow_outlives_its_command(capsys):
     # with the cycle collector off, reference counting alone must free every
-    # node a command built, so none is shared with the next command
+    # node a command built, expression or arrow, so none is shared with the
+    # next command
     gc.collect()
-    before = len(arrows._INTERNED)
+    before = len(INTERNED)
     gc.disable()
     try:
         for argv in ALL_COMMANDS:
             run(argv)
             run(argv + ["--json"])
-            assert len(arrows._INTERNED) == before, argv
+            assert len(INTERNED) == before, argv
     finally:
         gc.enable()
     capsys.readouterr()

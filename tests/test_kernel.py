@@ -77,14 +77,12 @@ def _outside_stdlib(imports, allowed: set[str]) -> list[str]:
             and name not in allowed]
 
 
-def test_kernel_imports_only_arrows_errors_signature_and_the_stdlib():
-    # signature.py defines no expressions and imports only errors; the
-    # kernel reads its Variable to tell a projection from an application
+def test_kernel_imports_only_arrows_errors_and_the_stdlib():
+    # an application is interned, so the kernel's compiler keys its memo by
+    # node and needs no type test to tell a variable from an application
     imports = _imports(kernel)
-    assert {"arrows", "errors", "signature"} <= {name for name, _ in imports}
-    assert _outside_stdlib(imports, {"arrows", "errors", "signature"}) == []
-    assert [names for name, names in imports
-            if name == "signature"] == [("Variable",)]
+    assert {"arrows", "errors"} <= {name for name, _ in imports}
+    assert _outside_stdlib(imports, {"arrows", "errors"}) == []
     # the kernel compiles statements with its own compiler, not the
     # producer's: none of the compilers `arrows` defines
     compilers = {"equation_arrows", "term_arrow", "context_arrow",

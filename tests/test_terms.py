@@ -11,6 +11,7 @@ from fixtures import (input_types, make_equation, make_term,
                       raises_exactly, running_signature, type_list, type_set,
                       v)
 from gen import gen_expression, gen_signature
+from termcat.dsl import parse_spec
 from termcat.errors import TermcatError
 from termcat.signature import (Operation, Sort, Variable, ordered_vars,
                                validate_signature)
@@ -167,6 +168,25 @@ def test_a_deep_expression_prints():
             opened.append("i(")
             closed.append(")")
     assert str(e) == "".join(reversed(opened)) + "x1:s" + "".join(closed)
+
+
+def test_deep_expressions_and_equations_compare_and_hash():
+    # an `App` is interned, so `==` and `hash` on two separately parsed
+    # 20,000-deep towers, and on equations with such sides, are identity
+    # and succeed at the interpreter's default recursion limit
+    d = 20000
+    tower = "i(" * d + "x" + ")" * d
+    text = (f"sort s\nop i : s -> s\nop c : -> s\n"
+            f"eq q [x:s] : {tower} = {tower}\n"
+            f"eq r [x:s] : {tower} = c\n")
+    one, two = parse_spec(text), parse_spec(text)
+    q1, q2 = one.equations["q"], two.equations["q"]
+    assert q1.left is q2.left and q1.left is q1.right
+    assert q1.left == q2.right and hash(q1.left) == hash(q2.right)
+    assert q1 is not q2 and q1 == q2 and hash(q1) == hash(q2)
+    r = one.equations["r"]
+    assert r.left is q1.left and r != q1 and q1.left != r.right
+    assert len({q1, q2, r}) == 2
 
 
 def test_var_set_reorders_by_canonical_order():
