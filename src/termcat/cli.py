@@ -2,7 +2,9 @@
 
 Commands: sketch, compile, check-eq, subst, check-proof, normalize-proof,
 oracle.  Human-readable text by default; `--json` switches to a stable JSON
-schema (identical inputs give byte-identical output).  Exit codes: 0 on
+schema, schema 2 (identical inputs give byte-identical output): a payload
+that holds arrows writes each object and arrow once, as a row of its
+`objects` and `arrows` tables, and names it by row index.  Exit codes: 0 on
 success, 1 on verification failure, 2 on input errors (unreadable or
 undecodable files and too deeply nested input included).
 """
@@ -26,28 +28,98 @@ from .terms import Expression, Term
 
 
 # --- JSON encoding -----------------------------------------------------------
+#
+# A payload that holds arrows (`compile`, `check-proof`) is schema 2: it has
+# "schema": 2 and two tables, "objects" and "arrows", with one row per
+# distinct object or arrow it holds, and every field that names an object or
+# an arrow holds its row index.  Objects and arrows are hash-consed, so the
+# rows are their interned nodes one to one: the maximal sharing of the ATerm
+# exchange format (van den Brand, de Jong, Klint & Olivier, "Efficient
+# annotated terms", 2000).  A row refers only to earlier rows.
+
+
+class Tables:
+    """The `objects` and `arrows` tables of one schema-2 payload; `rows`
+    maps each node written so far to its row index in its table."""
+
+    __slots__ = ("objects", "arrows", "rows")
+
+    def __init__(self):
+        self.objects: list[dict] = []
+        self.arrows: list[dict] = []
+        self.rows: dict = {}
+
+    def payload(self, fields: dict) -> dict:
+        """`fields` with the tables and "schema": 2; without them if no
+        row was written, as a payload that holds no arrow stays schema 1."""
+        if not self.rows:
+            return fields
+        return {"schema": 2, "objects": self.objects, "arrows": self.arrows,
+                **fields}
+
+
+def arrow_json(node, tables: Tables) -> int:
+    """The row index of `node`, an arrow or an object, in its table.  A
+    node without a row gets one after the nodes it refers to, in the order
+    the walk first reaches them; the walk keeps an explicit stack."""
+    rows = tables.rows
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        if x in rows:
+            continue
+        missing = [k for k in _refers_to(x) if k not in rows]
+        if missing:
+            stack.append(x)
+            stack.extend(reversed(missing))
+            continue
+        table = tables.objects if isinstance(x, (arrows.Leaf, arrows.Prod)) \
+            else tables.arrows
+        rows[x] = len(table)
+        table.append(_row(x, rows))
+    return rows[node]
+
+
+def _refers_to(x) -> tuple:
+    """The nodes that the row of `x` names, in the order it names them."""
+    if isinstance(x, arrows.Comp):
+        return x.after, x.before
+    if isinstance(x, arrows.TupleArrow):
+        return (x.src, *x.parts)
+    if isinstance(x, arrows.Proj):
+        return x.src,
+    if isinstance(x, arrows.Prod):
+        return x.factors
+    if isinstance(x, arrows.Id):
+        return x.obj,
+    return ()
+
+
+def _row(x, rows: dict) -> dict:
+    """The row of `x`, whose nodes under it have theirs in `rows`."""
+    if isinstance(x, arrows.Comp):
+        return {"kind": "comp", "after": rows[x.after],
+                "before": rows[x.before]}
+    if isinstance(x, arrows.TupleArrow):
+        return {"kind": "tuple", "source": rows[x.src],
+                "parts": [rows[p] for p in x.parts]}
+    if isinstance(x, arrows.Proj):
+        return {"kind": "proj", "index": x.index, "source": rows[x.src]}
+    if isinstance(x, arrows.Prod):
+        return {"kind": "product", "factors": [rows[f] for f in x.factors]}
+    if isinstance(x, arrows.Id):
+        return {"kind": "id", "object": rows[x.obj]}
+    if isinstance(x, arrows.Leaf):
+        return {"kind": "sort", "name": x.sort.name}
+    return {"kind": "gen", "op": x.op.name}
 
 
 def object_json(obj: arrows.FPObject) -> dict:
+    """`obj` written out in full, as the endpoints of a normal form are."""
     if isinstance(obj, arrows.Leaf):
         return {"kind": "sort", "name": obj.sort.name}
     return {"kind": "product", "factors": [object_json(f)
                                            for f in obj.factors]}
-
-
-def arrow_json(a: arrows.FPArrow) -> dict:
-    if isinstance(a, arrows.Id):
-        return {"kind": "id", "object": object_json(a.obj)}
-    if isinstance(a, arrows.Proj):
-        return {"kind": "proj", "index": a.index,
-                "source": object_json(a.src)}
-    if isinstance(a, arrows.Gen):
-        return {"kind": "gen", "op": a.op.name}
-    if isinstance(a, arrows.TupleArrow):
-        return {"kind": "tuple", "source": object_json(a.src),
-                "parts": [arrow_json(p) for p in a.parts]}
-    return {"kind": "comp", "after": arrow_json(a.after),
-            "before": arrow_json(a.before)}
 
 
 def normal_body_json(b: arrows.NormalBody) -> dict:
@@ -88,38 +160,40 @@ def term_json(t: Term) -> dict:
             "sort": t.sort.name}
 
 
-def constraint_json(c: kernel.EqConstraint) -> dict:
-    return {"left": arrow_json(c.left), "right": arrow_json(c.right)}
+def constraint_json(c: kernel.EqConstraint, tables: Tables) -> dict:
+    return {"left": arrow_json(c.left, tables),
+            "right": arrow_json(c.right, tables)}
 
 
-def kernel_step_json(s: kernel.KernelStep) -> dict:
+def kernel_step_json(s: kernel.KernelStep, tables: Tables) -> dict:
     if isinstance(s, kernel.CiteHyp):
         return {"step": "cite", "hyp": s.hyp}
     if isinstance(s, kernel.Refl):
-        return {"step": "refl", "arrow": arrow_json(s.arrow)}
+        return {"step": "refl", "arrow": arrow_json(s.arrow, tables)}
     if isinstance(s, kernel.Sym):
         return {"step": "sym", "of": s.of}
     if isinstance(s, kernel.Trans):
         return {"step": "trans", "first": s.first, "second": s.second}
     if isinstance(s, kernel.ComposeLeft):
-        return {"step": "compose-left", "arrow": arrow_json(s.arrow),
+        return {"step": "compose-left", "arrow": arrow_json(s.arrow, tables),
                 "of": s.of}
     if isinstance(s, kernel.ComposeRight):
-        return {"step": "compose-right", "arrow": arrow_json(s.arrow),
-                "of": s.of}
-    return {"step": "tuple", "source": object_json(s.src),
+        return {"step": "compose-right",
+                "arrow": arrow_json(s.arrow, tables), "of": s.of}
+    return {"step": "tuple", "source": arrow_json(s.src, tables),
             "of": list(s.of)}
 
 
 def factorization_json(f: kernel.Factorization,
-                       ld: deduction.LevelledDeduction) -> dict:
+                       ld: deduction.LevelledDeduction,
+                       tables: Tables) -> dict:
     """The certificate `f` assembled from `ld`; "meta" records how the
     levelled form was read."""
     return {
-        "hypotheses": [constraint_json(c) for c in f.hyp],
-        "claims": [constraint_json(c) for c in f.claim],
-        "workspace": [constraint_json(c) for c in f.wksp],
-        "verification": [[kernel_step_json(s) for s in proof]
+        "hypotheses": [constraint_json(c, tables) for c in f.hyp],
+        "claims": [constraint_json(c, tables) for c in f.claim],
+        "workspace": [constraint_json(c, tables) for c in f.wksp],
+        "verification": [[kernel_step_json(s, tables) for s in proof]
                          for proof in f.verif],
         "meta": {"level_partitions": [[list(s.premises) for s in level]
                                       for level in ld.levels[1:]],
@@ -128,11 +202,13 @@ def factorization_json(f: kernel.Factorization,
     }
 
 
-def lemma_table_json(lemmas: tuple[kernel.Lemma, ...]) -> dict:
+def lemma_table_json(lemmas: tuple[kernel.Lemma, ...],
+                     tables: Tables) -> dict:
     return {"lemmas": [{"statement": equation_json(x.statement),
                         "cites": list(x.cites),
                         "hypothesis": x.hypothesis,
-                        "proof": [kernel_step_json(s) for s in x.proof]}
+                        "proof": [kernel_step_json(s, tables)
+                                  for s in x.proof]}
                        for x in lemmas]}
 
 
@@ -168,8 +244,15 @@ def _write(o, pad: str, put) -> None:
         inner = pad + "  "
         sep = "{" + inner
         for k, v in sorted(o.items()):
-            put(sep + encode_basestring_ascii(k) + ": ")
-            _write(v, inner, put)
+            key = sep + encode_basestring_ascii(k) + ": "
+            # the scalars that fill the tables' rows, without a call each
+            if type(v) is int:
+                put(key + int.__repr__(v))
+            elif type(v) is str:
+                put(key + encode_basestring_ascii(v))
+            else:
+                put(key)
+                _write(v, inner, put)
             sep = "," + inner
         put(pad + "}")
     elif isinstance(o, list):
@@ -179,8 +262,11 @@ def _write(o, pad: str, put) -> None:
         inner = pad + "  "
         sep = "[" + inner
         for v in o:
-            put(sep)
-            _write(v, inner, put)
+            if type(v) is int:
+                put(sep + int.__repr__(v))
+            else:
+                put(sep)
+                _write(v, inner, put)
             sep = "," + inner
         put(pad + "]")
     elif o is None:
@@ -265,12 +351,14 @@ def cmd_compile(args) -> int:
     app = arrows.apply_arrow(t.expr)
     normal = arrows.term_normal(t.expr, t.vars)
     if args.json:
-        _emit({"term": term_json(t),
-               "input_product": object_json(arrows.input_product(t.vars)),
-               "occurrences": arrow_json(occ),
-               "regroup": arrow_json(reg),
-               "apply": arrow_json(app),
-               "normal": normal_json(normal)})
+        tables = Tables()
+        _emit(tables.payload({
+            "term": term_json(t),
+            "input_product": arrow_json(arrows.input_product(t.vars), tables),
+            "occurrences": arrow_json(occ, tables),
+            "regroup": arrow_json(reg, tables),
+            "apply": arrow_json(app, tables),
+            "normal": normal_json(normal)}))
         return 0
     _print([f"term {args.term} : {t}",
             f"  input product: {arrows.input_product(t.vars)}",
@@ -336,11 +424,12 @@ def cmd_subst(args) -> int:
     return 0 if equal else 1
 
 
-def _check_one_proof(sf: SpecFile, proof: ProofDef, as_json: bool,
+def _check_one_proof(sf: SpecFile, proof: ProofDef, tables: Tables | None,
                      levelled: bool) -> tuple[int, dict | list[str]]:
     """Check one proof, by its lemma table or, with `levelled`, by the
     levelled certificate pasted from the lemma table's codings; returns the
-    exit code and either the json payload or the text lines."""
+    exit code and either the json fields, whose arrows go into `tables`, or,
+    if `tables` is None, the text lines."""
     name = proof.name
     try:
         steps, hyps = build_proof(sf, proof)
@@ -353,19 +442,19 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef, as_json: bool,
             result = kernel.verify_lemmas(hyps, lemmas, steps[-1].equation)
     except DeductionError as exc:
         reason = _origin(sf, proof, exc.step) + str(exc)
-        if as_json:
+        if tables is not None:
             return 1, {"proof": name, "valid": False, "error": reason}
         return 1, [f"proof {name}: INVALID ({reason})"]
     conclusion = steps[-1].equation
     code = 0 if result.ok else 1
     where = _origin(sf, proof, result.rejected)
     trace = [where + line for line in result.trace]
-    if as_json:
+    if tables is not None:
         return code, {"proof": name,
                       "conclusion": equation_json(conclusion),
                       "valid": result.ok,
-                      "certificate": factorization_json(cert, ld)
-                      if levelled else lemma_table_json(lemmas),
+                      "certificate": factorization_json(cert, ld, tables)
+                      if levelled else lemma_table_json(lemmas, tables),
                       "trace": trace}
     if levelled:
         sizes = (f"hypotheses: {len(cert.hyp)}, claims: {len(cert.claim)}, "
@@ -389,14 +478,16 @@ def _origin(sf: SpecFile, proof: ProofDef, k: int | None) -> str:
 def cmd_check_proof(args) -> int:
     sf = _load(args.file)
     proofs = [_proof(sf, args.proof)] if args.proof else sf.proofs
+    # all proofs of one payload share its tables
+    tables = Tables() if args.json else None
     worst = 0
     outs = []
     for proof in proofs:
-        code, out = _check_one_proof(sf, proof, args.json, args.levelled)
+        code, out = _check_one_proof(sf, proof, tables, args.levelled)
         outs.append(out)
         worst = max(worst, code)
-    if args.json:
-        _emit(outs[0] if args.proof else {"proofs": outs})
+    if tables is not None:
+        _emit(tables.payload(outs[0] if args.proof else {"proofs": outs}))
     else:
         _print([line for out in outs for line in out])
     return worst

@@ -1,9 +1,10 @@
 """Shared concrete signatures, variable helpers and the certificate route
 for the tests, and the helpers only tests call: the exact-error check,
 terms, equations and rule codings from loose arguments, normal forms back
-to arrows, most concrete terms and equations, the reference evaluation of
-expressions and arrows in finite models, random finite models and a random
-search for a model that separates two arrows, and the .msl printer."""
+to arrows, schema-2 `--json` payloads back to schema 1, most concrete
+terms and equations, the reference evaluation of expressions and arrows in
+finite models, random finite models and a random search for a model that
+separates two arrows, and the .msl printer."""
 
 from __future__ import annotations
 
@@ -152,6 +153,72 @@ def _embed_body(body: NormalBody, src: FPObject) -> FPArrow:
         inner = TupleArrow(src, tuple(_embed_body(a, src) for a in body.args))
         return Comp(Gen(body.op), inner)
     return TupleArrow(src, tuple(_embed_body(p, src) for p in body.parts))
+
+
+# --- schema-2 JSON back to schema 1 -------------------------------------------
+
+
+def expand(payload: dict) -> dict:
+    """A `--json` payload in schema 1: a schema-2 payload loses `schema`
+    and its tables, and each index field becomes the tree of its row, as
+    the CLI wrote it before the tables; any other payload is returned as
+    it is."""
+    if payload.get("schema") != 2:
+        return payload
+    objects: list[dict] = []
+    for row in payload["objects"]:
+        objects.append(row if row["kind"] == "sort" else
+                       {**row, "factors": [objects[i]
+                                           for i in row["factors"]]})
+    arrows: list[dict] = []
+    for row in payload["arrows"]:
+        tree = dict(row)
+        for field in ("object", "source"):
+            if field in row:
+                tree[field] = objects[row[field]]
+        for field in ("after", "before"):
+            if field in row:
+                tree[field] = arrows[row[field]]
+        if "parts" in row:
+            tree["parts"] = [arrows[i] for i in row["parts"]]
+        arrows.append(tree)
+    fields = {k: v for k, v in payload.items()
+              if k not in ("schema", "objects", "arrows")}
+    if "occurrences" in fields:  # compile
+        fields["input_product"] = objects[fields["input_product"]]
+        for k in ("occurrences", "regroup", "apply"):
+            fields[k] = arrows[fields[k]]
+        return fields
+
+    def proof(p: dict) -> dict:
+        if "certificate" not in p:  # an invalid proof
+            return p
+        return {**p, "certificate": _expand_certificate(p["certificate"],
+                                                        objects, arrows)}
+
+    if "proofs" in fields:
+        return {**fields, "proofs": [proof(p) for p in fields["proofs"]]}
+    return proof(fields)
+
+
+def _expand_certificate(cert: dict, objects: list, arrows: list) -> dict:
+    def step(s: dict) -> dict:
+        if "arrow" in s:
+            return {**s, "arrow": arrows[s["arrow"]]}
+        if s["step"] == "tuple":
+            return {**s, "source": objects[s["source"]]}
+        return s
+
+    if "lemmas" in cert:
+        return {"lemmas": [{**x, "proof": [step(s) for s in x["proof"]]}
+                           for x in cert["lemmas"]]}
+    out = {k: [{"left": arrows[c["left"]], "right": arrows[c["right"]]}
+               for c in cert[k]]
+           for k in ("hypotheses", "claims", "workspace")}
+    out["verification"] = [[step(s) for s in proof]
+                           for proof in cert["verification"]]
+    out["meta"] = cert["meta"]
+    return out
 
 
 # --- most concrete terms and equations -----------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import termcat
-from fixtures import raises_exactly
+from fixtures import expand, raises_exactly
 from termcat import cli, dsl
 from termcat.cli import json_text, run
 from termcat.dsl import parse_spec
@@ -103,11 +103,23 @@ def test_check_proof_json_certificate(capsys):
                                   "unit_square", MONOID, "--json"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["valid"] is True
+    assert payload["valid"] is True and payload["schema"] == 2
     cert = payload["certificate"]
     assert len(cert["hypotheses"]) == 1
     assert len(cert["claims"]) == 1
     assert cert["verification"]
+    # the constraints and the steps name their arrows by row; the claim
+    # runs from the terminal object, as `m(e, e) = e` has no variables
+    rows = payload["arrows"]
+    claim, = cert["claims"]
+    assert {rows[claim["left"]]["kind"], rows[claim["right"]]["kind"]} \
+        == {"comp"}
+    tree = expand(payload)["certificate"]["claims"][0]["left"]
+    while tree["kind"] == "comp":
+        tree = tree["before"]
+    assert tree["source"] == {"kind": "product", "factors": []}
+    assert all(isinstance(s["arrow"], int) for p in cert["verification"]
+               for s in p if "arrow" in s)
 
 
 def test_check_proof_json_lemma_table(capsys):
@@ -422,7 +434,7 @@ def test_a_step_nothing_cites_is_checked(tmp_path, capsys):
         assert code == 0
     code, out = _capture(capsys, ["check-proof", "--json", "--proof",
                                   "unused", str(f)])
-    lemmas = json.loads(out)["certificate"]["lemmas"]
+    lemmas = expand(json.loads(out))["certificate"]["lemmas"]
     assert [(x["cites"], x["hypothesis"]) for x in lemmas] == [
         ([], 0), ([], 1), ([1], None), ([0], None)]
 
@@ -436,7 +448,7 @@ def test_lemmas_come_in_declaration_order(tmp_path, capsys):
                  "  d = trans a c ;\n}\n")
     code, out = _capture(capsys, ["check-proof", "--json", str(f)])
     assert code == 0
-    lemmas = json.loads(out)["proofs"][0]["certificate"]["lemmas"]
+    lemmas = expand(json.loads(out))["proofs"][0]["certificate"]["lemmas"]
     assert [(x["cites"], x["hypothesis"]) for x in lemmas] == [
         ([], 1), ([], 0), ([0], None), ([1, 2], None)]
     sf = parse_spec(f.read_text())
@@ -672,7 +684,7 @@ def test_deep_input_exit_2(depth, argv, end, tmp_path, capsys):
     # interpreter, so exit 0 is allowed below the 20,000-deep case, but only
     # with the complete output (`end` is how it ends) and nothing on stderr;
     # exit 2 must leave stdout empty.  stdout goes to a file: at depth 250
-    # `compile --json` writes hundreds of MB where it succeeds.
+    # `compile --json` writes 1.7 MB where it succeeds.
     f = tmp_path / "deep.msl"
     f.write_text(f"sort s\nop i : s -> s\nterm t [x:s] : {_tower(depth)}\n"
                  f"eq q [x:s] : {_tower(depth)} = {_tower(depth)}\n")
@@ -875,7 +887,8 @@ def test_json_output_is_byte_identical(argv, capsys):
 # --json; the outputs are the same on Python 3.10-3.13, so any change to what
 # the term compiler or the proof producer builds shows up here.  Each
 # `check-proof --levelled` digest is the one `check-proof` had before the
-# lemma table became its default.
+# lemma table became its default.  A `compile` or `check-proof` payload is
+# pinned here in schema 1, as `expand` writes it back.
 OUTPUT_DIGESTS = {
     "sketch monoid.msl":
         "d2087e6c8d02dca0efdda6350cef79eb7558b5ef8b0052454f369c6cc67914e9",
@@ -944,8 +957,37 @@ OUTPUT_DIGESTS = {
 }
 
 
+# the digests of the --json payloads that hold arrows, which are schema 2:
+# each object and arrow is one row of the `objects` and `arrows` tables.
+# Expanded back to schema 1, each gives its digest in OUTPUT_DIGESTS.  The
+# lemma table of `fetch` cites, and uses sym and trans, only: it holds no
+# arrow, so its payload is schema 1 and keeps its digest there.
+SCHEMA_2_DIGESTS = {
+    "compile --term t1 monoid.msl --json":
+        "272b3291194fadd52387d450ace4f9b14837fd62a7fe3ea051dab807c1cd977e",
+    "compile --term ee monoid.msl --json":
+        "298e6ee2ad0a0d91641096954d3a88060a79e30482e66e2e2bc82d201c336d46",
+    "compile --term fb twosorted.msl --json":
+        "2ebaa7ba7b9dc931aeec4c30030c42add0f66c86c76874efbe02e4079e998b2f",
+    "check-proof monoid.msl --json":
+        "057f824f100da0ba1b0be84090b060c5405e81bcfba79c75f2d06a1388ae3df8",
+    "check-proof --levelled monoid.msl --json":
+        "efe8c73a5713754d4cb6500ac2c48a0f3eb5307ef1fbf429eab415278837be6b",
+    "check-proof --proof unit_square monoid.msl --json":
+        "ad82ceebccf0fd8b29d359815f690c1de02c24c28b5121772b4bb272e5c68094",
+    "check-proof --levelled --proof unit_square monoid.msl --json":
+        "35bc07d31b040f8d815a28612955ef6ad0f27aa5fa895e2562b4d9e1e717eab4",
+    "check-proof --levelled --proof fetch twosorted.msl --json":
+        "f3d13081cfb5f1cae5fa3e6a31ad3d7b125dd14456af8453c638ffd45a9d3ab8",
+}
+
+
 def _digest_key(argv, json_flag):
     return " ".join(argv[:-1] + [Path(argv[-1]).name] + json_flag)
+
+
+def _digest(code: int, out: str) -> str:
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -954,8 +996,23 @@ def _digest_key(argv, json_flag):
                               for a in ALL_COMMANDS])
 def test_output_bytes_are_pinned(argv, json_flag, capsys):
     code, out = _capture(capsys, argv + json_flag)
-    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
-    assert digest == OUTPUT_DIGESTS[_digest_key(argv, json_flag)]
+    key = _digest_key(argv, json_flag)
+    assert _digest(code, out) == SCHEMA_2_DIGESTS.get(key,
+                                                      OUTPUT_DIGESTS[key])
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS,
+                         ids=[" ".join(a[:-1] + [Path(a[-1]).name])
+                              for a in ALL_COMMANDS])
+def test_schema_2_expands_to_the_schema_1_bytes(argv, capsys):
+    # the tables lose nothing: each payload, written again in schema 1,
+    # has the bytes the CLI printed before the tables
+    code, out = _capture(capsys, argv + ["--json"])
+    payload = json.loads(out)
+    key = _digest_key(argv, ["--json"])
+    assert (payload.get("schema") == 2) == (key in SCHEMA_2_DIGESTS)
+    assert _digest(code, json_text(expand(payload)) + "\n") \
+        == OUTPUT_DIGESTS[key]
 
 # --- the JSON writer -----------------------------------------------------------
 
