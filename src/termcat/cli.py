@@ -441,13 +441,13 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef, tables: Tables | None,
         else:
             result = kernel.verify_lemmas(hyps, lemmas, steps[-1].equation)
     except DeductionError as exc:
-        reason = _origin(sf, proof, exc.step) + str(exc)
+        reason = step_origin(sf, proof, exc.step) + str(exc)
         if tables is not None:
             return 1, {"proof": name, "valid": False, "error": reason}
         return 1, [f"proof {name}: INVALID ({reason})"]
     conclusion = steps[-1].equation
     code = 0 if result.ok else 1
-    where = _origin(sf, proof, result.rejected)
+    where = step_origin(sf, proof, result.rejected)  # lemma k is step k
     trace = [where + line for line in result.trace]
     if tables is not None:
         return code, {"proof": name,
@@ -469,15 +469,9 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef, tables: Tables | None,
     return code, lines
 
 
-def _origin(sf: SpecFile, proof: ProofDef, k: int | None) -> str:
-    """Where step k of `proof` is declared, as the prefix of a message
-    about it, or "" if k is None.  Lemma k is step k."""
-    return "" if k is None else f"{step_origin(sf, proof, k)}: "
-
-
 def cmd_check_proof(args) -> int:
     sf = _load(args.file)
-    proofs = [_proof(sf, args.proof)] if args.proof else sf.proofs
+    proofs = [_proof(sf, args.proof)] if args.proof else sf.proofs.values()
     # all proofs of one payload share its tables
     tables = Tables() if args.json else None
     worst = 0
@@ -499,7 +493,8 @@ def cmd_normalize_proof(args) -> int:
     try:
         steps, _ = build_proof(sf, proof)
     except DeductionError as exc:
-        print(f"error: {_origin(sf, proof, exc.step)}{exc}", file=sys.stderr)
+        where = step_origin(sf, proof, exc.step)
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     ld = deduction.normalize_deduction(steps)
     if args.json:

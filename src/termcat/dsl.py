@@ -36,8 +36,9 @@ them.
 Every declaration is checked, but only on sorts: `_sort_of` resolves each
 name and checks each call's arity and argument sorts without building
 anything, and a declaration that fails is elaborated to raise its error.
-A file's terms and equations are built when a command first reads them, so
-a command checks the whole file and builds only what it reads.
+Proofs are checked on syntax and names; their steps, a file's terms and its
+equations are built when a command first reads them, so a command checks
+the whole file and builds only what it reads.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ EOF = ""  # ends the token list; the scanner lets no other "" through
 _NOT_NAME = frozenset(["->", "(", ")", "[", "]", "{", "}", ":", ",", ";",
                        "=", "\n", EOF])
 # how messages name a symbol the parser expected, or a token without text
-_KINDS = {"->": "ARROW", ")": "RPAREN", "]": "RBRACK", "{": "LBRACE",
-          ":": "COLON", ";": "SEMI", "=": "EQUALS"}
+_KINDS = {":": "COLON", ";": "SEMI", "=": "EQUALS"}
 _SHOWN = {"\n": "NEWLINE", EOF: "EOF"}
 
 
@@ -157,8 +157,8 @@ Bracket = tuple[tuple[str, str], ...]  # (variable name, sort name) pairs
 
 
 class StepDef(Record):
-    __slots__ = ("name", "rule", "eq_name", "steps", "var_name",
-                 "sort_name", "bracket", "expr", "at")
+    # operands: what follows its rule, as `_RULES` spells it, but symbols
+    __slots__ = ("name", "rule", "operands", "at")
     _compared = __slots__[:-1]
 
 
@@ -182,8 +182,8 @@ class SpecFile(Record):
     """A parsed file: its declarations as written, and the terms,
     equations and variable bindings they elaborate to, by name; and the
     scanned text and tokens, from which positions are computed.  Two files
-    are equal when their declarations are.  `terms` and `equations` are
-    `_OnDemand` mappings."""
+    are equal when their declarations are.  `terms`, `equations` and
+    `proofs` are `_OnDemand` mappings."""
 
     __slots__ = ("signature", "sort_names", "op_decls", "term_decls",
                  "eq_decls", "proofs", "terms", "equations", "term_bindings",
@@ -192,10 +192,7 @@ class SpecFile(Record):
     __hash__ = None
 
     def proof(self, name: str) -> ProofDef:
-        for p in self.proofs:
-            if p.name == name:
-                return p
-        raise KeyError(name)
+        return self.proofs[name]
 
 
 class _OnDemand(Mapping):
@@ -251,6 +248,16 @@ class _Cited(Sequence):
 # --- parser --------------------------------------------------------------------
 
 
+# What follows `<step> = <rule>` in a step, per rule, as `_Parser.read`
+# spells it; "s" is the name of a cited step
+_RULES = {"hyp": "n;", "refl": "[x;", "sym": "s;", "trans": "ss;",
+          "conc": "sn;", "abs": "sn:n;", "subst": "sns;"}
+# where a step's operands, the values its shape reads, hold the steps it
+# cites; a shape's ":" gives no value, and its ";" comes last
+_CITED = {rule: tuple(k for k, kind in enumerate(shape.replace(":", ""))
+                      if kind == "s") for rule, shape in _RULES.items()}
+
+
 def _expected(kind: str, tokens: list[str], i: int) -> _Fault:
     tok = tokens[i]
     return _Fault(f"expected {kind}, found {_SHOWN.get(tok, tok)!r}", i)
@@ -265,25 +272,34 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def name(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok in _NOT_NAME:
-            raise _expected("NAME", self.tokens, self.pos)
-        self.pos += 1
-        return tok
-
-    def expect(self, symbol: str) -> None:
-        if self.tokens[self.pos] != symbol:
-            raise _expected(_KINDS[symbol], self.tokens, self.pos)
-        self.pos += 1
-
-    def end_line(self) -> None:
-        tok = self.tokens[self.pos]
-        if tok != "\n" and tok != EOF:
-            raise _Fault(f"unexpected {tok!r} at end of statement", self.pos)
-        self.pos += 1
+    def read(self, shape: str) -> list:
+        """The values of what `shape` spells from `pos` on: a name per "n" or
+        "s", a bracket per "[", an expression per "x"; any other character is
+        that symbol ("\\n" ends a statement) and gives no value."""
+        tokens, i = self.tokens, self.pos
+        values: list = []
+        for kind in shape:
+            tok = tokens[i]
+            if kind == "n" or kind == "s":
+                if tok in _NOT_NAME:
+                    raise _expected("NAME", tokens, i)
+                values.append(tok)
+            elif kind == "[" or kind == "x":
+                value, i = (_bracket(tokens, i) if kind == "["
+                            else _expr(tokens, i))
+                values.append(value)
+                continue
+            elif tok != kind:
+                if kind == "\n":
+                    raise _Fault(f"unexpected {tok!r} at end of statement", i)
+                raise _expected(_KINDS[kind], tokens, i)
+            i += 1
+        self.pos = i
+        return values
 
     def names_until(self, stops: tuple[str, ...]) -> list[str]:
+        """The names from `pos` on; the token after them must be one of
+        `stops`, and `pos` moves past it."""
         tokens, start = self.tokens, self.pos
         i = start
         while tokens[i] not in _NOT_NAME:
@@ -291,29 +307,33 @@ class _Parser:
         if tokens[i] not in stops:
             tok = tokens[i]
             raise _Fault(f"unexpected {_SHOWN.get(tok, tok)!r}", i)
-        self.pos = i
+        self.pos = i + 1
         return tokens[start:i]
 
-    def bracket(self) -> Bracket:
-        """`[v:s, ...]` if one comes next, else the empty bracket."""
-        entries: list[tuple[str, str]] = []
-        if self.tokens[self.pos] != "[":
-            return ()
-        self.pos += 1
-        if self.tokens[self.pos] != "]":
-            while True:
-                name = self.name()
-                self.expect(":")
-                entries.append((name, self.name()))
-                if self.tokens[self.pos] != ",":
-                    break
-                self.pos += 1
-        self.expect("]")
-        return tuple(entries)
 
-    def expr(self) -> RawExpr:
-        raw, self.pos = _expr(self.tokens, self.pos)
-        return raw
+def _bracket(tokens: list[str], i: int) -> tuple[Bracket, int]:
+    """The bracket `[v:s, ...]` starting at token `i`, or the empty one if
+    none does, and the index after it."""
+    if tokens[i] != "[":
+        return (), i
+    entries: list[tuple[str, str]] = []
+    i += 1
+    if tokens[i] != "]":
+        while True:
+            if tokens[i] in _NOT_NAME:
+                raise _expected("NAME", tokens, i)
+            if tokens[i + 1] != ":":
+                raise _expected("COLON", tokens, i + 1)
+            if tokens[i + 2] in _NOT_NAME:
+                raise _expected("NAME", tokens, i + 2)
+            entries.append((tokens[i], tokens[i + 2]))
+            i += 3
+            if tokens[i] != ",":
+                break
+            i += 1
+    if tokens[i] != "]":
+        raise _expected("RBRACK", tokens, i)
+    return tuple(entries), i + 1
 
 
 def _expr(tokens: list[str], i: int) -> tuple[RawExpr, int]:
@@ -366,7 +386,7 @@ def _parse_raw(tokens: list[str]):
     op_at: list[int] = []
     term_decls: list[TermDecl] = []
     eq_decls: list[EqDecl] = []
-    proofs: list[ProofDef] = []
+    proofs: list[tuple] = []  # what `_parse_proof` returns
 
     while True:
         while tokens[p.pos] == "\n":
@@ -383,33 +403,17 @@ def _parse_raw(tokens: list[str]):
             if not names:
                 raise _Fault("sort statement names no sorts", at)
             sort_names.extend(names)
-            sort_at.extend(range(at + 1, p.pos))
-            p.end_line()
+            sort_at.extend(range(at + 1, p.pos - 1))
         elif word == "op":
-            name = p.name()
-            p.expect(":")
+            name, = p.read("n:")
             inputs = tuple(p.names_until(("->",)))
-            p.expect("->")
-            output = p.name()
-            p.end_line()
+            output, = p.read("n\n")
             op_decls.append((name, inputs, output))
             op_at.append(at)
         elif word == "term":
-            name = p.name()
-            bracket = p.bracket()
-            p.expect(":")
-            expr = p.expr()
-            p.end_line()
-            term_decls.append(TermDecl(name, bracket, expr, at))
+            term_decls.append(TermDecl(*p.read("n[:x\n"), at))
         elif word == "eq":
-            name = p.name()
-            bracket = p.bracket()
-            p.expect(":")
-            left = p.expr()
-            p.expect("=")
-            right = p.expr()
-            p.end_line()
-            eq_decls.append(EqDecl(name, bracket, left, right, at))
+            eq_decls.append(EqDecl(*p.read("n[:x=x\n"), at))
         elif word == "proof":
             proofs.append(_parse_proof(p, at))
         else:
@@ -418,16 +422,19 @@ def _parse_raw(tokens: list[str]):
             tuple(eq_decls), tuple(proofs), sort_at, op_at)
 
 
-def _parse_proof(p: _Parser, at: int) -> ProofDef:
+def _parse_proof(p: _Parser, at: int) -> tuple:
+    """The name, hypotheses, step indices and index of the proof at token
+    `at`, and the first fault in the names its steps cite, or None.  A
+    syntax fault is raised; a name fault waits for `_resolve`, which
+    reports the signature's, the terms' and the equations' first."""
     tokens = p.tokens
-    name_at = p.pos
-    name = p.name()
-    from_at = p.pos
-    if p.name() != "from":
-        raise _Fault("expected 'from'", from_at)
+    name, word = p.read("nn")
+    if word != "from":
+        raise _Fault("expected 'from'", p.pos - 1)
     hyps = tuple(p.names_until(("{",)))
-    p.expect("{")
-    steps: list[StepDef] = []
+    steps_at: list[int] = []
+    known: set[str] = set()
+    fault = None
     while True:
         while tokens[p.pos] == "\n":
             p.pos += 1
@@ -435,40 +442,40 @@ def _parse_proof(p: _Parser, at: int) -> ProofDef:
             p.pos += 1
             break
         step_at = p.pos
-        sname = p.name()
-        p.expect("=")
-        rule_at = p.pos
-        kind = p.name()
-        eq_name = var_name = sort_name = bracket = expr = None
-        refs: tuple[str, ...] = ()
-        if kind == "hyp":
-            eq_name = p.name()
-        elif kind == "refl":
-            bracket = p.bracket()
-            expr = p.expr()
-        elif kind == "sym":
-            refs = (p.name(),)
-        elif kind == "trans":
-            refs = (p.name(), p.name())
-        elif kind == "conc":
-            refs = (p.name(),)
-            var_name = p.name()
-        elif kind == "abs":
-            refs = (p.name(),)
-            var_name = p.name()
-            p.expect(":")
-            sort_name = p.name()
-        elif kind == "subst":
-            first = p.name()
-            var_name = p.name()
-            refs = (first, p.name())
-        else:
-            raise _Fault(f"unknown rule {kind!r}", rule_at)
-        p.expect(";")
-        steps.append(StepDef(sname, kind, eq_name, refs, var_name, sort_name,
-                             bracket, expr, step_at))
-    if not steps:
-        raise _Fault(f"proof {name!r} has no steps", name_at)
+        if (tokens[step_at] in _NOT_NAME or tokens[step_at + 1] != "="
+                or tokens[step_at + 2] not in _RULES):
+            _, rule = p.read("n=n")  # raises the first fault in the head
+            raise _Fault(f"unknown rule {rule!r}", step_at + 2)
+        sname, rule = tokens[step_at], tokens[step_at + 2]
+        p.pos = step_at + 3
+        operands = p.read(_RULES[rule])
+        steps_at.append(step_at)
+        if fault:
+            continue
+        if sname in known:
+            fault = _Fault(f"step {sname!r} declared twice", step_at)
+        elif rule == "hyp" and operands[0] not in hyps:
+            fault = _Fault(f"step cites {operands[0]!r}, which is not among "
+                           "the proof's hypotheses", step_at)
+        for k in _CITED[rule]:
+            if operands[k] not in known and not fault:
+                fault = _Fault(f"step references unknown step "
+                               f"{operands[k]!r}", step_at)
+        known.add(sname)
+    if not steps_at:
+        raise _Fault(f"proof {name!r} has no steps", at + 1)
+    return name, hyps, steps_at, at, fault
+
+
+def _proof(tokens: list[str], name: str, hyps: tuple[str, ...],
+           steps_at: list[int], at: int) -> ProofDef:
+    """The proof that `_parse_proof` checked, its steps read again."""
+    p = _Parser(tokens)
+    steps = []
+    for i in steps_at:  # the step's name; its rule is two tokens on
+        rule = tokens[i + 2]
+        p.pos = i + 3
+        steps.append(StepDef(tokens[i], rule, tuple(p.read(_RULES[rule])), i))
     return ProofDef(name, hyps, tuple(steps), at)
 
 
@@ -647,29 +654,21 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
             _equation(*args)
         eq_bindings[ed.name] = binding
 
-    seen_proofs: set[str] = set()
-    for proof in proofs:
-        if proof.name in seen_proofs:
-            raise _Fault(f"proof {proof.name!r} declared twice", proof.at)
-        seen_proofs.add(proof.name)
-        known: set[str] = set()
-        for s in proof.steps:
-            if s.name in known:
-                raise _Fault(f"step {s.name!r} declared twice", s.at)
-            if s.rule == "hyp" and s.eq_name not in proof.hypotheses:
-                raise _Fault(f"step cites {s.eq_name!r}, which is not among "
-                             "the proof's hypotheses", s.at)
-            for ref in s.steps:
-                if ref not in known:
-                    raise _Fault(f"step references unknown step {ref!r}", s.at)
-            known.add(s.name)
-        for h in proof.hypotheses:
+    proof_args: dict[str, tuple] = {}
+    for name, hyps, steps_at, at, fault in proofs:
+        if name in proof_args:
+            raise _Fault(f"proof {name!r} declared twice", at)
+        if fault:
+            raise fault
+        for h in hyps:
             if h not in equations:
-                raise _Fault(f"proof {proof.name!r} cites undefined equation "
-                             f"{h!r}", proof.at)
-    return SpecFile(sig, sort_names, op_decls, term_decls, eq_decls, proofs,
-                    _OnDemand(_term, terms), _OnDemand(_equation, equations),
-                    term_bindings, eq_bindings, text, tokens)
+                raise _Fault(f"proof {name!r} cites undefined equation "
+                             f"{h!r}", at)
+        proof_args[name] = (tokens, name, hyps, steps_at, at)
+    return SpecFile(sig, sort_names, op_decls, term_decls, eq_decls,
+                    _OnDemand(_proof, proof_args), _OnDemand(_term, terms),
+                    _OnDemand(_equation, equations), term_bindings,
+                    eq_bindings, text, tokens)
 
 
 # --- proofs to deduction steps -------------------------------------------------------
@@ -719,7 +718,7 @@ def build_proof(sf: SpecFile, proof: ProofDef
     names: list[dict[str, Optional[Variable]]] = []
     try:
         for k, s in enumerate(proof.steps):
-            cites = tuple(index[ref] for ref in s.steps)
+            cites = tuple(index[s.operands[j]] for j in _CITED[s.rule])
             try:
                 eq, rule, bound = _build_step(
                     sf, sig, proof, hypotheses, s,
@@ -735,11 +734,14 @@ def build_proof(sf: SpecFile, proof: ProofDef
     return tuple(steps), hypotheses
 
 
-def step_origin(sf: SpecFile, proof: ProofDef, k: int) -> str:
-    """Where step k of `proof` is declared, e.g. "7:3: step 'c'"."""
+def step_origin(sf: SpecFile, proof: ProofDef, k: Optional[int]) -> str:
+    """Where step k of `proof` is declared, as the prefix of a message
+    about it, e.g. "7:3: step 'c': "; "" if k is None."""
+    if k is None:
+        return ""
     s = proof.steps[k]
     (line, col), = _positions(sf.text, sf.tokens, (s.at,))
-    return f"{line}:{col}: step {s.name!r}"
+    return f"{line}:{col}: step {s.name!r}: "
 
 
 def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
@@ -749,11 +751,12 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
     """The equation, rule and variable names of step `s`, whose premises
     are the equations of the steps it cites."""
     if s.rule == "hyp":
-        idx = proof.hypotheses.index(s.eq_name)
-        return hypotheses[idx], Hypothesis(idx), sf.eq_bindings[s.eq_name]
+        idx = proof.hypotheses.index(s.operands[0])
+        return hypotheses[idx], Hypothesis(idx), sf.eq_bindings[s.operands[0]]
     if s.rule == "refl":
-        binding, vs = _bind_bracket(sig, s.bracket, s.at)
-        e = _elaborate(sig, binding, s.expr, s.at, _first_name(s.bracket))
+        bracket, expr = s.operands
+        binding, vs = _bind_bracket(sig, bracket, s.at)
+        e = _elaborate(sig, binding, expr, s.at, _first_name(bracket))
         return Equation(e, e, vs), Reflexivity(Term(e, vs, e.sort)), binding
     names = premise_names[0]
     if s.rule == "sym":
@@ -762,13 +765,14 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
         rule = Transitivity()
         names = _merge_names(names, premise_names[1])
     elif s.rule == "conc":
-        rule = Concretion(_resolve_var(names, s.var_name, s))
+        rule = Concretion(_resolve_var(names, s.operands[1], s))
     elif s.rule == "abs":
+        _, var_name, sort_name = s.operands
         vs = premises[0].vars
-        sort = sig.sort_named.get(s.sort_name)
+        sort = sig.sort_named.get(sort_name)
         if sort is None:
-            raise _Fault(f"unknown sort {s.sort_name!r}", s.at)
-        x = names.get(s.var_name)
+            raise _Fault(f"unknown sort {sort_name!r}", s.at)
+        x = names.get(var_name)
         if x is None or x.sort != sort or x in vs:
             num = 1
             while Variable(sort, num) in vs:
@@ -776,8 +780,8 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
             x = Variable(sort, num)
         rule = Abstraction(x)
         names = dict(names)
-        names[s.var_name] = x
+        names[var_name] = x
     else:  # the parser admits no other rule
-        rule = Substitutivity(_resolve_var(names, s.var_name, s))
+        rule = Substitutivity(_resolve_var(names, s.operands[1], s))
         names = _merge_names(names, premise_names[1])
     return Equation(*conclude(sig, rule, premises)), rule, names

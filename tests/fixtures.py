@@ -363,26 +363,20 @@ def print_spec(sf: SpecFile) -> str:
     for ed in sf.eq_decls:
         lines.append(f"eq {ed.name} {_print_bracket(ed.bracket)}"
                      f": {_print_expr(ed.left)} = {_print_expr(ed.right)}")
-    for proof in sf.proofs:
+    for proof in sf.proofs.values():
         header = f"proof {proof.name} from {' '.join(proof.hypotheses)}" \
             .rstrip()
         lines.append(header + " {")
         for s in proof.steps:
-            if s.rule == "hyp":
-                body = f"hyp {s.eq_name}"
-            elif s.rule == "refl":
-                body = f"refl {_print_bracket(s.bracket)}" \
-                    f"{_print_expr(s.expr)}"
-            elif s.rule == "sym":
-                body = f"sym {s.steps[0]}"
-            elif s.rule == "trans":
-                body = f"trans {s.steps[0]} {s.steps[1]}"
-            elif s.rule == "conc":
-                body = f"conc {s.steps[0]} {s.var_name}"
+            # the operands in order, but abs's colon before its sort
+            if s.rule == "refl":
+                bracket, expr = s.operands
+                body = f"{_print_bracket(bracket)}{_print_expr(expr)}"
             elif s.rule == "abs":
-                body = f"abs {s.steps[0]} {s.var_name} : {s.sort_name}"
+                step, var, sort = s.operands
+                body = f"{step} {var} : {sort}"
             else:
-                body = f"subst {s.steps[0]} {s.var_name} {s.steps[1]}"
-            lines.append(f"  {s.name} = {body} ;")
+                body = " ".join(s.operands)
+            lines.append(f"  {s.name} = {s.rule} {body} ;")
         lines.append("}")
     return "\n".join(lines) + "\n"

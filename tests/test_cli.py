@@ -836,6 +836,37 @@ def test_a_command_elaborates_only_what_it_reads(argv, built, monkeypatch,
     capsys.readouterr()
 
 
+def test_a_proof_command_builds_only_the_steps_it_reads(tmp_path,
+                                                       monkeypatch, capsys):
+    # a seed-1 proofs workload file holds six or seven proofs; loading it
+    # builds no step, and checking one proof builds each of its steps once
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    name, text = next(iter(workloads.proofs(1).files.items()))
+    f = tmp_path / name
+    f.write_text(text)
+    sf = parse_spec(text)
+    steps = {p: [s.at for s in sf.proof(p).steps] for p in sf.proofs}
+    assert len(steps) >= 6
+    built = []
+    step_def = dsl.StepDef
+
+    def counting(*fields):
+        built.append(fields[-1])  # its token index
+        return step_def(*fields)
+
+    monkeypatch.setattr(dsl, "StepDef", counting)
+    parse_spec(text)
+    assert built == []
+    for proof, ats in steps.items():
+        for argv in (["check-proof", "--proof", proof],
+                     ["normalize-proof", "--proof", proof]):
+            built.clear()
+            assert run(argv + [str(f)]) in (0, 1)
+            assert built == ats
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""],
                          ids=["fails-in-print", "fails-in-exit-flush"])
 def test_closed_stdout_exit_2_without_traceback(unbuffered):
@@ -1063,8 +1094,8 @@ def _corpus_json_commands():
             yield ["check-eq", "--equation", e], path
             yield ["oracle", "--equation", e], path
         for p in sf.proofs:
-            yield ["check-proof", "--proof", p.name], path
-            yield ["normalize-proof", "--proof", p.name], path
+            yield ["check-proof", "--proof", p], path
+            yield ["normalize-proof", "--proof", p], path
 
 
 def test_corpus_json_output_matches_json_dumps(monkeypatch, capsys):

@@ -585,7 +585,7 @@ def test_lemma_table_of_a_chain_is_linear():
     sf = parse_spec("sort s\nop m : s s -> s\nop e : -> s\n"
                     "eq lunit [x:s] : m(e, x) = x\n"
                     "proof chain from lunit {\n" + "\n".join(steps) + "\n}\n")
-    built, hyps = build_proof(sf, sf.proofs[0])
+    built, hyps = build_proof(sf, sf.proof("chain"))
     lemmas = lemma_table(sf.signature, built, hyps)
     assert verify_lemmas(hyps, lemmas, built[-1].equation).ok
     assert len(lemmas) == len(steps) == 102
@@ -688,7 +688,7 @@ def test_producer_compiles_only_what_its_steps_carry(steps, in_producer,
                                                      in_kernel, monkeypatch):
     sf = parse_spec(_LUNIT + "proof p from lunit {\n" + "\n".join(steps)
                     + "\n}\n")
-    built, hyps = build_proof(sf, sf.proofs[0])
+    built, hyps = build_proof(sf, sf.proof("p"))
     calls = []
 
     def counting(real):

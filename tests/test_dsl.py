@@ -40,7 +40,7 @@ def test_parse_good_file():
     assert [s.name for s in sf.signature.sorts] == ["s", "t"]
     assert set(sf.terms) == {"t1"}
     assert set(sf.equations) == {"comm", "lunit"}
-    assert [p.name for p in sf.proofs] == ["flip"]
+    assert [p.name for p in sf.proofs.values()] == ["flip"]
 
 
 def test_round_trip_print_parse():
@@ -352,7 +352,7 @@ def test_a_valid_proof_is_checked_without_locating_its_steps(monkeypatch,
     # build_proof marks the failing step; only the CLI locates it
     with raises_exactly(DeductionError, "premises do not share a middle "
                         "term: m(x2:s, x1:s) vs m(x1:s, x2:s)") as failure:
-        build_proof(sf, sf.proofs[1])
+        build_proof(sf, sf.proof("bad"))
     assert failure.value.step == 1 and located == []
     f = tmp_path / "bad.msl"
     f.write_text(text)

@@ -349,6 +349,33 @@ GOLDEN = {
         "}\n",
         ["sketch"], 2, "err",
         "error: 5:1: proof 'p' cites undefined equation 'nope'\n"),
+    # every syntax fault comes before every name fault, and a name fault in
+    # an equation before one in a proof
+    "later-syntax-before-earlier-step": (
+        _PROOF + "proof p from q {\n"
+        "  a = hyp q ;  a = sym a ;\n"
+        "}\n"
+        "proof r from q {\n"
+        "  a = hyp q b\n"
+        "}\n",
+        ["sketch"], 2, "err",
+        "error: 9:13: expected SEMI, found 'b'\n"),
+    "later-equation-before-earlier-proof": (
+        _PROOF + "proof p from q nope {\n"
+        "  a = hyp q ;\n"
+        "}\n"
+        "eq bad : c = f(c, c)\n",
+        ["sketch"], 2, "err",
+        "error: 8:14: f expects 1 arguments, got 2\n"),
+    "earlier-step-before-later-duplicate": (
+        _PROOF + "proof p from q {\n"
+        "  a = hyp q ;  a = sym a ;\n"
+        "}\n"
+        "proof p from q {\n"
+        "  a = hyp q ;\n"
+        "}\n",
+        ["sketch"], 2, "err",
+        "error: 6:16: step 'a' declared twice\n"),
     "unknown-variable": (
         _PROOF + "proof p from q {\n"
         "  a = hyp q ;\n"
@@ -524,3 +551,39 @@ def test_error_output_is_pinned(text, argv, code, stream, expected,
     written = {"out": out.getvalue(), "err": err.getvalue()}
     assert (got, written[stream]) == (code, expected)
     assert written["err" if stream == "out" else "out"] == ""
+
+
+# the cases whose fault is in a proof: its syntax, or the names its steps
+# and hypotheses cite
+IN_A_PROOF = [
+    "expected-semi", "expected-lbrace", "expected-from", "expected-proof-name",
+    "expected-step-equals", "expected-abs-colon",
+    "expected-statement-eof-in-proof", "unknown-rule", "empty-proof",
+    "duplicate-proof", "duplicate-step", "unknown-step", "unknown-hypothesis",
+    "unknown-equation", "later-syntax-before-earlier-step",
+    "later-equation-before-earlier-proof",
+    "earlier-step-before-later-duplicate",
+]
+_OK = "proof ok from q {\n  a = hyp q ;\n}\n"
+
+
+@pytest.mark.parametrize("argv", [["check-proof", "--proof", "ok"],
+                                  ["normalize-proof", "--proof", "ok"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("case", IN_A_PROOF)
+def test_a_fault_in_an_unread_proof_is_still_reported(case, argv, tmp_path):
+    # a command builds the steps of the one proof it reads, but checks
+    # every proof: with a valid proof `ok` put before the first proof, the
+    # fault is the whole file's, three lines further on
+    text, _, code, stream, expected = GOLDEN[case]
+    assert (code, stream) == (2, "err")
+    first = text.index("proof ")
+    f = tmp_path / "case.msl"
+    f.write_text(text[:first] + _OK + text[first:])
+    line, rest = expected.removeprefix("error: ").split(":", 1)
+    expected = f"error: {int(line) + 3}:{rest}"
+    for command in (argv, ["check-proof"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = run(command + [str(f)])
+        assert (got, out.getvalue(), err.getvalue()) == (2, "", expected)

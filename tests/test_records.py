@@ -254,7 +254,8 @@ RECORDS = [
     Concretion(X), Abstraction(X), Substitutivity(X), Copy(), STEPS[-1],
     LEVELLED.levels[0][0], LEVELLED,
     # the front end
-    SF.proofs[0].steps[0], SF.proofs[0], SF.term_decls[0], SF.eq_decls[0], SF,
+    SF.proof("unit_square").steps[0], SF.proof("unit_square"),
+    SF.term_decls[0], SF.eq_decls[0], SF,
     # sketch
     SortNode(S), ListNode((S, S)), OpArrow(M), ProjArrow(ListNode((S, S)), 2),
     SKETCH.cones[0], SKETCH,
@@ -326,9 +327,10 @@ def test_records_of_different_types_differ(a, b):
 
 
 def test_uncompared_fields_are_ignored():
-    step = SF.proofs[0].steps[0]
+    proof = SF.proof("unit_square")
+    step = proof.steps[0]
     pairs = [(step, replace(step, at=99)),
-             (SF.proofs[0], replace(SF.proofs[0], at=99)),
+             (proof, replace(proof, at=99)),
              (SF.term_decls[0], replace(SF.term_decls[0], at=99)),
              (SF.eq_decls[0], replace(SF.eq_decls[0], at=0)),
              (SF, replace(SF, terms={}))]

@@ -179,7 +179,7 @@ def test_tables_of_corpus_certificates(capsys):
         sf = parse_spec(path.read_text(encoding="utf-8"))
         for levelled in ([], ["--levelled"]):
             every = []
-            for proof in sf.proofs:
+            for proof in sf.proofs.values():
                 try:
                     roots = _certificate_nodes(sf, proof, bool(levelled))
                 except DeductionError:
