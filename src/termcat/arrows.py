@@ -65,9 +65,6 @@ class Leaf(Node):
             intern(key, node)
         return node
 
-    def __str__(self) -> str:
-        return self.sort.name
-
 
 class Prod(Node):
     __slots__ = ("factors",)
@@ -82,11 +79,6 @@ class Prod(Node):
             _set(node, "factors", factors)
             intern(key, node)
         return node
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return "(" + " x ".join(str(f) for f in self.factors) + ")"
 
 
 FPObject = Union[Leaf, Prod]
@@ -128,9 +120,6 @@ class Id(_Arrow):
             _arrow(key, node, obj, obj)
         return node
 
-    def __str__(self) -> str:
-        return f"id[{self.obj}]"
-
 
 class Proj(_Arrow):
     __slots__ = ("index",)  # 1-based; the source is `src`
@@ -150,9 +139,6 @@ class Proj(_Arrow):
             _arrow(key, node, src, src.factors[index - 1])
         return node
 
-    def __str__(self) -> str:
-        return f"p{self.index}"
-
 
 class Gen(_Arrow):
     __slots__ = ("op",)
@@ -166,9 +152,6 @@ class Gen(_Arrow):
             _set(node, "op", op)
             _arrow(key, node, flat_product(op.inputs), Leaf(op.output))
         return node
-
-    def __str__(self) -> str:
-        return self.op.name
 
 
 class TupleArrow(_Arrow):
@@ -190,9 +173,6 @@ class TupleArrow(_Arrow):
             _arrow(key, node, src, Prod(tuple(p.dst for p in parts)))
         return node
 
-    def __str__(self) -> str:
-        return "<" + ", ".join(str(p) for p in self.parts) + ">"
-
 
 class Comp(_Arrow):
     __slots__ = ("after", "before")
@@ -211,9 +191,6 @@ class Comp(_Arrow):
             _set(node, "before", before)
             _arrow(key, node, before.src, after.dst)
         return node
-
-    def __str__(self) -> str:
-        return f"{self.after} . {self.before}"
 
 
 FPArrow = Union[Id, Proj, Gen, TupleArrow, Comp]
@@ -239,10 +216,6 @@ class Path(Record):
     def __init__(self, steps: tuple[int, ...]):
         _set(self, "steps", steps)
 
-    def __str__(self) -> str:
-        return "p" + ".".join(str(s) for s in self.steps) if self.steps \
-            else "p()"
-
 
 class GenApp(Record):
     __slots__ = ("op", "args")
@@ -251,20 +224,12 @@ class GenApp(Record):
         _set(self, "op", op)
         _set(self, "args", args)
 
-    def __str__(self) -> str:
-        if not self.args:
-            return self.op.name
-        return f"{self.op.name}({', '.join(str(a) for a in self.args)})"
-
 
 class NTuple(Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple["NormalBody", ...]):
         _set(self, "parts", parts)
-
-    def __str__(self) -> str:
-        return "<" + ", ".join(str(p) for p in self.parts) + ">"
 
 
 NormalBody = Union[Path, GenApp, NTuple]
@@ -273,8 +238,58 @@ NormalBody = Union[Path, GenApp, NTuple]
 class NormalArrow(Record):
     __slots__ = ("src", "dst", "body")
 
-    def __str__(self) -> str:
-        return str(self.body)
+
+# --- text ----------------------------------------------------------------------
+
+
+def _text(node) -> str:
+    """The text of an object, an arrow or a normal form, written with an
+    explicit stack of what is still to write, so a node of any depth
+    prints."""
+    out: list[str] = []
+    stack: list = [node]
+    while stack:
+        x = stack.pop()
+        kind = type(x)
+        if kind is str:
+            out.append(x)
+        elif kind is Leaf:
+            out.append(x.sort.name)
+        elif kind is Proj:
+            out.append(f"p{x.index}")
+        elif kind is Gen or kind is GenApp and not x.args:
+            out.append(x.op.name)
+        elif kind is Path:
+            out.append("p" + ".".join(map(str, x.steps)) if x.steps
+                       else "p()")
+        elif kind is Prod and not x.factors:
+            out.append("1")
+        elif kind is Id:
+            out.append("id[")
+            stack += ("]", x.obj)
+        elif kind is Comp:
+            stack += (x.before, " . ", x.after)
+        elif kind is NormalArrow:
+            stack.append(x.body)
+        else:  # a list of nodes between brackets
+            if kind is Prod:
+                opener, items, sep, closer = "(", x.factors, " x ", ")"
+            elif kind is GenApp:
+                opener, items, sep, closer = x.op.name + "(", x.args, ", ", ")"
+            else:  # a TupleArrow or an NTuple
+                opener, items, sep, closer = "<", x.parts, ", ", ">"
+            out.append(opener)
+            stack.append(closer)
+            for item in items[:0:-1]:
+                stack += (item, sep)
+            if items:
+                stack.append(items[0])
+    return "".join(out)
+
+
+for _kind in (Leaf, Prod, Id, Proj, Gen, TupleArrow, Comp,
+              Path, GenApp, NTuple, NormalArrow):
+    _kind.__str__ = _text
 
 
 def _identity_body(obj: FPObject, prefix: tuple[int, ...]) -> NormalBody:

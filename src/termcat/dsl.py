@@ -26,12 +26,14 @@ ambiguous names, and `abs` binds its name to the variable it introduces.
 A step only resolves its names to a rule instance; `deduction.conclude`
 checks the rule's side conditions and draws its conclusion.
 
-One pass, no recursion: the scanner splits the whole text into token
-strings with one `findall`; the parser writes each expression as its names
-in prefix order, with argument counts; elaboration turns those into
-expressions with an explicit stack.  A token's line and column are
-computed from the text only when an error or a proof step's origin needs
-them.
+One pass, no recursion: the scanner pads each symbol with blanks and
+splits each line on blanks, with C-level string methods, and checks each
+distinct piece once; the token regex `_TOKEN_RE` only finds a stray
+character's place and a token's column.  The parser writes each expression
+as its names in prefix order, with argument counts; elaboration turns
+those into expressions with an explicit stack.  A token's line and
+column are computed from the text only when an error or a proof step's
+origin needs them.
 
 Every declaration is checked, but only on sorts: `_sort_of` resolves each
 name and checks each call's arity and argument sorts without building
@@ -59,17 +61,21 @@ from .terms import App, Equation, Expression, Term
 
 # --- tokens ------------------------------------------------------------------
 
-# the line breaks `str.splitlines` honours, besides "\n"
+# the line breaks `str.splitlines` honours, besides "\n"; the ASCII ones
 _OTHER_BREAKS = re.compile(r"[\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+_ASCII_BREAKS = "\r\v\f\x1c\x1d\x1e"
 _COMMENT_RE = re.compile(r"#[^\n]*")
-# blanks, then a token as group 1: "\n", a symbol or a name.  Any other
-# character matches outside the group, so `findall` gives "" for it.
+# The token grammar: blanks, then a token as group 1: "\n", a symbol or a
+# name.  Any other character matches outside the group, so `findall` gives
+# "" for it.  The scanner splits on blanks instead, and reads this only to
+# place a token or a stray character.
 _TOKEN_RE = re.compile(r"[^\S\n]*(?:(->|[()\[\]{}:,;=\n]|[A-Za-z_][A-Za-z0-9_]*)"
                        r"|\S)")
 EOF = ""  # ends the token list; the scanner lets no other "" through
 
-_NOT_NAME = frozenset(["->", "(", ")", "[", "]", "{", "}", ":", ",", ";",
-                       "=", "\n", EOF])
+_SYMBOLS = ("->", "(", ")", "[", "]", "{", "}", ":", ",", ";", "=")
+_SPACED = tuple((s, f" {s} ") for s in _SYMBOLS)
+_NOT_NAME = frozenset(_SYMBOLS + ("\n", EOF))
 # how messages name a symbol the parser expected, or a token without text
 _KINDS = {":": "COLON", ";": "SEMI", "=": "EQUALS"}
 _SHOWN = {"\n": "NEWLINE", EOF: "EOF"}
@@ -78,19 +84,33 @@ _SHOWN = {"\n": "NEWLINE", EOF: "EOF"}
 def _scan(text: str) -> tuple[str, list[str]]:
     """The text with every line break made "\\n", a final one added and the
     comments cut, which moves no token to another line or column; and its
-    tokens, "\\n" ending each line, then EOF."""
-    if _OTHER_BREAKS.search(text):
+    tokens, "\\n" ending each line, then EOF.
+
+    `str.split()` splits on the blanks `_TOKEN_RE`'s `\\s` matches.  A
+    piece that is neither a symbol nor an ASCII identifier, which is
+    exactly a name `[A-Za-z_][A-Za-z0-9_]*`, holds a stray character, and
+    `_TOKEN_RE` finds the first one."""
+    if (not text.isascii() or any(map(text.__contains__, _ASCII_BREAKS))) \
+            and _OTHER_BREAKS.search(text):
         lines = text.splitlines()
         text = "\n".join(lines) + "\n" if lines else ""
     elif text and text[-1] != "\n":
         text += "\n"
     if "#" in text:
         text = _COMMENT_RE.sub("", text)
-    tokens = _TOKEN_RE.findall(text)
-    if EOF in tokens:
-        (line, col), = _positions(text, tokens, (tokens.index(EOF),))
-        char = text.split("\n")[line - 1][col - 1]
-        raise DslError(f"unexpected character {char!r}", line, col)
+    padded = text
+    for symbol, spaced in _SPACED:
+        padded = padded.replace(symbol, spaced)
+    tokens: list[str] = []
+    for line in padded.split("\n")[:-1]:  # the text ends with "\n"
+        tokens += line.split()
+        tokens.append("\n")
+    for token in set(tokens).difference(_NOT_NAME):
+        if not (token.isascii() and token.isidentifier()):
+            tokens = _TOKEN_RE.findall(text)
+            (line, col), = _positions(text, tokens, (tokens.index(EOF),))
+            char = text.split("\n")[line - 1][col - 1]
+            raise DslError(f"unexpected character {char!r}", line, col)
     tokens.append(EOF)
     return text, tokens
 

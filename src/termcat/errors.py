@@ -8,6 +8,22 @@ import weakref
 from operator import attrgetter
 
 
+# The `__init__` of a record class with up to five fields and no
+# `__init__` of its own, made from its slot setters: it sets the fields
+# with no loop (a setter returns None, so `or` calls every one).
+_INITS = (
+    lambda: lambda self, /: None,
+    lambda p: lambda self, a, /: p(self, a),
+    lambda p, q: lambda self, a, b, /: p(self, a) or q(self, b),
+    lambda p, q, r: lambda self, a, b, c, /: (
+        p(self, a) or q(self, b) or r(self, c)),
+    lambda p, q, r, s: lambda self, a, b, c, d, /: (
+        p(self, a) or q(self, b) or r(self, c) or s(self, d)),
+    lambda p, q, r, s, t: lambda self, a, b, c, d, e, /: (
+        p(self, a) or q(self, b) or r(self, c) or s(self, d) or t(self, e)),
+)
+
+
 class Record:
     """An immutable slots object that compares and hashes by type and
     fields, so a record never equals one of another type.
@@ -30,9 +46,14 @@ class Record:
         # a record without compared fields is equal to any of its type
         cls._key = attrgetter(*compared) if compared \
             else staticmethod(lambda record: ())
+        if "__init__" not in own and cls.__init__ is not object.__init__ \
+                and len(fields) < len(_INITS):
+            init = cls.__init__ = _INITS[len(fields)](*cls._setters)
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __init__(self, *args):
-        """The fields, positionally."""
+        """The fields, positionally: the constructor of a record with more
+        than five fields, and what a record's own `__init__` calls."""
         setters = self._setters
         if len(args) != len(setters):
             raise TypeError(f"{type(self).__name__} takes the fields "

@@ -56,9 +56,6 @@ class EqConstraint(Record):
         _set(self, "left", left)
         _set(self, "right", right)
 
-    def __str__(self) -> str:
-        return f"{self.left}  ==  {self.right}"
-
 
 def constraints_equal(x: EqConstraint, y: EqConstraint) -> bool:
     """Formal equality of two constraints, side by side; constraints over

@@ -1,10 +1,11 @@
 """Shared concrete signatures, variable helpers and the certificate route
 for the tests, and the helpers only tests call: the exact-error check,
 terms, equations and rule codings from loose arguments, normal forms back
-to arrows, schema-2 `--json` payloads back to schema 1, most concrete
-terms and equations, the reference evaluation of expressions and arrows in
-finite models, random finite models and a random search for a model that
-separates two arrows, and the .msl printer."""
+to arrows, the text of arrows and normal forms by recursion, schema-2
+`--json` payloads back to schema 1, most concrete terms and equations, the
+reference evaluation of expressions and arrows in finite models, random
+finite models and a random search for a model that separates two arrows,
+and the .msl printer."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from typing import Iterable, Iterator, Sequence
 import pytest
 
 from termcat.arrows import (Comp, FPArrow, FPObject, Gen, GenApp, Id, Leaf,
-                            NormalArrow, NormalBody, Path, Proj, TupleArrow)
+                            NormalArrow, NormalBody, NTuple, Path, Prod, Proj,
+                            TupleArrow)
 from termcat.deduction import (Hypothesis, Step, compile_to_factorization,
                                equation_constraint, lemma_table,
                                normalize_deduction)
@@ -153,6 +155,40 @@ def _embed_body(body: NormalBody, src: FPObject) -> FPArrow:
         inner = TupleArrow(src, tuple(_embed_body(a, src) for a in body.args))
         return Comp(Gen(body.op), inner)
     return TupleArrow(src, tuple(_embed_body(p, src) for p in body.parts))
+
+
+# --- text, recursively ----------------------------------------------------------
+
+
+def recursive_text(node) -> str:
+    """The text of an object, an arrow or a normal form, written by
+    recursion, one case per kind: the reference `str` must agree with."""
+    if isinstance(node, Leaf):
+        return node.sort.name
+    if isinstance(node, Prod):
+        if not node.factors:
+            return "1"
+        return "(" + " x ".join(recursive_text(f) for f in node.factors) + ")"
+    if isinstance(node, Id):
+        return f"id[{recursive_text(node.obj)}]"
+    if isinstance(node, Proj):
+        return f"p{node.index}"
+    if isinstance(node, Gen):
+        return node.op.name
+    if isinstance(node, (TupleArrow, NTuple)):
+        return "<" + ", ".join(recursive_text(p) for p in node.parts) + ">"
+    if isinstance(node, Comp):
+        return f"{recursive_text(node.after)} . {recursive_text(node.before)}"
+    if isinstance(node, Path):
+        return "p" + ".".join(str(s) for s in node.steps) if node.steps \
+            else "p()"
+    if isinstance(node, GenApp):
+        if not node.args:
+            return node.op.name
+        args = ", ".join(recursive_text(a) for a in node.args)
+        return f"{node.op.name}({args})"
+    assert isinstance(node, NormalArrow), node
+    return recursive_text(node.body)
 
 
 # --- schema-2 JSON back to schema 1 -------------------------------------------

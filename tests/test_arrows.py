@@ -15,9 +15,9 @@ from fixtures import (bang, embed, make_equation, make_term,
                       v)
 from gen import gen_equation, gen_signature, gen_term
 from termcat import arrows, models
-from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NTuple, Path, Prod,
-                            Proj, TERMINAL, TupleArrow, apply_arrow,
-                            arrows_equal, equation_arrows,
+from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NormalArrow, NTuple,
+                            Path, Prod, Proj, TERMINAL, TupleArrow,
+                            apply_arrow, arrows_equal, equation_arrows,
                             flat_product, input_product, normalize,
                             occurrence_arrow, product_of_arrows,
                             regroup_arrow, term_arrow, term_normal)
@@ -343,6 +343,65 @@ def _ops(e):
     if isinstance(e, Variable):
         return []
     return [e.op] + [op for a in e.args for op in _ops(a)]
+
+
+# --- text ------------------------------------------------------------------------
+
+
+def test_text_agrees_with_the_recursive_reference(seed=53):
+    # the three stages, their composite, their endpoints and their normal
+    # forms, and the direct normal form, print as the recursive reference
+    # prints them; every kind of node is among them
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(300):
+        sig = gen_signature(rng)
+        t = gen_term(rng, sig, depth=4, extra_vars=3)
+        stages = (occurrence_arrow(t.expr, t.vars), regroup_arrow(t.expr),
+                  apply_arrow(t.expr), term_arrow(t.expr, t.vars))
+        for node in (*stages, *(normalize(a) for a in stages),
+                     *(a.src for a in stages), term_normal(t.expr, t.vars)):
+            assert str(node) == fixtures.recursive_text(node)
+            kinds |= _kinds(node)
+    assert kinds == {Leaf, Prod, Id, Proj, Gen, TupleArrow, Comp, Path,
+                     GenApp, NTuple, NormalArrow}
+    assert str(TERMINAL) == "1" and str(Path(())) == "p()"
+
+
+def _kinds(node) -> set:
+    """The kinds of `node` and of every node below it."""
+    kinds, todo = set(), [node]
+    while todo:
+        x = todo.pop()
+        kinds.add(type(x))
+        if isinstance(x, Prod):
+            todo += x.factors
+        elif isinstance(x, (TupleArrow, NTuple)):
+            todo += x.parts
+        elif isinstance(x, GenApp):
+            todo += x.args
+        elif isinstance(x, Comp):
+            todo += (x.after, x.before)
+        elif isinstance(x, Id):
+            todo.append(x.obj)
+        elif isinstance(x, NormalArrow):
+            todo.append(x.body)
+    return kinds
+
+
+def test_text_takes_a_deep_arrow_and_a_deep_normal_form():
+    # the renderer keeps its own stack: a 20,000-deep composite and a
+    # 20,000-deep normal body print at the default recursion limit
+    sig = validate_signature(["s"], [("i", ["s"], "s")])
+    i = Gen(sig.operation("i"))
+    step = TupleArrow(i.src, (i,))  # (s) -> (s)
+    a = Id(i.src)
+    body = Path((1,))
+    for _ in range(20000):
+        a = Comp(step, a)
+        body = GenApp(i.op, (body,))
+    assert str(a) == "<i> . " * 20000 + "id[(s)]"
+    assert str(body) == "i(" * 20000 + "p1" + ")" * 20000
 
 
 # --- hash-consing -----------------------------------------------------------------

@@ -774,6 +774,22 @@ def test_deep_towers_on_the_levelled_route_and_the_oracle(tmp_path, capsys):
     assert err == "" and out.startswith("proof p: VALID\n")
 
 
+def test_text_compile_takes_a_deep_term(tmp_path, capsys):
+    # objects, arrows and normal forms print with an explicit stack, so
+    # text compile prints a 400-deep tower's three stages and normal form;
+    # the recursive stage builders still stop near 495
+    f = tmp_path / "tower.msl"
+    f.write_text(f"sort s\nop i : s -> s\nterm t [x:s] : {_tower(400)}\n")
+    assert run(["compile", "--term", "t", str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.split("\n")
+    side = _tower(400).replace("x", "x1:s")
+    assert lines[0] == f"term t : ({side} | {{x1:s}} : s)"
+    assert lines[5] == "  normal form:   " + "i(" * 400 + "p1" + ")" * 400
+    assert lines[6:] == [""]
+
+
 _READ_ONLY_GOOD = """\
 sort s t
 op m : s s -> s

@@ -73,9 +73,11 @@ def _located_tokens(text: str) -> list[tuple[str, int, int]]:
 
 
 def test_tokens_golden():
-    # every token kind, a comment, and the \r\n, \f and \u2028 line breaks
+    # every token kind, a comment, the \r\n, \f and \u2028 line breaks,
+    # and the \xa0, \u3000 and \x1f blanks, which split tokens as a space
+    # does
     text = ("sort s  # a comment ( \u00e9\r\n"
-            "op m : s -> s\f"
+            "op m :\xa0s\u3000->\x1fs\f"
             "eq [x:s, _y1] ( ) { } ; =\u2028"
             "\tend")
     assert _located_tokens(text) == [  # (text, line, col)

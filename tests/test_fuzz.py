@@ -1,9 +1,11 @@
 """Property tests over generated `.msl` text.
 
-Four properties: `parse_spec` returns or raises `TermcatError`; every
+Five properties: `parse_spec` returns or raises `TermcatError`; every
 command of `cli.run` returns 0, 1 or 2 and raises nothing; a file that
-parses prints to text that parses back to an equal file; and
-`dsl.end_position` counts lines and columns as the scanner does.  The texts are
+parses prints to text that parses back to an equal file;
+`dsl.end_position` counts lines and columns as the scanner does; and the
+scanner, which splits on blanks, gives the tokens or the error that one
+`findall` of the token grammar gives.  The texts are
 random characters over the token set, soups of keywords and punctuation,
 mostly well-formed generated files, and the corpus files, each possibly
 mutated by deleting or inserting a slice.
@@ -13,14 +15,16 @@ from __future__ import annotations
 
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import print_spec, raises_exactly
+from termcat import dsl
 from termcat.cli import run
-from termcat.dsl import _scan, end_position, parse_spec
+from termcat.dsl import EOF, _scan, end_position, parse_spec
 from termcat.errors import DslError, TermcatError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -31,6 +35,10 @@ CORPUS_TEXTS = [p.read_text(encoding="utf-8")
 # character outside the token set
 ALPHABET = ("sortpqeymx_19 ()[]{}:,;=->#\t"
             "\n\r\f\v\x1c\x1d\x1e\x85\u2028\u2029\u00e9")
+# every ASCII character, every blank and line break, and one letter outside
+# ASCII
+SCAN_ALPHABET = "".join(c for c in map(chr, range(sys.maxunicode + 1))
+                        if c.isascii() or c.isspace()) + "\u00e9"
 SORTS = ["s", "t", "u"]
 OPS = ["m", "e", "f", "g"]
 VARS = ["x", "y", "z"]
@@ -116,13 +124,13 @@ def spec_texts(draw):
 
 
 @st.composite
-def mutated(draw, texts):
+def mutated(draw, texts, alphabet=ALPHABET):
     text = draw(texts)
     if draw(st.booleans()):
         return text
     i = draw(st.integers(0, len(text)))
     j = draw(st.integers(i, min(len(text), i + 8)))
-    return text[:i] + draw(st.text(ALPHABET, max_size=4)) + text[j:]
+    return text[:i] + draw(st.text(alphabet, max_size=4)) + text[j:]
 
 
 TEXTS = st.one_of(
@@ -199,3 +207,42 @@ def test_end_position_is_where_the_scanner_reports(prefix):
                         f"{line}:{col}: unexpected character '$'") as exc:
         _scan(prefix + "$")
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def _findall_scan(text: str) -> tuple[str, list[str]]:
+    """The scan as one `findall` of `dsl._TOKEN_RE`, which gives "" for a
+    stray character: the reference the scanner must agree with."""
+    if dsl._OTHER_BREAKS.search(text):
+        lines = text.splitlines()
+        text = "\n".join(lines) + "\n" if lines else ""
+    elif text and text[-1] != "\n":
+        text += "\n"
+    text = dsl._COMMENT_RE.sub("", text)
+    tokens = dsl._TOKEN_RE.findall(text)
+    if EOF in tokens:
+        (line, col), = dsl._positions(text, tokens, (tokens.index(EOF),))
+        char = text.split("\n")[line - 1][col - 1]
+        raise DslError(f"unexpected character {char!r}", line, col)
+    return text, tokens + [EOF]
+
+
+SCAN_TEXTS = st.one_of(
+    st.text(SCAN_ALPHABET, max_size=60),
+    st.lists(st.sampled_from(WORDS) | st.text(SCAN_ALPHABET, min_size=1,
+                                              max_size=2),
+             max_size=30).map("".join),
+    mutated(st.sampled_from(CORPUS_TEXTS), SCAN_ALPHABET),
+    TEXTS,
+)
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(SCAN_TEXTS)
+def test_scanner_agrees_with_findall(text):
+    # the same text and tokens, or the same error at the same place
+    def outcome(scan):
+        try:
+            return scan(text)
+        except DslError as exc:
+            return str(exc)
+    assert outcome(_scan) == outcome(_findall_scan)
