@@ -7,6 +7,9 @@ normal form: into a product, a tuple of normal forms per factor; into a
 sort, a first-order term whose leaves are projection paths into the domain
 tree.  The normal form is unique per equivalence class under the product
 laws, so structural comparison of normal forms decides formal equality.
+It is computed by evaluation (Berger & Schwichtenberg, 1991): an arrow is
+applied to the identity body of its domain, the tuple tree of paths to
+the domain's leaves, in one pass over the arrow.
 
 Objects and arrows are hash-consed, in the table of `errors` that
 expressions share: constructing a node returns the one live node with that
@@ -15,8 +18,9 @@ The table holds its nodes weakly and drops an entry when its node dies, so
 nothing outlives the arrows a caller keeps.  Every arrow stores its
 endpoints `src`/`dst` when it is built, which makes each endpoint check an
 `is` test, and it keeps its normal body in a write-once slot filled the
-first time `_norm` reaches it, so shared subarrows are normalized once.
-Nodes are otherwise immutable.
+first time an evaluation reaches it at its domain's identity body, so
+shared subarrows are normalized once; each object keeps that identity
+body in a write-once slot too.  Nodes are otherwise immutable.
 
 The term compiler has one entry, `term_arrow(e, vs)`: the arrow of an
 expression `e` over the product of a variable context `vs`, which holds
@@ -44,7 +48,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import EndpointMismatch, Node, Record, intern, interned
 from .signature import Operation, Sort, Variable
-from .terms import Equation, Expression, var_list
+from .terms import Equation, Expression, applications, var_list
 
 _set = object.__setattr__
 
@@ -53,7 +57,7 @@ _set = object.__setattr__
 
 
 class Leaf(Node):
-    __slots__ = ("sort",)
+    __slots__ = ("sort", "_identity")  # `_identity`: see `Prod`
     _fields = ("sort",)
 
     def __new__(cls, sort: Sort):
@@ -62,12 +66,14 @@ class Leaf(Node):
         if node is None:
             node = object.__new__(cls)
             _set(node, "sort", sort)
+            _set(node, "_identity", None)
             intern(key, node)
         return node
 
 
 class Prod(Node):
-    __slots__ = ("factors",)
+    # `_identity` caches the object's identity body, where `_norm` starts
+    __slots__ = ("factors", "_identity")
     _fields = ("factors",)
 
     def __new__(cls, factors: Iterable["FPObject"]):
@@ -77,6 +83,7 @@ class Prod(Node):
         if node is None:
             node = object.__new__(cls)
             _set(node, "factors", factors)
+            _set(node, "_identity", None)
             intern(key, node)
         return node
 
@@ -207,29 +214,23 @@ def product_of_arrows(fs: Sequence[FPArrow]) -> TupleArrow:
 #
 # A normal body is shaped by the codomain: NTuple per product factor, and at
 # a sort leaf a ground term (GenApp over Path leaves).  A Path addresses a
-# leaf of the domain tree by its sequence of 1-based factor indices.
+# leaf of the domain tree by its sequence of 1-based factor indices.  The
+# normal body of an arrow is its value at the identity body of its domain:
+# a composite evaluates `after` on the value of `before`, a projection
+# picks a part, a tuple tuples its parts' values and a generator applies
+# its operation to the parts.
 
 
 class Path(Record):
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[int, ...]):
-        _set(self, "steps", steps)
+    __slots__ = ("steps",)  # tuple[int, ...]
 
 
 class GenApp(Record):
-    __slots__ = ("op", "args")
-
-    def __init__(self, op: Operation, args: tuple["NormalBody", ...]):
-        _set(self, "op", op)
-        _set(self, "args", args)
+    __slots__ = ("op", "args")  # Operation, tuple[NormalBody, ...]
 
 
 class NTuple(Record):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple["NormalBody", ...]):
-        _set(self, "parts", parts)
+    __slots__ = ("parts",)  # tuple[NormalBody, ...]
 
 
 NormalBody = Union[Path, GenApp, NTuple]
@@ -299,40 +300,33 @@ def _identity_body(obj: FPObject, prefix: tuple[int, ...]) -> NormalBody:
                         for i, f in enumerate(obj.factors, 1)))
 
 
-def _lookup(body: NormalBody, path: tuple[int, ...]) -> NormalBody:
-    for step in path:
-        body = body.parts[step - 1]
+def _eval(a: FPArrow, v: NormalBody) -> NormalBody:
+    """The body of `a` applied to `v`, a body over `a.src`.  At the
+    identity body of `a.src` that is `a`'s normal body, kept in its slot."""
+    at_identity = v is a.src._identity
+    if at_identity and a._normal is not None:
+        return a._normal
+    kind = type(a)
+    if kind is Comp:
+        body = _eval(a.after, _eval(a.before, v))
+    elif kind is Proj:
+        body = v.parts[a.index - 1]
+    elif kind is TupleArrow:
+        body = NTuple(tuple([_eval(p, v) for p in a.parts]))
+    elif kind is Gen:
+        body = GenApp(a.op, v.parts)
+    else:  # Id
+        body = v
+    if at_identity:
+        _set(a, "_normal", body)
     return body
-
-
-def _substitute(outer: NormalBody, inner: NormalBody) -> NormalBody:
-    # Replace every path of `outer` (addresses into the middle object) by
-    # the corresponding piece of `inner`.
-    if isinstance(outer, Path):
-        return _lookup(inner, outer.steps)
-    if isinstance(outer, GenApp):
-        return GenApp(outer.op, tuple(_substitute(a, inner)
-                                      for a in outer.args))
-    return NTuple(tuple(_substitute(p, inner) for p in outer.parts))
 
 
 def _norm(a: FPArrow) -> NormalBody:
-    body = a._normal
-    if body is not None:
-        return body
-    if isinstance(a, Id):
-        body = _identity_body(a.obj, ())
-    elif isinstance(a, Proj):
-        body = _identity_body(a.dst, (a.index,))
-    elif isinstance(a, Gen):
-        body = GenApp(a.op, tuple(Path((i,))
-                                  for i in range(1, len(a.op.inputs) + 1)))
-    elif isinstance(a, TupleArrow):
-        body = NTuple(tuple(_norm(p) for p in a.parts))
-    else:
-        body = _substitute(_norm(a.after), _norm(a.before))
-    _set(a, "_normal", body)
-    return body
+    src = a.src
+    if src._identity is None:
+        _set(src, "_identity", _identity_body(src, ()))
+    return _eval(a, src._identity)
 
 
 def normalize(a: FPArrow) -> NormalArrow:
@@ -412,16 +406,11 @@ def term_arrow(e: Expression, vs: Sequence[Variable]) -> FPArrow:
 def term_normal(e: Expression, vs: Sequence[Variable]) -> NormalArrow:
     """The normal form of `term_arrow(e, vs)`, written straight from the
     expression: each variable becomes the path to its factor of the input
-    product, each application a `GenApp`."""
-    position = {v: Path((k,)) for k, v in enumerate(vs, 1)}
-    return NormalArrow(input_product(vs), Leaf(e.sort),
-                       _expr_body(e, position))
-
-
-def _expr_body(e: Expression, position: dict) -> NormalBody:
-    if isinstance(e, Variable):
-        return position[e]
-    return GenApp(e.op, tuple(_expr_body(a, position) for a in e.args))
+    product, each application a `GenApp`, built once per distinct node."""
+    body = {v: Path((k,)) for k, v in enumerate(vs, 1)}
+    for a in applications(e):
+        body[a] = GenApp(a.op, tuple([body[x] for x in a.args]))
+    return NormalArrow(input_product(vs), Leaf(e.sort), body[e])
 
 
 def equation_arrows(eq: Equation) -> tuple[FPArrow, FPArrow]:

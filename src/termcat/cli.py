@@ -538,9 +538,10 @@ def cmd_oracle(args) -> int:
                          f"{args.max_size}")
         else:
             model, env = found
+            described = model.describe()
             lines.append("  counterexample found:")
-            lines.append(f"    carriers: {model.describe()['carriers']}")
-            for op, table in model.describe()["tables"].items():
+            lines.append(f"    carriers: {described['carriers']}")
+            for op, table in described["tables"].items():
                 lines.append(f"    {op}: {table}")
             assign = ", ".join(f"{v} = {val}" for v, val in
                                sorted(env.items(),

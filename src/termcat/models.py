@@ -15,8 +15,8 @@ import math
 from typing import Iterator
 
 from .errors import Record, TermcatError
-from .signature import Operation, Signature, Sort, Variable, ordered_vars
-from .terms import Equation, applications, var_list
+from .signature import Operation, Signature, Sort, Variable
+from .terms import Equation, applications, var_set
 
 MAX_CARRIER = 6
 # reduct models one counterexample search may visit
@@ -145,7 +145,7 @@ def find_counterexample(sig: Signature, eq: Equation, max_size: int):
     its first falsifying assignment is the first in carrier order.  The
     search gives up with a TermcatError after MAX_MODELS reduct models.
     """
-    occurring = ordered_vars(var_list(eq.left) + var_list(eq.right))
+    occurring = var_set(eq.left, eq.right)
     steps, left, right = _column_program(eq, occurring)
     # the reduct: the mentioned operations, and the sorts the equation
     # touches; each input sort of a mentioned operation is some argument's

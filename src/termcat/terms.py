@@ -136,9 +136,21 @@ def applications(*exprs: Expression):
             stack += x.args[::-1]
 
 
-def var_set(e: Expression) -> tuple[Variable, ...]:
-    """Distinct variables of `e` in the canonical order."""
-    return ordered_vars(var_list(e))
+def var_set(*exprs: Expression) -> tuple[Variable, ...]:
+    """Distinct variables of `exprs` in the canonical order.  Each node is
+    walked once, so an expression that shares its subexpressions costs
+    its number of distinct nodes."""
+    found: set[Variable] = set()
+    seen: set[App] = set()
+    stack = list(exprs)
+    while stack:
+        x = stack.pop()
+        if type(x) is not App:
+            found.add(x)
+        elif x not in seen:
+            seen.add(x)
+            stack.extend(x.args)
+    return ordered_vars(found)
 
 
 def _canonical(vs: tuple[Variable, ...]) -> bool:
@@ -156,15 +168,19 @@ def _canonical(vs: tuple[Variable, ...]) -> bool:
 def _omitted(vs: tuple[Variable, ...], *exprs: Expression) -> list[Variable]:
     """The variables occurring in `exprs` that `vs` lacks, in the canonical
     order.  An occurrence that is one of the objects in `vs` is found by
-    its id, which spares hashing the variables of elaborated text."""
+    its id, which spares hashing the variables of elaborated text.  Each
+    application is walked once."""
     ids = {id(v) for v in vs}
     known = None
     missing = set()
+    seen: set[App] = set()
     stack = list(exprs)
     while stack:
         x = stack.pop()
         if type(x) is App:
-            stack.extend(x.args)
+            if x not in seen:
+                seen.add(x)
+                stack.extend(x.args)
         elif id(x) not in ids:
             if known is None:
                 known = set(vs)

@@ -1,11 +1,11 @@
 """Shared concrete signatures, variable helpers and the certificate route
 for the tests, and the helpers only tests call: the exact-error check,
 terms, equations and rule codings from loose arguments, normal forms back
-to arrows, the text of arrows and normal forms by recursion, schema-2
-`--json` payloads back to schema 1, most concrete terms and equations, the
-reference evaluation of expressions and arrows in finite models, random
-finite models and a random search for a model that separates two arrows,
-and the .msl printer."""
+to arrows, normal forms by substitution, the text of arrows and normal
+forms by recursion, schema-2 `--json` payloads back to schema 1, most
+concrete terms and equations, the reference evaluation of expressions and
+arrows in finite models, random finite models and a random search for a
+model that separates two arrows, and the .msl printer."""
 
 from __future__ import annotations
 
@@ -155,6 +155,60 @@ def _embed_body(body: NormalBody, src: FPObject) -> FPArrow:
         inner = TupleArrow(src, tuple(_embed_body(a, src) for a in body.args))
         return Comp(Gen(body.op), inner)
     return TupleArrow(src, tuple(_embed_body(p, src) for p in body.parts))
+
+
+# --- normal forms by substitution ----------------------------------------------
+
+
+def substitution_normal(a: FPArrow) -> NormalArrow:
+    """The normal form of `a` computed by substitution, each composite's
+    outer normal body with the inner one put in for its paths, and each
+    subarrow's body kept in a memo of its own: the reference `normalize`
+    must agree with."""
+    return NormalArrow(a.src, a.dst, _norm(a, {}))
+
+
+def _identity_body(obj: FPObject, prefix: tuple[int, ...]) -> NormalBody:
+    if isinstance(obj, Leaf):
+        return Path(prefix)
+    return NTuple(tuple(_identity_body(f, prefix + (i,))
+                        for i, f in enumerate(obj.factors, 1)))
+
+
+def _lookup(body: NormalBody, path: tuple[int, ...]) -> NormalBody:
+    for step in path:
+        body = body.parts[step - 1]
+    return body
+
+
+def _substitute(outer: NormalBody, inner: NormalBody) -> NormalBody:
+    # Replace every path of `outer` (addresses into the middle object) by
+    # the corresponding piece of `inner`.
+    if isinstance(outer, Path):
+        return _lookup(inner, outer.steps)
+    if isinstance(outer, GenApp):
+        return GenApp(outer.op, tuple(_substitute(a, inner)
+                                      for a in outer.args))
+    return NTuple(tuple(_substitute(p, inner) for p in outer.parts))
+
+
+def _norm(a: FPArrow, memo: dict) -> NormalBody:
+    body = memo.get(a)
+    if body is not None:
+        return body
+    if isinstance(a, Id):
+        body = _identity_body(a.obj, ())
+    elif isinstance(a, Proj):
+        body = _identity_body(a.dst, (a.index,))
+    elif isinstance(a, Gen):
+        body = GenApp(a.op, tuple(Path((i,))
+                                  for i in range(1, len(a.op.inputs) + 1)))
+    elif isinstance(a, TupleArrow):
+        body = NTuple(tuple(_norm(p, memo) for p in a.parts))
+    else:
+        body = _substitute(_norm(a.after, memo), _norm(a.before, memo))
+    memo[a] = body
+    return body
 
 
 # --- text, recursively ----------------------------------------------------------

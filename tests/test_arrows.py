@@ -5,6 +5,7 @@ import copy
 import gc
 import pickle
 import random
+from collections import Counter
 from pathlib import Path as FilePath
 
 import pytest
@@ -14,12 +15,12 @@ from fixtures import (bang, embed, make_equation, make_term,
                       most_concrete_term, running_signature, subst_signature,
                       v)
 from gen import gen_equation, gen_signature, gen_term
-from termcat import arrows, models
+from termcat import arrows, kernel, models
 from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NormalArrow, NTuple,
                             Path, Prod, Proj, TERMINAL, TupleArrow,
-                            apply_arrow, arrows_equal, equation_arrows,
-                            flat_product, input_product, normalize,
-                            occurrence_arrow, product_of_arrows,
+                            apply_arrow, arrows_equal, context_arrow,
+                            equation_arrows, flat_product, input_product,
+                            normalize, occurrence_arrow, product_of_arrows,
                             regroup_arrow, term_arrow, term_normal)
 from termcat.dsl import parse_spec
 from termcat.errors import INTERNED, EndpointMismatch
@@ -337,6 +338,110 @@ def test_term_normal_matches_the_three_stages(seed=41):
         seen["constant"] += any(not op.inputs for op in _ops(t.expr))
         seen["several sorts"] += len({x.sort for x in t.vars}) > 1
     assert min(seen.values()) >= 100, seen
+
+
+def _hand_built_arrows():
+    """Arrows the term compiler does not build: identities on nested
+    products, projections onto products, tuples into nested products,
+    composites with an identity on either side, products of arrows,
+    changes of context, and arrows out of and into the terminal object."""
+    sig = validate_signature(["s1", "s2"], [("g", ["s1", "s1"], "s2"),
+                                            ("h", ["s2"], "s1"),
+                                            ("c", [], "s1")])
+    g, h, c = (Gen(sig.operation(n)) for n in ("g", "h", "c"))
+    s1, s2 = Leaf(sig.sort("s1")), Leaf(sig.sort("s2"))
+    pair = Prod((s1, s1))
+    nested = Prod((Prod((s1, Prod((s2, s1)))), TERMINAL, s2))
+    x1, x2 = Variable(sig.sort("s1"), 1), Variable(sig.sort("s1"), 2)
+    y1 = Variable(sig.sort("s2"), 1)
+    xy = Prod((s1, s2))
+    inner = TupleArrow(pair, (g, Proj(pair, 1)))
+    into_nested = TupleArrow(pair, (TupleArrow(pair, (Proj(pair, 2), inner)),
+                                    TupleArrow(pair, ()), g))
+    return [
+        Id(nested), Id(TERMINAL), Id(s1),
+        Proj(nested, 1), Comp(Proj(nested.factors[0], 2), Proj(nested, 1)),
+        into_nested, Comp(Proj(nested, 1), into_nested),
+        Comp(Id(nested), into_nested), Comp(into_nested, Id(pair)),
+        Comp(g, Id(pair)), Comp(Id(s2), g), Comp(Id(pair), Id(pair)),
+        product_of_arrows([g, Id(s1), h, TupleArrow(s1, ())]),
+        Comp(product_of_arrows([Comp(h, TupleArrow(s2, (Id(s2),))),
+                                Id(s2)]),
+             TupleArrow(pair, (g, Comp(g, TupleArrow(pair, (Proj(pair, 2),
+                                                           Proj(pair, 1))))))),
+        context_arrow((x1, x2, y1), (y1, x1, x1, x2)),
+        context_arrow((x1, y1), (x1, y1),
+                      {x1: Comp(h, TupleArrow(xy, (Proj(xy, 2),)))}),
+        TupleArrow(nested, ()), c, Comp(c, TupleArrow(nested, ())),
+        Comp(TupleArrow(TERMINAL, (c, c)), TupleArrow(pair, ())),
+    ]
+
+
+def test_normalize_agrees_with_the_substitution_reference(seed=45):
+    # evaluation at the identity body against the substitution normalizer
+    # of fixtures, on the term compiler's three stages and their composite,
+    # the kernel's compiler, and hand-built arrows
+    rng = random.Random(seed)
+    tally = Counter()
+    checked = _hand_built_arrows()
+    for _ in range(300):
+        sig = gen_signature(rng)
+        t = gen_term(rng, sig, depth=4, extra_vars=3)
+        checked += (occurrence_arrow(t.expr, t.vars), regroup_arrow(t.expr),
+                    apply_arrow(t.expr), term_arrow(t.expr, t.vars),
+                    kernel._compile(t.expr, t.vars, {}))
+    for a in checked:
+        assert normalize(a) == fixtures.substitution_normal(a), a
+        tally.update(k.__name__ for k in _kinds(a))
+    for kind in ("Id", "Proj", "Gen", "TupleArrow", "Comp"):
+        assert tally[kind] >= 300, tally
+
+
+def test_normal_forms_are_linear_in_the_tower_depth(monkeypatch):
+    # every body the evaluator builds is counted; two towers with no node
+    # in common, the second twice as deep: a normalizer that re-walks the
+    # bodies under each level builds about 3.9 times as many
+    built = Counter()
+    for name in ("Path", "GenApp", "NTuple"):
+        def counted(*fields, _make=getattr(arrows, name), _name=name):
+            built[_name] += 1
+            return _make(*fields)
+        monkeypatch.setattr(arrows, name, counted)
+    totals = {}
+    for d in (50, 100):
+        sig = validate_signature([f"t{d}"], [(f"i{d}", [f"t{d}"], f"t{d}")])
+        x = Variable(sig.sorts[0], 1)
+        e = x
+        for _ in range(d):
+            e = App(sig.operations[0], (e,))
+        built.clear()
+        normalize(term_arrow(e, (x,)))
+        assert built["GenApp"] == d, built
+        totals[d] = sum(built.values())
+    assert totals[100] < 2.1 * totals[50], totals
+
+
+def test_term_normal_takes_a_deep_tower_and_a_shared_expression():
+    # term_normal walks each distinct application once, with no recursion:
+    # a 20,000-deep tower at the default recursion limit, and 64 nested
+    # m(e, e), 64 nodes but 2 ** 64 leaves, at once
+    sig = validate_signature(["s"], [("i", ["s"], "s"),
+                                     ("m", ["s", "s"], "s")])
+    i, m = sig.operation("i"), sig.operation("m")
+    x = Variable(sig.sorts[0], 1)
+    e = x
+    for _ in range(20000):
+        e = App(i, (e,))
+    n = term_normal(e, (x,))
+    assert str(n) == "i(" * 20000 + "p1" + ")" * 20000
+    e = x
+    for _ in range(64):
+        e = App(m, (e, e))
+    body = term_normal(e, (x,)).body
+    for _ in range(64):
+        assert body.op == m and body.args[0] is body.args[1]
+        body = body.args[0]
+    assert body == Path((1,))
 
 
 def _ops(e):

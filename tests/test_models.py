@@ -16,7 +16,8 @@ from termcat.dsl import parse_spec
 from termcat.errors import TermcatError
 from termcat.models import (FiniteModel, count_models, enumerate_models,
                             find_counterexample)
-from termcat.terms import App, var_list
+from termcat.signature import Variable
+from termcat.terms import App, Equation, var_list
 
 MONOID = Path(__file__).resolve().parent.parent / "corpus" / "monoid.msl"
 
@@ -134,6 +135,17 @@ def test_counterexample_search():
     # a tautology has no counterexample
     triv = make_equation(x, x, (x,))
     assert find_counterexample(sig, triv, 2) is None
+
+
+def test_counterexample_search_walks_a_shared_equation_once():
+    # 64 nested m(e, e) have 2 ** 64 variable occurrences, but the search
+    # reads each of the 64 distinct nodes once
+    sig = binary_signature()
+    x = Variable(sig.sort("s"), 1)
+    e = x
+    for _ in range(64):
+        e = App(sig.operation("m"), (e, e))
+    assert find_counterexample(sig, Equation(e, e, (x,)), 2) is None
 
 
 def test_points_shape():

@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import (input_types, make_equation, make_term,
+from fixtures import (binary_signature, input_types, make_equation, make_term,
                       most_concrete_equation, most_concrete_term,
                       raises_exactly, running_signature, type_list, type_set,
                       v)
@@ -187,6 +187,25 @@ def test_deep_expressions_and_equations_compare_and_hash():
     r = one.equations["r"]
     assert r.left is q1.left and r != q1 and q1.left != r.right
     assert len({q1, q2, r}) == 2
+
+
+def test_a_shared_expression_is_walked_once_per_node():
+    # 64 nested m(e, e): 64 distinct applications but 2 ** 64 leaf
+    # occurrences, so a walk of every occurrence would never finish
+    sig = binary_signature()
+    s, m = sig.sort("s"), sig.operation("m")
+    x, y = Variable(s, 1), Variable(s, 2)
+    e = x
+    for _ in range(64):
+        e = App(m, (e, e))
+    assert Equation(e, e, (x,)).left is e
+    assert Term(e, (x,), s).expr is e
+    assert var_set(e) == (x,)
+    assert var_set(App(m, (e, y)), e) == (x, y)
+    with raises_exactly(TermcatError,
+                        "equation omits variables occurring in its sides: "
+                        "x1:s"):
+        Equation(e, e, ())
 
 
 def test_var_set_reorders_by_canonical_order():
