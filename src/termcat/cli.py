@@ -433,7 +433,7 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef, tables: Tables | None,
     name = proof.name
     try:
         steps, hyps = build_proof(sf, proof)
-        lemmas = deduction.lemma_table(sf.signature, steps, hyps)
+        lemmas = deduction.lemma_table(sf.signature, steps)
         if levelled:
             ld = deduction.normalize_deduction(steps)
             cert = deduction.compile_to_factorization(ld, lemmas, hyps)

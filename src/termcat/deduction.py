@@ -4,13 +4,14 @@ A deduction is its steps, in the order they are declared: each `Step`
 applies one of the multisorted equational rules (reflexivity, symmetry,
 transitivity, concretion, abstraction, substitutivity) to the steps it
 cites, which come earlier, or cites one of a list of hypothesis equations.
-`conclude` alone states what each rule requires and concludes, for the .msl
-front end and for this module, the producer.  `lemma_table` checks each
-step once, in order, whether a later step cites it or not, against
-`conclude`, and codes its rule as a kernel proof, compiling only the arrows
-that proof's steps carry, so lemma k is step k.  The producer then emits
-one of two certificates for the kernel (`kernel.py`), which runs none of
-this code:
+`conclude` alone states what each rule requires and concludes, and
+`derive` alone builds a step, with one call of `conclude`, for the .msl
+front end and for this module, the producer.  `lemma_table` codes each
+step once, in order, whether a later step cites it or not, as a kernel
+proof, compiling only the arrows that proof's steps carry, so lemma k is
+step k; it draws no conclusion again, since the kernel checks every
+lemma's statement itself.  The producer then emits one of two
+certificates for the kernel (`kernel.py`), which runs none of this code:
 
 - the lemma table itself: each lemma carries its step's equation, its
   citations and its rule coding's kernel proof; the kernel alone compiles
@@ -34,9 +35,9 @@ from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                      Factorization, KernelProof, KernelStep, Lemma, Refl,
                      Sym, Trans, TupleCong, constraints_equal)
 from .kernel import verify_factorization  # noqa: F401
-from .signature import Signature, Variable, ordered_vars
+from .signature import Signature, ordered_vars
 from .subst import retyping_arrow, subst_expr, substitution_arrow
-from .terms import Equation, Expression, inhabited_sorts, var_set
+from .terms import Equation, inhabited_sorts, var_set
 
 # --- rule instances -----------------------------------------------------------
 
@@ -116,28 +117,26 @@ def _require(cond: bool, detail: str):
 
 def conclude(sig: Signature, rule: RuleInstance,
              premises: Sequence[Equation],
-             hypotheses: Sequence[Equation] | None = None
-             ) -> tuple[Expression, Expression, tuple[Variable, ...]]:
-    """The conclusion `rule` draws from `premises` (a hypothesis's from
-    `hypotheses`): its two sides and its variables in canonical order.
-    This is the one statement of what each rule requires and concludes:
-    the first side condition that fails, in the order below, raises a
-    `DeductionError`, and a conclusion drawn always forms an `Equation`."""
+             hypotheses: Sequence[Equation]) -> Equation:
+    """The conclusion `rule` draws from `premises` (a hypothesis's is the
+    hypothesis itself, from `hypotheses`).  This is the one statement of
+    what each rule requires and concludes: the first side condition that
+    fails, in the order below, raises a `DeductionError`, and a conclusion
+    drawn always forms an `Equation`."""
     kind = type(rule)
     want = RULE_ARITY[kind]
     _require(len(premises) == want,
              f"{RULE_NAMES[kind]} takes {want} premises")
     if kind is Hypothesis:
-        if hypotheses is None or not 0 <= rule.index < len(hypotheses):
+        if not 0 <= rule.index < len(hypotheses):
             raise DeductionError(f"no hypothesis with index {rule.index}")
-        h = hypotheses[rule.index]
-        return h.left, h.right, h.vars
+        return hypotheses[rule.index]
     if kind is Reflexivity:
         t = rule.term
-        return t.expr, t.expr, t.vars
+        return Equation(t.expr, t.expr, t.vars)
     p = premises[0]
     if kind is Symmetry:
-        return p.right, p.left, p.vars
+        return Equation(p.right, p.left, p.vars)
     if kind is Transitivity:
         q = premises[1]
         _require(p.vars == q.vars,
@@ -148,7 +147,7 @@ def conclude(sig: Signature, rule: RuleInstance,
         if p.right != q.left:
             raise DeductionError(
                 f"premises do not share a middle term: {p.right} vs {q.left}")
-        return p.left, q.right, p.vars
+        return Equation(p.left, q.right, p.vars)
     if kind is Concretion:
         x = rule.var
         _require(x in p.vars, f"{x} is not among the premise variables")
@@ -157,12 +156,12 @@ def conclude(sig: Signature, rule: RuleInstance,
         # the coding fills the dropped variable with a closed expression
         _require(x.sort in inhabited_sorts(sig),
                  f"sort {x.sort} is empty; no closed filler exists")
-        return p.left, p.right, tuple(v for v in p.vars if v != x)
+        return Equation(p.left, p.right, tuple(v for v in p.vars if v != x))
     if kind is Abstraction:
         x = rule.var
         _require(x not in p.vars, f"{x} already occurs among the premise "
                  "variables")
-        return p.left, p.right, ordered_vars(p.vars + (x,))
+        return Equation(p.left, p.right, ordered_vars(p.vars + (x,)))
     if kind is Substitutivity:
         x, q = rule.var, premises[1]
         _require(x in p.vars, f"{x} is not among the first premise's "
@@ -171,25 +170,36 @@ def conclude(sig: Signature, rule: RuleInstance,
                  f"second premise has sort {q.sort}, but {x} requires "
                  f"{x.sort}")
         kept = tuple(v for v in p.vars if v != x)
-        return (subst_expr(p.left, x, q.left), subst_expr(p.right, x, q.right),
-                ordered_vars(kept + q.vars))
+        return Equation(subst_expr(p.left, x, q.left),
+                        subst_expr(p.right, x, q.right),
+                        ordered_vars(kept + q.vars))
     raise DeductionError(f"unknown rule {rule!r}")
 
 
-def _code_rule(sig: Signature, premises: Sequence[Equation],
-               rule: RuleInstance, conclusion: Equation,
-               hypotheses: Sequence[Equation] | None) -> KernelProof:
-    """Check that `conclusion` is what `conclude` draws, side conditions
-    and all, and return the kernel proof of the conclusion from the
-    premises.  Only the arrows a step carries are compiled: the
-    conclusion's left side for reflexivity; for substitutivity, the
-    replacement over the conclusion's variables and the first premise's
-    right side; the closed filler of a concretion's dropped variable."""
-    c = conclusion
-    if (c.left, c.right, c.vars) != conclude(sig, rule, premises, hypotheses):
-        raise DeductionError(f"{RULE_NAMES[type(rule)]} conclusion does not "
-                             "follow from the premises")
+def derive(sig: Signature, rule: RuleInstance, cites: tuple[int, ...],
+           steps: Sequence[Step], hypotheses: Sequence[Equation]) -> Step:
+    """The step that applies `rule` to the steps of `steps`, those before
+    it, that `cites` names in the rule's premise order, concluding what
+    `conclude` draws.  Every step is built here: a citation of a step that
+    does not come earlier, or the first side condition that fails, raises
+    a `DeductionError`."""
+    _require(all(0 <= i < len(steps) for i in cites),
+             "a step may cite only earlier steps")
+    return Step(conclude(sig, rule, [steps[i].equation for i in cites],
+                         hypotheses), rule, cites)
 
+
+def _code_rule(sig: Signature, premises: Sequence[Equation],
+               step: Step) -> KernelProof:
+    """The kernel proof of `step`'s equation from `premises`, the equations
+    of the steps it cites.  The step is one `derive` built, so its rule's
+    side conditions hold and its equation is what the rule draws; the
+    kernel checks that equation, not this code.  Only the arrows a step
+    carries are compiled: the conclusion's left side for reflexivity; for
+    substitutivity, the replacement over the conclusion's variables and the
+    first premise's right side; the closed filler of a concretion's dropped
+    variable."""
+    c, rule = step.equation, step.rule
     kind = type(rule)
     if kind is Hypothesis:
         return (CiteHyp(0),)
@@ -244,24 +254,14 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
 # --- lemma tables -------------------------------------------------------------------
 
 
-def lemma_table(sig: Signature, steps: Sequence[Step],
-                hypotheses: Sequence[Equation]) -> tuple[Lemma, ...]:
-    """One lemma per step, in order, so lemma k is step k: a step is
-    checked once however often it is cited, and once if nothing cites it.
-    Each step is checked against `conclude` and coded by `_code_rule`,
-    which compiles only the arrows its kernel steps carry; the kernel
-    compiles the statements.  A failure of step k is raised unchanged, with its
-    `step` set to k."""
+def lemma_table(sig: Signature, steps: Sequence[Step]) -> tuple[Lemma, ...]:
+    """One lemma per step of `derive`'s, in order, so lemma k is step k: a
+    step is coded once however often it is cited, and once if nothing
+    cites it, by `_code_rule`, which compiles only the arrows its kernel
+    steps carry; the kernel compiles the statements."""
     lemmas: list[Lemma] = []
-    for k, s in enumerate(steps):
-        try:
-            _require(all(0 <= i < k for i in s.premises),
-                     "a step may cite only earlier steps")
-            proof = _code_rule(sig, [steps[i].equation for i in s.premises],
-                               s.rule, s.equation, hypotheses)
-        except DeductionError as exc:
-            exc.step = k
-            raise
+    for s in steps:
+        proof = _code_rule(sig, [steps[i].equation for i in s.premises], s)
         hyp = s.rule.index if isinstance(s.rule, Hypothesis) else None
         lemmas.append(Lemma(s.equation, s.premises, hyp, proof))
     return tuple(lemmas)
@@ -447,8 +447,10 @@ def compile_to_factorization(ld: LevelledDeduction,
     pasted onto the running certificate with its claims reordered to the
     level's consumption order (the associativity re-indexing).  A copy
     entry gives the identity certificate on the claim it carries; any other
-    entry its step's lemma proof, from the claims of the level below that
-    it consumes.  Each equation is compiled once.
+    entry its step's lemma proof, from the statements of the lemmas that
+    step cites.  Pasting checks them against the claims of the level below
+    that the entry consumes, since those claims then become workspace,
+    which no replay reads.  Each equation is compiled once.
     """
     bad = normal_form_violations(ld)
     if bad:
@@ -475,9 +477,10 @@ def compile_to_factorization(ld: LevelledDeduction,
                          "copy must repeat its premise unchanged")
                 step_certs.append(identity_factorization((running.claim[i],)))
             else:
+                lemma = lemmas[s.step]
                 step_certs.append(Factorization(
-                    tuple(running.claim[i] for i in s.premises),
-                    (compiled(s.equation),), (), (lemmas[s.step].proof,)))
+                    tuple(compiled(lemmas[k].statement) for k in lemma.cites),
+                    (compiled(s.equation),), (), (lemma.proof,)))
             consumed.extend(s.premises)
         level_cert = product_factorizations(step_certs)
         reordered = Factorization(

@@ -23,8 +23,8 @@ canonical variable order (and with it every projection index) is fixed by
 the text alone.  Within a proof, variable names travel with the derived
 equations: cited equations contribute their bracket names, merges drop
 ambiguous names, and `abs` binds its name to the variable it introduces.
-A step only resolves its names to a rule instance; `deduction.conclude`
-checks the rule's side conditions and draws its conclusion.
+A step only resolves its names to a rule instance; `deduction.derive`
+checks the rule's side conditions and builds the step.
 
 One pass, no recursion: the scanner pads each symbol with blanks and
 splits each line on blanks, with C-level string methods, and checks each
@@ -51,8 +51,7 @@ from itertools import islice
 from typing import Callable, Optional
 
 from .deduction import (Abstraction, Concretion, Hypothesis, Reflexivity,
-                        Step, Substitutivity, Symmetry, Transitivity,
-                        conclude)
+                        Step, Substitutivity, Symmetry, Transitivity, derive)
 from .errors import (DeductionError, DslError, DuplicateSort, Record,
                      SignatureError, TermcatError)
 from .signature import (Signature, Sort, Variable, ordered_vars,
@@ -722,7 +721,7 @@ def build_proof(sf: SpecFile, proof: ProofDef
     earlier steps it names by their indices; the last step is the proof's
     conclusion.
 
-    Each step's conclusion is the one `deduction.conclude` draws, which
+    Each step is the one `deduction.derive` builds from its rule, which
     checks the rule's side conditions first.  The first step in declaration
     order that fails one raises its `DeductionError`, not a parse error,
     with its `step` set, so that the caller can name the step and its
@@ -739,15 +738,13 @@ def build_proof(sf: SpecFile, proof: ProofDef
     try:
         for k, s in enumerate(proof.steps):
             cites = tuple(index[s.operands[j]] for j in _CITED[s.rule])
+            rule, bound = _build_step(sf, sig, proof, s, steps, cites,
+                                      [names[i] for i in cites])
             try:
-                eq, rule, bound = _build_step(
-                    sf, sig, proof, hypotheses, s,
-                    [steps[i].equation for i in cites],
-                    [names[i] for i in cites])
+                steps.append(derive(sig, rule, cites, steps, hypotheses))
             except DeductionError as exc:
                 exc.step = k
                 raise
-            steps.append(Step(eq, rule, cites))
             names.append(bound)
     except _Fault as fault:
         raise fault.located(sf.text, sf.tokens) from None
@@ -764,20 +761,19 @@ def step_origin(sf: SpecFile, proof: ProofDef, k: Optional[int]) -> str:
     return f"{line}:{col}: step {s.name!r}: "
 
 
-def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
-                hypotheses: Sequence[Equation], s: StepDef,
-                premises: list[Equation],
+def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef, s: StepDef,
+                steps: list[Step], cites: tuple[int, ...],
                 premise_names: list[dict[str, Optional[Variable]]]):
-    """The equation, rule and variable names of step `s`, whose premises
-    are the equations of the steps it cites."""
+    """The rule and variable names of step `s`, which cites `cites` among
+    the earlier `steps`."""
     if s.rule == "hyp":
         idx = proof.hypotheses.index(s.operands[0])
-        return hypotheses[idx], Hypothesis(idx), sf.eq_bindings[s.operands[0]]
+        return Hypothesis(idx), sf.eq_bindings[s.operands[0]]
     if s.rule == "refl":
         bracket, expr = s.operands
         binding, vs = _bind_bracket(sig, bracket, s.at)
         e = _elaborate(sig, binding, expr, s.at, _first_name(bracket))
-        return Equation(e, e, vs), Reflexivity(Term(e, vs, e.sort)), binding
+        return Reflexivity(Term(e, vs, e.sort)), binding
     names = premise_names[0]
     if s.rule == "sym":
         rule = Symmetry()
@@ -788,7 +784,7 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
         rule = Concretion(_resolve_var(names, s.operands[1], s))
     elif s.rule == "abs":
         _, var_name, sort_name = s.operands
-        vs = premises[0].vars
+        vs = steps[cites[0]].equation.vars
         sort = sig.sort_named.get(sort_name)
         if sort is None:
             raise _Fault(f"unknown sort {sort_name!r}", s.at)
@@ -804,4 +800,4 @@ def _build_step(sf: SpecFile, sig: Signature, proof: ProofDef,
     else:  # the parser admits no other rule
         rule = Substitutivity(_resolve_var(names, s.operands[1], s))
         names = _merge_names(names, premise_names[1])
-    return Equation(*conclude(sig, rule, premises)), rule, names
+    return rule, names

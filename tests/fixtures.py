@@ -1,6 +1,7 @@
 """Shared concrete signatures, variable helpers and the certificate route
 for the tests, and the helpers only tests call: the exact-error check,
-terms, equations and rule codings from loose arguments, normal forms back
+steps derived from their rules, forged steps on both routes, terms,
+equations and rule codings from loose arguments, normal forms back
 to arrows, normal forms by substitution, the text of arrows and normal
 forms by recursion, schema-2 `--json` payloads back to schema 1, most
 concrete terms and equations, the reference evaluation of expressions and
@@ -20,10 +21,12 @@ from termcat.arrows import (Comp, FPArrow, FPObject, Gen, GenApp, Id, Leaf,
                             NormalArrow, NormalBody, NTuple, Path, Prod, Proj,
                             TupleArrow)
 from termcat.deduction import (Hypothesis, Step, compile_to_factorization,
-                               equation_constraint, lemma_table,
+                               derive, equation_constraint, lemma_table,
                                normalize_deduction)
 from termcat.dsl import Bracket, RawExpr, SpecFile
-from termcat.kernel import Factorization
+from termcat.errors import DeductionError
+from termcat.kernel import (Factorization, VerificationResult,
+                            verify_factorization, verify_lemmas)
 from termcat.models import FiniteModel
 from termcat.signature import (Signature, Sort, Variable, ordered_vars,
                                validate_signature)
@@ -82,23 +85,63 @@ def certify(sig: Signature, steps, hyps):
     """The certificate `check-proof --levelled` builds: the lemma table,
     the levelled form, then the assembly from the lemmas' codings."""
     return compile_to_factorization(normalize_deduction(steps),
-                                    lemma_table(sig, steps, hyps), hyps)
+                                    lemma_table(sig, steps), hyps)
+
+
+def derive_steps(sig: Signature, rules, hyps) -> tuple[Step, ...]:
+    """The steps `deduction.derive` builds from `rules`, (rule, cites)
+    pairs in proof order, as `dsl.build_proof` builds a proof's: the first
+    step that fails raises its `DeductionError` with its `step` set."""
+    steps: list[Step] = []
+    for k, (rule, cites) in enumerate(rules):
+        try:
+            steps.append(derive(sig, rule, tuple(cites), steps, hyps))
+        except DeductionError as exc:
+            exc.step = k
+            raise
+    return tuple(steps)
+
+
+def forged_verdicts(sig: Signature, steps: Sequence[Step], hyps, k: int,
+                    forged: Equation
+                    ) -> tuple[VerificationResult,
+                               VerificationResult | DeductionError]:
+    """What the kernel says on each `check-proof` route when step k's
+    equation is forged after `lemma_table` coded the real steps: on the
+    lemma table with lemma k's statement forged, and on the levelled
+    certificate pasted from the real codings over the levelled form of the
+    forged steps, or the `DeductionError` with which pasting refuses."""
+    lemmas = lemma_table(sig, steps)
+    table = list(lemmas)
+    table[k] = replace(lemmas[k], statement=forged)
+    bad = list(steps)
+    bad[k] = replace(steps[k], equation=forged)
+    try:
+        levelled = verify_factorization(compile_to_factorization(
+            normalize_deduction(bad), lemmas, hyps))
+    except DeductionError as exc:
+        levelled = exc
+    return verify_lemmas(hyps, table, bad[-1].equation), levelled
 
 
 def check_rule(sig: Signature, premises: Sequence[Equation], rule,
                conclusion: Equation,
                hypotheses: Sequence[Equation] | None = None) -> Factorization:
-    """One rule application, checked by `lemma_table` as the last step of a
-    deduction whose earlier steps cite the premises as hypotheses, and its
-    coding as the one-claim certificate of the conclusion from the premises
-    (a hypothesis's from itself).  A failure is the step's own error."""
+    """One rule application, derived as the last step of a deduction whose
+    earlier steps cite the premises as hypotheses, and its coding from
+    `lemma_table` as the one-claim certificate of `conclusion` from the
+    premises (a hypothesis step's from the hypothesis it cites).  A side
+    condition that fails is the step's own error; a conclusion the rule
+    does not draw is claimed all the same, so `verify_factorization`
+    refuses the certificate."""
     hyps = tuple(premises) + tuple(hypotheses or ())
-    steps = [Step(p, Hypothesis(i), ()) for i, p in enumerate(premises)]
-    steps.append(Step(conclusion, rule, tuple(range(len(premises)))))
-    proof = lemma_table(sig, steps, hyps)[-1].proof
+    n = len(premises)
+    steps = derive_steps(sig, [(Hypothesis(i), ()) for i in range(n)]
+                         + [(rule, range(n))], hyps)
+    proof = lemma_table(sig, steps)[-1].proof
     concl_c = equation_constraint(conclusion)
-    prem_cs = ((concl_c,) if isinstance(rule, Hypothesis)
-               else tuple(map(equation_constraint, premises)))
+    prem_cs = tuple(map(equation_constraint, (hyps[rule.index],)
+                        if isinstance(rule, Hypothesis) else premises))
     return Factorization(prem_cs, (concl_c,), (), (proof,))
 
 

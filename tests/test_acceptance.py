@@ -319,7 +319,7 @@ def test_criterion_5_normal_form_round_trip():
             _report(5, "normal-form round trip", False,
                     f"NF violated: {violations}")
         compiled = compile_to_factorization(
-            ld, lemma_table(sig, steps, hyps), hyps)
+            ld, lemma_table(sig, steps), hyps)
         if not verify_factorization(compiled).ok:
             _report(5, "normal-form round trip", False,
                     "compiled certificate failed verification")

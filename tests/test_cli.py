@@ -364,6 +364,38 @@ def test_each_step_is_coded_once_on_both_routes(tmp_path, capsys,
     assert sum(len(p) for p in cert.verif) == 20479
 
 
+def test_each_step_is_concluded_once(monkeypatch, capsys):
+    # `deduction.derive` draws each step's conclusion with one `conclude`
+    # call as it builds the step; the rule codings and every command after
+    # the build draw none again
+    from termcat import deduction
+    concluded, built = [], []
+    conclude, build_proof = deduction.conclude, cli.build_proof
+
+    def counting(*args):
+        concluded.append(args[1])
+        return conclude(*args)
+
+    def building(*args):
+        steps, hyps = build_proof(*args)
+        built.extend(steps)
+        return steps, hyps
+
+    for module in (deduction, dsl):  # wherever a module reads `conclude`
+        if hasattr(module, "conclude"):
+            monkeypatch.setattr(module, "conclude", counting)
+    monkeypatch.setattr(cli, "build_proof", building)
+    for path in sorted(CORPUS.glob("*.msl")):
+        for name in parse_spec(path.read_text(encoding="utf-8")).proofs:
+            for argv in (["check-proof"], ["check-proof", "--levelled"],
+                         ["normalize-proof"]):
+                concluded.clear()
+                built.clear()
+                assert run([*argv, "--proof", name, str(path)]) == 0
+                assert len(concluded) == len(built) > 0, (argv, name)
+    capsys.readouterr()
+
+
 def test_the_levelled_form_has_a_budget(tmp_path, capsys):
     # the levelled form of the k-fold DAG has 3 * 2 ** (k + 1) - 1 entries:
     # 49,151 at k = 13 fit in MAX_LEVELLED, 98,303 at k = 14 do not, and
@@ -463,7 +495,7 @@ def test_lemma_table_that_claims_the_goal_is_refused(monkeypatch, capsys):
     # the kernel rejects lemma 0, so its lines name step 0 of the proof
     from termcat import deduction, kernel
 
-    def claim_the_goal(sig, steps, hypotheses):
+    def claim_the_goal(sig, steps):
         return (kernel.Lemma(steps[-1].equation, (), None,
                              (kernel.CiteHyp(0),)),)
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import (binary_signature, certify, check_rule, make_equation,
-                      make_term, raises_exactly, replace, satisfies,
-                      unary_signature)
+from fixtures import (binary_signature, certify, check_rule, derive_steps,
+                      forged_verdicts, make_equation, make_term,
+                      raises_exactly, satisfies, unary_signature)
 from gen import gen_deduction, gen_equation, gen_expression
 from termcat import deduction, kernel, subst
 from termcat.arrows import arrows_equal, term_arrow
@@ -30,7 +30,7 @@ from termcat.kernel import (CiteHyp, ComposeRight, EqConstraint, Factorization,
 from termcat.models import enumerate_models
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_expr
-from termcat.terms import App, Equation
+from termcat.terms import App
 
 
 def _setup():
@@ -58,12 +58,19 @@ def test_reflexivity_coding():
 
 
 def test_reflexivity_rejects_wrong_conclusion():
+    # the producer codes the step `derive` drew; a conclusion forged after
+    # the coding is what the kernel refuses, on both routes
     sig, s, x, y, m, c, comm, lunit = _setup()
     t = make_term(x, (x,), s)
-    with raises_exactly(DeductionError, "refl conclusion does not follow "
-                        "from the premises"):
-        check_rule(sig, (), Reflexivity(t),
-                   make_equation(x, x, (x, y)))
+    wrong = make_equation(x, x, (x, y))
+    steps = derive_steps(sig, [(Reflexivity(t), ())], [])
+    default, levelled = forged_verdicts(sig, steps, [], 0, wrong)
+    assert default.trace == ("lemma 0: derived constraint differs from the "
+                             "statement",)
+    assert levelled.trace == ("claim 0: derived constraint differs from the "
+                              "claim",)
+    assert not verify_factorization(
+        check_rule(sig, (), Reflexivity(t), wrong)).ok
 
 
 def test_symmetry_coding():
@@ -184,8 +191,10 @@ def test_single_hypothesis_deduction():
 
 def test_unknown_hypothesis_index():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    with raises_exactly(DeductionError, "no hypothesis with index 3"):
-        certify(sig, (Step(comm, Hypothesis(3), ()),), [comm])
+    with raises_exactly(DeductionError,
+                        "no hypothesis with index 3") as failure:
+        derive_steps(sig, [(Hypothesis(3), ())], [comm])
+    assert failure.value.step == 0
 
 
 def test_sym_sym_chain_certificate():
@@ -240,8 +249,7 @@ def test_certificate_compiles_each_equation_once(monkeypatch):
     for k in range(2, 5):
         steps.append(Step(steps[k].equation, Transitivity(), (k, k)))
     ld = normalize_deduction(steps)
-    cert = compile_to_factorization(ld, lemma_table(sig, steps, [lunit]),
-                                    [lunit])
+    cert = compile_to_factorization(ld, lemma_table(sig, steps), [lunit])
     distinct = {lunit} | {st.equation for level in ld.levels
                           for st in level}
     assert len(distinct) == 3
@@ -293,7 +301,8 @@ def test_normal_form_violation_detection():
 
 def test_copy_padding_is_the_identity_certificate():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    lemmas = lemma_table(sig, (Step(comm, Hypothesis(0), ()),), [comm])
+    lemmas = lemma_table(sig, derive_steps(sig, [(Hypothesis(0), ())],
+                                           [comm]))
     padded = LevelledDeduction((
         (LevelStep(comm, Hypothesis(0), (), 0),),
         (LevelStep(comm, Copy(), (0,), 0),),
@@ -332,8 +341,7 @@ def test_one_level_compile_equals_rule_coding():
     sig, s, x, y, m, c, comm, lunit = _setup()
     steps = (Step(comm, Hypothesis(0), ()),)
     ld = normalize_deduction(steps)
-    cert = compile_to_factorization(ld, lemma_table(sig, steps, [comm]),
-                                    [comm])
+    cert = compile_to_factorization(ld, lemma_table(sig, steps), [comm])
     assert cert.hyp == (equation_constraint(comm),)
     assert cert.claim == (equation_constraint(comm),)
     assert cert.verif == ((CiteHyp(0),),)
@@ -358,17 +366,22 @@ def test_invalid_tree_fails_on_both_routes():
         (Substitutivity(x), (lunit, refl_c), lunit),
     ]
     for rule, premises, wrong in cases:
-        # invalid everywhere: for the rule check alone and for the
-        # assembler of the whole deduction
+        # the step is derived and coded, then its conclusion is forged:
+        # invalid everywhere, for the rule's one-claim certificate and on
+        # both routes of the whole deduction
         hyps = list(premises) or [lunit]
-        why = (f"{RULE_NAMES[type(rule)]} conclusion does not follow from "
-               "the premises")
-        with raises_exactly(DeductionError, why):
-            check_rule(sig, premises, rule, wrong, hyps)
-        steps = [Step(p, Hypothesis(i), ()) for i, p in enumerate(premises)]
-        steps.append(Step(wrong, rule, tuple(range(len(premises)))))
-        with raises_exactly(DeductionError, why):
-            certify(sig, steps, hyps)
+        assert not verify_factorization(
+            check_rule(sig, premises, rule, wrong, hyps)).ok
+        k = len(premises)
+        steps = derive_steps(sig, [(Hypothesis(i), ()) for i in range(k)]
+                             + [(rule, range(k))], hyps)
+        assert steps[-1].equation != wrong
+        default, levelled = forged_verdicts(sig, steps, hyps, k, wrong)
+        assert default.trace == (f"lemma {k}: derived constraint differs "
+                                 "from the statement",)
+        assert default.rejected == k
+        assert levelled.trace == ("claim 0: derived constraint differs from "
+                                  "the claim",)
 
 
 def test_conclude_agrees_with_the_generated_trees():
@@ -388,7 +401,9 @@ def test_conclude_agrees_with_the_generated_trees():
         for s in steps:
             drawn = conclude(sig, s.rule,
                              [steps[i].equation for i in s.premises], hyps)
-            assert Equation(*drawn) == s.equation
+            assert drawn == s.equation
+            if isinstance(s.rule, Hypothesis):
+                assert drawn is hyps[s.rule.index]
             tally[type(s.rule)] += 1
         tally["deductions"] += 1
 
@@ -507,41 +522,50 @@ def test_deduction_soundness_sample(seed=67):
 # --- lemma tables ------------------------------------------------------------------
 
 
-def _exit_code(sig, steps, hyps, levelled: bool) -> int:
-    """What `check-proof` (with `--levelled` or not) exits with on `steps`."""
-    try:
-        if levelled:
-            ok = verify_factorization(certify(sig, steps, hyps)).ok
-        else:
-            ok = verify_lemmas(hyps, lemma_table(sig, steps, hyps),
-                               steps[-1].equation).ok
-    except DeductionError:
-        return 1
-    except TermcatError:
-        return 2
-    return 0 if ok else 1
+def _exit_codes(sig, steps, hyps) -> tuple[int, int]:
+    """What `check-proof`, by default and with `--levelled`, exits with on
+    `steps`, coded as they are."""
+    lemmas = lemma_table(sig, steps)
+    return _exit_code(verify_lemmas(hyps, lemmas, steps[-1].equation)), \
+        _exit_code(verify_factorization(compile_to_factorization(
+            normalize_deduction(steps), lemmas, hyps)))
 
 
-def _mutate(rng, sig, hyps, steps):
-    """`steps` with one step's equation, hypothesis index or rule changed;
-    the steps that cite it cite the changed step."""
+def _exit_code(verdict) -> int:
+    """1 for a refusal, a `DeductionError` or a failed kernel result, and
+    0 for a kernel result that holds."""
+    return 1 if isinstance(verdict, DeductionError) or not verdict.ok else 0
+
+
+def _mutant_exit_codes(rng, sig, hyps, steps) -> tuple[int, int]:
+    """Both routes' exit codes on `steps` with one step's hypothesis index
+    or rule changed and the proof derived again, as the front end builds a
+    changed .msl text (a refusal exits 1 on both), or with the conclusion
+    forged after the coding."""
     k = rng.randrange(len(steps))
     target = steps[k]
     kind = rng.choice(["conclusion", "hypothesis", "rule"])
     if kind == "hypothesis" and isinstance(target.rule, Hypothesis):
-        new = replace(target, rule=Hypothesis(
-            rng.choice([-1, len(hyps), (target.rule.index + 1) % len(hyps)])))
+        rule = Hypothesis(
+            rng.choice([-1, len(hyps), (target.rule.index + 1) % len(hyps)]))
     elif kind == "rule" and len(target.premises) == 1:
         x = rng.choice(target.equation.vars or (Variable(sig.sorts[0], 7),))
-        new = replace(target, rule=rng.choice(
-            [Symmetry(), Concretion(x), Abstraction(x)]))
+        rule = rng.choice([Symmetry(), Concretion(x), Abstraction(x)])
     else:
-        new = replace(target, equation=gen_equation(rng, sig, depth=2))
-    return steps[:k] + (new,) + steps[k + 1:]
+        verdicts = forged_verdicts(sig, steps, hyps, k,
+                                   gen_equation(rng, sig, depth=2))
+        return tuple(map(_exit_code, verdicts))
+    rules = [(s.rule, s.premises) for s in steps]
+    rules[k] = (rule, target.premises)
+    try:
+        mutant = derive_steps(sig, rules, hyps)
+    except DeductionError:
+        return 1, 1
+    return _exit_codes(sig, mutant, hyps)
 
 
 def test_both_routes_give_the_same_exit_code():
-    tally = {0: 0, 1: 0, 2: 0}
+    tally = {0: 0, 1: 0}
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -551,12 +575,10 @@ def test_both_routes_give_the_same_exit_code():
         hyps = [gen_equation(rng, sig, depth=2)
                 for _ in range(rng.randint(1, 2))]
         steps = gen_deduction(rng, sig, hyps, rng.randint(1, 4))
-        assert _exit_code(sig, steps, hyps, False) == 0
-        assert _exit_code(sig, steps, hyps, True) == 0
-        mutant = _mutate(rng, sig, hyps, steps)
-        code = _exit_code(sig, mutant, hyps, False)
-        assert code == _exit_code(sig, mutant, hyps, True)
-        tally[code] += 1
+        assert _exit_codes(sig, steps, hyps) == (0, 0)
+        default, levelled = _mutant_exit_codes(rng, sig, hyps, steps)
+        assert default == levelled
+        tally[default] += 1
 
     agree()
     assert tally[1] >= 100, tally
@@ -564,18 +586,16 @@ def test_both_routes_give_the_same_exit_code():
 
 def test_a_step_cites_only_earlier_steps():
     sig, s, x, y, m, c, comm, lunit = _setup()
-    flipped = make_equation(comm.right, comm.left, comm.vars)
     # step 1 cites itself, a later step, or a step counted from the end
     for cites in ((1,), (2,), (-1,)):
-        steps = (Step(comm, Hypothesis(0), ()),
-                 Step(flipped, Symmetry(), cites),
-                 Step(comm, Symmetry(), (1,)))
         with raises_exactly(DeductionError,
-                            "a step may cite only earlier steps"):
-            lemma_table(sig, steps, [comm])
-    steps = steps[:1] + (replace(steps[1], premises=(0,)),) + steps[2:]
-    assert [x.cites for x in lemma_table(sig, steps, [comm])] == [
-        (), (0,), (1,)]
+                            "a step may cite only earlier steps") as failure:
+            derive_steps(sig, [(Hypothesis(0), ()), (Symmetry(), cites),
+                               (Symmetry(), (1,))], [comm])
+        assert failure.value.step == 1
+    steps = derive_steps(sig, [(Hypothesis(0), ()), (Symmetry(), (0,)),
+                               (Symmetry(), (1,))], [comm])
+    assert [x.cites for x in lemma_table(sig, steps)] == [(), (0,), (1,)]
 
 
 def test_lemma_table_of_a_chain_is_linear():
@@ -586,7 +606,7 @@ def test_lemma_table_of_a_chain_is_linear():
                     "eq lunit [x:s] : m(e, x) = x\n"
                     "proof chain from lunit {\n" + "\n".join(steps) + "\n}\n")
     built, hyps = build_proof(sf, sf.proof("chain"))
-    lemmas = lemma_table(sf.signature, built, hyps)
+    lemmas = lemma_table(sf.signature, built)
     assert verify_lemmas(hyps, lemmas, built[-1].equation).ok
     assert len(lemmas) == len(steps) == 102
     assert max(len(x.proof) for x in lemmas) <= 4
@@ -700,7 +720,7 @@ def test_producer_compiles_only_what_its_steps_carry(steps, in_producer,
     # wherever the producer reads the term compiler
     for module in (deduction, subst):
         monkeypatch.setattr(module, "term_arrow", counting(term_arrow))
-    lemmas = lemma_table(sf.signature, built, hyps)
+    lemmas = lemma_table(sf.signature, built)
     assert len(lemmas) == len(steps)
     assert len(calls) == in_producer == sum(
         PRODUCER_COMPILES.get(type(s.rule), 0) for s in built)

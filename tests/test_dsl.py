@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import certify, make_equation, print_spec, raises_exactly
+from fixtures import certify, derive_steps, print_spec, raises_exactly
 from termcat import dsl
 from termcat.cli import run
-from termcat.deduction import (Hypothesis, Step, Transitivity,
-                               normalize_deduction, verify_factorization)
+from termcat.deduction import (Hypothesis, Transitivity, normalize_deduction,
+                               verify_factorization)
 from termcat.dsl import (EOF, _bind_bracket, _elaborate, _Fault, _positions,
                          _scan, _sort_of, build_proof, parse_spec)
 from termcat.errors import DeductionError, DslError
@@ -190,8 +190,8 @@ proof broken from comm lunit {
 
 def test_buildable_but_invalid_tree_rejected_at_check():
     # `trans a b` would form a conclusion, but the premises have different
-    # variable sets: build_proof refuses the .msl step, and the producer's
-    # check refuses the same step built by hand
+    # variable sets: build_proof refuses the .msl step, and `derive` refuses
+    # the same step derived by hand
     text = GOOD + """
 proof broken2 from comm lunit {
   a = hyp comm ;
@@ -205,11 +205,9 @@ proof broken2 from comm lunit {
         build_proof(sf, sf.proof("broken2"))
     assert failure.value.step == 2
     comm, lunit = sf.equations["comm"], sf.equations["lunit"]
-    steps = [Step(comm, Hypothesis(0), ()), Step(lunit, Hypothesis(1), ()),
-             Step(make_equation(comm.left, lunit.right, comm.vars),
-                  Transitivity(), (0, 1))]
     with raises_exactly(DeductionError, why) as failure:
-        certify(sf.signature, steps, [comm, lunit])
+        derive_steps(sf.signature, [(Hypothesis(0), ()), (Hypothesis(1), ()),
+                                    (Transitivity(), (0, 1))], [comm, lunit])
     assert failure.value.step == 2
 
 

@@ -395,7 +395,7 @@ def _lemma_table(rng: random.Random):
     sig = rng.choice(SIGNATURES)
     hyps = [gen_equation(rng, sig, depth=2) for _ in range(rng.randint(1, 2))]
     steps = gen_deduction(rng, sig, hyps, rng.randint(1, 4))
-    return hyps, list(lemma_table(sig, steps, hyps)), steps[-1].equation
+    return hyps, list(lemma_table(sig, steps)), steps[-1].equation
 
 
 def _mutate_table(rng: random.Random, lemmas: list[Lemma], goal,

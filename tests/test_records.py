@@ -233,7 +233,7 @@ X = Variable(S, 1)
 T1 = SF.terms["t1"]
 STEPS, HYPS = build_proof(SF, SF.proof("comm_twice"))
 LEVELLED = normalize_deduction(STEPS)
-LEMMAS = lemma_table(SIG, STEPS, HYPS)
+LEMMAS = lemma_table(SIG, STEPS)
 CERT = compile_to_factorization(LEVELLED, LEMMAS, HYPS)
 SKETCH = sketch_of_signature(SIG)
 ARROW = Id(Leaf(S))

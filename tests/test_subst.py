@@ -230,7 +230,7 @@ def test_retyping_uninhabited_fill():
     x, z = v(sig, 1, 1), v(sig, 3, 1)
     with raises_exactly(DeductionError, "sort s3 is empty; no closed filler "
                         "exists"):
-        conclude(sig, Concretion(z), [make_equation(x, x, (x, z))])
+        conclude(sig, Concretion(z), [make_equation(x, x, (x, z))], ())
     with pytest.raises(KeyError):
         retyping_arrow((x,), (x, z), inhabited_sorts(sig))
 

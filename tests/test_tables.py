@@ -162,7 +162,7 @@ def _steps_nodes(steps) -> list:
 def _certificate_nodes(sf, proof, levelled: bool) -> list:
     """The objects and arrows the certificate of `proof` names."""
     steps, hyps = build_proof(sf, proof)
-    lemmas = lemma_table(sf.signature, steps, hyps)
+    lemmas = lemma_table(sf.signature, steps)
     if not levelled:
         return _steps_nodes([s for x in lemmas for s in x.proof])
     cert = certify(sf.signature, steps, hyps)
