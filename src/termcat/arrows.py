@@ -240,6 +240,53 @@ class NormalArrow(Record):
     __slots__ = ("src", "dst", "body")
 
 
+def _normal_eq(a, b):
+    """`a == b` for normal forms and bodies, by type and fields as for any
+    record, with an explicit stack of the pairs still to compare, so
+    bodies of any depth compare; a pair of one node is equal at once.  The
+    hash stays the record's."""
+    if a is b:
+        return True
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    # the pairs: xs[k] and ys[k]; both lists grow by the same length
+    xs, ys = [a], [b]
+    while xs:
+        x = xs.pop()
+        y = ys.pop()
+        if x is y:
+            continue
+        kind = x.__class__
+        if kind is not y.__class__:
+            return False
+        if kind is GenApp:
+            if x.op is not y.op and x.op != y.op \
+                    or len(x.args) != len(y.args):
+                return False
+            xs += x.args
+            ys += y.args
+        elif kind is Path:
+            if x.steps != y.steps:
+                return False
+        elif kind is NTuple:
+            if len(x.parts) != len(y.parts):
+                return False
+            xs += x.parts
+            ys += y.parts
+        elif kind is NormalArrow:
+            if x.src is not y.src or x.dst is not y.dst:
+                return False
+            xs.append(x.body)
+            ys.append(y.body)
+        elif x != y:
+            return False
+    return True
+
+
+for _kind in (Path, GenApp, NTuple, NormalArrow):
+    _kind.__eq__ = _normal_eq
+
+
 # --- text ----------------------------------------------------------------------
 
 

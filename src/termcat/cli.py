@@ -19,12 +19,15 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import arrows, deduction, kernel, models, sketch
+from .arrows import (Comp, Gen, GenApp, Id, Leaf, NormalArrow, NTuple, Prod,
+                     Proj, TupleArrow)
+from .arrows import Path as NPath
 from .dsl import (ProofDef, SpecFile, build_proof, end_position, parse_spec,
                   step_origin)
 from .errors import DeductionError, TermcatError
 from .signature import Variable
 from .subst import SubstInstance, subst_arrow_direct, subst_term
-from .terms import Expression, Term
+from .terms import App, Expression, Term
 
 
 # --- JSON encoding -----------------------------------------------------------
@@ -36,17 +39,36 @@ from .terms import Expression, Term
 # rows are their interned nodes one to one: the maximal sharing of the ATerm
 # exchange format (van den Brand, de Jong, Klint & Olivier, "Efficient
 # annotated terms", 2000).  A row refers only to earlier rows.
+#
+# A payload is plain dicts, lists and scalars with nodes among them, and
+# `json_text` writes each node straight from its fields, as ATerm's writer
+# does: an expression (`App` or `Variable`), a normal form or body, an
+# object inside a normal form, and a table's rows.  No dict is built per
+# node; tests/fixtures.py keeps the dicts the nodes stand for, as the
+# reference the writer is checked against.
+
+
+class Rows:
+    """One table of a schema-2 payload: its nodes in row order, and
+    `index`, the row index of every node of the payload."""
+
+    __slots__ = ("nodes", "index")
+
+    def __init__(self, nodes: list, index: dict):
+        self.nodes = nodes
+        self.index = index
 
 
 class Tables:
-    """The `objects` and `arrows` tables of one schema-2 payload; `rows`
-    maps each node written so far to its row index in its table."""
+    """The `objects` and `arrows` tables of one schema-2 payload, each a
+    list of nodes in row order; `rows` maps each node written so far to its
+    row index in its table."""
 
     __slots__ = ("objects", "arrows", "rows")
 
     def __init__(self):
-        self.objects: list[dict] = []
-        self.arrows: list[dict] = []
+        self.objects: list = []
+        self.arrows: list = []
         self.rows: dict = {}
 
     def payload(self, fields: dict) -> dict:
@@ -54,8 +76,8 @@ class Tables:
         row was written, as a payload that holds no arrow stays schema 1."""
         if not self.rows:
             return fields
-        return {"schema": 2, "objects": self.objects, "arrows": self.arrows,
-                **fields}
+        return {"schema": 2, "objects": Rows(self.objects, self.rows),
+                "arrows": Rows(self.arrows, self.rows), **fields}
 
 
 def arrow_json(node, tables: Tables) -> int:
@@ -73,79 +95,42 @@ def arrow_json(node, tables: Tables) -> int:
             stack.append(x)
             stack.extend(reversed(missing))
             continue
-        table = tables.objects if isinstance(x, (arrows.Leaf, arrows.Prod)) \
+        table = tables.objects if isinstance(x, (Leaf, Prod)) \
             else tables.arrows
         rows[x] = len(table)
-        table.append(_row(x, rows))
+        table.append(x)
     return rows[node]
 
 
 def _refers_to(x) -> tuple:
     """The nodes that the row of `x` names, in the order it names them."""
-    if isinstance(x, arrows.Comp):
+    if isinstance(x, Comp):
         return x.after, x.before
-    if isinstance(x, arrows.TupleArrow):
+    if isinstance(x, TupleArrow):
         return (x.src, *x.parts)
-    if isinstance(x, arrows.Proj):
+    if isinstance(x, Proj):
         return x.src,
-    if isinstance(x, arrows.Prod):
+    if isinstance(x, Prod):
         return x.factors
-    if isinstance(x, arrows.Id):
+    if isinstance(x, Id):
         return x.obj,
     return ()
 
 
-def _row(x, rows: dict) -> dict:
-    """The row of `x`, whose nodes under it have theirs in `rows`."""
-    if isinstance(x, arrows.Comp):
-        return {"kind": "comp", "after": rows[x.after],
-                "before": rows[x.before]}
-    if isinstance(x, arrows.TupleArrow):
-        return {"kind": "tuple", "source": rows[x.src],
-                "parts": [rows[p] for p in x.parts]}
-    if isinstance(x, arrows.Proj):
-        return {"kind": "proj", "index": x.index, "source": rows[x.src]}
-    if isinstance(x, arrows.Prod):
-        return {"kind": "product", "factors": [rows[f] for f in x.factors]}
-    if isinstance(x, arrows.Id):
-        return {"kind": "id", "object": rows[x.obj]}
-    if isinstance(x, arrows.Leaf):
-        return {"kind": "sort", "name": x.sort.name}
-    return {"kind": "gen", "op": x.op.name}
-
-
-def object_json(obj: arrows.FPObject) -> dict:
-    """`obj` written out in full, as the endpoints of a normal form are."""
-    if isinstance(obj, arrows.Leaf):
-        return {"kind": "sort", "name": obj.sort.name}
-    return {"kind": "product", "factors": [object_json(f)
-                                           for f in obj.factors]}
-
-
-def normal_body_json(b: arrows.NormalBody) -> dict:
-    if isinstance(b, arrows.Path):
-        return {"kind": "path", "steps": list(b.steps)}
-    if isinstance(b, arrows.GenApp):
-        return {"kind": "gen", "op": b.op.name,
-                "args": [normal_body_json(a) for a in b.args]}
-    return {"kind": "tuple", "parts": [normal_body_json(p)
-                                       for p in b.parts]}
-
-
-def normal_json(n: arrows.NormalArrow) -> dict:
-    return {"dom": object_json(n.src), "cod": object_json(n.dst),
-            "body": normal_body_json(n.body)}
+def normal_json(n: NormalArrow) -> NormalArrow:
+    """The payload value of a normal form: the node, which `json_text`
+    writes with its `dom` and `cod` objects inline."""
+    return n
 
 
 def variable_json(v: Variable) -> dict:
     return {"sort": v.sort.name, "num": v.num}
 
 
-def expr_json(e: Expression) -> dict:
-    if isinstance(e, Variable):
-        return {"kind": "var", "var": variable_json(e)}
-    return {"kind": "app", "op": e.op.name,
-            "args": [expr_json(a) for a in e.args]}
+def expr_json(e: Expression) -> Expression:
+    """The payload value of an expression: the node, which `json_text`
+    writes."""
+    return e
 
 
 def equation_json(eq) -> dict:
@@ -225,61 +210,164 @@ def _emit(payload: dict) -> None:
 
 
 def json_text(payload) -> str:
-    """What `json.dumps(payload, indent=2, sort_keys=True)` returns, for
-    payloads of dicts with str keys, lists, str, int, bool and None; any
-    other value raises TypeError.  The standard library writes indented
-    JSON with its pure-Python encoder, several times slower than this."""
+    """What `json.dumps(plain, indent=2, sort_keys=True)` returns, where
+    `plain` is `payload` with each node as the dict it stands for, for
+    payloads of dicts with str keys, lists, str, int, bool, None, `Rows`,
+    expressions, normal forms and bodies, and objects; any other value
+    raises TypeError.  The standard library writes indented JSON with its
+    pure-Python encoder, several times slower than this.
+
+    One explicit stack holds what is still to write, so a payload of any
+    depth is written: text as it is, and (value, depth, lead) triples,
+    where `lead` is the text that goes before the value.  A node writes
+    its keys as literals, in the sorted order."""
     out: list[str] = []
-    _write(payload, "\n", out.append)
+    put = out.append
+    # pads[d] is a line break and the indent of depth d; a value of depth
+    # up to `deepest` finds the pads it writes, down to `deepest + 3`
+    pads = ["\n", "\n  ", "\n    ", "\n      "]
+    deepest = 0
+    stack: list = [(payload, 0, "")]
+    push = stack.append
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            put(x)
+            continue
+        o, d, lead = x
+        if d > deepest:  # a child is at most two deeper than its parent
+            pads += (pads[-1] + "  ", pads[-1] + "    ")
+            deepest += 2
+        pad, p1 = pads[d], pads[d + 1]
+        kind = type(o)
+        # a kind that holds a list of values sets `items`, their depth `e`,
+        # and the text before and after the list
+        if kind is App or kind is GenApp:
+            items, e, head = o.args, d + 2, "{" + p1 + '"args": '
+            tail = (f',{p1}"kind": "{"app" if kind is App else "gen"}",'
+                    f'{p1}"op": {encode_basestring_ascii(o.op.name)}{pad}}}')
+        elif kind is Variable:
+            p2 = pads[d + 2]
+            put(f'{lead}{{{p1}"kind": "var",{p1}"var": {{{p2}"num": '
+                f'{o.num},{p2}"sort": {encode_basestring_ascii(o.sort.name)}'
+                f'{p1}}}{pad}}}')
+            continue
+        elif kind is NPath:
+            p2 = pads[d + 2]
+            steps = (f"[{p2}{(',' + p2).join(map(str, o.steps))}{p1}]"
+                     if o.steps else "[]")
+            put(f'{lead}{{{p1}"kind": "path",{p1}"steps": {steps}{pad}}}')
+            continue
+        elif kind is NTuple:
+            items, e = o.parts, d + 2
+            head, tail = f'{{{p1}"kind": "tuple",{p1}"parts": ', pad + "}"
+        elif kind is NormalArrow:
+            push(pad + "}")
+            push((o.src, d + 1, f',{p1}"dom": '))
+            push((o.dst, d + 1, f',{p1}"cod": '))
+            push((o.body, d + 1, f'{lead}{{{p1}"body": '))
+            continue
+        elif kind is Leaf:
+            put(f'{lead}{{{p1}"kind": "sort",{p1}"name": '
+                f'{encode_basestring_ascii(o.sort.name)}{pad}}}')
+            continue
+        elif kind is Prod:
+            items, e, head = o.factors, d + 2, "{" + p1 + '"factors": '
+            tail = f',{p1}"kind": "product"{pad}}}'
+        elif kind is Rows:
+            put(lead + _rows_text(o, d, pads))
+            continue
+        elif isinstance(o, str):
+            put(lead + encode_basestring_ascii(o))
+            continue
+        elif isinstance(o, dict):
+            if not o:
+                put(lead + "{}")
+                continue
+            # a str or int value goes into the text around the others
+            text, sep, comma, kids = lead, "{" + p1, "," + p1, []
+            for k, v in sorted(o.items()):
+                text += sep + encode_basestring_ascii(k) + ": "
+                sep = comma
+                if type(v) is int:
+                    text += int.__repr__(v)
+                elif type(v) is str:
+                    text += encode_basestring_ascii(v)
+                else:
+                    kids.append((v, d + 1, text))
+                    text = ""
+            push(text + pad + "}")
+            stack.extend(reversed(kids))
+            continue
+        elif isinstance(o, list):
+            items, e, head, tail = o, d + 1, "", ""
+        elif o is None:
+            put(lead + "null")
+            continue
+        elif o is True:
+            put(lead + "true")
+            continue
+        elif o is False:
+            put(lead + "false")
+            continue
+        elif isinstance(o, int):
+            put(lead + int.__repr__(o))
+            continue
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} "
+                            "is not JSON serializable")
+        if not items:
+            put(lead + head + "[]" + tail)
+            continue
+        inner = pads[e]
+        comma = "," + inner
+        push(pads[e - 1] + "]" + tail)
+        # an int item goes out as text, with the text before it
+        for v in items[:0:-1]:
+            push(comma + int.__repr__(v) if type(v) is int else (v, e, comma))
+        v = items[0]
+        lead += head + "[" + inner
+        push(lead + int.__repr__(v) if type(v) is int else (v, e, lead))
     return "".join(out)
 
 
-def _write(o, pad: str, put) -> None:
-    if isinstance(o, str):
-        put(encode_basestring_ascii(o))
-    elif isinstance(o, dict):
-        if not o:
-            put("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for k, v in sorted(o.items()):
-            key = sep + encode_basestring_ascii(k) + ": "
-            # the scalars that fill the tables' rows, without a call each
-            if type(v) is int:
-                put(key + int.__repr__(v))
-            elif type(v) is str:
-                put(key + encode_basestring_ascii(v))
-            else:
-                put(key)
-                _write(v, inner, put)
-            sep = "," + inner
-        put(pad + "}")
-    elif isinstance(o, list):
-        if not o:
-            put("[]")
-            return
-        inner = pad + "  "
-        sep = "[" + inner
-        for v in o:
-            if type(v) is int:
-                put(sep + int.__repr__(v))
-            else:
-                put(sep)
-                _write(v, inner, put)
-            sep = "," + inner
-        put(pad + "]")
-    elif o is None:
-        put("null")
-    elif o is True:
-        put("true")
-    elif o is False:
-        put("false")
-    elif isinstance(o, int):
-        put(int.__repr__(o))
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} "
-                        "is not JSON serializable")
+def _rows_text(rows: Rows, d: int, pads: list[str]) -> str:
+    """The table `rows` at depth `d`: one flat row per node, written from
+    the node's fields and the row indices of the nodes it names."""
+    nodes, index = rows.nodes, rows.index
+    if not nodes:
+        return "[]"
+    # the indents of a row's keys, of a list in a row, and of its end
+    p, q, end = pads[d + 2], pads[d + 3], pads[d + 1] + "}"
+    comma = "," + q
+    texts = []
+    put = texts.append
+    for x in nodes:
+        kind = type(x)
+        if kind is Comp:
+            put(f'{{{p}"after": {index[x.after]},{p}"before": '
+                f'{index[x.before]},{p}"kind": "comp"{end}')
+        elif kind is TupleArrow:
+            parts = (f"[{q}{comma.join([str(index[a]) for a in x.parts])}"
+                     f"{p}]" if x.parts else "[]")
+            put(f'{{{p}"kind": "tuple",{p}"parts": {parts},{p}"source": '
+                f'{index[x.src]}{end}')
+        elif kind is Proj:
+            put(f'{{{p}"index": {x.index},{p}"kind": "proj",{p}"source": '
+                f'{index[x.src]}{end}')
+        elif kind is Id:
+            put(f'{{{p}"kind": "id",{p}"object": {index[x.obj]}{end}')
+        elif kind is Gen:
+            put(f'{{{p}"kind": "gen",{p}"op": '
+                f'{encode_basestring_ascii(x.op.name)}{end}')
+        elif kind is Leaf:
+            put(f'{{{p}"kind": "sort",{p}"name": '
+                f'{encode_basestring_ascii(x.sort.name)}{end}')
+        else:  # a Prod
+            factors = (f"[{q}{comma.join([str(index[f]) for f in x.factors])}"
+                       f"{p}]" if x.factors else "[]")
+            put(f'{{{p}"factors": {factors},{p}"kind": "product"{end}')
+    return f"[{pads[d + 1]}{(',' + pads[d + 1]).join(texts)}{pads[d]}]"
 
 
 def _print(lines: list[str]) -> None:

@@ -3,10 +3,11 @@ for the tests, and the helpers only tests call: the exact-error check,
 steps derived from their rules, forged steps on both routes, terms,
 equations and rule codings from loose arguments, normal forms back
 to arrows, normal forms by substitution, the text of arrows and normal
-forms by recursion, schema-2 `--json` payloads back to schema 1, most
-concrete terms and equations, the reference evaluation of expressions and
-arrows in finite models, random finite models and a random search for a
-model that separates two arrows, and the .msl printer."""
+forms by recursion, schema-2 `--json` payloads back to schema 1, the
+dicts that the JSON writer's nodes stand for, most concrete terms and
+equations, the reference evaluation of expressions and arrows in finite
+models, random finite models and a random search for a model that
+separates two arrows, and the .msl printer."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import pytest
 from termcat.arrows import (Comp, FPArrow, FPObject, Gen, GenApp, Id, Leaf,
                             NormalArrow, NormalBody, NTuple, Path, Prod, Proj,
                             TupleArrow)
+from termcat.cli import Rows
 from termcat.deduction import (Hypothesis, Step, compile_to_factorization,
                                derive, equation_constraint, lemma_table,
                                normalize_deduction)
@@ -30,7 +32,8 @@ from termcat.kernel import (Factorization, VerificationResult,
 from termcat.models import FiniteModel
 from termcat.signature import (Signature, Sort, Variable, ordered_vars,
                                validate_signature)
-from termcat.terms import Equation, Expression, Term, var_list, var_set
+from termcat.terms import (App, Equation, Expression, Term, var_list,
+                           var_set)
 
 
 def running_signature() -> Signature:
@@ -352,6 +355,82 @@ def _expand_certificate(cert: dict, objects: list, arrows: list) -> dict:
                            for proof in cert["verification"]]
     out["meta"] = cert["meta"]
     return out
+
+
+# --- the reference for the JSON writer ---------------------------------------
+# The dicts that `cli.json_text` writes each node as, built one per node and
+# sorted by `json.dumps`, as the CLI built them before it wrote each node
+# straight from its fields.
+
+
+def object_json(obj: FPObject) -> dict:
+    """`obj` written out in full, as the endpoints of a normal form are."""
+    if isinstance(obj, Leaf):
+        return {"kind": "sort", "name": obj.sort.name}
+    return {"kind": "product", "factors": [object_json(f)
+                                           for f in obj.factors]}
+
+
+def normal_body_json(b: NormalBody) -> dict:
+    if isinstance(b, Path):
+        return {"kind": "path", "steps": list(b.steps)}
+    if isinstance(b, GenApp):
+        return {"kind": "gen", "op": b.op.name,
+                "args": [normal_body_json(a) for a in b.args]}
+    return {"kind": "tuple", "parts": [normal_body_json(p)
+                                       for p in b.parts]}
+
+
+def normal_json(n: NormalArrow) -> dict:
+    return {"dom": object_json(n.src), "cod": object_json(n.dst),
+            "body": normal_body_json(n.body)}
+
+
+def expr_json(e: Expression) -> dict:
+    if isinstance(e, Variable):
+        return {"kind": "var", "var": {"sort": e.sort.name, "num": e.num}}
+    return {"kind": "app", "op": e.op.name,
+            "args": [expr_json(a) for a in e.args]}
+
+
+def row_json(x, rows: dict) -> dict:
+    """The row of `x`, whose nodes under it have theirs in `rows`."""
+    if isinstance(x, Comp):
+        return {"kind": "comp", "after": rows[x.after],
+                "before": rows[x.before]}
+    if isinstance(x, TupleArrow):
+        return {"kind": "tuple", "source": rows[x.src],
+                "parts": [rows[p] for p in x.parts]}
+    if isinstance(x, Proj):
+        return {"kind": "proj", "index": x.index, "source": rows[x.src]}
+    if isinstance(x, Prod):
+        return {"kind": "product", "factors": [rows[f] for f in x.factors]}
+    if isinstance(x, Id):
+        return {"kind": "id", "object": rows[x.obj]}
+    if isinstance(x, Leaf):
+        return {"kind": "sort", "name": x.sort.name}
+    return {"kind": "gen", "op": x.op.name}
+
+
+def reference_payload(payload):
+    """`payload`, as the CLI hands it to `json_text`, with each node and
+    table as the dicts it stands for: `json.dumps` of the result, with
+    `indent=2, sort_keys=True`, is what `json_text` must write."""
+    if isinstance(payload, dict):
+        return {k: reference_payload(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [reference_payload(v) for v in payload]
+    if isinstance(payload, Rows):
+        return [row_json(x, payload.index) for x in payload.nodes]
+    if isinstance(payload, (App, Variable)):
+        return expr_json(payload)
+    if isinstance(payload, NormalArrow):
+        return normal_json(payload)
+    if isinstance(payload, (Path, GenApp, NTuple)):
+        return normal_body_json(payload)
+    if isinstance(payload, (Leaf, Prod)):
+        return object_json(payload)
+    return payload
 
 
 # --- most concrete terms and equations -----------------------------------------

@@ -509,6 +509,123 @@ def test_text_takes_a_deep_arrow_and_a_deep_normal_form():
     assert str(body) == "i(" * 20000 + "p1" + ")" * 20000
 
 
+# --- equality of normal forms -------------------------------------------------------
+
+
+def _recursive_eq(a, b) -> bool:
+    """Equality of normal forms and bodies by type and fields, by
+    recursion: the reference for their explicit-stack `==`."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Path):
+        return a.steps == b.steps
+    if isinstance(a, GenApp):
+        return a.op == b.op and len(a.args) == len(b.args) \
+            and all(map(_recursive_eq, a.args, b.args))
+    if isinstance(a, NTuple):
+        return len(a.parts) == len(b.parts) \
+            and all(map(_recursive_eq, a.parts, b.parts))
+    return a.src is b.src and a.dst is b.dst \
+        and _recursive_eq(a.body, b.body)
+
+
+def _random_body(rng, ops, depth):
+    """A random body, not typed by any signature; equal seeds give equal
+    bodies built apart."""
+    r = rng.random()
+    if depth == 0 or r < 0.2:
+        return Path(tuple(rng.randint(1, 3)
+                          for _ in range(rng.randint(0, 2))))
+    if r < 0.7:
+        op = rng.choice(ops)
+        return GenApp(op, tuple(_random_body(rng, ops, depth - 1)
+                                for _ in op.inputs))
+    return NTuple(tuple(_random_body(rng, ops, depth - 1)
+                        for _ in range(rng.randint(0, 3))))
+
+
+def _deepest(body) -> list[int]:
+    """The child indices down to a deepest node of `body`."""
+    best, stack = [], [(body, [])]
+    while stack:
+        x, at = stack.pop()
+        if len(at) > len(best):
+            best = at
+        kids = x.args if isinstance(x, GenApp) else \
+            x.parts if isinstance(x, NTuple) else ()
+        stack += [(k, at + [i]) for i, k in enumerate(kids)]
+    return best
+
+
+def _replace(body, at: list[int], new):
+    """`body` with the node at `at` replaced by `new`."""
+    if not at:
+        return new
+    i, rest = at[0], at[1:]
+    if isinstance(body, GenApp):
+        args = list(body.args)
+        args[i] = _replace(args[i], rest, new)
+        return GenApp(body.op, tuple(args))
+    parts = list(body.parts)
+    parts[i] = _replace(parts[i], rest, new)
+    return NTuple(tuple(parts))
+
+
+def _unequal_node(rng, ops, x):
+    """A body that differs from `x` at its root."""
+    while True:
+        y = _random_body(rng, ops, 1)
+        if not _recursive_eq(x, y):
+            return y
+
+
+def test_normal_equality_agrees_with_the_recursive_reference(seed=59):
+    # equal bodies built apart, and bodies that differ at one node: a random
+    # one, or a deepest one, the last node a left-to-right walk would reach
+    rng = random.Random(seed)
+    sig = running_signature()
+    ops = list(sig.operations) + [validate_signature(
+        ["s1"], [("c", [], "s1")]).operation("c")]
+    dom, cod = flat_product(sig.sorts[:2]), Leaf(sig.sorts[0])
+    outcomes = Counter()
+    for _ in range(400):
+        body_seed, depth = rng.random(), rng.randint(0, 8)
+        a = _random_body(random.Random(body_seed), ops, depth)
+        b = _random_body(random.Random(body_seed), ops, depth)
+        at = _deepest(a)
+        if rng.random() < 0.5:
+            at = at[:rng.randint(0, len(at))]
+        c = _replace(a, at, _unequal_node(rng, ops, a))
+        for x, y in ((a, b), (a, c), (c, a),
+                     (NormalArrow(dom, cod, a), NormalArrow(dom, cod, b)),
+                     (NormalArrow(dom, cod, a), NormalArrow(dom, cod, c)),
+                     (NormalArrow(dom, cod, a), NormalArrow(cod, cod, b))):
+            want = _recursive_eq(x, y)
+            assert (x == y) is want and (x != y) is not want
+            outcomes[want] += 1
+    assert outcomes[True] >= 400 and outcomes[False] >= 1200
+    assert (Path((1,)) == (1,)) is False and Path(()) != NTuple(())
+
+
+def test_equality_takes_two_deep_normal_forms():
+    # the comparison keeps its own stack: two 20,000-deep normal forms,
+    # built apart, compare at the default recursion limit, equal and not
+    sig = validate_signature(["s"], [("i", ["s"], "s"), ("j", ["s"], "s")])
+    i, j = sig.operation("i"), sig.operation("j")
+    x = Variable(sig.sorts[0], 1)
+    e = x
+    for _ in range(20000):
+        e = App(i, (e,))
+    a, b = term_normal(e, (x,)), term_normal(e, (x,))
+    assert a.body is not b.body and a == b
+    body = Path((2,))
+    for _ in range(20000):
+        body = GenApp(i, (body,))
+    assert a != NormalArrow(a.src, a.dst, body)
+    top = GenApp(j, (b.body.args[0],))
+    assert a != NormalArrow(a.src, a.dst, top)
+
+
 # --- hash-consing -----------------------------------------------------------------
 
 

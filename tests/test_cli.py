@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import termcat
-from fixtures import expand, raises_exactly
-from termcat import cli, dsl
+from fixtures import expand, make_term, raises_exactly, reference_payload
+from gen import gen_equation, gen_expression, gen_signature, gen_term
+from termcat import arrows, cli, dsl
+from termcat.arrows import Path as NPath
 from termcat.cli import json_text, run
 from termcat.dsl import parse_spec
 from termcat.errors import INTERNED, TermcatError
-from termcat.terms import App
+from termcat.terms import App, applications, var_set
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -485,7 +488,8 @@ def test_lemmas_come_in_declaration_order(tmp_path, capsys):
         ([], 1), ([], 0), ([0], None), ([1, 2], None)]
     sf = parse_spec(f.read_text())
     assert [x["statement"] for x in lemmas[:2]] == [
-        cli.equation_json(sf.equations[name]) for name in ("runit", "lunit")]
+        reference_payload(cli.equation_json(sf.equations[name]))
+        for name in ("runit", "lunit")]
 
 
 def test_lemma_table_that_claims_the_goal_is_refused(monkeypatch, capsys):
@@ -736,6 +740,40 @@ def test_deep_input_exit_2(depth, argv, end, tmp_path, capsys):
     assert code == 2
     assert size == 0
     assert _one_error_line(err) and "nested too deeply" in err
+
+
+def test_oracle_json_takes_a_deep_equation(tmp_path, capsys):
+    # the JSON writer keeps its own stack: oracle --json writes a
+    # 1,200-deep equation, 35 MB, with nothing on stderr (it stopped near
+    # 500 when the expressions were written by recursion).  stdout goes to
+    # a file
+    f = tmp_path / "deep.msl"
+    f.write_text(f"sort s\nop i : s -> s\n"
+                 f"eq q [x:s] : {_tower(1200)} = {_tower(1200)}\n")
+    stdout = tmp_path / "stdout"
+    with stdout.open("w") as fh, contextlib.redirect_stdout(fh):
+        code = run(["oracle", "--equation", "q", "--json", str(f)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    size = stdout.stat().st_size
+    with stdout.open("rb") as fh:
+        head = fh.read(80).decode()
+        fh.seek(size - 3)
+        tail = fh.read().decode()
+    stdout.unlink()  # pytest keeps the temporary directories of recent runs
+    assert head.startswith('{\n  "equation": {\n    "left": {\n')
+    assert tail == "\n}\n" and size > 30_000_000
+
+
+def test_check_eq_takes_a_deep_equation(tmp_path, capsys):
+    # normal forms compare with an explicit stack: text check-eq decides a
+    # 5,000-deep equation (it stopped near 250 when they compared by
+    # recursion)
+    f = tmp_path / "deep.msl"
+    f.write_text(f"sort s\nop i : s -> s\n"
+                 f"eq q [x:s] : {_tower(5000)} = {_tower(5000)}\n")
+    assert run(["check-eq", "--equation", "q", str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\n  formally equal: yes\n")
 
 
 def test_front_end_takes_deep_input(tmp_path, capsys):
@@ -1127,6 +1165,84 @@ def test_json_text_refuses_other_values(payload):
         json_text(payload)
 
 
+def _tower_over(rng, sig, e, height: int):
+    """`e` under up to `height` applications, each of an operation that
+    takes the sort below it, with fresh expressions for its other
+    arguments."""
+    for _ in range(height):
+        ops = [op for op in sig.operations if e.sort in op.inputs]
+        if not ops:
+            break
+        op = rng.choice(ops)
+        args = [gen_expression(rng, sig, s, 0) for s in op.inputs]
+        args[op.inputs.index(e.sort)] = e
+        e = App(op, tuple(args))
+    return e
+
+
+def _body_depth(body) -> int:
+    deepest, stack = 0, [(body, 1)]
+    while stack:
+        x, d = stack.pop()
+        deepest = max(deepest, d)
+        stack += [(k, d + 1) for k in getattr(x, "args", getattr(
+            x, "parts", ()))]
+    return deepest
+
+
+def _node_payload(seed: int) -> tuple[dict, set]:
+    """A payload of a generated term, equation, their normal forms,
+    bodies, endpoints and stage arrows, as the CLI hands its payloads to
+    `json_text`, and the features it covers."""
+    rng = random.Random(seed)
+    sig = gen_signature(rng)
+    t = gen_term(rng, sig, depth=rng.randint(0, 4))
+    e = _tower_over(rng, sig, t.expr, rng.randint(0, 30))
+    t = make_term(e, t.vars + var_set(e), e.sort)
+    eq = gen_equation(rng, sig, depth=rng.randint(0, 4))
+    stages = (arrows.occurrence_arrow(t.expr, t.vars),
+              arrows.regroup_arrow(t.expr), arrows.apply_arrow(t.expr))
+    normals = [arrows.term_normal(t.expr, t.vars),
+               *map(arrows.normalize, stages),
+               *(arrows.term_normal(side, eq.vars)
+                 for side in (eq.left, eq.right)),
+               arrows.normalize(arrows.Id(arrows.Leaf(t.sort))),
+               arrows.normalize(arrows.TupleArrow(arrows.TERMINAL, ()))]
+    tables = cli.Tables()
+    payload = tables.payload({
+        "term": cli.term_json(t), "equation": cli.equation_json(eq),
+        "normals": [cli.normal_json(n) for n in normals],
+        "bodies": [n.body for n in normals],
+        "endpoints": [n.src for n in normals] + [n.dst for n in normals],
+        "stages": [cli.arrow_json(a, tables) for a in stages],
+        "empty": [{}, [], None, True, False, -1]})
+    exprs = [x for side in (t.expr, eq.left, eq.right)
+             for x in applications(side)]
+    features = {"0-ary application" for x in exprs if not x.args}
+    features |= {"empty path" for n in normals if n.body == NPath(())}
+    features |= {"terminal" for n in normals if n.src is arrows.TERMINAL}
+    if max(_body_depth(n.body) for n in normals) >= 30:
+        features.add("depth 30")
+    return payload, features
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_json_text_of_nodes_matches_the_reference(seed):
+    # each node is written as `json.dumps` writes the dict it stands for
+    payload, _ = _node_payload(seed)
+    assert json_text(payload) == json.dumps(reference_payload(payload),
+                                            indent=2, sort_keys=True)
+
+
+def test_node_payloads_cover_every_corner():
+    covered = set()
+    for seed in range(60):
+        covered |= _node_payload(seed)[1]
+    assert covered == {"0-ary application", "empty path", "terminal",
+                       "depth 30"}
+
+
 def _corpus_json_commands():
     for path in sorted(CORPUS.glob("*.msl")):
         sf = parse_spec(path.read_text(encoding="utf-8"))
@@ -1161,7 +1277,7 @@ def test_corpus_json_output_matches_json_dumps(monkeypatch, capsys):
         out, _ = capsys.readouterr()
         if not out:  # an input error: nothing was emitted
             continue
-        assert out == json.dumps(payloads.pop(), indent=2,
+        assert out == json.dumps(reference_payload(payloads.pop()), indent=2,
                                  sort_keys=True) + "\n", argv
         seen += 1
     assert seen >= 40

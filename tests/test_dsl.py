@@ -281,7 +281,7 @@ proof P from E1 E2 {
 
 NO_RECURSION = {"dsl": 30, "kernel": 8, "deduction": 13, "terms": 8,
                 "signature": 9, "sketch": 6, "errors": 8, "models": 12,
-                "subst": 8}
+                "subst": 8, "cli": 30}
 
 
 @pytest.mark.parametrize("module, at_least", NO_RECURSION.items(),
