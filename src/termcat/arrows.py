@@ -46,9 +46,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import EndpointMismatch, Node, Record, intern, interned
+from .errors import EndpointMismatch, Node, Record, intern, interned, text
 from .signature import Operation, Sort, Variable
-from .terms import Equation, Expression, applications, var_list
+from .terms import App, Equation, Expression, applications, var_list
 
 _set = object.__setattr__
 
@@ -70,6 +70,9 @@ class Leaf(Node):
             intern(key, node)
         return node
 
+    def _spelling(self):
+        return self.sort.name
+
 
 class Prod(Node):
     # `_identity` caches the object's identity body, where `_norm` starts
@@ -86,6 +89,9 @@ class Prod(Node):
             _set(node, "_identity", None)
             intern(key, node)
         return node
+
+    def _spelling(self):  # `1` is the terminal object
+        return ("(", self.factors, " x ", ")") if self.factors else "1"
 
 
 FPObject = Union[Leaf, Prod]
@@ -127,6 +133,9 @@ class Id(_Arrow):
             _arrow(key, node, obj, obj)
         return node
 
+    def _spelling(self):
+        return "id[", (self.obj,), "", "]"
+
 
 class Proj(_Arrow):
     __slots__ = ("index",)  # 1-based; the source is `src`
@@ -146,6 +155,9 @@ class Proj(_Arrow):
             _arrow(key, node, src, src.factors[index - 1])
         return node
 
+    def _spelling(self):
+        return f"p{self.index}"
+
 
 class Gen(_Arrow):
     __slots__ = ("op",)
@@ -159,6 +171,9 @@ class Gen(_Arrow):
             _set(node, "op", op)
             _arrow(key, node, flat_product(op.inputs), Leaf(op.output))
         return node
+
+    def _spelling(self):
+        return self.op.name
 
 
 class TupleArrow(_Arrow):
@@ -180,6 +195,9 @@ class TupleArrow(_Arrow):
             _arrow(key, node, src, Prod(tuple(p.dst for p in parts)))
         return node
 
+    def _spelling(self):  # `<>` is the empty tuple
+        return "<", self.parts, ", ", ">"
+
 
 class Comp(_Arrow):
     __slots__ = ("after", "before")
@@ -198,6 +216,9 @@ class Comp(_Arrow):
             _set(node, "before", before)
             _arrow(key, node, before.src, after.dst)
         return node
+
+    def _spelling(self):
+        return "", (self.after, self.before), " . ", ""
 
 
 FPArrow = Union[Id, Proj, Gen, TupleArrow, Comp]
@@ -224,13 +245,22 @@ def product_of_arrows(fs: Sequence[FPArrow]) -> TupleArrow:
 class Path(Record):
     __slots__ = ("steps",)  # tuple[int, ...]
 
+    def _spelling(self):  # `p()` is the path to the whole domain
+        return "p" + ".".join(map(str, self.steps)) if self.steps else "p()"
+
+    __str__ = text
+
 
 class GenApp(Record):
     __slots__ = ("op", "args")  # Operation, tuple[NormalBody, ...]
+    _spelling = App._spelling
+    __str__ = text
 
 
 class NTuple(Record):
     __slots__ = ("parts",)  # tuple[NormalBody, ...]
+    _spelling = TupleArrow._spelling
+    __str__ = text
 
 
 NormalBody = Union[Path, GenApp, NTuple]
@@ -238,6 +268,11 @@ NormalBody = Union[Path, GenApp, NTuple]
 
 class NormalArrow(Record):
     __slots__ = ("src", "dst", "body")
+
+    def _spelling(self):
+        return "", (self.body,), "", ""
+
+    __str__ = text
 
 
 def _normal_eq(a, b):
@@ -285,59 +320,6 @@ def _normal_eq(a, b):
 
 for _kind in (Path, GenApp, NTuple, NormalArrow):
     _kind.__eq__ = _normal_eq
-
-
-# --- text ----------------------------------------------------------------------
-
-
-def _text(node) -> str:
-    """The text of an object, an arrow or a normal form, written with an
-    explicit stack of what is still to write, so a node of any depth
-    prints."""
-    out: list[str] = []
-    stack: list = [node]
-    while stack:
-        x = stack.pop()
-        kind = type(x)
-        if kind is str:
-            out.append(x)
-        elif kind is Leaf:
-            out.append(x.sort.name)
-        elif kind is Proj:
-            out.append(f"p{x.index}")
-        elif kind is Gen or kind is GenApp and not x.args:
-            out.append(x.op.name)
-        elif kind is Path:
-            out.append("p" + ".".join(map(str, x.steps)) if x.steps
-                       else "p()")
-        elif kind is Prod and not x.factors:
-            out.append("1")
-        elif kind is Id:
-            out.append("id[")
-            stack += ("]", x.obj)
-        elif kind is Comp:
-            stack += (x.before, " . ", x.after)
-        elif kind is NormalArrow:
-            stack.append(x.body)
-        else:  # a list of nodes between brackets
-            if kind is Prod:
-                opener, items, sep, closer = "(", x.factors, " x ", ")"
-            elif kind is GenApp:
-                opener, items, sep, closer = x.op.name + "(", x.args, ", ", ")"
-            else:  # a TupleArrow or an NTuple
-                opener, items, sep, closer = "<", x.parts, ", ", ">"
-            out.append(opener)
-            stack.append(closer)
-            for item in items[:0:-1]:
-                stack += (item, sep)
-            if items:
-                stack.append(items[0])
-    return "".join(out)
-
-
-for _kind in (Leaf, Prod, Id, Proj, Gen, TupleArrow, Comp,
-              Path, GenApp, NTuple, NormalArrow):
-    _kind.__str__ = _text
 
 
 def _identity_body(obj: FPObject, prefix: tuple[int, ...]) -> NormalBody:

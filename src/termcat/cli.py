@@ -405,13 +405,6 @@ def _lookup(table, name: str, error: str):
     return table[name]
 
 
-def _proof(sf: SpecFile, name: str) -> ProofDef:
-    try:
-        return sf.proof(name)
-    except KeyError:
-        raise TermcatError(f"unknown proof {name!r}") from None
-
-
 def cmd_sketch(args) -> int:
     sf = _load(args.file)
     sk = sketch.sketch_of_signature(sf.signature)
@@ -525,7 +518,7 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef, tables: Tables | None,
         if levelled:
             ld = deduction.normalize_deduction(steps)
             cert = deduction.compile_to_factorization(ld, lemmas, hyps)
-            result = deduction.verify_factorization(cert)
+            result = kernel.verify_levelled(hyps, cert, steps[-1].equation)
         else:
             result = kernel.verify_lemmas(hyps, lemmas, steps[-1].equation)
     except DeductionError as exc:
@@ -559,7 +552,8 @@ def _check_one_proof(sf: SpecFile, proof: ProofDef, tables: Tables | None,
 
 def cmd_check_proof(args) -> int:
     sf = _load(args.file)
-    proofs = [_proof(sf, args.proof)] if args.proof else sf.proofs.values()
+    proofs = sf.proofs.values() if not args.proof else [
+        _lookup(sf.proofs, args.proof, f"unknown proof {args.proof!r}")]
     # all proofs of one payload share its tables
     tables = Tables() if args.json else None
     worst = 0
@@ -577,7 +571,7 @@ def cmd_check_proof(args) -> int:
 
 def cmd_normalize_proof(args) -> int:
     sf = _load(args.file)
-    proof = _proof(sf, args.proof)
+    proof = _lookup(sf.proofs, args.proof, f"unknown proof {args.proof!r}")
     try:
         steps, _ = build_proof(sf, proof)
     except DeductionError as exc:

@@ -20,8 +20,8 @@ certificates for the kernel (`kernel.py`), which runs none of this code:
   of the last step's deduction and the one `Factorization` pasted from the
   lemma table's codings (`check-proof --levelled`).
 
-`verify_factorization` is the kernel's, imported here for the callers that
-reach it through this module.
+`verify_factorization` is the kernel's, imported here under the name by
+which the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def conclude(sig: Signature, rule: RuleInstance,
     if kind is Concretion:
         x = rule.var
         _require(x in p.vars, f"{x} is not among the premise variables")
-        _require(x not in var_set(p.left) and x not in var_set(p.right),
+        _require(x not in var_set(p.left, p.right),
                  f"{x} occurs in the equation and cannot be removed")
         # the coding fills the dropped variable with a closed expression
         _require(x.sort in inhabited_sorts(sig),
@@ -350,10 +350,6 @@ class LevelStep(Record):
 
 class LevelledDeduction(Record):
     __slots__ = ("levels",)  # a tuple of levels, each a tuple of LevelSteps
-
-    @property
-    def conclusion(self) -> Equation:
-        return self.levels[-1][-1].equation
 
 
 def normalize_deduction(steps: Sequence[Step]) -> LevelledDeduction:

@@ -210,9 +210,6 @@ class SpecFile(Record):
     _compared = __slots__[1:6]
     __hash__ = None
 
-    def proof(self, name: str) -> ProofDef:
-        return self.proofs[name]
-
 
 class _OnDemand(Mapping):
     """Declared names, in declaration order, to what `build` makes of

@@ -1,5 +1,6 @@
 """Exception types raised across the package, the record base class of
-its value types, and the one intern table of its hash-consed nodes."""
+its value types with the one renderer of nested nodes, and the one intern
+table of its hash-consed nodes."""
 
 from __future__ import annotations
 
@@ -86,6 +87,35 @@ class Record:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
+def text(node) -> str:
+    """The text of an expression, an object, an arrow or a normal form,
+    from each node's spelling, `node._spelling()`: either its whole text,
+    or a tuple (head, items, separator, tail) that writes the items between
+    the head and the tail with the separator between each two.  An
+    explicit stack holds what is still to write, so a node of any depth
+    prints."""
+    out: list[str] = []
+    put = out.append
+    stack: list = [node]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            put(x)
+            continue
+        spelling = x._spelling()
+        if type(spelling) is str:
+            put(spelling)
+            continue
+        head, items, sep, tail = spelling
+        put(head)
+        stack.append(tail)
+        if items:
+            for item in items[:0:-1]:
+                stack += (item, sep)
+            stack.append(items[0])
+    return "".join(out)
+
+
 # --- hash-consing ----------------------------------------------------------------
 #
 # Expressions, objects and arrows are hash-consed (Filliâtre & Conchon,
@@ -116,13 +146,14 @@ def intern(key: tuple, node):
 class Node(Record):
     """An interned record: `__new__` returns the canonical node, so `==`
     and `hash` are identity, and copies and unpickled nodes are that
-    node too."""
+    node too.  A node prints with `text`."""
 
     __slots__ = ("__weakref__",)
     _fields = ()
     __init__ = object.__init__
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    __str__ = text
 
 
 class TermcatError(Exception):

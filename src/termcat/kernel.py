@@ -24,7 +24,11 @@ Two kinds of certificate are checked:
   proofs) holds hypothesis, claim and workspace constraints and one kernel
   proof per claim.  `verify_factorization` replays every proof from the
   hypotheses and accepts a claim only if the replayed constraint is
-  formally equal to it; the constraints themselves are the producer's.
+  formally equal to it.  `verify_levelled` checks one as the proof of a
+  goal from hypotheses: the kernel compiles these equations itself, as it
+  does a lemma table's, replays from the compiled hypotheses and checks
+  the last claim against the compiled goal, so it reads neither the
+  certificate's hypotheses nor its last claim.
 
 This module is the only one that decides whether a certificate holds.  It
 imports from `arrows` only constructors and `arrows_equal`, and otherwise
@@ -224,11 +228,6 @@ def verify_lemmas(hypotheses: Sequence, lemmas: Sequence[Lemma],
     """Replay a lemma table against the goal equation; stops at the first
     lemma that fails, and reports its index as `rejected`."""
     memo: dict = {}  # shared side expressions are compiled once
-
-    def compiled(eq) -> EqConstraint:
-        return EqConstraint(_compile(eq.left, eq.vars, memo),
-                            _compile(eq.right, eq.vars, memo))
-
     statements: list[EqConstraint] = []
     compiled_hyps: dict[int, EqConstraint] = {}
     for k, lemma in enumerate(lemmas):
@@ -243,9 +242,9 @@ def verify_lemmas(hypotheses: Sequence, lemmas: Sequence[Lemma],
             if not 0 <= h < len(hypotheses):
                 return _rejected(k, f"citation of missing hypothesis {h}")
             if h not in compiled_hyps:
-                compiled_hyps[h] = compiled(hypotheses[h])
+                compiled_hyps[h] = _statement(hypotheses[h], memo)
             premises.append(compiled_hyps[h])
-        statement = compiled(lemma.statement)
+        statement = _statement(lemma.statement, memo)
         got = _replay(premises, lemma.proof, trace)
         if got is None:
             return _rejected(k, *trace, "kernel proof failed to replay")
@@ -256,11 +255,32 @@ def verify_lemmas(hypotheses: Sequence, lemmas: Sequence[Lemma],
     if not statements:
         return VerificationResult(False, ("empty lemma table proves "
                                           "nothing",), None)
-    if not constraints_equal(statements[-1], compiled(goal)):
+    if not constraints_equal(statements[-1], _statement(goal, memo)):
         return VerificationResult(False, (
             f"goal: lemma {len(statements) - 1} is not the goal",), None)
     return VerificationResult(True, (
         f"goal: established by lemma {len(statements) - 1}",), None)
+
+
+def verify_levelled(hypotheses: Sequence, f: Factorization,
+                    goal) -> VerificationResult:
+    """Check `f` as a certificate of the goal equation from the hypothesis
+    equations, compiled here: every proof replays from the compiled
+    hypotheses in their place, and the last one must derive the compiled
+    goal in place of the last claim."""
+    if not f.claim:
+        return VerificationResult(False, ("empty certificate proves "
+                                          "nothing",), None)
+    memo: dict = {}  # shared side expressions are compiled once
+    hyp = tuple(_statement(eq, memo) for eq in hypotheses)
+    return verify_factorization(Factorization(
+        hyp, f.claim[:-1] + (_statement(goal, memo),), f.wksp, f.verif))
+
+
+def _statement(eq, memo: dict) -> EqConstraint:
+    """The constraint of equation `eq`, by `_compile`."""
+    return EqConstraint(_compile(eq.left, eq.vars, memo),
+                        _compile(eq.right, eq.vars, memo))
 
 
 def _compile(e, vs: tuple, memo: dict) -> FPArrow:

@@ -15,7 +15,7 @@ import math
 from typing import Iterator
 
 from .errors import Record, TermcatError
-from .signature import Operation, Signature, Sort, Variable
+from .signature import Signature, Sort, Variable
 from .terms import Equation, applications, var_set
 
 MAX_CARRIER = 6
@@ -25,7 +25,7 @@ MAX_MODELS = 10**6
 
 class FiniteModel(Record):
     """Carrier sizes by sort, and by operation name a table from argument
-    tuples to results.  Not frozen, like the parser's raw nodes: a search
+    tuples to results.  The one record that is not immutable: a search
     builds one per model, and plain assignment fills one fastest."""
 
     __slots__ = ("sig", "sizes", "tables")
@@ -37,12 +37,6 @@ class FiniteModel(Record):
         self.sig = sig
         self.sizes = sizes
         self.tables = tables
-
-    def carrier(self, sort: Sort) -> range:
-        return range(self.sizes[sort])
-
-    def apply(self, op: Operation, args: tuple[int, ...]) -> int:
-        return self.tables[op.name][args]
 
     def describe(self) -> dict:
         return {

@@ -78,6 +78,8 @@ class Variable(Record):
     def __str__(self) -> str:
         return f"x{self.num}:{self.sort.name}"
 
+    _spelling = __str__  # for `errors.text`
+
 
 def ordered_vars(vs: Iterable[Variable]) -> tuple[Variable, ...]:
     """Duplicate-free tuple in the canonical (sort index, subscript) order."""
@@ -97,12 +99,6 @@ class Signature(Record):
         _set(self, "sort_named", {s.name: s for s in reversed(sorts)})
         _set(self, "operation_named",
              {op.name: op for op in reversed(operations)})
-
-    def sort(self, name: str) -> Sort:
-        return self.sort_named[name]
-
-    def operation(self, name: str) -> Operation:
-        return self.operation_named[name]
 
 
 def validate_signature(

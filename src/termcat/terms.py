@@ -56,28 +56,11 @@ class App(Node):
         _set(node, "sort", op.output)
         return intern(key, node)
 
-    def __str__(self) -> str:
-        # an explicit stack of what is still to write, so an expression of
-        # any depth prints
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            x = stack.pop()
-            if type(x) is App:
-                args = x.args
-                if not args:
-                    out.append(x.op.name)
-                    continue
-                out.append(x.op.name + "(")
-                stack.append(")")
-                for a in args[:0:-1]:
-                    stack += (a, ", ")
-                stack.append(args[0])
-            elif type(x) is str:
-                out.append(x)
-            else:
-                out.append(str(x))
-        return "".join(out)
+    def _spelling(self):
+        """`op(args)`, or `op` alone with no arguments, for `text`."""
+        args = self.args
+        return (self.op.name + "(", args, ", ", ")") if args \
+            else self.op.name
 
 
 Expression = Union[Variable, App]
@@ -137,20 +120,26 @@ def applications(*exprs: Expression):
 
 
 def var_set(*exprs: Expression) -> tuple[Variable, ...]:
-    """Distinct variables of `exprs` in the canonical order.  Each node is
-    walked once, so an expression that shares its subexpressions costs
-    its number of distinct nodes."""
-    found: set[Variable] = set()
+    """Distinct variables of `exprs` in the canonical order."""
+    return ordered_vars(_occurring(exprs))
+
+
+def _occurring(exprs: tuple[Expression, ...]):
+    """The variables of `exprs`, each object once, in no set order.  Each
+    node is walked once, so an expression that shares its subexpressions
+    costs its number of distinct nodes; a variable is kept by its id, which
+    spares hashing every occurrence."""
+    found: dict[int, Variable] = {}
     seen: set[App] = set()
     stack = list(exprs)
     while stack:
         x = stack.pop()
         if type(x) is not App:
-            found.add(x)
+            found[id(x)] = x
         elif x not in seen:
             seen.add(x)
             stack.extend(x.args)
-    return ordered_vars(found)
+    return found.values()
 
 
 def _canonical(vs: tuple[Variable, ...]) -> bool:
@@ -165,28 +154,15 @@ def _canonical(vs: tuple[Variable, ...]) -> bool:
     return isinstance(vs, tuple)
 
 
-def _omitted(vs: tuple[Variable, ...], *exprs: Expression) -> list[Variable]:
-    """The variables occurring in `exprs` that `vs` lacks, in the canonical
-    order.  An occurrence that is one of the objects in `vs` is found by
-    its id, which spares hashing the variables of elaborated text.  Each
-    application is walked once."""
+def _omitted(vs: tuple[Variable, ...], *exprs: Expression
+             ) -> tuple[Variable, ...]:
+    """The variables of `exprs` that `vs` lacks, in the canonical order.
+    A variable that is one of the objects in `vs` is found by its id,
+    which spares hashing the variables of elaborated text."""
     ids = {id(v) for v in vs}
-    known = None
-    missing = set()
-    seen: set[App] = set()
-    stack = list(exprs)
-    while stack:
-        x = stack.pop()
-        if type(x) is App:
-            if x not in seen:
-                seen.add(x)
-                stack.extend(x.args)
-        elif id(x) not in ids:
-            if known is None:
-                known = set(vs)
-            if x not in known:
-                missing.add(x)
-    return sorted(missing, key=Variable.key)
+    missing = [x for x in _occurring(exprs) if id(x) not in ids
+               and x not in vs]
+    return ordered_vars(missing) if missing else ()
 
 
 class Term(Record):

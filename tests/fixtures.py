@@ -2,12 +2,12 @@
 for the tests, and the helpers only tests call: the exact-error check,
 steps derived from their rules, forged steps on both routes, terms,
 equations and rule codings from loose arguments, normal forms back
-to arrows, normal forms by substitution, the text of arrows and normal
-forms by recursion, schema-2 `--json` payloads back to schema 1, the
-dicts that the JSON writer's nodes stand for, most concrete terms and
-equations, the reference evaluation of expressions and arrows in finite
-models, random finite models and a random search for a model that
-separates two arrows, and the .msl printer."""
+to arrows, normal forms by substitution, the text of expressions,
+arrows and normal forms by recursion, schema-2 `--json` payloads back
+to schema 1, the dicts that the JSON writer's nodes stand for, most
+concrete terms and equations, the reference evaluation of expressions
+and arrows in finite models, random finite models and a random search
+for a model that separates two arrows, and the .msl printer."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from termcat.deduction import (Hypothesis, Step, compile_to_factorization,
 from termcat.dsl import Bracket, RawExpr, SpecFile
 from termcat.errors import DeductionError
 from termcat.kernel import (Factorization, VerificationResult,
-                            verify_factorization, verify_lemmas)
+                            verify_levelled, verify_lemmas)
 from termcat.models import FiniteModel
 from termcat.signature import (Signature, Sort, Variable, ordered_vars,
                                validate_signature)
@@ -120,8 +120,8 @@ def forged_verdicts(sig: Signature, steps: Sequence[Step], hyps, k: int,
     bad = list(steps)
     bad[k] = replace(steps[k], equation=forged)
     try:
-        levelled = verify_factorization(compile_to_factorization(
-            normalize_deduction(bad), lemmas, hyps))
+        levelled = verify_levelled(hyps, compile_to_factorization(
+            normalize_deduction(bad), lemmas, hyps), bad[-1].equation)
     except DeductionError as exc:
         levelled = exc
     return verify_lemmas(hyps, table, bad[-1].equation), levelled
@@ -135,8 +135,8 @@ def check_rule(sig: Signature, premises: Sequence[Equation], rule,
     `lemma_table` as the one-claim certificate of `conclusion` from the
     premises (a hypothesis step's from the hypothesis it cites).  A side
     condition that fails is the step's own error; a conclusion the rule
-    does not draw is claimed all the same, so `verify_factorization`
-    refuses the certificate."""
+    does not draw is claimed all the same, so the kernel's
+    `verify_factorization` refuses the certificate."""
     hyps = tuple(premises) + tuple(hypotheses or ())
     n = len(premises)
     steps = derive_steps(sig, [(Hypothesis(i), ()) for i in range(n)]
@@ -261,8 +261,11 @@ def _norm(a: FPArrow, memo: dict) -> NormalBody:
 
 
 def recursive_text(node) -> str:
-    """The text of an object, an arrow or a normal form, written by
-    recursion, one case per kind: the reference `str` must agree with."""
+    """The text of an expression, an object, an arrow or a normal form,
+    written by recursion, one case per kind: the reference `str` must
+    agree with."""
+    if isinstance(node, Variable):
+        return f"x{node.num}:{node.sort.name}"
     if isinstance(node, Leaf):
         return node.sort.name
     if isinstance(node, Prod):
@@ -282,7 +285,7 @@ def recursive_text(node) -> str:
     if isinstance(node, Path):
         return "p" + ".".join(str(s) for s in node.steps) if node.steps \
             else "p()"
-    if isinstance(node, GenApp):
+    if isinstance(node, (App, GenApp)):
         if not node.args:
             return node.op.name
         args = ", ".join(recursive_text(a) for a in node.args)
@@ -462,15 +465,15 @@ def eval_expression(model: FiniteModel, e: Expression,
                     env: dict[Variable, int]) -> int:
     if isinstance(e, Variable):
         return env[e]
-    return model.apply(e.op, tuple(eval_expression(model, a, env)
-                                   for a in e.args))
+    return model.tables[e.op.name][tuple(eval_expression(model, a, env)
+                                         for a in e.args)]
 
 
 def _falsifying_assignment(model: FiniteModel,
                            eq: Equation) -> dict[Variable, int] | None:
     """The first assignment, in carrier order, under which the two sides
     differ; None if the equation holds in the model."""
-    carriers = [model.carrier(v.sort) for v in eq.vars]
+    carriers = [range(model.sizes[v.sort]) for v in eq.vars]
     for values in itertools.product(*carriers):
         env = dict(zip(eq.vars, values))
         if eval_expression(model, eq.left, env) \
@@ -488,7 +491,7 @@ def points(model: FiniteModel, obj: FPObject) -> Iterator:
     """All elements of an object's interpretation: ints at leaves, tuples at
     products."""
     if isinstance(obj, Leaf):
-        yield from model.carrier(obj.sort)
+        yield from range(model.sizes[obj.sort])
     else:
         yield from itertools.product(*(points(model, f)
                                        for f in obj.factors))
@@ -500,7 +503,7 @@ def eval_arrow(model: FiniteModel, a: FPArrow, point):
     if isinstance(a, Proj):
         return point[a.index - 1]
     if isinstance(a, Gen):
-        return model.apply(a.op, tuple(point))
+        return model.tables[a.op.name][tuple(point)]
     if isinstance(a, TupleArrow):
         return tuple(eval_arrow(model, p, point) for p in a.parts)
     return eval_arrow(model, a.after, eval_arrow(model, a.before, point))

@@ -47,7 +47,7 @@ def test_criterion_1_golden_worked_examples():
     t0 = time.time()
 
     sig = running_signature()
-    f, g = sig.operation("f"), sig.operation("g")
+    f, g = sig.operation_named["f"], sig.operation_named["g"]
     e = App(f, (v(sig, 1, 1),
                 App(g, (v(sig, 1, 2), v(sig, 1, 1))),
                 v(sig, 2, 1)))
@@ -58,14 +58,14 @@ def test_criterion_1_golden_worked_examples():
         and [s.name for s in type_set(e)] == ["s1", "s2"]
 
     t = make_term(e, {v(sig, 1, 1), v(sig, 1, 2), v(sig, 2, 1),
-                      v(sig, 4, 3)}, sig.sort("s5"))
+                      v(sig, 4, 3)}, sig.sort_named["s5"])
     from termcat.arrows import occurrence_arrow
     d_norm = normalize(occurrence_arrow(t.expr, t.vars)).body
     ok = ok and d_norm.parts == (Path((1,)), Path((2,)), Path((1,)),
                                  Path((3,)))
 
     wsig = subst_signature()
-    h = wsig.operation("h")
+    h = wsig.operation_named["h"]
     u = App(h, (v(wsig, 2, 1), v(wsig, 3, 2)))
     W = (v(wsig, 1, 1), v(wsig, 2, 1), v(wsig, 2, 2), v(wsig, 2, 3),
          v(wsig, 3, 1), v(wsig, 3, 2), v(wsig, 3, 3))
@@ -79,10 +79,10 @@ def test_criterion_1_golden_worked_examples():
 
     csig = validate_signature(["s"], [("c", [], "s")])
     from termcat.arrows import apply_arrow
-    q = apply_arrow(App(csig.operation("c"), ()))
+    q = apply_arrow(App(csig.operation_named["c"], ()))
     ok = ok and q.src == TERMINAL and isinstance(q, Comp) \
         and q.before == bang(TERMINAL) \
-        and normalize(q).body == GenApp(csig.operation("c"), ())
+        and normalize(q).body == GenApp(csig.operation_named["c"], ())
 
     elapsed = time.time() - t0
     _report(1, "golden worked-example values", ok and elapsed < 1.0,
@@ -263,10 +263,10 @@ def test_criterion_4_rule_soundness():
             checked += 1
 
     # seeded invalid instances
-    s = sig.sort("s")
+    s = sig.sort_named["s"]
     x, y = Variable(s, 1), Variable(s, 2)
-    fx = App(sig.operation("f"), (x,))
-    fy = App(sig.operation("f"), (y,))
+    fx = App(sig.operation_named["f"], (x,))
+    fy = App(sig.operation_named["f"], (y,))
     e1 = make_equation(fx, x, (x, y))
     e2 = make_equation(fy, y, (x, y))  # middle differs from e1.right
     rejected = 0
@@ -278,8 +278,8 @@ def test_criterion_4_rule_soundness():
             f"premises do not share a middle term: {x} vs {fy}"
     sig2 = validate_signature(["s", "t"], [("f", ["s"], "s"),
                                            ("c", [], "s")])
-    xs = Variable(sig2.sort("s"), 1)
-    zt = Variable(sig2.sort("t"), 1)
+    xs = Variable(sig2.sort_named["s"], 1)
+    zt = Variable(sig2.sort_named["t"], 1)
     wide = make_equation(xs, xs, (xs, zt))
     try:
         check_rule(sig2, (wide,), Concretion(zt),

@@ -29,12 +29,12 @@ from termcat.terms import App, var_list, var_set
 
 
 def worked_term(sig):
-    f, g = sig.operation("f"), sig.operation("g")
+    f, g = sig.operation_named["f"], sig.operation_named["g"]
     e = App(f, (v(sig, 1, 1),
                 App(g, (v(sig, 1, 2), v(sig, 1, 1))),
                 v(sig, 2, 1)))
     return make_term(e, {v(sig, 1, 1), v(sig, 1, 2), v(sig, 2, 1),
-                         v(sig, 4, 3)}, sig.sort("s5"))
+                         v(sig, 4, 3)}, sig.sort_named["s5"])
 
 
 # --- endpoints ----------------------------------------------------------------
@@ -42,40 +42,40 @@ def worked_term(sig):
 
 def test_generator_endpoints():
     sig = running_signature()
-    f = Gen(sig.operation("f"))
-    assert f.src == flat_product([sig.sort("s1"), sig.sort("s2"),
-                                  sig.sort("s2")])
-    assert f.dst == Leaf(sig.sort("s5"))
+    f = Gen(sig.operation_named["f"])
+    assert f.src == flat_product([sig.sort_named["s1"], sig.sort_named["s2"],
+                                  sig.sort_named["s2"]])
+    assert f.dst == Leaf(sig.sort_named["s5"])
 
 
 def test_id_and_proj_endpoints():
     sig = running_signature()
-    obj = flat_product([sig.sort("s1"), sig.sort("s2")])
+    obj = flat_product([sig.sort_named["s1"], sig.sort_named["s2"]])
     assert Id(obj).src == obj and Id(obj).dst == obj
     p2 = Proj(obj, 2)
-    assert p2.dst == Leaf(sig.sort("s2"))
+    assert p2.dst == Leaf(sig.sort_named["s2"])
 
 
 def test_composition_identity_law():
     sig = running_signature()
-    g = Gen(sig.operation("g"))
+    g = Gen(sig.operation_named["g"])
     assert arrows_equal(Comp(g, Id(g.src)), g)
     assert arrows_equal(Comp(Id(g.dst), g), g)
 
 
 def test_product_of_arrows_endpoints():
     sig = running_signature()
-    g = Gen(sig.operation("g"))
-    s1 = Leaf(sig.sort("s1"))
+    g = Gen(sig.operation_named["g"])
+    s1 = Leaf(sig.sort_named["s1"])
     pr = product_of_arrows([Id(s1), g])
     assert pr.src == Prod((s1, g.src))
-    assert pr.dst == Prod((s1, Leaf(sig.sort("s2"))))
+    assert pr.dst == Prod((s1, Leaf(sig.sort_named["s2"])))
 
 
 def test_tuple_domain_mismatch():
     sig = running_signature()
-    s1 = Leaf(sig.sort("s1"))
-    s2 = Leaf(sig.sort("s2"))
+    s1 = Leaf(sig.sort_named["s1"])
+    s2 = Leaf(sig.sort_named["s2"])
     with pytest.raises(EndpointMismatch):
         TupleArrow(s1, (Id(s1), Id(s2)))
 
@@ -83,12 +83,12 @@ def test_tuple_domain_mismatch():
 def test_compose_mismatch():
     sig = running_signature()
     with pytest.raises(EndpointMismatch):
-        Comp(Gen(sig.operation("g")), Gen(sig.operation("f")))
+        Comp(Gen(sig.operation_named["g"]), Gen(sig.operation_named["f"]))
 
 
 def test_proj_index_out_of_range():
     sig = running_signature()
-    obj = flat_product([sig.sort("s1")])
+    obj = flat_product([sig.sort_named["s1"]])
     with pytest.raises(EndpointMismatch):
         Proj(obj, 2)
 
@@ -98,8 +98,8 @@ def test_proj_index_out_of_range():
 
 def test_projection_of_tuple_reduces():
     sig = running_signature()
-    s1 = Leaf(sig.sort("s1"))
-    pair = flat_product([sig.sort("s1"), sig.sort("s1")])
+    s1 = Leaf(sig.sort_named["s1"])
+    pair = flat_product([sig.sort_named["s1"], sig.sort_named["s1"]])
     a = Proj(pair, 1)
     b = Proj(pair, 2)
     t = TupleArrow(pair, (a, b))
@@ -108,14 +108,14 @@ def test_projection_of_tuple_reduces():
 
 def test_identity_of_product_is_tuple_of_paths():
     sig = running_signature()
-    obj = flat_product([sig.sort("s1"), sig.sort("s2")])
+    obj = flat_product([sig.sort_named["s1"], sig.sort_named["s2"]])
     assert normalize(Id(obj)).body == NTuple((Path((1,)), Path((2,))))
 
 
 def test_worked_term_normal_form():
     sig = running_signature()
     t = worked_term(sig)
-    f, g = sig.operation("f"), sig.operation("g")
+    f, g = sig.operation_named["f"], sig.operation_named["g"]
     assert normalize(term_arrow(t.expr, t.vars)).body == GenApp(
         f, (Path((1,)), GenApp(g, (Path((2,)), Path((1,)))), Path((3,))))
 
@@ -133,8 +133,8 @@ def test_normalize_idempotent_random(seed=21):
 
 def test_arrows_equal_requires_shared_endpoints():
     sig = running_signature()
-    s1 = Leaf(sig.sort("s1"))
-    pair = flat_product([sig.sort("s1"), sig.sort("s1")])
+    s1 = Leaf(sig.sort_named["s1"])
+    pair = flat_product([sig.sort_named["s1"], sig.sort_named["s1"]])
     with pytest.raises(EndpointMismatch):
         arrows_equal(Id(s1), Id(pair))
     assert not arrows_equal(Proj(pair, 1), Proj(pair, 2))
@@ -170,16 +170,16 @@ def test_arrows_equal_congruence_random(seed=23):
 def test_apply_stage_variable_and_constant():
     sig = running_signature()
     x = v(sig, 1, 1)
-    assert apply_arrow(x) == Id(Leaf(sig.sort("s1")))
+    assert apply_arrow(x) == Id(Leaf(sig.sort_named["s1"]))
 
     csig = validate_signature(["s"], [("c", [], "s")])
-    c = App(csig.operation("c"), ())
+    c = App(csig.operation_named["c"], ())
     q = apply_arrow(c)
     # the composite passes through the terminal object
     assert q.src == TERMINAL
     assert isinstance(q, Comp) and q.after.src == TERMINAL
     assert q.before == bang(TERMINAL)
-    assert normalize(q).body == GenApp(csig.operation("c"), ())
+    assert normalize(q).body == GenApp(csig.operation_named["c"], ())
 
 
 def test_apply_stage_unfolds_once():
@@ -187,14 +187,14 @@ def test_apply_stage_unfolds_once():
     t = worked_term(sig)
     q = apply_arrow(t.expr)
     assert isinstance(q, Comp)
-    assert q.after == Gen(sig.operation("f"))
+    assert q.after == Gen(sig.operation_named["f"])
     assert isinstance(q.before, TupleArrow) and len(q.before.parts) == 3
     # the middle slot carries the inner operation, the outer slots are
     # identities over their projections
     mid = q.before.parts[1]
     assert isinstance(mid, Comp) and isinstance(mid.after, Comp)
-    assert mid.after.after == Gen(sig.operation("g"))
-    assert q.before.parts[0].after == Id(Leaf(sig.sort("s1")))
+    assert mid.after.after == Gen(sig.operation_named["g"])
+    assert q.before.parts[0].after == Id(Leaf(sig.sort_named["s1"]))
 
 
 def test_regroup_stage_goldens():
@@ -210,16 +210,16 @@ def test_regroup_stage_goldens():
     # a bare variable regroups through the singleton product
     x = v(sig, 1, 1)
     ix = regroup_arrow(x)
-    assert ix == Proj(flat_product([sig.sort("s1")]), 1)
+    assert ix == Proj(flat_product([sig.sort_named["s1"]]), 1)
 
 
 def test_regroup_flat_arguments_is_identity():
     sig = subst_signature()
-    h = sig.operation("h")
+    h = sig.operation_named["h"]
     u = App(h, (v(sig, 2, 1), v(sig, 3, 2)))
     i = regroup_arrow(u)
-    assert arrows_equal(i, Id(flat_product([sig.sort("s2"),
-                                            sig.sort("s3")])))
+    assert arrows_equal(i, Id(flat_product([sig.sort_named["s2"],
+                                            sig.sort_named["s3"]])))
 
 
 def test_occurrence_stage_goldens():
@@ -231,14 +231,14 @@ def test_occurrence_stage_goldens():
                                  Proj(src, 3)))
 
     csig = validate_signature(["s"], [("c", [], "s")])
-    closed = most_concrete_term(App(csig.operation("c"), ()))
+    closed = most_concrete_term(App(csig.operation_named["c"], ()))
     dc = occurrence_arrow(closed.expr, closed.vars)
     assert dc == bang(TERMINAL)
 
 
 def test_occurrence_stage_wide_example():
     sig = subst_signature()
-    h = sig.operation("h")
+    h = sig.operation_named["h"]
     u = App(h, (v(sig, 2, 1), v(sig, 3, 2)))
     W = (v(sig, 1, 1), v(sig, 2, 1), v(sig, 2, 2), v(sig, 2, 3),
          v(sig, 3, 1), v(sig, 3, 2), v(sig, 3, 3))
@@ -263,7 +263,7 @@ def test_occurrence_triangle_law_random(seed=31):
 
 def test_term_arrow_goldens():
     sig = subst_signature()
-    h = sig.operation("h")
+    h = sig.operation_named["h"]
     u = App(h, (v(sig, 2, 1), v(sig, 3, 2)))
     W = (v(sig, 1, 1), v(sig, 2, 1), v(sig, 2, 2), v(sig, 2, 3),
          v(sig, 3, 1), v(sig, 3, 2), v(sig, 3, 3))
@@ -302,17 +302,18 @@ def test_equation_arrows_share_endpoints():
         ["s1", "s2", "s3", "s4", "s5"],
         [("g", ["s1", "s1"], "s2"), ("f", ["s1", "s2", "s2"], "s5"),
          ("gg", ["s1", "s1"], "s5")])
-    left = App(sig2.operation("f"), (
+    left = App(sig2.operation_named["f"], (
         v(sig2, 1, 1),
-        App(sig2.operation("g"), (v(sig2, 1, 2), v(sig2, 1, 1))),
+        App(sig2.operation_named["g"], (v(sig2, 1, 2), v(sig2, 1, 1))),
         v(sig2, 2, 1)))
-    right = App(sig2.operation("gg"), (v(sig2, 1, 2),
-                                       v(sig2, 1, 3)))
+    right = App(sig2.operation_named["gg"], (v(sig2, 1, 2),
+                                             v(sig2, 1, 3)))
     eq2 = make_equation(left, right, var_set(left) + var_set(right))
     l2, r2 = equation_arrows(eq2)
-    want_dom = flat_product([sig2.sort("s1")] * 3 + [sig2.sort("s2")])
+    s1, s2 = sig2.sort_named["s1"], sig2.sort_named["s2"]
+    want_dom = flat_product([s1] * 3 + [s2])
     assert l2.src == r2.src == want_dom
-    assert l2.dst == r2.dst == Leaf(sig2.sort("s5"))
+    assert l2.dst == r2.dst == Leaf(sig2.sort_named["s5"])
 
 
 def test_stages_depend_only_on_expression(seed=37):
@@ -348,12 +349,12 @@ def _hand_built_arrows():
     sig = validate_signature(["s1", "s2"], [("g", ["s1", "s1"], "s2"),
                                             ("h", ["s2"], "s1"),
                                             ("c", [], "s1")])
-    g, h, c = (Gen(sig.operation(n)) for n in ("g", "h", "c"))
-    s1, s2 = Leaf(sig.sort("s1")), Leaf(sig.sort("s2"))
+    g, h, c = (Gen(sig.operation_named[n]) for n in ("g", "h", "c"))
+    s1, s2 = Leaf(sig.sort_named["s1"]), Leaf(sig.sort_named["s2"])
     pair = Prod((s1, s1))
     nested = Prod((Prod((s1, Prod((s2, s1)))), TERMINAL, s2))
-    x1, x2 = Variable(sig.sort("s1"), 1), Variable(sig.sort("s1"), 2)
-    y1 = Variable(sig.sort("s2"), 1)
+    x1, x2 = (Variable(sig.sort_named["s1"], k) for k in (1, 2))
+    y1 = Variable(sig.sort_named["s2"], 1)
     xy = Prod((s1, s2))
     inner = TupleArrow(pair, (g, Proj(pair, 1)))
     into_nested = TupleArrow(pair, (TupleArrow(pair, (Proj(pair, 2), inner)),
@@ -427,7 +428,7 @@ def test_term_normal_takes_a_deep_tower_and_a_shared_expression():
     # m(e, e), 64 nodes but 2 ** 64 leaves, at once
     sig = validate_signature(["s"], [("i", ["s"], "s"),
                                      ("m", ["s", "s"], "s")])
-    i, m = sig.operation("i"), sig.operation("m")
+    i, m = sig.operation_named["i"], sig.operation_named["m"]
     x = Variable(sig.sorts[0], 1)
     e = x
     for _ in range(20000):
@@ -454,23 +455,51 @@ def _ops(e):
 
 
 def test_text_agrees_with_the_recursive_reference(seed=53):
-    # the three stages, their composite, their endpoints and their normal
-    # forms, and the direct normal form, print as the recursive reference
-    # prints them; every kind of node is among them
+    # a term's expression, the three stages, their composite, their
+    # endpoints and their normal forms and bodies, the direct normal form,
+    # and an equation's sides print as the recursive reference prints
+    # them; every kind of node is among them
     rng = random.Random(seed)
     kinds = set()
     for _ in range(300):
         sig = gen_signature(rng)
         t = gen_term(rng, sig, depth=4, extra_vars=3)
+        eq = gen_equation(rng, sig, depth=3)
         stages = (occurrence_arrow(t.expr, t.vars), regroup_arrow(t.expr),
                   apply_arrow(t.expr), term_arrow(t.expr, t.vars))
-        for node in (*stages, *(normalize(a) for a in stages),
-                     *(a.src for a in stages), term_normal(t.expr, t.vars)):
+        normals = [normalize(a) for a in stages]
+        for node in (t.expr, eq.left, eq.right, *stages, *normals,
+                     *(n.body for n in normals), *(a.src for a in stages),
+                     term_normal(t.expr, t.vars)):
             assert str(node) == fixtures.recursive_text(node)
             kinds |= _kinds(node)
-    assert kinds == {Leaf, Prod, Id, Proj, Gen, TupleArrow, Comp, Path,
-                     GenApp, NTuple, NormalArrow}
-    assert str(TERMINAL) == "1" and str(Path(())) == "p()"
+    assert kinds == {Variable, App, Leaf, Prod, Id, Proj, Gen, TupleArrow,
+                     Comp, Path, GenApp, NTuple, NormalArrow}
+
+
+def test_text_of_each_corner_case():
+    # 0-ary applications, the empty path, the terminal object, the empty
+    # tuple, identities, and products inside products
+    sig = validate_signature(["s", "t"], [("c", [], "s"),
+                                          ("m", ["s", "t"], "s")])
+    s, t = (Leaf(x) for x in sig.sorts)
+    c, m = sig.operations
+    x, y = Variable(sig.sorts[0], 1), Variable(sig.sorts[1], 2)
+    nested = Prod((Prod((s, TERMINAL)), Prod((Prod((t,)),))))
+    cases = [
+        (App(c, ()), "c"), (App(m, (App(c, ()), y)), "m(c, x2:t)"),
+        (x, "x1:s"), (GenApp(c, ()), "c"),
+        (GenApp(m, (GenApp(c, ()), Path((2, 1)))), "m(c, p2.1)"),
+        (Path(()), "p()"), (TERMINAL, "1"), (nested, "((s x 1) x ((t)))"),
+        (TupleArrow(nested, ()), "<>"), (NTuple(()), "<>"),
+        (NTuple((NTuple(()), Path(()))), "<<>, p()>"),
+        (Id(nested), "id[((s x 1) x ((t)))]"), (Id(TERMINAL), "id[1]"),
+        (Comp(Gen(c), TupleArrow(TERMINAL, ())), "c . <>"),
+        (normalize(Proj(nested, 1)), "<p1.1, <>>"),
+        (normalize(TupleArrow(nested, ())), "<>"),
+    ]
+    for node, want in cases:
+        assert str(node) == want == fixtures.recursive_text(node), want
 
 
 def _kinds(node) -> set:
@@ -479,12 +508,12 @@ def _kinds(node) -> set:
     while todo:
         x = todo.pop()
         kinds.add(type(x))
-        if isinstance(x, Prod):
+        if isinstance(x, (App, GenApp)):
+            todo += x.args
+        elif isinstance(x, Prod):
             todo += x.factors
         elif isinstance(x, (TupleArrow, NTuple)):
             todo += x.parts
-        elif isinstance(x, GenApp):
-            todo += x.args
         elif isinstance(x, Comp):
             todo += (x.after, x.before)
         elif isinstance(x, Id):
@@ -498,7 +527,7 @@ def test_text_takes_a_deep_arrow_and_a_deep_normal_form():
     # the renderer keeps its own stack: a 20,000-deep composite and a
     # 20,000-deep normal body print at the default recursion limit
     sig = validate_signature(["s"], [("i", ["s"], "s")])
-    i = Gen(sig.operation("i"))
+    i = Gen(sig.operation_named["i"])
     step = TupleArrow(i.src, (i,))  # (s) -> (s)
     a = Id(i.src)
     body = Path((1,))
@@ -585,7 +614,7 @@ def test_normal_equality_agrees_with_the_recursive_reference(seed=59):
     rng = random.Random(seed)
     sig = running_signature()
     ops = list(sig.operations) + [validate_signature(
-        ["s1"], [("c", [], "s1")]).operation("c")]
+        ["s1"], [("c", [], "s1")]).operation_named["c"]]
     dom, cod = flat_product(sig.sorts[:2]), Leaf(sig.sorts[0])
     outcomes = Counter()
     for _ in range(400):
@@ -611,7 +640,7 @@ def test_equality_takes_two_deep_normal_forms():
     # the comparison keeps its own stack: two 20,000-deep normal forms,
     # built apart, compare at the default recursion limit, equal and not
     sig = validate_signature(["s"], [("i", ["s"], "s"), ("j", ["s"], "s")])
-    i, j = sig.operation("i"), sig.operation("j")
+    i, j = sig.operation_named["i"], sig.operation_named["j"]
     x = Variable(sig.sorts[0], 1)
     e = x
     for _ in range(20000):
@@ -633,10 +662,10 @@ def test_same_structure_is_the_same_node():
     sig = running_signature()
     t = worked_term(sig)
     assert term_arrow(t.expr, t.vars) is term_arrow(t.expr, t.vars)
-    s1 = sig.sort("s1")
-    assert Leaf(s1) is Leaf(running_signature().sort("s1"))
+    s1 = sig.sort_named["s1"]
+    assert Leaf(s1) is Leaf(running_signature().sort_named["s1"])
     assert flat_product([s1, s1]) is Prod((Leaf(s1), Leaf(s1)))
-    g = Gen(sig.operation("g"))
+    g = Gen(sig.operation_named["g"])
     assert Comp(g, Id(g.src)) is Comp(g, Id(flat_product([s1, s1])))
     assert TupleArrow(g.src, [g]) is TupleArrow(g.src, (g,))
     assert Comp(g, Id(g.src)) != g and hash(g) == hash(Gen(g.op))
@@ -669,8 +698,8 @@ def test_equation_arrows_are_the_term_arrows_of_the_sides(seed=47):
 
 def test_nodes_are_immutable():
     sig = running_signature()
-    g = Gen(sig.operation("g"))
-    s1 = Leaf(sig.sort("s1"))
+    g = Gen(sig.operation_named["g"])
+    s1 = Leaf(sig.sort_named["s1"])
     for node, field in ((g, "op"), (g, "src"), (g, "dst"), (g, "_normal"),
                         (s1, "sort"), (Prod((s1,)), "factors"),
                         (Comp(g, Id(g.src)), "after"),

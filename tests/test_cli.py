@@ -406,11 +406,11 @@ def test_the_levelled_form_has_a_budget(tmp_path, capsys):
     from termcat import deduction
     assert deduction.MAX_LEVELLED == 65_536
     sf = parse_spec(_UNITS + _dag_proof(13))
-    steps, _ = dsl.build_proof(sf, sf.proof("dag"))
+    steps, _ = dsl.build_proof(sf, sf.proofs["dag"])
     ld = deduction.normalize_deduction(steps)
     assert sum(len(level) for level in ld.levels) == 49151
     sf = parse_spec(_UNITS + _dag_proof(14))
-    steps, _ = dsl.build_proof(sf, sf.proof("dag"))
+    steps, _ = dsl.build_proof(sf, sf.proofs["dag"])
     with raises_exactly(TermcatError, "the levelled form would have 98303 "
                         "entries, over the limit of 65536"):
         deduction.normalize_deduction(steps)
@@ -932,7 +932,7 @@ def test_a_proof_command_builds_only_the_steps_it_reads(tmp_path,
     f = tmp_path / name
     f.write_text(text)
     sf = parse_spec(text)
-    steps = {p: [s.at for s in sf.proof(p).steps] for p in sf.proofs}
+    steps = {p: [s.at for s in sf.proofs[p].steps] for p in sf.proofs}
     assert len(steps) >= 6
     built = []
     step_def = dsl.StepDef

@@ -26,7 +26,7 @@ from termcat.dsl import build_proof, parse_spec
 from termcat.errors import DeductionError, TermcatError
 from termcat.kernel import (CiteHyp, ComposeRight, EqConstraint, Factorization,
                             Refl, Sym, Trans, verify_factorization,
-                            verify_lemmas)
+                            verify_lemmas, verify_levelled)
 from termcat.models import enumerate_models
 from termcat.signature import Variable, validate_signature
 from termcat.subst import subst_expr
@@ -35,9 +35,9 @@ from termcat.terms import App
 
 def _setup():
     sig = binary_signature()
-    s = sig.sort("s")
+    s = sig.sort_named["s"]
     x, y = Variable(s, 1), Variable(s, 2)
-    m, c = sig.operation("m"), sig.operation("c")
+    m, c = sig.operation_named["m"], sig.operation_named["c"]
     comm = make_equation(App(m, (x, y)), App(m, (y, x)),
                          (x, y))
     lunit = make_equation(App(m, (App(c, ()), x)), x, (x,))
@@ -162,7 +162,7 @@ def test_substitutivity_coding_structure():
 def test_substitutivity_rejects_wrong_sort():
     sig, s, x, y, m, c, comm, lunit = _setup()
     sig2 = validate_signature(["a", "b"], [("f", ["a"], "b")])
-    a = Variable(sig2.sort("a"), 1)
+    a = Variable(sig2.sort_named["a"], 1)
     prem2 = make_equation(a, a, (a,))
     with raises_exactly(DeductionError, "second premise has sort a, but "
                         "x1:s requires s"):
@@ -334,7 +334,7 @@ def test_normalized_random_trees_satisfy_nf(seed=61):
         steps = gen_deduction(rng, sig, hyps, rng.randint(0, 4))
         ld = normalize_deduction(steps)
         assert normal_form_violations(ld) == []
-        assert ld.conclusion == steps[-1].equation
+        assert ld.levels[-1][-1].equation == steps[-1].equation
 
 
 def test_one_level_compile_equals_rule_coding():
@@ -527,8 +527,8 @@ def _exit_codes(sig, steps, hyps) -> tuple[int, int]:
     `steps`, coded as they are."""
     lemmas = lemma_table(sig, steps)
     return _exit_code(verify_lemmas(hyps, lemmas, steps[-1].equation)), \
-        _exit_code(verify_factorization(compile_to_factorization(
-            normalize_deduction(steps), lemmas, hyps)))
+        _exit_code(verify_levelled(hyps, compile_to_factorization(
+            normalize_deduction(steps), lemmas, hyps), steps[-1].equation))
 
 
 def _exit_code(verdict) -> int:
@@ -605,7 +605,7 @@ def test_lemma_table_of_a_chain_is_linear():
     sf = parse_spec("sort s\nop m : s s -> s\nop e : -> s\n"
                     "eq lunit [x:s] : m(e, x) = x\n"
                     "proof chain from lunit {\n" + "\n".join(steps) + "\n}\n")
-    built, hyps = build_proof(sf, sf.proof("chain"))
+    built, hyps = build_proof(sf, sf.proofs["chain"])
     lemmas = lemma_table(sf.signature, built)
     assert verify_lemmas(hyps, lemmas, built[-1].equation).ok
     assert len(lemmas) == len(steps) == 102
@@ -708,7 +708,7 @@ def test_producer_compiles_only_what_its_steps_carry(steps, in_producer,
                                                      in_kernel, monkeypatch):
     sf = parse_spec(_LUNIT + "proof p from lunit {\n" + "\n".join(steps)
                     + "\n}\n")
-    built, hyps = build_proof(sf, sf.proof("p"))
+    built, hyps = build_proof(sf, sf.proofs["p"])
     calls = []
 
     def counting(real):

@@ -40,12 +40,12 @@ from termcat.arrows import (Comp, Leaf, Proj, TupleArrow, arrows_equal,
 from termcat.cli import run
 from termcat.deduction import (equation_constraint, lemma_table,
                                product_factorizations)
-from termcat.dsl import parse_spec
+from termcat.dsl import build_proof, parse_spec
 from termcat.errors import EndpointMismatch
 from termcat.kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                             Factorization, Lemma, Refl, Sym, Trans, TupleCong,
                             constraints_equal, verify_factorization,
-                            verify_lemmas)
+                            verify_lemmas, verify_levelled)
 from termcat.signature import Variable, validate_signature
 from termcat.terms import App, var_set
 
@@ -151,7 +151,9 @@ def test_the_kernel_does_not_trust_the_producers_compiler(monkeypatch,
                                                           capsys, tmp_path):
     # break the three-stage compiler wherever the producer reads it: it now
     # compiles m(a, b) as m(b, a).  The refl step's arrow is then not its
-    # statement's, and only a kernel that compiles statements itself sees it
+    # statement's, and only a kernel that compiles statements itself sees
+    # it: on the lemma table, and on the levelled certificate, whose
+    # hypotheses and claim the producer compiled with the broken compiler
     real = arrows.term_arrow
 
     def swapped(e, vs):
@@ -175,6 +177,35 @@ def test_the_kernel_does_not_trust_the_producers_compiler(monkeypatch,
         "  hypotheses: 1, lemmas: 2, kernel steps: 2",
         "  7:3: step 'r': lemma 1: derived constraint differs from the "
         "statement"]
+    assert run(["check-proof", "--levelled", str(f)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "proof p: FAILED VERIFICATION",
+        "  conclusion: m(x1:s, e) = m(x1:s, e)  [x1:s]",
+        "  hypotheses: 1, claims: 1, workspace: 0",
+        "  claim 0: derived constraint differs from the claim"]
+
+
+def test_the_levelled_check_replays_from_its_own_statements():
+    # the kernel compiles the hypotheses and the goal itself: the
+    # certificate of comm_twice replays from its own hypotheses to its own
+    # claim, and is refused for another goal, from another hypothesis and
+    # when it claims nothing
+    sf = parse_spec((CORPUS / "monoid.msl").read_text(encoding="utf-8"))
+    steps, hyps = build_proof(sf, sf.proofs["comm_twice"])
+    cert = certify(sf.signature, steps, hyps)
+    goal = steps[-1].equation
+    result = verify_levelled(hyps, cert, goal)
+    assert result.ok and result.trace == ("claim 0: established",)
+    assert verify_factorization(cert).ok
+    other = verify_levelled(hyps, cert, sf.equations["lunit"])
+    assert not other.ok and other.trace == (
+        "claim 0: derived constraint differs from the claim",)
+    other = verify_levelled([sf.equations["lunit"]], cert, goal)
+    assert not other.ok
+    assert other.trace[-1] == "claim 0: kernel proof failed to replay"
+    empty = verify_levelled(hyps, Factorization((), (), (), ()), goal)
+    assert not empty.ok and empty.trace == ("empty certificate proves "
+                                            "nothing",)
 
 
 def test_the_kernel_compiles_a_deep_tower_without_recursion():

@@ -36,7 +36,7 @@ def test_model_count_for_binary_signature():
     sig = binary_signature()
     all_models = list(enumerate_models(sig, 2))
     exactly_two = [m for m in all_models
-                   if m.sizes[sig.sort("s")] == 2]
+                   if m.sizes[sig.sort_named["s"]] == 2]
     # tables: 2 choices for the constant, 2^4 for the binary operation
     assert len(exactly_two) == 2 * 2 ** 4 == 32
     assert len(all_models) == 33  # plus the single one-element model
@@ -67,14 +67,14 @@ def test_carrier_guard():
 
 def test_eval_expression_against_tables():
     sig = binary_signature()
-    s = sig.sort("s")
+    s = sig.sort_named["s"]
     model = FiniteModel(sig, {s: 2},
                         {"m": {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
                          "c": {(): 1}})
     from termcat.signature import Variable
     from termcat.terms import App
     x = Variable(s, 1)
-    e = App(sig.operation("m"), (x, App(sig.operation("c"), ())))
+    e = App(sig.operation_named["m"], (x, App(sig.operation_named["c"], ())))
     assert eval_expression(model, e, {x: 0}) == 1
     assert eval_expression(model, e, {x: 1}) == 0
 
@@ -87,7 +87,7 @@ def test_arrow_eval_matches_expression_eval(seed=53):
         t = gen_term(rng, sig, depth=3)
         model = random_model(sig, 3, rng)
         arrow = term_arrow(t.expr, t.vars)
-        for values in itertools.product(*(model.carrier(x.sort)
+        for values in itertools.product(*(range(model.sizes[x.sort])
                                           for x in t.vars)):
             env = dict(zip(t.vars, values))
             assert eval_arrow(model, arrow, values) \
@@ -108,7 +108,7 @@ def test_equal_normal_forms_agree_in_models(seed=57):
 
 def test_separating_model_for_projections():
     sig = binary_signature()
-    s = sig.sort("s")
+    s = sig.sort_named["s"]
     from termcat.arrows import Proj, flat_product
     pair = flat_product([s, s])
     found = find_separating_model(sig, Proj(pair, 1), Proj(pair, 2), pair,
@@ -121,11 +121,11 @@ def test_separating_model_for_projections():
 
 def test_counterexample_search():
     sig = binary_signature()
-    s = sig.sort("s")
+    s = sig.sort_named["s"]
     from termcat.signature import Variable
     from termcat.terms import App
     x, y = Variable(s, 1), Variable(s, 2)
-    bogus = make_equation(App(sig.operation("m"), (x, y)), x,
+    bogus = make_equation(App(sig.operation_named["m"], (x, y)), x,
                           (x, y))
     found = find_counterexample(sig, bogus, 2)
     assert found is not None
@@ -141,16 +141,16 @@ def test_counterexample_search_walks_a_shared_equation_once():
     # 64 nested m(e, e) have 2 ** 64 variable occurrences, but the search
     # reads each of the 64 distinct nodes once
     sig = binary_signature()
-    x = Variable(sig.sort("s"), 1)
+    x = Variable(sig.sort_named["s"], 1)
     e = x
     for _ in range(64):
-        e = App(sig.operation("m"), (e, e))
+        e = App(sig.operation_named["m"], (e, e))
     assert find_counterexample(sig, Equation(e, e, (x,)), 2) is None
 
 
 def test_points_shape():
     sig = binary_signature()
-    s = sig.sort("s")
+    s = sig.sort_named["s"]
     model = next(m for m in enumerate_models(sig, 2)
                  if m.sizes[s] == 2)
     from termcat.arrows import Prod, Leaf, flat_product
@@ -163,7 +163,7 @@ def test_enumeration_holds_one_model_at_a_time():
     # the 34th model is the first with three elements; building every table
     # of m first would make 3 ** 9 dicts before it
     sig = parse_spec(MONOID.read_text(encoding="utf-8")).signature
-    s = sig.sort("s")
+    s = sig.sort_named["s"]
     tracemalloc.start()
     try:
         model = next(m for m in enumerate_models(sig, 3) if m.sizes[s] == 3)
@@ -181,7 +181,7 @@ def _reference_counterexample(sig, eq, bound):
     for model in enumerate_models(sig, bound):
         if satisfies(model, eq):
             continue
-        for values in itertools.product(*(model.carrier(v.sort)
+        for values in itertools.product(*(range(model.sizes[v.sort])
                                           for v in eq.vars)):
             env = dict(zip(eq.vars, values))
             if eval_expression(model, eq.left, env) \
@@ -228,10 +228,10 @@ def test_reduct_search_matches_the_full_search(seed=59):
 
 def test_search_budget_stops_a_holding_search(monkeypatch):
     sig = binary_signature()
-    s = sig.sort("s")
+    s = sig.sort_named["s"]
     from termcat.signature import Variable
     x, y = Variable(s, 1), Variable(s, 2)
-    m = App(sig.operation("m"), (x, y))
+    m = App(sig.operation_named["m"], (x, y))
     same = make_equation(m, m, (x, y))
     # the reduct is m alone: 1 + 2 ** 4 + 3 ** 9 models at bound 3
     monkeypatch.setattr(models, "MAX_MODELS", 17)

@@ -16,6 +16,7 @@ import builtins
 import copy
 import importlib
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -203,13 +204,17 @@ ENTRY_POINTS = {"cli.main"}
 
 
 def test_every_public_name_is_used_in_the_package():
-    # a public top-level function or class that no module of the package
-    # names outside its own definition is code only tests run; methods are
-    # not checked
+    # a public top-level function or class, or a public method or property
+    # of a top-level class, that no module of the package names outside its
+    # own definition is code only tests run
     trees = _package_trees()
-    defs = [(stem, node) for stem, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    defs = []
+    for stem, tree in trees.items():
+        for top in tree.body:
+            inner = top.body if isinstance(top, ast.ClassDef) else []
+            defs += [(stem, node) for node in (top, *inner)
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and not node.name.startswith("_")]
 
     def names(tree):
         return [n.id if isinstance(n, ast.Name) else n.attr
@@ -220,7 +225,18 @@ def test_every_public_name_is_used_in_the_package():
     unused = {f"{stem}.{node.name}" for stem, node in defs
               if everywhere.count(node.name) == names(node).count(node.name)}
     assert unused - ENTRY_POINTS == set()
-    assert len(defs) >= 100  # the walk read the package
+    assert len(defs) >= 110  # the walk read the package and the classes
+
+
+def test_the_readme_states_the_package_size():
+    # README's layout section gives the line count of src/termcat, as
+    # `wc -l src/termcat/*.py` counts it
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"src/termcat/ +([0-9,]+) lines of Python in all",
+                        text)
+    count = sum(path.read_bytes().count(b"\n")
+                for path in (SRC / "termcat").glob("*.py"))
+    assert [int(n.replace(",", "")) for n in stated] == [count]
 
 
 # --- one record of every type -----------------------------------------------------
@@ -228,10 +244,10 @@ def test_every_public_name_is_used_in_the_package():
 SF = parse_spec((ROOT / "corpus" / "monoid.msl").read_text(encoding="utf-8"))
 SIG = SF.signature
 S = SIG.sorts[0]
-M = SIG.operation("m")
+M = SIG.operation_named["m"]
 X = Variable(S, 1)
 T1 = SF.terms["t1"]
-STEPS, HYPS = build_proof(SF, SF.proof("comm_twice"))
+STEPS, HYPS = build_proof(SF, SF.proofs["comm_twice"])
 LEVELLED = normalize_deduction(STEPS)
 LEMMAS = lemma_table(SIG, STEPS)
 CERT = compile_to_factorization(LEVELLED, LEMMAS, HYPS)
@@ -240,7 +256,7 @@ ARROW = Id(Leaf(S))
 
 RECORDS = [
     # signature, terms
-    S, M, X, SIG, App(SIG.operation("e"), ()), T1,
+    S, M, X, SIG, App(SIG.operation_named["e"], ()), T1,
     SF.equations["comm"],
     # normal forms
     NPath((1,)), GenApp(M, (NPath((1,)), NPath((2,)))), NTuple(()),
@@ -254,7 +270,7 @@ RECORDS = [
     Concretion(X), Abstraction(X), Substitutivity(X), Copy(), STEPS[-1],
     LEVELLED.levels[0][0], LEVELLED,
     # the front end
-    SF.proof("unit_square").steps[0], SF.proof("unit_square"),
+    SF.proofs["unit_square"].steps[0], SF.proofs["unit_square"],
     SF.term_decls[0], SF.eq_decls[0], SF,
     # sketch
     SortNode(S), ListNode((S, S)), OpArrow(M), ProjArrow(ListNode((S, S)), 2),
@@ -327,7 +343,7 @@ def test_records_of_different_types_differ(a, b):
 
 
 def test_uncompared_fields_are_ignored():
-    proof = SF.proof("unit_square")
+    proof = SF.proofs["unit_square"]
     step = proof.steps[0]
     pairs = [(step, replace(step, at=99)),
              (proof, replace(proof, at=99)),

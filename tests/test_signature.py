@@ -13,7 +13,7 @@ from termcat.terms import inhabited_sorts, var_set
 def test_minimal_signature_valid():
     sig = validate_signature(["s"], [("m", ["s", "s"], "s")])
     assert [s.name for s in sig.sorts] == ["s"]
-    assert sig.operation("m").inputs == (sig.sort("s"),) * 2
+    assert sig.operation_named["m"].inputs == (sig.sort_named["s"],) * 2
 
 
 def test_duplicate_sort_rejected():
@@ -34,7 +34,7 @@ def test_unknown_sort_rejected():
 
 def test_running_signature_arities():
     sig = running_signature()
-    g, f = sig.operation("g"), sig.operation("f")
+    g, f = sig.operation_named["g"], sig.operation_named["f"]
     assert [s.name for s in g.inputs] == ["s1", "s1"]
     assert [s.name for s in f.inputs] == ["s1", "s2", "s2"]
     assert f.output.name == "s5"
@@ -44,8 +44,8 @@ def test_running_signature_arities():
 def test_inhabited_constant_case():
     sig = validate_signature(["s"], [("c", [], "s"), ("m", ["s", "s"], "s")])
     wit = inhabited_sorts(sig)
-    assert set(wit) == {sig.sort("s")}
-    assert str(wit[sig.sort("s")]) == "c"
+    assert set(wit) == {sig.sort_named["s"]}
+    assert str(wit[sig.sort_named["s"]]) == "c"
 
 
 def test_inhabited_no_base_case():
@@ -58,14 +58,14 @@ def test_inhabited_fixpoint_chain():
                              [("c", [], "a"), ("f", ["a"], "b"),
                               ("g", ["b"], "a")])
     wit = inhabited_sorts(sig)
-    assert set(wit) == {sig.sort("a"), sig.sort("b")}
-    assert str(wit[sig.sort("a")]) == "c"
-    assert str(wit[sig.sort("b")]) == "f(c)"
+    assert set(wit) == {sig.sort_named["a"], sig.sort_named["b"]}
+    assert str(wit[sig.sort_named["a"]]) == "c"
+    assert str(wit[sig.sort_named["b"]]) == "f(c)"
 
 
 def test_witness_ties_broken_by_declaration_order():
     sig = validate_signature(["s"], [("c1", [], "s"), ("c2", [], "s")])
-    assert str(inhabited_sorts(sig)[sig.sort("s")]) == "c1"
+    assert str(inhabited_sorts(sig)[sig.sort_named["s"]]) == "c1"
 
 
 def test_variable_order_is_strict_total(seed=7):

@@ -29,7 +29,8 @@ def test_constant_gives_empty_cone():
     cone = next(c for c in sk.cones if c.vertex == empty)
     assert cone.legs == ()
     arrow = next(a for a in sk.arrows if isinstance(a, OpArrow))
-    assert arrow.source == empty and arrow.target == SortNode(sig.sort("s"))
+    assert arrow.source == empty
+    assert arrow.target == SortNode(sig.sort_named["s"])
 
 
 def test_empty_signature():

@@ -34,18 +34,18 @@ def wide_instance():
     """The ten-variable substitution example: replace x2:s3 in a wide
     f-expression by h(x1:s2, x2:s3)."""
     sig = subst_signature()
-    f, g, h = (sig.operation(n) for n in "fgh")
+    f, g, h = (sig.operation_named[n] for n in "fgh")
     e = App(f, (v(sig, 1, 1), v(sig, 4, 3), v(sig, 3, 2),
                 v(sig, 1, 1),
                 App(g, (v(sig, 1, 2), v(sig, 3, 2))),
                 v(sig, 2, 1)))
     V = (v(sig, 1, 1), v(sig, 1, 2), v(sig, 1, 3), v(sig, 2, 1),
          v(sig, 2, 2), v(sig, 3, 1), v(sig, 3, 2), v(sig, 4, 3))
-    target = make_term(e, V, sig.sort("s5"))
+    target = make_term(e, V, sig.sort_named["s5"])
     u = App(h, (v(sig, 2, 1), v(sig, 3, 2)))
     W = (v(sig, 1, 1), v(sig, 2, 1), v(sig, 2, 2), v(sig, 2, 3),
          v(sig, 3, 1), v(sig, 3, 2), v(sig, 3, 3))
-    repl = make_term(u, W, sig.sort("s3"))
+    repl = make_term(u, W, sig.sort_named["s3"])
     return sig, SubstInstance(target, v(sig, 3, 2), repl)
 
 
@@ -60,9 +60,9 @@ def test_subst_expr_simple():
     sig = validate_signature(["s"], [("f", ["s", "s"], "s"),
                                      ("c", [], "s")])
     from termcat.signature import Variable
-    x, y = Variable(sig.sort("s"), 1), Variable(sig.sort("s"), 2)
-    c = App(sig.operation("c"), ())
-    e = App(sig.operation("f"), (x, y))
+    x, y = Variable(sig.sort_named["s"], 1), Variable(sig.sort_named["s"], 2)
+    c = App(sig.operation_named["c"], ())
+    e = App(sig.operation_named["f"], (x, y))
     assert str(subst_expr(e, x, c)) == "f(c, x2:s)"
 
 
@@ -77,7 +77,7 @@ def test_subst_expr_takes_a_deep_expression():
     # the applications are rebuilt bottom-up with an explicit stack, so a
     # 20,000-deep expression is substituted at the default recursion limit
     sig = validate_signature(["s"], [("c", [], "s"), ("i", ["s"], "s")])
-    i, c = sig.operation("i"), App(sig.operation("c"), ())
+    i, c = sig.operation_named["i"], App(sig.operation_named["c"], ())
     x = v(sig, 1, 1)
     e = x
     for _ in range(20000):
@@ -99,9 +99,9 @@ def test_subst_expr_wide_display():
 def test_subst_term_base_case():
     sig = running_signature()
     x = v(sig, 1, 1)
-    target = make_term(x, (x, v(sig, 2, 2)), sig.sort("s1"))
+    target = make_term(x, (x, v(sig, 2, 2)), sig.sort_named["s1"])
     repl = make_term(v(sig, 1, 3), (v(sig, 1, 3), v(sig, 3, 1)),
-                     sig.sort("s1"))
+                     sig.sort_named["s1"])
     out = subst_term(SubstInstance(target, x, repl))
     assert out.expr == repl.expr
     assert out.vars == (v(sig, 1, 3), v(sig, 2, 2), v(sig, 3, 1))
@@ -120,8 +120,8 @@ def test_subst_for_absent_variable_rewrites_vars_only():
     sig = running_signature()
     x = v(sig, 1, 1)
     spare = v(sig, 1, 2)
-    target = make_term(x, (x, spare), sig.sort("s1"))
-    repl = make_term(v(sig, 1, 3), (v(sig, 1, 3),), sig.sort("s1"))
+    target = make_term(x, (x, spare), sig.sort_named["s1"])
+    repl = make_term(v(sig, 1, 3), (v(sig, 1, 3),), sig.sort_named["s1"])
     out = subst_term(SubstInstance(target, spare, repl))
     assert out.expr == target.expr
     assert out.vars == (x, v(sig, 1, 3))
@@ -131,7 +131,7 @@ def test_substitution_arrow_slots():
     sig, inst = wide_instance()
     a = arrow_of(inst)
     body = normalize(a).body
-    h = sig.operation("h")
+    h = sig.operation_named["h"]
     expected = tuple(Path((i,)) for i in range(1, 11))
     expected = expected[:7] + (GenApp(h, (Path((4,)), Path((8,)))),) \
         + expected[8:]
@@ -151,9 +151,9 @@ def test_substitution_arrow_square_when_var_shared():
 def test_self_substitution_is_projection_tuple():
     sig = running_signature()
     x = v(sig, 1, 1)
-    target = make_term(App(sig.operation("g"), (x, x)),
-                       (x,), sig.sort("s2"))
-    repl = make_term(x, (x,), sig.sort("s1"))
+    target = make_term(App(sig.operation_named["g"], (x, x)),
+                       (x,), sig.sort_named["s2"])
+    repl = make_term(x, (x,), sig.sort_named["s1"])
     inst = SubstInstance(target, x, repl)
     body = normalize(arrow_of(inst)).body
     assert all(isinstance(p, Path) for p in body.parts)
@@ -164,8 +164,8 @@ def test_self_substitution_is_projection_tuple():
 def test_direct_route_base_case():
     sig = running_signature()
     x = v(sig, 1, 1)
-    target = make_term(x, (x, v(sig, 2, 2)), sig.sort("s1"))
-    repl = make_term(v(sig, 1, 3), (v(sig, 1, 3),), sig.sort("s1"))
+    target = make_term(x, (x, v(sig, 2, 2)), sig.sort_named["s1"])
+    repl = make_term(v(sig, 1, 3), (v(sig, 1, 3),), sig.sort_named["s1"])
     inst = SubstInstance(target, x, repl)
     direct = subst_arrow_direct(inst)
     over_result = term_arrow(repl.expr, inst.result_vars())
@@ -176,14 +176,15 @@ def test_constant_replacement_goes_through_terminal():
     sig = validate_signature(["s"], [("f", ["s", "s"], "s"),
                                      ("c", [], "s")])
     from termcat.signature import Variable
-    x, y = Variable(sig.sort("s"), 1), Variable(sig.sort("s"), 2)
-    target = make_term(App(sig.operation("f"), (x, y)),
-                       (x, y), sig.sort("s"))
-    repl = make_term(App(sig.operation("c"), ()), (), sig.sort("s"))
+    x, y = Variable(sig.sort_named["s"], 1), Variable(sig.sort_named["s"], 2)
+    target = make_term(App(sig.operation_named["f"], (x, y)),
+                       (x, y), sig.sort_named["s"])
+    repl = make_term(App(sig.operation_named["c"], ()), (),
+                     sig.sort_named["s"])
     inst = SubstInstance(target, x, repl)
     body = normalize(arrow_of(inst)).body
     slot = body.parts[0]  # x is the first variable of the union
-    assert slot == GenApp(sig.operation("c"), ())
+    assert slot == GenApp(sig.operation_named["c"], ())
     assert arrows_equal(recursive_arrow(inst),
                         subst_arrow_direct(inst))
 
@@ -239,10 +240,10 @@ def test_retyping_fill_uses_witness():
     sig = validate_signature(["s"], [("c", [], "s"),
                                      ("f", ["s"], "s")])
     from termcat.signature import Variable
-    x, y = Variable(sig.sort("s"), 1), Variable(sig.sort("s"), 2)
+    x, y = Variable(sig.sort_named["s"], 1), Variable(sig.sort_named["s"], 2)
     r = retyping_arrow((x,), (x, y), inhabited_sorts(sig))
     body = normalize(r).body
-    assert body.parts == (Path((1,)), GenApp(sig.operation("c"), ()))
+    assert body.parts == (Path((1,)), GenApp(sig.operation_named["c"], ()))
 
 
 def test_retyping_coherence_random(seed=43):

@@ -201,7 +201,7 @@ def test_tables_take_a_deep_arrow():
     # the walk keeps its own stack: a 20,000-deep arrow becomes tables at
     # the interpreter's default recursion limit
     sig = validate_signature(["s"], [("i", ["s"], "s")])
-    i = Gen(sig.operation("i"))
+    i = Gen(sig.operation_named["i"])
     p = i.src
     a = Id(p)
     for _ in range(20000):

@@ -20,7 +20,7 @@ from termcat.terms import App, Equation, Term, var_list, var_set
 
 def worked_expression(sig):
     """f(x1:s1, g(x2:s1, x1:s1), x1:s2)"""
-    f, g = sig.operation("f"), sig.operation("g")
+    f, g = sig.operation_named["f"], sig.operation_named["g"]
     return App(f, (v(sig, 1, 1),
                    App(g, (v(sig, 1, 2), v(sig, 1, 1))),
                    v(sig, 2, 1)))
@@ -42,7 +42,7 @@ def test_variable_and_constant_lists():
     assert var_list(x) == (v(sig, 1, 1),)
     assert [s.name for s in type_list(v(sig, 2, 1))] == ["s2"]
     csig = gen_constant_sig()
-    c = App(csig.operation("c"), ())
+    c = App(csig.operation_named["c"], ())
     assert var_list(c) == ()
     assert type_list(c) == () and type_set(c) == ()
 
@@ -54,7 +54,7 @@ def gen_constant_sig():
 
 def test_sort_mismatch_position():
     sig = running_signature()
-    f = sig.operation("f")
+    f = sig.operation_named["f"]
     # the message names the first argument of the wrong sort
     with raises_exactly(TermcatError, "argument 2 of f has sort s1, "
                         "expected s2"):
@@ -65,7 +65,7 @@ def test_make_term_with_redundant_variable():
     sig = running_signature()
     e = worked_expression(sig)
     t = make_term(e, {v(sig, 1, 1), v(sig, 1, 2), v(sig, 2, 1),
-                      v(sig, 4, 3)}, sig.sort("s5"))
+                      v(sig, 4, 3)}, sig.sort_named["s5"])
     assert t.vars == (v(sig, 1, 1), v(sig, 1, 2), v(sig, 2, 1), v(sig, 4, 3))
 
 
@@ -73,48 +73,49 @@ def test_make_term_missing_variables():
     sig = running_signature()
     with raises_exactly(TermcatError, "term omits variables occurring in "
                         f"its expression: {v(sig, 1, 1)}"):
-        make_term(v(sig, 1, 1), (), sig.sort("s1"))
+        make_term(v(sig, 1, 1), (), sig.sort_named["s1"])
 
 
 def test_make_term_type_disagrees():
     sig = running_signature()
     with raises_exactly(TermcatError, "stated sort s2 disagrees with "
                         "expression sort s1"):
-        make_term(v(sig, 1, 1), {v(sig, 1, 1)}, sig.sort("s2"))
+        make_term(v(sig, 1, 1), {v(sig, 1, 1)}, sig.sort_named["s2"])
 
 
 def test_input_types_goldens():
     sig = running_signature()
     e = worked_expression(sig)
     t = make_term(e, {v(sig, 1, 1), v(sig, 1, 2), v(sig, 2, 1),
-                      v(sig, 4, 3)}, sig.sort("s5"))
+                      v(sig, 4, 3)}, sig.sort_named["s5"])
     assert [s.name for s in input_types(t)] == ["s1", "s1", "s2", "s4"]
-    t1 = make_term(e, var_set(e), sig.sort("s5"))
+    t1 = make_term(e, var_set(e), sig.sort_named["s5"])
     assert [s.name for s in input_types(t1)] == ["s1", "s1", "s2"]
-    c = App(gen_constant_sig().operation("c"), ())
+    c = App(gen_constant_sig().operation_named["c"], ())
     assert input_types(most_concrete_term(c)) == ()
 
 
 def test_most_concrete_term():
     sig = running_signature()
-    g = sig.operation("g")
+    g = sig.operation_named["g"]
     e = App(g, (v(sig, 1, 2), v(sig, 1, 3)))
     t = most_concrete_term(e)
     assert t.vars == (v(sig, 1, 2), v(sig, 1, 3))
     assert t.sort == g.output
     x = v(sig, 1, 1)
     assert most_concrete_term(x) == Term(x, (v(sig, 1, 1),),
-                                         sig.sort("s1"))
+                                         sig.sort_named["s1"])
 
 
 def test_most_concrete_equation():
     sig = running_signature()
     e = worked_expression(sig)
-    e2 = App(sig.operation("g"), (v(sig, 1, 2), v(sig, 1, 3)))
+    e2 = App(sig.operation_named["g"], (v(sig, 1, 2), v(sig, 1, 3)))
     # the right side must land in s5 to pair with e; reuse g's output there
     sig2 = running_signature()
-    eq = most_concrete_equation(e, App(sig.operation("f"), (
-        v(sig, 1, 1), App(sig.operation("g"), (v(sig, 1, 2), v(sig, 1, 3))),
+    eq = most_concrete_equation(e, App(sig.operation_named["f"], (
+        v(sig, 1, 1),
+        App(sig.operation_named["g"], (v(sig, 1, 2), v(sig, 1, 3))),
         v(sig, 2, 1))))
     assert eq.vars == (v(sig, 1, 1), v(sig, 1, 2), v(sig, 1, 3),
                        v(sig, 2, 1))
@@ -139,11 +140,11 @@ def test_equation_with_spare_variable():
         ["s1", "s2", "s3", "s4", "s5"],
         [("g", ["s1", "s1"], "s2"), ("f", ["s1", "s2", "s2"], "s5"),
          ("gg", ["s1", "s1"], "s5")])
-    e = App(sig.operation("f"), (
+    e = App(sig.operation_named["f"], (
         v(sig, 1, 1),
-        App(sig.operation("g"), (v(sig, 1, 2), v(sig, 1, 1))),
+        App(sig.operation_named["g"], (v(sig, 1, 2), v(sig, 1, 1))),
         v(sig, 2, 1)))
-    right = App(sig.operation("gg"), (v(sig, 1, 2), v(sig, 1, 3)))
+    right = App(sig.operation_named["gg"], (v(sig, 1, 2), v(sig, 1, 3)))
     eq = make_equation(e, right, var_set(e) + var_set(right)
                        + (v(sig, 3, 1),))
     assert eq.vars == (v(sig, 1, 1), v(sig, 1, 2), v(sig, 1, 3),
@@ -151,11 +152,11 @@ def test_equation_with_spare_variable():
 
 
 def test_a_deep_expression_prints():
-    # `App.__str__` keeps its own stack, so a 20,000-deep expression prints
-    # at the interpreter's default recursion limit
+    # the renderer, `errors.text`, keeps its own stack, so a 20,000-deep
+    # expression prints at the interpreter's default recursion limit
     sig = validate_signature(["s"], [("i", ["s"], "s"),
                                      ("m", ["s", "s"], "s")])
-    i, m = sig.operation("i"), sig.operation("m")
+    i, m = sig.operation_named["i"], sig.operation_named["m"]
     x = Variable(sig.sorts[0], 1)
     e, opened, closed = x, [], []
     for k in range(20000):
@@ -193,7 +194,7 @@ def test_a_shared_expression_is_walked_once_per_node():
     # 64 nested m(e, e): 64 distinct applications but 2 ** 64 leaf
     # occurrences, so a walk of every occurrence would never finish
     sig = binary_signature()
-    s, m = sig.sort("s"), sig.operation("m")
+    s, m = sig.sort_named["s"], sig.operation_named["m"]
     x, y = Variable(s, 1), Variable(s, 2)
     e = x
     for _ in range(64):
@@ -210,7 +211,7 @@ def test_a_shared_expression_is_walked_once_per_node():
 
 def test_var_set_reorders_by_canonical_order():
     sig = running_signature()
-    e = App(sig.operation("g"), (v(sig, 1, 2), v(sig, 1, 1)))
+    e = App(sig.operation_named["g"], (v(sig, 1, 2), v(sig, 1, 1)))
     assert var_list(e) == (v(sig, 1, 2), v(sig, 1, 1))
     assert var_set(e) == (v(sig, 1, 1), v(sig, 1, 2))
 
