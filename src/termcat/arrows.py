@@ -22,7 +22,7 @@ first time an evaluation reaches it at its domain's identity body, so
 shared subarrows are normalized once; each object keeps that identity
 body in a write-once slot too.  Nodes are otherwise immutable.
 
-The term compiler has one entry, `term_arrow(e, vs)`: the arrow of an
+The paper's term compiler is `term_arrow(e, vs)`: the arrow of an
 expression `e` over the product of a variable context `vs`, which holds
 every variable of `e`.  It is a three-stage composite:
 
@@ -34,9 +34,10 @@ every variable of `e`.  It is a three-stage composite:
 
 Each call builds the composite afresh, with no memo; while its nodes live,
 hash-consing hands a repeated call the same nodes.  `equation_arrows` is
-the pair of an equation's side arrows, and `term_normal(e, vs)` writes the
-normal form of `term_arrow(e, vs)` straight from the expression; the test
-suite checks that the two routes agree.
+the pair of an equation's side arrows.  Straight from the expression, one
+node per distinct application, `term_normal(e, vs)` writes its normal form
+and `one_stage_arrow(e, vs)` the one-stage arrow that proof codings carry,
+the node the kernel compiles; the test suite checks that all agree.
 
 `context_arrow` builds every change of variable context: the occurrence
 arrow, retyping, the substitution arrow and the substitutivity coding.
@@ -440,6 +441,18 @@ def term_normal(e: Expression, vs: Sequence[Variable]) -> NormalArrow:
     for a in applications(e):
         body[a] = GenApp(a.op, tuple([body[x] for x in a.args]))
     return NormalArrow(input_product(vs), Leaf(e.sort), body[e])
+
+
+def one_stage_arrow(e: Expression, vs: Sequence[Variable]) -> FPArrow:
+    """The arrow of `e` over the product of `vs` in one stage, the twin of
+    `term_normal`: each variable is its projection, each distinct
+    application its generator after the tuple of its arguments' arrows."""
+    src = input_product(vs)
+    arrow = {v: Proj(src, k) for k, v in enumerate(vs, 1)}
+    for a in applications(e):
+        args = tuple([arrow[x] for x in a.args])
+        arrow[a] = Comp(Gen(a.op), TupleArrow(src, args))
+    return arrow[e]
 
 
 def equation_arrows(eq: Equation) -> tuple[FPArrow, FPArrow]:

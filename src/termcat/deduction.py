@@ -7,10 +7,10 @@ cites, which come earlier, or cites one of a list of hypothesis equations.
 `conclude` alone states what each rule requires and concludes, and
 `derive` alone builds a step, with one call of `conclude`, for the .msl
 front end and for this module, the producer.  `lemma_table` codes each
-step once, in order, whether a later step cites it or not, as a kernel
-proof, compiling only the arrows that proof's steps carry, so lemma k is
-step k; it draws no conclusion again, since the kernel checks every
-lemma's statement itself.  The producer then emits one of two
+step once, in order, cited or not, as a kernel proof, compiling in one
+stage only the arrows that proof's steps carry, so lemma k is step k; it
+draws no conclusion again, since the kernel checks every lemma's
+statement itself.  The producer then emits one of two
 certificates for the kernel (`kernel.py`), which runs none of this code:
 
 - the lemma table itself: each lemma carries its step's equation, its
@@ -18,7 +18,7 @@ certificates for the kernel (`kernel.py`), which runs none of this code:
   the equations (what `check-proof` checks by default);
 - `normalize_deduction` and `compile_to_factorization`: the levelled form
   of the last step's deduction and the one `Factorization` pasted from the
-  lemma table's codings (`check-proof --levelled`).
+  lemma table's codings, its claims three-stage (`check-proof --levelled`).
 
 `verify_factorization` is the kernel's, imported here under the name by
 which the benchmark's tracer wraps it.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence, Union
 
-from .arrows import Comp, equation_arrows, term_arrow
+from .arrows import Comp, equation_arrows, one_stage_arrow
 from .errors import DeductionError, Record, TermcatError
 from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                      Factorization, KernelProof, KernelStep, Lemma, Refl,
@@ -195,16 +195,16 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
     of the steps it cites.  The step is one `derive` built, so its rule's
     side conditions hold and its equation is what the rule draws; the
     kernel checks that equation, not this code.  Only the arrows a step
-    carries are compiled: the conclusion's left side for reflexivity; for
-    substitutivity, the replacement over the conclusion's variables and the
-    first premise's right side; the closed filler of a concretion's dropped
-    variable."""
+    carries are compiled, in one stage: the conclusion's left side for
+    reflexivity; for substitutivity, the replacement over the conclusion's
+    variables and the first premise's right side; the closed filler of a
+    concretion's dropped variable."""
     c, rule = step.equation, step.rule
     kind = type(rule)
     if kind is Hypothesis:
         return (CiteHyp(0),)
     if kind is Reflexivity:
-        return (Refl(term_arrow(c.left, c.vars)),)
+        return (Refl(one_stage_arrow(c.left, c.vars)),)
     if kind is Symmetry:
         return CiteHyp(0), Sym(0)
     if kind is Transitivity:
@@ -244,7 +244,7 @@ def _code_rule(sig: Signature, premises: Sequence[Equation],
             refs.append(len(steps) - 1)
     steps.append(TupleCong(a_fwd.src, tuple(refs)))
     cong = len(steps) - 1        # (A, A') up to normalization
-    f_alpha_right = Comp(term_arrow(p.right, p.vars), alpha)
+    f_alpha_right = Comp(one_stage_arrow(p.right, p.vars), alpha)
     steps.append(ComposeRight(a_fwd, 2))            # (f.a.A, f'.a.A)
     steps.append(ComposeLeft(f_alpha_right, cong))  # (f'.a.A, f'.a.A')
     steps.append(Trans(len(steps) - 2, len(steps) - 1))

@@ -12,8 +12,8 @@ Two kinds of certificate are checked:
   elaborated equation, the earlier lemmas or the one hypothesis it cites,
   and the kernel proof of its rule coding.  The kernel compiles every
   statement itself (each lemma's, each cited hypothesis's and the goal's,
-  at most once each), with a one-stage compiler of its own rather than
-  the producer's three-stage one, so every such check compares the two.
+  at most once each), with a one-stage compiler of its own, which shares
+  no code with the producer's, so each check compares their arrows.
   It replays each proof from the statements it cites, and accepts only if
   every replay derives its lemma's statement and the last lemma is the
   goal; a rejection reports the index of its lemma, so a caller can name
@@ -33,7 +33,7 @@ Two kinds of certificate are checked:
 This module is the only one that decides whether a certificate holds.  It
 imports from `arrows` only constructors and `arrows_equal`, and otherwise
 only `errors` and the standard library, so no code of the certificate's
-producer, its term compiler included, runs during replay, and it can be
+producer, its term compilers included, runs during replay, and it can be
 audited on its own.
 """
 

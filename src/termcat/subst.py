@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .arrows import FPArrow, Comp, TupleArrow, context_arrow, term_arrow
+from .arrows import (FPArrow, Comp, TupleArrow, context_arrow,
+                     one_stage_arrow, term_arrow)
 from .errors import Record, TermcatError
 from .signature import Sort, Variable, ordered_vars
 from .terms import App, Expression, Term, applications
@@ -63,12 +64,12 @@ def substitution_arrow(result: tuple[Variable, ...],
     of the `union` variables, for substituting `u` for `x`.
 
     Every coordinate is the projection fetching the same variable from the
-    result product, except x's coordinate, which is u's arrow over the
-    result variables.  When x is also a result variable (it occurs among
-    the replacement's) the two products coincide; otherwise they differ in
-    exactly that factor.
+    result product, except x's coordinate, which is u's one-stage arrow
+    over the result variables.  When x is also a result variable (it occurs
+    among the replacement's) the two products coincide; otherwise they
+    differ in exactly that factor.
     """
-    return context_arrow(result, union, {x: term_arrow(u, result)})
+    return context_arrow(result, union, {x: one_stage_arrow(u, result)})
 
 
 def subst_arrow_direct(inst: SubstInstance) -> FPArrow:
@@ -85,12 +86,12 @@ def retyping_arrow(source_vars, target_vars,
     """Product-of-source-variables to product-of-target-variables.
 
     Shared variables map by projection.  A target variable missing from the
-    source is filled by the closed witness of its sort in `witnesses`,
-    which must hold one: a concretion's side conditions make sure of it.
+    source is filled by the one-stage arrow of its sort's closed witness in
+    `witnesses`; a concretion's side conditions make sure it holds one.
     """
     source = ordered_vars(source_vars)
     target = ordered_vars(target_vars)
     shared = set(source)
-    fill = {v: term_arrow(witnesses[v.sort], source)
+    fill = {v: one_stage_arrow(witnesses[v.sort], source)
             for v in target if v not in shared}
     return context_arrow(source, target, fill)

@@ -824,6 +824,29 @@ def test_check_proof_takes_a_deep_conclusion(tmp_path, capsys):
     assert lines[5000][2:] == lines[1][2:]
 
 
+@pytest.mark.parametrize("steps", [
+    "a = hyp h ;\n  b = subst a x a ;",
+    "a = hyp h ;\n  r = refl c ;\n  b = subst a x r ;"],
+    ids=["subst-a-x-a", "refl-then-subst"])
+def test_check_proof_substitutes_into_a_deep_tower(steps, tmp_path):
+    # the producer codes a substitutivity step with one-stage arrows, which
+    # nest less than the three-stage ones, so the kernel's recursive
+    # normalization takes these 250-deep towers in a fresh interpreter
+    # (with three-stage codings the default check-proof stopped at d = 165
+    # and d = 247)
+    tower = _tower(250)
+    f = tmp_path / "deep.msl"
+    f.write_text(f"sort s\nop i : s -> s\nop c : -> s\n"
+                 f"eq h [x:s] : {tower} = {tower}\n"
+                 f"proof p from h {{\n  {steps}\n}}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "termcat.cli", "check-proof", str(f)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("proof p: VALID\n")
+
+
 def test_deep_towers_on_the_levelled_route_and_the_oracle(tmp_path, capsys):
     # the levelled certificate compiles each equation object once, by its
     # id, so no memo key compares a tower node by node; the oracle's column
@@ -1004,8 +1027,10 @@ def test_json_output_is_byte_identical(argv, capsys):
 # --json; the outputs are the same on Python 3.10-3.13, so any change to what
 # the term compiler or the proof producer builds shows up here.  Each
 # `check-proof --levelled` digest is the one `check-proof` had before the
-# lemma table became its default.  A `compile` or `check-proof` payload is
-# pinned here in schema 1, as `expand` writes it back.
+# lemma table became its default, except that the `--json` certificates of
+# monoid.msl carry the producer's one-stage arrows since it coded steps
+# with them.  A `compile` or `check-proof` payload is pinned here in schema
+# 1, as `expand` writes it back.
 OUTPUT_DIGESTS = {
     "sketch monoid.msl":
         "d2087e6c8d02dca0efdda6350cef79eb7558b5ef8b0052454f369c6cc67914e9",
@@ -1040,17 +1065,17 @@ OUTPUT_DIGESTS = {
     "check-proof --levelled monoid.msl":
         "c43d7a62ffc421686207a0b11ce043d19807960c3d24fbc985a698f69f0fd657",
     "check-proof monoid.msl --json":
-        "be3803a115d8b7439c0a95b86bc6e2a029b9af86ee9a979bc1b18bfddd99c46d",
+        "a6781b8c268bbb37f771e392ec1fa8def9bf2b1d4c3986f40ffa1c966bc14e01",
     "check-proof --levelled monoid.msl --json":
-        "8129734309f89ce616b3c5bc2cacd30e1a06ee6d5009413a4fa385d2a6f2441a",
+        "10ff5ba67383a626fde2b38039cee2ad0571f872069b14edb2bc5dfba9f7d453",
     "check-proof --proof unit_square monoid.msl":
         "5ed064f92b195d48270d7d97d979bd0b45f705714fe217c84bc17aba3e73acc8",
     "check-proof --levelled --proof unit_square monoid.msl":
         "5aeb06dbb3576bf58ce0b42ea7da3b21befb6d10eb27e32c24ba3d50d859bc4a",
     "check-proof --proof unit_square monoid.msl --json":
-        "2471b7cafef0f2d5a4eb48f60b54c8c19d83470226394138ff0e9c37e3f75c78",
+        "505430aace81bcac5ba717035b77f956220945eddab6bff1b3d5309e27296141",
     "check-proof --levelled --proof unit_square monoid.msl --json":
-        "8ebe4a89e653fca3b04bbbf02fbbc299abb3d9ad1a019e055cf2a254319234bc",
+        "0a55150fa640878877141525eb21515c43eae02c17df4e3c420258e3a5e7a738",
     "check-proof --proof fetch twosorted.msl":
         "d98deca382c3576a8a6fceb6f630049f7af9b8b15527b8295eadc1fd184381eb",
     "check-proof --levelled --proof fetch twosorted.msl":
@@ -1087,13 +1112,13 @@ SCHEMA_2_DIGESTS = {
     "compile --term fb twosorted.msl --json":
         "2ebaa7ba7b9dc931aeec4c30030c42add0f66c86c76874efbe02e4079e998b2f",
     "check-proof monoid.msl --json":
-        "057f824f100da0ba1b0be84090b060c5405e81bcfba79c75f2d06a1388ae3df8",
+        "e683b8f0445669e2d32c6e6b71a3b176b76dab184b0f14dec319cd11ec764d82",
     "check-proof --levelled monoid.msl --json":
-        "efe8c73a5713754d4cb6500ac2c48a0f3eb5307ef1fbf429eab415278837be6b",
+        "321211c2e293e150d82d6b2652e739882239a6e008dd34a4bc248b2f1f8fa695",
     "check-proof --proof unit_square monoid.msl --json":
-        "ad82ceebccf0fd8b29d359815f690c1de02c24c28b5121772b4bb272e5c68094",
+        "89e5acfc785d58189af7962d6971654efbc1740404735d8c58cca962af4b69db",
     "check-proof --levelled --proof unit_square monoid.msl --json":
-        "35bc07d31b040f8d815a28612955ef6ad0f27aa5fa895e2562b4d9e1e717eab4",
+        "901dd70468c7787fabfb528eec046a97db417cf6789cca8ff26de85581c777b9",
     "check-proof --levelled --proof fetch twosorted.msl --json":
         "f3d13081cfb5f1cae5fa3e6a31ad3d7b125dd14456af8453c638ffd45a9d3ab8",
 }

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -12,7 +13,8 @@ from fixtures import (binary_signature, certify, check_rule, derive_steps,
                       raises_exactly, satisfies, unary_signature)
 from gen import gen_deduction, gen_equation, gen_expression
 from termcat import deduction, kernel, subst
-from termcat.arrows import arrows_equal, term_arrow
+from termcat.arrows import (Comp, Gen, Id, Proj, TupleArrow, arrows_equal,
+                            one_stage_arrow)
 from termcat.deduction import (RULE_NAMES, Abstraction, Concretion, Copy,
                                Hypothesis, LevelledDeduction, LevelStep,
                                Reflexivity, Step, Substitutivity, Symmetry,
@@ -23,7 +25,7 @@ from termcat.deduction import (RULE_NAMES, Abstraction, Concretion, Copy,
                                normalize_deduction, paste_factorizations,
                                product_factorizations)
 from termcat.dsl import build_proof, parse_spec
-from termcat.errors import DeductionError, TermcatError
+from termcat.errors import INTERNED, DeductionError, TermcatError
 from termcat.kernel import (CiteHyp, ComposeRight, EqConstraint, Factorization,
                             Refl, Sym, Trans, verify_factorization,
                             verify_lemmas, verify_levelled)
@@ -53,7 +55,7 @@ def test_reflexivity_coding():
     eq = make_equation(t.expr, t.expr, t.vars)
     step = check_rule(sig, (), Reflexivity(t), eq)
     assert step.hyp == ()
-    assert step.verif[0] == (Refl(term_arrow(t.expr, t.vars)),)
+    assert step.verif[0] == (Refl(one_stage_arrow(t.expr, t.vars)),)
     assert arrows_equal(step.claim[0].left, step.claim[0].right)
 
 
@@ -679,14 +681,14 @@ def test_middle_term_check_agrees_with_arrow_equality():
 
 
 _LUNIT = "sort s\nop m : s s -> s\nop e : -> s\neq lunit [x:s] : m(e, x) = x\n"
-# calls of `term_arrow` in the producer, per step: the term of a
+# calls of `one_stage_arrow` in the producer, per step: the term of a
 # reflexivity; the replacement over the conclusion's variables and the first
 # premise's right side of a substitutivity; the closed filler of the
 # variable a concretion drops; none for any other rule
 PRODUCER_COMPILES = {Reflexivity: 1, Substitutivity: 2, Concretion: 1}
-# (steps of a proof from lunit, calls of `term_arrow` in the producer and of
-# the kernel's own compiler: two per lemma, the one hypothesis and the goal,
-# as before the producer stopped compiling statements)
+# (steps of a proof from lunit, calls of `one_stage_arrow` in the producer
+# and of the kernel's own compiler: two per lemma, the one hypothesis and the
+# goal, as before the producer stopped compiling statements)
 COMPILE_COUNTS = {
     "hyp-sym-trans-chain": (
         ["a = hyp lunit ;", "b = sym a ;", "c0 = trans a b ;"]
@@ -717,9 +719,10 @@ def test_producer_compiles_only_what_its_steps_carry(steps, in_producer,
             return real(e, vs, *memo)
         return compiled
 
-    # wherever the producer reads the term compiler
+    # wherever the producer reads its compiler
     for module in (deduction, subst):
-        monkeypatch.setattr(module, "term_arrow", counting(term_arrow))
+        monkeypatch.setattr(module, "one_stage_arrow",
+                            counting(one_stage_arrow))
     lemmas = lemma_table(sf.signature, built)
     assert len(lemmas) == len(steps)
     assert len(calls) == in_producer == sum(
@@ -728,3 +731,32 @@ def test_producer_compiles_only_what_its_steps_carry(steps, in_producer,
     monkeypatch.setattr(kernel, "_compile", counting(kernel._compile))
     assert verify_lemmas(hyps, lemmas, built[-1].equation).ok
     assert len(calls) == in_kernel
+
+
+def test_producer_cost_follows_the_shared_term():
+    # each step substitutes the last conclusion into itself, so the k-th
+    # conclusion is 2^k deep with one shared node per level, and its
+    # unfolding has 2^(2^k) leaves.  The producer's one-stage arrows are
+    # built once per node, so building and coding the proof stay within a
+    # bound, and the arrow nodes they leave grow with the DAG (the
+    # three-stage codings left 131,746 at k = 5, after 2.9 s on a 2-core
+    # machine).  The kernel's replay still follows the unfolding, so this
+    # test does not replay the chain (ROADMAP item 4).
+    k = 10
+    sf = parse_spec(
+        "sort s\nop m : s s -> s\neq h [x:s] : m(x, x) = m(x, x)\n"
+        "proof p from h {\n  a0 = hyp h ;\n"
+        + "".join(f"  a{i} = subst a{i - 1} x a{i - 1} ;\n"
+                  for i in range(1, k + 1)) + "}\n")
+    kinds = (Id, Proj, Gen, TupleArrow, Comp)
+
+    def arrow_keys():
+        return {key for key in INTERNED if key[0] in kinds}
+
+    before = arrow_keys()
+    start = time.perf_counter()
+    steps, _ = build_proof(sf, sf.proofs["p"])
+    lemmas = lemma_table(sf.signature, steps)
+    seconds = time.perf_counter() - start
+    assert len(lemmas) == k + 1 and seconds < 2.0
+    assert len(arrow_keys() - before) <= 2 * 2 ** k

@@ -36,7 +36,7 @@ from gen import gen_deduction, gen_equation, gen_term
 from termcat import arrows, deduction, kernel, models, subst
 from termcat.arrows import (Comp, Leaf, Proj, TupleArrow, arrows_equal,
                             flat_product, input_product, normalize,
-                            term_arrow, term_normal)
+                            one_stage_arrow, term_arrow, term_normal)
 from termcat.cli import run
 from termcat.deduction import (equation_constraint, lemma_table,
                                product_factorizations)
@@ -87,7 +87,8 @@ def test_kernel_imports_only_arrows_errors_and_the_stdlib():
     # producer's: none of the compilers `arrows` defines
     compilers = {"equation_arrows", "term_arrow", "context_arrow",
                  "occurrence_arrow", "regroup_arrow", "apply_arrow",
-                 "product_of_arrows", "term_normal", "input_product"}
+                 "product_of_arrows", "term_normal", "input_product",
+                 "one_stage_arrow"}
     assert compilers <= vars(arrows).keys()
     assert not {n for name, names in imports if name == "arrows"
                 for n in names} & compilers
@@ -147,22 +148,44 @@ def test_the_kernel_compiles_as_the_term_compiler():
     assert tally["unused variables"] >= 50 and tally["two sorts"] >= 50, tally
 
 
-def test_the_kernel_does_not_trust_the_producers_compiler(monkeypatch,
-                                                          capsys, tmp_path):
-    # break the three-stage compiler wherever the producer reads it: it now
-    # compiles m(a, b) as m(b, a).  The refl step's arrow is then not its
-    # statement's, and only a kernel that compiles statements itself sees
-    # it: on the lemma table, and on the levelled certificate, whose
-    # hypotheses and claim the producer compiled with the broken compiler
-    real = arrows.term_arrow
+def test_the_producers_one_stage_arrow_is_the_kernels():
+    # hash-consing makes the producer's one-stage arrow the very node the
+    # kernel compiles, and it is formally equal to the three-stage arrow
+    tally = Counter()
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def same(seed):
+        rng = random.Random(seed)
+        t = gen_term(rng, TWO_SORTS, depth=rng.randint(0, 4), extra_vars=3)
+        a = one_stage_arrow(t.expr, t.vars)
+        assert a is kernel._compile(t.expr, t.vars, {})
+        assert arrows_equal(a, term_arrow(t.expr, t.vars))
+        tally["application"] += isinstance(t.expr, App)
+        tally["unused variables"] += len(var_set(t.expr)) < len(t.vars)
+
+    same()
+    assert tally["application"] >= 100 and tally["unused variables"] >= 50, \
+        tally
+
+
+def _swapped(real):
+    # the compiler `real`, broken: it compiles m(a, b) as m(b, a)
     def swapped(e, vs):
         if isinstance(e, App) and len(e.args) == 2:
             e = App(e.op, e.args[::-1])
         return real(e, vs)
+    return swapped
 
-    for module in (arrows, deduction, subst):
-        monkeypatch.setattr(module, "term_arrow", swapped)
+
+def test_the_kernel_does_not_trust_the_producers_compiler(monkeypatch,
+                                                          capsys, tmp_path):
+    # break the producer's one-stage compiler wherever it reads it.  The
+    # refl step's arrow is then not its statement's, and only a kernel
+    # that compiles statements itself sees it: on the lemma table, and on
+    # the levelled certificate.  Then break the three-stage compiler the
+    # same way, so the certificate's hypotheses and claim agree with the
+    # broken coding: the kernel still refuses it
     f = tmp_path / "swap.msl"
     f.write_text("sort s\nop m : s s -> s\nop e : -> s\n"
                  "eq q [x:s] : x = x\n"
@@ -170,19 +193,24 @@ def test_the_kernel_does_not_trust_the_producers_compiler(monkeypatch,
                  "  a = hyp q ;\n"
                  "  r = refl [x:s] m(x, e) ;\n"
                  "}\n", encoding="utf-8")
-    assert run(["check-proof", str(f)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "proof p: FAILED VERIFICATION",
-        "  conclusion: m(x1:s, e) = m(x1:s, e)  [x1:s]",
-        "  hypotheses: 1, lemmas: 2, kernel steps: 2",
-        "  7:3: step 'r': lemma 1: derived constraint differs from the "
-        "statement"]
-    assert run(["check-proof", "--levelled", str(f)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "proof p: FAILED VERIFICATION",
-        "  conclusion: m(x1:s, e) = m(x1:s, e)  [x1:s]",
-        "  hypotheses: 1, claims: 1, workspace: 0",
-        "  claim 0: derived constraint differs from the claim"]
+    for name, modules in (("one_stage_arrow", (arrows, deduction, subst)),
+                          ("term_arrow", (arrows, subst))):
+        broken = _swapped(getattr(arrows, name))
+        for module in modules:
+            monkeypatch.setattr(module, name, broken)
+        assert run(["check-proof", str(f)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "proof p: FAILED VERIFICATION",
+            "  conclusion: m(x1:s, e) = m(x1:s, e)  [x1:s]",
+            "  hypotheses: 1, lemmas: 2, kernel steps: 2",
+            "  7:3: step 'r': lemma 1: derived constraint differs from the "
+            "statement"]
+        assert run(["check-proof", "--levelled", str(f)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "proof p: FAILED VERIFICATION",
+            "  conclusion: m(x1:s, e) = m(x1:s, e)  [x1:s]",
+            "  hypotheses: 1, claims: 1, workspace: 0",
+            "  claim 0: derived constraint differs from the claim"]
 
 
 def test_the_levelled_check_replays_from_its_own_statements():

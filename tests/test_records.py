@@ -204,26 +204,32 @@ ENTRY_POINTS = {"cli.main"}
 
 
 def test_every_public_name_is_used_in_the_package():
-    # a public top-level function or class, or a public method or property
-    # of a top-level class, that no module of the package names outside its
-    # own definition is code only tests run
+    # a public top-level function or class that no module of the package
+    # names outside its own definition, or a public method or property of a
+    # top-level class that no module reads as an attribute (`x.name`)
+    # outside it, is code only tests run; a local variable of the same name
+    # does not use a method
     trees = _package_trees()
     defs = []
     for stem, tree in trees.items():
         for top in tree.body:
             inner = top.body if isinstance(top, ast.ClassDef) else []
-            defs += [(stem, node) for node in (top, *inner)
+            defs += [(stem, node, node is not top) for node in (top, *inner)
                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                      and not node.name.startswith("_")]
 
-    def names(tree):
-        return [n.id if isinstance(n, ast.Name) else n.attr
+    def names(tree, attributes_only):
+        return [n.attr if isinstance(n, ast.Attribute) else n.id
                 for n in ast.walk(tree)
-                if isinstance(n, (ast.Name, ast.Attribute))]
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                or isinstance(n, ast.Name) and not attributes_only]
 
-    everywhere = [name for tree in trees.values() for name in names(tree)]
-    unused = {f"{stem}.{node.name}" for stem, node in defs
-              if everywhere.count(node.name) == names(node).count(node.name)}
+    everywhere = {flag: [name for tree in trees.values()
+                         for name in names(tree, flag)]
+                  for flag in (False, True)}
+    unused = {f"{stem}.{node.name}" for stem, node, method in defs
+              if everywhere[method].count(node.name)
+              == names(node, method).count(node.name)}
     assert unused - ENTRY_POINTS == set()
     assert len(defs) >= 110  # the walk read the package and the classes
 
