@@ -24,7 +24,8 @@ body in a write-once slot too.  Nodes are otherwise immutable.
 
 The paper's term compiler is `term_arrow(e, vs)`: the arrow of an
 expression `e` over the product of a variable context `vs`, which holds
-every variable of `e`.  It is a three-stage composite:
+every variable of `e`.  It is a three-stage composite, which only
+`compile` prints; no stage recurses:
 
   occurrence_arrow  sends the product of `vs` onto the list of `e`'s
                     variable occurrences (a tuple of projections);
@@ -32,12 +33,11 @@ every variable of `e`.  It is a three-stage composite:
                     the expression's argument tree (a tuple of paths);
   apply_arrow       applies the operations (generators over products).
 
-Each call builds the composite afresh, with no memo; while its nodes live,
-hash-consing hands a repeated call the same nodes.  `equation_arrows` is
-the pair of an equation's side arrows.  Straight from the expression, one
-node per distinct application, `term_normal(e, vs)` writes its normal form
-and `one_stage_arrow(e, vs)` the one-stage arrow that proof codings carry,
-the node the kernel compiles; the test suite checks that all agree.
+Straight from the expression, one node per distinct application,
+`term_normal(e, vs)` writes its normal form and `one_stage_arrow(e, vs)`
+the one-stage arrow that every certificate carries (`equation_arrows`
+pairs an equation's sides), the node the kernel compiles; the test suite
+checks that all agree.
 
 `context_arrow` builds every change of variable context: the occurrence
 arrow, retyping, the substitution arrow and the substitutivity coding.
@@ -225,13 +225,6 @@ class Comp(_Arrow):
 FPArrow = Union[Id, Proj, Gen, TupleArrow, Comp]
 
 
-def product_of_arrows(fs: Sequence[FPArrow]) -> TupleArrow:
-    """f1 x .. x fn as the tuple <f1 . p1, .., fn . pn> on the domain product."""
-    src = Prod(tuple(f.src for f in fs))
-    return TupleArrow(src, tuple(Comp(f, Proj(src, i))
-                                 for i, f in enumerate(fs, 1)))
-
-
 # --- normal forms ------------------------------------------------------------
 #
 # A normal body is shaped by the codomain: NTuple per product factor, and at
@@ -279,8 +272,7 @@ class NormalArrow(Record):
 def _normal_eq(a, b):
     """`a == b` for normal forms and bodies, by type and fields as for any
     record, with an explicit stack of the pairs still to compare, so
-    bodies of any depth compare; a pair of one node is equal at once.  The
-    hash stays the record's."""
+    bodies of any depth compare; a pair of one node is equal at once."""
     if a is b:
         return True
     if b.__class__ is not a.__class__:
@@ -321,6 +313,12 @@ def _normal_eq(a, b):
 
 for _kind in (Path, GenApp, NTuple, NormalArrow):
     _kind.__eq__ = _normal_eq
+# each hash reads only the node's own fields, never a nested body, so a
+# body of any depth hashes, and what `_normal_eq` finds equal hashes alike
+Path.__hash__ = lambda x: hash((Path, x.steps))
+GenApp.__hash__ = lambda x: hash((GenApp, x.op, len(x.args)))
+NTuple.__hash__ = lambda x: hash((NTuple, len(x.parts)))
+NormalArrow.__hash__ = lambda x: hash((NormalArrow, x.src, x.dst))
 
 
 def _identity_body(obj: FPObject, prefix: tuple[int, ...]) -> NormalBody:
@@ -402,35 +400,43 @@ def occurrence_arrow(e: Expression, vs: Sequence[Variable]) -> TupleArrow:
 def regroup_arrow(e: Expression) -> FPArrow:
     """Canonical iso from the flat occurrence product to the argument tree.
 
-    Realized as a tuple of paths; for a variable it is the one projection
-    out of the singleton product.
+    Realized as a tuple of paths, one per occurrence; for a variable it is
+    the one projection out of the singleton product.
     """
     src = flat_product(v.sort for v in var_list(e))
-    leaves = (Proj(src, i) for i in range(1, len(src.factors) + 1))
-    return _regroup(e, src, leaves)
-
-
-def _regroup(e: Expression, src: Prod, leaves) -> FPArrow:
-    # a module-level walker rather than a closure: a recursive closure is a
-    # reference cycle, which would keep `src` alive until the next collection
-    if isinstance(e, Variable):
-        return next(leaves)
-    return TupleArrow(src, tuple(_regroup(a, src, leaves) for a in e.args))
+    leaves = iter(range(1, len(src.factors) + 1))
+    done: list[FPArrow] = []  # the arrows of the finished arguments
+    stack: list = [e]
+    while stack:
+        x = stack.pop()
+        if type(x) is int:  # the last x arrows are one application's
+            cut = len(done) - x
+            done[cut:] = [TupleArrow(src, tuple(done[cut:]))]
+        elif type(x) is App:
+            stack += (len(x.args), *x.args[::-1])
+        else:
+            done.append(Proj(src, next(leaves)))
+    return done[0]
 
 
 def apply_arrow(e: Expression) -> FPArrow:
-    """Operation application: generators over the product of subresults."""
-    if isinstance(e, Variable):
-        return Id(Leaf(e.sort))
-    return Comp(Gen(e.op), product_of_arrows([apply_arrow(a)
-                                              for a in e.args]))
+    """Operation application, one node per distinct application: its
+    generator after the product <f1 . p1, .., fn . pn> of its arguments'
+    apply arrows; a variable is the identity on its sort."""
+    arrow: dict = {}
+    for a in applications(e):
+        fs = [arrow.get(x) or Id(Leaf(x.sort)) for x in a.args]
+        src = Prod(tuple(f.src for f in fs))
+        arrow[a] = Comp(Gen(a.op), TupleArrow(src, tuple(
+            [Comp(f, Proj(src, i)) for i, f in enumerate(fs, 1)])))
+    return arrow.get(e) or Id(Leaf(e.sort))
 
 
 def term_arrow(e: Expression, vs: Sequence[Variable]) -> FPArrow:
     """The three-stage arrow of `e` over the product of `vs`, which holds
-    every variable of `e`."""
+    every variable of `e`: what `compile` prints."""
     return Comp(apply_arrow(e),
-                Comp(regroup_arrow(e), context_arrow(vs, var_list(e))))
+                Comp(regroup_arrow(e), occurrence_arrow(e, vs)))
 
 
 def term_normal(e: Expression, vs: Sequence[Variable]) -> NormalArrow:
@@ -457,5 +463,5 @@ def one_stage_arrow(e: Expression, vs: Sequence[Variable]) -> FPArrow:
 
 def equation_arrows(eq: Equation) -> tuple[FPArrow, FPArrow]:
     """The parallel pair of arrows associated to an equation: each side's
-    term arrow over the equation's variables."""
-    return term_arrow(eq.left, eq.vars), term_arrow(eq.right, eq.vars)
+    one-stage arrow over the equation's variables."""
+    return tuple(one_stage_arrow(s, eq.vars) for s in (eq.left, eq.right))

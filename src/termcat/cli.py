@@ -427,9 +427,8 @@ def cmd_sketch(args) -> int:
 def cmd_compile(args) -> int:
     sf = _load(args.file)
     t = _lookup(sf.terms, args.term, f"unknown term {args.term!r}")
-    occ = arrows.occurrence_arrow(t.expr, t.vars)
-    reg = arrows.regroup_arrow(t.expr)
-    app = arrows.apply_arrow(t.expr)
+    stages = arrows.term_arrow(t.expr, t.vars)
+    app, reg, occ = stages.after, stages.before.after, stages.before.before
     normal = arrows.term_normal(t.expr, t.vars)
     if args.json:
         tables = Tables()

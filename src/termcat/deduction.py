@@ -18,7 +18,7 @@ certificates for the kernel (`kernel.py`), which runs none of this code:
   the equations (what `check-proof` checks by default);
 - `normalize_deduction` and `compile_to_factorization`: the levelled form
   of the last step's deduction and the one `Factorization` pasted from the
-  lemma table's codings, its claims three-stage (`check-proof --levelled`).
+  lemma table's codings, its arrows one-stage (`check-proof --levelled`).
 
 `verify_factorization` is the kernel's, imported here under the name by
 which the benchmark's tracer wraps it.

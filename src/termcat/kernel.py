@@ -21,14 +21,15 @@ Two kinds of certificate are checked:
   The producer supplies only the citation DAG and the kernel proofs.
 - A `Factorization` (the paper's levelled certificate, `check-proof
   --levelled`, which the producer pastes from the lemma table's kernel
-  proofs) holds hypothesis, claim and workspace constraints and one kernel
-  proof per claim.  `verify_factorization` replays every proof from the
-  hypotheses and accepts a claim only if the replayed constraint is
-  formally equal to it.  `verify_levelled` checks one as the proof of a
-  goal from hypotheses: the kernel compiles these equations itself, as it
-  does a lemma table's, replays from the compiled hypotheses and checks
-  the last claim against the compiled goal, so it reads neither the
-  certificate's hypotheses nor its last claim.
+  proofs) holds hypothesis, claim and workspace constraints of one-stage
+  arrows, the nodes `_compile` builds, and one kernel proof per claim.
+  `verify_factorization` replays every proof from the hypotheses and
+  accepts a claim only if the replayed constraint is formally equal to
+  it.  `verify_levelled` checks one as the proof of a goal from
+  hypotheses: the kernel compiles these equations itself, as it does a
+  lemma table's, replays from the compiled hypotheses and checks the last
+  claim against the compiled goal, so it reads neither the certificate's
+  hypotheses nor its last claim.
 
 This module is the only one that decides whether a certificate holds.  It
 imports from `arrows` only constructors and `arrows_equal`, and otherwise

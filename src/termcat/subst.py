@@ -3,16 +3,15 @@
 The recursive route rewrites the expression and the variable set.  The
 direct route builds one arrow per substitution instance: projections at
 every coordinate except the substituted one, which carries the replacement
-term's arrow.  The two routes compile to formally equal arrows; the test
-suite exercises that equivalence at scale.
+term's arrow, all of them one-stage.  The two routes compile to formally
+equal arrows; the test suite exercises that equivalence at scale.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .arrows import (FPArrow, Comp, TupleArrow, context_arrow,
-                     one_stage_arrow, term_arrow)
+from .arrows import FPArrow, Comp, TupleArrow, context_arrow, one_stage_arrow
 from .errors import Record, TermcatError
 from .signature import Sort, Variable, ordered_vars
 from .terms import App, Expression, Term, applications
@@ -73,10 +72,10 @@ def substitution_arrow(result: tuple[Variable, ...],
 
 
 def subst_arrow_direct(inst: SubstInstance) -> FPArrow:
-    """The composition route: the target's arrow over the union variables,
-    precomposed with the substitution arrow."""
+    """The composition route: the target's one-stage arrow over the union
+    variables, precomposed with the substitution arrow."""
     union = inst.union_vars()
-    return Comp(term_arrow(inst.target.expr, union),
+    return Comp(one_stage_arrow(inst.target.expr, union),
                 substitution_arrow(inst.result_vars(), union, inst.var,
                                    inst.replacement.expr))
 

@@ -20,7 +20,7 @@ from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NormalArrow, NTuple,
                             Path, Prod, Proj, TERMINAL, TupleArrow,
                             apply_arrow, arrows_equal, context_arrow,
                             equation_arrows, flat_product, input_product,
-                            normalize, occurrence_arrow, product_of_arrows,
+                            normalize, occurrence_arrow, one_stage_arrow,
                             regroup_arrow, term_arrow, term_normal)
 from termcat.dsl import parse_spec
 from termcat.errors import INTERNED, EndpointMismatch
@@ -64,12 +64,18 @@ def test_composition_identity_law():
 
 
 def test_product_of_arrows_endpoints():
+    # the apply stage of f(x, g(x, x), g(x, x)) is f after the product of
+    # its arguments' apply arrows, which share the one node of g(x, x)
     sig = running_signature()
-    g = Gen(sig.operation_named["g"])
+    x = v(sig, 1, 1)
+    gx = App(sig.operation_named["g"], (x, x))
+    pr = apply_arrow(App(sig.operation_named["f"], (x, gx, gx))).before
     s1 = Leaf(sig.sort_named["s1"])
-    pr = product_of_arrows([Id(s1), g])
-    assert pr.src == Prod((s1, g.src))
-    assert pr.dst == Prod((s1, Leaf(sig.sort_named["s2"])))
+    pair = Prod((s1, s1))
+    assert pr.src == Prod((s1, pair, pair))
+    assert pr.dst == Prod((s1, Leaf(sig.sort_named["s2"]),
+                           Leaf(sig.sort_named["s2"])))
+    assert pr.parts[1].after is pr.parts[2].after
 
 
 def test_tuple_domain_mismatch():
@@ -365,9 +371,8 @@ def _hand_built_arrows():
         into_nested, Comp(Proj(nested, 1), into_nested),
         Comp(Id(nested), into_nested), Comp(into_nested, Id(pair)),
         Comp(g, Id(pair)), Comp(Id(s2), g), Comp(Id(pair), Id(pair)),
-        product_of_arrows([g, Id(s1), h, TupleArrow(s1, ())]),
-        Comp(product_of_arrows([Comp(h, TupleArrow(s2, (Id(s2),))),
-                                Id(s2)]),
+        _product([g, Id(s1), h, TupleArrow(s1, ())]),
+        Comp(_product([Comp(h, TupleArrow(s2, (Id(s2),))), Id(s2)]),
              TupleArrow(pair, (g, Comp(g, TupleArrow(pair, (Proj(pair, 2),
                                                            Proj(pair, 1))))))),
         context_arrow((x1, x2, y1), (y1, x1, x1, x2)),
@@ -376,6 +381,13 @@ def _hand_built_arrows():
         TupleArrow(nested, ()), c, Comp(c, TupleArrow(nested, ())),
         Comp(TupleArrow(TERMINAL, (c, c)), TupleArrow(pair, ())),
     ]
+
+
+def _product(fs):
+    # f1 x .. x fn as the tuple <f1 . p1, .., fn . pn> on the domain product
+    src = Prod(tuple(f.src for f in fs))
+    return TupleArrow(src, tuple(Comp(f, Proj(src, i))
+                                 for i, f in enumerate(fs, 1)))
 
 
 def test_normalize_agrees_with_the_substitution_reference(seed=45):
@@ -631,6 +643,7 @@ def test_normal_equality_agrees_with_the_recursive_reference(seed=59):
                      (NormalArrow(dom, cod, a), NormalArrow(cod, cod, b))):
             want = _recursive_eq(x, y)
             assert (x == y) is want and (x != y) is not want
+            assert hash(x) == hash(y) or not want
             outcomes[want] += 1
     assert outcomes[True] >= 400 and outcomes[False] >= 1200
     assert (Path((1,)) == (1,)) is False and Path(()) != NTuple(())
@@ -653,6 +666,21 @@ def test_equality_takes_two_deep_normal_forms():
     assert a != NormalArrow(a.src, a.dst, body)
     top = GenApp(j, (b.body.args[0],))
     assert a != NormalArrow(a.src, a.dst, top)
+
+
+def test_hash_takes_a_deep_normal_form():
+    # each hash reads only its node's own fields: a 20,000-deep normal
+    # form and its body hash at the default recursion limit, and equal
+    # ones, built apart, alike
+    sig = validate_signature(["s"], [("i", ["s"], "s")])
+    x = Variable(sig.sorts[0], 1)
+    e = x
+    for _ in range(20000):
+        e = App(sig.operations[0], (e,))
+    a, b = term_normal(e, (x,)), term_normal(e, (x,))
+    assert a.body is not b.body
+    assert hash(a) == hash(b) and hash(a.body) == hash(b.body)
+    assert len({a, b, a.body, b.body}) == 2
 
 
 # --- hash-consing -----------------------------------------------------------------
@@ -692,8 +720,10 @@ def test_equation_arrows_are_the_term_arrows_of_the_sides(seed=47):
     for _ in range(40):
         sig = gen_signature(rng)
         eq = gen_equation(rng, sig)
-        sides = tuple(term_arrow(e, eq.vars) for e in (eq.left, eq.right))
-        assert equation_arrows(eq) == sides
+        # each side is the one-stage node, formally the paper's arrow
+        for arrow, e in zip(equation_arrows(eq), (eq.left, eq.right)):
+            assert arrow is one_stage_arrow(e, eq.vars)
+            assert arrows_equal(arrow, term_arrow(e, eq.vars))
 
 
 def test_nodes_are_immutable():

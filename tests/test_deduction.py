@@ -13,8 +13,8 @@ from fixtures import (binary_signature, certify, check_rule, derive_steps,
                       raises_exactly, satisfies, unary_signature)
 from gen import gen_deduction, gen_equation, gen_expression
 from termcat import deduction, kernel, subst
-from termcat.arrows import (Comp, Gen, Id, Proj, TupleArrow, arrows_equal,
-                            one_stage_arrow)
+from termcat.arrows import (Comp, Gen, Id, Proj, TupleArrow, apply_arrow,
+                            arrows_equal, one_stage_arrow)
 from termcat.deduction import (RULE_NAMES, Abstraction, Concretion, Copy,
                                Hypothesis, LevelledDeduction, LevelStep,
                                Reflexivity, Step, Substitutivity, Symmetry,
@@ -743,20 +743,49 @@ def test_producer_cost_follows_the_shared_term():
     # machine).  The kernel's replay still follows the unfolding, so this
     # test does not replay the chain (ROADMAP item 4).
     k = 10
-    sf = parse_spec(
-        "sort s\nop m : s s -> s\neq h [x:s] : m(x, x) = m(x, x)\n"
-        "proof p from h {\n  a0 = hyp h ;\n"
-        + "".join(f"  a{i} = subst a{i - 1} x a{i - 1} ;\n"
-                  for i in range(1, k + 1)) + "}\n")
-    kinds = (Id, Proj, Gen, TupleArrow, Comp)
-
-    def arrow_keys():
-        return {key for key in INTERNED if key[0] in kinds}
-
-    before = arrow_keys()
+    sf = parse_spec(_doubling_chain(k))
+    before = _arrow_keys()
     start = time.perf_counter()
     steps, _ = build_proof(sf, sf.proofs["p"])
     lemmas = lemma_table(sf.signature, steps)
     seconds = time.perf_counter() - start
     assert len(lemmas) == k + 1 and seconds < 2.0
-    assert len(arrow_keys() - before) <= 2 * 2 ** k
+    assert len(_arrow_keys() - before) <= 2 * 2 ** k
+
+
+def test_apply_stage_cost_follows_the_shared_term():
+    # the same chain's conclusion: apply_arrow builds six arrow nodes for
+    # each distinct application, the 2^k levels of m(a, a) (a composite, a
+    # tuple, and a projection and its composite per argument), plus the
+    # identity and the generator; the recursive stage followed the
+    # 2^(2^k) leaves of the unfolding
+    k = 10
+    sf = parse_spec(_doubling_chain(k))
+    steps, _ = build_proof(sf, sf.proofs["p"])
+    side = steps[-1].equation.left
+    before = _arrow_keys()
+    start = time.perf_counter()
+    stage = apply_arrow(side)
+    seconds = time.perf_counter() - start
+    assert seconds < 2.0
+    assert len(_arrow_keys() - before) <= 6 * 2 ** k + 2
+    levels = 0
+    while isinstance(stage, Comp):
+        first, second = stage.before.parts
+        assert first.after is second.after
+        stage, levels = first.after, levels + 1
+    assert levels == 2 ** k and stage is Id(stage.src)
+
+
+def _doubling_chain(k: int) -> str:
+    """A proof whose k-th step substitutes the last conclusion into itself,
+    from `m(x, x) = m(x, x)`."""
+    return ("sort s\nop m : s s -> s\neq h [x:s] : m(x, x) = m(x, x)\n"
+            "proof p from h {\n  a0 = hyp h ;\n"
+            + "".join(f"  a{i} = subst a{i - 1} x a{i - 1} ;\n"
+                      for i in range(1, k + 1)) + "}\n")
+
+
+def _arrow_keys() -> set:
+    kinds = (Id, Proj, Gen, TupleArrow, Comp)
+    return {key for key in INTERNED if key[0] in kinds}

@@ -87,8 +87,7 @@ def test_kernel_imports_only_arrows_errors_and_the_stdlib():
     # producer's: none of the compilers `arrows` defines
     compilers = {"equation_arrows", "term_arrow", "context_arrow",
                  "occurrence_arrow", "regroup_arrow", "apply_arrow",
-                 "product_of_arrows", "term_normal", "input_product",
-                 "one_stage_arrow"}
+                 "term_normal", "input_product", "one_stage_arrow"}
     assert compilers <= vars(arrows).keys()
     assert not {n for name, names in imports if name == "arrows"
                 for n in names} & compilers
@@ -178,14 +177,41 @@ def _swapped(real):
     return swapped
 
 
+def _doubled(real):
+    # the compiler `real`, broken so that breaking it twice is breaking
+    # it once: it compiles m(a, b) as m(a, a).  The broken `term_arrow`
+    # calls the broken stages, where two swaps would cancel
+    def doubled(e, *context):
+        if isinstance(e, App) and len(e.args) == 2 \
+                and e.args[0].sort == e.args[1].sort:
+            e = App(e.op, e.args[:1] * 2)
+        return real(e, *context)
+    return doubled
+
+
+def _corpus_commands():
+    """Every check-proof (both routes), check-eq, subst and compile the
+    corpus offers, text and --json."""
+    for path in sorted(CORPUS.glob("*.msl")):
+        sf = parse_spec(path.read_text(encoding="utf-8"))
+        argvs = [["check-proof"], ["check-proof", "--levelled"]]
+        argvs += [["check-eq", "--equation", q] for q in sf.equations]
+        argvs += [["compile", "--term", t] for t in sf.terms]
+        argvs += [["subst", "--term", t, "--var", str(x), "--with", u]
+                  for t, term in sf.terms.items() for x in term.vars
+                  for u, repl in sf.terms.items() if repl.sort == x.sort]
+        for argv in argvs:
+            yield argv + [str(path)]
+            yield argv + ["--json", str(path)]
+
+
 def test_the_kernel_does_not_trust_the_producers_compiler(monkeypatch,
                                                           capsys, tmp_path):
-    # break the producer's one-stage compiler wherever it reads it.  The
+    # break the producer's one-stage compiler wherever it reads it, which
+    # breaks the levelled certificate's hypotheses and claim alike.  The
     # refl step's arrow is then not its statement's, and only a kernel
     # that compiles statements itself sees it: on the lemma table, and on
-    # the levelled certificate.  Then break the three-stage compiler the
-    # same way, so the certificate's hypotheses and claim agree with the
-    # broken coding: the kernel still refuses it
+    # the levelled certificate
     f = tmp_path / "swap.msl"
     f.write_text("sort s\nop m : s s -> s\nop e : -> s\n"
                  "eq q [x:s] : x = x\n"
@@ -193,11 +219,10 @@ def test_the_kernel_does_not_trust_the_producers_compiler(monkeypatch,
                  "  a = hyp q ;\n"
                  "  r = refl [x:s] m(x, e) ;\n"
                  "}\n", encoding="utf-8")
-    for name, modules in (("one_stage_arrow", (arrows, deduction, subst)),
-                          ("term_arrow", (arrows, subst))):
-        broken = _swapped(getattr(arrows, name))
-        for module in modules:
-            monkeypatch.setattr(module, name, broken)
+    with monkeypatch.context() as patch:
+        broken = _swapped(arrows.one_stage_arrow)
+        for module in (arrows, deduction, subst):
+            patch.setattr(module, "one_stage_arrow", broken)
         assert run(["check-proof", str(f)]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "proof p: FAILED VERIFICATION",
@@ -211,6 +236,19 @@ def test_the_kernel_does_not_trust_the_producers_compiler(monkeypatch,
             "  conclusion: m(x1:s, e) = m(x1:s, e)  [x1:s]",
             "  hypotheses: 1, claims: 1, workspace: 0",
             "  claim 0: derived constraint differs from the claim"]
+    # break the paper's three-stage compiler and its stages: no check
+    # reads them, so only what compile prints changes on the corpus
+    commands = list(_corpus_commands())
+    before = [(run(argv), capsys.readouterr()) for argv in commands]
+    for name in ("term_arrow", "occurrence_arrow", "regroup_arrow",
+                 "apply_arrow"):
+        monkeypatch.setattr(arrows, name, _doubled(getattr(arrows, name)))
+    after = [(run(argv), capsys.readouterr()) for argv in commands]
+    changed = {argv[0] for argv, x, y in zip(commands, before, after)
+               if x != y}
+    assert changed == {"compile"}
+    assert Counter(argv[0] for argv in commands) == {
+        "check-proof": 12, "check-eq": 14, "subst": 22, "compile": 10}
 
 
 def test_the_levelled_check_replays_from_its_own_statements():
@@ -344,11 +382,18 @@ def _retarget(rng, step, size, negative=False):
 
 def _swap_arrow(rng, step, pool):
     # an arrow over the same endpoints keeps the mutant well typed, so the
-    # kernel's semantic checks have to catch it
-    same = [a for a in pool if a.src is step.arrow.src
-            and a.dst is step.arrow.dst and a is not step.arrow]
+    # kernel's semantic checks have to catch it.  On both branches no
+    # candidate is formally equal to the arrow it replaces, so every swap
+    # forges something; None where the pool offers no such arrow
+    old = step.arrow
+    same = [a for a in pool if a.src is old.src and a.dst is old.dst
+            and not arrows_equal(a, old)]
+    unequal = same + [a for a in pool
+                      if a.src is not old.src or a.dst is not old.dst]
+    if not unequal:
+        return None
     return replace(step, arrow=rng.choice(
-        same if same and rng.random() < 0.8 else pool))
+        same if same and rng.random() < 0.8 else unequal))
 
 
 def _mutate(rng: random.Random, cert: Factorization,
@@ -388,6 +433,8 @@ def _mutate(rng: random.Random, cert: Factorization,
         pool = [a for c in cert.hyp + cert.claim for a in (c.left, c.right)]
         pool += [s.arrow for p in verif for s in p if hasattr(s, "arrow")]
         proof[n] = _swap_arrow(rng, step, pool)
+        if proof[n] is None:
+            return None
     else:
         wrong = [i for i in range(-1, len(cert.hyp) + 1) if i != step.hyp]
         proof[n] = CiteHyp(rng.choice(wrong))
@@ -403,7 +450,7 @@ def _holds(model, c: EqConstraint) -> bool:
 def test_forged_certificates_are_rejected_or_sound():
     tally = Counter()
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(MUTATIONS))
     def forge(seed, kind):
         rng = random.Random(seed)
