@@ -9,7 +9,7 @@ tree.  The normal form is unique per equivalence class under the product
 laws, so structural comparison of normal forms decides formal equality.
 It is computed by evaluation (Berger & Schwichtenberg, 1991): an arrow is
 applied to the identity body of its domain, the tuple tree of paths to
-the domain's leaves, in one pass over the arrow.
+the domain's leaves, in one pass over the arrow.  No walk here recurses.
 
 Objects and arrows are hash-consed, in the table of `errors` that
 expressions share: constructing a node returns the one live node with that
@@ -25,7 +25,7 @@ body in a write-once slot too.  Nodes are otherwise immutable.
 The paper's term compiler is `term_arrow(e, vs)`: the arrow of an
 expression `e` over the product of a variable context `vs`, which holds
 every variable of `e`.  It is a three-stage composite, which only
-`compile` prints; no stage recurses:
+`compile` prints:
 
   occurrence_arrow  sends the product of `vs` onto the list of `e`'s
                     variable occurrences (a tuple of projections);
@@ -230,10 +230,7 @@ FPArrow = Union[Id, Proj, Gen, TupleArrow, Comp]
 # A normal body is shaped by the codomain: NTuple per product factor, and at
 # a sort leaf a ground term (GenApp over Path leaves).  A Path addresses a
 # leaf of the domain tree by its sequence of 1-based factor indices.  The
-# normal body of an arrow is its value at the identity body of its domain:
-# a composite evaluates `after` on the value of `before`, a projection
-# picks a part, a tuple tuples its parts' values and a generator applies
-# its operation to the parts.
+# normal body of an arrow is its value at the identity body of its domain.
 
 
 class Path(Record):
@@ -321,40 +318,68 @@ NTuple.__hash__ = lambda x: hash((NTuple, len(x.parts)))
 NormalArrow.__hash__ = lambda x: hash((NormalArrow, x.src, x.dst))
 
 
-def _identity_body(obj: FPObject, prefix: tuple[int, ...]) -> NormalBody:
-    if isinstance(obj, Leaf):
-        return Path(prefix)
-    return NTuple(tuple(_identity_body(f, prefix + (i,))
-                        for i, f in enumerate(obj.factors, 1)))
+def _identity_body(obj: FPObject) -> NormalBody:
+    """The tuple tree of paths to the leaves of `obj`, with a stack."""
+    done: list = []  # the finished bodies
+    stack: list = [(obj, ())]
+    while stack:
+        x = stack.pop()
+        if type(x) is int:  # the last x bodies are one product's factors
+            cut = len(done) - x
+            done[cut:] = [NTuple(tuple(done[cut:]))]
+        elif type(x[0]) is Leaf:
+            done.append(Path(x[1]))
+        else:
+            stack.append(len(x[0].factors))
+            stack += [(f, x[1] + (i,)) for i, f in
+                      reversed(tuple(enumerate(x[0].factors, 1)))]
+    return done[0]
 
 
 def _eval(a: FPArrow, v: NormalBody) -> NormalBody:
     """The body of `a` applied to `v`, a body over `a.src`.  At the
-    identity body of `a.src` that is `a`'s normal body, kept in its slot."""
-    at_identity = v is a.src._identity
-    if at_identity and a._normal is not None:
-        return a._normal
-    kind = type(a)
-    if kind is Comp:
-        body = _eval(a.after, _eval(a.before, v))
-    elif kind is Proj:
-        body = v.parts[a.index - 1]
-    elif kind is TupleArrow:
-        body = NTuple(tuple([_eval(p, v) for p in a.parts]))
-    elif kind is Gen:
-        body = GenApp(a.op, v.parts)
-    else:  # Id
-        body = v
-    if at_identity:
-        _set(a, "_normal", body)
-    return body
+    identity body of `a.src` that is `a`'s normal body, kept in its slot.
+    The stack holds (arrow, body) pairs, depth first; an (after, None) pair
+    takes the value its `before` left, an int marker tuples the last n
+    values, and a keep marker, an arrow, puts the last one in its slot."""
+    done: list = []  # the finished values
+    stack: list = [(a, v)]
+    while stack:
+        x = stack.pop()
+        if type(x) is not tuple:
+            if type(x) is int:  # the last x values are one tuple's parts
+                cut = len(done) - x
+                done[cut:] = [NTuple(tuple(done[cut:]))]
+            else:  # keep: x's evaluation at its identity body ended
+                _set(x, "_normal", done[-1])
+            continue
+        a, v = x
+        if v is None:
+            v = done.pop()
+        if v is a.src._identity:
+            if a._normal is not None:
+                done.append(a._normal)
+                continue
+            stack.append(a)
+        kind = type(a)
+        if kind is Comp:
+            stack += ((a.after, None), (a.before, v))
+        elif kind is Proj:
+            done.append(v.parts[a.index - 1])
+        elif kind is TupleArrow:
+            stack.append(len(a.parts))
+            stack += [(p, v) for p in a.parts[::-1]]
+        elif kind is Gen:
+            done.append(GenApp(a.op, v.parts))
+        else:  # Id
+            done.append(v)
+    return done[0]
 
 
 def _norm(a: FPArrow) -> NormalBody:
-    src = a.src
-    if src._identity is None:
-        _set(src, "_identity", _identity_body(src, ()))
-    return _eval(a, src._identity)
+    if a.src._identity is None:
+        _set(a.src, "_identity", _identity_body(a.src))
+    return _eval(a, a.src._identity)
 
 
 def normalize(a: FPArrow) -> NormalArrow:

@@ -6,7 +6,7 @@ schema, schema 2 (identical inputs give byte-identical output): a payload
 that holds arrows writes each object and arrow once, as a row of its
 `objects` and `arrows` tables, and names it by row index.  Exit codes: 0 on
 success, 1 on verification failure, 2 on input errors (unreadable or
-undecodable files and too deeply nested input included).
+undecodable files included); no walker recurses, so depth is no error.
 """
 
 from __future__ import annotations
@@ -682,10 +682,6 @@ def run(argv=None) -> int:
         return 1
     except TermcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # the recursive walkers have no depth budget of their own yet
-        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -683,6 +683,34 @@ def test_hash_takes_a_deep_normal_form():
     assert len({a, b, a.body, b.body}) == 2
 
 
+def test_normalize_takes_a_deep_one_stage_arrow():
+    # the evaluator keeps its own stack: a 20,000-deep one-stage arrow
+    # normalizes at the default recursion limit, to the normal form
+    # term_normal writes, and a second call returns the body it kept
+    sig = validate_signature(["s"], [("i", ["s"], "s")])
+    x = Variable(sig.sorts[0], 1)
+    e = x
+    for _ in range(20000):
+        e = App(sig.operations[0], (e,))
+    a = one_stage_arrow(e, (x,))
+    n = normalize(a)
+    assert n == term_normal(e, (x,)) and normalize(a).body is n.body
+
+
+def test_arrows_equal_takes_a_deep_composite():
+    # a 20,000-deep composite nested to the right, over an identity, and
+    # one nested to the left compare at the default recursion limit, equal
+    # and, one step short, not
+    sig = validate_signature(["s"], [("i", ["s"], "s")])
+    i = Gen(sig.operation_named["i"])
+    step = TupleArrow(i.src, (i,))  # (s) -> (s)
+    right, left = Id(i.src), step
+    for _ in range(19999):
+        right, left = Comp(step, right), Comp(left, step)
+    assert not arrows_equal(right, left)
+    assert arrows_equal(Comp(step, right), left)
+
+
 # --- hash-consing -----------------------------------------------------------------
 
 

@@ -715,13 +715,11 @@ def _tower(depth: int) -> str:
     (20000, ["compile", "--term", "t"], "(p1" + ")" * 20000 + "\n"),
 ], ids=["sketch-600", "compile-json-250", "check-eq-json-250",
         "compile-text-100", "compile-text-20000"])
-def test_deep_input_exit_2(depth, argv, end, tmp_path, capsys):
-    # how deep an input the recursive walkers take depends on the
-    # interpreter, so exit 0 is allowed, but only with the complete output
-    # (`end` is how it ends) and nothing on stderr; exit 2 must leave
-    # stdout empty.  Text compile walks no recursion, so its 20,000-deep
-    # case must exit 0.  stdout goes to a file: at depth 250
-    # `compile --json` writes 1.7 MB where it succeeds.
+def test_deep_input_gives_the_complete_output(depth, argv, end, tmp_path,
+                                              capsys):
+    # no walker recurses, so each command exits 0 on a deep tower with its
+    # complete output (`end` is how it ends) and nothing on stderr.  stdout
+    # goes to a file: at depth 250 `compile --json` writes 1.7 MB
     f = tmp_path / "deep.msl"
     f.write_text(f"sort s\nop i : s -> s\nterm t [x:s] : {_tower(depth)}\n"
                  f"eq q [x:s] : {_tower(depth)} = {_tower(depth)}\n")
@@ -731,15 +729,72 @@ def test_deep_input_exit_2(depth, argv, end, tmp_path, capsys):
     err = capsys.readouterr().err
     size = stdout.stat().st_size
     with stdout.open("rb") as fh:
-        fh.seek(max(0, size - len(end or "")))
+        fh.seek(max(0, size - len(end)))
         tail = fh.read().decode()
     stdout.unlink()  # pytest keeps the temporary directories of recent runs
-    if code == 0 or depth == 20000:
-        assert (code, tail, err) == (0, end, "")
-        return
-    assert code == 2
-    assert size == 0
-    assert _one_error_line(err) and "nested too deeply" in err
+    assert (code, tail, err) == (0, end, "")
+
+
+_SWEEP = """\
+import contextlib, hashlib, io, json, sys
+from termcat import cli
+sys.setrecursionlimit(120)
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    out = out.getvalue().encode()
+    results.append([code, hashlib.sha256(out).hexdigest(), out[-1:].decode(),
+                    err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_no_command_recurses(tmp_path, capsys):
+    # every command, text and --json, runs on 400-deep towers in an
+    # interpreter whose recursion limit is 120, and prints what it prints
+    # at the default limit (the outputs are compared by digest: --json
+    # writes up to 70 MB here).  The `ast` scan of test_no_function_recurses
+    # cannot see recursion through a dunder or an f-string; this can
+    d = 400
+    unary = _tower(d)
+    binary = "m(" * d + "x" + ", y)" * d
+    flipped = "m(" * d + "y" + ", x)" * d
+    f = tmp_path / "deep.msl"
+    f.write_text(
+        f"sort s\nop i : s -> s\nop m : s s -> s\nop c : -> s\n"
+        f"term u [x:s] : {unary}\nterm b [x:s, y:s] : {binary}\n"
+        "term r : c\n"
+        f"eq h [x:s] : {unary} = {unary}\n"
+        f"eq bad [x:s, y:s] : {binary} = {flipped}\n"
+        "proof sxa from h {\n  a = hyp h ;\n  b = subst a x a ;\n}\n"
+        "proof rs from h {\n  a = hyp h ;\n  r = refl c ;\n"
+        "  b = subst a x r ;\n}\n"
+        "proof chain from h {\n  a = hyp h ;\n  s = sym a ;\n"
+        "  t = trans a s ;\n  ab = abs t y : s ;\n  co = conc ab y ;\n}\n")
+    commands = [["sketch"], ["compile", "--term", "u"],
+                ["compile", "--term", "b"],
+                ["subst", "--term", "u", "--var", "x", "--with", "r"],
+                ["check-proof"], ["check-proof", "--levelled"]]
+    commands += [[cmd, "--equation", eq] for cmd in ("check-eq", "oracle")
+                 for eq in ("h", "bad")]
+    commands += [["normalize-proof", "--proof", name]
+                 for name in ("sxa", "rs", "chain")]
+    argvs = [argv + flag + [str(f)] for argv in commands
+             for flag in ([], ["--json"])]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = json.loads(proc.stdout)
+    assert len(results) == len(argvs) == 26
+    for argv, (code, digest, end, err) in zip(argvs, results):
+        assert (code, end, err) in ((0, "\n", ""), (1, "\n", "")), argv
+        want, out = _capture(capsys, argv)
+        assert (code, digest) == (want,
+                                  hashlib.sha256(out.encode()).hexdigest())
 
 
 def test_oracle_json_takes_a_deep_equation(tmp_path, capsys):
@@ -824,23 +879,24 @@ def test_check_proof_takes_a_deep_conclusion(tmp_path, capsys):
     assert lines[5000][2:] == lines[1][2:]
 
 
-@pytest.mark.parametrize("steps", [
-    "a = hyp h ;\n  b = subst a x a ;",
-    "a = hyp h ;\n  r = refl c ;\n  b = subst a x r ;"],
-    ids=["subst-a-x-a", "refl-then-subst"])
-def test_check_proof_substitutes_into_a_deep_tower(steps, tmp_path):
-    # the producer codes a substitutivity step with one-stage arrows, which
-    # nest less than the three-stage ones, so the kernel's recursive
-    # normalization takes these 250-deep towers in a fresh interpreter
-    # (with three-stage codings the default check-proof stopped at d = 165
-    # and d = 247)
-    tower = _tower(250)
+@pytest.mark.parametrize("steps, flags", [
+    ("a = hyp h ;\n  b = subst a x a ;", []),
+    ("a = hyp h ;\n  r = refl c ;\n  b = subst a x r ;", []),
+    ("a = hyp h ;\n  b = subst a x a ;", ["--levelled"]),
+    ("a = hyp h ;\n  r = refl c ;\n  b = subst a x r ;", ["--levelled"])],
+    ids=["subst-a-x-a", "refl-then-subst", "subst-a-x-a-levelled",
+         "refl-then-subst-levelled"])
+def test_check_proof_substitutes_into_a_deep_tower(steps, flags, tmp_path):
+    # the kernel normalizes with an explicit stack, so both routes prove
+    # these 5,000-deep towers in a fresh interpreter (they stopped at
+    # d = 328 and d = 329 when its evaluator recursed)
+    tower = _tower(5000)
     f = tmp_path / "deep.msl"
     f.write_text(f"sort s\nop i : s -> s\nop c : -> s\n"
                  f"eq h [x:s] : {tower} = {tower}\n"
                  f"proof p from h {{\n  {steps}\n}}\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "termcat.cli", "check-proof", str(f)],
+        [sys.executable, "-m", "termcat.cli", "check-proof", *flags, str(f)],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -281,7 +281,17 @@ proof P from E1 E2 {
 
 NO_RECURSION = {"dsl": 30, "kernel": 8, "deduction": 13, "terms": 8,
                 "signature": 7, "sketch": 6, "errors": 8, "models": 10,
-                "subst": 8, "cli": 30}
+                "subst": 8, "cli": 30, "arrows": 17}
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "termcat"
+
+
+def test_no_recursion_covers_every_module():
+    # every module that defines a function is scanned, so a new module
+    # cannot escape the check below
+    defining = {p.stem for p in PACKAGE.glob("*.py")
+                if any(isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       for n in ast.walk(ast.parse(p.read_text("utf-8"))))}
+    assert defining == set(NO_RECURSION)
 
 
 @pytest.mark.parametrize("module, at_least", NO_RECURSION.items(),
@@ -293,9 +303,9 @@ def test_no_function_recurses(module, at_least):
     # floor on the function count keeps the check from passing on a module
     # it cannot read.  It sees only calls by name: recursion through
     # `str()` or an f-string, as in a `__str__` that formats its children,
-    # escapes it
-    path = Path(__file__).resolve().parent.parent / "src" / "termcat"
-    tree = ast.parse((path / f"{module}.py").read_text(encoding="utf-8"))
+    # escapes it, and test_no_command_recurses in tests/test_cli.py catches
+    # it at run time
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     defs = [n for n in ast.walk(tree)
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
     names = {d.name for d in defs}

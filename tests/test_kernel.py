@@ -275,18 +275,20 @@ def test_the_levelled_check_replays_from_its_own_statements():
 
 
 def test_the_kernel_compiles_a_deep_tower_without_recursion():
-    # only the compile: normalizing the tower would still recurse
+    # the kernel compiles a 20,000-deep tower, and normalizes what it
+    # compiled, at the default recursion limit
     sig = validate_signature(["s"], [("i", ["s"], "s")])
     x = Variable(sig.sorts[0], 1)
     e = x
     for _ in range(20000):
         e = App(sig.operations[0], (e,))
-    a = kernel._compile(e, (x,), {})
+    top = a = kernel._compile(e, (x,), {})
     assert (a.src, a.dst) == (flat_product((x.sort,)), Leaf(x.sort))
     depth = 0
     while isinstance(a, Comp):
         a, depth = a.before.parts[0], depth + 1
     assert depth == 20000 and a == Proj(flat_product((x.sort,)), 1)
+    assert normalize(top) == term_normal(e, (x,))
 
 
 # --- step references ---------------------------------------------------------
