@@ -597,8 +597,8 @@ def cmd_oracle(args) -> int:
     sf = _load(args.file)
     eq = _lookup(sf.equations, args.equation,
                  f"unknown equation {args.equation!r}")
-    found = models.find_counterexample(sf.signature, eq, args.max_size)
     checked = models.count_models(sf.signature, args.max_size)
+    found = models.find_counterexample(sf.signature, eq, args.max_size)
     if args.json:
         payload = {"equation": equation_json(eq),
                    "max_size": args.max_size,

@@ -19,8 +19,12 @@ from .signature import Signature, Sort, Variable
 from .terms import Equation, applications, var_set
 
 MAX_CARRIER = 6
-# reduct models one counterexample search may visit
+# reduct models one counterexample search may visit, and operation tables
+# one count may size
 MAX_MODELS = 10**6
+# digits a model count may have: below CPython's default limit of 4,300 on
+# printing an int
+MAX_COUNT_DIGITS = 4000
 
 
 class FiniteModel(Record):
@@ -56,17 +60,20 @@ def _table_domains(sig: Signature, sizes: dict[Sort, int]):
         yield op, points
 
 
-def _carrier_sizes(sig: Signature, max_size: int):
-    """Every carrier-size assignment with sizes 1..max_size,
-    lexicographically."""
+def _check_bound(max_size: int) -> None:
     if max_size < 1:
         raise TermcatError(f"carrier bound {max_size} is below 1")
     if max_size > MAX_CARRIER:
         raise TermcatError(
             f"carrier bound {max_size} exceeds the limit {MAX_CARRIER}")
+
+
+def _carrier_sizes(sorts, max_size: int):
+    """Every carrier-size assignment to `sorts` with sizes 1..max_size,
+    lexicographically."""
     for sizes_tuple in itertools.product(range(1, max_size + 1),
-                                         repeat=len(sig.sorts)):
-        yield dict(zip(sig.sorts, sizes_tuple))
+                                         repeat=len(sorts)):
+        yield dict(zip(sorts, sizes_tuple))
 
 
 def enumerate_models(sig: Signature, max_size: int) -> Iterator[FiniteModel]:
@@ -78,7 +85,8 @@ def enumerate_models(sig: Signature, max_size: int) -> Iterator[FiniteModel]:
     and an input point, in declaration order), so only the model being
     yielded is ever built.
     """
-    for sizes in _carrier_sizes(sig, max_size):
+    _check_bound(max_size)
+    for sizes in _carrier_sizes(sig.sorts, max_size):
         domains = list(_table_domains(sig, sizes))
         cells = [range(sizes[op.output]) for op, pts in domains for _ in pts]
         for choice in itertools.product(*cells):
@@ -90,14 +98,61 @@ def enumerate_models(sig: Signature, max_size: int) -> Iterator[FiniteModel]:
             yield FiniteModel(sig, dict(sizes), tables)
 
 
+def _sort_groups(sig: Signature) -> list[tuple[list[Sort], list]]:
+    """The groups of sorts that operations connect, each with its
+    operations; a sort no operation mentions is a group of its own."""
+    group = {s: [s] for s in sig.sorts}
+    for op in sig.operations:
+        for s in op.inputs:
+            merged, other = group[op.output], group[s]
+            if other is not merged:
+                if len(other) > len(merged):
+                    merged, other = other, merged
+                merged += other
+                group.update(dict.fromkeys(other, merged))
+    ops: dict[Sort, list] = {g[0]: [] for g in group.values()}
+    for op in sig.operations:
+        ops[group[op.output][0]].append(op)
+    return [(group[s], found) for s, found in ops.items()]
+
+
 def count_models(sig: Signature, max_size: int) -> int:
-    """How many models `enumerate_models` yields, without enumerating them:
-    the sum over carrier sizes of the product over operations of
-    |output| ** (product of the |input|s)."""
-    return sum(math.prod(sizes[op.output]
-                         ** math.prod(sizes[s] for s in op.inputs)
-                         for op in sig.operations)
-               for sizes in _carrier_sizes(sig, max_size))
+    """How many models `enumerate_models` yields, without enumerating them.
+
+    A carrier-size vector has the product over operations of
+    |output| ** (product of the |input|s) models.  Each factor reads the
+    sizes of one group of sorts that operations connect, so the sum over
+    all vectors is the product over groups of the sum over each group's
+    vectors, and a sort no operation mentions is a factor of `max_size`.
+
+    Before it sums anything, the count stops with a TermcatError if it
+    could have more than MAX_COUNT_DIGITS digits, or if it would size more
+    than MAX_MODELS tables (an operation's, at one vector of its group).
+    The all-max vector's models, max_size ** (the sum over operations of
+    max_size ** arity), are the largest term of the sum, which has at most
+    max_size ** len(sorts) terms.
+    """
+    _check_bound(max_size)
+    exponent = len(sig.sorts) + sum(max_size ** len(op.inputs)
+                                    for op in sig.operations)
+    if max_size > 1 and exponent > MAX_COUNT_DIGITS / math.log10(max_size):
+        raise TermcatError(
+            f"oracle stopped before counting: the signature's models with "
+            f"carriers <= {max_size} may number over 10^{MAX_COUNT_DIGITS}, "
+            f"the limit of a count")
+    groups = _sort_groups(sig)
+    tables = sum(max_size ** len(sorts) * len(ops) for sorts, ops in groups)
+    if tables > MAX_MODELS:
+        raise TermcatError(
+            f"oracle stopped before counting: the models with carriers <= "
+            f"{max_size} take {tables} table sizes to count, over the limit "
+            f"of {MAX_MODELS}")
+    return math.prod(
+        sum(math.prod(sizes[op.output]
+                      ** math.prod(sizes[s] for s in op.inputs)
+                      for op in ops)
+            for sizes in _carrier_sizes(sorts, max_size))
+        for sorts, ops in groups)
 
 
 def _column_program(eq: Equation, occurring: tuple[Variable, ...]):

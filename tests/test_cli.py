@@ -163,12 +163,52 @@ def test_oracle_holds_on_tautology(tmp_path, capsys):
                                   "--max-size", "2", str(f)])
     assert code == 0
     assert "holds in all" in out
+    # 22 sorts that no operation mentions are 22 factors of the bound: the
+    # count does not visit their 2 ** 22 carrier-size vectors (13 s when it
+    # did)
+    sorts = " ".join(f"s{i}" for i in range(22))
+    f.write_text(f"sort {sorts}\neq r [x:s0] : x = x\n")
+    start = time.perf_counter()
+    code, out = _capture(capsys, ["oracle", "--equation", "r",
+                                  "--max-size", "2", str(f)])
+    assert time.perf_counter() - start < 2
+    assert (code, out.split("\n")[1:]) == (
+        0, ["  holds in all 4194304 models with carriers <= 2", ""])
 
 
-def test_oracle_bound_above_limit_exit_2(capsys):
+def test_oracle_bound_above_limit_exit_2(tmp_path, capsys):
     assert run(["oracle", "--equation", "projl", "--max-size", "7",
                 UNSOUND]) == 2
     assert "exceeds the limit" in capsys.readouterr().err
+    # a bound within 6 whose models are too many to count stops before the
+    # search: f of arity 5 has 6 ** 7776 tables at size 6, and arity 9
+    # 6 ** 6 ** 9 (these printed a traceback, after 5 s for f(x, ..., x) and
+    # 7 s for arity 9); a chain of 21 unary operations takes 2 ** 22
+    # vectors of 21 tables each at bound 2
+    too_many = ("error: oracle stopped before counting: the signature's "
+                "models with carriers <= 6 may number over 10^4000, the "
+                "limit of a count\n")
+    arity5 = "sort s\nop c : -> s\nop f : s s s s s -> s\neq r [x:s] : "
+    chain = (f"sort {' '.join(f's{i}' for i in range(22))}\n"
+             + "".join(f"op f{i} : s{i} -> s{i + 1}\n" for i in range(21)))
+    cases = [
+        (arity5 + "x = x\n", "6", too_many),
+        (arity5 + "f(x, x, x, x, x) = f(x, x, x, x, x)\n", "6", too_many),
+        ("sort s\nop c : -> s\nop f : s s s s s s s s s -> s\n"
+         "eq r [x:s] : x = x\n", "6", too_many),
+        (chain + "eq r [x:s0] : x = x\n", "2",
+         "error: oracle stopped before counting: the models with carriers "
+         "<= 2 take 88080384 table sizes to count, over the limit of "
+         "1000000\n")]
+    f = tmp_path / "big.msl"
+    for text, bound, error in cases:
+        f.write_text(text)
+        for json_flag in ([], ["--json"]):
+            start = time.perf_counter()
+            assert run(["oracle", "--equation", "r", "--max-size", bound,
+                        str(f)] + json_flag) == 2
+            assert time.perf_counter() - start < 2
+            assert capsys.readouterr() == ("", error)
 
 
 def test_oracle_search_budget_exit_2(tmp_path, monkeypatch, capsys):
@@ -186,9 +226,19 @@ def test_oracle_search_budget_exit_2(tmp_path, monkeypatch, capsys):
                        "without a counterexample: the equation's operations "
                        "and sorts have 19700 models with carriers <= 3, over "
                        "the limit of 100\n")
+    # the real budget stops the search at bound 4, where m alone has 4 ** 16
+    # tables at size 4
+    monkeypatch.undo()
+    assert run(["oracle", "--equation", "same", "--max-size", "4",
+                str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: oracle search stopped after 1000000 models without a "
+        "counterexample: the equation's operations and sorts have "
+        "4294986996 models with carriers <= 4, over the limit of 1000000\n")
     # a counterexample inside the budget still exits 1
-    assert run(["oracle", "--equation", "comm", "--max-size", "3",
-                MONOID]) == 1
+    for bound in ("3", "4"):
+        assert run(["oracle", "--equation", "comm", "--max-size", bound,
+                    MONOID]) == 1
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
@@ -519,10 +569,10 @@ def test_lemma_table_that_claims_the_goal_is_refused(monkeypatch, capsys):
 
 
 def test_both_check_proof_routes_agree(tmp_path, capsys, monkeypatch):
-    # CI's step of that name, in process: on the corpus and the seed-1 and
-    # seed-2 proofs workload files, which hold mutated proofs, the lemma
-    # table and the levelled certificate give the same exit code, the same
-    # verdict word per proof and the same reason per INVALID proof
+    # on the corpus and the seed-1 and seed-2 proofs workload files, which
+    # hold mutated proofs, the lemma table and the levelled certificate give
+    # the same exit code, the same verdict word per proof and the same
+    # reason, byte for byte, per INVALID proof
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
     files = sorted(CORPUS.glob("*.msl"))
@@ -712,14 +762,16 @@ def _tower(depth: int) -> str:
     (250, ["compile", "--term", "t", "--json"], "\n}\n"),
     (250, ["check-eq", "--equation", "q", "--json"], "\n}\n"),
     (100, ["compile", "--term", "t"], "(p1" + ")" * 100 + "\n"),
-    (20000, ["compile", "--term", "t"], "(p1" + ")" * 20000 + "\n"),
+    (20000, ["subst", "--term", "t", "--var", "x", "--with", "t"],
+     "(p1" + ")" * 40000 + "\n  arrows equal: yes\n"),
 ], ids=["sketch-600", "compile-json-250", "check-eq-json-250",
-        "compile-text-100", "compile-text-20000"])
+        "compile-text-100", "subst-text-20000"])
 def test_deep_input_gives_the_complete_output(depth, argv, end, tmp_path,
                                               capsys):
     # no walker recurses, so each command exits 0 on a deep tower with its
-    # complete output (`end` is how it ends) and nothing on stderr.  stdout
-    # goes to a file: at depth 250 `compile --json` writes 1.7 MB
+    # complete output (`end` is how it ends) and nothing on stderr: subst
+    # puts the 20,000-deep tower into itself on both routes.  stdout goes
+    # to a file: at depth 250 `compile --json` writes 1.7 MB
     f = tmp_path / "deep.msl"
     f.write_text(f"sort s\nop i : s -> s\nterm t [x:s] : {_tower(depth)}\n"
                  f"eq q [x:s] : {_tower(depth)} = {_tower(depth)}\n")
@@ -879,25 +931,36 @@ def test_check_proof_takes_a_deep_conclusion(tmp_path, capsys):
     assert lines[5000][2:] == lines[1][2:]
 
 
-@pytest.mark.parametrize("steps, flags", [
-    ("a = hyp h ;\n  b = subst a x a ;", []),
-    ("a = hyp h ;\n  r = refl c ;\n  b = subst a x r ;", []),
-    ("a = hyp h ;\n  b = subst a x a ;", ["--levelled"]),
-    ("a = hyp h ;\n  r = refl c ;\n  b = subst a x r ;", ["--levelled"])],
+_SUBST_CHAIN = "a0 = hyp h ;" + "".join(
+    f"\n  a{i} = subst a{i - 1} x a{i - 1} ;" for i in range(1, 5))
+
+
+@pytest.mark.parametrize("side, steps, flags", [
+    (_tower(5000), "a = hyp h ;\n  b = subst a x a ;", []),
+    (_tower(5000), "a = hyp h ;\n  r = refl c ;\n  b = subst a x r ;", []),
+    (_tower(5000), "a = hyp h ;\n  b = subst a x a ;", ["--levelled"]),
+    (_tower(5000), "a = hyp h ;\n  r = refl c ;\n  b = subst a x r ;",
+     ["--levelled"]),
+    ("m(x, x)", _SUBST_CHAIN, []),
+    ("m(x, x)", _SUBST_CHAIN, ["--levelled"])],
     ids=["subst-a-x-a", "refl-then-subst", "subst-a-x-a-levelled",
-         "refl-then-subst-levelled"])
-def test_check_proof_substitutes_into_a_deep_tower(steps, flags, tmp_path):
+         "refl-then-subst-levelled", "subst-chain-4",
+         "subst-chain-4-levelled"])
+def test_check_proof_substitutes_into_a_deep_tower(side, steps, flags,
+                                                   tmp_path):
     # the kernel normalizes with an explicit stack, so both routes prove
     # these 5,000-deep towers in a fresh interpreter (they stopped at
-    # d = 328 and d = 329 when its evaluator recursed)
-    tower = _tower(5000)
+    # d = 328 and d = 329 when its evaluator recursed).  Each step of the
+    # chain cites the one before twice, so at k = 4 its conclusion is 16
+    # deep per side, one shared node per level over 65,536 leaves
+    # unfolded, and both routes prove it well within the timeout
     f = tmp_path / "deep.msl"
-    f.write_text(f"sort s\nop i : s -> s\nop c : -> s\n"
-                 f"eq h [x:s] : {tower} = {tower}\n"
+    f.write_text(f"sort s\nop i : s -> s\nop m : s s -> s\nop c : -> s\n"
+                 f"eq h [x:s] : {side} = {side}\n"
                  f"proof p from h {{\n  {steps}\n}}\n")
     proc = subprocess.run(
         [sys.executable, "-m", "termcat.cli", "check-proof", *flags, str(f)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("proof p: VALID\n")

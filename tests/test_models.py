@@ -16,7 +16,7 @@ from termcat.dsl import parse_spec
 from termcat.errors import TermcatError
 from termcat.models import (FiniteModel, count_models, enumerate_models,
                             find_counterexample)
-from termcat.signature import Variable
+from termcat.signature import Variable, validate_signature
 from termcat.terms import App, Equation, var_list
 
 MONOID = Path(__file__).resolve().parent.parent / "corpus" / "monoid.msl"
@@ -43,6 +43,13 @@ def test_model_count_for_binary_signature():
     for bound in (1, 2, 3):
         assert count_models(sig, bound) == \
             sum(1 for _ in enumerate_models(sig, bound))
+    # the count factors over the groups of sorts that operations connect,
+    # here {s}, {t, u} and {w}, which no operation mentions
+    grouped = validate_signature(["s", "t", "u", "w"], [
+        ("m", ["s", "s"], "s"), ("c", [], "s"), ("g", ["t"], "u"),
+        ("k", ["u", "t"], "u")])
+    assert count_models(grouped, 2) == 33 * 74 * 2 == \
+        sum(1 for _ in enumerate_models(grouped, 2))
 
 
 def test_enumeration_is_deterministic():

@@ -110,7 +110,7 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 # kept by the benchmark's tracer, which wraps `deduction.verify_factorization`
-# by that name; it goes when the benchmark next changes (ROADMAP item 6)
+# by that name; it goes when the tracer reads hooks instead (ROADMAP item 1)
 UNUSED_IMPORTS = {("deduction.py", "verify_factorization")}
 
 
