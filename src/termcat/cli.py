@@ -19,9 +19,9 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import arrows, deduction, kernel, models, sketch
-from .arrows import (Comp, Gen, GenApp, Id, Leaf, NormalArrow, NTuple, Prod,
-                     Proj, TupleArrow)
-from .arrows import Path as NPath
+from .category import (Comp, Gen, GenApp, Id, Leaf, NormalArrow, NTuple,
+                       Prod, Proj, TupleArrow)
+from .category import Path as NPath
 from .dsl import (ProofDef, SpecFile, build_proof, end_position, parse_spec,
                   step_origin)
 from .errors import DeductionError, TermcatError

@@ -29,7 +29,8 @@ from __future__ import annotations
 import functools
 from typing import Sequence, Union
 
-from .arrows import Comp, equation_arrows, one_stage_arrow
+from .arrows import equation_arrows, one_stage_arrow
+from .category import Comp
 from .errors import DeductionError, Record, TermcatError
 from .kernel import (CiteHyp, ComposeLeft, ComposeRight, EqConstraint,
                      Factorization, KernelProof, KernelStep, Lemma, Refl,

@@ -116,6 +116,13 @@ def text(node) -> str:
     return "".join(out)
 
 
+def application_spelling(node):
+    """`op(args)`, or `op` alone with no arguments: the spelling of an
+    expression's application and of a normal body's."""
+    args = node.args
+    return (node.op.name + "(", args, ", ", ")") if args else node.op.name
+
+
 # --- hash-consing ----------------------------------------------------------------
 #
 # Expressions, objects and arrows are hash-consed (Filliâtre & Conchon,

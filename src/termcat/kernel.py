@@ -31,19 +31,18 @@ Two kinds of certificate are checked:
   claim against the compiled goal, so it reads neither the certificate's
   hypotheses nor its last claim.
 
-This module is the only one that decides whether a certificate holds.  It
-imports from `arrows` only constructors and `arrows_equal`, and otherwise
-only `errors` and the standard library, so no code of the certificate's
-producer, its term compilers included, runs during replay, and it can be
-audited on its own.
+This module is the only one that decides whether a certificate holds.
+Besides the standard library it imports only `category` and `errors`, and
+`category` only `errors`, so none of the producer's code, its term
+compilers included, loads with it, and the three can be audited alone.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Union
 
-from .arrows import (Comp, FPArrow, Gen, Proj, TupleArrow, arrows_equal,
-                     flat_product)
+from .category import (Comp, FPArrow, Gen, Proj, TupleArrow, arrows_equal,
+                       flat_product)
 from .errors import DeductionError, EndpointMismatch, Record
 
 _set = object.__setattr__

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .arrows import FPArrow, Comp, TupleArrow, context_arrow, one_stage_arrow
+from .arrows import context_arrow, one_stage_arrow
+from .category import FPArrow, Comp, TupleArrow
 from .errors import Record, TermcatError
 from .signature import Sort, Variable, ordered_vars
 from .terms import App, Expression, Term, applications

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Union
 
-from .errors import Node, Record, TermcatError, intern, interned
+from .errors import (Node, Record, TermcatError, application_spelling,
+                     intern, interned)
 from .signature import Operation, Signature, Sort, Variable, ordered_vars
 
 _set = object.__setattr__
@@ -56,11 +57,7 @@ class App(Node):
         _set(node, "sort", op.output)
         return intern(key, node)
 
-    def _spelling(self):
-        """`op(args)`, or `op` alone with no arguments, for `text`."""
-        args = self.args
-        return (self.op.name + "(", args, ", ", ")") if args \
-            else self.op.name
+    _spelling = application_spelling
 
 
 Expression = Union[Variable, App]

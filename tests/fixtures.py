@@ -18,9 +18,9 @@ from typing import Iterable, Iterator, Sequence
 
 import pytest
 
-from termcat.arrows import (Comp, FPArrow, FPObject, Gen, GenApp, Id, Leaf,
-                            NormalArrow, NormalBody, NTuple, Path, Prod, Proj,
-                            TupleArrow)
+from termcat.category import (Comp, FPArrow, FPObject, Gen, GenApp, Id, Leaf,
+                              NormalArrow, NormalBody, NTuple, Path, Prod,
+                              Proj, TupleArrow)
 from termcat.cli import Rows
 from termcat.deduction import (Hypothesis, Step, compile_to_factorization,
                                derive, equation_constraint, lemma_table,

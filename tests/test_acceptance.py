@@ -16,8 +16,9 @@ from fixtures import bang, binary_signature, check_rule, eval_arrow, \
     unary_signature, v
 from gen import (gen_deduction, gen_equation, gen_expression, gen_signature,
                  gen_subst_instance, gen_term)
-from termcat.arrows import (Comp, GenApp, Id, Path, Prod, Proj, TERMINAL,
-                            TupleArrow, arrows_equal, normalize, term_arrow)
+from termcat.arrows import term_arrow
+from termcat.category import (Comp, GenApp, Id, Path, Prod, Proj, TERMINAL,
+                              TupleArrow, arrows_equal, normalize)
 from termcat.deduction import (Abstraction, Concretion, Reflexivity,
                                Substitutivity, Symmetry, Transitivity,
                                compile_to_factorization,

@@ -15,13 +15,13 @@ from fixtures import (bang, embed, make_equation, make_term,
                       most_concrete_term, running_signature, subst_signature,
                       v)
 from gen import gen_equation, gen_signature, gen_term
-from termcat import arrows, kernel, models
-from termcat.arrows import (Comp, Gen, GenApp, Id, Leaf, NormalArrow, NTuple,
-                            Path, Prod, Proj, TERMINAL, TupleArrow,
-                            apply_arrow, arrows_equal, context_arrow,
-                            equation_arrows, flat_product, input_product,
-                            normalize, occurrence_arrow, one_stage_arrow,
+from termcat import category, kernel, models
+from termcat.arrows import (apply_arrow, context_arrow, equation_arrows,
+                            input_product, occurrence_arrow, one_stage_arrow,
                             regroup_arrow, term_arrow, term_normal)
+from termcat.category import (Comp, Gen, GenApp, Id, Leaf, NormalArrow, NTuple,
+                              Path, Prod, Proj, TERMINAL, TupleArrow,
+                              arrows_equal, flat_product, normalize)
 from termcat.dsl import parse_spec
 from termcat.errors import INTERNED, EndpointMismatch
 from termcat.signature import Variable, validate_signature
@@ -416,10 +416,10 @@ def test_normal_forms_are_linear_in_the_tower_depth(monkeypatch):
     # bodies under each level builds about 3.9 times as many
     built = Counter()
     for name in ("Path", "GenApp", "NTuple"):
-        def counted(*fields, _make=getattr(arrows, name), _name=name):
+        def counted(*fields, _make=getattr(category, name), _name=name):
             built[_name] += 1
             return _make(*fields)
-        monkeypatch.setattr(arrows, name, counted)
+        monkeypatch.setattr(category, name, counted)
     totals = {}
     for d in (50, 100):
         sig = validate_signature([f"t{d}"], [(f"i{d}", [f"t{d}"], f"t{d}")])
@@ -800,7 +800,7 @@ def test_intern_table_keeps_no_node_alive(seed=43):
 def test_model_evaluation_never_reads_normal_forms():
     # models and the tests' reference evaluator stay the independent
     # routes: they name neither the memo slot nor anything that normalizes
-    assert "_normal" in arrows._Arrow.__slots__
+    assert "_normal" in category._Arrow.__slots__
     evaluator = ast.parse(FilePath(fixtures.__file__).read_text(
         encoding="utf-8"))
     defs = [node for node in evaluator.body

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import termcat
 from fixtures import expand, make_term, raises_exactly, reference_payload
 from gen import gen_equation, gen_expression, gen_signature, gen_term
-from termcat import arrows, cli, dsl
-from termcat.arrows import Path as NPath
+from termcat import arrows, category, cli, dsl
+from termcat.category import Path as NPath
 from termcat.cli import json_text, run
 from termcat.dsl import parse_spec
 from termcat.errors import INTERNED, TermcatError
@@ -1351,11 +1351,11 @@ def _node_payload(seed: int) -> tuple[dict, set]:
     stages = (arrows.occurrence_arrow(t.expr, t.vars),
               arrows.regroup_arrow(t.expr), arrows.apply_arrow(t.expr))
     normals = [arrows.term_normal(t.expr, t.vars),
-               *map(arrows.normalize, stages),
+               *map(category.normalize, stages),
                *(arrows.term_normal(side, eq.vars)
                  for side in (eq.left, eq.right)),
-               arrows.normalize(arrows.Id(arrows.Leaf(t.sort))),
-               arrows.normalize(arrows.TupleArrow(arrows.TERMINAL, ()))]
+               category.normalize(category.Id(category.Leaf(t.sort))),
+               category.normalize(category.TupleArrow(category.TERMINAL, ()))]
     tables = cli.Tables()
     payload = tables.payload({
         "term": cli.term_json(t), "equation": cli.equation_json(eq),
@@ -1368,7 +1368,7 @@ def _node_payload(seed: int) -> tuple[dict, set]:
              for x in applications(side)]
     features = {"0-ary application" for x in exprs if not x.args}
     features |= {"empty path" for n in normals if n.body == NPath(())}
-    features |= {"terminal" for n in normals if n.src is arrows.TERMINAL}
+    features |= {"terminal" for n in normals if n.src is category.TERMINAL}
     if max(_body_depth(n.body) for n in normals) >= 30:
         features.add("depth 30")
     return payload, features

@@ -13,8 +13,8 @@ from fixtures import (binary_signature, certify, check_rule, derive_steps,
                       raises_exactly, satisfies, unary_signature)
 from gen import gen_deduction, gen_equation, gen_expression
 from termcat import deduction, kernel, subst
-from termcat.arrows import (Comp, Gen, Id, Proj, TupleArrow, apply_arrow,
-                            arrows_equal, one_stage_arrow)
+from termcat.arrows import apply_arrow, one_stage_arrow
+from termcat.category import Comp, Gen, Id, Proj, TupleArrow, arrows_equal
 from termcat.deduction import (RULE_NAMES, Abstraction, Concretion, Copy,
                                Hypothesis, LevelledDeduction, LevelStep,
                                Reflexivity, Step, Substitutivity, Symmetry,

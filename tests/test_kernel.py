@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 import sys
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -34,9 +36,10 @@ from fixtures import (arrows_agree, binary_signature, certify, random_model,
                       replace, unary_signature)
 from gen import gen_deduction, gen_equation, gen_term
 from termcat import arrows, deduction, kernel, models, subst
-from termcat.arrows import (Comp, Leaf, Proj, TupleArrow, arrows_equal,
-                            flat_product, input_product, normalize,
-                            one_stage_arrow, term_arrow, term_normal)
+from termcat.arrows import (input_product, one_stage_arrow, term_arrow,
+                            term_normal)
+from termcat.category import (Comp, Leaf, Proj, TupleArrow, arrows_equal,
+                              flat_product, normalize)
 from termcat.cli import run
 from termcat.deduction import (equation_constraint, lemma_table,
                                product_factorizations)
@@ -77,20 +80,45 @@ def _outside_stdlib(imports, allowed: set[str]) -> list[str]:
             and name not in allowed]
 
 
-def test_kernel_imports_only_arrows_errors_and_the_stdlib():
-    # an application is interned, so the kernel's compiler keys its memo by
-    # node and needs no type test to tell a variable from an application
-    imports = _imports(kernel)
-    assert {"arrows", "errors"} <= {name for name, _ in imports}
-    assert _outside_stdlib(imports, {"arrows", "errors"}) == []
+PACKAGE = Path(kernel.__file__).resolve().parent
+
+
+def _closure(name: str) -> set[str]:
+    """The termcat modules that importing `name` loads, itself included,
+    read from every import statement of their sources, deferred ones too."""
+    found, todo = set(), [name]
+    while todo:
+        name = todo.pop()
+        if name not in found:
+            found.add(name)
+            todo += [m for m, _ in _imports(import_module(f"termcat.{name}"))
+                     if (PACKAGE / f"{m}.py").exists()]
+    return found
+
+
+def test_kernel_imports_only_category_errors_and_the_stdlib():
     # the kernel compiles statements with its own compiler, not the
-    # producer's: none of the compilers `arrows` defines
-    compilers = {"equation_arrows", "term_arrow", "context_arrow",
-                 "occurrence_arrow", "regroup_arrow", "apply_arrow",
-                 "term_normal", "input_product", "one_stage_arrow"}
-    assert compilers <= vars(arrows).keys()
-    assert not {n for name, names in imports if name == "arrows"
-                for n in names} & compilers
+    # producer's, and keys its memo by interned node, so it loads neither
+    # a term compiler nor the expressions' module
+    closure = _closure("kernel")
+    assert closure == {"kernel", "category", "errors"}
+    for name in closure:
+        imports = _imports(import_module(f"termcat.{name}"))
+        assert _outside_stdlib(imports, closure) == []
+    # what a reader audits to trust a verdict, which README states exactly
+    lines = sum((PACKAGE / f"{name}.py").read_bytes().count(b"\n")
+                for name in closure)
+    assert lines < 950
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(
+        r"three\s+modules\s+of\s+termcat\s+and\s+([0-9,]+)\s+lines", readme)
+    assert [int(n.replace(",", "")) for n in stated] == [lines]
+    # the term compilers are all that `arrows` defines
+    tree = ast.parse(Path(arrows.__file__).read_text(encoding="utf-8"))
+    assert {n.name for n in tree.body if isinstance(n, ast.FunctionDef)} == {
+        "equation_arrows", "term_arrow", "context_arrow", "occurrence_arrow",
+        "regroup_arrow", "apply_arrow", "term_normal", "input_product",
+        "one_stage_arrow"}
 
 
 def test_the_term_compiler_takes_expressions_not_terms():
@@ -110,6 +138,10 @@ def test_models_imports_nothing_that_normalizes():
         imports, {"arrows", "errors", "signature", "terms"}) == []
     assert not {n for name, names in imports
                 for n in (name, *names)} & normalizing
+    # nor does anything it loads, through `terms` and `signature` too
+    assert "terms" in _closure("models")
+    assert not _closure("models") & {"category", "arrows", "kernel",
+                                     "deduction", "subst"}
 
 
 # --- the kernel's compiler ---------------------------------------------------

@@ -107,7 +107,7 @@ def test_equal_normal_forms_agree_in_models(seed=57):
     for _ in range(10):
         t = gen_term(rng, sig, depth=2)
         a = term_arrow(t.expr, t.vars)
-        from termcat.arrows import Comp, Id
+        from termcat.category import Comp, Id
         b = Comp(a, Id(a.src))
         for model in enumerate_models(sig, 2):
             assert arrows_agree(model, a, b, a.src)
@@ -116,7 +116,7 @@ def test_equal_normal_forms_agree_in_models(seed=57):
 def test_separating_model_for_projections():
     sig = binary_signature()
     s = sig.sort_named["s"]
-    from termcat.arrows import Proj, flat_product
+    from termcat.category import Proj, flat_product
     pair = flat_product([s, s])
     found = find_separating_model(sig, Proj(pair, 1), Proj(pair, 2), pair,
                                   2, random.Random(3), attempts=50)
@@ -160,7 +160,7 @@ def test_points_shape():
     s = sig.sort_named["s"]
     model = next(m for m in enumerate_models(sig, 2)
                  if m.sizes[s] == 2)
-    from termcat.arrows import Prod, Leaf, flat_product
+    from termcat.category import Prod, Leaf, flat_product
     assert list(points(model, Leaf(s))) == [0, 1]
     assert len(list(points(model, flat_product([s, s])))) == 4
     assert list(points(model, Prod(()))) == [()]

@@ -8,8 +8,9 @@ import pytest
 from fixtures import (make_equation, make_term, raises_exactly,
                       running_signature, subst_signature, v)
 from gen import gen_signature, gen_subst_instance, gen_term
-from termcat.arrows import (Comp, GenApp, Path, Proj, arrows_equal,
-                            flat_product, normalize, term_arrow)
+from termcat.arrows import term_arrow
+from termcat.category import (Comp, GenApp, Path, Proj, arrows_equal,
+                              flat_product, normalize)
 from termcat.deduction import Concretion, conclude
 from termcat.errors import DeductionError, TermcatError
 from termcat.signature import validate_signature

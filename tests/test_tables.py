@@ -10,7 +10,7 @@ from pathlib import Path
 from fixtures import certify, expand
 from gen import gen_signature, gen_term
 from termcat import arrows, kernel
-from termcat.arrows import Comp, Gen, Id, Leaf, Prod, TupleArrow
+from termcat.category import Comp, Gen, Id, Leaf, Prod, Proj, TupleArrow
 from termcat.cli import Tables, arrow_json, json_text, run
 from termcat.deduction import lemma_table
 from termcat.dsl import build_proof, parse_spec
@@ -27,7 +27,7 @@ def _node_children(x) -> tuple:
         return x.factors
     if isinstance(x, Id):
         return (x.obj,)
-    if isinstance(x, arrows.Proj):
+    if isinstance(x, Proj):
         return (x.src,)
     if isinstance(x, TupleArrow):
         return (x.src, *x.parts)
@@ -122,7 +122,7 @@ def _tree(x) -> dict:
         return {"kind": "product", "factors": [_tree(f) for f in x.factors]}
     if isinstance(x, Id):
         return {"kind": "id", "object": _tree(x.obj)}
-    if isinstance(x, arrows.Proj):
+    if isinstance(x, Proj):
         return {"kind": "proj", "index": x.index, "source": _tree(x.src)}
     if isinstance(x, Gen):
         return {"kind": "gen", "op": x.op.name}
