@@ -35,9 +35,9 @@ those into expressions with an explicit stack.  A token's line and
 column are computed from the text only when an error or a proof step's
 origin needs them.
 
-Every declaration is checked, but only on sorts: `_sort_of` resolves each
-name and checks each call's arity and argument sorts without building
-anything, and a declaration that fails is elaborated to raise its error.
+The walk that reads a term or an equation checks it, resolving each name
+against the bracket and the operations above by sort name, and builds
+nothing; what it cannot settle is elaborated once the signature is known.
 Proofs are checked on syntax and names; their steps, a file's terms and its
 equations are built when a command first reads them, so a command checks
 the whole file and builds only what it reads.
@@ -54,8 +54,7 @@ from .deduction import (Abstraction, Concretion, Hypothesis, Reflexivity,
                         Step, Substitutivity, Symmetry, Transitivity, derive)
 from .errors import (DeductionError, DslError, DuplicateSort, Record,
                      SignatureError, TermcatError)
-from .signature import (Signature, Sort, Variable, ordered_vars,
-                        validate_signature)
+from .signature import Signature, Variable, ordered_vars, validate_signature
 from .terms import App, Equation, Expression, Term
 
 # --- tokens ------------------------------------------------------------------
@@ -212,13 +211,13 @@ class SpecFile(Record):
 
 
 class _OnDemand(Mapping):
-    """Declared names, in declaration order, to what `build` makes of
-    their checked declarations; each is built on first access and kept.
-    A copy or a pickle is a dict, with every value built."""
+    """Declared names, or positions, in declaration order, to what `build`
+    makes of their checked declarations; each is built on first access and
+    kept.  A copy or a pickle is a dict, with every value built."""
 
     __slots__ = ("_build", "_args", "_done")
 
-    def __init__(self, build: Callable, args: dict[str, tuple]):
+    def __init__(self, build: Callable, args: dict):
         self._build, self._args, self._done = build, args, {}
 
     def __getitem__(self, name: str):
@@ -243,22 +242,32 @@ class _OnDemand(Mapping):
         return dict, (dict(self),)
 
 
-class _Cited(Sequence):
-    """A proof's hypotheses in citation order, read from the file's
-    equations, so only those that a step or a certificate reads are
-    built."""
+class _Values(Sequence):
+    """The values of a mapping at the given keys, in order, each read when
+    accessed: a file's declarations, or a proof's hypotheses.  Equal to the
+    tuple of them, which is what a copy or a pickle makes."""
 
-    __slots__ = ("_equations", "_names")
+    __slots__ = ("_mapping", "_keys")
+    __hash__ = None
 
-    def __init__(self, equations: Mapping[str, Equation],
-                 names: tuple[str, ...]):
-        self._equations, self._names = equations, names
+    def __init__(self, mapping: Mapping, keys: Sequence):
+        self._mapping, self._keys = mapping, keys
 
-    def __getitem__(self, i: int) -> Equation:
-        return self._equations[self._names[i]]
+    def __getitem__(self, i: int):
+        return self._mapping[self._keys[i]]
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._keys)
+
+    def __eq__(self, other):
+        other = tuple(other) if isinstance(other, _Values) else other
+        return tuple(self) == other
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
 
 # --- parser --------------------------------------------------------------------
@@ -394,14 +403,57 @@ def _expr(tokens: list[str], i: int) -> tuple[RawExpr, int]:
             return tuple(out), i
 
 
+def _walk(tokens: list[str], i: int, scope: dict[str, tuple]
+          ) -> tuple[Optional[str], int]:
+    """The sort name of the expression at token `i`, or None where this
+    walk cannot tell, and the index after it: `_expr` then reads it again.
+    `scope` maps each operation above and each bracket variable to its
+    sort, its first input sort or None, and ")" then its other input
+    sorts, last first; a variable has None for the last two."""
+    start, todo = i, []  # todo: per open call, ")" and the sorts to come
+    want = top = None  # the sort the next name must have; None at the top
+    while True:
+        entry = scope.get(tokens[i])
+        if entry is None:
+            break
+        sort, first, rest = entry
+        if sort != want:
+            if want is not None:
+                break
+            top = sort
+        i += 1
+        if tokens[i] == "(":
+            if rest is None:
+                break  # a variable is not called
+            i += 1
+            todo += rest
+            if first is not None:
+                want = first
+                continue  # with its first argument
+        elif first is not None:
+            break  # an operation with inputs is not written bare
+        while todo:  # an expression is complete
+            want = todo.pop()
+            more = want != ")"  # a "," starts the call's next argument
+            if tokens[i] != ("," if more else ")"):
+                return None, _expr(tokens, start)[1]
+            i += 1
+            if more:
+                break
+        else:
+            return top, i
+    return None, _expr(tokens, start)[1]
+
+
 def _parse_raw(tokens: list[str]):
     p = _Parser(tokens)
     sort_names: list[str] = []
     op_decls: list[tuple[str, tuple[str, ...], str]] = []
     sort_at: list[int] = []
     op_at: list[int] = []
-    term_decls: list[TermDecl] = []
-    eq_decls: list[EqDecl] = []
+    ops: dict[str, tuple] = {}  # what `_walk` reads
+    # per term and equation: `_decl`'s arguments, and if the walk settled it
+    heads: dict[str, list[tuple]] = {"term": [], "eq": []}
     proofs: list[tuple] = []  # what `_parse_proof` returns
 
     while True:
@@ -426,16 +478,24 @@ def _parse_raw(tokens: list[str]):
             output, = p.read("n\n")
             op_decls.append((name, inputs, output))
             op_at.append(at)
-        elif word == "term":
-            term_decls.append(TermDecl(*p.read("n[:x\n"), at))
-        elif word == "eq":
-            eq_decls.append(EqDecl(*p.read("n[:x=x\n"), at))
+            ops[name] = output, inputs[0] if inputs else None, \
+                (")",) + inputs[:0:-1]
+        elif word in heads:
+            name, bracket = p.read("n[:")
+            scope = ops | {v: (s, None, None) for v, s in bracket}
+            sort, p.pos = _walk(tokens, start := p.pos, scope)
+            if word == "eq":
+                p.read("=")
+                right, p.pos = _walk(tokens, p.pos, scope)
+                sort = sort if sort == right else None
+            p.read("\n")
+            heads[word].append((name, bracket, at, start, sort is not None))
         elif word == "proof":
             proofs.append(_parse_proof(p, at))
         else:
             raise _Fault(f"unknown statement {word!r}", at)
-    return (tuple(sort_names), tuple(op_decls), tuple(term_decls),
-            tuple(eq_decls), tuple(proofs), sort_at, op_at)
+    return (tuple(sort_names), tuple(op_decls), heads["term"], heads["eq"],
+            tuple(proofs), sort_at, op_at)
 
 
 def _parse_proof(p: _Parser, at: int) -> tuple:
@@ -574,39 +634,17 @@ def _elaborate(sig: Signature, binding: dict[str, Variable], raw: RawExpr,
     return done[0]
 
 
-def _sort_of(sig: Signature, binding: dict[str, Variable], raw: RawExpr
-             ) -> Optional[Sort]:
-    """The sort of the expression `raw` spells, or None where `_elaborate`
-    raises; nothing is built.  Read right to left, a call finds its
-    arguments' sorts on top of the stack, its first argument's topmost."""
-    ops = sig.operation_named
-    stack: list[Sort] = []
-    for name, argc in reversed(raw):
-        if argc < 0:
-            var = binding.get(name)
-            if var is not None:
-                stack.append(var.sort)
-                continue
-            argc = 0  # any other bare name must be a constant
-        op = ops.get(name)
-        if op is None or len(op.inputs) != argc:
-            return None
-        if argc:
-            if tuple(stack[:-argc - 1:-1]) != op.inputs:
-                return None
-            del stack[-argc:]
-        stack.append(op.output)
-    return stack[0]
-
-
 def _term(sig: Signature, binding: dict[str, Variable],
-          vs: tuple[Variable, ...], td: TermDecl) -> Term:
+          vs: tuple[Variable, ...], decls: Mapping, k: int) -> Term:
+    td = decls[k]
     e = _elaborate(sig, binding, td.expr, td.at, _first_name(td.bracket))
     return Term(e, vs, e.sort)
 
 
 def _equation(sig: Signature, binding: dict[str, Variable],
-              vs: tuple[Variable, ...], ed: EqDecl) -> Equation:
+              vs: tuple[Variable, ...], decls: Mapping, k: int
+              ) -> Equation:
+    ed = decls[k]
     skip = _first_name(ed.bracket)
     left = _elaborate(sig, binding, ed.left, ed.at, skip)
     right = _elaborate(sig, binding, ed.right, ed.at, skip + len(ed.left))
@@ -614,6 +652,14 @@ def _equation(sig: Signature, binding: dict[str, Variable],
         return Equation(left, right, vs)
     except TermcatError as exc:
         raise _Fault(str(exc), ed.at)
+
+
+def _decl(tokens: list[str], name: str, bracket: Bracket, at: int, i: int):
+    """The declaration at token `at`, its expressions read from token `i`."""
+    left, i = _expr(tokens, i)
+    if tokens[at] == "term":
+        return TermDecl(name, bracket, left, at)
+    return EqDecl(name, bracket, left, _expr(tokens, i + 1)[0], at)
 
 
 def parse_spec(text: str) -> SpecFile:
@@ -628,7 +674,7 @@ def parse_spec(text: str) -> SpecFile:
 
 
 def _resolve(text: str, tokens: list[str]) -> SpecFile:
-    (sort_names, op_decls, term_decls, eq_decls, proofs, sort_at,
+    (sort_names, op_decls, term_heads, eq_heads, proofs, sort_at,
      op_at) = _parse_raw(tokens)
     try:
         sig = validate_signature(sort_names, op_decls)
@@ -641,34 +687,27 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
     # once; the bindings are shared and never changed
     bound: dict[Bracket, tuple] = {}
 
-    def bind(bracket: Bracket, at: int) -> tuple:
-        if bracket not in bound:
-            bound[bracket] = _bind_bracket(sig, bracket, at)
-        return bound[bracket]
-
-    # each declaration is checked on sorts alone; one that fails is
-    # elaborated, which raises its error
-    terms: dict[str, tuple] = {}
-    term_bindings: dict[str, dict[str, Variable]] = {}
-    for td in term_decls:
-        if td.name in terms:
-            raise _Fault(f"term {td.name!r} declared twice", td.at)
-        binding, vs = bind(td.bracket, td.at)
-        terms[td.name] = args = (sig, binding, vs, td)
-        if _sort_of(sig, binding, td.expr) is None:
-            _term(*args)
-        term_bindings[td.name] = binding
-    equations: dict[str, tuple] = {}
-    eq_bindings: dict[str, dict[str, Variable]] = {}
-    for ed in eq_decls:
-        if ed.name in equations:
-            raise _Fault(f"equation {ed.name!r} declared twice", ed.at)
-        binding, vs = bind(ed.bracket, ed.at)
-        equations[ed.name] = args = (sig, binding, vs, ed)
-        sort = _sort_of(sig, binding, ed.left)
-        if sort is None or sort is not _sort_of(sig, binding, ed.right):
-            _equation(*args)
-        eq_bindings[ed.name] = binding
+    # the walk settled most declarations against the operations above
+    # them; any other is elaborated now, which raises its error or keeps it
+    read: list = []
+    for kind, heads, build in (("term", term_heads, _term),
+                               ("equation", eq_heads, _equation)):
+        decls = _OnDemand(_decl, {k: (tokens, *head[:4])
+                                  for k, head in enumerate(heads)})
+        args: dict[str, tuple] = {}
+        bindings: dict[str, dict[str, Variable]] = {}
+        made = _OnDemand(build, args)
+        for k, (name, bracket, at, _, settled) in enumerate(heads):
+            if name in args:
+                raise _Fault(f"{kind} {name!r} declared twice", at)
+            if bracket not in bound:
+                bound[bracket] = _bind_bracket(sig, bracket, at)
+            bindings[name], vs = bound[bracket]
+            args[name] = (sig, bindings[name], vs, decls, k)
+            if not settled:
+                made[name]  # raises its error, or is built and kept
+        read += _Values(decls, range(len(heads))), made, bindings
+    term_decls, terms, term_bindings, eq_decls, equations, eq_bindings = read
 
     proof_args: dict[str, tuple] = {}
     for name, hyps, steps_at, at, fault in proofs:
@@ -682,9 +721,8 @@ def _resolve(text: str, tokens: list[str]) -> SpecFile:
                              f"{h!r}", at)
         proof_args[name] = (tokens, name, hyps, steps_at, at)
     return SpecFile(sig, sort_names, op_decls, term_decls, eq_decls,
-                    _OnDemand(_proof, proof_args), _OnDemand(_term, terms),
-                    _OnDemand(_equation, equations), term_bindings,
-                    eq_bindings, text, tokens)
+                    _OnDemand(_proof, proof_args), terms, equations,
+                    term_bindings, eq_bindings, text, tokens)
 
 
 # --- proofs to deduction steps -------------------------------------------------------
@@ -725,7 +763,7 @@ def build_proof(sf: SpecFile, proof: ProofDef
     line:column.
     """
     sig = sf.signature
-    hypotheses = _Cited(sf.equations, proof.hypotheses)
+    hypotheses = _Values(sf.equations, proof.hypotheses)
     index = {s.name: k for k, s in enumerate(proof.steps)}
     steps: list[Step] = []
     # each step's variable names -> Variable, or None where ambiguous;

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import certify, derive_steps, print_spec, raises_exactly
+from fixtures import (_print_bracket, _print_expr, certify, derive_steps,
+                      print_spec, raises_exactly)
 from termcat import dsl
 from termcat.cli import run
 from termcat.deduction import (Hypothesis, Transitivity, normalize_deduction,
                                verify_factorization)
 from termcat.dsl import (EOF, _bind_bracket, _elaborate, _Fault, _positions,
-                         _scan, _sort_of, build_proof, parse_spec)
+                         _scan, build_proof, parse_spec)
 from termcat.errors import DeductionError, DslError
 from termcat.signature import Variable, validate_signature
 
@@ -392,7 +393,7 @@ def test_a_proof_builds_only_the_hypotheses_it_reads(tmp_path, monkeypatch,
     built = []
     equation = dsl._equation
     monkeypatch.setattr(dsl, "_equation",
-                        lambda *args: built.append(args[3].name)
+                        lambda *args: built.append(args[3][args[4]].name)
                         or equation(*args))
     for flags, names in (([], ["comm"]), (["--levelled"], ["comm", "lunit"])):
         built.clear()
@@ -406,12 +407,13 @@ _SORTS = ("s", "t", "u")
 
 @st.composite
 def _signature_and_form(draw):
-    """A random signature, a bracket over it, and an expression's prefix
-    form, as the parser writes it, over the bracket's names, the
-    operations and one unknown name.  Most names have the sort their place
-    wants and most calls the right argument count, so well-formed forms
-    are common, constants written `c()` among them; the rest hold unknown
-    names, wrong arities, operations written bare and sort clashes."""
+    """A random signature, a bracket over it, an expression's prefix form,
+    as the parser writes it, over the bracket's names, the operations and
+    one unknown name, and the operations declared below the expression
+    rather than above it.  Most names have the sort their place wants and
+    most calls the right argument count, so well-formed forms are common,
+    constants written `c()` among them; the rest hold unknown names, wrong
+    arities, operations written bare and sort clashes."""
     sorts = _SORTS[:draw(st.integers(1, 3))]
     ops = draw(st.lists(st.tuples(st.lists(st.sampled_from(sorts),
                                            max_size=3),
@@ -451,17 +453,46 @@ def _signature_and_form(draw):
         args += [draw(st.sampled_from(sorts))
                  for _ in range(max(argc, 0) - len(args))]
         todo.extend(reversed(args))
-    return sig, names, tuple(raw)
+    below = {op.name for op in sig.operations if draw(st.integers(0, 3)) == 0}
+    return sig, bracket, tuple(raw), below
 
 
-def _same_verdict(sig, names, raw):
+def _walked(sig, bracket, raw, below) -> str | None:
+    """The sort that the front end's walk gives `raw`, the expression of a
+    term declared after every operation of `sig` but those in `below`,
+    which come after it; None where the walk leaves it to elaboration."""
+    ops = [f"op {op}\n" for op in sig.operations if op.name not in below]
+    later = [f"op {op}\n" for op in sig.operations if op.name in below]
+    text = "".join(["sort " + " ".join(map(str, sig.sorts)) + "\n", *ops,
+                    f"term t {_print_bracket(bracket)}: {_print_expr(raw)}\n",
+                    *later])
+    walked = []
+    walk = dsl._walk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "_walk",
+                      lambda *args: walked.append(walk(*args)) or walked[-1])
+        dsl._parse_raw(_scan(text)[1])
+    (sort, _), = walked
+    return sort
+
+
+def _same_verdict(sig, bracket, raw, below):
+    """The walk's sort, checked both ways against elaboration over the
+    whole signature: where the walk gives a sort, elaboration builds an
+    expression of that sort; where it gives none, elaboration raises or
+    the expression names an operation declared below it."""
+    sort = _walked(sig, bracket, raw, below)
+    names, _ = _bind_bracket(sig, bracket, 0)
     try:
         built = _elaborate(sig, names, raw, 0, 0)
     except _Fault:
-        assert _sort_of(sig, names, raw) is None
+        assert sort is None
         return None
-    assert _sort_of(sig, names, raw) is built.sort
-    return built.sort.name
+    if sort is None:
+        assert {name for name, _ in raw} & below
+    else:
+        assert sort == built.sort.name
+    return sort
 
 
 @settings(max_examples=400, deadline=None)
@@ -476,7 +507,27 @@ def test_sort_of_fails_exactly_where_elaboration_raises(case):
     ("x(e)", None), ("m(e, lift(x))", None), ("lift(m(x, lift))", None),
 ])
 def test_sort_of_on_each_kind_of_fault(text, sort):
-    sf = parse_spec(GOOD)
-    names, _ = _bind_bracket(sf.signature, (("x", "s"), ("y", "t")), 0)
+    sig = parse_spec(GOOD).signature
     raw, _ = dsl._expr(_scan(text)[1], 0)
-    assert _same_verdict(sf.signature, names, raw) == sort
+    bracket = (("x", "s"), ("y", "t"))
+    assert _same_verdict(sig, bracket, raw, set()) == sort
+    # declared below the term, an operation is left to elaboration
+    assert _same_verdict(sig, bracket, raw, {"m", "e", "lift"}) == (
+        sort if text == "y" else None)
+
+
+def test_parsing_builds_no_raw_syntax(monkeypatch, tmp_path, capsys):
+    # the walk checks every term and equation without writing its prefix
+    # form; a command writes it for the declarations it reads
+    read = []
+    expr = dsl._expr
+    monkeypatch.setattr(dsl, "_expr",
+                        lambda tokens, i: read.append(i) or expr(tokens, i))
+    text = GOOD[:GOOD.index("proof")] + "term t2 [x:s] : lift(m(x, e))\n"
+    parse_spec(text)
+    assert read == []
+    f = tmp_path / "good.msl"
+    f.write_text(text)
+    assert run(["check-eq", "--equation", "comm", str(f)]) == 1
+    assert len(read) == 2
+    capsys.readouterr()

@@ -32,6 +32,11 @@ _SUBST_ABSENT = ("sort s\nop m : s s -> s\nop e : -> s\n"
                  "  c = conc b y ;\n"
                  "  d = subst c y a ;\n"
                  "}\n")
+# a term and an equation above the sort and the operations they use
+_DECLARATIONS = "sort s\nop f : s -> s\nop g : s s -> s\nop c : -> s\n"
+_USES = ("term t [x:s] : f(g(x, c))\n"
+         "eq e [x:s] : g(x, c) = g(f(x), c)\n")
+_LATER = _USES + _DECLARATIONS
 
 # name: (text, argv, exit code, the stream written, what it holds)
 GOLDEN = {
@@ -302,6 +307,74 @@ GOLDEN = {
         _HEAD + "term t [x:q] : y\n",
         ["sketch"], 2, "err",
         "error: 4:1: unknown sort 'q'\n"),
+    # a name may be used above the line that declares it: the parser leaves
+    # such a declaration to elaboration, which reports in the same order
+    "uses-before-declarations": (
+        _LATER,
+        ["compile", "--term", "t"], 0, "out",
+        "term t : (f(g(x1:s, c)) | {x1:s} : s)\n"
+        "  input product: (s)\n"
+        "  occurrences:   <p1> : -> (s)\n"
+        "  regroup:       <<p1, <>>> : -> ((s x 1))\n"
+        "  apply:         f . <g . <id[s] . p1, c . <> . p2> . p1> : -> s\n"
+        "  normal form:   f(g(p1, c))\n"),
+    "bracket-sort-declared-later": (
+        "sort s\n"
+        "op f : s -> s\n"
+        "term t [x:u, y:s] : f(y)\n"
+        "sort u\n",
+        ["compile", "--term", "t"], 0, "out",
+        "term t : (f(x1:s) | {x1:s, x1:u} : s)\n"
+        "  input product: (s x u)\n"
+        "  occurrences:   <p1> : -> (s)\n"
+        "  regroup:       <p1> : -> (s)\n"
+        "  apply:         f . <id[s] . p1> : -> s\n"
+        "  normal form:   f(p1)\n"),
+    "operation-sort-declared-later": (
+        "op c : -> s\n"
+        "term t : c\n"
+        "sort s\n",
+        ["compile", "--term", "t"], 0, "out",
+        "term t : (c | {} : s)\n"
+        "  input product: 1\n"
+        "  occurrences:   <> : -> 1\n"
+        "  regroup:       <> : -> 1\n"
+        "  apply:         c . <> : -> s\n"
+        "  normal form:   c\n"),
+    "later-operation-arity": (
+        "sort s\n"
+        "term t [x:s] : g(x, x)\n"
+        "op g : s -> s\n",
+        ["sketch"], 2, "err",
+        "error: 2:16: g expects 1 arguments, got 2\n"),
+    "variable-shadows-later-operation": (
+        "sort s\n"
+        "term t [g:s] : g\n"
+        "op g : -> s\n",
+        ["sketch"], 2, "err",
+        "error: 2:1: variable 'g' shadows an operation\n"),
+    "later-duplicate-operation": (
+        "sort s\n"
+        "op c : -> s\n"
+        "term t : c\n"
+        " op c : -> s\n",
+        ["sketch"], 2, "err",
+        "error: 4:2: operation 'c' declared twice\n"),
+    "sort-fault-before-later-syntax": (
+        "sort s u\n"
+        "op f : s -> s\n"
+        "op d : -> u\n"
+        "term t : f(d)\n"
+        "op g :\n",
+        ["sketch"], 2, "err",
+        "error: 5:7: unexpected 'NEWLINE'\n"),
+    "equation-sides-of-calls": (
+        "sort s u\n"
+        "op f : s -> s\n"
+        "op h : s -> u\n"
+        "eq e [x:s] : f(x) = h(x)\n",
+        ["sketch"], 2, "err",
+        "error: 4:1: equation sides have sorts s and u\n"),
     "duplicate-term": (
         _HEAD + "term t : c\n"
         "\n"
@@ -551,6 +624,26 @@ def test_error_output_is_pinned(text, argv, code, stream, expected,
     written = {"out": out.getvalue(), "err": err.getvalue()}
     assert (got, written[stream]) == (code, expected)
     assert written["err" if stream == "out" else "out"] == ""
+
+
+def _run(argv: list[str], text: str, tmp_path) -> tuple[int, str, str]:
+    f = tmp_path / "case.msl"
+    f.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = run(argv + [str(f)])
+    return got, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "--term", "t"], ["compile", "--term", "t", "--json"],
+    ["check-eq", "--equation", "e"], ["check-eq", "--equation", "e", "--json"],
+    ["sketch"], ["sketch", "--json"],
+], ids=" ".join)
+def test_declarations_may_follow_their_uses(argv, tmp_path):
+    first = _run(argv, _DECLARATIONS + _USES, tmp_path)
+    assert first[0] in (0, 1) and first[1] and not first[2]
+    assert _run(argv, _LATER, tmp_path) == first
 
 
 # the cases whose fault is in a proof: its syntax, or the names its steps
